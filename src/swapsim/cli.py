@@ -11,7 +11,7 @@ import json
 import math
 import sys
 
-from . import oracle, protocols
+from . import protocols
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -21,6 +21,17 @@ VERIFY_TOL = 1e-10
 
 SCHEMES = ("scheme-a", "scheme-b", "theta", "bell-check",
            "postselect-pol", "postselect-vac", "verify-phase")
+
+# the parameters _run_report takes from a sweep's overrides, per subcommand
+SWEEP_PARAMS = {
+    "scheme-a": ("tau", "tau2", "eta"),
+    "verify-phase": ("tau", "tau2", "eta"),
+    "scheme-b": ("epsilon", "eta"),
+    "theta": ("theta",),
+    "bell-check": (),
+    "postselect-pol": ("eta",),
+    "postselect-vac": ("eta",),
+}
 
 
 def _fmt(x) -> str:
@@ -41,6 +52,17 @@ def _round_floats(obj):
     return obj
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swapsim",
@@ -57,15 +79,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--sweep", metavar="PARAM",
                        help="sweep a numeric parameter; emits CSV rows")
-        p.add_argument("--from", dest="sweep_from", type=float)
-        p.add_argument("--to", dest="sweep_to", type=float)
+        p.add_argument("--from", dest="sweep_from", type=_finite_float)
+        p.add_argument("--to", dest="sweep_to", type=_finite_float)
         p.add_argument("--steps", type=int)
         p.add_argument("--spacing", choices=("linear", "log"), default="linear")
 
     def add_tau(p):
-        p.add_argument("--tau", type=float, help="pair amplitude ratio")
-        p.add_argument("--tau2", type=float, help="|tau|^2 (exclusive with --tau)")
-        p.add_argument("--eta", type=float, default=1.0)
+        p.add_argument("--tau", type=_finite_float, help="pair amplitude ratio")
+        p.add_argument("--tau2", type=_finite_float, help="|tau|^2 (exclusive with --tau)")
+        p.add_argument("--eta", type=_finite_float, default=1.0)
         p.add_argument("--order", type=int, default=1)
 
     p = sub.add_parser("scheme-a", help="double-pass SPDC swapping")
@@ -77,29 +99,29 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("scheme-b", help="single-pass scheme with unbalanced BS or PBS")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--epsilon", type=_finite_float, required=True)
+    p.add_argument("--eta", type=_finite_float, default=1.0)
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--variant", choices=("ubs", "pbs"), default="ubs")
-    p.add_argument("--pair-amplitude", type=float, default=0.0)
+    p.add_argument("--pair-amplitude", type=_finite_float, default=0.0)
     common(p)
 
     p = sub.add_parser("theta", help="non-maximal pair swapping identity")
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_finite_float, required=True)
     common(p)
 
     p = sub.add_parser("bell-check", help="Bell-basis swapping identity")
     common(p)
 
     p = sub.add_parser("postselect-pol", help="polarization post-selection analysis")
-    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--eta", type=_finite_float, default=1.0)
     p.add_argument("--x-only", action="store_true",
                    help="drop the double-pair emission terms")
-    p.add_argument("--double-pair-weight", type=float, default=1.0)
+    p.add_argument("--double-pair-weight", type=_finite_float, default=1.0)
     common(p)
 
     p = sub.add_parser("postselect-vac", help="vacuum/one-photon post-selection analysis")
-    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--eta", type=_finite_float, default=1.0)
     common(p)
     return parser
 
@@ -163,6 +185,12 @@ def _sweep_rows(report: protocols.ProtocolReport, param: str, value: float) -> l
 
 
 def _sweep_grid(args, parser) -> list[float]:
+    allowed = SWEEP_PARAMS[args.scheme]
+    if args.sweep not in allowed:
+        parser.error(f"{args.scheme} cannot sweep {args.sweep!r}; "
+                     f"sweepable: {', '.join(allowed) or 'none'}")
+    if args.verify or args.shots:
+        parser.error("--sweep cannot be combined with --verify or --shots")
     if args.sweep_from is None or args.sweep_to is None or args.steps is None:
         parser.error("--sweep requires --from, --to and --steps")
     if args.steps < 1:
@@ -224,6 +252,8 @@ def _emit_report(report: protocols.ProtocolReport, args, samples, out) -> None:
 
 
 def _verify(args) -> float | None:
+    from . import oracle  # scipy is only needed here
+
     if args.scheme in ("scheme-a", "verify-phase"):
         return oracle.verify_scheme_a(args._tau, args.eta, args.order)
     if args.scheme == "scheme-b":

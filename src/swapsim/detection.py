@@ -13,8 +13,8 @@ measured modes' Fock basis.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .fock import FockKet, ModeRegister, WeightedEnsemble
 

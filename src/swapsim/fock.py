@@ -35,10 +35,6 @@ class pruning:
         return False
 
 
-def prune_tolerance() -> float:
-    return _prune_tol
-
-
 @dataclass(frozen=True)
 class ModeRegister:
     """Ordered, named optical modes with a shared per-mode photon cutoff."""
@@ -120,24 +116,11 @@ def vacuum(register: ModeRegister) -> FockKet:
     return FockKet(register, {(0,) * register.size: 1.0})
 
 
-def basis_state(register: ModeRegister, occ: Iterable[int], amp: complex = 1.0) -> FockKet:
-    return FockKet(register, {tuple(occ): amp})
-
-
 def _require_same_modes(a: FockKet, b: FockKet):
     if a.register.labels != b.register.labels:
         raise ValueError(
             f"register mismatch: {a.register.labels} vs {b.register.labels}"
         )
-
-
-def add(a: FockKet, b: FockKet) -> FockKet:
-    _require_same_modes(a, b)
-    out = dict(a.terms)
-    for occ, amp in b.terms.items():
-        out[occ] = out.get(occ, 0.0) + amp
-    cutoff = max(a.register.cutoff, b.register.cutoff)
-    return FockKet(a.register.with_cutoff(cutoff), out)
 
 
 def tensor_product(a: FockKet, b: FockKet) -> FockKet:
@@ -273,10 +256,6 @@ def partial_project(state: FockKet, target: FockKet) -> FockKet:
         rest_occ = tuple(occ[i] for i in rest)
         out[rest_occ] = out.get(rest_occ, 0.0) + t_amp.conjugate() * amp
     return FockKet(reg, out)
-
-
-def total_photons(occ: tuple[int, ...]) -> int:
-    return sum(occ)
 
 
 def format_ket(state: FockKet, digits: int = 6) -> str:

@@ -36,6 +36,7 @@ from .fock import (
     partial_project,
     relabel,
     reorder,
+    tensor_product,
 )
 from .sources import (
     SpdcParams,
@@ -158,8 +159,6 @@ def bell_decomposition_check() -> ProtocolReport:
 
 
 def _tensor_bells(kind_a, modes_a, kind_b, modes_b) -> FockKet:
-    from .fock import tensor_product
-
     return tensor_product(bell_state(kind_a, modes_a), bell_state(kind_b, modes_b))
 
 
@@ -330,6 +329,8 @@ def _pair_terms(order: int, pair_amplitude: float):
     # with pair_amplitude = 0 only the single-pair term survives
     if order < 1:
         raise ValueError("order must be >= 1")
+    if not math.isfinite(pair_amplitude):
+        raise ValueError(f"pair amplitude must be finite, got {pair_amplitude}")
     amps = {1: 1.0}
     for n in range(2, order + 1):
         amps[n] = pair_amplitude ** (n - 1)

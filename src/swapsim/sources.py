@@ -6,10 +6,11 @@ on that pair, and |2H>_b is occupation 2 on "bH".
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-from .fock import FockKet, ModeRegister, reorder, tensor_product, vacuum
+from .fock import FockKet, ModeRegister, tensor_product
 
 
 @dataclass(frozen=True)
@@ -20,6 +21,8 @@ class SpdcParams:
     order: int = 1
 
     def __post_init__(self):
+        if not cmath.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
         if abs(self.tau) >= 1.0:
             raise ValueError(f"|tau| must be < 1, got {abs(self.tau)}")
         if self.order < 1:
@@ -82,6 +85,8 @@ def polarization_double_pass(
     """
     if cutoff < 2:
         raise ValueError("polarization double-pass source needs cutoff >= 2")
+    if not math.isfinite(double_pair_weight):
+        raise ValueError(f"double-pair weight must be finite, got {double_pair_weight}")
     reg = _pol_register(cutoff)
     terms: dict[tuple[int, ...], complex] = {}
 

@@ -27,7 +27,7 @@ from swapsim.protocols import (
 )
 from swapsim.sources import vacuum_one_photon_postbs
 
-from test_oracle import test_sparse_dense_equivalence_randomized
+from test_oracle import test_sparse_dense_equivalence_randomized as _sparse_dense_randomized
 from test_protocols import vacuum_one_photon_oracle_fidelity
 
 
@@ -132,7 +132,7 @@ def test_criterion_7_polarization_postselection():
 
 def test_criterion_8_oracle_equivalence():
     t0 = time.perf_counter()
-    test_sparse_dense_equivalence_randomized()  # 120 randomized cases at 1e-12
+    _sparse_dense_randomized()  # 120 randomized cases at 1e-12
     elapsed = time.perf_counter() - t0
     ok = elapsed < 60.0
     report(8, ok, f"120 sparse-vs-dense cases within 1e-12 in {elapsed:.1f} s")

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -134,3 +137,58 @@ def test_all_schemes_run():
         code, text = run_cli(argv + ["--format", "json"])
         assert code == 0
         json.loads(text)
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, swapsim.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["postselect-pol", "--double-pair-weight", "nan"],
+    ["postselect-pol", "--eta", "inf"],
+    ["postselect-vac", "--eta", "nan"],
+    ["scheme-a", "--tau", "nan"],
+    ["scheme-a", "--tau2", "inf"],
+    ["scheme-a", "--tau2", "1e-3", "--eta", "NaN"],
+    ["verify-phase", "--tau=-inf"],
+    ["scheme-b", "--epsilon", "0.1", "--pair-amplitude", "nan", "--order", "2"],
+    ["scheme-b", "--epsilon", "Infinity"],
+    ["theta", "--theta", "nan"],
+    ["scheme-a", "--tau2", "1e-3", "--sweep", "eta", "--from", "nan",
+     "--to", "1", "--steps", "2"],
+    ["scheme-a", "--tau2", "1e-3", "--sweep", "eta", "--from", "0.5",
+     "--to", "inf", "--steps", "2"],
+])
+def test_non_finite_flag_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scheme-a", "--tau2", "1e-3", "--sweep", "foo"],
+    ["scheme-a", "--tau2", "1e-3", "--sweep", "order"],
+    ["scheme-b", "--epsilon", "0.1", "--sweep", "pair_amplitude"],
+    ["postselect-vac", "--sweep", "theta"],
+    ["bell-check", "--sweep", "eta"],
+])
+def test_unknown_sweep_param_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--from", "0.1", "--to", "0.9", "--steps", "3"])
+    assert exc.value.code == 2
+    assert "cannot sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--verify"], ["--shots", "100"]])
+def test_sweep_with_verify_or_shots_exits_2(extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["scheme-a", "--tau2", "1e-3", "--sweep", "eta", "--from", "0.5",
+                 "--to", "1", "--steps", "2", *extra])
+    assert exc.value.code == 2
+    assert "--verify or --shots" in capsys.readouterr().err

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from swapsim.elements import (
+    MAX_FACTORIAL_CUTOFF,
     ModeUnitary,
+    _poly_multiply_linear,
     apply_mode_unitary,
     balanced_bs,
     pbs,
@@ -54,6 +56,11 @@ def test_unbalanced_limit_is_balanced():
 def test_non_unitary_rejected():
     with pytest.raises(ValueError):
         ModeUnitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    with pytest.raises(ValueError, match="not unitary"):
+        ModeUnitary(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            polarization_rotation(bad)
 
 
 def test_rotation_single_photon():
@@ -166,3 +173,107 @@ def test_pbs_routing():
     assert mapping == {"uH": "1", "uV": "2"}
     with pytest.raises(ValueError):
         pbs(("uH", "uH"), ("1", "2"))
+
+
+# --------------------------------------------------------------------------
+# Transfer table
+# --------------------------------------------------------------------------
+
+def exact_terms(ket):
+    # float.hex tells -0.0 from 0.0, so this compares bit for bit, in order
+    return [(occ, a.real.hex(), a.imag.hex()) for occ, a in ket.terms.items()]
+
+
+def random_ket(rng, labels, order):
+    reg = ModeRegister(labels, order)
+    terms = {}
+    for _ in range(int(rng.integers(1, 25))):
+        occ = tuple(int(n) for n in rng.integers(0, order + 1, size=len(labels)))
+        terms[occ] = complex(rng.normal(), rng.normal())
+    return FockKet(reg, terms)
+
+
+def per_term_apply(state, u, modes):
+    """Reference: expand every input term afresh, without a transfer table."""
+    idx = [state.register.index(m) for m in modes]
+    out, max_occ = {}, 0
+    for occ, amp in state.terms.items():
+        acted = [occ[i] for i in idx]
+        poly = {(0,) * len(modes): 1.0 + 0.0j}
+        for k, n_k in enumerate(acted):
+            for _ in range(n_k):
+                poly = _poly_multiply_linear(poly, u.matrix[:, k])
+        pref = amp / math.sqrt(math.prod(math.factorial(n) for n in acted))
+        for powers, c in poly.items():
+            coeff = pref * c * math.sqrt(math.prod(math.factorial(p) for p in powers))
+            new_occ = list(occ)
+            for pos, i in enumerate(idx):
+                new_occ[i] = powers[pos]
+            key = tuple(new_occ)
+            out[key] = out.get(key, 0.0) + coeff
+            max_occ = max(max_occ, max(powers))
+    return FockKet(state.register.with_cutoff(max(max_occ, state.register.cutoff)), out)
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_cold_and_warm_tables_bit_identical(order):
+    rng = np.random.default_rng(order)
+    shared = balanced_bs()
+    for _ in range(5):
+        ket = random_ket(rng, ("a", "b", "c"), order)
+        modes = tuple(str(m) for m in rng.permutation(["a", "b", "c"])[:2])
+        apply_mode_unitary(ket, shared, modes)  # the shared table is now warm
+        warm = apply_mode_unitary(ket, shared, modes)
+        cold = apply_mode_unitary(ket, ModeUnitary(shared.matrix), modes)
+        reference = per_term_apply(ket, shared, modes)
+        assert warm.register == cold.register == reference.register
+        assert exact_terms(warm) == exact_terms(cold) == exact_terms(reference)
+
+
+@given(ket=random_kets(max_modes=4, max_cutoff=4), eps=st.floats(0.05, 0.95))
+@settings(max_examples=40, deadline=None)
+def test_table_matches_per_term_expansion(ket, eps):
+    if ket.register.size < 2:
+        return
+    modes = ket.register.labels[::-1][:2]
+    for u in (polarization_rotation(eps), ModeUnitary(np.array([[1, 1j], [1j, 1]]) / math.sqrt(2))):
+        assert exact_terms(apply_mode_unitary(ket, u, modes)) == \
+            exact_terms(per_term_apply(ket, u, modes))
+
+
+def test_balanced_bs_is_shared_and_read_only():
+    u = balanced_bs()
+    assert balanced_bs() is u
+    with pytest.raises(ValueError):
+        u.matrix[0, 0] = 0.0
+
+
+def test_mode_unitary_copies_its_matrix():
+    m = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    u = ModeUnitary(m)
+    m[0, 0] = 5.0
+    assert u.matrix[0, 0] == 1.0
+    assert not u.matrix.flags.writeable
+
+
+def test_second_apply_adds_no_table_entries():
+    u = unbalanced_bs(0.3)
+    reg = ModeRegister(("1", "2", "3"), 3)
+    ket = FockKet(reg, {(3, 1, 0): 0.5, (0, 2, 2): 0.5, (1, 1, 1): 0.5, (2, 0, 3): 0.5})
+    first = apply_mode_unitary(ket, u, ("1", "2"))
+    filled = dict(u._table)
+    assert set(filled) == {(3, 1), (0, 2), (1, 1), (2, 0)}
+    second = apply_mode_unitary(ket, u, ("1", "2"))
+    assert u._table == filled
+    assert exact_terms(second) == exact_terms(first)
+
+
+def test_warm_table_still_enforces_strict_and_factorial_limit():
+    u = balanced_bs()
+    reg = ModeRegister(("1", "2"), 1)
+    apply_mode_unitary(basis(reg, (1, 1)), u, ("1", "2"))  # warm the (1, 1) entry
+    with pytest.raises(ValueError, match="strict"):
+        apply_mode_unitary(basis(reg, (1, 1)), u, ("1", "2"), cutoff_policy="strict")
+    big = ModeRegister(("1", "2"), MAX_FACTORIAL_CUTOFF + 1)
+    with pytest.raises(ValueError, match="factorial"):
+        apply_mode_unitary(basis(big, (1, 0)), u, ("1", "2"))

@@ -127,6 +127,8 @@ def test_scheme_a_rejects_bad_params():
         run_scheme_a(0.1, 1.5)
     with pytest.raises(ValueError):
         run_scheme_a(0.1, 1.0, order=0)
+    with pytest.raises(ValueError, match="finite"):
+        run_scheme_a(math.nan, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -201,6 +203,11 @@ def test_scheme_b_rejects_bad_params():
             run_scheme_b(bad, 1.0)
     with pytest.raises(ValueError):
         run_scheme_b(0.1, 1.0, variant="mirror")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            run_scheme_b(0.1, 1.0, order=2, pair_amplitude=bad)
+    with pytest.raises(ValueError, match="finite"):
+        analyze_polarization_postselection(1.0, True, math.nan)
 
 
 def test_scheme_b_higher_order_emission():

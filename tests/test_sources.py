@@ -95,6 +95,16 @@ def test_polarization_cutoff_rejected():
         polarization_double_pass(cutoff=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    for tau in (bad, complex(bad, 0.0), complex(0.1, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            SpdcParams(tau)
+    for include in (True, False):
+        with pytest.raises(ValueError, match="finite"):
+            polarization_double_pass(include, double_pair_weight=bad)
+
+
 def test_vacuum_one_photon_postbs():
     ket = vacuum_one_photon_postbs()
     norm = math.sqrt(5.0 / 2.0)  # oracle: 1 + 1/4 + 1/4 + 1/2 + 1/2
