@@ -75,14 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verify", action="store_true",
                        help="cross-check against the dense oracle (exit 3 on mismatch)")
         p.add_argument("--shots", type=int, default=0,
-                       help="sample this many synthetic detection shots")
+                       help="sample this many synthetic detection shots (0: off)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--sweep", metavar="PARAM",
                        help="sweep a numeric parameter; emits CSV rows")
         p.add_argument("--from", dest="sweep_from", type=_finite_float)
         p.add_argument("--to", dest="sweep_to", type=_finite_float)
         p.add_argument("--steps", type=int)
-        p.add_argument("--spacing", choices=("linear", "log"), default="linear")
+        p.add_argument("--spacing", choices=("linear", "log"),
+                       help="sweep grid spacing (default: linear)")
 
     def add_tau(p):
         p.add_argument("--tau", type=_finite_float, help="pair amplitude ratio")
@@ -198,7 +199,7 @@ def _sweep_grid(args, parser) -> list[float]:
     a, b, k = args.sweep_from, args.sweep_to, args.steps
     if k == 1:
         return [a]
-    if args.spacing == "log":
+    if args.spacing == "log":  # None, the default, is linear
         if a <= 0 or b <= 0:
             parser.error("log spacing needs strictly positive endpoints")
         la, lb = math.log(a), math.log(b)
@@ -257,7 +258,8 @@ def _verify(args) -> float | None:
     if args.scheme in ("scheme-a", "verify-phase"):
         return oracle.verify_scheme_a(args._tau, args.eta, args.order)
     if args.scheme == "scheme-b":
-        return oracle.verify_scheme_b(args.epsilon, args.eta, args.order, args.variant)
+        return oracle.verify_scheme_b(args.epsilon, args.eta, args.order, args.variant,
+                                      args.pair_amplitude)
     return None
 
 
@@ -268,7 +270,7 @@ def _samples(args):
         dist = protocols.scheme_a_click_distribution(args._tau, args.eta, args.order)
     elif args.scheme == "scheme-b":
         dist = protocols.scheme_b_click_distribution(
-            args.epsilon, args.eta, args.order, args.variant)
+            args.epsilon, args.eta, args.order, args.variant, args.pair_amplitude)
     else:
         raise ValueError(f"--shots is not supported for {args.scheme}")
     return protocols.sample_run(dist, args.shots, args.seed)
@@ -278,10 +280,18 @@ def run(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
+    if args.shots < 0:
+        parser.error("--shots must be >= 0")
+    if args.sweep is None:
+        unused = [flag for flag, value in (
+            ("--from", args.sweep_from), ("--to", args.sweep_to),
+            ("--steps", args.steps), ("--spacing", args.spacing)) if value is not None]
+        if unused:
+            parser.error(f"{', '.join(unused)}: only valid with --sweep")
     if args.scheme in ("scheme-a", "verify-phase"):
         args._tau = _resolve_tau(args, parser)
     try:
-        if args.sweep:
+        if args.sweep is not None:
             grid = _sweep_grid(args, parser)
             rows = []
             for value in grid:

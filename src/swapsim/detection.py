@@ -13,9 +13,11 @@ measured modes' Fock basis.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import fock
 from .fock import FockKet, ModeRegister, WeightedEnsemble
 
 CLICK = "click"
@@ -103,10 +105,18 @@ def measure_pattern(state: FockKet, pattern: ClickPattern) -> ConditionalOutcome
         spans.append((a, slice(pos, pos + len(a.modes))))
         pos += len(a.modes)
 
+    # A branch is normalized in one build, by 1/sqrt(w), when no amplitude of
+    # its group would be pruned: then FockKet(rest_reg, sub).normalized() sums
+    # the same squares and scales the same amplitudes.  Rounding is monotone,
+    # so a square above tol**2 means a magnitude above tol.  A state built
+    # under a lower tolerance than the current one takes the two-step path.
+    tol = fock._prune_tol
+    floor = tol * tol
     total = 0.0
     branches: list[tuple[float, FockKet]] = []
     for key, sub in groups.items():
-        w = sum(abs(a) ** 2 for a in sub.values())
+        squares = [abs(a) ** 2 for a in sub.values()]
+        w = sum(squares)
         p_out = 1.0
         for a, span in spans:
             n = sum(key[span])
@@ -114,8 +124,14 @@ def measure_pattern(state: FockKet, pattern: ClickPattern) -> ConditionalOutcome
         contrib = w * p_out
         if contrib > 0.0:
             total += contrib
-            if rest_reg is not None:
-                branches.append((contrib, FockKet(rest_reg, sub).normalized()))
+            if rest_reg is None:
+                continue
+            if min(squares) > floor:
+                c = 1.0 / math.sqrt(w)
+                ket = FockKet._trusted(rest_reg, {o: c * a for o, a in sub.items()})
+            else:
+                ket = FockKet(rest_reg, sub).normalized()
+            branches.append((contrib, ket))
 
     if total <= 0.0:
         return ConditionalOutcome(0.0, None, impossible=True)

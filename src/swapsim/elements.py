@@ -173,4 +173,4 @@ def apply_mode_unitary(
                 f"occupation {max_occ} exceeds cutoff {reg.cutoff} under strict policy"
             )
         reg = reg.with_cutoff(max_occ)
-    return FockKet(reg, out)
+    return FockKet._trusted(reg, out)

@@ -5,9 +5,24 @@ Amplitudes with magnitude below the pruning tolerance are discarded at
 construction; the tolerance can be overridden (or disabled) with the
 ``pruning`` context manager.  All values are immutable after construction
 and every operation is a pure function.
+
+A ket is built by one of two constructors.  The public ``FockKet(register,
+terms)`` takes outside input: it converts every occupation to an int tuple,
+checks its length and cutoff, merges duplicate keys and rejects NaN or
+infinite amplitudes.  Sources, Bell targets, ``vacuum``, ``from_json_dict``,
+hand-written kets and the whole dense oracle use it; the oracle is the
+independent cross-check, so it must not share the fast path it checks.
+``FockKet._trusted`` is for terms the engine derived from valid kets
+(``scaled``/``normalized``, ``reorder``, ``relabel``, ``tensor_product``,
+``partial_project``, ``elements.apply_mode_unitary`` and the heralded
+branches of ``detection.measure_pattern``).  Their keys are already distinct
+int tuples of register length within the cutoff, so it skips those checks
+and keeps only the amplitude arithmetic: on such terms both constructors
+give bit-identical kets.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -81,11 +96,30 @@ class FockKet:
             for n in occ:
                 if n < 0 or n > register.cutoff:
                     raise ValueError(f"occupation {occ} violates cutoff {register.cutoff}")
-            clean[occ] = clean.get(occ, 0.0) + complex(amp)
+            amp = complex(amp)
+            if not cmath.isfinite(amp):
+                raise ValueError(f"amplitude of {occ} must be finite, got {amp}")
+            clean[occ] = clean.get(occ, 0.0) + amp
         if tol > 0:
             clean = {occ: a for occ, a in clean.items() if abs(a) > tol}
         self.register = register
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, register: ModeRegister,
+                 terms: Mapping[tuple[int, ...], complex]) -> "FockKet":
+        """Build from engine-derived terms: distinct int-tuple keys of register
+        length within the cutoff.  Only the amplitudes are touched, exactly as
+        in ``__init__``: ``0.0 +`` turns -0.0 parts into +0.0, then pruning."""
+        tol = _prune_tol
+        self = object.__new__(cls)
+        self.register = register
+        if tol > 0:
+            self.terms = {occ: a for occ, amp in terms.items()
+                          if abs(a := 0.0 + complex(amp)) > tol}
+        else:
+            self.terms = {occ: 0.0 + complex(amp) for occ, amp in terms.items()}
+        return self
 
     def items(self) -> Iterator[tuple[tuple[int, ...], complex]]:
         return iter(self.terms.items())
@@ -94,7 +128,13 @@ class FockKet:
         return self.terms.get(tuple(int(n) for n in occ), 0.0 + 0.0j)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.terms.values()))
+        try:
+            n = math.sqrt(sum(abs(a) ** 2 for a in self.terms.values()))
+        except OverflowError:  # one squared amplitude is beyond the float range
+            n = math.inf
+        if n == math.inf:
+            raise ValueError("ket norm overflows the float range")
+        return n
 
     def normalized(self) -> "FockKet":
         n = self.norm()
@@ -103,7 +143,9 @@ class FockKet:
         return self.scaled(1.0 / n)
 
     def scaled(self, c: complex) -> "FockKet":
-        return FockKet(self.register, {occ: c * a for occ, a in self.terms.items()})
+        if not cmath.isfinite(c):
+            raise ValueError(f"scale factor must be finite, got {c}")
+        return FockKet._trusted(self.register, {occ: c * a for occ, a in self.terms.items()})
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -134,7 +176,7 @@ def tensor_product(a: FockKet, b: FockKet) -> FockKet:
     for occ_a, amp_a in a.terms.items():
         for occ_b, amp_b in b.terms.items():
             terms[occ_a + occ_b] = amp_a * amp_b
-    return FockKet(reg, terms)
+    return FockKet._trusted(reg, terms)
 
 
 def inner_product(a: FockKet, b: FockKet) -> complex:
@@ -224,14 +266,15 @@ def reorder(state: FockKet, new_labels: Iterable[str]) -> FockKet:
         raise ValueError("reorder must use exactly the existing labels")
     perm = [state.register.index(l) for l in new_labels]
     reg = ModeRegister(new_labels, state.register.cutoff)
-    return FockKet(reg, {tuple(occ[i] for i in perm): a for occ, a in state.terms.items()})
+    return FockKet._trusted(
+        reg, {tuple(occ[i] for i in perm): a for occ, a in state.terms.items()})
 
 
 def relabel(state: FockKet, mapping: Mapping[str, str]) -> FockKet:
     """Rename modes in place (order preserved); new labels must stay unique."""
     new_labels = tuple(mapping.get(l, l) for l in state.register.labels)
     reg = ModeRegister(new_labels, state.register.cutoff)
-    return FockKet(reg, dict(state.terms))
+    return FockKet._trusted(reg, state.terms)
 
 
 def partial_project(state: FockKet, target: FockKet) -> FockKet:
@@ -255,7 +298,7 @@ def partial_project(state: FockKet, target: FockKet) -> FockKet:
             continue
         rest_occ = tuple(occ[i] for i in rest)
         out[rest_occ] = out.get(rest_occ, 0.0) + t_amp.conjugate() * amp
-    return FockKet(reg, out)
+    return FockKet._trusted(reg, out)
 
 
 def format_ket(state: FockKet, digits: int = 6) -> str:

@@ -2,8 +2,10 @@
 
 Deliberately naive: full amplitude arrays, explicit basis enumeration, and
 mode unitaries lifted through scipy's matrix log/exp instead of the sparse
-engine's multinomial substitution.  Used only in tests and the CLI's
---verify mode; small registers only.
+engine's multinomial substitution.  Every ket the dense side builds goes
+through the public, validating ``FockKet`` constructor, never the engine's
+trusted one.
+Used only in tests and the CLI's --verify mode; small registers only.
 """
 from __future__ import annotations
 
@@ -54,6 +56,15 @@ def dense_from_fock(ket: FockKet) -> DenseState:
     for occ, amp in ket.items():
         a[occ] = amp
     return DenseState(reg, a)
+
+
+def _normalized(ket: FockKet) -> FockKet:
+    # FockKet.normalized builds through the engine's trusted constructor
+    n = ket.norm()
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero ket")
+    c = 1.0 / n
+    return FockKet(ket.register, {occ: c * a for occ, a in ket.items()})
 
 
 def dense_to_fock(state: DenseState) -> FockKet:
@@ -179,7 +190,7 @@ def dense_measure(state: DenseState, pattern: ClickPattern) -> ConditionalOutcom
         if contrib > 0.0:
             total += contrib
             if ket is not None:
-                branches.append((contrib, ket.normalized()))
+                branches.append((contrib, _normalized(ket)))
     if total <= 0.0:
         return ConditionalOutcome(0.0, None, impossible=True)
     ensemble = WeightedEnsemble.from_branches(branches) if branches else None
@@ -203,8 +214,8 @@ def number_resolving_measure(state: DenseState, mode: str, n: int) -> Conditiona
     total = sum(abs(a) ** 2 for a in sub.values())
     if total <= 0.0:
         return ConditionalOutcome(0.0, None, impossible=True)
-    ket = FockKet(rest_reg, sub).normalized()
-    return ConditionalOutcome(total, WeightedEnsemble.pure(ket))
+    ket = _normalized(FockKet(rest_reg, sub))
+    return ConditionalOutcome(total, WeightedEnsemble(rest_reg, ((1.0, ket),)))
 
 
 # --------------------------------------------------------------------------
@@ -250,12 +261,12 @@ def verify_scheme_a(tau: complex, eta: float, order: int = 1) -> float:
 
 
 def verify_scheme_b(epsilon: float, eta: float, order: int = 1,
-                    variant: str = "ubs") -> float:
+                    variant: str = "ubs", pair_amplitude: float = 0.0) -> float:
     from .detection import DetectorAssignment, ThresholdDetector, measure_pattern
     from .fock import bell_state
     from .protocols import scheme_b_state
 
-    pre = scheme_b_state(epsilon, order, variant)
+    pre = scheme_b_state(epsilon, order, variant, pair_amplitude)
     sp = apply_mode_unitary(pre, balanced_bs(), ("2", "3"))
     dn = dense_apply(dense_from_fock(pre), balanced_bs(), ("2", "3"))
     det = ThresholdDetector(eta)

@@ -332,8 +332,11 @@ def _pair_terms(order: int, pair_amplitude: float):
     if not math.isfinite(pair_amplitude):
         raise ValueError(f"pair amplitude must be finite, got {pair_amplitude}")
     amps = {1: 1.0}
-    for n in range(2, order + 1):
-        amps[n] = pair_amplitude ** (n - 1)
+    try:
+        for n in range(2, order + 1):
+            amps[n] = pair_amplitude ** (n - 1)
+    except OverflowError:
+        raise ValueError(f"pair amplitude {pair_amplitude} overflows at order {order}") from None
     return amps
 
 
@@ -503,9 +506,9 @@ def scheme_a_click_distribution(tau: complex, eta: float, order: int = 1) -> dic
 
 
 def scheme_b_click_distribution(epsilon: float, eta: float, order: int = 1,
-                                variant: str = "ubs") -> dict:
+                                variant: str = "ubs", pair_amplitude: float = 0.0) -> dict:
     """Joint D2/D3 outcome distribution for scheme B."""
-    st = scheme_b_state(epsilon, order, variant)
+    st = scheme_b_state(epsilon, order, variant, pair_amplitude)
     st = apply_mode_unitary(st, balanced_bs(), ("2", "3"))
     table = coincidence_table(st, [("D2", ("2",)), ("D3", ("3",))], eta)
     return _joint_json(table)

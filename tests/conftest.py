@@ -1,3 +1,6 @@
+import contextlib
+from unittest import mock
+
 import hypothesis.strategies as st
 
 from swapsim.fock import FockKet, ModeRegister
@@ -15,3 +18,27 @@ def random_kets(draw, max_modes=4, max_cutoff=3, normalized=True):
     terms = draw(st.dictionaries(occ, amp, min_size=1, max_size=6))
     ket = FockKet(reg, terms)
     return ket.normalized() if normalized else ket
+
+
+@contextlib.contextmanager
+def recording_trusted():
+    """Record every FockKet._trusted call as (result, reference), where the
+    reference is the public constructor on the same terms under the same
+    pruning tolerance."""
+    calls = []
+    build = FockKet._trusted
+
+    def record(cls, register, terms):
+        out = build(register, terms)
+        calls.append((out, FockKet(register, terms)))
+        return out
+
+    with mock.patch.object(FockKet, "_trusted", classmethod(record)):
+        yield calls
+
+
+def ket_bits(ket):
+    """A ket's register and terms, in order, with every key element's type
+    and both amplitude parts as float.hex: equal bits means equal kets."""
+    return (ket.register, [(occ, tuple(map(type, occ)), a.real.hex(), a.imag.hex())
+                           for occ, a in ket.terms.items()])

@@ -1,13 +1,17 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from swapsim import cli
 
@@ -192,3 +196,113 @@ def test_sweep_with_verify_or_shots_exits_2(extra, capsys):
                  "--to", "1", "--steps", "2", *extra])
     assert exc.value.code == 2
     assert "--verify or --shots" in capsys.readouterr().err
+
+
+def test_scheme_b_shots_and_verify_use_pair_amplitude():
+    argv = ["scheme-b", "--epsilon", "0.3", "--order", "2", "--format", "json",
+            "--shots", "1000", "--verify"]
+    code, plain = run_cli(argv)
+    assert code == 0
+    code, paired = run_cli(argv + ["--pair-amplitude", "0.5"])
+    assert code == 0
+    assert "verify: ok" in paired
+    samples = [json.loads(text.split("verify:")[0])["samples"] for text in (plain, paired)]
+    assert samples[0] != samples[1]
+
+
+def test_negative_shots_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["scheme-a", "--tau2", "1e-3", "--shots", "-5"])
+    assert exc.value.code == 2
+    assert "--shots" in capsys.readouterr().err
+    code, text = run_cli(["scheme-a", "--tau2", "1e-3", "--shots", "0"])
+    assert code == 0
+    assert "samples" not in text
+
+
+@pytest.mark.parametrize("flags", [
+    ["--from", "0.1"], ["--to", "0.9"], ["--steps", "3"], ["--spacing", "linear"],
+    ["--spacing", "log"], ["--from", "0.1", "--steps", "3"],
+])
+def test_sweep_flags_without_sweep_exit_2(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["scheme-a", "--tau2", "1e-3", *flags])
+    assert exc.value.code == 2
+    assert "only valid with --sweep" in capsys.readouterr().err
+
+
+def test_sweep_spacing_defaults_to_linear():
+    argv = ["scheme-a", "--tau2", "1e-3", "--sweep", "eta", "--from", "0.2",
+            "--to", "1.0", "--steps", "3"]
+    assert run_cli(argv) == run_cli(argv + ["--spacing", "linear"])
+
+
+# --------------------------------------------------------------------------
+# Fuzz: every argv exits 0 with finite output, or exits 2
+# --------------------------------------------------------------------------
+
+# plausible values three times in five, so that many argv get past validation
+PLAUSIBLE_FLOATS = st.sampled_from(["0", "1e-3", "0.1", "0.3", "0.5", "0.9", "1"])
+FUZZ_FLOATS = st.one_of(
+    PLAUSIBLE_FLOATS, PLAUSIBLE_FLOATS, PLAUSIBLE_FLOATS,
+    st.sampled_from(["nan", "inf", "-inf", "-0.5", "-0.0", "2", "1e300", "5e-324"]),
+    st.floats().map(repr),
+)
+NON_FINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+SCHEME_FLOATS = {
+    "scheme-a": ("--tau", "--tau2", "--eta"),
+    "verify-phase": ("--tau", "--tau2", "--eta"),
+    "scheme-b": ("--epsilon", "--eta", "--pair-amplitude"),
+    "theta": ("--theta",),
+    "bell-check": (),
+    "postselect-pol": ("--eta", "--double-pair-weight"),
+    "postselect-vac": ("--eta",),
+}
+SWEEP_FLAGS = {"--from": FUZZ_FLOATS, "--to": FUZZ_FLOATS, "--steps": st.integers(-1, 3),
+               "--spacing": st.sampled_from(["linear", "log"])}
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one subcommand: each flag present with probability ``p``,
+    and either a whole sweep or, now and then, a stray sweep flag."""
+    scheme = draw(st.sampled_from(sorted(SCHEME_FLOATS)))
+    argv = [scheme]
+
+    def maybe(flag, values, p=0.5):
+        if draw(st.floats(0.0, 1.0)) < p:
+            argv.append(f"{flag}={draw(values)}")
+
+    for flag in SCHEME_FLOATS[scheme]:
+        maybe(flag, FUZZ_FLOATS, 0.7)
+    if scheme in ("scheme-a", "verify-phase", "scheme-b"):
+        maybe("--order", st.integers(-1, 4))
+    if scheme == "scheme-b":
+        maybe("--variant", st.sampled_from(["ubs", "pbs"]))
+    if scheme == "postselect-pol" and draw(st.booleans()):
+        argv.append("--x-only")
+    maybe("--format", st.sampled_from(["json", "csv", "table"]))
+    maybe("--shots", st.integers(-2, 50), 0.25)
+    if draw(st.booleans()):
+        maybe("--sweep", st.sampled_from(["tau", "tau2", "eta", "epsilon", "theta", "order"]),
+              0.9)
+        for flag, values in SWEEP_FLAGS.items():
+            maybe(flag, values, 0.9 if flag != "--spacing" else 0.5)
+    else:
+        maybe(draw(st.sampled_from(sorted(SWEEP_FLAGS))), st.just("1"), 0.1)
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exits_0_with_finite_output_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = cli.run(argv, out=out)
+    except SystemExit as exc:
+        code = exc.code
+        assert code == 2, (argv, err.getvalue())
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 0:
+        assert not NON_FINITE_TOKEN.search(out.getvalue()), (argv, out.getvalue())

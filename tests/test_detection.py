@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from swapsim.detection import (
@@ -16,9 +16,16 @@ from swapsim.detection import (
     measure_pattern,
 )
 from swapsim.elements import apply_mode_unitary, balanced_bs
-from swapsim.fock import FockKet, ModeRegister, bell_state
+from swapsim.fock import (
+    DEFAULT_PRUNE_TOL,
+    FockKet,
+    ModeRegister,
+    WeightedEnsemble,
+    bell_state,
+    pruning,
+)
 
-from conftest import random_kets
+from conftest import ket_bits, random_kets, recording_trusted
 
 
 def pattern(*assignments):
@@ -156,3 +163,91 @@ def test_multimode_detector_coverage():
     out = measure_pattern(state, pattern(
         DetectorAssignment("D", ("bH", "bV"), ThresholdDetector(1.0), CLICK)))
     assert out.probability == pytest.approx(2.0 / 3.0)
+
+
+# --------------------------------------------------------------------------
+# Heralded branches are built once, through FockKet._trusted
+# --------------------------------------------------------------------------
+
+def _two_step_measure(state, pat):
+    """Reference: each branch built by the public constructor, then normalized
+    by a second public build, as measure_pattern did before one-build branches."""
+    reg = state.register
+    measured = [reg.index(m) for a in pat.assignments for m in a.modes]
+    rest = [i for i in range(reg.size) if i not in measured]
+    rest_reg = ModeRegister(tuple(reg.labels[i] for i in rest), reg.cutoff)
+    groups = {}
+    for occ, amp in state.terms.items():
+        groups.setdefault(tuple(occ[i] for i in measured), {})[
+            tuple(occ[i] for i in rest)] = amp
+    total, branches = 0.0, []
+    for key, sub in groups.items():
+        w = sum(abs(a) ** 2 for a in sub.values())
+        p_out, pos = 1.0, 0
+        for a in pat.assignments:
+            n = sum(key[pos:pos + len(a.modes)])
+            pos += len(a.modes)
+            p_out *= a.detector.p_click(n) if a.outcome == CLICK else a.detector.p_silent(n)
+        contrib = w * p_out
+        if contrib > 0.0:
+            total += contrib
+            ket = FockKet(rest_reg, sub)
+            norm = ket.norm()
+            if norm == 0.0:
+                raise ValueError("cannot normalize the zero ket")
+            c = 1.0 / norm
+            branches.append((contrib, FockKet(rest_reg, {o: c * a for o, a in ket.items()})))
+    return total, branches
+
+
+def _assert_matches_two_step(state, pat):
+    try:
+        total, branches = _two_step_measure(state, pat)
+    except ValueError:  # a whole group pruned: the second build has nothing left
+        with pytest.raises(ValueError, match="zero ket"):
+            measure_pattern(state, pat)
+        return
+    out = measure_pattern(state, pat)
+    assert out.probability.hex() == total.hex()
+    if not branches:
+        assert out.ensemble is None
+        return
+    ref = WeightedEnsemble.from_branches(branches)
+    assert [w.hex() for w, _ in out.ensemble.members] == [w.hex() for w, _ in ref.members]
+    assert [ket_bits(k) for _, k in out.ensemble.members] == \
+        [ket_bits(k) for _, k in ref.members]
+
+
+@st.composite
+def _partial_patterns(draw, ket):
+    """Threshold detectors on a proper, non-empty subset of the ket's modes."""
+    labels = draw(st.permutations(ket.register.labels))
+    measured = labels[:draw(st.integers(1, len(labels) - 1))]
+    return pattern(*(one(f"D{m}", m, draw(st.floats(0.05, 1.0)),
+                         draw(st.sampled_from((CLICK, SILENT))))
+                     for m in measured))
+
+
+@given(ket=random_kets(normalized=False),
+       tol=st.sampled_from([DEFAULT_PRUNE_TOL, 0.0, 0.3]), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_measure_pattern_branches_match_public_and_two_step(ket, tol, data):
+    assume(ket.register.size >= 2)
+    pat = data.draw(_partial_patterns(ket))
+    with pruning(tol):
+        with recording_trusted() as calls:
+            _assert_matches_two_step(ket, pat)
+        for out, ref in calls:
+            assert ket_bits(out) == ket_bits(ref)
+
+
+def test_branch_with_below_tolerance_amplitude_keeps_two_step_result():
+    # built with pruning off, measured under the default tolerance: the
+    # 5e-15 term is dropped before normalizing, as the two-step path does
+    reg = ModeRegister(("1", "2"), 1)
+    with pruning(0.0):
+        state = FockKet(reg, {(0, 0): 1.0, (1, 0): 1e-7, (1, 1): 5e-15}).normalized()
+    pat = pattern(one("D", "1", 1.0, CLICK))
+    _assert_matches_two_step(state, pat)
+    (_, branch), = measure_pattern(state, pat).ensemble.members
+    assert branch.terms == {(0,): 1.0 + 0.0j}

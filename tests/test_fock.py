@@ -1,12 +1,16 @@
+import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from swapsim.elements import ModeUnitary, apply_mode_unitary, balanced_bs
 from swapsim.fock import (
     BELL_KINDS,
+    DEFAULT_PRUNE_TOL,
     FockKet,
     ModeRegister,
     WeightedEnsemble,
@@ -23,7 +27,7 @@ from swapsim.fock import (
     vacuum,
 )
 
-from conftest import random_kets
+from conftest import ket_bits, random_kets, recording_trusted
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -221,3 +225,104 @@ def test_pruning_context():
     with pruning(0.0):
         kept = FockKet(reg, {(0,): 1.0, (1,): 1e-16})
     assert kept.num_terms() == 2
+
+
+@pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                 complex(1.0, math.inf)])
+def test_public_constructor_rejects_non_finite_amplitude(amp):
+    reg = ModeRegister(("1", "2"), 1)
+    with pytest.raises(ValueError, match="finite"):
+        FockKet(reg, {(0, 0): 1.0, (1, 1): amp})
+    with pytest.raises(ValueError, match="finite"):
+        FockKet(reg, {(0, 0): 1.0}).scaled(amp)
+
+
+@pytest.mark.parametrize("amps", [(1e300, 1.0), (1e154, 1e154)])
+def test_norm_overflow_rejected(amps):
+    # a single square beyond the float range, or a sum that overflows
+    ket = FockKet(ModeRegister(("1", "2"), 1), {(0, 0): amps[0], (1, 1): amps[1]})
+    with pytest.raises(ValueError, match="overflows"):
+        ket.normalized()
+
+
+# --------------------------------------------------------------------------
+# The trusted constructor: every engine call site that builds through
+# FockKet._trusted gives the public constructor's ket on the same terms.
+# --------------------------------------------------------------------------
+
+TOLERANCES = st.sampled_from([DEFAULT_PRUNE_TOL, 0.0, 0.05])
+AMPLITUDES = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+def _labels(data, ket, min_size=1, max_size=None):
+    labels = data.draw(st.permutations(ket.register.labels))
+    return labels[:data.draw(st.integers(min_size, max_size or len(labels)))]
+
+
+def _site_scaled(data, ket):
+    # -1 turns a zero imaginary part into -0.0, which the constructors clear
+    ket.scaled(data.draw(AMPLITUDES | st.sampled_from([-1.0, 0.0, 1e-15])))
+
+
+def _site_normalized(data, ket):
+    ket.normalized()
+
+
+def _site_reorder(data, ket):
+    reorder(ket, data.draw(st.permutations(ket.register.labels)))
+
+
+def _site_relabel(data, ket):
+    relabel(ket, {l: f"x{l}" for l in _labels(data, ket)})
+
+
+def _site_tensor_product(data, ket):
+    other = data.draw(random_kets(normalized=False))
+    reg = ModeRegister(tuple(f"o{l}" for l in other.register.labels), other.register.cutoff)
+    tensor_product(ket, FockKet(reg, other.terms))
+
+
+def _site_partial_project(data, ket):
+    assume(ket.register.size >= 2)
+    sub = _labels(data, ket, max_size=ket.register.size - 1)
+    idx = [ket.register.index(l) for l in sub]
+    seen = sorted({tuple(occ[i] for i in idx) for occ in ket.terms})
+    keys = data.draw(st.lists(st.sampled_from(seen), min_size=1, unique=True))
+    target = FockKet(ModeRegister(tuple(sub), ket.register.cutoff),
+                     {k: data.draw(AMPLITUDES) for k in keys})
+    partial_project(ket, target)
+
+
+def _site_apply_mode_unitary(data, ket):
+    assume(ket.register.size >= 2)
+    theta = data.draw(st.floats(0.0, math.pi))
+    phi = data.draw(st.floats(0.0, 2 * math.pi))
+    c, s = math.cos(theta), math.sin(theta)
+    u = data.draw(st.sampled_from([
+        balanced_bs(),
+        ModeUnitary(np.array([[c, -cmath.exp(-1j * phi) * s],
+                              [cmath.exp(1j * phi) * s, c]])),
+    ]))
+    apply_mode_unitary(ket, u, tuple(_labels(data, ket, 2, 2)))
+
+
+TRUSTED_SITES = {
+    "scaled": _site_scaled,
+    "normalized": _site_normalized,
+    "reorder": _site_reorder,
+    "relabel": _site_relabel,
+    "tensor_product": _site_tensor_product,
+    "partial_project": _site_partial_project,
+    "apply_mode_unitary": _site_apply_mode_unitary,
+}
+
+
+@pytest.mark.parametrize("site", sorted(TRUSTED_SITES))
+@given(ket=random_kets(normalized=False), tol=TOLERANCES, data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_trusted_sites_match_public_constructor(site, ket, tol, data):
+    with pruning(tol), recording_trusted() as calls:
+        TRUSTED_SITES[site](data, ket)
+    assert calls, "the call site built no ket through FockKet._trusted"
+    for out, ref in calls:
+        assert ket_bits(out) == ket_bits(ref)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from swapsim import detection
 from swapsim.detection import (
     CLICK,
     SILENT,
@@ -23,6 +24,7 @@ from swapsim.oracle import (
     verify_scheme_a,
     verify_scheme_b,
 )
+from swapsim.protocols import run_scheme_b
 from swapsim.sources import vacuum_one_photon_postbs
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -133,3 +135,18 @@ def test_sparse_dense_equivalence_randomized():
             assert fd == pytest.approx(fs, abs=1e-12)
         else:
             assert (so.ensemble is None) == (do.ensemble is None)
+
+
+def test_verify_scheme_b_checks_the_reported_state(monkeypatch):
+    sparse = []
+
+    def record(state, pat):
+        out = measure_pattern(state, pat)
+        sparse.append(out.probability)
+        return out
+
+    monkeypatch.setattr(detection, "measure_pattern", record)
+    assert verify_scheme_b(0.3, 0.8, order=2, pair_amplitude=0.5) <= 1e-10
+    report = run_scheme_b(0.3, 0.8, order=2, pair_amplitude=0.5)
+    assert sparse == [report.event("d2_click").probability,
+                      report.event("d3_click").probability]

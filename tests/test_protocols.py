@@ -13,6 +13,7 @@ from swapsim.protocols import (
     run_theta_swapping,
     sample_run,
     scheme_a_click_distribution,
+    scheme_b_click_distribution,
     scheme_b_state,
 )
 
@@ -208,6 +209,11 @@ def test_scheme_b_rejects_bad_params():
             run_scheme_b(0.1, 1.0, order=2, pair_amplitude=bad)
     with pytest.raises(ValueError, match="finite"):
         analyze_polarization_postselection(1.0, True, math.nan)
+    for order, amp in ((2, 1e300), (3, 1e200)):
+        with pytest.raises(ValueError, match="overflows"):
+            run_scheme_b(0.1, 1.0, order=order, pair_amplitude=amp)
+    with pytest.raises(ValueError, match="overflows"):
+        analyze_polarization_postselection(1.0, True, 1e154)
 
 
 def test_scheme_b_higher_order_emission():
@@ -218,6 +224,17 @@ def test_scheme_b_higher_order_emission():
     noisy = run_scheme_b(0.1, 1.0, order=2, pair_amplitude=0.2)
     assert noisy.event("d2_click").extras["fidelity_favored"] < \
         base.event("d2_click").extras["fidelity_favored"]
+
+
+def test_scheme_b_click_distribution_uses_pair_amplitude():
+    report = run_scheme_b(0.3, 0.8, order=2, pair_amplitude=0.5)
+    dist = scheme_b_click_distribution(0.3, 0.8, order=2, pair_amplitude=0.5)
+    assert dist["click,silent"] == pytest.approx(
+        report.event("d2_click").probability, abs=1e-12)
+    assert dist["silent,click"] == pytest.approx(
+        report.event("d3_click").probability, abs=1e-12)
+    single = scheme_b_click_distribution(0.3, 0.8, order=2, pair_amplitude=0.0)
+    assert abs(dist["click,silent"] - single["click,silent"]) > 1e-3
 
 
 # --------------------------------------------------------------------------
