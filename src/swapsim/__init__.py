@@ -3,12 +3,11 @@ built from SPDC sources, beam splitters and threshold detectors, in
 truncated Fock space."""
 
 from .detection import (
-    ClickPattern,
+    CLICK,
+    SILENT,
     ConditionalOutcome,
-    DetectorAssignment,
     ThresholdDetector,
-    coincidence_table,
-    measure_pattern,
+    measure,
 )
 from .elements import (
     ModeUnitary,
@@ -25,7 +24,6 @@ from .fock import (
     bell_state,
     fidelity,
     inner_product,
-    normalize,
     tensor_product,
 )
 from .protocols import (

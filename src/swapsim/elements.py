@@ -131,17 +131,13 @@ def apply_mode_unitary(
     state: FockKet,
     u: ModeUnitary,
     modes: tuple[str, ...],
-    cutoff_policy: str = "grow",
 ) -> FockKet:
     """Apply ``u`` to the listed modes of ``state``.
 
-    Photon number is conserved exactly and the norm is preserved.  Under the
-    default "grow" policy the register cutoff is raised when interference
-    creates occupations above it (e.g. |1,1> -> |2,0> on a balanced beam
-    splitter); "strict" raises instead.
+    Photon number is conserved exactly and the norm is preserved.  The
+    register cutoff is raised when interference creates occupations above it
+    (e.g. |1,1> -> |2,0> on a balanced beam splitter).
     """
-    if cutoff_policy not in ("grow", "strict"):
-        raise ValueError(f"unknown cutoff policy {cutoff_policy!r}")
     modes = tuple(modes)
     if len(set(modes)) != len(modes):
         raise ValueError(f"acted modes must be distinct: {modes}")
@@ -168,9 +164,5 @@ def apply_mode_unitary(
             max_occ = top
 
     if max_occ > reg.cutoff:
-        if cutoff_policy == "strict":
-            raise ValueError(
-                f"occupation {max_occ} exceeds cutoff {reg.cutoff} under strict policy"
-            )
         reg = reg.with_cutoff(max_occ)
     return FockKet._trusted(reg, out)

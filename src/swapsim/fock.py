@@ -15,7 +15,7 @@ independent cross-check, so it must not share the fast path it checks.
 ``FockKet._trusted`` is for terms the engine derived from valid kets
 (``scaled``/``normalized``, ``reorder``, ``relabel``, ``tensor_product``,
 ``partial_project``, ``elements.apply_mode_unitary`` and the heralded
-branches of ``detection.measure_pattern``).  Their keys are already distinct
+branches of ``detection.measure``).  Their keys are already distinct
 int tuples of register length within the cutoff, so it skips those checks
 and keeps only the amplitude arithmetic: on such terms both constructors
 give bit-identical kets.
@@ -187,14 +187,6 @@ def inner_product(a: FockKet, b: FockKet) -> complex:
     for occ, _ in small.terms.items():
         total += a.terms.get(occ, 0.0).conjugate() * b.terms.get(occ, 0.0)
     return total
-
-
-def norm(a: FockKet) -> float:
-    return a.norm()
-
-
-def normalize(a: FockKet) -> FockKet:
-    return a.normalized()
 
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")

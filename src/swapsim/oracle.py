@@ -2,21 +2,25 @@
 
 Deliberately naive: full amplitude arrays, explicit basis enumeration, and
 mode unitaries lifted through scipy's matrix log/exp instead of the sparse
-engine's multinomial substitution.  Every ket the dense side builds goes
-through the public, validating ``FockKet`` constructor, never the engine's
-trusted one.
+engine's multinomial substitution.  The threshold POVM is summed over the
+full basis with its own arithmetic (a silent probability of ``1 - p_click``,
+a branch weight from the pruned ket's norm), so ``dense_measure`` shares no
+code path with ``detection.measure`` beyond the detector's click probability.
+Every ket the dense side builds goes through the public, validating
+``FockKet`` constructor, never the engine's trusted one.
 Used only in tests and the CLI's --verify mode; small registers only.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, logm
 
-from .detection import CLICK, ClickPattern, ConditionalOutcome
-from .elements import ModeUnitary, apply_mode_unitary, balanced_bs
+from .detection import CLICK, SILENT, ConditionalOutcome, ThresholdDetector
+from .elements import ModeUnitary, balanced_bs
 from .fock import FockKet, ModeRegister, WeightedEnsemble
 
 MAX_MODES = 8
@@ -116,8 +120,8 @@ def dense_apply(state: DenseState, u: ModeUnitary, modes: tuple[str, ...]) -> De
     """Apply a mode unitary by full matrix-vector product on the acted axes.
 
     The working dimension grows so that every occupied sector of the acted
-    modes fits (truncation-free), mirroring the sparse engine's "grow"
-    policy; all axes are padded to the final cutoff.
+    modes fits (truncation-free), as the sparse engine grows its cutoff;
+    all axes are padded to the final cutoff.
     """
     reg = state.register
     if reg.size > MAX_MODES:
@@ -146,20 +150,17 @@ def dense_apply(state: DenseState, u: ModeUnitary, modes: tuple[str, ...]) -> De
     return DenseState(reg.with_cutoff(dim - 1), amps)
 
 
-def dense_measure(state: DenseState, pattern: ClickPattern) -> ConditionalOutcome:
-    """Threshold POVM by explicit summation over the full basis."""
+def dense_measure(state: DenseState, detectors, eta: float) -> dict:
+    """Threshold POVM by explicit summation over the full basis: every
+    click/silent outcome, keyed as in ``detection.measure``."""
+    det = ThresholdDetector(eta)
+    detectors = [tuple(modes) for modes in detectors]
     reg = state.register
-    measured = [m for a in pattern.assignments for m in a.modes]
+    measured = [m for modes in detectors for m in modes]
     idx = [reg.index(m) for m in measured]
     rest_idx = [i for i in range(reg.size) if i not in idx]
     rest_reg = (ModeRegister(tuple(reg.labels[i] for i in rest_idx), reg.cutoff)
                 if rest_idx else None)
-
-    spans = []
-    pos = 0
-    for a in pattern.assignments:
-        spans.append((a, slice(pos, pos + len(a.modes))))
-        pos += len(a.modes)
 
     groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
     for occ in np.ndindex(state.amplitudes.shape):
@@ -170,8 +171,9 @@ def dense_measure(state: DenseState, pattern: ClickPattern) -> ConditionalOutcom
         rest = tuple(occ[i] for i in rest_idx)
         groups.setdefault(key, {})[rest] = amp
 
-    total = 0.0
-    branches = []
+    outcomes = list(itertools.product((CLICK, SILENT), repeat=len(detectors)))
+    totals = {out: 0.0 for out in outcomes}
+    branches = {out: [] for out in outcomes}
     for key, sub in groups.items():
         if rest_reg is not None:
             ket = FockKet(rest_reg, sub)  # prunes expm round-off dust
@@ -181,20 +183,30 @@ def dense_measure(state: DenseState, pattern: ClickPattern) -> ConditionalOutcom
             w = sum(abs(a) ** 2 for a in sub.values())
         if w <= 1e-28:
             continue
-        p_out = 1.0
-        for a, span in spans:
-            n = sum(key[span])
-            p = a.detector.p_click(n)
-            p_out *= p if a.outcome == CLICK else 1.0 - p
-        contrib = w * p_out
-        if contrib > 0.0:
-            total += contrib
-            if ket is not None:
-                branches.append((contrib, _normalized(ket)))
-    if total <= 0.0:
-        return ConditionalOutcome(0.0, None, impossible=True)
-    ensemble = WeightedEnsemble.from_branches(branches) if branches else None
-    return ConditionalOutcome(total, ensemble)
+        branch = _normalized(ket) if ket is not None else None
+        clicks = []
+        pos = 0
+        for modes in detectors:
+            clicks.append(det.p_click(sum(key[pos:pos + len(modes)])))
+            pos += len(modes)
+        for out in outcomes:
+            p_out = 1.0
+            for o, p in zip(out, clicks):
+                p_out *= p if o == CLICK else 1.0 - p
+            contrib = w * p_out
+            if contrib > 0.0:
+                totals[out] += contrib
+                if branch is not None:
+                    branches[out].append((contrib, branch))
+    result = {}
+    for out in outcomes:
+        if totals[out] <= 0.0:
+            result[out] = ConditionalOutcome(0.0, None, impossible=True)
+        else:
+            ensemble = (WeightedEnsemble.from_branches(branches[out])
+                        if branches[out] else None)
+            result[out] = ConditionalOutcome(totals[out], ensemble)
+    return result
 
 
 def number_resolving_measure(state: DenseState, mode: str, n: int) -> ConditionalOutcome:
@@ -238,45 +250,32 @@ def _compare_outcomes(sparse_out: ConditionalOutcome, dense_out: ConditionalOutc
     return worst
 
 
-def verify_scheme_a(tau: complex, eta: float, order: int = 1) -> float:
-    """Max |sparse - dense| over event probabilities and psi-fidelities."""
-    from .detection import DetectorAssignment, ThresholdDetector, measure_pattern
-    from .fock import bell_state, reorder
-    from .sources import SpdcParams, double_pass_source
+def _verify_herald(pre: FockKet, mixed: tuple[str, str], outer: tuple[str, str],
+                   eta: float) -> float:
+    """Max |sparse - dense| over every outcome's probability and
+    psi-fidelities of the step both schemes herald with: a balanced beam
+    splitter on ``mixed`` and one threshold detector on each output."""
+    from .fock import bell_state
+    from .protocols import _herald
 
-    src = reorder(double_pass_source(SpdcParams(tau, order)), ("1", "2", "3", "4"))
-    sp = apply_mode_unitary(src, balanced_bs(), ("1", "2"))
-    dn = dense_apply(dense_from_fock(src), balanced_bs(), ("1", "2"))
-    det = ThresholdDetector(eta)
-    targets = [bell_state("psi+", ("3", "4")), bell_state("psi-", ("3", "4"))]
-    worst = 0.0
-    for click, silent in (("1", "2"), ("2", "1")):
-        pat = ClickPattern((
-            DetectorAssignment("Dc", (click,), det, CLICK),
-            DetectorAssignment("Ds", (silent,), det, "silent"),
-        ))
-        worst = max(worst, _compare_outcomes(
-            measure_pattern(sp, pat), dense_measure(dn, pat), targets))
-    return worst
+    sparse = _herald(pre, mixed, eta)
+    dense = dense_measure(dense_apply(dense_from_fock(pre), balanced_bs(), mixed),
+                          [(m,) for m in mixed], eta)
+    targets = [bell_state("psi+", outer), bell_state("psi-", outer)]
+    return max(_compare_outcomes(sparse[out], dense[out], targets) for out in dense)
+
+
+def verify_scheme_a(tau: complex, eta: float, order: int = 1) -> float:
+    """Max |sparse - dense| over scheme A's outcome probabilities and psi-fidelities."""
+    from .protocols import scheme_a_state
+
+    return _verify_herald(scheme_a_state(tau, order), ("1", "2"), ("3", "4"), eta)
 
 
 def verify_scheme_b(epsilon: float, eta: float, order: int = 1,
                     variant: str = "ubs", pair_amplitude: float = 0.0) -> float:
-    from .detection import DetectorAssignment, ThresholdDetector, measure_pattern
-    from .fock import bell_state
+    """Max |sparse - dense| over scheme B's outcome probabilities and psi-fidelities."""
     from .protocols import scheme_b_state
 
     pre = scheme_b_state(epsilon, order, variant, pair_amplitude)
-    sp = apply_mode_unitary(pre, balanced_bs(), ("2", "3"))
-    dn = dense_apply(dense_from_fock(pre), balanced_bs(), ("2", "3"))
-    det = ThresholdDetector(eta)
-    targets = [bell_state("psi+", ("1", "4")), bell_state("psi-", ("1", "4"))]
-    worst = 0.0
-    for click, silent in (("2", "3"), ("3", "2")):
-        pat = ClickPattern((
-            DetectorAssignment("Dc", (click,), det, CLICK),
-            DetectorAssignment("Ds", (silent,), det, "silent"),
-        ))
-        worst = max(worst, _compare_outcomes(
-            measure_pattern(sp, pat), dense_measure(dn, pat), targets))
-    return worst
+    return _verify_herald(pre, ("2", "3"), ("1", "4"), eta)

@@ -12,17 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .detection import (
-    CLICK,
-    SILENT,
-    ClickPattern,
-    ConditionalOutcome,
-    DetectorAssignment,
-    ThresholdDetector,
-    coincidence_table,
-    marginal_click_probability,
-    measure_pattern,
-)
+from .detection import CLICK, SILENT, ConditionalOutcome, measure
 from .elements import apply_mode_unitary, balanced_bs, pbs, polarization_rotation, unbalanced_bs
 from .fock import (
     BELL_KINDS,
@@ -181,23 +171,16 @@ def run_theta_swapping(theta: float) -> ProtocolReport:
 # Scheme A: double-pass SPDC + balanced beam splitter on the inner beams
 # --------------------------------------------------------------------------
 
-def _scheme_a_conditionals(tau: complex, eta: float, order: int):
-    p = SpdcParams(tau, order)
-    src = reorder(double_pass_source(p), ("1", "2", "3", "4"))
-    st = apply_mode_unitary(src, balanced_bs(), ("1", "2"))
-    det = ThresholdDetector(eta)
+def scheme_a_state(tau: complex, order: int = 1) -> FockKet:
+    """Four-mode state on beams (1,2,3,4) just before the balanced beam splitter."""
+    return reorder(double_pass_source(SpdcParams(tau, order)), ("1", "2", "3", "4"))
 
-    def pattern(click_mode, silent_mode):
-        return ClickPattern((
-            DetectorAssignment("D1" if click_mode == "1" else "D2",
-                               (click_mode,), det, CLICK),
-            DetectorAssignment("D2" if silent_mode == "2" else "D1",
-                               (silent_mode,), det, SILENT),
-        ))
 
-    ev1 = measure_pattern(st, pattern("1", "2"))
-    ev2 = measure_pattern(st, pattern("2", "1"))
-    return st, ev1, ev2
+def _herald(pre: FockKet, mixed: tuple[str, str], eta: float) -> dict:
+    """Mix two beams on a balanced beam splitter and put one threshold
+    detector on each output; every outcome, keyed in ``mixed`` order."""
+    post = apply_mode_unitary(pre, balanced_bs(), mixed)
+    return measure(post, [(m,) for m in mixed], eta)
 
 
 def _event_from_outcome(name: str, out: ConditionalOutcome,
@@ -210,6 +193,15 @@ def _event_from_outcome(name: str, out: ConditionalOutcome,
                        extras={"favored": favored, "fidelity_favored": max(fp, fm)})
 
 
+def _heralded_events(pre: FockKet, mixed: tuple[str, str], eta: float,
+                     names: tuple[str, str], outer_modes: tuple[str, str]):
+    """The two single-click events of ``_herald``: the detector on the first
+    mixed beam clicks alone, then the one on the second."""
+    outcomes = _herald(pre, mixed, eta)
+    return (_event_from_outcome(names[0], outcomes[(CLICK, SILENT)], outer_modes),
+            _event_from_outcome(names[1], outcomes[(SILENT, CLICK)], outer_modes))
+
+
 def run_scheme_a(tau: complex, eta: float, order: int = 1) -> ProtocolReport:
     """Double-pass scheme: events {D1 click, D2 silent} and {D2 click, D1 silent}.
 
@@ -218,11 +210,8 @@ def run_scheme_a(tau: complex, eta: float, order: int = 1) -> ProtocolReport:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    _, out1, out2 = _scheme_a_conditionals(tau, eta, order)
-    events = (
-        _event_from_outcome("event1", out1, ("3", "4")),
-        _event_from_outcome("event2", out2, ("3", "4")),
-    )
+    events = _heralded_events(scheme_a_state(tau, order), ("1", "2"), eta,
+                              ("event1", "event2"), ("3", "4"))
     dropped = 0.0
     for ev in events:
         if ev.ensemble is not None:
@@ -243,19 +232,19 @@ def _num(x):
 # Phase verification: second beam splitter on the outer beams
 # --------------------------------------------------------------------------
 
-def _verification_table(state: FockKet, eta: float) -> dict:
-    post = apply_mode_unitary(state, balanced_bs(), ("3", "4"))
-    table = coincidence_table(post, [("D3", ("3",)), ("D4", ("4",))], eta)
-    return table
-
-
 def _ensemble_verification(ens: WeightedEnsemble, eta: float) -> dict:
     joint: dict[tuple[str, str], float] = {}
     for w, member in ens.members:
-        table = _verification_table(member, eta)
-        for out, p in table.items():
-            joint[out] = joint.get(out, 0.0) + w * p
+        for out, o in _herald(member, ("3", "4"), eta).items():
+            joint[out] = joint.get(out, 0.0) + w * o.probability
     return joint
+
+
+def _click_marginals(joint: Mapping[tuple[str, str], float]) -> dict:
+    return {
+        "p_d3": sum(p for o, p in joint.items() if o[0] == CLICK),
+        "p_d4": sum(p for o, p in joint.items() if o[1] == CLICK),
+    }
 
 
 def _occupied_probability(ens: WeightedEnsemble, mode: str) -> float:
@@ -279,33 +268,24 @@ def run_phase_verification(tau: complex, eta: float, order: int = 1) -> Protocol
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    _, out1, out2 = _scheme_a_conditionals(tau, eta, order)
-    events = (
-        _event_from_outcome("event1", out1, ("3", "4")),
-        _event_from_outcome("event2", out2, ("3", "4")),
-    )
+    events = _heralded_events(scheme_a_state(tau, order), ("1", "2"), eta,
+                              ("event1", "event2"), ("3", "4"))
 
     coincidences: dict = {}
-    for name, out in (("event1", out1), ("event2", out2)):
-        if out.ensemble is None:
-            coincidences[name] = None
+    for ev in events:
+        if ev.ensemble is None:
+            coincidences[ev.name] = None
             continue
-        joint = _ensemble_verification(out.ensemble, eta)
-        coincidences[name] = {
-            "p_d3": sum(p for o, p in joint.items() if o[0] == CLICK),
-            "p_d4": sum(p for o, p in joint.items() if o[1] == CLICK),
-            "joint": _joint_json(joint),
-        }
+        joint = _ensemble_verification(ev.ensemble, eta)
+        coincidences[ev.name] = {**_click_marginals(joint), "joint": _joint_json(joint)}
     for kind in ("psi+", "psi-"):
-        ideal = bell_state(kind, ("3", "4"), cutoff=2)
-        table = _verification_table(ideal, eta)
-        coincidences[f"ideal_{'psi_plus' if kind == 'psi+' else 'psi_minus'}"] = {
-            "p_d3": marginal_click_probability(table, 0),
-            "p_d4": marginal_click_probability(table, 1),
-        }
-    if out1.ensemble is not None:
-        p3 = _occupied_probability(out1.ensemble, "3")
-        p4 = _occupied_probability(out1.ensemble, "4")
+        ideal = _herald(bell_state(kind, ("3", "4"), cutoff=2), ("3", "4"), eta)
+        coincidences[f"ideal_{'psi_plus' if kind == 'psi+' else 'psi_minus'}"] = \
+            _click_marginals({out: o.probability for out, o in ideal.items()})
+    ens1 = events[0].ensemble
+    if ens1 is not None:
+        p3 = _occupied_probability(ens1, "3")
+        p4 = _occupied_probability(ens1, "4")
         s = p3 + p4
         coincidences["marginals"] = {
             "beam3": p3 / s if s > 0 else None,
@@ -371,21 +351,8 @@ def run_scheme_b(epsilon: float, eta: float, order: int = 1, variant: str = "ubs
     """Single-pass scheme: D2/D3 threshold detection after mixing beams 2, 3."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    st = scheme_b_state(epsilon, order, variant, pair_amplitude)
-    st = apply_mode_unitary(st, balanced_bs(), ("2", "3"))
-    det = ThresholdDetector(eta)
-    out_d2 = measure_pattern(st, ClickPattern((
-        DetectorAssignment("D2", ("2",), det, CLICK),
-        DetectorAssignment("D3", ("3",), det, SILENT),
-    )))
-    out_d3 = measure_pattern(st, ClickPattern((
-        DetectorAssignment("D3", ("3",), det, CLICK),
-        DetectorAssignment("D2", ("2",), det, SILENT),
-    )))
-    events = (
-        _event_from_outcome("d2_click", out_d2, ("1", "4")),
-        _event_from_outcome("d3_click", out_d3, ("1", "4")),
-    )
+    events = _heralded_events(scheme_b_state(epsilon, order, variant, pair_amplitude),
+                              ("2", "3"), eta, ("d2_click", "d3_click"), ("1", "4"))
     return ProtocolReport(
         "scheme-b",
         {"epsilon": epsilon, "eta": eta, "order": order, "variant": variant},
@@ -435,11 +402,7 @@ def analyze_polarization_postselection(eta: float, include_double_pairs: bool = 
     src = polarization_double_pass(include_double_pairs, double_pair_weight)
     st = apply_mode_unitary(src, balanced_bs(), ("2H", "3H"))
     st = apply_mode_unitary(st, balanced_bs(), ("2V", "3V"))
-    det = ThresholdDetector(eta)
-    out = measure_pattern(st, ClickPattern((
-        DetectorAssignment("D2", ("2H", "2V"), det, CLICK),
-        DetectorAssignment("D3", ("3H", "3V"), det, CLICK),
-    )))
+    out = measure(st, [("2H", "2V"), ("3H", "3V")], eta)[(CLICK, CLICK)]
     params = {
         "eta": eta,
         "include_double_pairs": include_double_pairs,
@@ -471,10 +434,7 @@ def analyze_vacuum_one_photon(eta: float) -> ProtocolReport:
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     st = vacuum_one_photon_postbs()
-    det = ThresholdDetector(eta)
-    out = measure_pattern(st, ClickPattern((
-        DetectorAssignment("D", ("2'",), det, CLICK),
-    )))
+    out = measure(st, [("2'",)], eta)[(CLICK,)]
     params = {"eta": eta}
     if out.impossible or out.ensemble is None:
         ev = EventResult("d2prime_click", 0.0, None, None, impossible=True)
@@ -500,18 +460,17 @@ def analyze_vacuum_one_photon(eta: float) -> ProtocolReport:
 
 def scheme_a_click_distribution(tau: complex, eta: float, order: int = 1) -> dict:
     """Joint D1/D2 outcome distribution for scheme A (keys "click,silent" etc.)."""
-    st, _, _ = _scheme_a_conditionals(tau, eta, order)
-    table = coincidence_table(st, [("D1", ("1",)), ("D2", ("2",))], eta)
-    return _joint_json(table)
+    outcomes = _herald(scheme_a_state(tau, order), ("1", "2"), eta)
+    return _joint_json({out: o.probability for out, o in outcomes.items()})
 
 
 def scheme_b_click_distribution(epsilon: float, eta: float, order: int = 1,
                                 variant: str = "ubs", pair_amplitude: float = 0.0) -> dict:
     """Joint D2/D3 outcome distribution for scheme B."""
-    st = scheme_b_state(epsilon, order, variant, pair_amplitude)
-    st = apply_mode_unitary(st, balanced_bs(), ("2", "3"))
-    table = coincidence_table(st, [("D2", ("2",)), ("D3", ("3",))], eta)
-    return _joint_json(table)
+    pre = scheme_b_state(epsilon, order, variant, pair_amplitude)
+    outcomes = _herald(pre, ("2", "3"), eta)
+    return _joint_json({out: o.probability for out, o in outcomes.items()})
+
 
 def sample_run(distribution: Mapping, shots: int, seed: int) -> dict:
     """Multinomial click-count table from an exact pattern distribution.

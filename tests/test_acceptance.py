@@ -139,7 +139,7 @@ def test_criterion_8_oracle_equivalence():
 
 
 def test_criterion_9_property_suite():
-    from swapsim.detection import coincidence_table
+    from swapsim.detection import measure
     from swapsim.elements import apply_mode_unitary, balanced_bs
     from swapsim.fock import ModeRegister
 
@@ -155,9 +155,8 @@ def test_criterion_9_property_suite():
         before = sorted(sum(o) for o, a in ket.items() if abs(a) > 1e-13)
         after = {sum(o) for o, a in out.items() if abs(a) > 1e-13}
         ok = ok and after <= set(before)
-        table = coincidence_table(out, [("A", ("1",)), ("B", ("2",))],
-                                  float(rng.uniform(0, 1)))
-        ok = ok and abs(sum(table.values()) - 1.0) <= 1e-12
+        table = measure(out, [("1",), ("2",)], float(rng.uniform(0, 1)))
+        ok = ok and abs(sum(o.probability for o in table.values()) - 1.0) <= 1e-12
     buf_a, buf_b = io.StringIO(), io.StringIO()
     argv = ["scheme-a", "--tau2", "1e-3", "--format", "json", "--shots", "100",
             "--seed", "3"]

@@ -128,13 +128,6 @@ def test_apply_double_pass_source_through_bs():
     assert out.amplitude((0, 2, 1, 1)) == pytest.approx(-pref * tau * tau * R2)
 
 
-def test_strict_cutoff_policy():
-    reg = ModeRegister(("1", "2"), 1)
-    with pytest.raises(ValueError, match="strict"):
-        apply_mode_unitary(basis(reg, (1, 1)), balanced_bs(), ("1", "2"),
-                           cutoff_policy="strict")
-
-
 def test_unknown_mode_rejected():
     reg = ModeRegister(("1", "2"), 1)
     with pytest.raises(KeyError):
@@ -268,12 +261,10 @@ def test_second_apply_adds_no_table_entries():
     assert exact_terms(second) == exact_terms(first)
 
 
-def test_warm_table_still_enforces_strict_and_factorial_limit():
+def test_warm_table_still_enforces_factorial_limit():
     u = balanced_bs()
     reg = ModeRegister(("1", "2"), 1)
     apply_mode_unitary(basis(reg, (1, 1)), u, ("1", "2"))  # warm the (1, 1) entry
-    with pytest.raises(ValueError, match="strict"):
-        apply_mode_unitary(basis(reg, (1, 1)), u, ("1", "2"), cutoff_policy="strict")
     big = ModeRegister(("1", "2"), MAX_FACTORIAL_CUTOFF + 1)
     with pytest.raises(ValueError, match="factorial"):
         apply_mode_unitary(basis(big, (1, 0)), u, ("1", "2"))

@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from swapsim import detection
-from swapsim.detection import (
-    CLICK,
-    SILENT,
-    ClickPattern,
-    DetectorAssignment,
-    ThresholdDetector,
-    measure_pattern,
-)
+from swapsim import oracle, protocols
+from swapsim.detection import CLICK, SILENT, ConditionalOutcome, measure
 from swapsim.elements import ModeUnitary, apply_mode_unitary, balanced_bs
 from swapsim.fock import FockKet, ModeRegister, bell_state, fidelity
 from swapsim.oracle import (
@@ -75,9 +68,7 @@ def test_number_resolving_measure_on_post_bs_state():
 def test_dense_threshold_equals_projector_at_unit_eta():
     reg = ModeRegister(("1", "2"), 1)
     ket = FockKet(reg, {(0, 0): 0.6, (1, 0): 0.8}).normalized()
-    det = ThresholdDetector(1.0)
-    pat = ClickPattern((DetectorAssignment("D", ("1",), det, CLICK),))
-    out = dense_measure(dense_from_fock(ket), pat)
+    out = dense_measure(dense_from_fock(ket), [("1",)], 1.0)[(CLICK,)]
     assert out.probability == pytest.approx(0.64, abs=1e-15)
 
 
@@ -104,7 +95,7 @@ def random_ket(rng, reg) -> FockKet:
 
 
 def test_sparse_dense_equivalence_randomized():
-    """>= 100 random cases: amplitudes, pattern probabilities, fidelities."""
+    """>= 100 random cases: amplitudes, outcome probabilities, fidelities."""
     rng = np.random.default_rng(20260824)
     for case in range(120):
         n_modes = int(rng.integers(2, 5))
@@ -121,32 +112,53 @@ def test_sparse_dense_equivalence_randomized():
                 sparse_out.amplitude(occ), abs=1e-12)
 
         eta = float(rng.uniform(0.0, 1.0))
-        det = ThresholdDetector(eta)
-        measured = str(rng.choice(reg.labels))
-        outcome = CLICK if rng.integers(0, 2) else SILENT
-        pat = ClickPattern((DetectorAssignment("D", (measured,), det, outcome),))
-        so = measure_pattern(sparse_out, pat)
-        do = dense_measure(dense_apply(dense_from_fock(ket), u, modes), pat)
-        assert do.probability == pytest.approx(so.probability, abs=1e-12)
-        if so.ensemble is not None and do.ensemble is not None:
-            target = random_ket(rng, so.ensemble.members[0][1].register)
-            fs = fidelity(so.ensemble, target)
-            fd = fidelity(do.ensemble, target)
-            assert fd == pytest.approx(fs, abs=1e-12)
-        else:
-            assert (so.ensemble is None) == (do.ensemble is None)
+        detectors = [(str(rng.choice(reg.labels)),)]
+        sparse = measure(sparse_out, detectors, eta)
+        dense = dense_measure(dense_apply(dense_from_fock(ket), u, modes), detectors, eta)
+        assert list(dense) == list(sparse) == [(CLICK,), (SILENT,)]
+        target = None
+        for out, so in sparse.items():
+            do = dense[out]
+            assert do.probability == pytest.approx(so.probability, abs=1e-12)
+            if so.ensemble is not None and do.ensemble is not None:
+                if target is None:
+                    target = random_ket(rng, so.ensemble.register)
+                fs = fidelity(so.ensemble, target)
+                fd = fidelity(do.ensemble, target)
+                assert fd == pytest.approx(fs, abs=1e-12)
+            else:
+                assert (so.ensemble is None) == (do.ensemble is None)
 
 
 def test_verify_scheme_b_checks_the_reported_state(monkeypatch):
     sparse = []
+    herald = protocols._herald
 
-    def record(state, pat):
-        out = measure_pattern(state, pat)
-        sparse.append(out.probability)
+    def record(pre, mixed, eta):
+        out = herald(pre, mixed, eta)
+        sparse.append([out[(CLICK, SILENT)].probability, out[(SILENT, CLICK)].probability])
         return out
 
-    monkeypatch.setattr(detection, "measure_pattern", record)
+    monkeypatch.setattr(protocols, "_herald", record)
     assert verify_scheme_b(0.3, 0.8, order=2, pair_amplitude=0.5) <= 1e-10
+    monkeypatch.undo()
     report = run_scheme_b(0.3, 0.8, order=2, pair_amplitude=0.5)
-    assert sparse == [report.event("d2_click").probability,
-                      report.event("d3_click").probability]
+    assert sparse == [[report.event("d2_click").probability,
+                       report.event("d3_click").probability]]
+
+
+@pytest.mark.parametrize("outcome", [(CLICK, CLICK), (SILENT, SILENT)])
+def test_verify_compares_every_outcome(monkeypatch, outcome):
+    # --verify covers the unheralded outcomes too, which --shots samples
+    dense_measure = oracle.dense_measure
+
+    def skewed(*args):
+        out = dense_measure(*args)
+        o = out[outcome]
+        out[outcome] = ConditionalOutcome(o.probability + 1e-6, o.ensemble, o.impossible)
+        return out
+
+    monkeypatch.setattr(oracle, "dense_measure", skewed)
+    assert verify_scheme_a(0.3, 0.6, order=2) == pytest.approx(1e-6, rel=1e-6)
+    assert verify_scheme_b(0.25, 0.7, order=2, pair_amplitude=0.5) == \
+        pytest.approx(1e-6, rel=1e-6)
