@@ -13,6 +13,12 @@ are incoherent, terms sharing them stay coherent.  This is exact for POVMs
 diagonal in the measured modes' Fock basis.  A group's normalized branch on
 the unmeasured modes does not depend on the outcome (only its weight does),
 so it is built once and shared by every outcome it contributes to.
+
+``measure`` runs in two phases, which ``bench/spans.py`` times by name:
+``coincidence_table`` groups the state, weighs every group under every
+outcome and builds the branches, and ``measure_pattern`` turns one
+outcome's probability and weighted branches into its ensemble.  Callers use
+``measure``.
 """
 from __future__ import annotations
 
@@ -82,20 +88,20 @@ def _branch(rest_reg: ModeRegister, sub: dict, squares: list, w: float) -> FockK
     return ket.normalized() if ket.terms else None
 
 
-def measure(
+def coincidence_table(
     state: FockKet,
     detectors: Sequence[Sequence[str]],
     eta: float,
-) -> dict[tuple[str, ...], ConditionalOutcome]:
-    """Exact probability and conditional ensemble of every click/silent outcome.
+) -> dict[tuple[str, ...], tuple[float, list[tuple[float, FockKet]]]]:
+    """First phase of ``measure``: group the state once, weigh every group
+    under every outcome and build each group's branch the first time an
+    outcome needs it.
 
-    ``detectors`` lists the modes each threshold detector covers; a mode may
-    appear under at most one detector.  The result is keyed by outcome tuples
-    in detector order, in ``itertools.product((CLICK, SILENT), ...)`` order,
-    and its probabilities sum to 1.  An outcome's ensemble is None when no
-    mode is left unmeasured, when the outcome is impossible (``impossible``
-    is then set and the probability is 0), or when every branch it has was
-    pruned away.
+    Maps each outcome, in ``measure``'s order, to its probability and its
+    ``(contrib, branch)`` pairs in group order, where ``contrib = w * p_out``
+    is the group's weight times the product over detectors of each one's
+    click or silent probability.  The pairs are empty when no mode is left
+    unmeasured.
     """
     det = ThresholdDetector(eta)
     detectors = [tuple(modes) for modes in detectors]
@@ -115,8 +121,6 @@ def measure(
         pos += len(modes)
 
     outcomes = list(itertools.product((CLICK, SILENT), repeat=len(detectors)))
-    # the same outcomes as indices into each detector's (p_click, p_silent)
-    picks = list(itertools.product((0, 1), repeat=len(detectors)))
     totals = [0.0] * len(outcomes)
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in outcomes]
     for key, sub in groups.items():
@@ -125,13 +129,13 @@ def measure(
         probs = []
         for span in spans:
             n = sum(key[span])
-            probs.append((det.p_click(n), det.p_silent(n)))
+            probs.append({CLICK: det.p_click(n), SILENT: det.p_silent(n)})
         ket = None
         built = rest_reg is None
-        for i, pick in enumerate(picks):
+        for i, out in enumerate(outcomes):
             p_out = 1.0
-            for p, j in zip(probs, pick):
-                p_out *= p[j]
+            for p, o in zip(probs, out):
+                p_out *= p[o]
             contrib = w * p_out
             if contrib > 0.0:
                 totals[i] += contrib
@@ -140,12 +144,33 @@ def measure(
                     built = True
                 if ket is not None:
                     branches[i].append((contrib, ket))
+    return dict(zip(outcomes, zip(totals, branches)))
 
-    result = {}
-    for out, total, kept in zip(outcomes, totals, branches):
-        if total <= 0.0:
-            result[out] = ConditionalOutcome(0.0, None, impossible=True)
-        else:
-            ensemble = WeightedEnsemble.from_branches(kept) if kept else None
-            result[out] = ConditionalOutcome(total, ensemble)
-    return result
+
+def measure_pattern(total: float, branches: list[tuple[float, FockKet]]) -> ConditionalOutcome:
+    """Second phase of ``measure``: one outcome's ``ConditionalOutcome`` from
+    its probability and weighted branches in ``coincidence_table``."""
+    if total <= 0.0:
+        return ConditionalOutcome(0.0, None, impossible=True)
+    ensemble = WeightedEnsemble.from_branches(branches) if branches else None
+    return ConditionalOutcome(total, ensemble)
+
+
+def measure(
+    state: FockKet,
+    detectors: Sequence[Sequence[str]],
+    eta: float,
+) -> dict[tuple[str, ...], ConditionalOutcome]:
+    """Exact probability and conditional ensemble of every click/silent outcome.
+
+    ``detectors`` lists the modes each threshold detector covers; a mode may
+    appear under at most one detector.  The result is keyed by outcome tuples
+    in detector order, in ``itertools.product((CLICK, SILENT), ...)`` order,
+    and its probabilities sum to 1.  An outcome's ensemble is None when no
+    mode is left unmeasured, when the outcome is impossible (``impossible``
+    is then set and the probability is 0), or when every branch it has was
+    pruned away.
+    """
+    table = coincidence_table(state, detectors, eta)
+    return {out: measure_pattern(total, branches)
+            for out, (total, branches) in table.items()}
