@@ -255,8 +255,10 @@ def _emit_report(report: protocols.ProtocolReport, args, samples, out) -> None:
 def _verify(args) -> float | None:
     from . import oracle  # scipy is only needed here
 
-    if args.scheme in ("scheme-a", "verify-phase"):
+    if args.scheme == "scheme-a":
         return oracle.verify_scheme_a(args._tau, args.eta, args.order)
+    if args.scheme == "verify-phase":
+        return oracle.verify_phase_verification(args._tau, args.eta, args.order)
     if args.scheme == "scheme-b":
         return oracle.verify_scheme_b(args.epsilon, args.eta, args.order, args.variant,
                                       args.pair_amplitude)

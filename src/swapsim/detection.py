@@ -7,12 +7,20 @@ with probability 1 - (1 - eta)^n.
 
 ``measure`` is the one implementation of this POVM.  It returns every
 click/silent outcome of a set of detectors at once, keyed by a tuple of
-``CLICK``/``SILENT`` in detector order.  The state is grouped once by the
+``CLICK``/``SILENT`` in detector order.  It measures a ket or a mixture
+(``WeightedEnsemble``) in one call.  Each member is grouped once by the
 occupation of the measured modes: groups with distinct measured occupations
 are incoherent, terms sharing them stay coherent.  This is exact for POVMs
 diagonal in the measured modes' Fock basis.  A group's normalized branch on
 the unmeasured modes does not depend on the outcome (only its weight does),
-so it is built once and shared by every outcome it contributes to.
+so it is built once and shared by every outcome it contributes to.  A
+mixture's outcome probability is sum_k w_k P_k(out), member by member, and
+its conditional ensemble is the union of its members' branches.
+
+The detector check, the outcome list and each measured occupation's row of
+outcome probabilities (which depend only on the detectors' photon counts)
+are set up once per call, not once per member.  When every mode is
+measured, each term is its own group and no group is built.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
 ``coincidence_table`` groups the state, weighs every group under every
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import fock
-from .fock import FockKet, ModeRegister, WeightedEnsemble
+from .fock import FockKet, ModeRegister, WeightedEnsemble, _tuple_getter
 
 CLICK = "click"
 SILENT = "silent"
@@ -60,14 +68,13 @@ class ConditionalOutcome:
     impossible: bool = False
 
 
-def _group_by_measured(state: FockKet, measured_idx: Sequence[int]):
-    rest_idx = [i for i in range(state.register.size) if i not in measured_idx]
+def _group_by_measured(state: FockKet, measured_of, rest_of):
+    """The state's terms grouped by their measured occupation, each group a
+    map from the unmeasured occupation to its amplitude, in term order."""
     groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
     for occ, amp in state.terms.items():
-        key = tuple(occ[i] for i in measured_idx)
-        rest = tuple(occ[i] for i in rest_idx)
-        groups.setdefault(key, {})[rest] = amp
-    return groups, rest_idx
+        groups.setdefault(measured_of(occ), {})[rest_of(occ)] = amp
+    return groups
 
 
 def _branch(rest_reg: ModeRegister, sub: dict, squares: list, w: float) -> FockKet | None:
@@ -89,19 +96,22 @@ def _branch(rest_reg: ModeRegister, sub: dict, squares: list, w: float) -> FockK
 
 
 def coincidence_table(
-    state: FockKet,
+    state: FockKet | WeightedEnsemble,
     detectors: Sequence[Sequence[str]],
     eta: float,
 ) -> dict[tuple[str, ...], tuple[float, list[tuple[float, FockKet]]]]:
-    """First phase of ``measure``: group the state once, weigh every group
-    under every outcome and build each group's branch the first time an
-    outcome needs it.
+    """First phase of ``measure``: group each member of the state once, weigh
+    every group under every outcome and build each group's branch the first
+    time an outcome needs it.
 
     Maps each outcome, in ``measure``'s order, to its probability and its
-    ``(contrib, branch)`` pairs in group order, where ``contrib = w * p_out``
-    is the group's weight times the product over detectors of each one's
-    click or silent probability.  The pairs are empty when no mode is left
-    unmeasured.
+    ``(weight, branch)`` pairs in member order, then group order.  A group's
+    ``contrib = w * p_out`` is its weight times the product over detectors
+    of each one's click or silent probability; a member's probability of an
+    outcome is the sum of its groups' contribs, the state's is the sum over
+    members of ``w_k`` times that, and a branch's weight is ``w_k * contrib``
+    (a ket is the one member of weight 1).  The pairs are empty when no mode
+    is left unmeasured.
     """
     det = ThresholdDetector(eta)
     detectors = [tuple(modes) for modes in detectors]
@@ -109,9 +119,11 @@ def coincidence_table(
     if len(set(measured_modes)) != len(measured_modes):
         raise ValueError("a mode may appear under at most one detector")
     reg = state.register
-    groups, rest_idx = _group_by_measured(state, [reg.index(m) for m in measured_modes])
-    rest_reg = (ModeRegister(tuple(reg.labels[i] for i in rest_idx), reg.cutoff)
-                if rest_idx else None)
+    measured_idx = [reg.index(m) for m in measured_modes]
+    rest_idx = [i for i in range(reg.size) if i not in measured_idx]
+    measured_of = _tuple_getter(measured_idx)
+    rest_of = _tuple_getter(rest_idx)
+    rest_labels = tuple(reg.labels[i] for i in rest_idx)
 
     # per-detector slice of the measured-occupation key
     spans = []
@@ -121,29 +133,54 @@ def coincidence_table(
         pos += len(modes)
 
     outcomes = list(itertools.product((CLICK, SILENT), repeat=len(detectors)))
-    totals = [0.0] * len(outcomes)
-    branches: list[list[tuple[float, FockKet]]] = [[] for _ in outcomes]
-    for key, sub in groups.items():
-        squares = [abs(a) ** 2 for a in sub.values()]
-        w = sum(squares)
+    rows: dict[tuple[int, ...], list[float]] = {}  # measured occupation -> p_out per outcome
+
+    def row(key):
         probs = []
         for span in spans:
             n = sum(key[span])
             probs.append({CLICK: det.p_click(n), SILENT: det.p_silent(n)})
-        ket = None
-        built = rest_reg is None
-        for i, out in enumerate(outcomes):
+        out_probs = []
+        for out in outcomes:
             p_out = 1.0
             for p, o in zip(probs, out):
                 p_out *= p[o]
-            contrib = w * p_out
-            if contrib > 0.0:
-                totals[i] += contrib
-                if not built:
-                    ket = _branch(rest_reg, sub, squares, w)
-                    built = True
-                if ket is not None:
-                    branches[i].append((contrib, ket))
+            out_probs.append(p_out)
+        rows[key] = out_probs
+        return out_probs
+
+    members = ((1.0, state),) if isinstance(state, FockKet) else state.members
+    totals = [0.0] * len(outcomes)
+    branches: list[list[tuple[float, FockKet]]] = [[] for _ in outcomes]
+    for w_k, member in members:
+        sums = [0.0] * len(outcomes)
+        if not rest_idx:
+            # every term is its own group, of weight |amp|**2
+            for occ, amp in member.terms.items():
+                key = measured_of(occ)
+                w = abs(amp) ** 2
+                for i, p_out in enumerate(rows.get(key) or row(key)):
+                    contrib = w * p_out
+                    if contrib > 0.0:
+                        sums[i] += contrib
+        else:
+            rest_reg = ModeRegister(rest_labels, member.register.cutoff)
+            for key, sub in _group_by_measured(member, measured_of, rest_of).items():
+                squares = [abs(a) ** 2 for a in sub.values()]
+                w = sum(squares)
+                ket = None
+                built = False
+                for i, p_out in enumerate(rows.get(key) or row(key)):
+                    contrib = w * p_out
+                    if contrib > 0.0:
+                        sums[i] += contrib
+                        if not built:
+                            ket = _branch(rest_reg, sub, squares, w)
+                            built = True
+                        if ket is not None:
+                            branches[i].append((w_k * contrib, ket))
+        for i, s in enumerate(sums):
+            totals[i] += w_k * s
     return dict(zip(outcomes, zip(totals, branches)))
 
 
@@ -157,14 +194,16 @@ def measure_pattern(total: float, branches: list[tuple[float, FockKet]]) -> Cond
 
 
 def measure(
-    state: FockKet,
+    state: FockKet | WeightedEnsemble,
     detectors: Sequence[Sequence[str]],
     eta: float,
 ) -> dict[tuple[str, ...], ConditionalOutcome]:
     """Exact probability and conditional ensemble of every click/silent outcome.
 
-    ``detectors`` lists the modes each threshold detector covers; a mode may
-    appear under at most one detector.  The result is keyed by outcome tuples
+    ``state`` is a ket or a mixture of kets on one set of mode labels (the
+    members' cutoffs may differ).  ``detectors`` lists the modes each
+    threshold detector covers; a mode may appear under at most one
+    detector.  The result is keyed by outcome tuples
     in detector order, in ``itertools.product((CLICK, SILENT), ...)`` order,
     and its probabilities sum to 1.  An outcome's ensemble is None when no
     mode is left unmeasured, when the outcome is impossible (``impossible``

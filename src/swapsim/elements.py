@@ -9,9 +9,10 @@ the rest of the ket, so each ``ModeUnitary`` keeps a transfer table: for
 every acted occupation it has met, sqrt(prod n!), the output terms
 (powers, c, sqrt(prod p!)) and the largest output occupation.  An entry is
 built once, on first use, and ``apply_mode_unitary`` is then a lookup and a
-scatter per input term.  Amplitudes come out as amp / sqrt(prod n!) * c *
-sqrt(prod p!), the same float operations in the same order for a cold or a
-warm table.  The matrix is read-only so that the table cannot go stale, and
+scatter per input term; each output key is one ``itemgetter`` call over
+``occ + powers``, which reads the acted positions from ``powers``.
+Amplitudes come out as amp / sqrt(prod n!) * c * sqrt(prod p!), the same
+float operations in the same order for a cold or a warm table.  The matrix is read-only so that the table cannot go stale, and
 ``balanced_bs()`` returns one shared instance whose table every protocol
 reuses.  A table has at most one entry per acted occupation within
 MAX_FACTORIAL_CUTOFF, so even the shared one stays small.
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockKet
+from .fock import FockKet, _tuple_getter
 
 MAX_FACTORIAL_CUTOFF = 20
 
@@ -148,17 +149,22 @@ def apply_mode_unitary(
     if reg.cutoff > MAX_FACTORIAL_CUTOFF:
         raise ValueError(f"cutoff {reg.cutoff} exceeds factorial table limit")
 
+    # an output key is occ with the acted positions read from powers instead:
+    # one getter over occ + powers, where powers[k] sits at reg.size + k
+    acted_of = _tuple_getter(idx)
+    take = list(range(reg.size))
+    for k, i in enumerate(idx):
+        take[i] = reg.size + k
+    key_of = _tuple_getter(take)
+
     sector = u.sector
     out: dict[tuple[int, ...], complex] = {}
     max_occ = 0
     for occ, amp in state.terms.items():
-        nf, outputs, top = sector(tuple([occ[i] for i in idx]))
+        nf, outputs, top = sector(acted_of(occ))
         pref = amp / nf
-        new_occ = list(occ)
         for powers, c, pf in outputs:
-            for i, p in zip(idx, powers):
-                new_occ[i] = p
-            key = tuple(new_occ)
+            key = key_of(occ + powers)
             out[key] = out.get(key, 0.0) + pref * c * pf
         if top > max_occ:
             max_occ = top

@@ -25,11 +25,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_PRUNE_TOL = 1e-14
 
 _prune_tol = DEFAULT_PRUNE_TOL
+
+
+def _tuple_getter(idx: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``t -> tuple(t[i] for i in idx)`` as one ``itemgetter`` call.  An
+    ``itemgetter`` of one index returns a scalar and one of none cannot be
+    built, so those two cases get their own function."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        i = idx[0]
+        return lambda t: (t[i],)
+    return lambda t: ()
 
 
 class pruning:

@@ -7,11 +7,14 @@ full basis with its own arithmetic (a silent probability of ``1 - p_click``,
 a branch weight from the pruned ket's norm), so ``dense_measure`` shares no
 code path with ``detection.measure`` beyond the detector's click probability.
 Every ket the dense side builds goes through the public, validating
-``FockKet`` constructor, never the engine's trusted one.
+``FockKet`` constructor, never the engine's trusted one.  The
+phase-verification coincidence tables, which the sparse engine measures as
+one mixture per table, are checked here member by member.
 Used only in tests and the CLI's --verify mode; small registers only.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -89,8 +92,14 @@ def _ladder(dim: int) -> np.ndarray:
 
 def _lift(u: ModeUnitary, dim: int) -> np.ndarray:
     """Fock-space unitary exp(sum_jk G[j,k] a_j^dag a_k) with G = log(U)."""
-    g = logm(u.matrix)
-    k = u.size
+    return _lift_matrix(u.matrix.tobytes(), u.size, dim)
+
+
+@functools.lru_cache(maxsize=4)
+def _lift_matrix(raw: bytes, k: int, dim: int) -> np.ndarray:
+    # keyed by the matrix bytes: the members of a mixture go through the
+    # same unitary one by one at one working dimension (_dense_coincidences)
+    g = logm(np.frombuffer(raw, dtype=complex).reshape(k, k))
     ad = _ladder(dim)
     a = ad.conj().T
     gen = np.zeros((dim**k, dim**k), dtype=complex)
@@ -113,7 +122,9 @@ def _lift(u: ModeUnitary, dim: int) -> np.ndarray:
             for op in ops[1:]:
                 term = np.kron(term, op)
             gen += g[j, l] * term
-    return expm(gen)
+    lift = expm(gen)
+    lift.flags.writeable = False
+    return lift
 
 
 def dense_apply(state: DenseState, u: ModeUnitary, modes: tuple[str, ...]) -> DenseState:
@@ -250,26 +261,79 @@ def _compare_outcomes(sparse_out: ConditionalOutcome, dense_out: ConditionalOutc
     return worst
 
 
+def _dense_herald(pre: FockKet, mixed: tuple[str, str], eta: float) -> dict:
+    return dense_measure(dense_apply(dense_from_fock(pre), balanced_bs(), mixed),
+                         [(m,) for m in mixed], eta)
+
+
 def _verify_herald(pre: FockKet, mixed: tuple[str, str], outer: tuple[str, str],
-                   eta: float) -> float:
+                   eta: float) -> tuple[float, dict, dict]:
     """Max |sparse - dense| over every outcome's probability and
     psi-fidelities of the step both schemes herald with: a balanced beam
-    splitter on ``mixed`` and one threshold detector on each output."""
+    splitter on ``mixed`` and one threshold detector on each output.  The
+    sparse and dense outcomes are returned with it."""
     from .fock import bell_state
     from .protocols import _herald
 
     sparse = _herald(pre, mixed, eta)
-    dense = dense_measure(dense_apply(dense_from_fock(pre), balanced_bs(), mixed),
-                          [(m,) for m in mixed], eta)
+    dense = _dense_herald(pre, mixed, eta)
     targets = [bell_state("psi+", outer), bell_state("psi-", outer)]
-    return max(_compare_outcomes(sparse[out], dense[out], targets) for out in dense)
+    worst = max(_compare_outcomes(sparse[out], dense[out], targets) for out in dense)
+    return worst, sparse, dense
+
+
+def _dense_coincidences(members, eta: float) -> dict:
+    """D3/D4 outcome probabilities of a mixture of kets on beams 3, 4: each
+    member through the dense beam splitter and POVM on its own.  Every
+    member is rebuilt at one cutoff that holds all of its photons, so the
+    beam splitter is lifted at one working dimension for the whole table."""
+    cutoff = max(max(m.register.cutoff, *(sum(occ) for occ, _ in m.items()))
+                 for _, m in members)
+    joint: dict = {}
+    for w, member in members:
+        padded = FockKet(member.register.with_cutoff(cutoff), dict(member.items()))
+        for out, o in _dense_herald(padded, ("3", "4"), eta).items():
+            joint[out] = joint.get(out, 0.0) + w * o.probability
+    return joint
 
 
 def verify_scheme_a(tau: complex, eta: float, order: int = 1) -> float:
     """Max |sparse - dense| over scheme A's outcome probabilities and psi-fidelities."""
     from .protocols import scheme_a_state
 
-    return _verify_herald(scheme_a_state(tau, order), ("1", "2"), ("3", "4"), eta)
+    return _verify_herald(scheme_a_state(tau, order), ("1", "2"), ("3", "4"), eta)[0]
+
+
+def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float:
+    """``verify_scheme_a`` plus every coincidence table of the phase
+    verification: max |sparse - dense| over each outcome's probability.
+
+    The dense side sends each member of its own heralded ensemble (and the
+    ideal psi+/psi- references) through the dense beam splitter and POVM
+    one by one; the sparse side measures each ensemble in one ``_herald``
+    call, as ``run_phase_verification`` does.
+    """
+    from .fock import bell_state
+    from .protocols import _herald, scheme_a_state
+
+    worst, sparse, dense = _verify_herald(scheme_a_state(tau, order), ("1", "2"),
+                                          ("3", "4"), eta)
+    # (sparse input, dense members) of each table: the heralded events (an
+    # ensemble on one side only already made worst inf), then the ideal
+    # references
+    tables = []
+    for out in ((CLICK, SILENT), (SILENT, CLICK)):
+        sparse_ens, dense_ens = sparse[out].ensemble, dense[out].ensemble
+        if sparse_ens is not None and dense_ens is not None:
+            tables.append((sparse_ens, dense_ens.members))
+    for kind in ("psi+", "psi-"):
+        ideal = bell_state(kind, ("3", "4"), cutoff=2)
+        tables.append((ideal, ((1.0, ideal),)))
+    for state, members in tables:
+        table = _herald(state, ("3", "4"), eta)
+        ref = _dense_coincidences(members, eta)
+        worst = max(worst, max(abs(table[out].probability - p) for out, p in ref.items()))
+    return worst
 
 
 def verify_scheme_b(epsilon: float, eta: float, order: int = 1,
@@ -278,4 +342,4 @@ def verify_scheme_b(epsilon: float, eta: float, order: int = 1,
     from .protocols import scheme_b_state
 
     pre = scheme_b_state(epsilon, order, variant, pair_amplitude)
-    return _verify_herald(pre, ("2", "3"), ("1", "4"), eta)
+    return _verify_herald(pre, ("2", "3"), ("1", "4"), eta)[0]

@@ -3,6 +3,13 @@
 Bell "measurements" in the algebraic checks are ideal projectors; detector
 based conditioning (with efficiency eta) is used exactly where the schemes
 use detectors.  Every pipeline is pure given its parameters (and seed).
+
+Schemes A and B herald with one step, ``_herald``: a balanced beam splitter
+on two beams and one threshold detector on each output.  The phase
+verification reuses it on beams 3 and 4 for every coincidence table: a
+heralded ensemble goes through the beam splitter member by member and is
+measured in one ``detection.measure`` call, and the ideal psi+/psi-
+references are single kets through the same step.
 """
 from __future__ import annotations
 
@@ -176,10 +183,18 @@ def scheme_a_state(tau: complex, order: int = 1) -> FockKet:
     return reorder(double_pass_source(SpdcParams(tau, order)), ("1", "2", "3", "4"))
 
 
-def _herald(pre: FockKet, mixed: tuple[str, str], eta: float) -> dict:
+def _herald(pre: FockKet | WeightedEnsemble, mixed: tuple[str, str], eta: float) -> dict:
     """Mix two beams on a balanced beam splitter and put one threshold
-    detector on each output; every outcome, keyed in ``mixed`` order."""
-    post = apply_mode_unitary(pre, balanced_bs(), mixed)
+    detector on each output; every outcome, keyed in ``mixed`` order.
+
+    A mixture goes through the beam splitter member by member and is then
+    measured in one call."""
+    bs = balanced_bs()
+    if isinstance(pre, FockKet):
+        post = apply_mode_unitary(pre, bs, mixed)
+    else:
+        members = tuple((w, apply_mode_unitary(m, bs, mixed)) for w, m in pre.members)
+        post = WeightedEnsemble(members[0][1].register, members)
     return measure(post, [(m,) for m in mixed], eta)
 
 
@@ -232,12 +247,9 @@ def _num(x):
 # Phase verification: second beam splitter on the outer beams
 # --------------------------------------------------------------------------
 
-def _ensemble_verification(ens: WeightedEnsemble, eta: float) -> dict:
-    joint: dict[tuple[str, str], float] = {}
-    for w, member in ens.members:
-        for out, o in _herald(member, ("3", "4"), eta).items():
-            joint[out] = joint.get(out, 0.0) + w * o.probability
-    return joint
+def _coincidences(state: FockKet | WeightedEnsemble, eta: float) -> dict:
+    """D3/D4 outcome probabilities of beams 3, 4 through the second beam splitter."""
+    return {out: o.probability for out, o in _herald(state, ("3", "4"), eta).items()}
 
 
 def _click_marginals(joint: Mapping[tuple[str, str], float]) -> dict:
@@ -276,12 +288,12 @@ def run_phase_verification(tau: complex, eta: float, order: int = 1) -> Protocol
         if ev.ensemble is None:
             coincidences[ev.name] = None
             continue
-        joint = _ensemble_verification(ev.ensemble, eta)
+        joint = _coincidences(ev.ensemble, eta)
         coincidences[ev.name] = {**_click_marginals(joint), "joint": _joint_json(joint)}
     for kind in ("psi+", "psi-"):
-        ideal = _herald(bell_state(kind, ("3", "4"), cutoff=2), ("3", "4"), eta)
+        ideal = _coincidences(bell_state(kind, ("3", "4"), cutoff=2), eta)
         coincidences[f"ideal_{'psi_plus' if kind == 'psi+' else 'psi_minus'}"] = \
-            _click_marginals({out: o.probability for out, o in ideal.items()})
+            _click_marginals(ideal)
     ens1 = events[0].ensemble
     if ens1 is not None:
         p3 = _occupied_probability(ens1, "3")

@@ -7,9 +7,11 @@ from swapsim.fock import FockKet, ModeRegister
 
 
 @st.composite
-def random_kets(draw, max_modes=4, max_cutoff=3, normalized=True):
-    """Random sparse kets on small registers (labels m0, m1, ...)."""
-    n_modes = draw(st.integers(1, max_modes))
+def random_kets(draw, max_modes=4, max_cutoff=3, normalized=True, n_modes=None):
+    """Random sparse kets on small registers (labels m0, m1, ...), with
+    ``n_modes`` modes if given."""
+    if n_modes is None:
+        n_modes = draw(st.integers(1, max_modes))
     cutoff = draw(st.integers(1, max_cutoff))
     reg = ModeRegister(tuple(f"m{i}" for i in range(n_modes)), cutoff)
     occ = st.tuples(*[st.integers(0, cutoff)] * n_modes)

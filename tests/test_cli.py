@@ -60,6 +60,17 @@ def test_verify_ok():
     assert "verify: ok" in text
 
 
+def test_verify_phase_verify_checks_coincidence_tables(monkeypatch):
+    code, text = run_cli(["verify-phase", "--tau2", "1e-3", "--order", "2", "--verify"])
+    assert code == 0
+    assert text.splitlines()[-1].startswith("verify: ok")
+    from swapsim import oracle
+
+    monkeypatch.setattr(oracle, "verify_phase_verification", lambda *args: 1e-6)
+    code, _ = run_cli(["verify-phase", "--tau2", "1e-3", "--verify"])
+    assert code == 3
+
+
 def test_verify_unsupported():
     code, _ = run_cli(["theta", "--theta", "0.3", "--verify"])
     assert code == 2
@@ -265,7 +276,8 @@ SWEEP_FLAGS = {"--from": FUZZ_FLOATS, "--to": FUZZ_FLOATS, "--steps": st.integer
 @st.composite
 def cli_argv(draw):
     """argv for one subcommand: each flag present with probability ``p``,
-    and either a whole sweep or, now and then, a stray sweep flag."""
+    ``--verify`` one time in five, and either a whole sweep or, now and
+    then, a stray sweep flag."""
     scheme = draw(st.sampled_from(sorted(SCHEME_FLOATS)))
     argv = [scheme]
 
@@ -283,6 +295,8 @@ def cli_argv(draw):
         argv.append("--x-only")
     maybe("--format", st.sampled_from(["json", "csv", "table"]))
     maybe("--shots", st.integers(-2, 50), 0.25)
+    if draw(st.floats(0.0, 1.0)) < 0.2:
+        argv.append("--verify")
     if draw(st.booleans()):
         maybe("--sweep", st.sampled_from(["tau", "tau2", "eta", "epsilon", "theta", "order"]),
               0.9)
@@ -306,3 +320,5 @@ def test_cli_fuzz_exits_0_with_finite_output_or_2(argv):
     assert code in (0, 2), (argv, err.getvalue())
     if code == 0:
         assert not NON_FINITE_TOKEN.search(out.getvalue()), (argv, out.getvalue())
+        if "--verify" in argv:
+            assert out.getvalue().splitlines()[-1].startswith("verify: ok"), (argv, out.getvalue())

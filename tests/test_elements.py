@@ -17,7 +17,7 @@ from swapsim.elements import (
 )
 from swapsim.fock import FockKet, ModeRegister, vacuum
 
-from conftest import random_kets
+from conftest import ket_bits, random_kets
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -268,3 +268,27 @@ def test_warm_table_still_enforces_factorial_limit():
     big = ModeRegister(("1", "2"), MAX_FACTORIAL_CUTOFF + 1)
     with pytest.raises(ValueError, match="factorial"):
         apply_mode_unitary(basis(big, (1, 0)), u, ("1", "2"))
+
+
+def _random_unitary(rng, k):
+    q, r = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    return ModeUnitary(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+@pytest.mark.parametrize("labels, modes", [
+    (("a",), ("a",)),  # 1x1 on the whole 1-mode register
+    (("a", "b", "c"), ("a",)),  # 1x1 on each mode of a 3-mode register
+    (("a", "b", "c"), ("b",)),
+    (("a", "b", "c"), ("c",)),
+    (("a", "b"), ("a", "b")),  # acted modes cover the register, in either order
+    (("a", "b"), ("b", "a")),
+    (("a", "b", "c"), ("c", "a", "b")),
+])
+def test_output_keys_for_one_mode_and_whole_register(labels, modes):
+    rng = np.random.default_rng(len(labels) * 10 + len(modes))
+    u = (ModeUnitary(np.array([[np.exp(0.7j)]])) if len(modes) == 1
+         else _random_unitary(rng, len(modes)))
+    for order in (1, 3):
+        ket = random_ket(rng, labels, order)
+        assert ket_bits(apply_mode_unitary(ket, u, modes)) == \
+            ket_bits(per_term_apply(ket, u, modes))

@@ -14,10 +14,11 @@ from swapsim.oracle import (
     dense_measure,
     dense_to_fock,
     number_resolving_measure,
+    verify_phase_verification,
     verify_scheme_a,
     verify_scheme_b,
 )
-from swapsim.protocols import run_scheme_b
+from swapsim.protocols import run_phase_verification, run_scheme_b
 from swapsim.sources import vacuum_one_photon_postbs
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -162,3 +163,45 @@ def test_verify_compares_every_outcome(monkeypatch, outcome):
     assert verify_scheme_a(0.3, 0.6, order=2) == pytest.approx(1e-6, rel=1e-6)
     assert verify_scheme_b(0.25, 0.7, order=2, pair_amplitude=0.5) == \
         pytest.approx(1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("tau, eta, order", [
+    (math.sqrt(1e-3), 1.0, 1), (0.3, 0.6, 2), (0.2, 0.9, 4), (0.3, 0.0, 2), (0.0, 1.0, 1),
+])
+def test_verify_phase_verification_agrees(tau, eta, order):
+    assert verify_phase_verification(tau, eta, order) <= 1e-12
+
+
+def test_verify_phase_verification_checks_the_reported_tables(monkeypatch):
+    tables = []
+    herald = protocols._herald
+
+    def record(pre, mixed, eta):
+        out = herald(pre, mixed, eta)
+        if mixed == ("3", "4"):
+            tables.append({",".join(o): c.probability for o, c in out.items()})
+        return out
+
+    monkeypatch.setattr(protocols, "_herald", record)
+    assert verify_phase_verification(0.3, 0.8, order=2) <= 1e-10
+    monkeypatch.undo()
+    report = run_phase_verification(0.3, 0.8, order=2)
+    assert tables[:2] == [report.coincidences["event1"]["joint"],
+                          report.coincidences["event2"]["joint"]]
+    assert len(tables) == 4  # and the two ideal references
+
+
+@pytest.mark.parametrize("table", ["event", "ideal"])
+def test_verify_phase_verification_catches_a_skewed_table(monkeypatch, table):
+    herald = protocols._herald
+
+    def skewed(pre, mixed, eta):
+        out = herald(pre, mixed, eta)
+        is_event = not isinstance(pre, FockKet)
+        if mixed == ("3", "4") and is_event == (table == "event"):
+            o = out[(CLICK, CLICK)]
+            out[(CLICK, CLICK)] = ConditionalOutcome(o.probability + 1e-6, o.ensemble)
+        return out
+
+    monkeypatch.setattr(protocols, "_herald", skewed)
+    assert verify_phase_verification(0.3, 0.6, order=2) == pytest.approx(1e-6, rel=1e-6)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from swapsim.detection import CLICK, measure
+from swapsim.elements import apply_mode_unitary, balanced_bs
 from swapsim.protocols import (
     analyze_polarization_postselection,
     analyze_vacuum_one_photon,
@@ -155,6 +157,40 @@ def test_phase_verification_contamination_bound_and_marginals():
     marg = report.coincidences["marginals"]
     assert marg["beam3"] == pytest.approx(0.5, abs=1e-12)
     assert marg["beam4"] == pytest.approx(0.5, abs=1e-12)
+
+
+def _per_member_coincidences(ens, eta):
+    """Reference: every member of the heralded ensemble through the second
+    beam splitter and the D3/D4 POVM on its own, weighted and summed."""
+    joint = {}
+    for w, member in ens.members:
+        post = apply_mode_unitary(member, balanced_bs(), ("3", "4"))
+        for out, o in measure(post, [("3",), ("4",)], eta).items():
+            joint[out] = joint.get(out, 0.0) + w * o.probability
+    return joint
+
+
+def _hex_tree(x):
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return {k: _hex_tree(v) for k, v in x.items()}
+    return x
+
+
+@pytest.mark.parametrize("tau2, eta, order", [
+    (1e-3, 1.0, 1), (0.05, 0.7, 2), (0.02, 1.0, 4), (0.08, 0.55, 6),
+])
+def test_phase_verification_coincidences_match_per_member_loop(tau2, eta, order):
+    report = run_phase_verification(math.sqrt(tau2), eta, order)
+    for ev in report.events:
+        joint = _per_member_coincidences(ev.ensemble, eta)
+        expected = {
+            "p_d3": sum(p for o, p in joint.items() if o[0] == CLICK),
+            "p_d4": sum(p for o, p in joint.items() if o[1] == CLICK),
+            "joint": {",".join(o): p for o, p in sorted(joint.items())},
+        }
+        assert _hex_tree(report.coincidences[ev.name]) == _hex_tree(expected)
 
 
 # --------------------------------------------------------------------------
