@@ -32,6 +32,8 @@ SWEEP_PARAMS = {
     "postselect-pol": ("eta",),
     "postselect-vac": ("eta",),
 }
+VERIFY_SCHEMES = ("scheme-a", "verify-phase", "scheme-b")
+SHOTS_SCHEMES = ("scheme-a", "scheme-b")
 
 
 def _fmt(x) -> str:
@@ -76,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-check against the dense oracle (exit 3 on mismatch)")
         p.add_argument("--shots", type=int, default=0,
                        help="sample this many synthetic detection shots (0: off)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int,
+                       help="sampling seed for --shots (default: 0)")
         p.add_argument("--sweep", metavar="PARAM",
                        help="sweep a numeric parameter; emits CSV rows")
         p.add_argument("--from", dest="sweep_from", type=_finite_float)
@@ -213,6 +216,12 @@ def _emit_csv(rows: list, header: list[str], out) -> None:
         out.write(",".join(_fmt(x) for x in row) + "\n")
 
 
+def _columns(*cells: str) -> str:
+    """Table value columns, right-aligned to 16 characters; a cell that
+    overflows its width still gets one space before it."""
+    return "".join(f" {cell:>15}" for cell in cells) + "\n"
+
+
 def _emit_report(report: protocols.ProtocolReport, args, samples, out) -> None:
     if args.format == "json":
         data = report.to_json_dict()
@@ -228,10 +237,10 @@ def _emit_report(report: protocols.ProtocolReport, args, samples, out) -> None:
         return
     out.write(f"scheme: {report.scheme}\n")
     out.write("params: " + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(report.params.items())) + "\n")
-    out.write(f"{'event':<18}{'probability':>16}{'fid(psi+)':>16}{'fid(psi-)':>16}\n")
+    out.write(f"{'event':<18}" + _columns("probability", "fid(psi+)", "fid(psi-)"))
     for ev in report.events:
-        out.write(f"{ev.name:<18}{_fmt(ev.probability):>16}"
-                  f"{_fmt(ev.fidelity_psi_plus):>16}{_fmt(ev.fidelity_psi_minus):>16}\n")
+        out.write(f"{ev.name:<18}" + _columns(_fmt(ev.probability), _fmt(ev.fidelity_psi_plus),
+                                              _fmt(ev.fidelity_psi_minus)))
         if ev.impossible:
             out.write(f"  ({ev.name}: conditioning impossible)\n")
         for key in ("favored", "fidelity_favored", "vacuum_weight",
@@ -252,17 +261,15 @@ def _emit_report(report: protocols.ProtocolReport, args, samples, out) -> None:
         out.write("samples: " + " ".join(f"{k}={v}" for k, v in sorted(samples.items())) + "\n")
 
 
-def _verify(args) -> float | None:
+def _verify(args) -> float:
     from . import oracle  # scipy is only needed here
 
     if args.scheme == "scheme-a":
         return oracle.verify_scheme_a(args._tau, args.eta, args.order)
     if args.scheme == "verify-phase":
         return oracle.verify_phase_verification(args._tau, args.eta, args.order)
-    if args.scheme == "scheme-b":
-        return oracle.verify_scheme_b(args.epsilon, args.eta, args.order, args.variant,
-                                      args.pair_amplitude)
-    return None
+    return oracle.verify_scheme_b(args.epsilon, args.eta, args.order, args.variant,
+                                  args.pair_amplitude)
 
 
 def _samples(args):
@@ -270,12 +277,10 @@ def _samples(args):
         return None
     if args.scheme == "scheme-a":
         dist = protocols.scheme_a_click_distribution(args._tau, args.eta, args.order)
-    elif args.scheme == "scheme-b":
+    else:
         dist = protocols.scheme_b_click_distribution(
             args.epsilon, args.eta, args.order, args.variant, args.pair_amplitude)
-    else:
-        raise ValueError(f"--shots is not supported for {args.scheme}")
-    return protocols.sample_run(dist, args.shots, args.seed)
+    return protocols.sample_run(dist, args.shots, args.seed or 0)
 
 
 def run(argv=None, out=None) -> int:
@@ -284,6 +289,15 @@ def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     if args.shots < 0:
         parser.error("--shots must be >= 0")
+    if args.verify and args.scheme not in VERIFY_SCHEMES:
+        parser.error(f"--verify is not supported for {args.scheme}")
+    if args.shots and args.scheme not in SHOTS_SCHEMES:
+        parser.error(f"--shots is not supported for {args.scheme}")
+    if args.seed is not None:
+        if not args.shots:
+            parser.error("--seed: only valid with --shots")
+        if args.seed < 0:
+            parser.error("--seed must be >= 0")
     if args.sweep is None:
         unused = [flag for flag, value in (
             ("--from", args.sweep_from), ("--to", args.sweep_to),
@@ -309,10 +323,6 @@ def run(argv=None, out=None) -> int:
         _emit_report(report, args, samples, out)
         if args.verify:
             diff = _verify(args)
-            if diff is None:
-                print(f"error: --verify is not supported for {args.scheme}",
-                      file=sys.stderr)
-                return EXIT_USAGE
             if diff > VERIFY_TOL:
                 print(f"error: oracle mismatch, max deviation {diff:.3g}",
                       file=sys.stderr)

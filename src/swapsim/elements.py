@@ -4,6 +4,13 @@ An element is a unitary matrix on a small set of modes.  It acts on a ket
 through the creation-operator substitution a_k^dag -> sum_j M[j,k] a_j^dag,
 expanded multinomially with exact integer factorials.
 
+A ``ModeUnitary`` holds its matrix as ``entries``, a tuple of rows of
+built-in Python ``complex``, so the engine needs no numpy: the unitarity
+check and the expansion are plain Python, and every transfer-table
+coefficient is a built-in ``complex``.  ``.matrix`` is the same matrix as a
+read-only numpy array, built and cached on first access, for the dense
+oracle and for callers that want array algebra.
+
 The expansion depends only on the acted occupation (n_a, n_b, ...), not on
 the rest of the ket, so each ``ModeUnitary`` keeps a transfer table: for
 every acted occupation it has met, sqrt(prod n!), the output terms
@@ -12,18 +19,17 @@ built once, on first use, and ``apply_mode_unitary`` is then a lookup and a
 scatter per input term; each output key is one ``itemgetter`` call over
 ``occ + powers``, which reads the acted positions from ``powers``.
 Amplitudes come out as amp / sqrt(prod n!) * c * sqrt(prod p!), the same
-float operations in the same order for a cold or a warm table.  The matrix is read-only so that the table cannot go stale, and
-``balanced_bs()`` returns one shared instance whose table every protocol
-reuses.  A table has at most one entry per acted occupation within
-MAX_FACTORIAL_CUTOFF, so even the shared one stays small.
+float operations in the same order for a cold or a warm table.  The entries
+are immutable so that the table cannot go stale, and ``balanced_bs()``
+returns one shared instance whose table every protocol reuses.  A table has
+at most one entry per acted occupation within MAX_FACTORIAL_CUTOFF, so even
+the shared one stays small.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .fock import FockKet, _tuple_getter
 
@@ -32,28 +38,53 @@ MAX_FACTORIAL_CUTOFF = 20
 
 @dataclass(frozen=True)
 class ModeUnitary:
-    """Complex unitary on ``size`` modes (every built-in element has size 2)."""
+    """Complex unitary on ``size`` modes (every built-in element has size 2).
 
-    matrix: np.ndarray
+    ``entries`` accepts any square 2-D array-like of numbers (nested
+    sequences or a numpy array) and is stored as a tuple of rows of
+    ``complex``.
+    """
+
+    entries: tuple
     # acted occupation -> (sqrt(prod n!), ((powers, c, sqrt(prod p!)), ...), max output)
     _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _array: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("mode unitary must be a square matrix")
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if not dev <= 1e-12:  # also rejects NaN entries
-            raise ValueError(f"matrix is not unitary (max deviation {dev:.3g})")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        try:
+            rows = tuple(tuple(complex(x) for x in row) for row in self.entries)
+        except (TypeError, ValueError):
+            raise ValueError("mode unitary must be a square matrix of numbers") from None
+        n = len(rows)
+        if n == 0 or any(len(row) != n for row in rows):
+            raise ValueError("mode unitary must be a square matrix of numbers")
+        for i in range(n):
+            for j in range(n):
+                dot = sum(rows[k][i].conjugate() * rows[k][j] for k in range(n))
+                dev = abs(dot - (i == j))
+                if not dev <= 1e-12:  # a NaN anywhere makes some dev NaN
+                    raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
+        object.__setattr__(self, "entries", rows)
+
+    @property
+    def matrix(self):
+        """The entries as a read-only complex numpy array (imports numpy)."""
+        if self._array is None:
+            import numpy as np
+
+            m = np.array(self.entries, dtype=complex)
+            m.flags.writeable = False
+            object.__setattr__(self, "_array", m)
+        return self._array
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.entries)
 
     def dagger(self) -> "ModeUnitary":
-        return ModeUnitary(self.matrix.conj().T)
+        n = self.size
+        return ModeUnitary([[self.entries[j][i].conjugate() for j in range(n)]
+                            for i in range(n)])
 
     def sector(self, acted: tuple[int, ...]) -> tuple:
         """Transfer-table entry for one acted occupation, built on first use."""
@@ -62,7 +93,7 @@ class ModeUnitary:
             # expand prod_k (sum_j M[j,k] a_j^dag)^{n_k} |0...0> on the acted modes
             poly: dict[tuple[int, ...], complex] = {(0,) * self.size: 1.0 + 0.0j}
             for k, n_k in enumerate(acted):
-                col = self.matrix[:, k]
+                col = tuple(row[k] for row in self.entries)
                 for _ in range(n_k):
                     poly = _poly_multiply_linear(poly, col)
             outputs = tuple((powers, c, _sqrt_factorials(powers))
@@ -75,7 +106,8 @@ class ModeUnitary:
 @functools.cache
 def balanced_bs() -> ModeUnitary:
     """50/50 beam splitter: (1/sqrt2) [[1, 1], [1, -1]] (one shared instance)."""
-    return ModeUnitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+    r = 1.0 / math.sqrt(2.0)
+    return ModeUnitary(((r, r), (r, -r)))
 
 
 def unbalanced_bs(eps: float) -> ModeUnitary:
@@ -83,7 +115,7 @@ def unbalanced_bs(eps: float) -> ModeUnitary:
     if not 0.0 < eps < 1.0:
         raise ValueError(f"unbalanced beam splitter needs 0 < eps < 1, got {eps}")
     r = 1.0 / math.sqrt(1.0 + eps * eps)
-    return ModeUnitary(r * np.array([[1.0, eps], [eps, -1.0]]))
+    return ModeUnitary(((r, r * eps), (r * eps, -r)))
 
 
 def polarization_rotation(eps: float) -> ModeUnitary:
@@ -91,7 +123,7 @@ def polarization_rotation(eps: float) -> ModeUnitary:
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"rotation parameter must be finite and >= 0, got {eps}")
     r = 1.0 / math.sqrt(1.0 + eps * eps)
-    return ModeUnitary(r * np.array([[1.0, -eps], [eps, 1.0]]))
+    return ModeUnitary(((r, -r * eps), (r * eps, r)))
 
 
 def pbs(beam_in: tuple[str, str], beam_out: tuple[str, str]) -> dict[str, str]:
@@ -110,7 +142,7 @@ def pbs(beam_in: tuple[str, str], beam_out: tuple[str, str]) -> dict[str, str]:
     return {h_in: h_out, v_in: v_out}
 
 
-def _poly_multiply_linear(poly: dict, coeffs: np.ndarray) -> dict:
+def _poly_multiply_linear(poly: dict, coeffs) -> dict:
     # multiply a polynomial in creation operators by sum_j coeffs[j] * a_j^dag
     out: dict[tuple[int, ...], complex] = {}
     for powers, c in poly.items():

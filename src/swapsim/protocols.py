@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .detection import CLICK, SILENT, ConditionalOutcome, measure
 from .elements import apply_mode_unitary, balanced_bs, pbs, polarization_rotation, unbalanced_bs
 from .fock import (
@@ -489,6 +487,8 @@ def sample_run(distribution: Mapping, shots: int, seed: int) -> dict:
 
     Deterministic for a fixed seed; keys keep the distribution's patterns.
     """
+    import numpy as np  # only sampling needs numpy; the engine does not
+
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     keys = sorted(distribution)

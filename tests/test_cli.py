@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -71,9 +72,54 @@ def test_verify_phase_verify_checks_coincidence_tables(monkeypatch):
     assert code == 3
 
 
-def test_verify_unsupported():
-    code, _ = run_cli(["theta", "--theta", "0.3", "--verify"])
-    assert code == 2
+# a valid argv for each subcommand without --shots; only verify-phase has --verify
+NO_SHOTS_ARGV = {
+    "theta": ["theta", "--theta", "0.3"],
+    "bell-check": ["bell-check"],
+    "postselect-pol": ["postselect-pol", "--eta", "0.9"],
+    "postselect-vac": ["postselect-vac", "--eta", "0.8"],
+    "verify-phase": ["verify-phase", "--tau2", "1e-3"],
+}
+
+
+def assert_usage_error(argv, flag, capsys):
+    """argv exits 2 in the argument checks: nothing on stdout, ``flag`` named."""
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv, out=out)
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert flag in capsys.readouterr().err
+
+
+def test_verify_unsupported(capsys):
+    for scheme in ("theta", "bell-check", "postselect-pol", "postselect-vac"):
+        assert_usage_error(NO_SHOTS_ARGV[scheme] + ["--verify"], "--verify", capsys)
+
+
+def test_shots_unsupported(capsys):
+    for argv in NO_SHOTS_ARGV.values():
+        assert_usage_error(argv + ["--shots", "5"], "--shots", capsys)
+
+
+def test_seed_checks(capsys):
+    argv = ["scheme-a", "--tau2", "0.01", "--format", "json"]
+    assert_usage_error(argv + ["--shots", "10", "--seed", "-1"], "--seed", capsys)
+    assert_usage_error(argv + ["--seed", "3"], "--seed", capsys)
+    assert_usage_error(argv + ["--shots", "0", "--seed", "3"], "--seed", capsys)
+    assert run_cli(argv + ["--shots", "10"]) == run_cli(argv + ["--shots", "10", "--seed", "0"])
+
+
+def test_table_columns_stay_separated():
+    # 6.89678982083e-34 has 17 characters, more than its 16-wide column
+    code, text = run_cli(["scheme-b", "--epsilon", "0.3", "--pair-amplitude", "5",
+                          "--order", "2"])
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[2] == "event                  probability       fid(psi+)       fid(psi-)"
+    rows = [line.split() for line in lines if line.startswith(("d2_click ", "d3_click "))]
+    assert rows == [["d2_click", "0.140212155323", "0.0260917172219", "6.89678982083e-34"],
+                    ["d3_click", "0.140212155323", "6.89678982083e-34", "0.0260917172219"]]
 
 
 def test_output_byte_stable():
@@ -155,12 +201,23 @@ def test_all_schemes_run():
 
 
 def test_import_cli_leaves_scipy_unloaded():
+    # numpy is loaded only by --shots and --verify, scipy only by --verify
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, swapsim.cli; print('scipy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    code = textwrap.dedent("""\
+        import io, sys
+        sys.path.insert(0, sys.argv[1])
+        import swapsim, swapsim.cli as cli
+        for argv in (["bell-check"], ["theta", "--theta", "0.3"],
+                     ["scheme-a", "--tau2", "1e-3", "--format", "json"],
+                     ["verify-phase", "--tau2", "1e-3", "--format", "csv"]):
+            assert cli.run(argv, out=io.StringIO()) == 0
+        print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+        assert cli.run(["scheme-a", "--tau2", "1e-3", "--shots", "10"], out=io.StringIO()) == 0
+        print("numpy" in sys.modules, "scipy" in sys.modules)
+        """)
+    done = subprocess.run([sys.executable, "-I", "-c", code, src],
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines() == ["[]", "True False"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -322,3 +379,32 @@ def test_cli_fuzz_exits_0_with_finite_output_or_2(argv):
         assert not NON_FINITE_TOKEN.search(out.getvalue()), (argv, out.getvalue())
         if "--verify" in argv:
             assert out.getvalue().splitlines()[-1].startswith("verify: ok"), (argv, out.getvalue())
+
+
+@st.composite
+def verified_argv(draw):
+    """In-range argv, never a sweep, for a subcommand that supports
+    ``--verify``, which is always on: every one must pass the oracle."""
+    scheme = draw(st.sampled_from(sorted(cli.VERIFY_SCHEMES)))
+    if scheme == "scheme-b":
+        epsilon = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        argv = [scheme, f"--epsilon={epsilon!r}",
+                f"--pair-amplitude={draw(st.floats(-2.0, 2.0))!r}",
+                f"--variant={draw(st.sampled_from(['ubs', 'pbs']))}"]
+    elif draw(st.booleans()):
+        argv = [scheme, f"--tau2={draw(st.floats(0.0, 0.5))!r}"]
+    else:
+        argv = [scheme, f"--tau={draw(st.floats(-0.7, 0.7))!r}"]
+    argv += [f"--eta={draw(st.floats(0.0, 1.0))!r}", f"--order={draw(st.integers(1, 3))}",
+             f"--format={draw(st.sampled_from(['json', 'csv', 'table']))}"]
+    if scheme in cli.SHOTS_SCHEMES and draw(st.booleans()):
+        argv += [f"--shots={draw(st.integers(1, 50))}", f"--seed={draw(st.integers(0, 2**32))}"]
+    return argv + ["--verify"]
+
+
+@given(verified_argv())
+@settings(max_examples=100, deadline=None)
+def test_cli_fuzz_in_range_verify_passes(argv):
+    code, text = run_cli(argv)
+    assert code == 0, argv
+    assert text.splitlines()[-1].startswith("verify: ok"), (argv, text)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -56,8 +57,15 @@ def test_unbalanced_limit_is_balanced():
 def test_non_unitary_rejected():
     with pytest.raises(ValueError):
         ModeUnitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    with pytest.raises(ValueError, match="not unitary"):
-        ModeUnitary(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+    for i, j in itertools.product(range(2), repeat=2):
+        m = [[R2, R2], [R2, -R2]]
+        m[i][j] = math.nan
+        with pytest.raises(ValueError, match="not unitary"):
+            ModeUnitary(m)
+    for bad in ([[1.0, 0.0]], [[1.0], [0.0]], [1.0, 0.0], [], [[1.0, 0.0], [0.0]],
+                np.eye(2)[None]):
+        with pytest.raises(ValueError, match="square"):
+            ModeUnitary(bad)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             polarization_rotation(bad)
@@ -247,6 +255,42 @@ def test_mode_unitary_copies_its_matrix():
     m[0, 0] = 5.0
     assert u.matrix[0, 0] == 1.0
     assert not u.matrix.flags.writeable
+
+
+def test_one_and_three_mode_unitaries_and_their_matrix():
+    phase = ModeUnitary([[np.exp(0.7j)]])
+    three = _random_unitary(np.random.default_rng(3), 3)
+    for u, size in ((phase, 1), (three, 3), (balanced_bs(), 2)):
+        assert u.size == size
+        assert isinstance(u.matrix, np.ndarray) and not u.matrix.flags.writeable
+        assert u.matrix.tolist() == [list(row) for row in u.entries]
+        assert u.matrix is u.matrix  # built once
+
+
+def test_entries_bit_identical_to_numpy_construction():
+    # the same float operations as building each matrix as a numpy array
+    assert balanced_bs().matrix.tobytes() == \
+        np.array(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), dtype=complex).tobytes()
+    for eps in (0.0, 0.05, 0.3, 0.77, 0.999):
+        r = 1.0 / math.sqrt(1.0 + eps * eps)
+        rotation = np.array(r * np.array([[1.0, -eps], [eps, 1.0]]), dtype=complex)
+        assert polarization_rotation(eps).matrix.tobytes() == rotation.tobytes()
+        if eps > 0.0:
+            bs = np.array(r * np.array([[1.0, eps], [eps, -1.0]]), dtype=complex)
+            assert unbalanced_bs(eps).matrix.tobytes() == bs.tobytes()
+
+
+def test_entries_and_table_coefficients_are_builtin_complex():
+    # numpy scalars in the table would turn the kernel loop into numpy arithmetic
+    unitaries = (balanced_bs(), unbalanced_bs(0.3), polarization_rotation(0.0),
+                 polarization_rotation(0.2), balanced_bs().dagger(),
+                 _random_unitary(np.random.default_rng(1), 2),
+                 _random_unitary(np.random.default_rng(2), 3))
+    for u in unitaries:
+        assert all(type(c) is complex for row in u.entries for c in row)
+        for acted in itertools.product(range(4), repeat=u.size):
+            _, outputs, _ = u.sector(acted)
+            assert all(type(c) is complex for _, c, _ in outputs)
 
 
 def test_second_apply_adds_no_table_entries():
