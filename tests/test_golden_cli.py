@@ -1,0 +1,64 @@
+"""Byte-for-byte golden stdout of the CLI.
+
+Every subcommand in every format, one sweep and a high-order phase
+verification.  ``--verify`` and ``--shots`` are left out: their output
+depends on the installed scipy and numpy builds.
+
+Re-record (only for a deliberate change of output) with
+``PYTHONPATH=src python tests/test_golden_cli.py --record``.
+"""
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from swapsim import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
+
+RUNS = [
+    "scheme-a --tau2 0.05 --eta 0.8 --order 4",
+    "scheme-b --epsilon 0.3 --eta 0.9 --order 2 --pair-amplitude 0.5",
+    "scheme-b --epsilon 0.25 --eta 0.7 --variant pbs",
+    "theta --theta 0.3",
+    "bell-check",
+    "postselect-pol --eta 0.9 --double-pair-weight 0.5",
+    "postselect-vac --eta 0.8",
+    "verify-phase --tau2 0.02 --eta 0.7 --order 3",
+]
+ARGVS = [f"{run} --format {fmt}" for run in RUNS for fmt in ("table", "csv", "json")] + [
+    "verify-phase --tau2 1e-3 --order 2 --sweep eta --from 0.2 --to 1.0 --steps 5",
+    "verify-phase --tau2 0.05 --eta 0.6 --order 6",
+]
+
+
+def stdout_of(argv: str) -> str:
+    out = io.StringIO()
+    assert cli.run(argv.split(), out=out) == 0
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN) as f:
+        return json.load(f)
+
+
+def test_golden_covers_every_run(golden):
+    assert list(golden) == ARGVS
+    assert {argv.split()[0] for argv in ARGVS} == set(cli.SCHEMES)
+
+
+@pytest.mark.parametrize("argv", ARGVS)
+def test_cli_stdout_is_golden(golden, argv):
+    assert stdout_of(argv) == golden[argv]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden_cli.py --record")
+    with open(GOLDEN, "w") as f:
+        json.dump({argv: stdout_of(argv) for argv in ARGVS}, f, indent=1)
+        f.write("\n")
