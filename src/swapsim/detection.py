@@ -22,6 +22,10 @@ outcome probabilities (which depend only on the detectors' photon counts)
 are set up once per call, not once per member.  When every mode is
 measured, each term is its own group and no group is built.
 
+``outcome_probabilities`` is the batch form of that fully measured case:
+it returns each of several kets' outcome probabilities, with the set-up
+done once for the batch, through the same member loop as ``measure``.
+
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
 ``coincidence_table`` groups the state, weighs every group under every
 outcome and builds the branches, and ``measure_pattern`` turns one
@@ -95,6 +99,86 @@ def _branch(rest_reg: ModeRegister, sub: dict, squares: list, w: float) -> FockK
     return ket.normalized() if ket.terms else None
 
 
+class _Povm:
+    """The set-up of one ``measure`` or ``outcome_probabilities`` call, done
+    once for all of its kets: the detector check, the outcome list, the
+    getters of the measured and unmeasured occupations, and each measured
+    occupation's row of outcome probabilities (which depend only on the
+    detectors' photon counts), computed the first time it is needed."""
+
+    def __init__(self, reg: ModeRegister, detectors: Sequence[Sequence[str]], eta: float):
+        self.det = ThresholdDetector(eta)
+        detectors = [tuple(modes) for modes in detectors]
+        measured_modes = [m for modes in detectors for m in modes]
+        if len(set(measured_modes)) != len(measured_modes):
+            raise ValueError("a mode may appear under at most one detector")
+        measured_idx = [reg.index(m) for m in measured_modes]
+        self.labels = reg.labels
+        self.rest_idx = [i for i in range(reg.size) if i not in measured_idx]
+        self.measured_of = _tuple_getter(measured_idx)
+        self.rest_of = _tuple_getter(self.rest_idx)
+        self.rest_labels = tuple(reg.labels[i] for i in self.rest_idx)
+        # per-detector slice of the measured-occupation key
+        self.spans = []
+        pos = 0
+        for modes in detectors:
+            self.spans.append(slice(pos, pos + len(modes)))
+            pos += len(modes)
+        self.outcomes = list(itertools.product((CLICK, SILENT), repeat=len(detectors)))
+        self.rows: dict[tuple[int, ...], list[float]] = {}  # measured occupation -> p_out per outcome
+
+    def row(self, key: tuple[int, ...]) -> list[float]:
+        det = self.det
+        probs = []
+        for span in self.spans:
+            n = sum(key[span])
+            probs.append({CLICK: det.p_click(n), SILENT: det.p_silent(n)})
+        out_probs = []
+        for out in self.outcomes:
+            p_out = 1.0
+            for p, o in zip(probs, out):
+                p_out *= p[o]
+            out_probs.append(p_out)
+        self.rows[key] = out_probs
+        return out_probs
+
+    def term_sums(self, ket: FockKet) -> list[float]:
+        """Each outcome's probability for a ket with every mode measured:
+        every term is its own group, of weight |amp|**2."""
+        measured_of, rows, row = self.measured_of, self.rows, self.row
+        sums = [0.0] * len(self.outcomes)
+        for occ, amp in ket.terms.items():
+            key = measured_of(occ)
+            w = abs(amp) ** 2
+            for i, p_out in enumerate(rows.get(key) or row(key)):
+                contrib = w * p_out
+                if contrib > 0.0:
+                    sums[i] += contrib
+        return sums
+
+
+def outcome_probabilities(
+    kets: Sequence[FockKet],
+    detectors: Sequence[Sequence[str]],
+    eta: float,
+) -> list[dict[tuple[str, ...], float]]:
+    """Every click/silent outcome's probability for each of several kets on
+    one set of mode labels, every mode measured, with the set-up done once.
+
+    Each dict is keyed as ``measure``'s result and holds the same
+    probabilities, bit for bit, as ``measure`` of that ket alone.
+    """
+    povm = _Povm(kets[0].register, detectors, eta)
+    if povm.rest_idx:
+        raise ValueError("outcome_probabilities measures every mode")
+    tables = []
+    for ket in kets:
+        if ket.register.labels != povm.labels:
+            raise ValueError("kets of one batch must share their mode labels")
+        tables.append(dict(zip(povm.outcomes, povm.term_sums(ket))))
+    return tables
+
+
 def coincidence_table(
     state: FockKet | WeightedEnsemble,
     detectors: Sequence[Sequence[str]],
@@ -113,58 +197,17 @@ def coincidence_table(
     (a ket is the one member of weight 1).  The pairs are empty when no mode
     is left unmeasured.
     """
-    det = ThresholdDetector(eta)
-    detectors = [tuple(modes) for modes in detectors]
-    measured_modes = [m for modes in detectors for m in modes]
-    if len(set(measured_modes)) != len(measured_modes):
-        raise ValueError("a mode may appear under at most one detector")
-    reg = state.register
-    measured_idx = [reg.index(m) for m in measured_modes]
-    rest_idx = [i for i in range(reg.size) if i not in measured_idx]
-    measured_of = _tuple_getter(measured_idx)
-    rest_of = _tuple_getter(rest_idx)
-    rest_labels = tuple(reg.labels[i] for i in rest_idx)
-
-    # per-detector slice of the measured-occupation key
-    spans = []
-    pos = 0
-    for modes in detectors:
-        spans.append(slice(pos, pos + len(modes)))
-        pos += len(modes)
-
-    outcomes = list(itertools.product((CLICK, SILENT), repeat=len(detectors)))
-    rows: dict[tuple[int, ...], list[float]] = {}  # measured occupation -> p_out per outcome
-
-    def row(key):
-        probs = []
-        for span in spans:
-            n = sum(key[span])
-            probs.append({CLICK: det.p_click(n), SILENT: det.p_silent(n)})
-        out_probs = []
-        for out in outcomes:
-            p_out = 1.0
-            for p, o in zip(probs, out):
-                p_out *= p[o]
-            out_probs.append(p_out)
-        rows[key] = out_probs
-        return out_probs
-
+    povm = _Povm(state.register, detectors, eta)
+    measured_of, rest_of, rows, row = povm.measured_of, povm.rest_of, povm.rows, povm.row
     members = ((1.0, state),) if isinstance(state, FockKet) else state.members
-    totals = [0.0] * len(outcomes)
-    branches: list[list[tuple[float, FockKet]]] = [[] for _ in outcomes]
+    totals = [0.0] * len(povm.outcomes)
+    branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]
     for w_k, member in members:
-        sums = [0.0] * len(outcomes)
-        if not rest_idx:
-            # every term is its own group, of weight |amp|**2
-            for occ, amp in member.terms.items():
-                key = measured_of(occ)
-                w = abs(amp) ** 2
-                for i, p_out in enumerate(rows.get(key) or row(key)):
-                    contrib = w * p_out
-                    if contrib > 0.0:
-                        sums[i] += contrib
+        if not povm.rest_idx:
+            sums = povm.term_sums(member)
         else:
-            rest_reg = ModeRegister(rest_labels, member.register.cutoff)
+            sums = [0.0] * len(povm.outcomes)
+            rest_reg = ModeRegister(povm.rest_labels, member.register.cutoff)
             for key, sub in _group_by_measured(member, measured_of, rest_of).items():
                 squares = [abs(a) ** 2 for a in sub.values()]
                 w = sum(squares)
@@ -181,7 +224,7 @@ def coincidence_table(
                             branches[i].append((w_k * contrib, ket))
         for i, s in enumerate(sums):
             totals[i] += w_k * s
-    return dict(zip(outcomes, zip(totals, branches)))
+    return dict(zip(povm.outcomes, zip(totals, branches)))
 
 
 def measure_pattern(total: float, branches: list[tuple[float, FockKet]]) -> ConditionalOutcome:

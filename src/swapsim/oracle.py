@@ -8,8 +8,8 @@ a branch weight from the pruned ket's norm), so ``dense_measure`` shares no
 code path with ``detection.measure`` beyond the detector's click probability.
 Every ket the dense side builds goes through the public, validating
 ``FockKet`` constructor, never the engine's trusted one.  The
-phase-verification coincidence tables, which the sparse engine measures as
-one mixture per table, are checked here member by member.
+phase-verification coincidence tables, which the sparse engine builds from
+one batch of distinct branches, are checked here member by member.
 Used only in tests and the CLI's --verify mode; small registers only.
 """
 from __future__ import annotations
@@ -310,29 +310,27 @@ def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float
 
     The dense side sends each member of its own heralded ensemble (and the
     ideal psi+/psi- references) through the dense beam splitter and POVM
-    one by one; the sparse side measures each ensemble in one ``_herald``
-    call, as ``run_phase_verification`` does.
+    one by one; the sparse tables come from ``_phase_tables``, the batch
+    whose tables ``run_phase_verification`` reports.
     """
     from .fock import bell_state
-    from .protocols import _herald, scheme_a_state
+    from . import protocols
 
-    worst, sparse, dense = _verify_herald(scheme_a_state(tau, order), ("1", "2"),
+    worst, sparse, dense = _verify_herald(protocols.scheme_a_state(tau, order), ("1", "2"),
                                           ("3", "4"), eta)
-    # (sparse input, dense members) of each table: the heralded events (an
-    # ensemble on one side only already made worst inf), then the ideal
-    # references
-    tables = []
+    # the heralded events (an ensemble on one side only already made worst
+    # inf), then the ideal references, in _phase_tables' order
+    sparse_ens, dense_members = [], []
     for out in ((CLICK, SILENT), (SILENT, CLICK)):
-        sparse_ens, dense_ens = sparse[out].ensemble, dense[out].ensemble
-        if sparse_ens is not None and dense_ens is not None:
-            tables.append((sparse_ens, dense_ens.members))
+        if sparse[out].ensemble is not None and dense[out].ensemble is not None:
+            sparse_ens.append(sparse[out].ensemble)
+            dense_members.append(dense[out].ensemble.members)
     for kind in ("psi+", "psi-"):
-        ideal = bell_state(kind, ("3", "4"), cutoff=2)
-        tables.append((ideal, ((1.0, ideal),)))
-    for state, members in tables:
-        table = _herald(state, ("3", "4"), eta)
+        dense_members.append(((1.0, bell_state(kind, ("3", "4"), cutoff=2)),))
+    tables = protocols._phase_tables(sparse_ens, eta)
+    for table, members in zip(tables, dense_members, strict=True):
         ref = _dense_coincidences(members, eta)
-        worst = max(worst, max(abs(table[out].probability - p) for out, p in ref.items()))
+        worst = max(worst, max(abs(table[out] - p) for out, p in ref.items()))
     return worst
 
 

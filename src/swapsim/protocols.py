@@ -6,10 +6,12 @@ use detectors.  Every pipeline is pure given its parameters (and seed).
 
 Schemes A and B herald with one step, ``_herald``: a balanced beam splitter
 on two beams and one threshold detector on each output.  The phase
-verification reuses it on beams 3 and 4 for every coincidence table: a
-heralded ensemble goes through the beam splitter member by member and is
-measured in one ``detection.measure`` call, and the ideal psi+/psi-
-references are single kets through the same step.
+verification's coincidence tables come from one batch, ``_phase_tables``:
+the branch kets of both heralded ensembles and the ideal psi+/psi-
+references go through the second beam splitter on beams 3 and 4 once each
+(a branch that both events share is one object, so it goes through once)
+and are measured in one ``detection.outcome_probabilities`` call; each
+table is then summed over its own members.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .detection import CLICK, SILENT, ConditionalOutcome, measure
+from .detection import CLICK, SILENT, ConditionalOutcome, measure, outcome_probabilities
 from .elements import apply_mode_unitary, balanced_bs, pbs, polarization_rotation, unbalanced_bs
 from .fock import (
     BELL_KINDS,
@@ -80,7 +82,7 @@ class ProtocolReport:
                 "fidelity_psi_minus": ev.fidelity_psi_minus,
             }
             if ev.ensemble is not None:
-                d["ensemble"] = _summarize_ensemble(ev.ensemble)[0]
+                d["ensemble"] = _summarize_ensemble(ev.ensemble)
             if ev.extras:
                 d["extras"] = ev.extras
             if ev.impossible:
@@ -96,15 +98,11 @@ class ProtocolReport:
         }
 
 
-def _summarize_ensemble(ens: WeightedEnsemble) -> tuple[list[dict], float]:
-    kept, dropped = [], 0.0
-    for w, state in ens.members:
-        if w < BRANCH_REPORT_TOL:
-            dropped += w
-        else:
-            kept.append({"weight": w, "state": format_ket(state)})
+def _summarize_ensemble(ens: WeightedEnsemble) -> list[dict]:
+    kept = [{"weight": w, "state": format_ket(state)}
+            for w, state in ens.members if w >= BRANCH_REPORT_TOL]
     kept.sort(key=lambda d: -d["weight"])
-    return kept, dropped
+    return kept
 
 
 def _psi_fidelities(ens: WeightedEnsemble, modes: tuple[str, str]) -> tuple[float, float]:
@@ -181,18 +179,11 @@ def scheme_a_state(tau: complex, order: int = 1) -> FockKet:
     return reorder(double_pass_source(SpdcParams(tau, order)), ("1", "2", "3", "4"))
 
 
-def _herald(pre: FockKet | WeightedEnsemble, mixed: tuple[str, str], eta: float) -> dict:
-    """Mix two beams on a balanced beam splitter and put one threshold
-    detector on each output; every outcome, keyed in ``mixed`` order.
-
-    A mixture goes through the beam splitter member by member and is then
-    measured in one call."""
-    bs = balanced_bs()
-    if isinstance(pre, FockKet):
-        post = apply_mode_unitary(pre, bs, mixed)
-    else:
-        members = tuple((w, apply_mode_unitary(m, bs, mixed)) for w, m in pre.members)
-        post = WeightedEnsemble(members[0][1].register, members)
+def _herald(pre: FockKet, mixed: tuple[str, str], eta: float) -> dict:
+    """Mix two beams of a ket on a balanced beam splitter and put one
+    threshold detector on each output; every outcome, keyed in ``mixed``
+    order."""
+    post = apply_mode_unitary(pre, balanced_bs(), mixed)
     return measure(post, [(m,) for m in mixed], eta)
 
 
@@ -225,10 +216,11 @@ def run_scheme_a(tau: complex, eta: float, order: int = 1) -> ProtocolReport:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     events = _heralded_events(scheme_a_state(tau, order), ("1", "2"), eta,
                               ("event1", "event2"), ("3", "4"))
+    # the weight _summarize_ensemble leaves out, one subtotal per event
     dropped = 0.0
     for ev in events:
         if ev.ensemble is not None:
-            dropped += _summarize_ensemble(ev.ensemble)[1]
+            dropped += sum(w for w, _ in ev.ensemble.members if w < BRANCH_REPORT_TOL)
     return ProtocolReport(
         "scheme-a",
         {"tau": _num(tau), "tau2": abs(tau) ** 2, "eta": eta, "order": order},
@@ -245,9 +237,37 @@ def _num(x):
 # Phase verification: second beam splitter on the outer beams
 # --------------------------------------------------------------------------
 
-def _coincidences(state: FockKet | WeightedEnsemble, eta: float) -> dict:
-    """D3/D4 outcome probabilities of beams 3, 4 through the second beam splitter."""
-    return {out: o.probability for out, o in _herald(state, ("3", "4"), eta).items()}
+def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dict]:
+    """D3/D4 outcome probabilities after the second balanced beam splitter
+    on beams 3 and 4: one table per heralded ensemble, then one for the
+    ideal psi+ and one for the ideal psi- reference.
+
+    The distinct member kets (by identity, in first-seen order) and the two
+    references go through the beam splitter once each and are measured in
+    one batch.  Each table is then ``sum_k w_k p_k(out)`` over its own
+    members in member order, from 0.0: the float order of measuring the
+    ensemble as one mixture.
+    """
+    ideals = [bell_state(kind, ("3", "4"), cutoff=2) for kind in ("psi+", "psi-")]
+    mixtures = [ens.members for ens in ensembles] + [((1.0, ket),) for ket in ideals]
+    slot: dict[int, int] = {}
+    kets = []
+    for members in mixtures:
+        for _, ket in members:
+            if id(ket) not in slot:
+                slot[id(ket)] = len(kets)
+                kets.append(ket)
+    bs = balanced_bs()
+    probs = outcome_probabilities([apply_mode_unitary(k, bs, ("3", "4")) for k in kets],
+                                  [("3",), ("4",)], eta)
+    tables = []
+    for members in mixtures:
+        joint = dict.fromkeys(probs[0], 0.0)
+        for w, ket in members:
+            for out, p in probs[slot[id(ket)]].items():
+                joint[out] += w * p
+        tables.append(joint)
+    return tables
 
 
 def _click_marginals(joint: Mapping[tuple[str, str], float]) -> dict:
@@ -281,17 +301,13 @@ def run_phase_verification(tau: complex, eta: float, order: int = 1) -> Protocol
     events = _heralded_events(scheme_a_state(tau, order), ("1", "2"), eta,
                               ("event1", "event2"), ("3", "4"))
 
-    coincidences: dict = {}
-    for ev in events:
-        if ev.ensemble is None:
-            coincidences[ev.name] = None
-            continue
-        joint = _coincidences(ev.ensemble, eta)
+    heralded = [ev for ev in events if ev.ensemble is not None]
+    *joints, ideal_plus, ideal_minus = _phase_tables([ev.ensemble for ev in heralded], eta)
+    coincidences: dict = {ev.name: None for ev in events}
+    for ev, joint in zip(heralded, joints):
         coincidences[ev.name] = {**_click_marginals(joint), "joint": _joint_json(joint)}
-    for kind in ("psi+", "psi-"):
-        ideal = _coincidences(bell_state(kind, ("3", "4"), cutoff=2), eta)
-        coincidences[f"ideal_{'psi_plus' if kind == 'psi+' else 'psi_minus'}"] = \
-            _click_marginals(ideal)
+    coincidences["ideal_psi_plus"] = _click_marginals(ideal_plus)
+    coincidences["ideal_psi_minus"] = _click_marginals(ideal_minus)
     ens1 = events[0].ensemble
     if ens1 is not None:
         p3 = _occupied_probability(ens1, "3")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from swapsim.detection import CLICK, SILENT, ThresholdDetector, measure
+from swapsim.detection import CLICK, SILENT, ThresholdDetector, measure, outcome_probabilities
 from swapsim.elements import apply_mode_unitary, balanced_bs
 from swapsim.fock import (
     DEFAULT_PRUNE_TOL,
@@ -311,3 +311,26 @@ def test_mixture_matches_member_by_member_reference(ens, eta, tol, data):
         assert [w.hex() for w, _ in got.ensemble.members] == [w.hex() for w, _ in mixed.members]
         assert [ket_bits(k) for _, k in got.ensemble.members] == \
             [ket_bits(k) for _, k in mixed.members]
+
+
+@given(ens=_mixtures(), eta=st.floats(0.05, 1.0), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_outcome_probabilities_match_measure_per_ket(ens, eta, data):
+    detectors = [(m,) for m in data.draw(st.permutations(ens.register.labels))]
+    kets = [ket for _, ket in ens.members]
+    tables = outcome_probabilities(kets, detectors, eta)
+    assert len(tables) == len(kets)
+    for ket, table in zip(kets, tables):
+        single = measure(ket, detectors, eta)
+        assert list(table) == list(single)
+        assert [p.hex() for p in table.values()] == \
+            [o.probability.hex() for o in single.values()]
+
+
+def test_outcome_probabilities_rejects_unmeasured_or_mixed_modes():
+    a = bell_state("psi+", ("1", "2"))
+    b = bell_state("psi+", ("2", "1"))
+    with pytest.raises(ValueError, match="every mode"):
+        outcome_probabilities([a], [("1",)], 0.5)
+    with pytest.raises(ValueError, match="share"):
+        outcome_probabilities([a, b], [("1",), ("2",)], 0.5)

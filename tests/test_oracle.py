@@ -174,34 +174,33 @@ def test_verify_phase_verification_agrees(tau, eta, order):
 
 def test_verify_phase_verification_checks_the_reported_tables(monkeypatch):
     tables = []
-    herald = protocols._herald
+    phase_tables = protocols._phase_tables
 
-    def record(pre, mixed, eta):
-        out = herald(pre, mixed, eta)
-        if mixed == ("3", "4"):
-            tables.append({",".join(o): c.probability for o, c in out.items()})
+    def record(ensembles, eta):
+        out = phase_tables(ensembles, eta)
+        tables.extend(out)
         return out
 
-    monkeypatch.setattr(protocols, "_herald", record)
+    monkeypatch.setattr(protocols, "_phase_tables", record)
     assert verify_phase_verification(0.3, 0.8, order=2) <= 1e-10
     monkeypatch.undo()
     report = run_phase_verification(0.3, 0.8, order=2)
-    assert tables[:2] == [report.coincidences["event1"]["joint"],
-                          report.coincidences["event2"]["joint"]]
-    assert len(tables) == 4  # and the two ideal references
+    assert len(tables) == 4  # the two events and the two ideal references
+    assert [protocols._joint_json(t) for t in tables[:2]] == [
+        report.coincidences["event1"]["joint"], report.coincidences["event2"]["joint"]]
+    assert [protocols._click_marginals(t) for t in tables[2:]] == [
+        report.coincidences["ideal_psi_plus"], report.coincidences["ideal_psi_minus"]]
 
 
 @pytest.mark.parametrize("table", ["event", "ideal"])
 def test_verify_phase_verification_catches_a_skewed_table(monkeypatch, table):
-    herald = protocols._herald
+    phase_tables = protocols._phase_tables
 
-    def skewed(pre, mixed, eta):
-        out = herald(pre, mixed, eta)
-        is_event = not isinstance(pre, FockKet)
-        if mixed == ("3", "4") and is_event == (table == "event"):
-            o = out[(CLICK, CLICK)]
-            out[(CLICK, CLICK)] = ConditionalOutcome(o.probability + 1e-6, o.ensemble)
+    def skewed(ensembles, eta):
+        out = phase_tables(ensembles, eta)
+        # the event1 table, or the ideal psi- reference (the last table)
+        out[0 if table == "event" else -1][(CLICK, CLICK)] += 1e-6
         return out
 
-    monkeypatch.setattr(protocols, "_herald", skewed)
+    monkeypatch.setattr(protocols, "_phase_tables", skewed)
     assert verify_phase_verification(0.3, 0.6, order=2) == pytest.approx(1e-6, rel=1e-6)

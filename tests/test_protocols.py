@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from swapsim import protocols
 from swapsim.detection import CLICK, measure
 from swapsim.elements import apply_mode_unitary, balanced_bs
+from swapsim.fock import bell_state
 from swapsim.protocols import (
     analyze_polarization_postselection,
     analyze_vacuum_one_photon,
@@ -159,15 +161,22 @@ def test_phase_verification_contamination_bound_and_marginals():
     assert marg["beam4"] == pytest.approx(0.5, abs=1e-12)
 
 
-def _per_member_coincidences(ens, eta):
-    """Reference: every member of the heralded ensemble through the second
-    beam splitter and the D3/D4 POVM on its own, weighted and summed."""
+def _per_member_coincidences(members, eta):
+    """Reference: every (weight, ket) member through the second beam
+    splitter and the D3/D4 POVM on its own, weighted and summed."""
     joint = {}
-    for w, member in ens.members:
+    for w, member in members:
         post = apply_mode_unitary(member, balanced_bs(), ("3", "4"))
         for out, o in measure(post, [("3",), ("4",)], eta).items():
             joint[out] = joint.get(out, 0.0) + w * o.probability
     return joint
+
+
+def _click_marginals(joint):
+    return {
+        "p_d3": sum(p for o, p in joint.items() if o[0] == CLICK),
+        "p_d4": sum(p for o, p in joint.items() if o[1] == CLICK),
+    }
 
 
 def _hex_tree(x):
@@ -184,13 +193,34 @@ def _hex_tree(x):
 def test_phase_verification_coincidences_match_per_member_loop(tau2, eta, order):
     report = run_phase_verification(math.sqrt(tau2), eta, order)
     for ev in report.events:
-        joint = _per_member_coincidences(ev.ensemble, eta)
-        expected = {
-            "p_d3": sum(p for o, p in joint.items() if o[0] == CLICK),
-            "p_d4": sum(p for o, p in joint.items() if o[1] == CLICK),
-            "joint": {",".join(o): p for o, p in sorted(joint.items())},
-        }
+        joint = _per_member_coincidences(ev.ensemble.members, eta)
+        expected = {**_click_marginals(joint),
+                    "joint": {",".join(o): p for o, p in sorted(joint.items())}}
         assert _hex_tree(report.coincidences[ev.name]) == _hex_tree(expected)
+    for kind, name in (("psi+", "ideal_psi_plus"), ("psi-", "ideal_psi_minus")):
+        ideal = bell_state(kind, ("3", "4"), cutoff=2)
+        expected = _click_marginals(_per_member_coincidences(((1.0, ideal),), eta))
+        assert _hex_tree(report.coincidences[name]) == _hex_tree(expected)
+
+
+def test_phase_verification_sends_each_branch_through_the_beam_splitter_once(monkeypatch):
+    # at eta < 1 a group with photons at both heralding detectors feeds both
+    # events, and both ensembles hold the same branch object
+    calls = []
+    apply = protocols.apply_mode_unitary
+
+    def count(state, u, modes):
+        if tuple(modes) == ("3", "4"):
+            calls.append(state)
+        return apply(state, u, modes)
+
+    monkeypatch.setattr(protocols, "apply_mode_unitary", count)
+    report = run_phase_verification(math.sqrt(0.05), 0.6, 6)
+    members = [ket for ev in report.events for _, ket in ev.ensemble.members]
+    distinct = {id(ket) for ket in members}
+    assert len(distinct) < len(members)
+    assert len(calls) == len(distinct) + 2  # and the ideal psi+/psi- references
+    assert {id(ket) for ket in calls[:-2]} == distinct
 
 
 # --------------------------------------------------------------------------
