@@ -1,5 +1,16 @@
 """Command-line front end: run any protocol, sweep a parameter, emit
-json/csv/table, optionally cross-check against the dense oracle.
+json/csv/table, optionally cross-check against the dense oracle or sample
+synthetic detection shots.
+
+``COMMANDS`` says what each subcommand runs: its report function in
+``protocols``, its dense-oracle check in ``oracle`` (``--verify``), its
+click distribution in ``protocols`` (``--shots``), the parameters
+``--sweep`` may set, and the parsed arguments that every one of those
+functions takes, in order.  The parser offers ``--verify`` and
+``--shots``/``--seed`` only on subcommands whose row names a function for
+them.  Functions are stored by name and looked up when a command runs, so a
+function rebound on its module is the one called.  A sweep point is a copy
+of the arguments with the swept parameter set, checked like a single run.
 
 Output is deterministic (byte-stable) for a fixed configuration and seed;
 all floats are printed with 12 significant digits.
@@ -10,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from typing import NamedTuple
 
 from . import protocols
 
@@ -19,21 +31,30 @@ EXIT_VERIFY = 3
 
 VERIFY_TOL = 1e-10
 
-SCHEMES = ("scheme-a", "scheme-b", "theta", "bell-check",
-           "postselect-pol", "postselect-vac", "verify-phase")
 
-# the parameters _run_report takes from a sweep's overrides, per subcommand
-SWEEP_PARAMS = {
-    "scheme-a": ("tau", "tau2", "eta"),
-    "verify-phase": ("tau", "tau2", "eta"),
-    "scheme-b": ("epsilon", "eta"),
-    "theta": ("theta",),
-    "bell-check": (),
-    "postselect-pol": ("eta",),
-    "postselect-vac": ("eta",),
+class Command(NamedTuple):
+    report: str  # report function in protocols
+    check: str | None  # dense-oracle check in oracle, for --verify
+    distribution: str | None  # click distribution in protocols, for --shots
+    sweep: tuple[str, ...]  # the parameters --sweep may set
+    params: tuple[str, ...]  # the arguments each function above takes, in order
+
+
+_TAU_PARAMS = ("tau", "eta", "order")
+COMMANDS = {
+    "scheme-a": Command("run_scheme_a", "verify_scheme_a", "scheme_a_click_distribution",
+                        ("tau", "tau2", "eta"), _TAU_PARAMS),
+    "verify-phase": Command("run_phase_verification", "verify_phase_verification", None,
+                            ("tau", "tau2", "eta"), _TAU_PARAMS),
+    "scheme-b": Command("run_scheme_b", "verify_scheme_b", "scheme_b_click_distribution",
+                        ("epsilon", "eta"),
+                        ("epsilon", "eta", "order", "variant", "pair_amplitude")),
+    "theta": Command("run_theta_swapping", None, None, ("theta",), ("theta",)),
+    "bell-check": Command("bell_decomposition_check", None, None, (), ()),
+    "postselect-pol": Command("analyze_polarization_postselection", None, None, ("eta",),
+                              ("eta", "include_double_pairs", "double_pair_weight")),
+    "postselect-vac": Command("analyze_vacuum_one_photon", None, None, ("eta",), ("eta",)),
 }
-VERIFY_SCHEMES = ("scheme-a", "verify-phase", "scheme-b")
-SHOTS_SCHEMES = ("scheme-a", "scheme-b")
 
 
 def _fmt(x) -> str:
@@ -70,16 +91,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="swapsim",
         description="Entanglement-swapping simulator in truncated Fock space.",
     )
+    parser.set_defaults(verify=False, shots=0, seed=None)
     sub = parser.add_subparsers(dest="scheme", required=True)
 
-    def common(p):
+    def common(p, name):
         p.add_argument("--format", choices=("json", "csv", "table"), default="table")
-        p.add_argument("--verify", action="store_true",
-                       help="cross-check against the dense oracle (exit 3 on mismatch)")
-        p.add_argument("--shots", type=int, default=0,
-                       help="sample this many synthetic detection shots (0: off)")
-        p.add_argument("--seed", type=int,
-                       help="sampling seed for --shots (default: 0)")
+        if COMMANDS[name].check:
+            p.add_argument("--verify", action="store_true",
+                           help="cross-check against the dense oracle (exit 3 on mismatch)")
+        if COMMANDS[name].distribution:
+            p.add_argument("--shots", type=int, default=0,
+                           help="sample this many synthetic detection shots (0: off)")
+            p.add_argument("--seed", type=int,
+                           help="sampling seed for --shots (default: 0)")
         p.add_argument("--sweep", metavar="PARAM",
                        help="sweep a numeric parameter; emits CSV rows")
         p.add_argument("--from", dest="sweep_from", type=_finite_float)
@@ -96,11 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scheme-a", help="double-pass SPDC swapping")
     add_tau(p)
-    common(p)
+    common(p, "scheme-a")
 
     p = sub.add_parser("verify-phase", help="phase verification after scheme A")
     add_tau(p)
-    common(p)
+    common(p, "verify-phase")
 
     p = sub.add_parser("scheme-b", help="single-pass scheme with unbalanced BS or PBS")
     p.add_argument("--epsilon", type=_finite_float, required=True)
@@ -108,68 +132,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--variant", choices=("ubs", "pbs"), default="ubs")
     p.add_argument("--pair-amplitude", type=_finite_float, default=0.0)
-    common(p)
+    common(p, "scheme-b")
 
     p = sub.add_parser("theta", help="non-maximal pair swapping identity")
     p.add_argument("--theta", type=_finite_float, required=True)
-    common(p)
+    common(p, "theta")
 
     p = sub.add_parser("bell-check", help="Bell-basis swapping identity")
-    common(p)
+    common(p, "bell-check")
 
     p = sub.add_parser("postselect-pol", help="polarization post-selection analysis")
     p.add_argument("--eta", type=_finite_float, default=1.0)
-    p.add_argument("--x-only", action="store_true",
+    p.add_argument("--x-only", dest="include_double_pairs", action="store_false",
                    help="drop the double-pair emission terms")
     p.add_argument("--double-pair-weight", type=_finite_float, default=1.0)
-    common(p)
+    common(p, "postselect-pol")
 
     p = sub.add_parser("postselect-vac", help="vacuum/one-photon post-selection analysis")
     p.add_argument("--eta", type=_finite_float, default=1.0)
-    common(p)
+    common(p, "postselect-vac")
     return parser
 
 
-def _resolve_tau(args, parser) -> float:
+def _resolve_tau(args, parser) -> None:
+    """Check --tau/--tau2 and fold --tau2 into ``args.tau``; nothing to do
+    for a subcommand without them."""
+    if not hasattr(args, "tau"):
+        return
     if args.tau is not None and args.tau2 is not None:
         parser.error("specify --tau or --tau2, not both")
-    if args.tau is not None:
-        return args.tau
     if args.tau2 is not None:
         if args.tau2 < 0:
             parser.error("--tau2 must be >= 0")
-        return math.sqrt(args.tau2)
-    parser.error("one of --tau / --tau2 is required")
+        args.tau, args.tau2 = math.sqrt(args.tau2), None
+    if args.tau is None:
+        parser.error("one of --tau / --tau2 is required")
 
 
-def _run_report(args, overrides: dict | None = None) -> protocols.ProtocolReport:
-    ov = overrides or {}
+def _params(args) -> tuple:
+    """The positional parameters of every function in the subcommand's row."""
+    return tuple(getattr(args, name) for name in COMMANDS[args.scheme].params)
 
-    def get(name, default):
-        return ov.get(name, default)
 
-    if args.scheme in ("scheme-a", "verify-phase"):
-        tau = get("tau", args._tau)
-        if "tau2" in ov:
-            tau = math.sqrt(ov["tau2"])
-        eta = get("eta", args.eta)
-        if args.scheme == "scheme-a":
-            return protocols.run_scheme_a(tau, eta, args.order)
-        return protocols.run_phase_verification(tau, eta, args.order)
-    if args.scheme == "scheme-b":
-        return protocols.run_scheme_b(
-            get("epsilon", args.epsilon), get("eta", args.eta),
-            args.order, args.variant, args.pair_amplitude)
-    if args.scheme == "theta":
-        return protocols.run_theta_swapping(get("theta", args.theta))
-    if args.scheme == "bell-check":
-        return protocols.bell_decomposition_check()
-    if args.scheme == "postselect-pol":
-        return protocols.analyze_polarization_postselection(
-            get("eta", args.eta), not args.x_only, args.double_pair_weight)
-    if args.scheme == "postselect-vac":
-        return protocols.analyze_vacuum_one_photon(get("eta", args.eta))
-    raise ValueError(f"unknown scheme {args.scheme!r}")
+def _call(module, name: str, args):
+    return getattr(module, name)(*_params(args))
 
 
 def _sweep_rows(report: protocols.ProtocolReport, param: str, value: float) -> list:
@@ -189,7 +195,7 @@ def _sweep_rows(report: protocols.ProtocolReport, param: str, value: float) -> l
 
 
 def _sweep_grid(args, parser) -> list[float]:
-    allowed = SWEEP_PARAMS[args.scheme]
+    allowed = COMMANDS[args.scheme].sweep
     if args.sweep not in allowed:
         parser.error(f"{args.scheme} cannot sweep {args.sweep!r}; "
                      f"sweepable: {', '.join(allowed) or 'none'}")
@@ -208,6 +214,17 @@ def _sweep_grid(args, parser) -> list[float]:
         la, lb = math.log(a), math.log(b)
         return [math.exp(la + (lb - la) * i / (k - 1)) for i in range(k)]
     return [a + (b - a) * i / (k - 1) for i in range(k)]
+
+
+def _sweep_point(args, value: float, parser) -> argparse.Namespace:
+    """A copy of ``args`` with the swept parameter set to ``value`` (sweeping
+    --tau or --tau2 clears the other), checked like a single run."""
+    point = argparse.Namespace(**vars(args))
+    if args.sweep in ("tau", "tau2"):
+        point.tau = point.tau2 = None
+    setattr(point, args.sweep, value)
+    _resolve_tau(point, parser)
+    return point
 
 
 def _emit_csv(rows: list, header: list[str], out) -> None:
@@ -261,38 +278,13 @@ def _emit_report(report: protocols.ProtocolReport, args, samples, out) -> None:
         out.write("samples: " + " ".join(f"{k}={v}" for k, v in sorted(samples.items())) + "\n")
 
 
-def _verify(args) -> float:
-    from . import oracle  # scipy is only needed here
-
-    if args.scheme == "scheme-a":
-        return oracle.verify_scheme_a(args._tau, args.eta, args.order)
-    if args.scheme == "verify-phase":
-        return oracle.verify_phase_verification(args._tau, args.eta, args.order)
-    return oracle.verify_scheme_b(args.epsilon, args.eta, args.order, args.variant,
-                                  args.pair_amplitude)
-
-
-def _samples(args):
-    if args.shots <= 0:
-        return None
-    if args.scheme == "scheme-a":
-        dist = protocols.scheme_a_click_distribution(args._tau, args.eta, args.order)
-    else:
-        dist = protocols.scheme_b_click_distribution(
-            args.epsilon, args.eta, args.order, args.variant, args.pair_amplitude)
-    return protocols.sample_run(dist, args.shots, args.seed or 0)
-
-
 def run(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
+    command = COMMANDS[args.scheme]
     if args.shots < 0:
         parser.error("--shots must be >= 0")
-    if args.verify and args.scheme not in VERIFY_SCHEMES:
-        parser.error(f"--verify is not supported for {args.scheme}")
-    if args.shots and args.scheme not in SHOTS_SCHEMES:
-        parser.error(f"--shots is not supported for {args.scheme}")
     if args.seed is not None:
         if not args.shots:
             parser.error("--seed: only valid with --shots")
@@ -304,25 +296,30 @@ def run(argv=None, out=None) -> int:
             ("--steps", args.steps), ("--spacing", args.spacing)) if value is not None]
         if unused:
             parser.error(f"{', '.join(unused)}: only valid with --sweep")
-    if args.scheme in ("scheme-a", "verify-phase"):
-        args._tau = _resolve_tau(args, parser)
+    _resolve_tau(args, parser)
     try:
         if args.sweep is not None:
             grid = _sweep_grid(args, parser)
+            points = [_sweep_point(args, value, parser) for value in grid]
             rows = []
-            for value in grid:
-                report = _run_report(args, {args.sweep: value})
+            for value, point in zip(grid, points):
+                report = _call(protocols, command.report, point)
                 rows.extend(_sweep_rows(report, args.sweep, value))
             header = ["param", "value", "event", "probability",
                       "fidelity_psi_plus", "fidelity_psi_minus"]
             _emit_csv(rows, header, out)
             return EXIT_OK
 
-        report = _run_report(args)
-        samples = _samples(args)
+        report = _call(protocols, command.report, args)
+        samples = None
+        if args.shots:
+            dist = _call(protocols, command.distribution, args)
+            samples = protocols.sample_run(dist, args.shots, args.seed or 0)
         _emit_report(report, args, samples, out)
         if args.verify:
-            diff = _verify(args)
+            from . import oracle  # scipy is only needed here
+
+            diff = _call(oracle, command.check, args)
             if diff > VERIFY_TOL:
                 print(f"error: oracle mismatch, max deviation {diff:.3g}",
                       file=sys.stderr)

@@ -6,28 +6,26 @@ holding n photons stays silent with probability (1 - eta)^n and clicks
 with probability 1 - (1 - eta)^n.
 
 ``measure`` is the one implementation of this POVM.  It returns every
-click/silent outcome of a set of detectors at once, keyed by a tuple of
-``CLICK``/``SILENT`` in detector order.  It measures a ket or a mixture
-(``WeightedEnsemble``) in one call.  Each member is grouped once by the
-occupation of the measured modes: groups with distinct measured occupations
-are incoherent, terms sharing them stay coherent.  This is exact for POVMs
-diagonal in the measured modes' Fock basis.  A group's normalized branch on
-the unmeasured modes does not depend on the outcome (only its weight does),
-so it is built once and shared by every outcome it contributes to.  A
-mixture's outcome probability is sum_k w_k P_k(out), member by member, and
-its conditional ensemble is the union of its members' branches.
+click/silent outcome of a set of detectors on a ket at once, keyed by a
+tuple of ``CLICK``/``SILENT`` in detector order.  The ket is grouped once
+by the occupation of the measured modes: groups with distinct measured
+occupations are incoherent, terms sharing them stay coherent.  This is
+exact for POVMs diagonal in the measured modes' Fock basis.  A group's
+normalized branch on the unmeasured modes does not depend on the outcome
+(only its weight does), so it is built once and shared by every outcome it
+contributes to.
 
 The detector check, the outcome list and each measured occupation's row of
 outcome probabilities (which depend only on the detectors' photon counts)
-are set up once per call, not once per member.  When every mode is
-measured, each term is its own group and no group is built.
+are set up once per call.  When every mode is measured, each term is its
+own group and no group is built.
 
 ``outcome_probabilities`` is the batch form of that fully measured case:
 it returns each of several kets' outcome probabilities, with the set-up
-done once for the batch, through the same member loop as ``measure``.
+done once for the batch, through the same term loop as ``measure``.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
-``coincidence_table`` groups the state, weighs every group under every
+``coincidence_table`` groups the ket, weighs every group under every
 outcome and builds the branches, and ``measure_pattern`` turns one
 outcome's probability and weighted branches into its ensemble.  Callers use
 ``measure``.
@@ -180,51 +178,43 @@ def outcome_probabilities(
 
 
 def coincidence_table(
-    state: FockKet | WeightedEnsemble,
+    state: FockKet,
     detectors: Sequence[Sequence[str]],
     eta: float,
 ) -> dict[tuple[str, ...], tuple[float, list[tuple[float, FockKet]]]]:
-    """First phase of ``measure``: group each member of the state once, weigh
-    every group under every outcome and build each group's branch the first
-    time an outcome needs it.
+    """First phase of ``measure``: group the ket once, weigh every group
+    under every outcome and build each group's branch the first time an
+    outcome needs it.
 
     Maps each outcome, in ``measure``'s order, to its probability and its
-    ``(weight, branch)`` pairs in member order, then group order.  A group's
-    ``contrib = w * p_out`` is its weight times the product over detectors
-    of each one's click or silent probability; a member's probability of an
-    outcome is the sum of its groups' contribs, the state's is the sum over
-    members of ``w_k`` times that, and a branch's weight is ``w_k * contrib``
-    (a ket is the one member of weight 1).  The pairs are empty when no mode
-    is left unmeasured.
+    ``(weight, branch)`` pairs in group order.  A group's weight under an
+    outcome, ``contrib = w * p_out``, is its squared norm times the product
+    over detectors of each one's click or silent probability; an outcome's
+    probability is the sum of its groups' contribs.  The pairs are empty
+    when no mode is left unmeasured.
     """
     povm = _Povm(state.register, detectors, eta)
-    measured_of, rest_of, rows, row = povm.measured_of, povm.rest_of, povm.rows, povm.row
-    members = ((1.0, state),) if isinstance(state, FockKet) else state.members
-    totals = [0.0] * len(povm.outcomes)
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]
-    for w_k, member in members:
-        if not povm.rest_idx:
-            sums = povm.term_sums(member)
-        else:
-            sums = [0.0] * len(povm.outcomes)
-            rest_reg = ModeRegister(povm.rest_labels, member.register.cutoff)
-            for key, sub in _group_by_measured(member, measured_of, rest_of).items():
-                squares = [abs(a) ** 2 for a in sub.values()]
-                w = sum(squares)
-                ket = None
-                built = False
-                for i, p_out in enumerate(rows.get(key) or row(key)):
-                    contrib = w * p_out
-                    if contrib > 0.0:
-                        sums[i] += contrib
-                        if not built:
-                            ket = _branch(rest_reg, sub, squares, w)
-                            built = True
-                        if ket is not None:
-                            branches[i].append((w_k * contrib, ket))
-        for i, s in enumerate(sums):
-            totals[i] += w_k * s
-    return dict(zip(povm.outcomes, zip(totals, branches)))
+    if not povm.rest_idx:
+        return dict(zip(povm.outcomes, zip(povm.term_sums(state), branches)))
+    rows, row = povm.rows, povm.row
+    sums = [0.0] * len(povm.outcomes)
+    rest_reg = ModeRegister(povm.rest_labels, state.register.cutoff)
+    for key, sub in _group_by_measured(state, povm.measured_of, povm.rest_of).items():
+        squares = [abs(a) ** 2 for a in sub.values()]
+        w = sum(squares)
+        ket = None
+        built = False
+        for i, p_out in enumerate(rows.get(key) or row(key)):
+            contrib = w * p_out
+            if contrib > 0.0:
+                sums[i] += contrib
+                if not built:
+                    ket = _branch(rest_reg, sub, squares, w)
+                    built = True
+                if ket is not None:
+                    branches[i].append((contrib, ket))
+    return dict(zip(povm.outcomes, zip(sums, branches)))
 
 
 def measure_pattern(total: float, branches: list[tuple[float, FockKet]]) -> ConditionalOutcome:
@@ -237,16 +227,14 @@ def measure_pattern(total: float, branches: list[tuple[float, FockKet]]) -> Cond
 
 
 def measure(
-    state: FockKet | WeightedEnsemble,
+    state: FockKet,
     detectors: Sequence[Sequence[str]],
     eta: float,
 ) -> dict[tuple[str, ...], ConditionalOutcome]:
     """Exact probability and conditional ensemble of every click/silent outcome.
 
-    ``state`` is a ket or a mixture of kets on one set of mode labels (the
-    members' cutoffs may differ).  ``detectors`` lists the modes each
-    threshold detector covers; a mode may appear under at most one
-    detector.  The result is keyed by outcome tuples
+    ``detectors`` lists the modes each threshold detector covers; a mode may
+    appear under at most one detector.  The result is keyed by outcome tuples
     in detector order, in ``itertools.product((CLICK, SILENT), ...)`` order,
     and its probabilities sum to 1.  An outcome's ensemble is None when no
     mode is left unmeasured, when the outcome is impossible (``impossible``

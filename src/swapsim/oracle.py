@@ -44,15 +44,6 @@ class DenseState:
             raise ValueError(f"amplitude shape {a.shape} does not match register")
         object.__setattr__(self, "amplitudes", a)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "DenseState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return DenseState(self.register, self.amplitudes / n)
-
 
 def dense_from_fock(ket: FockKet) -> DenseState:
     reg = ket.register
@@ -90,13 +81,10 @@ def _ladder(dim: int) -> np.ndarray:
     return ad
 
 
-def _lift(u: ModeUnitary, dim: int) -> np.ndarray:
-    """Fock-space unitary exp(sum_jk G[j,k] a_j^dag a_k) with G = log(U)."""
-    return _lift_matrix(u.matrix.tobytes(), u.size, dim)
-
-
 @functools.lru_cache(maxsize=4)
 def _lift_matrix(raw: bytes, k: int, dim: int) -> np.ndarray:
+    """Fock-space unitary exp(sum_jk G[j,k] a_j^dag a_k) with G = log(U), for
+    the k x k mode unitary U whose matrix bytes are ``raw``."""
     # keyed by the matrix bytes: the members of a mixture go through the
     # same unitary one by one at one working dimension (_dense_coincidences)
     g = logm(np.frombuffer(raw, dtype=complex).reshape(k, k))
@@ -150,7 +138,7 @@ def dense_apply(state: DenseState, u: ModeUnitary, modes: tuple[str, ...]) -> De
     pad = dim - (reg.cutoff + 1)
     if pad > 0:
         amps = np.pad(amps, [(0, pad)] * reg.size)
-    lift = _lift(u, dim)
+    lift = _lift_matrix(u.matrix.tobytes(), u.size, dim)
 
     moved = np.moveaxis(amps, idx, range(len(idx)))
     head = dim ** len(idx)
@@ -313,7 +301,6 @@ def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float
     one by one; the sparse tables come from ``_phase_tables``, the batch
     whose tables ``run_phase_verification`` reports.
     """
-    from .fock import bell_state
     from . import protocols
 
     worst, sparse, dense = _verify_herald(protocols.scheme_a_state(tau, order), ("1", "2"),
@@ -325,8 +312,7 @@ def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float
         if sparse[out].ensemble is not None and dense[out].ensemble is not None:
             sparse_ens.append(sparse[out].ensemble)
             dense_members.append(dense[out].ensemble.members)
-    for kind in ("psi+", "psi-"):
-        dense_members.append(((1.0, bell_state(kind, ("3", "4"), cutoff=2)),))
+    dense_members += [((1.0, ket),) for ket in protocols._phase_references()]
     tables = protocols._phase_tables(sparse_ens, eta)
     for table, members in zip(tables, dense_members, strict=True):
         ref = _dense_coincidences(members, eta)

@@ -237,10 +237,16 @@ def _num(x):
 # Phase verification: second beam splitter on the outer beams
 # --------------------------------------------------------------------------
 
+def _phase_references() -> list[FockKet]:
+    """The ideal psi+ and psi- on beams 3, 4 that the phase verification's
+    coincidences are compared with, in the order their tables come."""
+    return [bell_state(kind, ("3", "4"), cutoff=2) for kind in ("psi+", "psi-")]
+
+
 def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dict]:
     """D3/D4 outcome probabilities after the second balanced beam splitter
-    on beams 3 and 4: one table per heralded ensemble, then one for the
-    ideal psi+ and one for the ideal psi- reference.
+    on beams 3 and 4: one table per heralded ensemble, then one per
+    ``_phase_references()`` ket.
 
     The distinct member kets (by identity, in first-seen order) and the two
     references go through the beam splitter once each and are measured in
@@ -248,8 +254,8 @@ def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dic
     members in member order, from 0.0: the float order of measuring the
     ensemble as one mixture.
     """
-    ideals = [bell_state(kind, ("3", "4"), cutoff=2) for kind in ("psi+", "psi-")]
-    mixtures = [ens.members for ens in ensembles] + [((1.0, ket),) for ket in ideals]
+    mixtures = ([ens.members for ens in ensembles]
+                + [((1.0, ket),) for ket in _phase_references()])
     slot: dict[int, int] = {}
     kets = []
     for members in mixtures:

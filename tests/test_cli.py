@@ -102,6 +102,54 @@ def test_shots_unsupported(capsys):
         assert_usage_error(argv + ["--shots", "5"], "--shots", capsys)
 
 
+@pytest.mark.parametrize("scheme, offered", [
+    ("theta", ()), ("verify-phase", ("--verify",)), ("scheme-a", ("--verify", "--shots")),
+])
+def test_help_offers_verify_and_shots_only_where_they_work(scheme, offered, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([scheme, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag in ("--verify", "--shots"):
+        assert (flag in text) == (flag in offered), (scheme, flag)
+
+
+def test_every_command_row_calls_its_functions_with_one_tuple(monkeypatch):
+    # each named function is looked up when the command runs, so a recorder
+    # bound on its module sees the call
+    from swapsim import oracle, protocols
+
+    argvs = {**NO_SHOTS_ARGV,
+             "scheme-a": ["scheme-a", "--tau2", "1e-3", "--eta", "0.9", "--order", "2"],
+             "scheme-b": ["scheme-b", "--epsilon", "0.2", "--pair-amplitude", "0.5",
+                          "--order", "2", "--variant", "pbs"],
+             "postselect-pol": ["postselect-pol", "--eta", "0.9", "--x-only"]}
+    assert set(argvs) == set(cli.COMMANDS)
+    for scheme, row in cli.COMMANDS.items():
+        calls = []
+
+        def recorder(fn):
+            def record(*args):
+                calls.append((fn.__name__, args))
+                return fn(*args)
+            return record
+
+        named = [(protocols, row.report), (protocols, row.distribution), (oracle, row.check)]
+        argv = list(argvs[scheme])
+        if row.distribution:
+            argv += ["--shots", "10"]
+        if row.check:
+            argv += ["--verify"]
+        with monkeypatch.context() as m:
+            for module, name in named:
+                if name:
+                    m.setattr(module, name, recorder(getattr(module, name)))
+            assert run_cli(argv)[0] == 0, argv
+        assert [name for name, _ in calls] == [name for _, name in named if name]
+        assert len({args for _, args in calls}) == 1, calls
+        assert len(calls[0][1]) == len(row.params)
+
+
 def test_seed_checks(capsys):
     argv = ["scheme-a", "--tau2", "0.01", "--format", "json"]
     assert_usage_error(argv + ["--shots", "10", "--seed", "-1"], "--seed", capsys)
@@ -178,6 +226,19 @@ def test_sweep_epsilon_log_slope():
     infid = 1.0 - np.array([float(r["fidelity_psi_plus"]) for r in rows])
     slope = np.polyfit(np.log(eps), np.log(infid), 1)[0]
     assert abs(slope - 2.0) <= 0.1
+
+
+def test_sweep_point_is_checked_like_a_single_run(capsys):
+    assert_usage_error(["scheme-a", "--tau2", "1e-3", "--sweep", "tau2", "--from", "-0.5",
+                        "--to", "0.1", "--steps", "3"], "--tau2 must be >= 0", capsys)
+
+
+def test_sweep_tau2_from_a_tau_run_matches_single_run():
+    _, swept = run_cli(["scheme-a", "--tau", "0.5", "--sweep", "tau2",
+                        "--from", "1e-3", "--to", "1e-3", "--steps", "1"])
+    _, single = run_cli(["scheme-a", "--tau2", "1e-3", "--format", "csv"])
+    rows = [r["probability"] for r in csv.DictReader(io.StringIO(swept))]
+    assert rows == [r["probability"] for r in csv.DictReader(io.StringIO(single))]
 
 
 def test_sweep_requires_range():
@@ -385,7 +446,7 @@ def test_cli_fuzz_exits_0_with_finite_output_or_2(argv):
 def verified_argv(draw):
     """In-range argv, never a sweep, for a subcommand that supports
     ``--verify``, which is always on: every one must pass the oracle."""
-    scheme = draw(st.sampled_from(sorted(cli.VERIFY_SCHEMES)))
+    scheme = draw(st.sampled_from(sorted(k for k, row in cli.COMMANDS.items() if row.check)))
     if scheme == "scheme-b":
         epsilon = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
         argv = [scheme, f"--epsilon={epsilon!r}",
@@ -397,7 +458,7 @@ def verified_argv(draw):
         argv = [scheme, f"--tau={draw(st.floats(-0.7, 0.7))!r}"]
     argv += [f"--eta={draw(st.floats(0.0, 1.0))!r}", f"--order={draw(st.integers(1, 3))}",
              f"--format={draw(st.sampled_from(['json', 'csv', 'table']))}"]
-    if scheme in cli.SHOTS_SCHEMES and draw(st.booleans()):
+    if cli.COMMANDS[scheme].distribution and draw(st.booleans()):
         argv += [f"--shots={draw(st.integers(1, 50))}", f"--seed={draw(st.integers(0, 2**32))}"]
     return argv + ["--verify"]
 

@@ -270,7 +270,7 @@ def test_outcomes_sharing_a_group_share_its_branch_ket():
 
 
 # --------------------------------------------------------------------------
-# A mixture measured in one call against a member-by-member reference
+# The batch of fully measured kets against one measure call per ket
 # --------------------------------------------------------------------------
 
 @st.composite
@@ -281,36 +281,6 @@ def _mixtures(draw):
     kets = draw(st.lists(random_kets(normalized=False, n_modes=n_modes), min_size=1, max_size=4))
     weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(kets), max_size=len(kets)))
     return WeightedEnsemble.from_branches(zip(weights, kets))
-
-
-@given(ens=_mixtures(), eta=st.floats(0.05, 1.0),
-       tol=st.sampled_from([DEFAULT_PRUNE_TOL, 0.0, 0.3]), data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_mixture_matches_member_by_member_reference(ens, eta, tol, data):
-    labels = ens.register.labels
-    if len(labels) > 1 and data.draw(st.booleans()):
-        detectors = data.draw(_partial_detectors(ens.members[0][1]))
-    else:  # every mode measured: no ensembles, one group per term
-        detectors = [(m,) for m in data.draw(st.permutations(labels))]
-    with pruning(tol):
-        outcomes = measure(ens, detectors, eta)
-        refs = [(w, _two_step_measure(member, detectors, eta)) for w, member in ens.members]
-    assert list(outcomes) == list(refs[0][1])
-    for out, got in outcomes.items():
-        total, branches = 0.0, []
-        for w, ref in refs:
-            member_total, member_branches = ref[out]
-            total += w * member_total
-            branches += [(w * c, ket) for c, ket in member_branches]
-        assert got.probability.hex() == total.hex()
-        assert got.impossible == (total <= 0.0)
-        if not branches:
-            assert got.ensemble is None
-            continue
-        mixed = WeightedEnsemble.from_branches(branches)
-        assert [w.hex() for w, _ in got.ensemble.members] == [w.hex() for w, _ in mixed.members]
-        assert [ket_bits(k) for _, k in got.ensemble.members] == \
-            [ket_bits(k) for _, k in mixed.members]
 
 
 @given(ens=_mixtures(), eta=st.floats(0.05, 1.0), data=st.data())

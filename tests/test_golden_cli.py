@@ -48,7 +48,7 @@ def golden():
 
 def test_golden_covers_every_run(golden):
     assert list(golden) == ARGVS
-    assert {argv.split()[0] for argv in ARGVS} == set(cli.SCHEMES)
+    assert {argv.split()[0] for argv in ARGVS} == set(cli.COMMANDS)
 
 
 @pytest.mark.parametrize("argv", ARGVS)
