@@ -145,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=_finite_float, default=1.0)
     p.add_argument("--x-only", dest="include_double_pairs", action="store_false",
                    help="drop the double-pair emission terms")
-    p.add_argument("--double-pair-weight", type=_finite_float, default=1.0)
+    p.add_argument("--double-pair-weight", type=_finite_float,
+                   help="weight of the double-pair terms (default: 1)")
     common(p, "postselect-pol")
 
     p = sub.add_parser("postselect-vac", help="vacuum/one-photon post-selection analysis")
@@ -167,6 +168,24 @@ def _resolve_tau(args, parser) -> None:
         args.tau, args.tau2 = math.sqrt(args.tau2), None
     if args.tau is None:
         parser.error("one of --tau / --tau2 is required")
+
+
+def _reject_idle_flags(args, parser) -> None:
+    """Reject flag combinations the run would ignore, and give
+    --double-pair-weight its default."""
+    if args.scheme == "scheme-b":
+        if args.order > 1 and not args.pair_amplitude:
+            parser.error(f"--order {args.order} needs a non-zero --pair-amplitude: "
+                         "without one only the single-pair term is emitted")
+        if args.pair_amplitude and args.order == 1:
+            parser.error("--pair-amplitude needs --order 2 or more: "
+                         "at order 1 no second pair is emitted")
+    if args.scheme == "postselect-pol":
+        if args.double_pair_weight is None:
+            args.double_pair_weight = 1.0
+        elif not args.include_double_pairs:
+            parser.error("--double-pair-weight has no effect with --x-only, "
+                         "which drops the double-pair terms")
 
 
 def _params(args) -> tuple:
@@ -297,6 +316,7 @@ def run(argv=None, out=None) -> int:
         if unused:
             parser.error(f"{', '.join(unused)}: only valid with --sweep")
     _resolve_tau(args, parser)
+    _reject_idle_flags(args, parser)
     try:
         if args.sweep is not None:
             grid = _sweep_grid(args, parser)

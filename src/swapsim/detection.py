@@ -20,9 +20,11 @@ outcome probabilities (which depend only on the detectors' photon counts)
 are set up once per call.  When every mode is measured, each term is its
 own group and no group is built.
 
-``outcome_probabilities`` is the batch form of that fully measured case:
-it returns each of several kets' outcome probabilities, with the set-up
-done once for the batch, through the same term loop as ``measure``.
+``outcome_probabilities`` measures several kets after one unitary on all
+of their modes, with the set-up done once for the batch.  It never builds
+the transformed kets: it takes each one's terms from
+``elements._scatter``, skips those that building the ket would prune, and
+sums the rest through the same term loop as ``measure``.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
 ``coincidence_table`` groups the ket, weighs every group under every
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import fock
+from .elements import ModeUnitary, _scatter
 from .fock import FockKet, ModeRegister, WeightedEnsemble, _tuple_getter
 
 CLICK = "click"
@@ -102,7 +105,8 @@ class _Povm:
     once for all of its kets: the detector check, the outcome list, the
     getters of the measured and unmeasured occupations, and each measured
     occupation's row of outcome probabilities (which depend only on the
-    detectors' photon counts), computed the first time it is needed."""
+    detectors' photon counts), computed the first time it is needed as one
+    product per outcome over the detectors' (click, silent) pairs."""
 
     def __init__(self, reg: ModeRegister, detectors: Sequence[Sequence[str]], eta: float):
         self.det = ThresholdDetector(eta)
@@ -127,27 +131,26 @@ class _Povm:
 
     def row(self, key: tuple[int, ...]) -> list[float]:
         det = self.det
-        probs = []
+        pairs = []
         for span in self.spans:
             n = sum(key[span])
-            probs.append({CLICK: det.p_click(n), SILENT: det.p_silent(n)})
-        out_probs = []
-        for out in self.outcomes:
-            p_out = 1.0
-            for p, o in zip(probs, out):
-                p_out *= p[o]
-            out_probs.append(p_out)
+            pairs.append((det.p_click(n), det.p_silent(n)))
+        out_probs = [math.prod(t, start=1.0) for t in itertools.product(*pairs)]
         self.rows[key] = out_probs
         return out_probs
 
-    def term_sums(self, ket: FockKet) -> list[float]:
-        """Each outcome's probability for a ket with every mode measured:
-        every term is its own group, of weight |amp|**2."""
+    def term_sums(self, terms: dict, tol: float = -1.0) -> list[float]:
+        """Each outcome's probability for a ket's terms with every mode
+        measured: every term is its own group, of weight |amp|**2.  Terms
+        with |amp| <= tol are skipped; the default skips none."""
         measured_of, rows, row = self.measured_of, self.rows, self.row
         sums = [0.0] * len(self.outcomes)
-        for occ, amp in ket.terms.items():
+        for occ, amp in terms.items():
+            a = abs(amp)
+            if a <= tol:
+                continue
             key = measured_of(occ)
-            w = abs(amp) ** 2
+            w = a ** 2
             for i, p_out in enumerate(rows.get(key) or row(key)):
                 contrib = w * p_out
                 if contrib > 0.0:
@@ -157,23 +160,32 @@ class _Povm:
 
 def outcome_probabilities(
     kets: Sequence[FockKet],
+    u: ModeUnitary,
     detectors: Sequence[Sequence[str]],
     eta: float,
 ) -> list[dict[tuple[str, ...], float]]:
     """Every click/silent outcome's probability for each of several kets on
-    one set of mode labels, every mode measured, with the set-up done once.
+    one set of mode labels, after ``u`` acts on all of their modes in
+    register order, with every mode measured and the set-up done once.
 
     Each dict is keyed as ``measure``'s result and holds the same
-    probabilities, bit for bit, as ``measure`` of that ket alone.
+    probabilities, bit for bit, as ``measure(apply_mode_unitary(ket, u,
+    ket.register.labels), detectors, eta)``, but the transformed ket is never
+    built: its scattered terms are summed straight away, skipping those that
+    building it would prune.
     """
     povm = _Povm(kets[0].register, detectors, eta)
     if povm.rest_idx:
         raise ValueError("outcome_probabilities measures every mode")
+    whole = range(len(povm.labels))
+    if u.size != len(whole):
+        raise ValueError(f"unitary acts on {u.size} modes, got {len(whole)}")
     tables = []
     for ket in kets:
         if ket.register.labels != povm.labels:
             raise ValueError("kets of one batch must share their mode labels")
-        tables.append(dict(zip(povm.outcomes, povm.term_sums(ket))))
+        terms, _ = _scatter(ket, u, whole)
+        tables.append(dict(zip(povm.outcomes, povm.term_sums(terms, fock._prune_tol))))
     return tables
 
 
@@ -196,7 +208,7 @@ def coincidence_table(
     povm = _Povm(state.register, detectors, eta)
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]
     if not povm.rest_idx:
-        return dict(zip(povm.outcomes, zip(povm.term_sums(state), branches)))
+        return dict(zip(povm.outcomes, zip(povm.term_sums(state.terms), branches)))
     rows, row = povm.rows, povm.row
     sums = [0.0] * len(povm.outcomes)
     rest_reg = ModeRegister(povm.rest_labels, state.register.cutoff)

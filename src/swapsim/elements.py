@@ -15,21 +15,26 @@ The expansion depends only on the acted occupation (n_a, n_b, ...), not on
 the rest of the ket, so each ``ModeUnitary`` keeps a transfer table: for
 every acted occupation it has met, sqrt(prod n!), the output terms
 (powers, c, sqrt(prod p!)) and the largest output occupation.  An entry is
-built once, on first use, and ``apply_mode_unitary`` is then a lookup and a
-scatter per input term; each output key is one ``itemgetter`` call over
-``occ + powers``, which reads the acted positions from ``powers``.
-Amplitudes come out as amp / sqrt(prod n!) * c * sqrt(prod p!), the same
-float operations in the same order for a cold or a warm table.  The entries
-are immutable so that the table cannot go stale, and ``balanced_bs()``
-returns one shared instance whose table every protocol reuses.  A table has
-at most one entry per acted occupation within MAX_FACTORIAL_CUTOFF, so even
-the shared one stays small.
+built once, on first use.  ``_scatter`` is the one loop that applies it: a
+lookup and a scatter per input term.  Each output key is one ``itemgetter``
+call over ``occ + powers``, which reads the acted positions from
+``powers``; when the unitary acts on the whole register in order, the key
+is ``powers`` itself.  ``apply_mode_unitary`` builds a ket from the
+scattered terms, and ``detection.outcome_probabilities`` sums them into
+click probabilities without building one.  Amplitudes come out as
+amp / sqrt(prod n!) * c * sqrt(prod p!), the same float operations in the
+same order for a cold or a warm table.  The entries are immutable so that
+the table cannot go stale, and ``balanced_bs()`` returns one shared
+instance whose table every protocol reuses.  A table has at most one entry
+per acted occupation within MAX_FACTORIAL_CUTOFF, so even the shared one
+stays small.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .fock import FockKet, _tuple_getter
 
@@ -177,12 +182,26 @@ def apply_mode_unitary(
     if len(modes) != u.size:
         raise ValueError(f"unitary acts on {u.size} modes, got {len(modes)}")
     reg = state.register
-    idx = [reg.index(m) for m in modes]
+    out, max_occ = _scatter(state, u, [reg.index(m) for m in modes])
+    if max_occ > reg.cutoff:
+        reg = reg.with_cutoff(max_occ)
+    return FockKet._trusted(reg, out)
+
+
+def _scatter(state: FockKet, u: ModeUnitary, idx: Sequence[int]) -> tuple[dict, int]:
+    """The terms of ``u`` applied to the modes at positions ``idx`` of
+    ``state``, unpruned, and the largest output occupation.
+
+    Each input term is one transfer-table lookup and one scatter of its
+    outputs, ``out[key] + pref * c * pf`` in input-term order.  When ``idx``
+    is the whole register in order, an output key is the sector's ``powers``
+    itself; otherwise it is one getter call over ``occ + powers``, with
+    ``powers[k]`` at ``reg.size + k``.
+    """
+    reg = state.register
     if reg.cutoff > MAX_FACTORIAL_CUTOFF:
         raise ValueError(f"cutoff {reg.cutoff} exceeds factorial table limit")
-
-    # an output key is occ with the acted positions read from powers instead:
-    # one getter over occ + powers, where powers[k] sits at reg.size + k
+    whole = list(idx) == list(range(reg.size))
     acted_of = _tuple_getter(idx)
     take = list(range(reg.size))
     for k, i in enumerate(idx):
@@ -196,11 +215,8 @@ def apply_mode_unitary(
         nf, outputs, top = sector(acted_of(occ))
         pref = amp / nf
         for powers, c, pf in outputs:
-            key = key_of(occ + powers)
+            key = powers if whole else key_of(occ + powers)
             out[key] = out.get(key, 0.0) + pref * c * pf
         if top > max_occ:
             max_occ = top
-
-    if max_occ > reg.cutoff:
-        reg = reg.with_cutoff(max_occ)
-    return FockKet._trusted(reg, out)
+    return out, max_occ

@@ -8,10 +8,11 @@ Schemes A and B herald with one step, ``_herald``: a balanced beam splitter
 on two beams and one threshold detector on each output.  The phase
 verification's coincidence tables come from one batch, ``_phase_tables``:
 the branch kets of both heralded ensembles and the ideal psi+/psi-
-references go through the second beam splitter on beams 3 and 4 once each
-(a branch that both events share is one object, so it goes through once)
-and are measured in one ``detection.outcome_probabilities`` call; each
-table is then summed over its own members.
+references, all on beams (3, 4), go into one
+``detection.outcome_probabilities`` call, which puts each through the
+second beam splitter and measures it without building the transformed ket
+(a branch that both events share is one object, so it goes through once);
+each table is then summed over its own members.
 """
 from __future__ import annotations
 
@@ -249,10 +250,10 @@ def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dic
     ``_phase_references()`` ket.
 
     The distinct member kets (by identity, in first-seen order) and the two
-    references go through the beam splitter once each and are measured in
-    one batch.  Each table is then ``sum_k w_k p_k(out)`` over its own
-    members in member order, from 0.0: the float order of measuring the
-    ensemble as one mixture.
+    references, all on register labels ("3", "4"), go through the beam
+    splitter once each and are measured in one batch.  Each table is then
+    ``sum_k w_k p_k(out)`` over its own members in member order, from 0.0:
+    the float order of measuring the ensemble as one mixture.
     """
     mixtures = ([ens.members for ens in ensembles]
                 + [((1.0, ket),) for ket in _phase_references()])
@@ -263,9 +264,7 @@ def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dic
             if id(ket) not in slot:
                 slot[id(ket)] = len(kets)
                 kets.append(ket)
-    bs = balanced_bs()
-    probs = outcome_probabilities([apply_mode_unitary(k, bs, ("3", "4")) for k in kets],
-                                  [("3",), ("4",)], eta)
+    probs = outcome_probabilities(kets, balanced_bs(), [("3",), ("4",)], eta)
     tables = []
     for members in mixtures:
         joint = dict.fromkeys(probs[0], 0.0)

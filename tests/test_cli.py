@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from swapsim import cli
+from swapsim import cli, protocols
 
 
 def run_cli(argv):
@@ -328,15 +328,56 @@ def test_sweep_with_verify_or_shots_exits_2(extra, capsys):
 
 
 def test_scheme_b_shots_and_verify_use_pair_amplitude():
-    argv = ["scheme-b", "--epsilon", "0.3", "--order", "2", "--format", "json",
+    argv = ["scheme-b", "--epsilon", "0.3", "--format", "json",
             "--shots", "1000", "--verify"]
     code, plain = run_cli(argv)
     assert code == 0
-    code, paired = run_cli(argv + ["--pair-amplitude", "0.5"])
+    code, paired = run_cli(argv + ["--order", "2", "--pair-amplitude", "0.5"])
     assert code == 0
     assert "verify: ok" in paired
     samples = [json.loads(text.split("verify:")[0])["samples"] for text in (plain, paired)]
     assert samples[0] != samples[1]
+
+
+SWEEP = ["--sweep", "eta", "--from", "0.5", "--to", "1", "--steps", "2"]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["scheme-b", "--epsilon", "0.3", "--order", "2"], ("--order", "--pair-amplitude")),
+    (["scheme-b", "--epsilon", "0.3", "--order", "3", "--pair-amplitude", "0", *SWEEP],
+     ("--order", "--pair-amplitude")),
+    (["scheme-b", "--epsilon", "0.3", "--pair-amplitude", "0.5"], ("--pair-amplitude", "--order")),
+    (["scheme-b", "--epsilon", "0.3", "--pair-amplitude=-1", "--order", "1", *SWEEP],
+     ("--pair-amplitude", "--order")),
+    (["postselect-pol", "--x-only", "--double-pair-weight", "0.5"],
+     ("--double-pair-weight", "--x-only")),
+    (["postselect-pol", "--double-pair-weight", "1", "--x-only", *SWEEP],
+     ("--double-pair-weight", "--x-only")),
+])
+def test_flags_the_run_would_ignore_exit_2(argv, flags, capsys, monkeypatch):
+    # rejected before any computation: no protocol function may run
+    def forbidden(*args):
+        raise AssertionError("computed before rejecting the flags")
+
+    for name in ("run_scheme_b", "analyze_polarization_postselection", "scheme_b_state"):
+        monkeypatch.setattr(protocols, name, forbidden)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for flag in flags:
+        assert flag in captured.err
+
+
+def test_flags_the_run_uses_still_run():
+    for argv in (["scheme-b", "--epsilon", "0.3", "--order", "1", "--pair-amplitude", "0"],
+                 ["scheme-b", "--epsilon", "0.3", "--order", "2", "--pair-amplitude", "0.5"],
+                 ["postselect-pol", "--double-pair-weight", "0.5"],
+                 ["postselect-pol", "--x-only"]):
+        assert run_cli(argv)[0] == 0, argv
+    _, default = run_cli(["postselect-pol", "--format", "json"])
+    assert json.loads(default)["params"]["double_pair_weight"] == 1.0
 
 
 def test_negative_shots_exits_2(capsys):
@@ -447,16 +488,18 @@ def verified_argv(draw):
     """In-range argv, never a sweep, for a subcommand that supports
     ``--verify``, which is always on: every one must pass the oracle."""
     scheme = draw(st.sampled_from(sorted(k for k, row in cli.COMMANDS.items() if row.check)))
+    order = draw(st.integers(1, 3))
     if scheme == "scheme-b":
+        # a non-zero pair amplitude exactly when there is a second pair
         epsilon = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-        argv = [scheme, f"--epsilon={epsilon!r}",
-                f"--pair-amplitude={draw(st.floats(-2.0, 2.0))!r}",
+        amplitude = draw(st.floats(-2.0, 2.0).filter(bool)) if order > 1 else 0.0
+        argv = [scheme, f"--epsilon={epsilon!r}", f"--pair-amplitude={amplitude!r}",
                 f"--variant={draw(st.sampled_from(['ubs', 'pbs']))}"]
     elif draw(st.booleans()):
         argv = [scheme, f"--tau2={draw(st.floats(0.0, 0.5))!r}"]
     else:
         argv = [scheme, f"--tau={draw(st.floats(-0.7, 0.7))!r}"]
-    argv += [f"--eta={draw(st.floats(0.0, 1.0))!r}", f"--order={draw(st.integers(1, 3))}",
+    argv += [f"--eta={draw(st.floats(0.0, 1.0))!r}", f"--order={order}",
              f"--format={draw(st.sampled_from(['json', 'csv', 'table']))}"]
     if cli.COMMANDS[scheme].distribution and draw(st.booleans()):
         argv += [f"--shots={draw(st.integers(1, 50))}", f"--seed={draw(st.integers(0, 2**32))}"]

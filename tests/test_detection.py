@@ -6,7 +6,12 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from swapsim.detection import CLICK, SILENT, ThresholdDetector, measure, outcome_probabilities
-from swapsim.elements import apply_mode_unitary, balanced_bs
+from swapsim.elements import (
+    apply_mode_unitary,
+    balanced_bs,
+    polarization_rotation,
+    unbalanced_bs,
+)
 from swapsim.fock import (
     DEFAULT_PRUNE_TOL,
     FockKet,
@@ -270,37 +275,55 @@ def test_outcomes_sharing_a_group_share_its_branch_ket():
 
 
 # --------------------------------------------------------------------------
-# The batch of fully measured kets against one measure call per ket
+# The batch of transformed, fully measured kets against apply then measure
 # --------------------------------------------------------------------------
 
-@st.composite
-def _mixtures(draw):
-    """Ensembles of one to four unnormalized random kets on one set of
-    labels; each member draws its own cutoff and terms."""
-    n_modes = draw(st.integers(1, 4))
-    kets = draw(st.lists(random_kets(normalized=False, n_modes=n_modes), min_size=1, max_size=4))
-    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(kets), max_size=len(kets)))
-    return WeightedEnsemble.from_branches(zip(weights, kets))
+TOLERANCES = (0.0, 1e-14, 0.3)
+
+two_mode_unitaries = st.one_of(
+    st.just(balanced_bs()),
+    st.floats(0.01, 0.99).map(unbalanced_bs),
+    st.floats(0.0, 3.0).map(polarization_rotation),
+)
 
 
-@given(ens=_mixtures(), eta=st.floats(0.05, 1.0), data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_outcome_probabilities_match_measure_per_ket(ens, eta, data):
-    detectors = [(m,) for m in data.draw(st.permutations(ens.register.labels))]
-    kets = [ket for _, ket in ens.members]
-    tables = outcome_probabilities(kets, detectors, eta)
-    assert len(tables) == len(kets)
-    for ket, table in zip(kets, tables):
-        single = measure(ket, detectors, eta)
-        assert list(table) == list(single)
-        assert [p.hex() for p in table.values()] == \
-            [o.probability.hex() for o in single.values()]
+@given(u=two_mode_unitaries, eta=st.floats(0.05, 1.0), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_outcome_probabilities_match_measure_per_ket(u, eta, data):
+    # one to four unnormalized two-mode kets on one set of labels, each with
+    # its own cutoff (so the unitary often raises it), built under a
+    # tolerance no higher than the one they are measured under
+    tol = data.draw(st.sampled_from(TOLERANCES), label="tol")
+    build_tol = data.draw(st.sampled_from([t for t in TOLERANCES if t <= tol]),
+                          label="build_tol")
+    with pruning(build_tol):
+        kets = data.draw(st.lists(random_kets(normalized=False, n_modes=2),
+                                  min_size=1, max_size=4), label="kets")
+    detectors = [(m,) for m in data.draw(st.permutations(kets[0].register.labels))]
+    with pruning(tol):
+        tables = outcome_probabilities(kets, u, detectors, eta)
+        assert len(tables) == len(kets)
+        for ket, table in zip(kets, tables):
+            single = measure(apply_mode_unitary(ket, u, ket.register.labels), detectors, eta)
+            assert list(table) == list(single)
+            assert [p.hex() for p in table.values()] == \
+                [o.probability.hex() for o in single.values()]
 
 
 def test_outcome_probabilities_rejects_unmeasured_or_mixed_modes():
     a = bell_state("psi+", ("1", "2"))
     b = bell_state("psi+", ("2", "1"))
+    bs = balanced_bs()
     with pytest.raises(ValueError, match="every mode"):
-        outcome_probabilities([a], [("1",)], 0.5)
+        outcome_probabilities([a], bs, [("1",)], 0.5)
     with pytest.raises(ValueError, match="share"):
-        outcome_probabilities([a, b], [("1",), ("2",)], 0.5)
+        outcome_probabilities([a, b], bs, [("1",), ("2",)], 0.5)
+
+
+def test_outcome_probabilities_rejects_unitary_size_and_cutoff():
+    three = FockKet(ModeRegister(("1", "2", "3"), 1), {(1, 0, 0): 1.0})
+    with pytest.raises(ValueError, match="acts on 2 modes, got 3"):
+        outcome_probabilities([three], balanced_bs(), [("1",), ("2",), ("3",)], 0.5)
+    big = FockKet(ModeRegister(("1", "2"), 21), {(1, 0): 1.0})
+    with pytest.raises(ValueError, match="cutoff 21 exceeds factorial table limit"):
+        outcome_probabilities([big], balanced_bs(), [("1",), ("2",)], 0.5)

@@ -206,21 +206,22 @@ def test_phase_verification_coincidences_match_per_member_loop(tau2, eta, order)
 def test_phase_verification_sends_each_branch_through_the_beam_splitter_once(monkeypatch):
     # at eta < 1 a group with photons at both heralding detectors feeds both
     # events, and both ensembles hold the same branch object
-    calls = []
-    apply = protocols.apply_mode_unitary
+    batches = []
+    batch = protocols.outcome_probabilities
 
-    def count(state, u, modes):
-        if tuple(modes) == ("3", "4"):
-            calls.append(state)
-        return apply(state, u, modes)
+    def record(kets, u, detectors, eta):
+        batches.append((list(kets), u))
+        return batch(kets, u, detectors, eta)
 
-    monkeypatch.setattr(protocols, "apply_mode_unitary", count)
+    monkeypatch.setattr(protocols, "outcome_probabilities", record)
     report = run_phase_verification(math.sqrt(0.05), 0.6, 6)
     members = [ket for ev in report.events for _, ket in ev.ensemble.members]
     distinct = {id(ket) for ket in members}
     assert len(distinct) < len(members)
-    assert len(calls) == len(distinct) + 2  # and the ideal psi+/psi- references
-    assert {id(ket) for ket in calls[:-2]} == distinct
+    ((kets, u),) = batches
+    assert u is balanced_bs()
+    assert len(kets) == len(distinct) + 2  # and the ideal psi+/psi- references
+    assert {id(ket) for ket in kets[:-2]} == distinct
 
 
 # --------------------------------------------------------------------------
