@@ -1,7 +1,8 @@
 """Byte-for-byte golden stdout of the CLI.
 
-Every subcommand in every format, one sweep and a high-order phase
-verification.  ``--verify`` and ``--shots`` are left out: their output
+Every subcommand in every format, one sweep, a high-order phase
+verification, and a run of each report whose conditioning event is
+impossible.  ``--verify`` and ``--shots`` are left out: their output
 depends on the installed scipy and numpy builds.
 
 Re-record (only for a deliberate change of output) with
@@ -32,6 +33,14 @@ ARGVS = [f"{run} --format {fmt}" for run in RUNS for fmt in ("table", "csv", "js
     "verify-phase --tau2 1e-3 --order 2 --sweep eta --from 0.2 --to 1.0 --steps 5",
     "verify-phase --tau2 0.05 --eta 0.6 --order 6",
 ]
+IMPOSSIBLE_RUNS = [
+    "scheme-a --tau2 0 --eta 0.5",
+    "theta --theta 0",
+    "postselect-pol --eta 0",
+    "postselect-vac --eta 0",
+    "verify-phase --tau2 0.1 --eta 0",
+]
+ARGVS += [f"{run} --format {fmt}" for run in IMPOSSIBLE_RUNS for fmt in ("json", "table")]
 
 
 def stdout_of(argv: str) -> str:
