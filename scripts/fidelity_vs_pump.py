@@ -13,8 +13,6 @@ import csv
 import math
 import sys
 
-import numpy as np
-
 from swapsim.protocols import run_scheme_a
 
 
@@ -27,8 +25,9 @@ def main(argv=None):
     ap.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
     args = ap.parse_args(argv)
 
-    grid = np.logspace(math.log10(args.tau2_min), math.log10(args.tau2_max),
-                       args.steps)
+    # the log grid of the CLI's --spacing log
+    la, lb, k = math.log(args.tau2_min), math.log(args.tau2_max), args.steps
+    grid = [math.exp(la + (lb - la) * i / max(k - 1, 1)) for i in range(k)]
     handle = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     writer = csv.writer(handle)
     writer.writerow(["tau2", "eta", "event", "probability",

@@ -49,13 +49,14 @@ SILENT = "silent"
 
 @dataclass(frozen=True)
 class ThresholdDetector:
-    """Binary photon detector with per-photon efficiency ``eta``."""
+    """Binary photon detector with per-photon efficiency ``eta``: the one
+    place ``eta`` is checked, for every function that takes it."""
 
     eta: float
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"detector efficiency must be in [0, 1], got {self.eta}")
+            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
 
     def p_silent(self, n: int) -> float:
         return (1.0 - self.eta) ** n
@@ -70,7 +71,10 @@ class ConditionalOutcome:
 
     probability: float
     ensemble: WeightedEnsemble | None
-    impossible: bool = False
+
+    @property
+    def impossible(self) -> bool:
+        return self.probability == 0.0
 
 
 def _group_by_measured(state: FockKet, measured_of, rest_of):
@@ -233,7 +237,7 @@ def measure_pattern(total: float, branches: list[tuple[float, FockKet]]) -> Cond
     """Second phase of ``measure``: one outcome's ``ConditionalOutcome`` from
     its probability and weighted branches in ``coincidence_table``."""
     if total <= 0.0:
-        return ConditionalOutcome(0.0, None, impossible=True)
+        return ConditionalOutcome(0.0, None)
     ensemble = WeightedEnsemble.from_branches(branches) if branches else None
     return ConditionalOutcome(total, ensemble)
 
@@ -248,10 +252,9 @@ def measure(
     ``detectors`` lists the modes each threshold detector covers; a mode may
     appear under at most one detector.  The result is keyed by outcome tuples
     in detector order, in ``itertools.product((CLICK, SILENT), ...)`` order,
-    and its probabilities sum to 1.  An outcome's ensemble is None when no
-    mode is left unmeasured, when the outcome is impossible (``impossible``
-    is then set and the probability is 0), or when every branch it has was
-    pruned away.
+    and its probabilities sum to 1.  An outcome is ``impossible`` when its
+    probability is 0.  Its ensemble is None then, when no mode is left
+    unmeasured, or when every branch it has was pruned away.
     """
     table = coincidence_table(state, detectors, eta)
     return {out: measure_pattern(total, branches)

@@ -306,16 +306,16 @@ def partial_project(state: FockKet, target: FockKet) -> FockKet:
     return FockKet._trusted(reg, out)
 
 
-def format_ket(state: FockKet, digits: int = 6) -> str:
+def format_ket(state: FockKet) -> str:
     if not state.terms:
         return "0"
     parts = []
     for occ, amp in sorted(state.terms.items()):
         label = "".join(str(n) for n in occ)
         if abs(amp.imag) < 1e-12:
-            coeff = f"{amp.real:+.{digits}g}"
+            coeff = f"{amp.real:+.6g}"
         else:
-            coeff = f"+({amp.real:.{digits}g}{amp.imag:+.{digits}g}j)"
+            coeff = f"+({amp.real:.6g}{amp.imag:+.6g}j)"
         parts.append(f"{coeff}|{label}>")
     return " ".join(parts)
 

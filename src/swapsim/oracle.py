@@ -200,7 +200,7 @@ def dense_measure(state: DenseState, detectors, eta: float) -> dict:
     result = {}
     for out in outcomes:
         if totals[out] <= 0.0:
-            result[out] = ConditionalOutcome(0.0, None, impossible=True)
+            result[out] = ConditionalOutcome(0.0, None)
         else:
             ensemble = (WeightedEnsemble.from_branches(branches[out])
                         if branches[out] else None)
@@ -224,7 +224,7 @@ def number_resolving_measure(state: DenseState, mode: str, n: int) -> Conditiona
         sub[tuple(occ[j] for j in rest_idx)] = amp
     total = sum(abs(a) ** 2 for a in sub.values())
     if total <= 0.0:
-        return ConditionalOutcome(0.0, None, impossible=True)
+        return ConditionalOutcome(0.0, None)
     ket = _normalized(FockKet(rest_reg, sub))
     return ConditionalOutcome(total, WeightedEnsemble(rest_reg, ((1.0, ket),)))
 

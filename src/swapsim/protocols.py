@@ -13,6 +13,11 @@ references, all on beams (3, 4), go into one
 second beam splitter and measures it without building the transformed ket
 (a branch that both events share is one object, so it goes through once);
 each table is then summed over its own members.
+
+No report checks ``eta`` itself: each one reaches ``detection.measure``,
+whose ``ThresholdDetector`` is the one check.  An event is ``impossible``
+when it has no conditional ensemble: its outcome has probability 0, or
+pruning left none of its branches.
 """
 from __future__ import annotations
 
@@ -55,7 +60,10 @@ class EventResult:
     fidelity_psi_minus: float | None
     ensemble: WeightedEnsemble | None = None
     extras: dict = field(default_factory=dict)
-    impossible: bool = False
+
+    @property
+    def impossible(self) -> bool:
+        return self.ensemble is None
 
 
 @dataclass(frozen=True)
@@ -106,38 +114,31 @@ def _summarize_ensemble(ens: WeightedEnsemble) -> list[dict]:
     return kept
 
 
-def _psi_fidelities(ens: WeightedEnsemble, modes: tuple[str, str]) -> tuple[float, float]:
-    fp = fidelity(ens, bell_state("psi+", modes))
-    fm = fidelity(ens, bell_state("psi-", modes))
-    return fp, fm
-
-
 # --------------------------------------------------------------------------
 # Bell-basis identities (ideal projectors)
 # --------------------------------------------------------------------------
 
 def _bell_project_events(state: FockKet, inner_modes: tuple[str, str],
                          outer_modes: tuple[str, str]) -> list[EventResult]:
+    targets = {k: bell_state(k, outer_modes) for k in BELL_KINDS}
     events = []
     for kind in BELL_KINDS:
         proj = bell_state(kind, inner_modes)
         cond = partial_project(state, proj)
         p = cond.norm() ** 2
         if p < 1e-300:
-            events.append(EventResult(kind, 0.0, None, None, impossible=True))
+            events.append(EventResult(kind, 0.0, None, None))
             continue
         ens = WeightedEnsemble.pure(cond)
-        fp, fm = _psi_fidelities(ens, outer_modes)
-        matched = bell_state(kind, outer_modes)
-        f_match = fidelity(ens, matched)
-        sign = inner_product(matched, cond.normalized()).real
+        fids = {k: fidelity(ens, t) for k, t in targets.items()}
+        sign = inner_product(targets[kind], ens.members[0][1]).real
         events.append(EventResult(
-            kind, p, fp, fm, ensemble=ens,
+            kind, p, fids["psi+"], fids["psi-"], ensemble=ens,
             extras={
-                "fidelity_matched": f_match,
+                "fidelity_matched": fids[kind],
                 "amplitude_sign": 1.0 if sign >= 0 else -1.0,
-                "fidelity_phi_plus": fidelity(ens, bell_state("phi+", outer_modes)),
-                "fidelity_phi_minus": fidelity(ens, bell_state("phi-", outer_modes)),
+                "fidelity_phi_plus": fids["phi+"],
+                "fidelity_phi_minus": fids["phi-"],
             },
         ))
     return events
@@ -190,9 +191,10 @@ def _herald(pre: FockKet, mixed: tuple[str, str], eta: float) -> dict:
 
 def _event_from_outcome(name: str, out: ConditionalOutcome,
                         outer_modes: tuple[str, str]) -> EventResult:
-    if out.impossible or out.ensemble is None:
-        return EventResult(name, out.probability, None, None, impossible=True)
-    fp, fm = _psi_fidelities(out.ensemble, outer_modes)
+    if out.ensemble is None:
+        return EventResult(name, out.probability, None, None)
+    fp = fidelity(out.ensemble, bell_state("psi+", outer_modes))
+    fm = fidelity(out.ensemble, bell_state("psi-", outer_modes))
     favored = "psi+" if fp >= fm else "psi-"
     return EventResult(name, out.probability, fp, fm, ensemble=out.ensemble,
                        extras={"favored": favored, "fidelity_favored": max(fp, fm)})
@@ -213,8 +215,6 @@ def run_scheme_a(tau: complex, eta: float, order: int = 1) -> ProtocolReport:
     The event-to-Bell-state mapping is computed from the state, not assumed;
     the favored target of each event is reported in its extras.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
     events = _heralded_events(scheme_a_state(tau, order), ("1", "2"), eta,
                               ("event1", "event2"), ("3", "4"))
     # the weight _summarize_ensemble leaves out, one subtotal per event
@@ -301,8 +301,6 @@ def run_phase_verification(tau: complex, eta: float, order: int = 1) -> Protocol
     Reports both the full-scheme conditionals (after events 1/2, including
     the pair-emission contamination) and the ideal psi+/psi- reference.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
     events = _heralded_events(scheme_a_state(tau, order), ("1", "2"), eta,
                               ("event1", "event2"), ("3", "4"))
 
@@ -380,8 +378,6 @@ def scheme_b_state(epsilon: float, order: int = 1, variant: str = "ubs",
 def run_scheme_b(epsilon: float, eta: float, order: int = 1, variant: str = "ubs",
                  pair_amplitude: float = 0.0) -> ProtocolReport:
     """Single-pass scheme: D2/D3 threshold detection after mixing beams 2, 3."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
     events = _heralded_events(scheme_b_state(epsilon, order, variant, pair_amplitude),
                               ("2", "3"), eta, ("d2_click", "d3_click"), ("1", "4"))
     return ProtocolReport(
@@ -419,6 +415,13 @@ def _empty_beam_weight(ens: WeightedEnsemble, beams: Sequence[tuple[str, ...]]) 
     return total
 
 
+def _impossible_report(scheme: str, params: dict, name: str,
+                       out: ConditionalOutcome) -> ProtocolReport:
+    """A post-selection report whose one conditioning event left no ensemble."""
+    return ProtocolReport(scheme, params, (EventResult(name, out.probability, None, None),),
+                          notes=("conditioning impossible at this eta",))
+
+
 def analyze_polarization_postselection(eta: float, include_double_pairs: bool = True,
                                        double_pair_weight: float = 1.0) -> ProtocolReport:
     """Polarization-space swapping with the double-pass source.
@@ -428,8 +431,6 @@ def analyze_polarization_postselection(eta: float, include_double_pairs: bool = 
     conditions on the minimal D2-and-D3 coincidence, one threshold detector
     per output beam covering both of its polarization modes.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
     src = polarization_double_pass(include_double_pairs, double_pair_weight)
     st = apply_mode_unitary(src, balanced_bs(), ("2H", "3H"))
     st = apply_mode_unitary(st, balanced_bs(), ("2V", "3V"))
@@ -439,10 +440,8 @@ def analyze_polarization_postselection(eta: float, include_double_pairs: bool = 
         "include_double_pairs": include_double_pairs,
         "double_pair_weight": double_pair_weight,
     }
-    if out.impossible or out.ensemble is None:
-        ev = EventResult("d2_and_d3", 0.0, None, None, impossible=True)
-        return ProtocolReport("postselect-pol", params, (ev,),
-                              notes=("conditioning impossible at this eta",))
+    if out.ensemble is None:
+        return _impossible_report("postselect-pol", params, "d2_and_d3", out)
     ens = out.ensemble
     fids = {k: fidelity(ens, _pol_bell(k)) for k in BELL_KINDS}
     best = max(fids, key=fids.get)
@@ -462,15 +461,11 @@ def analyze_polarization_postselection(eta: float, include_double_pairs: bool = 
 
 def analyze_vacuum_one_photon(eta: float) -> ProtocolReport:
     """Vacuum/one-photon swapping conditioned on a single threshold click at 2'."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
     st = vacuum_one_photon_postbs()
     out = measure(st, [("2'",)], eta)[(CLICK,)]
     params = {"eta": eta}
-    if out.impossible or out.ensemble is None:
-        ev = EventResult("d2prime_click", 0.0, None, None, impossible=True)
-        return ProtocolReport("postselect-vac", params, (ev,),
-                              notes=("conditioning impossible at this eta",))
+    if out.ensemble is None:
+        return _impossible_report("postselect-vac", params, "d2prime_click", out)
     ens = out.ensemble
     reg = ens.register  # ("3'", "1", "4")
     r = 1.0 / math.sqrt(2.0)

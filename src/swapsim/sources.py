@@ -1,8 +1,11 @@
 """Initial-state constructors for the swapping schemes.
 
-Every constructor returns a normalized ket.  Polarization encoding: beam b
-maps to the two modes "bH", "bV"; a state like |HV>_b is occupation (1, 1)
-on that pair, and |2H>_b is occupation 2 on "bH".
+Every constructor returns a normalized ket on a register whose cutoff is
+the most photons any of its modes holds: ``order`` for the SPDC sources, 2
+for the polarization and vacuum/one-photon sources, 1 for ``theta_product``
+and ``chi_state``.  Polarization encoding: beam b maps to the two modes
+"bH", "bV"; a state like |HV>_b is occupation (1, 1) on that pair, and
+|2H>_b is occupation 2 on "bH".
 """
 from __future__ import annotations
 
@@ -29,21 +32,17 @@ class SpdcParams:
             raise ValueError("truncation order must be >= 1")
 
 
-def spdc_pair(p: SpdcParams, modes: tuple[str, str], cutoff: int | None = None) -> FockKet:
+def spdc_pair(p: SpdcParams, modes: tuple[str, str]) -> FockKet:
     """Normalized sum_{n=0..order} tau^n |n, n> on the given mode pair."""
-    if cutoff is None:
-        cutoff = p.order
-    if p.order > cutoff:
-        raise ValueError(f"order {p.order} exceeds cutoff {cutoff}")
-    reg = ModeRegister(tuple(modes), cutoff)
+    reg = ModeRegister(tuple(modes), p.order)
     terms = {(n, n): p.tau**n for n in range(p.order + 1)}
     return FockKet(reg, terms).normalized()
 
 
-def double_pass_source(p: SpdcParams, cutoff: int | None = None) -> FockKet:
+def double_pass_source(p: SpdcParams) -> FockKet:
     """Two SPDC passes: pair state on beams (1,4) times pair state on (2,3)."""
-    a = spdc_pair(p, ("1", "4"), cutoff)
-    b = spdc_pair(p, ("2", "3"), cutoff)
+    a = spdc_pair(p, ("1", "4"))
+    b = spdc_pair(p, ("2", "3"))
     return tensor_product(a, b)
 
 
@@ -56,11 +55,6 @@ _X_TERMS = (
 )
 
 
-def _pol_register(cutoff: int = 2) -> ModeRegister:
-    labels = tuple(f"{b}{pol}" for b in "1234" for pol in "HV")
-    return ModeRegister(labels, cutoff)
-
-
 def _y_terms(i: str, j: str):
     # |2H>_i |2V>_j + |2V>_i |2H>_j - |HV>_i |HV>_j
     return (
@@ -70,12 +64,9 @@ def _y_terms(i: str, j: str):
     )
 
 
-def polarization_double_pass(
-    include_double_pairs: bool = True,
-    double_pair_weight: float = 1.0,
-    cutoff: int = 2,
-) -> FockKet:
-    """Double-pass polarization source on beams 1-4 (8 modes, cutoff >= 2).
+def polarization_double_pass(include_double_pairs: bool = True,
+                             double_pair_weight: float = 1.0) -> FockKet:
+    """Double-pass polarization source on beams 1-4 (8 modes).
 
     The single-pair-per-pass term is a product of polarization singlets on
     beams (1,3) and (2,4); ``include_double_pairs`` adds the two-pair terms
@@ -83,11 +74,9 @@ def polarization_double_pass(
     default; ``double_pair_weight`` scales the two-pair terms uniformly for
     sensitivity runs.
     """
-    if cutoff < 2:
-        raise ValueError("polarization double-pass source needs cutoff >= 2")
     if not math.isfinite(double_pair_weight):
         raise ValueError(f"double-pair weight must be finite, got {double_pair_weight}")
-    reg = _pol_register(cutoff)
+    reg = ModeRegister(tuple(f"{b}{pol}" for b in "1234" for pol in "HV"), 2)
     terms: dict[tuple[int, ...], complex] = {}
 
     def put(counts: dict[str, int], amp: complex):
@@ -106,16 +95,14 @@ def polarization_double_pass(
     return FockKet(reg, terms).normalized()
 
 
-def vacuum_one_photon_postbs(cutoff: int = 2) -> FockKet:
+def vacuum_one_photon_postbs() -> FockKet:
     """Post-beam-splitter state in the vacuum/one-photon setup.
 
     Modes (2', 3', 1, 4); the five branches carry printed amplitudes
     1, 1/2, 1/2, 1/sqrt2, -1/sqrt2 and are then normalized (overall
     1/sqrt(5/2)).
     """
-    if cutoff < 2:
-        raise ValueError("needs cutoff >= 2")
-    reg = ModeRegister(("2'", "3'", "1", "4"), cutoff)
+    reg = ModeRegister(("2'", "3'", "1", "4"), 2)
     r2 = 1.0 / math.sqrt(2.0)
     terms = {
         (0, 0, 1, 1): 1.0,
@@ -130,15 +117,15 @@ def vacuum_one_photon_postbs(cutoff: int = 2) -> FockKet:
     return FockKet(reg, terms).normalized()
 
 
-def theta_product(theta: float, cutoff: int = 1) -> FockKet:
+def theta_product(theta: float) -> FockKet:
     """(cos t |00> + sin t |11>)_{12} x (cos t |00> + sin t |11>)_{34}."""
     c, s = math.cos(theta), math.sin(theta)
-    a = FockKet(ModeRegister(("1", "2"), cutoff), {(0, 0): c, (1, 1): s})
-    b = FockKet(ModeRegister(("3", "4"), cutoff), {(0, 0): c, (1, 1): s})
+    a = FockKet(ModeRegister(("1", "2"), 1), {(0, 0): c, (1, 1): s})
+    b = FockKet(ModeRegister(("3", "4"), 1), {(0, 0): c, (1, 1): s})
     return tensor_product(a, b).normalized()
 
 
-def chi_state(eps: float, modes: tuple[str, str] = ("A", "C"), cutoff: int = 1) -> FockKet:
-    """Weakly entangling pair (|00> + eps |11>)/sqrt(1 + eps^2)."""
-    reg = ModeRegister(tuple(modes), cutoff)
+def chi_state(eps: float) -> FockKet:
+    """Weakly entangling pair (|00> + eps |11>)/sqrt(1 + eps^2) on modes A, C."""
+    reg = ModeRegister(("A", "C"), 1)
     return FockKet(reg, {(0, 0): 1.0, (1, 1): eps}).normalized()

@@ -156,7 +156,7 @@ def test_verify_compares_every_outcome(monkeypatch, outcome):
     def skewed(*args):
         out = dense_measure(*args)
         o = out[outcome]
-        out[outcome] = ConditionalOutcome(o.probability + 1e-6, o.ensemble, o.impossible)
+        out[outcome] = ConditionalOutcome(o.probability + 1e-6, o.ensemble)
         return out
 
     monkeypatch.setattr(oracle, "dense_measure", skewed)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swapsim import protocols
-from swapsim.detection import CLICK, measure
+from swapsim.detection import CLICK, ThresholdDetector, measure
 from swapsim.elements import apply_mode_unitary, balanced_bs
 from swapsim.fock import bell_state
 from swapsim.protocols import (
@@ -398,3 +398,24 @@ def test_report_json_schema():
                            "fidelity_psi_minus"}
         assert 0.0 <= ev["probability"] <= 1.0
     assert "dropped_mass" in data
+
+
+ETA_ENTRY_POINTS = {
+    "run_scheme_a": lambda eta: run_scheme_a(0.1, eta),
+    "run_phase_verification": lambda eta: run_phase_verification(0.1, eta),
+    "run_scheme_b": lambda eta: run_scheme_b(0.3, eta),
+    "analyze_polarization_postselection": analyze_polarization_postselection,
+    "analyze_vacuum_one_photon": analyze_vacuum_one_photon,
+    "scheme_a_click_distribution": lambda eta: scheme_a_click_distribution(0.1, eta),
+    "scheme_b_click_distribution": lambda eta: scheme_b_click_distribution(0.3, eta),
+    "measure": lambda eta: measure(bell_state("psi+", ("1", "2")), [("1",)], eta),
+    "ThresholdDetector": ThresholdDetector,
+}
+
+
+@pytest.mark.parametrize("eta", [-0.1, 1.5])
+@pytest.mark.parametrize("entry", ETA_ENTRY_POINTS)
+def test_eta_out_of_range_rejected_everywhere(entry, eta):
+    # ThresholdDetector holds the one check and every entry point reaches it
+    with pytest.raises(ValueError, match=r"eta must be in \[0, 1\], got"):
+        ETA_ENTRY_POINTS[entry](eta)
