@@ -2,14 +2,17 @@
 
 Every subcommand in every format, one sweep, a high-order phase
 verification, and a run of each report whose conditioning event is
-impossible.  ``--verify`` and ``--shots`` are left out: their output
-depends on the installed scipy and numpy builds.
+impossible, plus the ``--help`` text of ``swapsim`` and of every
+subcommand at an 80-column terminal.  ``--verify`` and ``--shots`` are left
+out: their output depends on the installed scipy and numpy builds.
 
 Re-record (only for a deliberate change of output) with
 ``PYTHONPATH=src python tests/test_golden_cli.py --record``.
 """
+import contextlib
 import io
 import json
+import os
 import pathlib
 import sys
 
@@ -41,11 +44,25 @@ IMPOSSIBLE_RUNS = [
     "verify-phase --tau2 0.1 --eta 0",
 ]
 ARGVS += [f"{run} --format {fmt}" for run in IMPOSSIBLE_RUNS for fmt in ("json", "table")]
+HELP_ARGVS = ["--help"] + [f"{name} --help" for name in cli.COMMANDS]
 
 
 def stdout_of(argv: str) -> str:
     out = io.StringIO()
     assert cli.run(argv.split(), out=out) == 0
+    return out.getvalue()
+
+
+def help_of(argv: str) -> str:
+    """argparse prints help to sys.stdout and exits 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            cli.run(argv.split())
+        except SystemExit as exc:
+            assert exc.code == 0
+        else:
+            raise AssertionError(f"swapsim {argv} did not exit")
     return out.getvalue()
 
 
@@ -56,7 +73,7 @@ def golden():
 
 
 def test_golden_covers_every_run(golden):
-    assert list(golden) == ARGVS
+    assert list(golden) == ARGVS + HELP_ARGVS
     assert {argv.split()[0] for argv in ARGVS} == set(cli.COMMANDS)
 
 
@@ -65,9 +82,18 @@ def test_cli_stdout_is_golden(golden, argv):
     assert stdout_of(argv) == golden[argv]
 
 
+@pytest.mark.parametrize("argv", HELP_ARGVS)
+def test_cli_help_is_golden(golden, argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_of(argv) == golden[argv]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_cli.py --record")
+    os.environ["COLUMNS"] = "80"
+    recorded = {argv: stdout_of(argv) for argv in ARGVS}
+    recorded.update((argv, help_of(argv)) for argv in HELP_ARGVS)
     with open(GOLDEN, "w") as f:
-        json.dump({argv: stdout_of(argv) for argv in ARGVS}, f, indent=1)
+        json.dump(recorded, f, indent=1)
         f.write("\n")
