@@ -38,8 +38,6 @@ from .protocols import (
     sample_run,
 )
 from .sources import (
-    SpdcParams,
-    chi_state,
     double_pass_source,
     polarization_double_pass,
     spdc_pair,

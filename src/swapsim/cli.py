@@ -2,15 +2,17 @@
 json/csv/table, optionally cross-check against the dense oracle or sample
 synthetic detection shots.
 
-``COMMANDS`` says what each subcommand runs: its report function in
-``protocols``, its dense-oracle check in ``oracle`` (``--verify``), its
-click distribution in ``protocols`` (``--shots``), the parameters
-``--sweep`` may set, and the parsed arguments that every one of those
-functions takes, in order.  The parser offers ``--verify`` and
-``--shots``/``--seed`` only on subcommands whose row names a function for
-them.  Functions are stored by name and looked up when a command runs, so a
-function rebound on its module is the one called.  A sweep point is a copy
-of the arguments with the swept parameter set, checked like a single run.
+``COMMANDS`` says everything about each subcommand: its help line, its
+report function in ``protocols``, its dense-oracle check in ``oracle``
+(``--verify``), its click distribution in ``protocols`` (``--shots``), the
+parameters ``--sweep`` may set, and the parsed arguments that every one of
+those functions takes, in order.  ``OPTIONS`` declares the flag or flags
+that set each of those arguments, once for every subcommand.  The parser
+offers ``--verify`` and ``--shots``/``--seed`` only on subcommands whose row
+names a function for them.  Functions are stored by name and looked up when
+a command runs, so a function rebound on its module is the one called.  A
+sweep point is a copy of the arguments with the swept parameter set,
+checked like a single run.
 
 Output is deterministic (byte-stable) for a fixed configuration and seed;
 all floats are printed with 12 significant digits.
@@ -33,6 +35,7 @@ VERIFY_TOL = 1e-10
 
 
 class Command(NamedTuple):
+    help: str  # the subcommand's line in swapsim --help
     report: str  # report function in protocols
     check: str | None  # dense-oracle check in oracle, for --verify
     distribution: str | None  # click distribution in protocols, for --shots
@@ -42,18 +45,25 @@ class Command(NamedTuple):
 
 _TAU_PARAMS = ("tau", "eta", "order")
 COMMANDS = {
-    "scheme-a": Command("run_scheme_a", "verify_scheme_a", "scheme_a_click_distribution",
+    "scheme-a": Command("double-pass SPDC swapping",
+                        "run_scheme_a", "verify_scheme_a", "scheme_a_click_distribution",
                         ("tau", "tau2", "eta"), _TAU_PARAMS),
-    "verify-phase": Command("run_phase_verification", "verify_phase_verification", None,
+    "verify-phase": Command("phase verification after scheme A",
+                            "run_phase_verification", "verify_phase_verification", None,
                             ("tau", "tau2", "eta"), _TAU_PARAMS),
-    "scheme-b": Command("run_scheme_b", "verify_scheme_b", "scheme_b_click_distribution",
+    "scheme-b": Command("single-pass scheme with unbalanced BS or PBS",
+                        "run_scheme_b", "verify_scheme_b", "scheme_b_click_distribution",
                         ("epsilon", "eta"),
                         ("epsilon", "eta", "order", "variant", "pair_amplitude")),
-    "theta": Command("run_theta_swapping", None, None, ("theta",), ("theta",)),
-    "bell-check": Command("bell_decomposition_check", None, None, (), ()),
-    "postselect-pol": Command("analyze_polarization_postselection", None, None, ("eta",),
+    "theta": Command("non-maximal pair swapping identity",
+                     "run_theta_swapping", None, None, ("theta",), ("theta",)),
+    "bell-check": Command("Bell-basis swapping identity",
+                          "bell_decomposition_check", None, None, (), ()),
+    "postselect-pol": Command("polarization post-selection analysis",
+                              "analyze_polarization_postselection", None, None, ("eta",),
                               ("eta", "include_double_pairs", "double_pair_weight")),
-    "postselect-vac": Command("analyze_vacuum_one_photon", None, None, ("eta",), ("eta",)),
+    "postselect-vac": Command("vacuum/one-photon post-selection analysis",
+                              "analyze_vacuum_one_photon", None, None, ("eta",), ("eta",)),
 }
 
 
@@ -86,6 +96,28 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# The flag or flags that set each entry of Command.params: calling an entry
+# on a subparser adds them.  --tau2 is the other way to give tau.
+OPTIONS = {
+    "tau": lambda p: (
+        p.add_argument("--tau", type=_finite_float, help="pair amplitude ratio"),
+        p.add_argument("--tau2", type=_finite_float, help="|tau|^2 (exclusive with --tau)")),
+    "eta": lambda p: p.add_argument("--eta", type=_finite_float, default=1.0),
+    "order": lambda p: p.add_argument("--order", type=int, default=1),
+    "epsilon": lambda p: p.add_argument("--epsilon", type=_finite_float, required=True),
+    "variant": lambda p: p.add_argument("--variant", choices=("ubs", "pbs"), default="ubs"),
+    "pair_amplitude": lambda p: p.add_argument("--pair-amplitude", type=_finite_float,
+                                               default=0.0),
+    "theta": lambda p: p.add_argument("--theta", type=_finite_float, required=True),
+    "include_double_pairs": lambda p: p.add_argument(
+        "--x-only", dest="include_double_pairs", action="store_false",
+        help="drop the double-pair emission terms"),
+    "double_pair_weight": lambda p: p.add_argument(
+        "--double-pair-weight", type=_finite_float,
+        help="weight of the double-pair terms (default: 1)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swapsim",
@@ -93,13 +125,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(verify=False, shots=0, seed=None)
     sub = parser.add_subparsers(dest="scheme", required=True)
-
-    def common(p, name):
-        p.add_argument("--format", choices=("json", "csv", "table"), default="table")
-        if COMMANDS[name].check:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for param in command.params:
+            OPTIONS[param](p)
+        # no default: a sweep accepts only csv, and a single run prints a table
+        p.add_argument("--format", choices=("json", "csv", "table"))
+        if command.check:
             p.add_argument("--verify", action="store_true",
                            help="cross-check against the dense oracle (exit 3 on mismatch)")
-        if COMMANDS[name].distribution:
+        if command.distribution:
             p.add_argument("--shots", type=int, default=0,
                            help="sample this many synthetic detection shots (0: off)")
             p.add_argument("--seed", type=int,
@@ -111,47 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int)
         p.add_argument("--spacing", choices=("linear", "log"),
                        help="sweep grid spacing (default: linear)")
-
-    def add_tau(p):
-        p.add_argument("--tau", type=_finite_float, help="pair amplitude ratio")
-        p.add_argument("--tau2", type=_finite_float, help="|tau|^2 (exclusive with --tau)")
-        p.add_argument("--eta", type=_finite_float, default=1.0)
-        p.add_argument("--order", type=int, default=1)
-
-    p = sub.add_parser("scheme-a", help="double-pass SPDC swapping")
-    add_tau(p)
-    common(p, "scheme-a")
-
-    p = sub.add_parser("verify-phase", help="phase verification after scheme A")
-    add_tau(p)
-    common(p, "verify-phase")
-
-    p = sub.add_parser("scheme-b", help="single-pass scheme with unbalanced BS or PBS")
-    p.add_argument("--epsilon", type=_finite_float, required=True)
-    p.add_argument("--eta", type=_finite_float, default=1.0)
-    p.add_argument("--order", type=int, default=1)
-    p.add_argument("--variant", choices=("ubs", "pbs"), default="ubs")
-    p.add_argument("--pair-amplitude", type=_finite_float, default=0.0)
-    common(p, "scheme-b")
-
-    p = sub.add_parser("theta", help="non-maximal pair swapping identity")
-    p.add_argument("--theta", type=_finite_float, required=True)
-    common(p, "theta")
-
-    p = sub.add_parser("bell-check", help="Bell-basis swapping identity")
-    common(p, "bell-check")
-
-    p = sub.add_parser("postselect-pol", help="polarization post-selection analysis")
-    p.add_argument("--eta", type=_finite_float, default=1.0)
-    p.add_argument("--x-only", dest="include_double_pairs", action="store_false",
-                   help="drop the double-pair emission terms")
-    p.add_argument("--double-pair-weight", type=_finite_float,
-                   help="weight of the double-pair terms (default: 1)")
-    common(p, "postselect-pol")
-
-    p = sub.add_parser("postselect-vac", help="vacuum/one-photon post-selection analysis")
-    p.add_argument("--eta", type=_finite_float, default=1.0)
-    common(p, "postselect-vac")
     return parser
 
 
@@ -220,6 +214,8 @@ def _sweep_grid(args, parser) -> list[float]:
                      f"sweepable: {', '.join(allowed) or 'none'}")
     if args.verify or args.shots:
         parser.error("--sweep cannot be combined with --verify or --shots")
+    if args.format not in (None, "csv"):
+        parser.error(f"--sweep always emits CSV: --format {args.format} has no effect")
     if args.sweep_from is None or args.sweep_to is None or args.steps is None:
         parser.error("--sweep requires --from, --to and --steps")
     if args.steps < 1:

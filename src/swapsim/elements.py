@@ -86,11 +86,6 @@ class ModeUnitary:
     def size(self) -> int:
         return len(self.entries)
 
-    def dagger(self) -> "ModeUnitary":
-        n = self.size
-        return ModeUnitary([[self.entries[j][i].conjugate() for j in range(n)]
-                            for i in range(n)])
-
     def sector(self, acted: tuple[int, ...]) -> tuple:
         """Transfer-table entry for one acted occupation, built on first use."""
         entry = self._table.get(acted)

@@ -9,9 +9,9 @@ and every operation is a pure function.
 A ket is built by one of two constructors.  The public ``FockKet(register,
 terms)`` takes outside input: it converts every occupation to an int tuple,
 checks its length and cutoff, merges duplicate keys and rejects NaN or
-infinite amplitudes.  Sources, Bell targets, ``vacuum``, ``from_json_dict``,
-hand-written kets and the whole dense oracle use it; the oracle is the
-independent cross-check, so it must not share the fast path it checks.
+infinite amplitudes.  Sources, Bell targets, ``vacuum``, hand-written kets
+and the whole dense oracle use it; the oracle is the independent
+cross-check, so it must not share the fast path it checks.
 ``FockKet._trusted`` is for terms the engine derived from valid kets
 (``scaled``/``normalized``, ``reorder``, ``relabel``, ``tensor_product``,
 ``partial_project``, ``elements.apply_mode_unitary`` and the heralded
@@ -318,23 +318,3 @@ def format_ket(state: FockKet) -> str:
             coeff = f"+({amp.real:.6g}{amp.imag:+.6g}j)"
         parts.append(f"{coeff}|{label}>")
     return " ".join(parts)
-
-
-def to_json_dict(state: FockKet) -> dict:
-    """Debug serialization: {"modes": [...], "terms": [{"occ", "re", "im"}]}."""
-    return {
-        "modes": list(state.register.labels),
-        "terms": [
-            {"occ": list(occ), "re": amp.real, "im": amp.imag}
-            for occ, amp in sorted(state.terms.items())
-        ],
-    }
-
-
-def from_json_dict(data: Mapping, cutoff: int | None = None) -> FockKet:
-    terms = {tuple(t["occ"]): complex(t["re"], t["im"]) for t in data["terms"]}
-    if cutoff is None:
-        cutoff = max((max(occ) for occ in terms), default=1)
-        cutoff = max(cutoff, 1)
-    reg = ModeRegister(tuple(data["modes"]), cutoff)
-    return FockKet(reg, terms)

@@ -42,7 +42,6 @@ from .fock import (
     tensor_product,
 )
 from .sources import (
-    SpdcParams,
     double_pass_source,
     polarization_double_pass,
     theta_product,
@@ -178,7 +177,7 @@ def run_theta_swapping(theta: float) -> ProtocolReport:
 
 def scheme_a_state(tau: complex, order: int = 1) -> FockKet:
     """Four-mode state on beams (1,2,3,4) just before the balanced beam splitter."""
-    return reorder(double_pass_source(SpdcParams(tau, order)), ("1", "2", "3", "4"))
+    return reorder(double_pass_source(tau, order), ("1", "2", "3", "4"))
 
 
 def _herald(pre: FockKet, mixed: tuple[str, str], eta: float) -> dict:

@@ -2,8 +2,8 @@
 
 Every constructor returns a normalized ket on a register whose cutoff is
 the most photons any of its modes holds: ``order`` for the SPDC sources, 2
-for the polarization and vacuum/one-photon sources, 1 for ``theta_product``
-and ``chi_state``.  Polarization encoding: beam b maps to the two modes
+for the polarization and vacuum/one-photon sources, 1 for
+``theta_product``.  Polarization encoding: beam b maps to the two modes
 "bH", "bV"; a state like |HV>_b is occupation (1, 1) on that pair, and
 |2H>_b is occupation 2 on "bH".
 """
@@ -11,38 +11,28 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .fock import FockKet, ModeRegister, tensor_product
 
 
-@dataclass(frozen=True)
-class SpdcParams:
-    """Pair-emission amplitude ratio and truncation order for one SPDC pass."""
-
-    tau: complex
-    order: int = 1
-
-    def __post_init__(self):
-        if not cmath.isfinite(self.tau):
-            raise ValueError(f"tau must be finite, got {self.tau}")
-        if abs(self.tau) >= 1.0:
-            raise ValueError(f"|tau| must be < 1, got {abs(self.tau)}")
-        if self.order < 1:
-            raise ValueError("truncation order must be >= 1")
-
-
-def spdc_pair(p: SpdcParams, modes: tuple[str, str]) -> FockKet:
-    """Normalized sum_{n=0..order} tau^n |n, n> on the given mode pair."""
-    reg = ModeRegister(tuple(modes), p.order)
-    terms = {(n, n): p.tau**n for n in range(p.order + 1)}
+def spdc_pair(tau: complex, order: int, modes: tuple[str, str]) -> FockKet:
+    """Normalized sum_{n=0..order} tau^n |n, n> on the given mode pair, for
+    the pair-emission amplitude ratio ``tau`` and truncation ``order``."""
+    if not cmath.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    if abs(tau) >= 1.0:
+        raise ValueError(f"|tau| must be < 1, got {abs(tau)}")
+    if order < 1:
+        raise ValueError("truncation order must be >= 1")
+    reg = ModeRegister(tuple(modes), order)
+    terms = {(n, n): tau**n for n in range(order + 1)}
     return FockKet(reg, terms).normalized()
 
 
-def double_pass_source(p: SpdcParams) -> FockKet:
+def double_pass_source(tau: complex, order: int = 1) -> FockKet:
     """Two SPDC passes: pair state on beams (1,4) times pair state on (2,3)."""
-    a = spdc_pair(p, ("1", "4"))
-    b = spdc_pair(p, ("2", "3"))
+    a = spdc_pair(tau, order, ("1", "4"))
+    b = spdc_pair(tau, order, ("2", "3"))
     return tensor_product(a, b)
 
 
@@ -123,9 +113,3 @@ def theta_product(theta: float) -> FockKet:
     a = FockKet(ModeRegister(("1", "2"), 1), {(0, 0): c, (1, 1): s})
     b = FockKet(ModeRegister(("3", "4"), 1), {(0, 0): c, (1, 1): s})
     return tensor_product(a, b).normalized()
-
-
-def chi_state(eps: float) -> FockKet:
-    """Weakly entangling pair (|00> + eps |11>)/sqrt(1 + eps^2) on modes A, C."""
-    reg = ModeRegister(("A", "C"), 1)
-    return FockKet(reg, {(0, 0): 1.0, (1, 1): eps}).normalized()

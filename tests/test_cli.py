@@ -327,6 +327,20 @@ def test_sweep_with_verify_or_shots_exits_2(extra, capsys):
     assert "--verify or --shots" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_sweep_with_a_format_other_than_csv_exits_2(fmt, capsys):
+    argv = ["scheme-a", "--tau2", "1e-3", "--sweep", "eta", "--from", "0.5",
+            "--to", "1", "--steps", "2"]
+    assert_usage_error(argv + ["--format", fmt], f"--format {fmt}", capsys)
+    assert run_cli(argv + ["--format", "csv"]) == run_cli(argv)
+
+
+def test_option_table_declares_exactly_the_command_params():
+    # a parameter without flags, or flags no subcommand takes, fails here
+    used = {param for row in cli.COMMANDS.values() for param in row.params}
+    assert used == set(cli.OPTIONS)
+
+
 def test_scheme_b_shots_and_verify_use_pair_amplitude():
     argv = ["scheme-b", "--epsilon", "0.3", "--format", "json",
             "--shots", "1000", "--verify"]

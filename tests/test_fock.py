@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 
 import numpy as np
@@ -16,14 +15,12 @@ from swapsim.fock import (
     WeightedEnsemble,
     bell_state,
     fidelity,
-    from_json_dict,
     inner_product,
     partial_project,
     pruning,
     relabel,
     reorder,
     tensor_product,
-    to_json_dict,
     vacuum,
 )
 
@@ -206,16 +203,6 @@ def test_fidelity_bounded_and_affine(ket, w):
     f_mix = fidelity(mix, target)
     assert -1e-12 <= f_mix <= 1.0 + 1e-12
     assert f_mix == pytest.approx(w * f_a + (1 - w) * f_b, abs=1e-12)
-
-
-@given(random_kets())
-@settings(max_examples=40, deadline=None)
-def test_json_round_trip(ket):
-    data = json.loads(json.dumps(to_json_dict(ket)))
-    back = from_json_dict(data, cutoff=ket.register.cutoff)
-    assert back.register.labels == ket.register.labels
-    for occ, amp in ket.items():
-        assert back.amplitude(occ) == pytest.approx(amp, abs=1e-15)
 
 
 def test_pruning_context():

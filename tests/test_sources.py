@@ -4,10 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from swapsim.fock import fidelity, WeightedEnsemble, bell_state
 from swapsim.sources import (
-    SpdcParams,
-    chi_state,
     double_pass_source,
     polarization_double_pass,
     spdc_pair,
@@ -18,7 +15,7 @@ from swapsim.sources import (
 
 def test_spdc_pair_order_one():
     tau = 0.25
-    ket = spdc_pair(SpdcParams(tau), ("1", "4"))
+    ket = spdc_pair(tau, 1, ("1", "4"))
     r = 1.0 / math.sqrt(1 + tau * tau)
     assert ket.amplitude((0, 0)) == pytest.approx(r)
     assert ket.amplitude((1, 1)) == pytest.approx(tau * r)
@@ -26,14 +23,14 @@ def test_spdc_pair_order_one():
 
 
 def test_spdc_zero_tau_is_vacuum():
-    ket = spdc_pair(SpdcParams(0.0), ("1", "4"))
+    ket = spdc_pair(0.0, 1, ("1", "4"))
     assert ket.num_terms() == 1
     assert ket.amplitude((0, 0)) == pytest.approx(1.0)
 
 
 def test_spdc_order_two_geometric():
     tau = 0.1
-    ket = spdc_pair(SpdcParams(tau, order=2), ("a", "b"))
+    ket = spdc_pair(tau, 2, ("a", "b"))
     # brute-force normalization of (1, tau, tau^2)
     norm = math.sqrt(sum((tau**n) ** 2 for n in range(3)))
     for n in range(3):
@@ -41,27 +38,26 @@ def test_spdc_order_two_geometric():
 
 
 def test_spdc_params_rejected():
-    with pytest.raises(ValueError):
-        SpdcParams(1.5)
-    with pytest.raises(ValueError):
-        SpdcParams(0.1, order=0)
+    with pytest.raises(ValueError, match=r"\|tau\| must be < 1"):
+        spdc_pair(1.5, 1, ("1", "4"))
+    with pytest.raises(ValueError, match="truncation order must be >= 1"):
+        double_pass_source(0.1, order=0)
 
 
 def test_double_pass_source():
-    ket = double_pass_source(SpdcParams(0.2))
+    ket = double_pass_source(0.2)
     assert ket.register.labels == ("1", "4", "2", "3")
     assert ket.num_terms() == 4
     assert ket.norm() == pytest.approx(1.0)
-    vac = double_pass_source(SpdcParams(0.0))
+    vac = double_pass_source(0.0)
     assert vac.num_terms() == 1
 
 
 @given(st.floats(0.0, 0.9), st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
 def test_sources_normalized(tau, order):
-    assert double_pass_source(SpdcParams(tau, order)).norm() == pytest.approx(1.0)
+    assert double_pass_source(tau, order).norm() == pytest.approx(1.0)
     assert theta_product(tau).norm() == pytest.approx(1.0)
-    assert chi_state(tau).norm() == pytest.approx(1.0)
 
 
 def test_polarization_double_pass_terms():
@@ -92,7 +88,7 @@ def test_polarization_double_pass_terms():
 def test_non_finite_inputs_rejected(bad):
     for tau in (bad, complex(bad, 0.0), complex(0.1, bad)):
         with pytest.raises(ValueError, match="finite"):
-            SpdcParams(tau)
+            double_pass_source(tau)
     for include in (True, False):
         with pytest.raises(ValueError, match="finite"):
             polarization_double_pass(include, double_pair_weight=bad)
@@ -125,12 +121,3 @@ def test_theta_product():
     assert ket.amplitude((0, 0, 1, 1)) == pytest.approx(c * s)
     assert ket.amplitude((1, 1, 1, 1)) == pytest.approx(s * s)
 
-
-def test_chi_state():
-    assert chi_state(0.0).num_terms() == 1
-    maximal = chi_state(1.0)
-    assert fidelity(WeightedEnsemble.pure(maximal), bell_state("phi+", ("A", "C"))) \
-        == pytest.approx(1.0)
-    eps = 0.2
-    ket = chi_state(eps)
-    assert ket.amplitude((1, 1)) == pytest.approx(eps / math.sqrt(1 + eps * eps))
