@@ -21,8 +21,10 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--steps", type=int, default=9)
     args = ap.parse_args(argv)
+    if args.steps < 1:
+        ap.error("--steps must be >= 1")
 
-    etas = [round(0.1 + 0.9 * i / (args.steps - 1), 4) for i in range(args.steps)]
+    etas = [round(0.1 + 0.9 * i / max(args.steps - 1, 1), 4) for i in range(args.steps)]
 
     print("vacuum/one-photon herald (single click on the empty-side output)")
     print(f"{'eta':>6} {'p_click':>12} {'fid_psi+':>12} {'vac_weight':>12}")

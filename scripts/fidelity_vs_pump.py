@@ -24,6 +24,11 @@ def main(argv=None):
     ap.add_argument("--etas", type=float, nargs="+", default=[1.0, 0.8, 0.5])
     ap.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
     args = ap.parse_args(argv)
+    if args.steps < 1:
+        ap.error("--steps must be >= 1")
+    for flag, tau2 in (("--tau2-min", args.tau2_min), ("--tau2-max", args.tau2_max)):
+        if not 0.0 < tau2 < 1.0:
+            ap.error(f"{flag} must be in (0, 1), got {tau2}")
 
     # the log grid of the CLI's --spacing log
     la, lb, k = math.log(args.tau2_min), math.log(args.tau2_max), args.steps

@@ -12,7 +12,8 @@ offers ``--verify`` and ``--shots``/``--seed`` only on subcommands whose row
 names a function for them.  Functions are stored by name and looked up when
 a command runs, so a function rebound on its module is the one called.  A
 sweep point is a copy of the arguments with the swept parameter set,
-checked like a single run.
+checked like a single run.  Every usage error, found by argparse or by a
+check after parsing, prints the usage line of the subcommand that was run.
 
 Output is deterministic (byte-stable) for a fixed configuration and seed;
 all floats are printed with 12 significant digits.
@@ -127,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="scheme", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
+        p.set_defaults(parser=p)
         for param in command.params:
             OPTIONS[param](p)
         # no default: a sweep accepts only csv, and a single run prints a table
@@ -294,8 +296,10 @@ def _emit_report(report: protocols.ProtocolReport, args, samples, out) -> None:
 
 
 def run(argv=None, out=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    parser = args.parser  # every check below prints this subcommand's usage
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     out = out if out is not None else sys.stdout
     command = COMMANDS[args.scheme]
     if args.shots < 0:

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, logm
 
+from . import protocols
 from .detection import CLICK, SILENT, ConditionalOutcome, ThresholdDetector
 from .elements import ModeUnitary, balanced_bs
-from .fock import FockKet, ModeRegister, WeightedEnsemble
+from .fock import FockKet, ModeRegister, WeightedEnsemble, bell_state, fidelity
 
 MAX_MODES = 8
 MAX_ELEMENTS = 5_000_000
@@ -235,8 +236,6 @@ def number_resolving_measure(state: DenseState, mode: str, n: int) -> Conditiona
 
 def _compare_outcomes(sparse_out: ConditionalOutcome, dense_out: ConditionalOutcome,
                       targets) -> float:
-    from .fock import fidelity
-
     worst = abs(sparse_out.probability - dense_out.probability)
     if sparse_out.ensemble is None or dense_out.ensemble is None:
         if (sparse_out.ensemble is None) != (dense_out.ensemble is None):
@@ -254,42 +253,38 @@ def _dense_herald(pre: FockKet, mixed: tuple[str, str], eta: float) -> dict:
                          [(m,) for m in mixed], eta)
 
 
-def _verify_herald(pre: FockKet, mixed: tuple[str, str], outer: tuple[str, str],
+def _verify_herald(pre: FockKet, scheme: protocols._Heralded,
                    eta: float) -> tuple[float, dict, dict]:
     """Max |sparse - dense| over every outcome's probability and
-    psi-fidelities of the step both schemes herald with: a balanced beam
-    splitter on ``mixed`` and one threshold detector on each output.  The
-    sparse and dense outcomes are returned with it."""
-    from .fock import bell_state
-    from .protocols import _herald
-
-    sparse = _herald(pre, mixed, eta)
-    dense = _dense_herald(pre, mixed, eta)
-    targets = [bell_state("psi+", outer), bell_state("psi-", outer)]
+    psi-fidelities on the outer beams of the step both schemes herald with:
+    a balanced beam splitter on ``scheme.mixed`` and one threshold detector
+    on each output.  The sparse and dense outcomes are returned with it."""
+    sparse = protocols._herald(pre, scheme.mixed, eta)
+    dense = _dense_herald(pre, scheme.mixed, eta)
+    targets = [bell_state("psi+", scheme.outer), bell_state("psi-", scheme.outer)]
     worst = max(_compare_outcomes(sparse[out], dense[out], targets) for out in dense)
     return worst, sparse, dense
 
 
 def _dense_coincidences(members, eta: float) -> dict:
-    """D3/D4 outcome probabilities of a mixture of kets on beams 3, 4: each
-    member through the dense beam splitter and POVM on its own.  Every
-    member is rebuilt at one cutoff that holds all of its photons, so the
-    beam splitter is lifted at one working dimension for the whole table."""
+    """D3/D4 outcome probabilities of a mixture of kets on scheme A's outer
+    beams 3, 4: each member through the dense beam splitter and POVM on its
+    own.  Every member is rebuilt at one cutoff that holds all of its
+    photons, so the beam splitter is lifted at one working dimension for the
+    whole table."""
     cutoff = max(max(m.register.cutoff, *(sum(occ) for occ, _ in m.items()))
                  for _, m in members)
     joint: dict = {}
     for w, member in members:
         padded = FockKet(member.register.with_cutoff(cutoff), dict(member.items()))
-        for out, o in _dense_herald(padded, ("3", "4"), eta).items():
+        for out, o in _dense_herald(padded, protocols._SCHEME_A.outer, eta).items():
             joint[out] = joint.get(out, 0.0) + w * o.probability
     return joint
 
 
 def verify_scheme_a(tau: complex, eta: float, order: int = 1) -> float:
     """Max |sparse - dense| over scheme A's outcome probabilities and psi-fidelities."""
-    from .protocols import scheme_a_state
-
-    return _verify_herald(scheme_a_state(tau, order), ("1", "2"), ("3", "4"), eta)[0]
+    return _verify_herald(protocols.scheme_a_state(tau, order), protocols._SCHEME_A, eta)[0]
 
 
 def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float:
@@ -301,14 +296,12 @@ def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float
     one by one; the sparse tables come from ``_phase_tables``, the batch
     whose tables ``run_phase_verification`` reports.
     """
-    from . import protocols
-
-    worst, sparse, dense = _verify_herald(protocols.scheme_a_state(tau, order), ("1", "2"),
-                                          ("3", "4"), eta)
+    worst, sparse, dense = _verify_herald(protocols.scheme_a_state(tau, order),
+                                          protocols._SCHEME_A, eta)
     # the heralded events (an ensemble on one side only already made worst
     # inf), then the ideal references, in _phase_tables' order
     sparse_ens, dense_members = [], []
-    for out in ((CLICK, SILENT), (SILENT, CLICK)):
+    for out in protocols._HERALDS:
         if sparse[out].ensemble is not None and dense[out].ensemble is not None:
             sparse_ens.append(sparse[out].ensemble)
             dense_members.append(dense[out].ensemble.members)
@@ -323,7 +316,5 @@ def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float
 def verify_scheme_b(epsilon: float, eta: float, order: int = 1,
                     variant: str = "ubs", pair_amplitude: float = 0.0) -> float:
     """Max |sparse - dense| over scheme B's outcome probabilities and psi-fidelities."""
-    from .protocols import scheme_b_state
-
-    pre = scheme_b_state(epsilon, order, variant, pair_amplitude)
-    return _verify_herald(pre, ("2", "3"), ("1", "4"), eta)[0]
+    pre = protocols.scheme_b_state(epsilon, order, variant, pair_amplitude)
+    return _verify_herald(pre, protocols._SCHEME_B, eta)[0]

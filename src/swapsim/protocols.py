@@ -4,7 +4,9 @@ Bell "measurements" in the algebraic checks are ideal projectors; detector
 based conditioning (with efficiency eta) is used exactly where the schemes
 use detectors.  Every pipeline is pure given its parameters (and seed).
 
-Schemes A and B herald with one step, ``_herald``: a balanced beam splitter
+Every report builds its events with ``_event``, the one place a fidelity
+is computed.  Schemes A and B, each described once (``_SCHEME_A``,
+``_SCHEME_B``), herald with one step, ``_herald``: a balanced beam splitter
 on two beams and one threshold detector on each output.  The phase
 verification's coincidence tables come from one batch, ``_phase_tables``:
 the branch kets of both heralded ensembles and the ideal psi+/psi-
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .detection import CLICK, SILENT, ConditionalOutcome, measure, outcome_probabilities
-from .elements import apply_mode_unitary, balanced_bs, pbs, polarization_rotation, unbalanced_bs
+from .detection import CLICK, SILENT, measure, outcome_probabilities
+from .elements import (MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs, pbs,
+                       polarization_rotation, unbalanced_bs)
 from .fock import (
     BELL_KINDS,
     FockKet,
@@ -40,6 +43,7 @@ from .fock import (
     relabel,
     reorder,
     tensor_product,
+    vacuum,
 )
 from .sources import (
     double_pass_source,
@@ -113,47 +117,46 @@ def _summarize_ensemble(ens: WeightedEnsemble) -> list[dict]:
     return kept
 
 
+def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
+           targets: Mapping[str, FockKet], extras: Callable[[dict], dict]) -> EventResult:
+    """One report row: the fidelity of ``ensemble`` with each of ``targets``
+    (kind -> ket, psi+ and psi- among them), psi+ and psi- in the columns
+    and ``extras(fidelities)`` beside them.  Without an ensemble the event
+    is impossible and has no fidelities."""
+    if ensemble is None:
+        return EventResult(name, probability, None, None)
+    fids = {kind: fidelity(ensemble, t) for kind, t in targets.items()}
+    return EventResult(name, probability, fids["psi+"], fids["psi-"], ensemble=ensemble,
+                       extras=extras(fids))
+
+
 # --------------------------------------------------------------------------
 # Bell-basis identities (ideal projectors)
 # --------------------------------------------------------------------------
 
 def _bell_project_events(state: FockKet, inner_modes: tuple[str, str],
-                         outer_modes: tuple[str, str]) -> list[EventResult]:
+                         outer_modes: tuple[str, str]) -> tuple[EventResult, ...]:
     targets = {k: bell_state(k, outer_modes) for k in BELL_KINDS}
     events = []
     for kind in BELL_KINDS:
-        proj = bell_state(kind, inner_modes)
-        cond = partial_project(state, proj)
+        cond = partial_project(state, bell_state(kind, inner_modes))
         p = cond.norm() ** 2
-        if p < 1e-300:
-            events.append(EventResult(kind, 0.0, None, None))
-            continue
-        ens = WeightedEnsemble.pure(cond)
-        fids = {k: fidelity(ens, t) for k, t in targets.items()}
-        sign = inner_product(targets[kind], ens.members[0][1]).real
-        events.append(EventResult(
-            kind, p, fids["psi+"], fids["psi-"], ensemble=ens,
-            extras={
-                "fidelity_matched": fids[kind],
-                "amplitude_sign": 1.0 if sign >= 0 else -1.0,
-                "fidelity_phi_plus": fids["phi+"],
-                "fidelity_phi_minus": fids["phi-"],
-            },
-        ))
-    return events
+        ens = WeightedEnsemble.pure(cond) if p >= 1e-300 else None
+        events.append(_event(kind, p if ens is not None else 0.0, ens, targets, lambda fids: {
+            "fidelity_matched": fids[kind],
+            "amplitude_sign":
+                1.0 if inner_product(targets[kind], ens.members[0][1]).real >= 0 else -1.0,
+            "fidelity_phi_plus": fids["phi+"],
+            "fidelity_phi_minus": fids["phi-"],
+        }))
+    return tuple(events)
 
 
 def bell_decomposition_check() -> ProtocolReport:
     """Project psi- x psi- on the inner pair; four equal Bell outcomes."""
-    state = reorder(
-        _tensor_bells("psi-", ("1", "2"), "psi-", ("3", "4")), ("1", "2", "3", "4")
-    )
-    events = _bell_project_events(state, ("2", "3"), ("1", "4"))
-    return ProtocolReport("bell-check", {}, tuple(events))
-
-
-def _tensor_bells(kind_a, modes_a, kind_b, modes_b) -> FockKet:
-    return tensor_product(bell_state(kind_a, modes_a), bell_state(kind_b, modes_b))
+    pairs = tensor_product(bell_state("psi-", ("1", "2")), bell_state("psi-", ("3", "4")))
+    events = _bell_project_events(reorder(pairs, ("1", "2", "3", "4")), ("2", "3"), ("1", "4"))
+    return ProtocolReport("bell-check", {}, events)
 
 
 def run_theta_swapping(theta: float) -> ProtocolReport:
@@ -166,7 +169,7 @@ def run_theta_swapping(theta: float) -> ProtocolReport:
     state = theta_product(theta)
     events = _bell_project_events(state, ("2", "3"), ("1", "4"))
     return ProtocolReport(
-        "theta", {"theta": theta}, tuple(events),
+        "theta", {"theta": theta}, events,
         notes=("outcome probabilities computed from the normalized state",),
     )
 
@@ -188,24 +191,40 @@ def _herald(pre: FockKet, mixed: tuple[str, str], eta: float) -> dict:
     return measure(post, [(m,) for m in mixed], eta)
 
 
-def _event_from_outcome(name: str, out: ConditionalOutcome,
-                        outer_modes: tuple[str, str]) -> EventResult:
-    if out.ensemble is None:
-        return EventResult(name, out.probability, None, None)
-    fp = fidelity(out.ensemble, bell_state("psi+", outer_modes))
-    fm = fidelity(out.ensemble, bell_state("psi-", outer_modes))
-    favored = "psi+" if fp >= fm else "psi-"
-    return EventResult(name, out.probability, fp, fm, ensemble=out.ensemble,
-                       extras={"favored": favored, "fidelity_favored": max(fp, fm)})
+class _Heralded(NamedTuple):
+    """A scheme that heralds with ``_herald``: the two beams it mixes, the
+    two outer beams that carry the swapped pair, and the names of its two
+    events, ``_HERALDS``: the detector on the first mixed beam clicks
+    alone, then the one on the second."""
+    mixed: tuple[str, str]
+    outer: tuple[str, str]
+    events: tuple[str, str]
 
 
-def _heralded_events(pre: FockKet, mixed: tuple[str, str], eta: float,
-                     names: tuple[str, str], outer_modes: tuple[str, str]):
-    """The two single-click events of ``_herald``: the detector on the first
-    mixed beam clicks alone, then the one on the second."""
-    outcomes = _herald(pre, mixed, eta)
-    return (_event_from_outcome(names[0], outcomes[(CLICK, SILENT)], outer_modes),
-            _event_from_outcome(names[1], outcomes[(SILENT, CLICK)], outer_modes))
+_SCHEME_A = _Heralded(("1", "2"), ("3", "4"), ("event1", "event2"))
+_SCHEME_B = _Heralded(("2", "3"), ("1", "4"), ("d2_click", "d3_click"))
+_HERALDS = ((CLICK, SILENT), (SILENT, CLICK))
+
+
+def _favored(fids: dict) -> dict:
+    fp, fm = fids["psi+"], fids["psi-"]
+    return {"favored": "psi+" if fp >= fm else "psi-", "fidelity_favored": max(fp, fm)}
+
+
+def _heralded_events(pre: FockKet, scheme: _Heralded, eta: float) -> tuple[EventResult, ...]:
+    """The two heralded events of ``scheme``, each with its fidelity to
+    psi+ and psi- on the outer beams and the one it favors."""
+    outcomes = _herald(pre, scheme.mixed, eta)
+    targets = {k: bell_state(k, scheme.outer) for k in ("psi+", "psi-")}
+    return tuple(
+        _event(name, outcomes[out].probability, outcomes[out].ensemble, targets, _favored)
+        for name, out in zip(scheme.events, _HERALDS))
+
+
+def _click_distribution(pre: FockKet, scheme: _Heralded, eta: float) -> dict:
+    """Every outcome of ``scheme``'s two detectors (keys "click,silent" etc.)."""
+    outcomes = _herald(pre, scheme.mixed, eta)
+    return _joint_json({out: o.probability for out, o in outcomes.items()})
 
 
 def run_scheme_a(tau: complex, eta: float, order: int = 1) -> ProtocolReport:
@@ -214,8 +233,7 @@ def run_scheme_a(tau: complex, eta: float, order: int = 1) -> ProtocolReport:
     The event-to-Bell-state mapping is computed from the state, not assumed;
     the favored target of each event is reported in its extras.
     """
-    events = _heralded_events(scheme_a_state(tau, order), ("1", "2"), eta,
-                              ("event1", "event2"), ("3", "4"))
+    events = _heralded_events(scheme_a_state(tau, order), _SCHEME_A, eta)
     # the weight _summarize_ensemble leaves out, one subtotal per event
     dropped = 0.0
     for ev in events:
@@ -240,7 +258,7 @@ def _num(x):
 def _phase_references() -> list[FockKet]:
     """The ideal psi+ and psi- on beams 3, 4 that the phase verification's
     coincidences are compared with, in the order their tables come."""
-    return [bell_state(kind, ("3", "4"), cutoff=2) for kind in ("psi+", "psi-")]
+    return [bell_state(kind, _SCHEME_A.outer, cutoff=2) for kind in ("psi+", "psi-")]
 
 
 def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dict]:
@@ -263,7 +281,7 @@ def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dic
             if id(ket) not in slot:
                 slot[id(ket)] = len(kets)
                 kets.append(ket)
-    probs = outcome_probabilities(kets, balanced_bs(), [("3",), ("4",)], eta)
+    probs = outcome_probabilities(kets, balanced_bs(), [(m,) for m in _SCHEME_A.outer], eta)
     tables = []
     for members in mixtures:
         joint = dict.fromkeys(probs[0], 0.0)
@@ -300,8 +318,7 @@ def run_phase_verification(tau: complex, eta: float, order: int = 1) -> Protocol
     Reports both the full-scheme conditionals (after events 1/2, including
     the pair-emission contamination) and the ideal psi+/psi- reference.
     """
-    events = _heralded_events(scheme_a_state(tau, order), ("1", "2"), eta,
-                              ("event1", "event2"), ("3", "4"))
+    events = _heralded_events(scheme_a_state(tau, order), _SCHEME_A, eta)
 
     heralded = [ev for ev in events if ev.ensemble is not None]
     *joints, ideal_plus, ideal_minus = _phase_tables([ev.ensemble for ev in heralded], eta)
@@ -355,8 +372,10 @@ def scheme_b_state(epsilon: float, order: int = 1, variant: str = "ubs",
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if variant not in ("ubs", "pbs"):
         raise ValueError(f"unknown variant {variant!r}")
-    amps = _pair_terms(order, pair_amplitude)
     cutoff = max(2, order)
+    if cutoff > MAX_FACTORIAL_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} exceeds factorial table limit")
+    amps = _pair_terms(order, pair_amplitude)
     if variant == "ubs":
         reg = ModeRegister(("1", "2", "3", "4"), cutoff)
         src = FockKet(reg, {(n, 0, 0, n): a for n, a in amps.items()}).normalized()
@@ -378,7 +397,7 @@ def run_scheme_b(epsilon: float, eta: float, order: int = 1, variant: str = "ubs
                  pair_amplitude: float = 0.0) -> ProtocolReport:
     """Single-pass scheme: D2/D3 threshold detection after mixing beams 2, 3."""
     events = _heralded_events(scheme_b_state(epsilon, order, variant, pair_amplitude),
-                              ("2", "3"), eta, ("d2_click", "d3_click"), ("1", "4"))
+                              _SCHEME_B, eta)
     return ProtocolReport(
         "scheme-b",
         {"epsilon": epsilon, "eta": eta, "order": order, "variant": variant},
@@ -414,13 +433,6 @@ def _empty_beam_weight(ens: WeightedEnsemble, beams: Sequence[tuple[str, ...]]) 
     return total
 
 
-def _impossible_report(scheme: str, params: dict, name: str,
-                       out: ConditionalOutcome) -> ProtocolReport:
-    """A post-selection report whose one conditioning event left no ensemble."""
-    return ProtocolReport(scheme, params, (EventResult(name, out.probability, None, None),),
-                          notes=("conditioning impossible at this eta",))
-
-
 def analyze_polarization_postselection(eta: float, include_double_pairs: bool = True,
                                        double_pair_weight: float = 1.0) -> ProtocolReport:
     """Polarization-space swapping with the double-pass source.
@@ -439,44 +451,34 @@ def analyze_polarization_postselection(eta: float, include_double_pairs: bool = 
         "include_double_pairs": include_double_pairs,
         "double_pair_weight": double_pair_weight,
     }
-    if out.ensemble is None:
-        return _impossible_report("postselect-pol", params, "d2_and_d3", out)
-    ens = out.ensemble
-    fids = {k: fidelity(ens, _pol_bell(k)) for k in BELL_KINDS}
-    best = max(fids, key=fids.get)
-    empty = _empty_beam_weight(ens, [("1H", "1V"), ("4H", "4V")])
-    ev = EventResult(
-        "d2_and_d3", out.probability, fids["psi+"], fids["psi-"], ensemble=ens,
-        extras={
+
+    def extras(fids):
+        best = max(fids, key=fids.get)
+        return {
             "fidelity_phi_plus": fids["phi+"],
             "fidelity_phi_minus": fids["phi-"],
             "swapped_target": best,
             "fidelity_swapped_target": fids[best],
-            "empty_beam_weight": empty,
-        },
-    )
-    return ProtocolReport("postselect-pol", params, (ev,))
+            "empty_beam_weight": _empty_beam_weight(out.ensemble, [("1H", "1V"), ("4H", "4V")]),
+        }
+
+    targets = {k: _pol_bell(k) for k in BELL_KINDS}
+    ev = _event("d2_and_d3", out.probability, out.ensemble, targets, extras)
+    notes = ("conditioning impossible at this eta",) if ev.impossible else ()
+    return ProtocolReport("postselect-pol", params, (ev,), notes=notes)
 
 
 def analyze_vacuum_one_photon(eta: float) -> ProtocolReport:
     """Vacuum/one-photon swapping conditioned on a single threshold click at 2'."""
     st = vacuum_one_photon_postbs()
     out = measure(st, [("2'",)], eta)[(CLICK,)]
-    params = {"eta": eta}
-    if out.ensemble is None:
-        return _impossible_report("postselect-vac", params, "d2prime_click", out)
-    ens = out.ensemble
-    reg = ens.register  # ("3'", "1", "4")
-    r = 1.0 / math.sqrt(2.0)
-    psi_p = FockKet(reg, {(0, 0, 1): r, (0, 1, 0): r})
-    psi_m = FockKet(reg, {(0, 0, 1): r, (0, 1, 0): -r})
-    vac_weight = _empty_beam_weight(ens, [("1", "4")])
-    ev = EventResult(
-        "d2prime_click", out.probability,
-        fidelity(ens, psi_p), fidelity(ens, psi_m), ensemble=ens,
-        extras={"vacuum_weight": vac_weight},
-    )
-    return ProtocolReport("postselect-vac", params, (ev,))
+    # the heralded register is (3', 1, 4): 3' empty, the psi pair on 1, 4
+    empty = vacuum(ModeRegister(("3'",), 1))
+    targets = {k: tensor_product(empty, bell_state(k, ("1", "4"))) for k in ("psi+", "psi-")}
+    ev = _event("d2prime_click", out.probability, out.ensemble, targets,
+                lambda fids: {"vacuum_weight": _empty_beam_weight(out.ensemble, [("1", "4")])})
+    notes = ("conditioning impossible at this eta",) if ev.impossible else ()
+    return ProtocolReport("postselect-vac", {"eta": eta}, (ev,), notes=notes)
 
 
 # --------------------------------------------------------------------------
@@ -485,16 +487,14 @@ def analyze_vacuum_one_photon(eta: float) -> ProtocolReport:
 
 def scheme_a_click_distribution(tau: complex, eta: float, order: int = 1) -> dict:
     """Joint D1/D2 outcome distribution for scheme A (keys "click,silent" etc.)."""
-    outcomes = _herald(scheme_a_state(tau, order), ("1", "2"), eta)
-    return _joint_json({out: o.probability for out, o in outcomes.items()})
+    return _click_distribution(scheme_a_state(tau, order), _SCHEME_A, eta)
 
 
 def scheme_b_click_distribution(epsilon: float, eta: float, order: int = 1,
                                 variant: str = "ubs", pair_amplitude: float = 0.0) -> dict:
     """Joint D2/D3 outcome distribution for scheme B."""
-    pre = scheme_b_state(epsilon, order, variant, pair_amplitude)
-    outcomes = _herald(pre, ("2", "3"), eta)
-    return _joint_json({out: o.probability for out, o in outcomes.items()})
+    return _click_distribution(scheme_b_state(epsilon, order, variant, pair_amplitude),
+                               _SCHEME_B, eta)
 
 
 def sample_run(distribution: Mapping, shots: int, seed: int) -> dict:

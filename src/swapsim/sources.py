@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 
+from .elements import MAX_FACTORIAL_CUTOFF
 from .fock import FockKet, ModeRegister, tensor_product
 
 
@@ -24,6 +25,8 @@ def spdc_pair(tau: complex, order: int, modes: tuple[str, str]) -> FockKet:
         raise ValueError(f"|tau| must be < 1, got {abs(tau)}")
     if order < 1:
         raise ValueError("truncation order must be >= 1")
+    if order > MAX_FACTORIAL_CUTOFF:
+        raise ValueError(f"cutoff {order} exceeds factorial table limit")
     reg = ModeRegister(tuple(modes), order)
     terms = {(n, n): tau**n for n in range(order + 1)}
     return FockKet(reg, terms).normalized()

@@ -83,13 +83,16 @@ NO_SHOTS_ARGV = {
 
 
 def assert_usage_error(argv, flag, capsys):
-    """argv exits 2 in the argument checks: nothing on stdout, ``flag`` named."""
+    """argv exits 2 in the argument checks: nothing on stdout, ``flag`` named
+    after the usage line of the subcommand that was run."""
     out = io.StringIO()
     with pytest.raises(SystemExit) as exc:
         cli.run(argv, out=out)
     assert exc.value.code == 2
     assert out.getvalue() == ""
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: swapsim {argv[0]} ")
+    assert flag in err
 
 
 def test_verify_unsupported(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from swapsim import protocols
 from swapsim.detection import CLICK, ThresholdDetector, measure
-from swapsim.elements import apply_mode_unitary, balanced_bs
+from swapsim.elements import MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs
 from swapsim.fock import bell_state
 from swapsim.protocols import (
     analyze_polarization_postselection,
@@ -281,6 +281,9 @@ def test_scheme_b_rejects_bad_params():
             run_scheme_b(0.1, 1.0, order=order, pair_amplitude=amp)
     with pytest.raises(ValueError, match="overflows"):
         analyze_polarization_postselection(1.0, True, 1e154)
+    for variant in ("ubs", "pbs"):
+        with pytest.raises(ValueError, match="exceeds factorial table limit"):
+            scheme_b_state(0.3, MAX_FACTORIAL_CUTOFF + 1, variant, 1.0)
 
 
 def test_scheme_b_higher_order_emission():
@@ -293,15 +296,22 @@ def test_scheme_b_higher_order_emission():
         base.event("d2_click").extras["fidelity_favored"]
 
 
-def test_scheme_b_click_distribution_uses_pair_amplitude():
-    report = run_scheme_b(0.3, 0.8, order=2, pair_amplitude=0.5)
-    dist = scheme_b_click_distribution(0.3, 0.8, order=2, pair_amplitude=0.5)
-    assert dist["click,silent"] == pytest.approx(
-        report.event("d2_click").probability, abs=1e-12)
-    assert dist["silent,click"] == pytest.approx(
-        report.event("d3_click").probability, abs=1e-12)
-    single = scheme_b_click_distribution(0.3, 0.8, order=2, pair_amplitude=0.0)
-    assert abs(dist["click,silent"] - single["click,silent"]) > 1e-3
+@pytest.mark.parametrize("run, distribution, args, other", [
+    (run_scheme_a, scheme_a_click_distribution, (0.3, 0.8, 2), (0.3, 0.8, 1)),
+    (run_scheme_b, scheme_b_click_distribution, (0.3, 0.8, 2, "ubs", 0.5),
+     (0.3, 0.8, 2, "ubs", 0.0)),
+    (run_scheme_b, scheme_b_click_distribution, (0.3, 0.8, 2, "pbs", 0.5),
+     (0.3, 0.8, 2, "pbs", 0.0)),
+], ids=["scheme-a", "scheme-b-ubs", "scheme-b-pbs"])
+def test_click_distribution_is_the_reported_one(run, distribution, args, other):
+    """--shots samples the distribution whose single-click entries are the
+    report's two event probabilities, exactly, and it follows the order
+    (scheme A) or the pair amplitude (scheme B) as the report does."""
+    first, second = run(*args).events
+    dist = distribution(*args)
+    assert dist["click,silent"] == first.probability
+    assert dist["silent,click"] == second.probability
+    assert abs(dist["click,silent"] - distribution(*other)["click,silent"]) > 1e-3
 
 
 # --------------------------------------------------------------------------

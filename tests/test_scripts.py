@@ -1,0 +1,52 @@
+"""The experiment scripts under scripts/, run in-process through their main."""
+import importlib.util
+import pathlib
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, argv, flag", [
+    ("contamination_report", ["--steps", "0"], "--steps"),
+    ("contamination_report", ["--steps", "-3"], "--steps"),
+    ("fidelity_vs_pump", ["--steps", "0"], "--steps"),
+    ("fidelity_vs_pump", ["--tau2-min", "0"], "--tau2-min"),
+    ("fidelity_vs_pump", ["--tau2-min", "-0.001"], "--tau2-min"),
+    ("fidelity_vs_pump", ["--tau2-max", "1"], "--tau2-max"),
+    ("fidelity_vs_pump", ["--tau2-max", "nan"], "--tau2-max"),
+])
+def test_bad_arguments_exit_2(name, argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load(name).main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} must be" in captured.err
+
+
+def test_contamination_report_one_step_is_eta_0_1(capsys):
+    assert load("contamination_report").main(["--steps", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines if line.strip().startswith("0.")]
+    # one row in each of the two tables
+    assert [row[0] for row in rows] == ["0.10", "0.10"]
+
+
+def test_fidelity_vs_pump_one_step_is_tau2_min(capsys):
+    argv = ["--steps", "1", "--tau2-min", "0.01", "--etas", "1", "0.5"]
+    assert load("fidelity_vs_pump").main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("tau2,eta,event,")
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(row[0], row[1], row[2]) for row in rows] == [
+        ("0.01", "1", "event1"), ("0.01", "1", "event2"),
+        ("0.01", "0.5", "event1"), ("0.01", "0.5", "event2"),
+    ]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from swapsim.elements import MAX_FACTORIAL_CUTOFF
 from swapsim.sources import (
     double_pass_source,
     polarization_double_pass,
@@ -42,6 +43,8 @@ def test_spdc_params_rejected():
         spdc_pair(1.5, 1, ("1", "4"))
     with pytest.raises(ValueError, match="truncation order must be >= 1"):
         double_pass_source(0.1, order=0)
+    with pytest.raises(ValueError, match="exceeds factorial table limit"):
+        spdc_pair(0.5, MAX_FACTORIAL_CUTOFF + 1, ("1", "4"))
 
 
 def test_double_pass_source():
