@@ -29,6 +29,9 @@ def main(argv=None):
     for flag, tau2 in (("--tau2-min", args.tau2_min), ("--tau2-max", args.tau2_max)):
         if not 0.0 < tau2 < 1.0:
             ap.error(f"{flag} must be in (0, 1), got {tau2}")
+    for eta in args.etas:
+        if not 0.0 <= eta <= 1.0:
+            ap.error(f"--etas must be in [0, 1], got {eta}")
 
     # the log grid of the CLI's --spacing log
     la, lb, k = math.log(args.tau2_min), math.log(args.tau2_max), args.steps

@@ -29,34 +29,34 @@ sums the rest through the same term loop as ``measure``.
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
 ``coincidence_table`` groups the ket, weighs every group under every
 outcome and builds the branches, and ``measure_pattern`` turns one
-outcome's probability and weighted branches into its ensemble.  Callers use
-``measure``.
+outcome's probability and weighted branches into its ``ConditionalOutcome``,
+which builds the ensemble from them only when it is first read.  Callers
+use ``measure``.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import fock
 from .elements import ModeUnitary, _scatter
-from .fock import FockKet, ModeRegister, WeightedEnsemble, _tuple_getter
+from .fock import FockKet, ModeRegister, WeightedEnsemble, _Record, _tuple_getter
 
 CLICK = "click"
 SILENT = "silent"
 
 
-@dataclass(frozen=True)
-class ThresholdDetector:
+class ThresholdDetector(_Record):
     """Binary photon detector with per-photon efficiency ``eta``: the one
     place ``eta`` is checked, for every function that takes it."""
 
-    eta: float
+    __slots__ = _fields = ("eta",)
 
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
+    def __init__(self, eta: float):
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must be in [0, 1], got {eta}")
+        object.__setattr__(self, "eta", eta)
 
     def p_silent(self, n: int) -> float:
         return (1.0 - self.eta) ** n
@@ -65,12 +65,37 @@ class ThresholdDetector:
         return 1.0 - (1.0 - self.eta) ** n
 
 
-@dataclass(frozen=True)
-class ConditionalOutcome:
-    """Outcome probability plus the conditional ensemble on unmeasured modes."""
+class ConditionalOutcome(_Record):
+    """Outcome probability plus the conditional ensemble on unmeasured modes.
 
-    probability: float
-    ensemble: WeightedEnsemble | None
+    ``measure`` gives each outcome its weighted branches, and the ensemble
+    is built from them (``WeightedEnsemble.from_branches``) the first time
+    ``.ensemble`` is read: most callers read one outcome's ensemble, or
+    none."""
+
+    _fields = ("probability", "ensemble")
+    __slots__ = ("probability", "_ensemble", "_branches")
+
+    def __init__(self, probability: float, ensemble: WeightedEnsemble | None):
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "_ensemble", ensemble)
+        object.__setattr__(self, "_branches", None)
+
+    @classmethod
+    def _lazy(cls, probability: float,
+              branches: list[tuple[float, FockKet]]) -> "ConditionalOutcome":
+        """An outcome whose ensemble is built from ``branches`` on first read
+        (None when there are none)."""
+        self = cls(probability, None)
+        object.__setattr__(self, "_branches", branches or None)
+        return self
+
+    @property
+    def ensemble(self) -> WeightedEnsemble | None:
+        if self._branches is not None:
+            object.__setattr__(self, "_ensemble", WeightedEnsemble.from_branches(self._branches))
+            object.__setattr__(self, "_branches", None)
+        return self._ensemble
 
     @property
     def impossible(self) -> bool:
@@ -235,11 +260,11 @@ def coincidence_table(
 
 def measure_pattern(total: float, branches: list[tuple[float, FockKet]]) -> ConditionalOutcome:
     """Second phase of ``measure``: one outcome's ``ConditionalOutcome`` from
-    its probability and weighted branches in ``coincidence_table``."""
+    its probability and weighted branches in ``coincidence_table``; the
+    ensemble is built from the branches when it is first read."""
     if total <= 0.0:
         return ConditionalOutcome(0.0, None)
-    ensemble = WeightedEnsemble.from_branches(branches) if branches else None
-    return ConditionalOutcome(total, ensemble)
+    return ConditionalOutcome._lazy(total, branches)
 
 
 def measure(

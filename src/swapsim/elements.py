@@ -33,31 +33,29 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from .fock import FockKet, _tuple_getter
+from .fock import FockKet, _Record, _tuple_getter
 
 MAX_FACTORIAL_CUTOFF = 20
 
 
-@dataclass(frozen=True)
-class ModeUnitary:
+class ModeUnitary(_Record):
     """Complex unitary on ``size`` modes (every built-in element has size 2).
 
     ``entries`` accepts any square 2-D array-like of numbers (nested
     sequences or a numpy array) and is stored as a tuple of rows of
-    ``complex``.
+    ``complex``.  Only ``entries`` takes part in ``repr``, ``==`` and
+    ``hash``: the transfer table and the array are caches.
     """
 
-    entries: tuple
-    # acted occupation -> (sqrt(prod n!), ((powers, c, sqrt(prod p!)), ...), max output)
-    _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _array: object = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("entries",)
+    # _table: acted occupation -> (sqrt(prod n!), ((powers, c, sqrt(prod p!)), ...), max output)
+    __slots__ = ("entries", "_table", "_array")
 
-    def __post_init__(self):
+    def __init__(self, entries):
         try:
-            rows = tuple(tuple(complex(x) for x in row) for row in self.entries)
+            rows = tuple(tuple(complex(x) for x in row) for row in entries)
         except (TypeError, ValueError):
             raise ValueError("mode unitary must be a square matrix of numbers") from None
         n = len(rows)
@@ -70,6 +68,8 @@ class ModeUnitary:
                 if not dev <= 1e-12:  # a NaN anywhere makes some dev NaN
                     raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_table", {})
+        object.__setattr__(self, "_array", None)
 
     @property
     def matrix(self):

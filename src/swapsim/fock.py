@@ -6,6 +6,17 @@ construction; the tolerance can be overridden (or disabled) with the
 ``pruning`` context manager.  All values are immutable after construction
 and every operation is a pure function.
 
+The package's value records (``ModeRegister`` and ``WeightedEnsemble``
+here, and the unitaries, detectors, outcomes, reports and dense states of
+the other modules) derive from ``_Record``, a slotted base written out by
+hand, so that importing the package loads no record-generating module of
+the standard library (which would bring ``inspect``, ``ast`` and ``dis``).
+A record names its fields in ``_fields`` and its storage in ``__slots__``;
+its ``__init__`` runs the checks and sets each slot with one
+``object.__setattr__`` call.  The fields give its ``repr``, ``==`` and
+``hash``, and ``copy`` and ``pickle`` rebuild it through ``__init__``;
+assigning or deleting any attribute raises ``AttributeError``.
+
 A ket is built by one of two constructors.  The public ``FockKet(register,
 terms)`` takes outside input: it converts every occupation to an int tuple,
 checks its length and cutoff, merges duplicate keys and rejects NaN or
@@ -24,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -63,21 +73,54 @@ class pruning:
         return False
 
 
-@dataclass(frozen=True)
-class ModeRegister:
+class _Record:
+    """Immutable value record with ``repr``, ``==`` and ``hash`` over
+    ``_fields``, in the format and semantics of a frozen standard-library
+    record."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):  # every __init__ takes the fields in order
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ModeRegister(_Record):
     """Ordered, named optical modes with a shared per-mode photon cutoff."""
 
-    labels: tuple[str, ...]
-    cutoff: int
+    __slots__ = _fields = ("labels", "cutoff")
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        if len(self.labels) == 0:
+    def __init__(self, labels: Iterable[str], cutoff: int):
+        labels = tuple(str(l) for l in labels)
+        if len(labels) == 0:
             raise ValueError("register needs at least one mode")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate mode labels: {self.labels}")
-        if self.cutoff < 1:
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate mode labels: {labels}")
+        if cutoff < 1:
             raise ValueError("cutoff must be >= 1")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "cutoff", cutoff)
 
     @property
     def size(self) -> int:
@@ -220,25 +263,25 @@ def bell_state(kind: str, modes: tuple[str, str], cutoff: int = 1) -> FockKet:
     return FockKet(reg, {(0, 1): r, (1, 0): s * r})
 
 
-@dataclass(frozen=True)
-class WeightedEnsemble:
+class WeightedEnsemble(_Record):
     """Probabilistic mixture of normalized pure kets on one register."""
 
-    register: ModeRegister
-    members: tuple[tuple[float, FockKet], ...]
+    __slots__ = _fields = ("register", "members")
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, register: ModeRegister, members: tuple[tuple[float, FockKet], ...]):
+        if not members:
             raise ValueError("ensemble needs at least one member")
         total = 0.0
-        for w, state in self.members:
+        for w, state in members:
             if w <= 0.0:
                 raise ValueError(f"non-positive ensemble weight {w}")
-            if state.register.labels != self.register.labels:
+            if state.register.labels != register.labels:
                 raise ValueError("ensemble member register mismatch")
             total += w
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"ensemble weights sum to {total}, not 1")
+        object.__setattr__(self, "register", register)
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def from_branches(cls, branches: Iterable[tuple[float, FockKet]]) -> "WeightedEnsemble":

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, logm
@@ -25,24 +24,23 @@ from scipy.linalg import expm, logm
 from . import protocols
 from .detection import CLICK, SILENT, ConditionalOutcome, ThresholdDetector
 from .elements import ModeUnitary, balanced_bs
-from .fock import FockKet, ModeRegister, WeightedEnsemble, bell_state, fidelity
+from .fock import FockKet, ModeRegister, WeightedEnsemble, _Record, bell_state, fidelity
 
 MAX_MODES = 8
 MAX_ELEMENTS = 5_000_000
 
 
-@dataclass(frozen=True)
-class DenseState:
+class DenseState(_Record):
     """Full amplitude array over all (cutoff+1)^m occupation tuples."""
 
-    register: ModeRegister
-    amplitudes: np.ndarray
+    __slots__ = _fields = ("register", "amplitudes")
 
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
-        d = self.register.cutoff + 1
-        if a.shape != (d,) * self.register.size:
+    def __init__(self, register: ModeRegister, amplitudes: np.ndarray):
+        a = np.asarray(amplitudes, dtype=complex)
+        d = register.cutoff + 1
+        if a.shape != (d,) * register.size:
             raise ValueError(f"amplitude shape {a.shape} does not match register")
+        object.__setattr__(self, "register", register)
         object.__setattr__(self, "amplitudes", a)
 
 

@@ -24,7 +24,6 @@ pruning left none of its branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .detection import CLICK, SILENT, measure, outcome_probabilities
@@ -35,6 +34,7 @@ from .fock import (
     FockKet,
     ModeRegister,
     WeightedEnsemble,
+    _Record,
     bell_state,
     fidelity,
     format_ket,
@@ -55,28 +55,38 @@ from .sources import (
 BRANCH_REPORT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EventResult:
-    name: str
-    probability: float
-    fidelity_psi_plus: float | None
-    fidelity_psi_minus: float | None
-    ensemble: WeightedEnsemble | None = None
-    extras: dict = field(default_factory=dict)
+class EventResult(_Record):
+    __slots__ = _fields = ("name", "probability", "fidelity_psi_plus", "fidelity_psi_minus",
+                           "ensemble", "extras")
+
+    def __init__(self, name: str, probability: float, fidelity_psi_plus: float | None,
+                 fidelity_psi_minus: float | None, ensemble: WeightedEnsemble | None = None,
+                 extras: dict | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "fidelity_psi_plus", fidelity_psi_plus)
+        object.__setattr__(self, "fidelity_psi_minus", fidelity_psi_minus)
+        object.__setattr__(self, "ensemble", ensemble)
+        object.__setattr__(self, "extras", {} if extras is None else extras)
 
     @property
     def impossible(self) -> bool:
         return self.ensemble is None
 
 
-@dataclass(frozen=True)
-class ProtocolReport:
-    scheme: str
-    params: dict
-    events: tuple[EventResult, ...]
-    coincidences: dict | None = None
-    dropped_mass: float = 0.0
-    notes: tuple[str, ...] = ()
+class ProtocolReport(_Record):
+    __slots__ = _fields = ("scheme", "params", "events", "coincidences", "dropped_mass",
+                           "notes")
+
+    def __init__(self, scheme: str, params: dict, events: tuple[EventResult, ...],
+                 coincidences: dict | None = None, dropped_mass: float = 0.0,
+                 notes: tuple[str, ...] = ()):
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "coincidences", coincidences)
+        object.__setattr__(self, "dropped_mass", dropped_mass)
+        object.__setattr__(self, "notes", notes)
 
     def event(self, name: str) -> EventResult:
         for ev in self.events:

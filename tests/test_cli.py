@@ -264,8 +264,9 @@ def test_all_schemes_run():
         json.loads(text)
 
 
-def test_import_cli_leaves_scipy_unloaded():
-    # numpy is loaded only by --shots and --verify, scipy only by --verify
+def test_import_cli_leaves_scipy_and_dataclasses_unloaded():
+    # numpy is loaded only by --shots and --verify, scipy only by --verify;
+    # the engine's records import no dataclasses (nor, through it, inspect)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = textwrap.dedent("""\
         import io, sys
@@ -275,7 +276,7 @@ def test_import_cli_leaves_scipy_unloaded():
                      ["scheme-a", "--tau2", "1e-3", "--format", "json"],
                      ["verify-phase", "--tau2", "1e-3", "--format", "csv"]):
             assert cli.run(argv, out=io.StringIO()) == 0
-        print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+        print(sorted(m for m in ("numpy", "scipy", "dataclasses") if m in sys.modules))
         assert cli.run(["scheme-a", "--tau2", "1e-3", "--shots", "10"], out=io.StringIO()) == 0
         print("numpy" in sys.modules, "scipy" in sys.modules)
         """)

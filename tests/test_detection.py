@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from swapsim.detection import CLICK, SILENT, ThresholdDetector, measure, outcome_probabilities
+from swapsim.detection import (CLICK, SILENT, ThresholdDetector, coincidence_table, measure,
+                               outcome_probabilities)
 from swapsim.elements import (
     apply_mode_unitary,
     balanced_bs,
@@ -327,3 +329,26 @@ def test_outcome_probabilities_rejects_unitary_size_and_cutoff():
     big = FockKet(ModeRegister(("1", "2"), 21), {(1, 0): 1.0})
     with pytest.raises(ValueError, match="cutoff 21 exceeds factorial table limit"):
         outcome_probabilities([big], balanced_bs(), [("1",), ("2",)], 0.5)
+
+
+def test_measure_builds_each_ensemble_on_first_read():
+    state = FockKet(ModeRegister(("1", "2", "3"), 1), {(1, 0, 1): 0.6, (0, 1, 0): 0.8})
+    built = []
+    from_branches = WeightedEnsemble.from_branches.__func__
+
+    def record(cls, branches):
+        built.append(branches)
+        return from_branches(cls, branches)
+
+    with mock.patch.object(WeightedEnsemble, "from_branches", classmethod(record)):
+        outcomes = measure(state, [["1"], ["2"]], 0.5)
+        assert built == []
+        out = outcomes[(CLICK, SILENT)]
+        ens = out.ensemble
+        assert out.ensemble is ens and len(built) == 1
+    ref = WeightedEnsemble.from_branches(
+        coincidence_table(state, [["1"], ["2"]], 0.5)[(CLICK, SILENT)][1])
+    assert [(w.hex(), ket_bits(k)) for w, k in ens.members] == \
+        [(w.hex(), ket_bits(k)) for w, k in ref.members]
+    assert outcomes[(SILENT, SILENT)].ensemble is not None
+    assert outcomes[(CLICK, CLICK)].ensemble is None

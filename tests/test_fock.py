@@ -1,11 +1,14 @@
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from swapsim.detection import ConditionalOutcome, ThresholdDetector
 from swapsim.elements import ModeUnitary, apply_mode_unitary, balanced_bs
 from swapsim.fock import (
     BELL_KINDS,
@@ -23,6 +26,8 @@ from swapsim.fock import (
     tensor_product,
     vacuum,
 )
+from swapsim.oracle import DenseState
+from swapsim.protocols import EventResult, ProtocolReport
 
 from conftest import ket_bits, random_kets, recording_trusted
 
@@ -313,3 +318,72 @@ def test_trusted_sites_match_public_constructor(site, ket, tol, data):
     assert calls, "the call site built no ket through FockKet._trusted"
     for out, ref in calls:
         assert ket_bits(out) == ket_bits(ref)
+
+
+# The value records of every module: built twice from the same field values
+# (shared kets and arrays, which compare by identity), a field to assign,
+# the repr text and whether the record hashes.
+_KET = FockKet(ModeRegister(("1",), 1), {(1,): 1.0})
+_KET_REPR = "ModeRegister(labels=('1',), cutoff=1), members=((1.0, FockKet(+1|1>)),)"
+_AMPS = np.array([0j, 1 + 0j])
+
+
+def _ensemble():
+    return WeightedEnsemble(_KET.register, ((1.0, _KET),))
+
+
+RECORDS = {
+    "ModeRegister": (lambda: ModeRegister(("1", "2"), 1), "cutoff",
+                     "ModeRegister(labels=('1', '2'), cutoff=1)", True),
+    "ModeUnitary": (lambda: ModeUnitary([[1, 0], [0, 1]]), "entries",
+                    "ModeUnitary(entries=(((1+0j), 0j), (0j, (1+0j))))", True),
+    "WeightedEnsemble": (_ensemble, "members", f"WeightedEnsemble(register={_KET_REPR})", True),
+    "ThresholdDetector": (lambda: ThresholdDetector(0.5), "eta",
+                          "ThresholdDetector(eta=0.5)", True),
+    "ConditionalOutcome": (lambda: ConditionalOutcome(0.5, _ensemble()), "probability",
+                           "ConditionalOutcome(probability=0.5, ensemble=WeightedEnsemble("
+                           f"register={_KET_REPR}))", True),
+    "EventResult": (lambda: EventResult("e", 0.5, 0.25, 0.75, ensemble=_ensemble(),
+                                        extras={"a": 1}), "extras",
+                    "EventResult(name='e', probability=0.5, fidelity_psi_plus=0.25, "
+                    "fidelity_psi_minus=0.75, ensemble=WeightedEnsemble("
+                    f"register={_KET_REPR}), extras={{'a': 1}})", False),
+    "ProtocolReport": (lambda: ProtocolReport("s", {}, ()), "notes",
+                       "ProtocolReport(scheme='s', params={}, events=(), coincidences=None, "
+                       "dropped_mass=0.0, notes=())", False),
+    "DenseState": (lambda: DenseState(_KET.register, _AMPS), "amplitudes",
+                   "DenseState(register=ModeRegister(labels=('1',), cutoff=1), "
+                   "amplitudes=array([0.+0.j, 1.+0.j]))", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable_values(name):
+    make, field, text, hashable = RECORDS[name]
+    a, b = make(), make()
+    assert a is not b and not hasattr(a, "__dict__")
+    before = getattr(a, field)
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.unknown = 1
+    assert getattr(a, field) is before
+    assert a == b and not a != b
+    assert a != object()
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    assert repr(a) == text
+    assert copy.copy(a) == a
+    assert repr(copy.deepcopy(a)) == repr(pickle.loads(pickle.dumps(a))) == text
+
+
+def test_warm_mode_unitary_equals_a_cold_one():
+    warm, cold = ModeUnitary(balanced_bs().entries), ModeUnitary(balanced_bs().entries)
+    warm.sector((1, 1))
+    warm.matrix
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)

@@ -22,6 +22,8 @@ def load(name):
     ("fidelity_vs_pump", ["--tau2-min", "-0.001"], "--tau2-min"),
     ("fidelity_vs_pump", ["--tau2-max", "1"], "--tau2-max"),
     ("fidelity_vs_pump", ["--tau2-max", "nan"], "--tau2-max"),
+    ("fidelity_vs_pump", ["--steps", "1", "--etas", "1.5"], "--etas"),
+    ("fidelity_vs_pump", ["--etas", "nan"], "--etas"),
 ])
 def test_bad_arguments_exit_2(name, argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
