@@ -111,24 +111,6 @@ def _group_by_measured(state: FockKet, measured_of, rest_of):
     return groups
 
 
-def _branch(rest_reg: ModeRegister, sub: dict, squares: list, w: float) -> FockKet | None:
-    """A group's normalized ket on the unmeasured modes; None if pruning
-    leaves no term of it.
-
-    The branch is normalized in one build, by 1/sqrt(w), when no amplitude of
-    its group would be pruned: then FockKet(rest_reg, sub).normalized() sums
-    the same squares and scales the same amplitudes.  Rounding is monotone,
-    so a square above tol**2 means a magnitude above tol.  A state built
-    under a lower tolerance than the current one takes the two-step path.
-    """
-    tol = fock._prune_tol
-    if min(squares) > tol * tol:
-        c = 1.0 / math.sqrt(w)
-        return FockKet._trusted(rest_reg, {o: c * a for o, a in sub.items()})
-    ket = FockKet(rest_reg, sub)
-    return ket.normalized() if ket.terms else None
-
-
 class _Povm:
     """The set-up of one ``measure`` or ``outcome_probabilities`` call, done
     once for all of its kets: the detector check, the outcome list, the
@@ -168,12 +150,14 @@ class _Povm:
         self.rows[key] = out_probs
         return out_probs
 
-    def term_sums(self, terms: dict, tol: float = -1.0) -> list[float]:
+    def term_sums(self, terms: dict) -> list[float]:
         """Each outcome's probability for a ket's terms with every mode
         measured: every term is its own group, of weight |amp|**2.  Terms
-        with |amp| <= tol are skipped; the default skips none."""
+        that building a ket from them would prune (|amp| <= PRUNE_TOL) are
+        skipped; a ket's own terms are all above it."""
         measured_of, rows, row = self.measured_of, self.rows, self.row
         sums = [0.0] * len(self.outcomes)
+        tol = fock.PRUNE_TOL
         for occ, amp in terms.items():
             a = abs(amp)
             if a <= tol:
@@ -214,7 +198,7 @@ def outcome_probabilities(
         if ket.register.labels != povm.labels:
             raise ValueError("kets of one batch must share their mode labels")
         terms, _ = _scatter(ket, u, whole)
-        tables.append(dict(zip(povm.outcomes, povm.term_sums(terms, fock._prune_tol))))
+        tables.append(dict(zip(povm.outcomes, povm.term_sums(terms))))
     return tables
 
 
@@ -225,7 +209,9 @@ def coincidence_table(
 ) -> dict[tuple[str, ...], tuple[float, list[tuple[float, FockKet]]]]:
     """First phase of ``measure``: group the ket once, weigh every group
     under every outcome and build each group's branch the first time an
-    outcome needs it.
+    outcome needs it, in one build: its amplitudes, all above
+    ``fock.PRUNE_TOL``, times 1/sqrt(w), which gives the bits of
+    ``FockKet(rest_reg, sub).normalized()``.
 
     Maps each outcome, in ``measure``'s order, to its probability and its
     ``(weight, branch)`` pairs in group order.  A group's weight under an
@@ -242,19 +228,16 @@ def coincidence_table(
     sums = [0.0] * len(povm.outcomes)
     rest_reg = ModeRegister(povm.rest_labels, state.register.cutoff)
     for key, sub in _group_by_measured(state, povm.measured_of, povm.rest_of).items():
-        squares = [abs(a) ** 2 for a in sub.values()]
-        w = sum(squares)
+        w = sum(abs(a) ** 2 for a in sub.values())
         ket = None
-        built = False
         for i, p_out in enumerate(rows.get(key) or row(key)):
             contrib = w * p_out
             if contrib > 0.0:
                 sums[i] += contrib
-                if not built:
-                    ket = _branch(rest_reg, sub, squares, w)
-                    built = True
-                if ket is not None:
-                    branches[i].append((contrib, ket))
+                if ket is None:
+                    c = 1.0 / math.sqrt(w)
+                    ket = FockKet._trusted(rest_reg, {o: c * a for o, a in sub.items()})
+                branches[i].append((contrib, ket))
     return dict(zip(povm.outcomes, zip(sums, branches)))
 
 
@@ -278,8 +261,9 @@ def measure(
     appear under at most one detector.  The result is keyed by outcome tuples
     in detector order, in ``itertools.product((CLICK, SILENT), ...)`` order,
     and its probabilities sum to 1.  An outcome is ``impossible`` when its
-    probability is 0.  Its ensemble is None then, when no mode is left
-    unmeasured, or when every branch it has was pruned away.
+    probability is 0.  Its ensemble is None then, or when no mode is left
+    unmeasured: a group's branch keeps at least its largest amplitude, so
+    pruning never empties one.
     """
     table = coincidence_table(state, detectors, eta)
     return {out: measure_pattern(total, branches)

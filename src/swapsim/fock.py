@@ -1,10 +1,10 @@
 """Sparse multimode Fock kets over a fixed register of named modes.
 
 A state is a sparse map from occupation tuples to complex amplitudes.
-Amplitudes with magnitude below the pruning tolerance are discarded at
-construction; the tolerance can be overridden (or disabled) with the
-``pruning`` context manager.  All values are immutable after construction
-and every operation is a pure function.
+Amplitudes of magnitude at most ``PRUNE_TOL`` are discarded at
+construction, by both constructors, so every ket holds only amplitudes
+above it.  All values are immutable after construction and every
+operation is a pure function.
 
 The package's value records (``ModeRegister`` and ``WeightedEnsemble``
 here, and the unitaries, detectors, outcomes, reports and dense states of
@@ -38,9 +38,7 @@ import math
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-DEFAULT_PRUNE_TOL = 1e-14
-
-_prune_tol = DEFAULT_PRUNE_TOL
+PRUNE_TOL = 1e-14
 
 
 def _tuple_getter(idx: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -53,24 +51,6 @@ def _tuple_getter(idx: Sequence[int]) -> Callable[[tuple], tuple]:
         i = idx[0]
         return lambda t: (t[i],)
     return lambda t: ()
-
-
-class pruning:
-    """Temporarily override the zero-pruning tolerance (0 disables pruning)."""
-
-    def __init__(self, tol: float):
-        self.tol = float(tol)
-
-    def __enter__(self):
-        global _prune_tol
-        self._saved = _prune_tol
-        _prune_tol = self.tol
-        return self
-
-    def __exit__(self, *exc):
-        global _prune_tol
-        _prune_tol = self._saved
-        return False
 
 
 class _Record:
@@ -142,7 +122,6 @@ class FockKet:
     __slots__ = ("register", "terms")
 
     def __init__(self, register: ModeRegister, terms: Mapping[tuple, complex]):
-        tol = _prune_tol
         clean: dict[tuple[int, ...], complex] = {}
         m = register.size
         for occ, amp in terms.items():
@@ -156,10 +135,8 @@ class FockKet:
             if not cmath.isfinite(amp):
                 raise ValueError(f"amplitude of {occ} must be finite, got {amp}")
             clean[occ] = clean.get(occ, 0.0) + amp
-        if tol > 0:
-            clean = {occ: a for occ, a in clean.items() if abs(a) > tol}
         self.register = register
-        self.terms = clean
+        self.terms = {occ: a for occ, a in clean.items() if abs(a) > PRUNE_TOL}
 
     @classmethod
     def _trusted(cls, register: ModeRegister,
@@ -167,14 +144,10 @@ class FockKet:
         """Build from engine-derived terms: distinct int-tuple keys of register
         length within the cutoff.  Only the amplitudes are touched, exactly as
         in ``__init__``: ``0.0 +`` turns -0.0 parts into +0.0, then pruning."""
-        tol = _prune_tol
         self = object.__new__(cls)
         self.register = register
-        if tol > 0:
-            self.terms = {occ: a for occ, amp in terms.items()
-                          if abs(a := 0.0 + complex(amp)) > tol}
-        else:
-            self.terms = {occ: 0.0 + complex(amp) for occ, amp in terms.items()}
+        self.terms = {occ: a for occ, amp in terms.items()
+                      if abs(a := 0.0 + complex(amp)) > PRUNE_TOL}
         return self
 
     def items(self) -> Iterator[tuple[tuple[int, ...], complex]]:

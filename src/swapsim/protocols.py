@@ -18,8 +18,8 @@ each table is then summed over its own members.
 
 No report checks ``eta`` itself: each one reaches ``detection.measure``,
 whose ``ThresholdDetector`` is the one check.  An event is ``impossible``
-when it has no conditional ensemble: its outcome has probability 0, or
-pruning left none of its branches.
+when it has no conditional ensemble, which is exactly when its outcome has
+probability 0.
 """
 from __future__ import annotations
 
@@ -511,11 +511,12 @@ def sample_run(distribution: Mapping, shots: int, seed: int) -> dict:
     """Multinomial click-count table from an exact pattern distribution.
 
     Deterministic for a fixed seed; keys keep the distribution's patterns.
+    numpy draws the counts as int64, so ``shots`` is at most 2**63 - 1.
     """
     import numpy as np  # only sampling needs numpy; the engine does not
 
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= 2**63 - 1:
+        raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
     keys = sorted(distribution)
     probs = np.array([distribution[k] for k in keys], dtype=float)
     if np.any(probs < -1e-12):

@@ -25,8 +25,7 @@ def random_kets(draw, max_modes=4, max_cutoff=3, normalized=True, n_modes=None):
 @contextlib.contextmanager
 def recording_trusted():
     """Record every FockKet._trusted call as (result, reference), where the
-    reference is the public constructor on the same terms under the same
-    pruning tolerance."""
+    reference is the public constructor on the same terms."""
     calls = []
     build = FockKet._trusted
 

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from swapsim import cli
+from swapsim import cli, fock
 from swapsim.fock import FockKet, fidelity
 from swapsim.oracle import (
     dense_from_fock,
@@ -167,13 +167,11 @@ def test_criterion_9_property_suite():
                   "byte-stable CLI output")
 
 
-def test_pruning_does_not_shift_results():
+def test_pruning_does_not_shift_results(monkeypatch):
     # disabling pruning must not move probabilities or fidelities by > 1e-10
-    from swapsim.fock import pruning
-
     rep = run_scheme_a(0.1, 0.8)
-    with pruning(0.0):
-        raw = run_scheme_a(0.1, 0.8)
+    monkeypatch.setattr(fock, "PRUNE_TOL", 0.0)
+    raw = run_scheme_a(0.1, 0.8)
     for ev, rv in zip(rep.events, raw.events):
         assert abs(ev.probability - rv.probability) <= 1e-10
         assert abs(ev.fidelity_psi_plus - rv.fidelity_psi_plus) <= 1e-10

@@ -55,6 +55,13 @@ def test_bad_param_exit_code():
     assert code == 2
 
 
+def test_shots_beyond_int64_exits_2(capsys):
+    # numpy draws the sample counts as int64
+    code, text = run_cli(["scheme-a", "--tau2", "1e-3", "--shots", str(2**63)])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("error: shots must be in [1, 2**63 - 1]")
+
+
 def test_verify_ok():
     code, text = run_cli(["scheme-b", "--epsilon", "0.1", "--verify"])
     assert code == 0
@@ -280,7 +287,9 @@ def test_import_cli_leaves_scipy_and_dataclasses_unloaded():
         assert cli.run(["scheme-a", "--tau2", "1e-3", "--shots", "10"], out=io.StringIO()) == 0
         print("numpy" in sys.modules, "scipy" in sys.modules)
         """)
-    done = subprocess.run([sys.executable, "-I", "-c", code, src],
+    # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps the child from
+    # writing bytecode into the source tree
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", code, src],
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines() == ["[]", "True False"]
 

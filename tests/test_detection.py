@@ -15,12 +15,10 @@ from swapsim.elements import (
     unbalanced_bs,
 )
 from swapsim.fock import (
-    DEFAULT_PRUNE_TOL,
     FockKet,
     ModeRegister,
     WeightedEnsemble,
     bell_state,
-    pruning,
 )
 
 from conftest import ket_bits, random_kets, recording_trusted
@@ -158,8 +156,7 @@ def test_multimode_detector_coverage():
 
 def _two_step_measure(state, detectors, eta):
     """Reference, outcome by outcome: each branch built by the public
-    constructor, then normalized by a second public build; a branch that
-    pruning empties is dropped and its weight kept in the probability."""
+    constructor, then normalized by a second public build."""
     det = ThresholdDetector(eta)
     reg = state.register
     measured = [reg.index(m) for modes in detectors for m in modes]
@@ -225,43 +222,15 @@ def _partial_detectors(draw, ket):
     return [tuple(d) for d in detectors]
 
 
-@given(ket=random_kets(normalized=False), eta=st.floats(0.05, 1.0),
-       tol=st.sampled_from([DEFAULT_PRUNE_TOL, 0.0, 0.3]), data=st.data())
+@given(ket=random_kets(normalized=False), eta=st.floats(0.05, 1.0), data=st.data())
 @settings(max_examples=80, deadline=None)
-def test_measure_outcomes_match_public_and_two_step(ket, eta, tol, data):
+def test_measure_outcomes_match_public_and_two_step(ket, eta, data):
     assume(ket.register.size >= 2)
     detectors = data.draw(_partial_detectors(ket))
-    with pruning(tol):
-        with recording_trusted() as calls:
-            _assert_matches_two_step(ket, detectors, eta)
-        for out, ref in calls:
-            assert ket_bits(out) == ket_bits(ref)
-
-
-def test_branch_with_below_tolerance_amplitude_keeps_two_step_result():
-    # built with pruning off, measured under the default tolerance: the
-    # 5e-15 term is dropped before normalizing, as the two-step path does
-    reg = ModeRegister(("1", "2"), 1)
-    with pruning(0.0):
-        state = FockKet(reg, {(0, 0): 1.0, (1, 0): 1e-7, (1, 1): 5e-15}).normalized()
-    _assert_matches_two_step(state, [("1",)], 1.0)
-    (_, branch), = measure(state, [("1",)], 1.0)[(CLICK,)].ensemble.members
-    assert branch.terms == {(0,): 1.0 + 0.0j}
-
-
-def test_fully_pruned_branch_is_dropped_and_its_probability_kept():
-    # built under the default tolerance, measured under a higher one that
-    # prunes every amplitude of the heralded group
-    reg = ModeRegister(("m0", "m1", "m2", "m3"), 1)
-    state = FockKet(reg, {(0, 1, 0, 0): 0.25})
-    with pruning(0.3):
-        outcomes = measure(state, [("m1",)], 1.0)
-        _assert_matches_two_step(state, [("m1",)], 1.0)
-    click = outcomes[(CLICK,)]
-    assert click.probability == 0.0625
-    assert click.ensemble is None
-    assert not click.impossible
-    assert outcomes[(SILENT,)].impossible
+    with recording_trusted() as calls:
+        _assert_matches_two_step(ket, detectors, eta)
+    for out, ref in calls:
+        assert ket_bits(out) == ket_bits(ref)
 
 
 def test_outcomes_sharing_a_group_share_its_branch_ket():
@@ -280,8 +249,6 @@ def test_outcomes_sharing_a_group_share_its_branch_ket():
 # The batch of transformed, fully measured kets against apply then measure
 # --------------------------------------------------------------------------
 
-TOLERANCES = (0.0, 1e-14, 0.3)
-
 two_mode_unitaries = st.one_of(
     st.just(balanced_bs()),
     st.floats(0.01, 0.99).map(unbalanced_bs),
@@ -293,23 +260,29 @@ two_mode_unitaries = st.one_of(
 @settings(max_examples=60, deadline=None)
 def test_outcome_probabilities_match_measure_per_ket(u, eta, data):
     # one to four unnormalized two-mode kets on one set of labels, each with
-    # its own cutoff (so the unitary often raises it), built under a
-    # tolerance no higher than the one they are measured under
-    tol = data.draw(st.sampled_from(TOLERANCES), label="tol")
-    build_tol = data.draw(st.sampled_from([t for t in TOLERANCES if t <= tol]),
-                          label="build_tol")
-    with pruning(build_tol):
-        kets = data.draw(st.lists(random_kets(normalized=False, n_modes=2),
-                                  min_size=1, max_size=4), label="kets")
+    # its own cutoff (so the unitary often raises it)
+    kets = data.draw(st.lists(random_kets(normalized=False, n_modes=2),
+                              min_size=1, max_size=4), label="kets")
     detectors = [(m,) for m in data.draw(st.permutations(kets[0].register.labels))]
-    with pruning(tol):
-        tables = outcome_probabilities(kets, u, detectors, eta)
-        assert len(tables) == len(kets)
-        for ket, table in zip(kets, tables):
-            single = measure(apply_mode_unitary(ket, u, ket.register.labels), detectors, eta)
-            assert list(table) == list(single)
-            assert [p.hex() for p in table.values()] == \
-                [o.probability.hex() for o in single.values()]
+    tables = outcome_probabilities(kets, u, detectors, eta)
+    assert len(tables) == len(kets)
+    for ket, table in zip(kets, tables):
+        single = measure(apply_mode_unitary(ket, u, ket.register.labels), detectors, eta)
+        assert list(table) == list(single)
+        assert [p.hex() for p in table.values()] == \
+            [o.probability.hex() for o in single.values()]
+
+
+def test_outcome_probabilities_skips_what_the_transformed_ket_prunes():
+    # the beam splitter leaves about -7.8e-16 on |01>: building the ket
+    # prunes it, so no outcome may count its square
+    ket = FockKet(ModeRegister(("1", "2"), 1), {(1, 0): 1.0, (0, 1): 1.0 + 1e-15})
+    detectors = [("1",), ("2",)]
+    (table,) = outcome_probabilities([ket], balanced_bs(), detectors, 1.0)
+    single = measure(apply_mode_unitary(ket, balanced_bs(), ("1", "2")), detectors, 1.0)
+    assert table[(SILENT, CLICK)] == single[(SILENT, CLICK)].probability == 0.0
+    assert [p.hex() for p in table.values()] == \
+        [o.probability.hex() for o in single.values()]
 
 
 def test_outcome_probabilities_rejects_unmeasured_or_mixed_modes():

@@ -12,7 +12,6 @@ from swapsim.detection import ConditionalOutcome, ThresholdDetector
 from swapsim.elements import ModeUnitary, apply_mode_unitary, balanced_bs
 from swapsim.fock import (
     BELL_KINDS,
-    DEFAULT_PRUNE_TOL,
     FockKet,
     ModeRegister,
     WeightedEnsemble,
@@ -20,7 +19,6 @@ from swapsim.fock import (
     fidelity,
     inner_product,
     partial_project,
-    pruning,
     relabel,
     reorder,
     tensor_product,
@@ -210,13 +208,10 @@ def test_fidelity_bounded_and_affine(ket, w):
     assert f_mix == pytest.approx(w * f_a + (1 - w) * f_b, abs=1e-12)
 
 
-def test_pruning_context():
+def test_constructor_prunes_below_tolerance():
     reg = ModeRegister(("1",), 1)
     tiny = FockKet(reg, {(0,): 1.0, (1,): 1e-16})
     assert tiny.num_terms() == 1
-    with pruning(0.0):
-        kept = FockKet(reg, {(0,): 1.0, (1,): 1e-16})
-    assert kept.num_terms() == 2
 
 
 @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf, complex(0, math.nan),
@@ -242,7 +237,6 @@ def test_norm_overflow_rejected(amps):
 # FockKet._trusted gives the public constructor's ket on the same terms.
 # --------------------------------------------------------------------------
 
-TOLERANCES = st.sampled_from([DEFAULT_PRUNE_TOL, 0.0, 0.05])
 AMPLITUDES = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
 
@@ -310,10 +304,10 @@ TRUSTED_SITES = {
 
 
 @pytest.mark.parametrize("site", sorted(TRUSTED_SITES))
-@given(ket=random_kets(normalized=False), tol=TOLERANCES, data=st.data())
+@given(ket=random_kets(normalized=False), data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_trusted_sites_match_public_constructor(site, ket, tol, data):
-    with pruning(tol), recording_trusted() as calls:
+def test_trusted_sites_match_public_constructor(site, ket, data):
+    with recording_trusted() as calls:
         TRUSTED_SITES[site](data, ket)
     assert calls, "the call site built no ket through FockKet._trusted"
     for out, ref in calls:

@@ -82,6 +82,21 @@ def test_cli_stdout_is_golden(golden, argv):
     assert stdout_of(argv) == golden[argv]
 
 
+@pytest.mark.parametrize("run", RUNS + IMPOSSIBLE_RUNS)
+def test_event_is_impossible_exactly_when_its_probability_is_zero(run, monkeypatch):
+    # pruning never empties a heralded branch, so an event lacks an ensemble
+    # only when its outcome has probability 0
+    reports = []
+    emit = cli._emit_report
+    monkeypatch.setattr(cli, "_emit_report",
+                        lambda report, *rest: (reports.append(report), emit(report, *rest)))
+    stdout_of(run)
+    (report,) = reports
+    assert report.events
+    for ev in report.events:
+        assert ev.impossible == (ev.probability == 0.0), (run, ev.name)
+
+
 @pytest.mark.parametrize("argv", HELP_ARGVS)
 def test_cli_help_is_golden(golden, argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")

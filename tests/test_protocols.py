@@ -376,8 +376,9 @@ def test_vacuum_one_photon_zero_eta_flagged():
 
 def test_sample_run_validation_and_determinism():
     dist = scheme_a_click_distribution(0.1, 1.0)
-    with pytest.raises(ValueError):
-        sample_run(dist, 0, seed=1)
+    for shots in (0, 2**63):
+        with pytest.raises(ValueError, match=r"shots must be in \[1, 2\*\*63 - 1\]"):
+            sample_run(dist, shots, seed=1)
     a = sample_run(dist, 1000, seed=42)
     b = sample_run(dist, 1000, seed=42)
     assert a == b
