@@ -15,16 +15,17 @@ normalized branch on the unmeasured modes does not depend on the outcome
 (only its weight does), so it is built once and shared by every outcome it
 contributes to.
 
-The detector check, the outcome list and each measured occupation's row of
-outcome probabilities (which depend only on the detectors' photon counts)
-are set up once per call.  When every mode is measured, each term is its
-own group and no group is built.
+The detector check, the outcome list, each photon count's (click, silent)
+pair and each measured occupation's row of outcome probabilities are set
+up once per call.  When every mode is measured, each term is its own group
+and no group is built.
 
-``outcome_probabilities`` measures several kets after one unitary on all
-of their modes, with the set-up done once for the batch.  It never builds
-the transformed kets: it takes each one's terms from
-``elements._scatter``, skips those that building the ket would prune, and
-sums the rest through the same term loop as ``measure``.
+A unitary just before the detectors need not be applied first.
+``measure(state, ..., unitary=(u, modes))`` and ``outcome_probabilities``
+(a batch of kets after one unitary on all of their modes) take the
+transformed terms from ``elements._scatter`` and never build the
+transformed ket: they prune and group those terms in one pass, exactly as
+building the ket would, with the same bits.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
 ``coincidence_table`` groups the ket, weighs every group under every
@@ -102,22 +103,14 @@ class ConditionalOutcome(_Record):
         return self.probability == 0.0
 
 
-def _group_by_measured(state: FockKet, measured_of, rest_of):
-    """The state's terms grouped by their measured occupation, each group a
-    map from the unmeasured occupation to its amplitude, in term order."""
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
-    for occ, amp in state.terms.items():
-        groups.setdefault(measured_of(occ), {})[rest_of(occ)] = amp
-    return groups
-
-
 class _Povm:
     """The set-up of one ``measure`` or ``outcome_probabilities`` call, done
     once for all of its kets: the detector check, the outcome list, the
     getters of the measured and unmeasured occupations, and each measured
     occupation's row of outcome probabilities (which depend only on the
     detectors' photon counts), computed the first time it is needed as one
-    product per outcome over the detectors' (click, silent) pairs."""
+    product per outcome over the detectors' (click, silent) pairs, in
+    ``itertools.product`` order.  Each photon count's pair is computed once."""
 
     def __init__(self, reg: ModeRegister, detectors: Sequence[Sequence[str]], eta: float):
         self.det = ThresholdDetector(eta)
@@ -139,14 +132,16 @@ class _Povm:
             pos += len(modes)
         self.outcomes = list(itertools.product((CLICK, SILENT), repeat=len(detectors)))
         self.rows: dict[tuple[int, ...], list[float]] = {}  # measured occupation -> p_out per outcome
+        self.pairs: dict[int, tuple[float, float]] = {}  # photon count -> (click, silent)
 
     def row(self, key: tuple[int, ...]) -> list[float]:
-        det = self.det
-        pairs = []
+        out_probs = [1.0]
         for span in self.spans:
             n = sum(key[span])
-            pairs.append((det.p_click(n), det.p_silent(n)))
-        out_probs = [math.prod(t, start=1.0) for t in itertools.product(*pairs)]
+            pair = self.pairs.get(n)
+            if pair is None:
+                pair = self.pairs[n] = (self.det.p_click(n), self.det.p_silent(n))
+            out_probs = [p * q for p in out_probs for q in pair]
         self.rows[key] = out_probs
         return out_probs
 
@@ -158,16 +153,19 @@ class _Povm:
         measured_of, rows, row = self.measured_of, self.rows, self.row
         sums = [0.0] * len(self.outcomes)
         tol = fock.PRUNE_TOL
-        for occ, amp in terms.items():
-            a = abs(amp)
-            if a <= tol:
-                continue
-            key = measured_of(occ)
-            w = a ** 2
-            for i, p_out in enumerate(rows.get(key) or row(key)):
-                contrib = w * p_out
-                if contrib > 0.0:
-                    sums[i] += contrib
+        try:
+            for occ, amp in terms.items():
+                a = abs(amp)
+                if a <= tol:
+                    continue
+                key = measured_of(occ)
+                w = a ** 2
+                for i, p_out in enumerate(rows.get(key) or row(key)):
+                    contrib = w * p_out
+                    if contrib > 0.0:
+                        sums[i] += contrib
+        except OverflowError:  # one squared amplitude is beyond the float range
+            raise ValueError("ket norm overflows the float range") from None
         return sums
 
 
@@ -190,14 +188,11 @@ def outcome_probabilities(
     povm = _Povm(kets[0].register, detectors, eta)
     if povm.rest_idx:
         raise ValueError("outcome_probabilities measures every mode")
-    whole = range(len(povm.labels))
-    if u.size != len(whole):
-        raise ValueError(f"unitary acts on {u.size} modes, got {len(whole)}")
     tables = []
     for ket in kets:
         if ket.register.labels != povm.labels:
             raise ValueError("kets of one batch must share their mode labels")
-        terms, _ = _scatter(ket, u, whole)
+        _, terms = _scatter(ket, u, povm.labels)
         tables.append(dict(zip(povm.outcomes, povm.term_sums(terms))))
     return tables
 
@@ -206,6 +201,7 @@ def coincidence_table(
     state: FockKet,
     detectors: Sequence[Sequence[str]],
     eta: float,
+    unitary: tuple[ModeUnitary, Sequence[str]] | None = None,
 ) -> dict[tuple[str, ...], tuple[float, list[tuple[float, FockKet]]]]:
     """First phase of ``measure``: group the ket once, weigh every group
     under every outcome and build each group's branch the first time an
@@ -219,25 +215,43 @@ def coincidence_table(
     over detectors of each one's click or silent probability; an outcome's
     probability is the sum of its groups' contribs.  The pairs are empty
     when no mode is left unmeasured.
+
+    With ``unitary = (u, modes)`` the ket measured is ``u`` applied to
+    ``modes`` of ``state``, which is never built: the grouping pass reads
+    the scattered terms and prunes them as ``FockKet._trusted`` would, and
+    the branches take the raised cutoff.
     """
     povm = _Povm(state.register, detectors, eta)
+    reg, terms = (state.register, state.terms) if unitary is None else _scatter(state, *unitary)
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]
     if not povm.rest_idx:
-        return dict(zip(povm.outcomes, zip(povm.term_sums(state.terms), branches)))
-    rows, row = povm.rows, povm.row
+        return dict(zip(povm.outcomes, zip(povm.term_sums(terms), branches)))
+    measured_of, rest_of, rows, row = povm.measured_of, povm.rest_of, povm.rows, povm.row
+    tol = fock.PRUNE_TOL
     sums = [0.0] * len(povm.outcomes)
-    rest_reg = ModeRegister(povm.rest_labels, state.register.cutoff)
-    for key, sub in _group_by_measured(state, povm.measured_of, povm.rest_of).items():
-        w = sum(abs(a) ** 2 for a in sub.values())
-        ket = None
-        for i, p_out in enumerate(rows.get(key) or row(key)):
-            contrib = w * p_out
-            if contrib > 0.0:
-                sums[i] += contrib
-                if ket is None:
-                    c = 1.0 / math.sqrt(w)
-                    ket = FockKet._trusted(rest_reg, {o: c * a for o, a in sub.items()})
-                branches[i].append((contrib, ket))
+    rest_reg = ModeRegister(povm.rest_labels, reg.cutoff)
+    groups: dict[tuple[int, ...], list] = {}  # measured occupation -> [w, {rest: amp}]
+    try:
+        for occ, amp in terms.items():
+            if (m := abs(a := 0.0 + amp)) > tol:
+                key = measured_of(occ)
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = [0.0, {}]
+                group[0] += m ** 2
+                group[1][rest_of(occ)] = a
+        for key, (w, sub) in groups.items():
+            ket = None
+            for i, p_out in enumerate(rows.get(key) or row(key)):
+                contrib = w * p_out
+                if contrib > 0.0:
+                    sums[i] += contrib
+                    if ket is None:
+                        c = 1.0 / math.sqrt(w)
+                        ket = FockKet._trusted(rest_reg, {o: c * a for o, a in sub.items()})
+                    branches[i].append((contrib, ket))
+    except OverflowError:  # one squared amplitude is beyond the float range
+        raise ValueError("ket norm overflows the float range") from None
     return dict(zip(povm.outcomes, zip(sums, branches)))
 
 
@@ -254,6 +268,7 @@ def measure(
     state: FockKet,
     detectors: Sequence[Sequence[str]],
     eta: float,
+    unitary: tuple[ModeUnitary, Sequence[str]] | None = None,
 ) -> dict[tuple[str, ...], ConditionalOutcome]:
     """Exact probability and conditional ensemble of every click/silent outcome.
 
@@ -263,8 +278,9 @@ def measure(
     and its probabilities sum to 1.  An outcome is ``impossible`` when its
     probability is 0.  Its ensemble is None then, or when no mode is left
     unmeasured: a group's branch keeps at least its largest amplitude, so
-    pruning never empties one.
+    pruning never empties one.  With ``unitary = (u, modes)`` the result is
+    bit for bit that of ``measure(apply_mode_unitary(state, u, modes), ...)``.
     """
-    table = coincidence_table(state, detectors, eta)
+    table = coincidence_table(state, detectors, eta, unitary)
     return {out: measure_pattern(total, branches)
             for out, (total, branches) in table.items()}

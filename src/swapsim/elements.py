@@ -16,18 +16,19 @@ the rest of the ket, so each ``ModeUnitary`` keeps a transfer table: for
 every acted occupation it has met, sqrt(prod n!), the output terms
 (powers, c, sqrt(prod p!)) and the largest output occupation.  An entry is
 built once, on first use.  ``_scatter`` is the one loop that applies it: a
-lookup and a scatter per input term.  Each output key is one ``itemgetter``
-call over ``occ + powers``, which reads the acted positions from
-``powers``; when the unitary acts on the whole register in order, the key
-is ``powers`` itself.  ``apply_mode_unitary`` builds a ket from the
-scattered terms, and ``detection.outcome_probabilities`` sums them into
-click probabilities without building one.  Amplitudes come out as
-amp / sqrt(prod n!) * c * sqrt(prod p!), the same float operations in the
-same order for a cold or a warm table.  The entries are immutable so that
-the table cannot go stale, and ``balanced_bs()`` returns one shared
-instance whose table every protocol reuses.  A table has at most one entry
-per acted occupation within MAX_FACTORIAL_CUTOFF, so even the shared one
-stays small.
+lookup and a scatter per input term.  When the unitary acts on a leading
+block of k modes (the whole register when k is its size), the lookup is
+``occ[:k]`` and each output key is ``powers + occ[k:]``; otherwise each is
+an ``itemgetter`` call, the key one over ``occ + powers``.
+``apply_mode_unitary`` builds a ket from the scattered terms, and
+``detection.measure`` (given the unitary) and
+``detection.outcome_probabilities`` measure them without building one.
+Amplitudes come out as amp / sqrt(prod n!) * c * sqrt(prod p!), the same
+float operations in the same order for a cold or a warm table.  The
+entries are immutable so that the table cannot go stale, and
+``balanced_bs()`` returns one shared instance whose table every protocol
+reuses.  A table has at most one entry per acted occupation within
+MAX_FACTORIAL_CUTOFF, so even the shared one stays small.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import functools
 import math
 from typing import Sequence
 
-from .fock import FockKet, _Record, _tuple_getter
+from .fock import FockKet, ModeRegister, _Record, _tuple_getter
 
 MAX_FACTORIAL_CUTOFF = 20
 
@@ -171,47 +172,55 @@ def apply_mode_unitary(
     register cutoff is raised when interference creates occupations above it
     (e.g. |1,1> -> |2,0> on a balanced beam splitter).
     """
+    return FockKet._trusted(*_scatter(state, u, modes))
+
+
+def _scatter(state: FockKet, u: ModeUnitary, modes: Sequence[str]) -> tuple[ModeRegister, dict]:
+    """The register of ``u`` applied to ``modes`` of ``state``, its cutoff
+    raised to the largest output occupation, and the terms, unpruned.
+
+    Each input term is one transfer-table lookup and one scatter of its
+    outputs, ``out[key] + pref * c * pf`` in input-term order.  When the
+    modes are the register's first k in order (all of it when k is its
+    size), the acted occupation is ``occ[:k]`` and an output key is
+    ``powers + occ[k:]``; otherwise both are getter calls, the key one over
+    ``occ + powers``, with ``powers[j]`` at ``reg.size + j``.
+    """
     modes = tuple(modes)
     if len(set(modes)) != len(modes):
         raise ValueError(f"acted modes must be distinct: {modes}")
     if len(modes) != u.size:
         raise ValueError(f"unitary acts on {u.size} modes, got {len(modes)}")
     reg = state.register
-    out, max_occ = _scatter(state, u, [reg.index(m) for m in modes])
-    if max_occ > reg.cutoff:
-        reg = reg.with_cutoff(max_occ)
-    return FockKet._trusted(reg, out)
-
-
-def _scatter(state: FockKet, u: ModeUnitary, idx: Sequence[int]) -> tuple[dict, int]:
-    """The terms of ``u`` applied to the modes at positions ``idx`` of
-    ``state``, unpruned, and the largest output occupation.
-
-    Each input term is one transfer-table lookup and one scatter of its
-    outputs, ``out[key] + pref * c * pf`` in input-term order.  When ``idx``
-    is the whole register in order, an output key is the sector's ``powers``
-    itself; otherwise it is one getter call over ``occ + powers``, with
-    ``powers[k]`` at ``reg.size + k``.
-    """
-    reg = state.register
+    idx = [reg.index(m) for m in modes]
     if reg.cutoff > MAX_FACTORIAL_CUTOFF:
         raise ValueError(f"cutoff {reg.cutoff} exceeds factorial table limit")
-    whole = list(idx) == list(range(reg.size))
-    acted_of = _tuple_getter(idx)
-    take = list(range(reg.size))
-    for k, i in enumerate(idx):
-        take[i] = reg.size + k
-    key_of = _tuple_getter(take)
-
     sector = u.sector
     out: dict[tuple[int, ...], complex] = {}
     max_occ = 0
-    for occ, amp in state.terms.items():
-        nf, outputs, top = sector(acted_of(occ))
-        pref = amp / nf
-        for powers, c, pf in outputs:
-            key = powers if whole else key_of(occ + powers)
-            out[key] = out.get(key, 0.0) + pref * c * pf
-        if top > max_occ:
-            max_occ = top
-    return out, max_occ
+    k = len(idx)
+    if idx == list(range(k)):
+        for occ, amp in state.terms.items():
+            nf, outputs, top = sector(occ[:k])
+            pref = amp / nf
+            rest = occ[k:]
+            for powers, c, pf in outputs:
+                key = powers + rest
+                out[key] = out.get(key, 0.0) + pref * c * pf
+            if top > max_occ:
+                max_occ = top
+    else:
+        acted_of = _tuple_getter(idx)
+        take = list(range(reg.size))
+        for j, i in enumerate(idx):
+            take[i] = reg.size + j
+        key_of = _tuple_getter(take)
+        for occ, amp in state.terms.items():
+            nf, outputs, top = sector(acted_of(occ))
+            pref = amp / nf
+            for powers, c, pf in outputs:
+                key = key_of(occ + powers)
+                out[key] = out.get(key, 0.0) + pref * c * pf
+            if top > max_occ:
+                max_occ = top
+    return (reg.with_cutoff(max_occ) if max_occ > reg.cutoff else reg), out

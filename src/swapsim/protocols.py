@@ -7,14 +7,15 @@ use detectors.  Every pipeline is pure given its parameters (and seed).
 Every report builds its events with ``_event``, the one place a fidelity
 is computed.  Schemes A and B, each described once (``_SCHEME_A``,
 ``_SCHEME_B``), herald with one step, ``_herald``: a balanced beam splitter
-on two beams and one threshold detector on each output.  The phase
-verification's coincidence tables come from one batch, ``_phase_tables``:
-the branch kets of both heralded ensembles and the ideal psi+/psi-
-references, all on beams (3, 4), go into one
-``detection.outcome_probabilities`` call, which puts each through the
-second beam splitter and measures it without building the transformed ket
-(a branch that both events share is one object, so it goes through once);
-each table is then summed over its own members.
+on two beams and one threshold detector on each output, measured without
+building the mixed ket.  A branch that both heralded events share is one
+object, and its work is done once per report: its fidelity overlaps, its
+``format_ket`` text, and its pass through the phase verification's second
+beam splitter.  Those coincidence tables come from one batch,
+``_phase_tables``: the branch kets of both heralded ensembles and the ideal
+psi+/psi- references, all on beams (3, 4), go into one
+``detection.outcome_probabilities`` call; each table is then summed over
+its own members.
 
 No report checks ``eta`` itself: each one reaches ``detection.measure``,
 whose ``ThresholdDetector`` is the one check.  An event is ``impossible``
@@ -36,7 +37,6 @@ from .fock import (
     WeightedEnsemble,
     _Record,
     bell_state,
-    fidelity,
     format_ket,
     inner_product,
     partial_project,
@@ -95,7 +95,7 @@ class ProtocolReport(_Record):
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
-        events = []
+        events, texts = [], {}
         for ev in self.events:
             d = {
                 "name": ev.name,
@@ -104,7 +104,7 @@ class ProtocolReport(_Record):
                 "fidelity_psi_minus": ev.fidelity_psi_minus,
             }
             if ev.ensemble is not None:
-                d["ensemble"] = _summarize_ensemble(ev.ensemble)
+                d["ensemble"] = _summarize_ensemble(ev.ensemble, texts)
             if ev.extras:
                 d["extras"] = ev.extras
             if ev.impossible:
@@ -120,22 +120,40 @@ class ProtocolReport(_Record):
         }
 
 
-def _summarize_ensemble(ens: WeightedEnsemble) -> list[dict]:
-    kept = [{"weight": w, "state": format_ket(state)}
-            for w, state in ens.members if w >= BRANCH_REPORT_TOL]
+def _summarize_ensemble(ens: WeightedEnsemble, texts: dict) -> list[dict]:
+    # texts: format_ket of each member by identity, shared by a report's events
+    kept = [{"weight": w, "state": texts.get(id(s)) or texts.setdefault(id(s), format_ket(s))}
+            for w, s in ens.members if w >= BRANCH_REPORT_TOL]
     kept.sort(key=lambda d: -d["weight"])
     return kept
 
 
 def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
-           targets: Mapping[str, FockKet], extras: Callable[[dict], dict]) -> EventResult:
+           targets: Mapping[str, FockKet], extras: Callable[[dict], dict],
+           overlaps: dict | None = None) -> EventResult:
     """One report row: the fidelity of ``ensemble`` with each of ``targets``
     (kind -> ket, psi+ and psi- among them), psi+ and psi- in the columns
     and ``extras(fidelities)`` beside them.  Without an ensemble the event
-    is impossible and has no fidelities."""
+    is impossible and has no fidelities.
+
+    A fidelity is ``fock.fidelity``'s sum, bit for bit, of weighted
+    overlaps |<t|s>|**2, which ``overlaps`` keeps by (target, member)
+    identity: the events of a report that share it read a shared member
+    once."""
     if ensemble is None:
         return EventResult(name, probability, None, None)
-    fids = {kind: fidelity(ensemble, t) for kind, t in targets.items()}
+    overlaps = {} if overlaps is None else overlaps
+    fids = {}
+    for kind, t in targets.items():
+        if abs(t.norm() - 1.0) > 1e-9:
+            raise ValueError("fidelity target must be normalized")
+        total = 0
+        for w, s in ensemble.members:
+            key = id(t), id(s)
+            if key not in overlaps:
+                overlaps[key] = abs(inner_product(t, s)) ** 2
+            total += w * overlaps[key]
+        fids[kind] = total
     return EventResult(name, probability, fids["psi+"], fids["psi-"], ensemble=ensemble,
                        extras=extras(fids))
 
@@ -196,9 +214,8 @@ def scheme_a_state(tau: complex, order: int = 1) -> FockKet:
 def _herald(pre: FockKet, mixed: tuple[str, str], eta: float) -> dict:
     """Mix two beams of a ket on a balanced beam splitter and put one
     threshold detector on each output; every outcome, keyed in ``mixed``
-    order."""
-    post = apply_mode_unitary(pre, balanced_bs(), mixed)
-    return measure(post, [(m,) for m in mixed], eta)
+    order.  The mixed ket is never built (``measure``'s ``unitary``)."""
+    return measure(pre, [(m,) for m in mixed], eta, (balanced_bs(), mixed))
 
 
 class _Heralded(NamedTuple):
@@ -226,8 +243,10 @@ def _heralded_events(pre: FockKet, scheme: _Heralded, eta: float) -> tuple[Event
     psi+ and psi- on the outer beams and the one it favors."""
     outcomes = _herald(pre, scheme.mixed, eta)
     targets = {k: bell_state(k, scheme.outer) for k in ("psi+", "psi-")}
+    overlaps: dict = {}
     return tuple(
-        _event(name, outcomes[out].probability, outcomes[out].ensemble, targets, _favored)
+        _event(name, outcomes[out].probability, outcomes[out].ensemble, targets, _favored,
+               overlaps)
         for name, out in zip(scheme.events, _HERALDS))
 
 

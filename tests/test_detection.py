@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from swapsim.detection import (CLICK, SILENT, ThresholdDetector, coincidence_table, measure,
-                               outcome_probabilities)
+from swapsim import fock
+from swapsim.detection import (CLICK, SILENT, ThresholdDetector, _Povm, coincidence_table,
+                               measure, outcome_probabilities)
 from swapsim.elements import (
     apply_mode_unitary,
     balanced_bs,
@@ -325,3 +326,126 @@ def test_measure_builds_each_ensemble_on_first_read():
         [(w.hex(), ket_bits(k)) for w, k in ref.members]
     assert outcomes[(SILENT, SILENT)].ensemble is not None
     assert outcomes[(CLICK, CLICK)].ensemble is None
+
+
+# --------------------------------------------------------------------------
+# Measuring after a unitary without building the transformed ket
+# --------------------------------------------------------------------------
+
+def _table_bits(table):
+    """Every outcome of a coincidence table, in order, with its probability
+    and its (weight, branch) pairs as bits; branch bits include the register
+    and so its cutoff."""
+    return [(out, total.hex(), [(w.hex(), ket_bits(k)) for w, k in branches])
+            for out, (total, branches) in table.items()]
+
+
+def _assert_fused_matches_apply_then_measure(state, detectors, eta, u, modes):
+    fused = coincidence_table(state, detectors, eta, (u, modes))
+    ref = coincidence_table(apply_mode_unitary(state, u, modes), detectors, eta)
+    assert _table_bits(fused) == _table_bits(ref)
+    got = measure(state, detectors, eta, (u, modes))
+    want = measure(apply_mode_unitary(state, u, modes), detectors, eta)
+    assert list(got) == list(want)
+    for out, o in want.items():
+        assert got[out].probability.hex() == o.probability.hex()
+        if o.ensemble is None:
+            assert got[out].ensemble is None
+            continue
+        assert got[out].ensemble.register == o.ensemble.register
+        assert [(w.hex(), ket_bits(k)) for w, k in got[out].ensemble.members] == \
+            [(w.hex(), ket_bits(k)) for w, k in o.ensemble.members]
+
+
+# amplitudes that cancel, exactly or to below the pruning tolerance, on a
+# beam splitter, mixed with generic ones
+_cancelling = st.sampled_from([1.0, -1.0, 1.0 + 1e-15, -1.0 - 1e-15, 0.5, 0.5j])
+
+
+@st.composite
+def _kets_that_prune(draw):
+    n_modes = draw(st.integers(2, 4))
+    cutoff = draw(st.integers(1, 3))
+    reg = ModeRegister(tuple(f"m{i}" for i in range(n_modes)), cutoff)
+    occ = st.tuples(*[st.integers(0, cutoff)] * n_modes)
+    amp = st.one_of(_cancelling, st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0,
+                                                    allow_nan=False, allow_infinity=False))
+    return FockKet(reg, draw(st.dictionaries(occ, amp, min_size=1, max_size=8)))
+
+
+@pytest.mark.parametrize("tol", [None, 0.0])
+@given(ket=st.one_of(_kets_that_prune(), random_kets(normalized=False)),
+       u=two_mode_unitaries, eta=st.floats(0.05, 1.0), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_fused_herald_matches_apply_then_measure(tol, ket, u, eta, data):
+    assume(ket.register.size >= 2)
+    modes = tuple(data.draw(st.permutations(ket.register.labels), label="modes")[:2])
+    if data.draw(st.booleans(), label="measure every mode"):
+        detectors = [(m,) for m in ket.register.labels]
+    else:
+        detectors = data.draw(_partial_detectors(ket), label="detectors")
+    with mock.patch.object(fock, "PRUNE_TOL", fock.PRUNE_TOL if tol is None else tol):
+        _assert_fused_matches_apply_then_measure(ket, detectors, eta, u, modes)
+
+
+def test_fused_herald_when_pruning_drops_the_first_key_of_a_group():
+    # through the beam splitter |100> keeps about -7.8e-16, below the
+    # tolerance: the group of one photon in mode 1 then starts at |101>,
+    # after the first key of the empty-mode-1 group
+    reg = ModeRegister(("1", "2", "3"), 1)
+    ket = FockKet(reg, {(1, 0, 0): 1.0, (0, 1, 0): -1.0 - 1e-15, (1, 0, 1): 0.5})
+    post = apply_mode_unitary(ket, balanced_bs(), ("1", "2"))
+    assert (1, 0, 0) not in post.terms and list(post.terms)[0] == (0, 1, 0)
+    for eta in (0.5, 1.0):
+        for detectors in ([("1",)], [("1",), ("2",)], [("1",), ("2",), ("3",)]):
+            _assert_fused_matches_apply_then_measure(ket, detectors, eta, balanced_bs(),
+                                                     ("1", "2"))
+    # the groups' order follows their first kept key, so it flips unpruned
+    for tol, order in ((fock.PRUNE_TOL, [[(1, 0), (1, 1)], [(0, 1)]]),
+                       (0.0, [[(0, 0), (0, 1)], [(1, 0), (1, 1)]])):
+        with mock.patch.object(fock, "PRUNE_TOL", tol):
+            table = coincidence_table(ket, [("1",)], 0.5, (balanced_bs(), ("1", "2")))
+        assert [list(k.terms) for _, k in table[(SILENT,)][1]] == order
+
+
+def test_measure_and_outcome_probabilities_reject_an_overflowing_norm():
+    # |amp|**2 is beyond the float range: the error FockKet.norm gives
+    reg = ModeRegister(("1", "2"), 1)
+    big = FockKet(reg, {(1, 0): 1e200})
+    calls = [
+        lambda: measure(big, [("1",)], 1.0),
+        lambda: measure(big, [("1",), ("2",)], 1.0),
+        lambda: measure(big, [("1",)], 1.0, (balanced_bs(), ("1", "2"))),
+        lambda: measure(big, [("1",), ("2",)], 1.0, (balanced_bs(), ("1", "2"))),
+        lambda: outcome_probabilities([big], balanced_bs(), [("1",), ("2",)], 1.0),
+    ]
+    with pytest.raises(ValueError, match="ket norm overflows the float range"):
+        big.norm()
+    for call in calls:
+        with pytest.raises(ValueError, match="ket norm overflows the float range"):
+            call()
+
+
+# --------------------------------------------------------------------------
+# Rows of outcome probabilities
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("detectors", [
+    [("a",)], [("a", "b")],
+    [("a",), ("b",)], [("a", "b"), ("c",)],
+    [("a",), ("b",), ("c",)], [("a",), ("b", "c"), ("d",)],
+])
+def test_povm_rows_match_products_over_pairs(detectors, eta):
+    # each row against the product of itertools.product's tuples from 1.0,
+    # bit for bit, for every detector's photon count in 0..20
+    reg = ModeRegister(("a", "b", "c", "d"), 20)
+    povm = _Povm(reg, detectors, eta)
+    det = ThresholdDetector(eta)
+    counts = range(21) if len(detectors) < 3 else range(0, 21, 3)
+    for ns in itertools.product(counts, repeat=len(detectors)):
+        key = tuple(x for modes, n in zip(detectors, ns)
+                    for x in ((n,) if len(modes) == 1 else (n // 2, n - n // 2)))
+        pairs = [(det.p_click(n), det.p_silent(n)) for n in ns]
+        old = [math.prod(t, start=1.0) for t in itertools.product(*pairs)]
+        assert [p.hex() for p in povm.row(key)] == [p.hex() for p in old]

@@ -337,3 +337,19 @@ def test_output_keys_for_one_mode_and_whole_register(labels, modes):
         ket = random_ket(rng, labels, order)
         assert ket_bits(apply_mode_unitary(ket, u, modes)) == \
             ket_bits(per_term_apply(ket, u, modes))
+
+
+@pytest.mark.parametrize("labels, modes", [
+    (("a", "b", "c"), ("a", "b")),  # a leading block: occ[:k] and powers + occ[k:]
+    (("a", "b", "c", "d"), ("a", "b", "c")),
+    (("a", "b", "c"), ("b", "c")),  # any other modes: the getter path
+    (("a", "b", "c"), ("b", "a")),
+    (("a", "b", "c", "d"), ("a", "c")),
+])
+def test_output_keys_for_a_leading_block_and_other_modes(labels, modes):
+    rng = np.random.default_rng(len(labels) * 10 + len(modes) + 100)
+    u = _random_unitary(rng, len(modes))
+    for order in (1, 3):
+        ket = random_ket(rng, labels, order)
+        assert ket_bits(apply_mode_unitary(ket, u, modes)) == \
+            ket_bits(per_term_apply(ket, u, modes))

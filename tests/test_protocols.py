@@ -6,7 +6,7 @@ import pytest
 from swapsim import protocols
 from swapsim.detection import CLICK, ThresholdDetector, measure
 from swapsim.elements import MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs
-from swapsim.fock import bell_state
+from swapsim.fock import bell_state, fidelity
 from swapsim.protocols import (
     analyze_polarization_postselection,
     analyze_vacuum_one_photon,
@@ -222,6 +222,30 @@ def test_phase_verification_sends_each_branch_through_the_beam_splitter_once(mon
     assert u is balanced_bs()
     assert len(kets) == len(distinct) + 2  # and the ideal psi+/psi- references
     assert {id(ket) for ket in kets[:-2]} == distinct
+
+
+@pytest.mark.parametrize("run", [run_scheme_a, run_phase_verification])
+def test_shared_members_read_once_with_fidelities_of_fock_fidelity(run, monkeypatch):
+    # at eta < 1 most members of the two heralded ensembles are one object:
+    # each distinct member is read once per target and formatted once, and
+    # every fidelity has the bits of fock.fidelity on the whole ensemble
+    overlaps, texts = [], []
+    inner, fmt = protocols.inner_product, protocols.format_ket
+    monkeypatch.setattr(protocols, "inner_product",
+                        lambda a, b: overlaps.append(id(b)) or inner(a, b))
+    monkeypatch.setattr(protocols, "format_ket", lambda k: texts.append(id(k)) or fmt(k))
+    report = run(math.sqrt(0.05), 0.7, 6)
+    members = [(w, ket) for ev in report.events for w, ket in ev.ensemble.members]
+    distinct = {id(ket) for _, ket in members}
+    assert len(distinct) < len(members)
+    assert sorted(overlaps) == sorted(2 * list(distinct))
+    for ev in report.events:
+        for kind, got in (("psi+", ev.fidelity_psi_plus), ("psi-", ev.fidelity_psi_minus)):
+            assert got.hex() == fidelity(ev.ensemble, bell_state(kind, ("3", "4"))).hex()
+    assert texts == []
+    report.to_json_dict()
+    reported = {id(ket) for w, ket in members if w >= protocols.BRANCH_REPORT_TOL}
+    assert sorted(texts) == sorted(reported)
 
 
 # --------------------------------------------------------------------------
