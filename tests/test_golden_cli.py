@@ -6,7 +6,9 @@ impossible, plus the ``--help`` text of ``swapsim`` and of every
 subcommand at an 80-column terminal.  ``--verify`` and ``--shots`` are left
 out: their output depends on the installed scipy and numpy builds.
 
-Re-record (only for a deliberate change of output) with
+Record the argvs the fixture lacks, keeping every entry it has byte for
+byte, with ``PYTHONPATH=src python tests/test_golden_cli.py --add``.
+Re-record every entry (only for a deliberate change of output) with
 ``PYTHONPATH=src python tests/test_golden_cli.py --record``.
 """
 import contextlib
@@ -35,6 +37,9 @@ RUNS = [
 ARGVS = [f"{run} --format {fmt}" for run in RUNS for fmt in ("table", "csv", "json")] + [
     "verify-phase --tau2 1e-3 --order 2 --sweep eta --from 0.2 --to 1.0 --steps 5",
     "verify-phase --tau2 0.05 --eta 0.6 --order 6",
+    # order 10 at eta < 1, where pruning drops most heralded members
+    "verify-phase --tau2 0.1 --eta 0.6 --order 10 --format json",
+    "scheme-a --tau2 0.1 --eta 0.7 --order 10 --format json",
 ]
 IMPOSSIBLE_RUNS = [
     "scheme-a --tau2 0 --eta 0.5",
@@ -104,11 +109,21 @@ def test_cli_help_is_golden(golden, argv, monkeypatch):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden_cli.py --record")
+    usage = "usage: PYTHONPATH=src python tests/test_golden_cli.py --record|--add"
+    if sys.argv[1:] not in (["--record"], ["--add"]):
+        sys.exit(usage)
+    kept = {}
+    if sys.argv[1] == "--add":
+        with open(GOLDEN) as f:
+            kept = json.load(f)
+        unlisted = [argv for argv in kept if argv not in ARGVS + HELP_ARGVS]
+        if unlisted:
+            sys.exit(f"--add rewrites no entry, but the fixture holds unlisted argvs "
+                     f"{unlisted}; re-record with --record")
     os.environ["COLUMNS"] = "80"
-    recorded = {argv: stdout_of(argv) for argv in ARGVS}
-    recorded.update((argv, help_of(argv)) for argv in HELP_ARGVS)
+    recorded = {argv: kept[argv] if argv in kept else stdout_of(argv) for argv in ARGVS}
+    recorded.update((argv, kept[argv] if argv in kept else help_of(argv)) for argv in HELP_ARGVS)
     with open(GOLDEN, "w") as f:
         json.dump(recorded, f, indent=1)
         f.write("\n")
+    print(f"recorded {len(recorded) - len(kept)} of {len(recorded)} entries")

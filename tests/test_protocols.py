@@ -188,7 +188,8 @@ def _hex_tree(x):
 
 
 @pytest.mark.parametrize("tau2, eta, order", [
-    (1e-3, 1.0, 1), (0.05, 0.7, 2), (0.02, 1.0, 4), (0.08, 0.55, 6),
+    (1e-3, 1.0, 1), (0.05, 0.7, 2), (0.02, 1.0, 4), (0.08, 0.55, 6), (0.1, 0.6, 8),
+    (0.09, 0.8, 10),
 ])
 def test_phase_verification_coincidences_match_per_member_loop(tau2, eta, order):
     report = run_phase_verification(math.sqrt(tau2), eta, order)
