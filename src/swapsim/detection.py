@@ -21,11 +21,12 @@ up once per call.  When every mode is measured, each term is its own group
 and no group is built.
 
 A unitary just before the detectors need not be applied first.
-``measure(state, ..., unitary=(u, modes))`` and ``outcome_probabilities``
-(a batch of kets after one unitary on all of their modes) take the
-transformed terms from ``elements._scatter`` and never build the
-transformed ket: they prune and group those terms in one pass, exactly as
-building the ket would, with the same bits.
+``measure(state, ..., unitary=(u, modes))`` takes the transformed terms
+from ``elements._scatter``, and ``outcome_probabilities`` (a batch of kets
+after one unitary on all of their modes) scatters them itself, keyed by
+transfer-table index.  Neither builds the transformed ket: they prune and
+group those terms in one pass, exactly as building the ket would, with the
+same bits.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
 ``coincidence_table`` groups the ket, weighs every group under every
@@ -38,10 +39,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import fock
-from .elements import ModeUnitary, _scatter
+from .elements import ModeUnitary, _check_acted, _scatter
 from .fock import FockKet, ModeRegister, WeightedEnsemble, _Record, _tuple_getter
 
 CLICK = "click"
@@ -103,17 +104,34 @@ class ConditionalOutcome(_Record):
         return self.probability == 0.0
 
 
+class _Rows(dict):
+    """Rows of outcome probabilities by key; a missing row is made by
+    ``make(key)`` on its first lookup and kept."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[object], list[float]]):
+        self.make = make  # dict.__new__ made the empty dict
+
+    def __missing__(self, key):
+        row = self[key] = self.make(key)
+        return row
+
+
 class _Povm:
     """The set-up of one ``measure`` or ``outcome_probabilities`` call, done
     once for all of its kets: the detector check, the outcome list, the
-    getters of the measured and unmeasured occupations, and each measured
-    occupation's row of outcome probabilities (which depend only on the
-    detectors' photon counts), computed the first time it is needed as one
-    product per outcome over the detectors' (click, silent) pairs, in
-    ``itertools.product`` order.  Each photon count's pair is computed once."""
+    getters of the measured and unmeasured occupations, and ``rows``, each
+    measured occupation's row of outcome probabilities (which depend only on
+    the detectors' photon counts), made the first time it is looked up as
+    one product per outcome over the detectors' (click, silent) pairs, in
+    ``itertools.product`` order.  Each photon count's pair is computed once.
+    ``term_rows`` gives a fully measured term its row by the term's own
+    occupation: it is ``rows`` when the detectors cover the register in
+    order, so that no getter runs."""
 
     def __init__(self, reg: ModeRegister, detectors: Sequence[Sequence[str]], eta: float):
-        self.det = ThresholdDetector(eta)
+        det = ThresholdDetector(eta)
         detectors = [tuple(modes) for modes in detectors]
         measured_modes = [m for modes in detectors for m in modes]
         if len(set(measured_modes)) != len(measured_modes):
@@ -121,46 +139,47 @@ class _Povm:
         measured_idx = [reg.index(m) for m in measured_modes]
         self.labels = reg.labels
         self.rest_idx = [i for i in range(reg.size) if i not in measured_idx]
-        self.measured_of = _tuple_getter(measured_idx)
+        self.measured_of = measured_of = _tuple_getter(measured_idx)
         self.rest_of = _tuple_getter(self.rest_idx)
         self.rest_labels = tuple(reg.labels[i] for i in self.rest_idx)
         # per-detector slice of the measured-occupation key
-        self.spans = []
+        spans = []
         pos = 0
         for modes in detectors:
-            self.spans.append(slice(pos, pos + len(modes)))
+            spans.append(slice(pos, pos + len(modes)))
             pos += len(modes)
         self.outcomes = list(itertools.product((CLICK, SILENT), repeat=len(detectors)))
-        self.rows: dict[tuple[int, ...], list[float]] = {}  # measured occupation -> p_out per outcome
-        self.pairs: dict[int, tuple[float, float]] = {}  # photon count -> (click, silent)
+        pairs: dict[int, tuple[float, float]] = {}  # photon count -> (click, silent)
 
-    def row(self, key: tuple[int, ...]) -> list[float]:
-        out_probs = [1.0]
-        for span in self.spans:
-            n = sum(key[span])
-            pair = self.pairs.get(n)
-            if pair is None:
-                pair = self.pairs[n] = (self.det.p_click(n), self.det.p_silent(n))
-            out_probs = [p * q for p in out_probs for q in pair]
-        self.rows[key] = out_probs
-        return out_probs
+        def row(key: tuple[int, ...]) -> list[float]:
+            out_probs = [1.0]
+            for span in spans:
+                n = sum(key[span])
+                pair = pairs.get(n)
+                if pair is None:
+                    pair = pairs[n] = (det.p_click(n), det.p_silent(n))
+                out_probs = [p * q for p in out_probs for q in pair]
+            return out_probs
 
-    def term_sums(self, terms: dict) -> list[float]:
-        """Each outcome's probability for a ket's terms with every mode
-        measured: every term is its own group, of weight |amp|**2.  Terms
-        that building a ket from them would prune (|amp| <= PRUNE_TOL) are
+        self.rows = rows = _Rows(row)
+        self.term_rows = rows if measured_idx == list(range(reg.size)) else \
+            _Rows(lambda occ: rows[measured_of(occ)])
+
+    def term_sums(self, terms: dict, rows: dict) -> list[float]:
+        """Each outcome's probability for the terms of a ket with every mode
+        measured: every term is its own group, of weight |amp|**2, and
+        ``rows[key]`` is the row of the term keyed ``key``.  Terms that
+        building a ket from them would prune (|amp| <= PRUNE_TOL) are
         skipped; a ket's own terms are all above it."""
-        measured_of, rows, row = self.measured_of, self.rows, self.row
         sums = [0.0] * len(self.outcomes)
         tol = fock.PRUNE_TOL
         try:
-            for occ, amp in terms.items():
+            for key, amp in terms.items():
                 a = abs(amp)
                 if a <= tol:
                     continue
-                key = measured_of(occ)
                 w = a ** 2
-                for i, p_out in enumerate(rows.get(key) or row(key)):
+                for i, p_out in enumerate(rows[key]):
                     contrib = w * p_out
                     if contrib > 0.0:
                         sums[i] += contrib
@@ -183,17 +202,29 @@ def outcome_probabilities(
     probabilities, bit for bit, as ``measure(apply_mode_unitary(ket, u,
     ket.register.labels), detectors, eta)``, but the transformed ket is never
     built: its scattered terms are summed straight away, skipping those that
-    building it would prune.
+    building it would prune.  An output term is keyed by its transfer-table
+    index, in the occupation keys' order, and each index's row is looked
+    up once per batch.  An empty batch gives an empty list.
     """
+    if not kets:
+        return []
     povm = _Povm(kets[0].register, detectors, eta)
     if povm.rest_idx:
         raise ValueError("outcome_probabilities measures every mode")
+    if any(ket.register.labels != povm.labels for ket in kets):
+        raise ValueError("kets of one batch must share their mode labels")
+    _check_acted(u, povm.labels, max(ket.register.cutoff for ket in kets))
+    table, sector, powers_of, term_rows = u._table, u.sector, u._powers, povm.term_rows
+    index_rows = _Rows(lambda i: term_rows[powers_of[i]])
     tables = []
     for ket in kets:
-        if ket.register.labels != povm.labels:
-            raise ValueError("kets of one batch must share their mode labels")
-        _, terms = _scatter(ket, u, povm.labels)
-        tables.append(dict(zip(povm.outcomes, povm.term_sums(terms))))
+        out: dict[int, complex] = {}
+        for occ, amp in ket.terms.items():
+            nf, outputs, _ = table.get(occ) or sector(occ)
+            pref = amp / nf
+            for _, i, c, pf in outputs:
+                out[i] = out.get(i, 0.0) + pref * c * pf
+        tables.append(dict(zip(povm.outcomes, povm.term_sums(out, index_rows))))
     return tables
 
 
@@ -205,9 +236,9 @@ def coincidence_table(
 ) -> dict[tuple[str, ...], tuple[float, list[tuple[float, FockKet]]]]:
     """First phase of ``measure``: group the ket once, weigh every group
     under every outcome and build each group's branch the first time an
-    outcome needs it, in one build: its amplitudes, all above
-    ``fock.PRUNE_TOL``, times 1/sqrt(w), which gives the bits of
-    ``FockKet(rest_reg, sub).normalized()``.
+    outcome needs it, in one pass over the group: its amplitudes, all above
+    ``fock.PRUNE_TOL``, times 1/sqrt(w), pruned as ``FockKet._trusted``
+    prunes, which gives the bits of ``FockKet(rest_reg, sub).normalized()``.
 
     Maps each outcome, in ``measure``'s order, to its probability and its
     ``(weight, branch)`` pairs in group order.  A group's weight under an
@@ -225,8 +256,8 @@ def coincidence_table(
     reg, terms = (state.register, state.terms) if unitary is None else _scatter(state, *unitary)
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]
     if not povm.rest_idx:
-        return dict(zip(povm.outcomes, zip(povm.term_sums(terms), branches)))
-    measured_of, rest_of, rows, row = povm.measured_of, povm.rest_of, povm.rows, povm.row
+        return dict(zip(povm.outcomes, zip(povm.term_sums(terms, povm.term_rows), branches)))
+    measured_of, rest_of, rows = povm.measured_of, povm.rest_of, povm.rows
     tol = fock.PRUNE_TOL
     sums = [0.0] * len(povm.outcomes)
     rest_reg = ModeRegister(povm.rest_labels, reg.cutoff)
@@ -242,13 +273,12 @@ def coincidence_table(
                 group[1][rest_of(occ)] = a
         for key, (w, sub) in groups.items():
             ket = None
-            for i, p_out in enumerate(rows.get(key) or row(key)):
+            for i, p_out in enumerate(rows[key]):
                 contrib = w * p_out
                 if contrib > 0.0:
                     sums[i] += contrib
                     if ket is None:
-                        c = 1.0 / math.sqrt(w)
-                        ket = FockKet._trusted(rest_reg, {o: c * a for o, a in sub.items()})
+                        ket = FockKet._trusted(rest_reg, sub, 1.0 / math.sqrt(w))
                     branches[i].append((contrib, ket))
     except OverflowError:  # one squared amplitude is beyond the float range
         raise ValueError("ket norm overflows the float range") from None

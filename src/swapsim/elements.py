@@ -14,21 +14,25 @@ oracle and for callers that want array algebra.
 The expansion depends only on the acted occupation (n_a, n_b, ...), not on
 the rest of the ket, so each ``ModeUnitary`` keeps a transfer table: for
 every acted occupation it has met, sqrt(prod n!), the output terms
-(powers, c, sqrt(prod p!)) and the largest output occupation.  An entry is
-built once, on first use.  ``_scatter`` is the one loop that applies it: a
-lookup and a scatter per input term.  When the unitary acts on a leading
-block of k modes (the whole register when k is its size), the lookup is
-``occ[:k]`` and each output key is ``powers + occ[k:]``; otherwise each is
-an ``itemgetter`` call, the key one over ``occ + powers``.
-``apply_mode_unitary`` builds a ket from the scattered terms, and
-``detection.measure`` (given the unitary) and
-``detection.outcome_probabilities`` measure them without building one.
-Amplitudes come out as amp / sqrt(prod n!) * c * sqrt(prod p!), the same
-float operations in the same order for a cold or a warm table.  The
-entries are immutable so that the table cannot go stale, and
-``balanced_bs()`` returns one shared instance whose table every protocol
-reuses.  A table has at most one entry per acted occupation within
-MAX_FACTORIAL_CUTOFF, so even the shared one stays small.
+(powers, index, c, sqrt(prod p!)) and the largest output occupation.  An
+entry is built once, on first use; ``index`` numbers each distinct output
+occupation in the order the table first met it, and ``_powers`` maps it
+back.  ``_scatter`` applies the table with a lookup and a scatter per
+input term.  When the unitary acts on a leading block of k modes (the
+whole register when k is its size), the lookup is ``occ[:k]`` and each
+output key is ``powers + occ[k:]``; otherwise each is an ``itemgetter``
+call, the key one over ``occ + powers``.  ``apply_mode_unitary`` builds a
+ket from the scattered terms, and ``detection.measure`` (given the
+unitary) measures them without building one.
+``detection.outcome_probabilities``, whose unitary acts on whole
+registers, scatters the same way keyed by ``index`` alone, which keeps
+the insertion order.  Amplitudes come out as amp / sqrt(prod n!) * c *
+sqrt(prod p!), the same float operations in the same order for a cold or
+a warm table.  The entries are immutable so that the table cannot go
+stale, and ``balanced_bs()`` returns one shared instance whose table
+every protocol reuses.  A table has at most one entry per acted
+occupation within MAX_FACTORIAL_CUTOFF, so even the shared one stays
+small.
 """
 from __future__ import annotations
 
@@ -47,12 +51,14 @@ class ModeUnitary(_Record):
     ``entries`` accepts any square 2-D array-like of numbers (nested
     sequences or a numpy array) and is stored as a tuple of rows of
     ``complex``.  Only ``entries`` takes part in ``repr``, ``==`` and
-    ``hash``: the transfer table and the array are caches.
+    ``hash``: the transfer table, with its output indices, and the array
+    are caches.
     """
 
     _fields = ("entries",)
-    # _table: acted occupation -> (sqrt(prod n!), ((powers, c, sqrt(prod p!)), ...), max output)
-    __slots__ = ("entries", "_table", "_array")
+    # _table: acted occupation -> (sqrt(prod n!), ((powers, index, c, sqrt(prod p!)), ...),
+    # max output); _index: output occupation -> index; _powers: index -> output occupation
+    __slots__ = ("entries", "_table", "_index", "_powers", "_array")
 
     def __init__(self, entries):
         try:
@@ -70,6 +76,8 @@ class ModeUnitary(_Record):
                     raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "_table", {})
+        object.__setattr__(self, "_index", {})
+        object.__setattr__(self, "_powers", [])
         object.__setattr__(self, "_array", None)
 
     @property
@@ -97,9 +105,14 @@ class ModeUnitary(_Record):
                 col = tuple(row[k] for row in self.entries)
                 for _ in range(n_k):
                     poly = _poly_multiply_linear(poly, col)
-            outputs = tuple((powers, c, _sqrt_factorials(powers))
-                            for powers, c in poly.items())
-            entry = (_sqrt_factorials(acted), outputs, max(max(p) for p in poly))
+            index, powers_of = self._index, self._powers
+            outputs = []
+            for powers, c in poly.items():
+                i = index.setdefault(powers, len(powers_of))
+                if i == len(powers_of):
+                    powers_of.append(powers)
+                outputs.append((powers, i, c, _sqrt_factorials(powers)))
+            entry = (_sqrt_factorials(acted), tuple(outputs), max(max(p) for p in poly))
             self._table[acted] = entry
         return entry
 
@@ -175,6 +188,16 @@ def apply_mode_unitary(
     return FockKet._trusted(*_scatter(state, u, modes))
 
 
+def _check_acted(u: ModeUnitary, modes: tuple[str, ...], cutoff: int) -> None:
+    """The checks of applying ``u`` to ``modes`` of a register with ``cutoff``."""
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"acted modes must be distinct: {modes}")
+    if len(modes) != u.size:
+        raise ValueError(f"unitary acts on {u.size} modes, got {len(modes)}")
+    if cutoff > MAX_FACTORIAL_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} exceeds factorial table limit")
+
+
 def _scatter(state: FockKet, u: ModeUnitary, modes: Sequence[str]) -> tuple[ModeRegister, dict]:
     """The register of ``u`` applied to ``modes`` of ``state``, its cutoff
     raised to the largest output occupation, and the terms, unpruned.
@@ -187,24 +210,20 @@ def _scatter(state: FockKet, u: ModeUnitary, modes: Sequence[str]) -> tuple[Mode
     ``occ + powers``, with ``powers[j]`` at ``reg.size + j``.
     """
     modes = tuple(modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"acted modes must be distinct: {modes}")
-    if len(modes) != u.size:
-        raise ValueError(f"unitary acts on {u.size} modes, got {len(modes)}")
     reg = state.register
+    _check_acted(u, modes, reg.cutoff)
     idx = [reg.index(m) for m in modes]
-    if reg.cutoff > MAX_FACTORIAL_CUTOFF:
-        raise ValueError(f"cutoff {reg.cutoff} exceeds factorial table limit")
-    sector = u.sector
+    table, sector = u._table, u.sector
     out: dict[tuple[int, ...], complex] = {}
     max_occ = 0
     k = len(idx)
     if idx == list(range(k)):
         for occ, amp in state.terms.items():
-            nf, outputs, top = sector(occ[:k])
+            acted = occ[:k]
+            nf, outputs, top = table.get(acted) or sector(acted)
             pref = amp / nf
             rest = occ[k:]
-            for powers, c, pf in outputs:
+            for powers, _, c, pf in outputs:
                 key = powers + rest
                 out[key] = out.get(key, 0.0) + pref * c * pf
             if top > max_occ:
@@ -216,9 +235,10 @@ def _scatter(state: FockKet, u: ModeUnitary, modes: Sequence[str]) -> tuple[Mode
             take[i] = reg.size + j
         key_of = _tuple_getter(take)
         for occ, amp in state.terms.items():
-            nf, outputs, top = sector(acted_of(occ))
+            acted = acted_of(occ)
+            nf, outputs, top = table.get(acted) or sector(acted)
             pref = amp / nf
-            for powers, c, pf in outputs:
+            for powers, _, c, pf in outputs:
                 key = key_of(occ + powers)
                 out[key] = out.get(key, 0.0) + pref * c * pf
             if top > max_occ:

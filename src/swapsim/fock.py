@@ -139,15 +139,22 @@ class FockKet:
         self.terms = {occ: a for occ, a in clean.items() if abs(a) > PRUNE_TOL}
 
     @classmethod
-    def _trusted(cls, register: ModeRegister,
-                 terms: Mapping[tuple[int, ...], complex]) -> "FockKet":
+    def _trusted(cls, register: ModeRegister, terms: Mapping[tuple[int, ...], complex],
+                 scale: complex | None = None) -> "FockKet":
         """Build from engine-derived terms: distinct int-tuple keys of register
         length within the cutoff.  Only the amplitudes are touched, exactly as
-        in ``__init__``: ``0.0 +`` turns -0.0 parts into +0.0, then pruning."""
+        in ``__init__``: ``0.0 +`` turns -0.0 parts into +0.0, then pruning.
+        With ``scale`` (a float or built-in ``complex``), the amplitudes
+        (built-in ``complex``) are multiplied by it in the same pass, with the
+        bits of ``_trusted(register, {occ: scale * amp})``."""
         self = object.__new__(cls)
         self.register = register
-        self.terms = {occ: a for occ, amp in terms.items()
-                      if abs(a := 0.0 + complex(amp)) > PRUNE_TOL}
+        if scale is None:
+            self.terms = {occ: a for occ, amp in terms.items()
+                          if abs(a := 0.0 + complex(amp)) > PRUNE_TOL}
+        else:
+            self.terms = {occ: a for occ, amp in terms.items()
+                          if abs(a := 0.0 + scale * amp) > PRUNE_TOL}
         return self
 
     def items(self) -> Iterator[tuple[tuple[int, ...], complex]]:
@@ -174,7 +181,7 @@ class FockKet:
     def scaled(self, c: complex) -> "FockKet":
         if not cmath.isfinite(c):
             raise ValueError(f"scale factor must be finite, got {c}")
-        return FockKet._trusted(self.register, {occ: c * a for occ, a in self.terms.items()})
+        return FockKet._trusted(self.register, self.terms, complex(c))
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -327,7 +334,7 @@ def format_ket(state: FockKet) -> str:
         return "0"
     parts = []
     for occ, amp in sorted(state.terms.items()):
-        label = "".join(str(n) for n in occ)
+        label = "".join(map(str, occ))
         if abs(amp.imag) < 1e-12:
             coeff = f"{amp.real:+.6g}"
         else:

@@ -137,9 +137,11 @@ def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
     is impossible and has no fidelities.
 
     A fidelity is ``fock.fidelity``'s sum, bit for bit, of weighted
-    overlaps |<t|s>|**2, which ``overlaps`` keeps by (target, member)
+    overlaps |<t|s>|**2, which ``overlaps`` keeps by target, then member,
     identity: the events of a report that share it read a shared member
-    once."""
+    once.  Each target's register is checked once per event, and an
+    overlap is summed inline in ``fock.inner_product``'s float order, over
+    the keys of the ket with fewer terms."""
     if ensemble is None:
         return EventResult(name, probability, None, None)
     overlaps = {} if overlaps is None else overlaps
@@ -147,12 +149,22 @@ def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
     for kind, t in targets.items():
         if abs(t.norm() - 1.0) > 1e-9:
             raise ValueError("fidelity target must be normalized")
+        if t.register.labels != ensemble.register.labels:
+            raise ValueError("register mismatch between ensemble and target")
+        read = overlaps.get(id(t))
+        if read is None:
+            read = overlaps[id(t)] = {}
+        ta = t.terms
         total = 0
         for w, s in ensemble.members:
-            key = id(t), id(s)
-            if key not in overlaps:
-                overlaps[key] = abs(inner_product(t, s)) ** 2
-            total += w * overlaps[key]
+            o = read.get(id(s))
+            if o is None:
+                tb = s.terms
+                z = 0.0 + 0.0j
+                for occ in (ta if len(ta) <= len(tb) else tb):
+                    z += ta.get(occ, 0.0).conjugate() * tb.get(occ, 0.0)
+                o = read[id(s)] = abs(z) ** 2
+            total += w * o
         fids[kind] = total
     return EventResult(name, probability, fids["psi+"], fids["psi-"], ensemble=ensemble,
                        extras=extras(fids))
@@ -328,12 +340,24 @@ def _click_marginals(joint: Mapping[tuple[str, str], float]) -> dict:
     }
 
 
-def _occupied_probability(ens: WeightedEnsemble, mode: str) -> float:
-    idx = ens.register.index(mode)
-    total = 0.0
+def _occupied_probabilities(ens: WeightedEnsemble, modes: tuple[str, str]) -> tuple[float, float]:
+    """The probability that each of two modes holds a photon, in one pass
+    over the members: each total is ``total += w * s`` from 0.0, with ``s``
+    the member's |amp|**2 summed over its occupied terms in term order from
+    0, which is ``sum``'s float order on Python 3.10 and 3.11."""
+    i, j = (ens.register.index(m) for m in modes)
+    p_i = p_j = 0.0
     for w, member in ens.members:
-        total += w * sum(abs(a) ** 2 for occ, a in member.items() if occ[idx] >= 1)
-    return total
+        s_i = s_j = 0
+        for occ, a in member.terms.items():
+            q = abs(a) ** 2
+            if occ[i]:
+                s_i += q
+            if occ[j]:
+                s_j += q
+        p_i += w * s_i
+        p_j += w * s_j
+    return p_i, p_j
 
 
 def _joint_json(joint: Mapping[tuple[str, ...], float]) -> dict:
@@ -358,8 +382,7 @@ def run_phase_verification(tau: complex, eta: float, order: int = 1) -> Protocol
     coincidences["ideal_psi_minus"] = _click_marginals(ideal_minus)
     ens1 = events[0].ensemble
     if ens1 is not None:
-        p3 = _occupied_probability(ens1, "3")
-        p4 = _occupied_probability(ens1, "4")
+        p3, p4 = _occupied_probabilities(ens1, ("3", "4"))
         s = p3 + p4
         coincidences["marginals"] = {
             "beam3": p3 / s if s > 0 else None,

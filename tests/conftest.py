@@ -25,12 +25,15 @@ def random_kets(draw, max_modes=4, max_cutoff=3, normalized=True, n_modes=None):
 @contextlib.contextmanager
 def recording_trusted():
     """Record every FockKet._trusted call as (result, reference), where the
-    reference is the public constructor on the same terms."""
+    reference is the public constructor on the same terms, each times the
+    call's scale if it has one."""
     calls = []
     build = FockKet._trusted
 
-    def record(cls, register, terms):
-        out = build(register, terms)
+    def record(cls, register, terms, scale=None):
+        out = build(register, terms, scale)
+        if scale is not None:
+            terms = {occ: scale * amp for occ, amp in terms.items()}
         calls.append((out, FockKet(register, terms)))
         return out
 

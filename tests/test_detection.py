@@ -274,6 +274,24 @@ def test_outcome_probabilities_match_measure_per_ket(u, eta, data):
             [o.probability.hex() for o in single.values()]
 
 
+@given(ket=random_kets(normalized=False, n_modes=2), eta=st.floats(0.05, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_swapping_two_detectors_swaps_the_outcomes(ket, eta):
+    # with every mode measured, a term's row comes by its own occupation,
+    # read through the measured-occupation getter unless the detectors are
+    # in register order; listing them the other way round only relabels
+    # the outcomes, bit for bit
+    a, b = ket.register.labels
+    u = unbalanced_bs(0.3)
+    got = measure(ket, [(b,), (a,)], eta)
+    (got_u,) = outcome_probabilities([ket], u, [(b,), (a,)], eta)
+    ref = measure(ket, [(a,), (b,)], eta)
+    (ref_u,) = outcome_probabilities([ket], u, [(a,), (b,)], eta)
+    for (x, y), o in ref.items():
+        assert got[(y, x)].probability.hex() == o.probability.hex()
+        assert got_u[(y, x)].hex() == ref_u[(x, y)].hex()
+
+
 def test_outcome_probabilities_skips_what_the_transformed_ket_prunes():
     # the beam splitter leaves about -7.8e-16 on |01>: building the ket
     # prunes it, so no outcome may count its square
@@ -301,8 +319,14 @@ def test_outcome_probabilities_rejects_unitary_size_and_cutoff():
     with pytest.raises(ValueError, match="acts on 2 modes, got 3"):
         outcome_probabilities([three], balanced_bs(), [("1",), ("2",), ("3",)], 0.5)
     big = FockKet(ModeRegister(("1", "2"), 21), {(1, 0): 1.0})
-    with pytest.raises(ValueError, match="cutoff 21 exceeds factorial table limit"):
-        outcome_probabilities([big], balanced_bs(), [("1",), ("2",)], 0.5)
+    small = FockKet(ModeRegister(("1", "2"), 1), {(1, 0): 1.0})
+    for batch in ([big], [small, big]):
+        with pytest.raises(ValueError, match="cutoff 21 exceeds factorial table limit"):
+            outcome_probabilities(batch, balanced_bs(), [("1",), ("2",)], 0.5)
+
+
+def test_outcome_probabilities_of_no_kets_is_empty():
+    assert outcome_probabilities([], balanced_bs(), [("1",), ("2",)], 0.5) == []
 
 
 def test_measure_builds_each_ensemble_on_first_read():
@@ -448,4 +472,4 @@ def test_povm_rows_match_products_over_pairs(detectors, eta):
                     for x in ((n,) if len(modes) == 1 else (n // 2, n - n // 2)))
         pairs = [(det.p_click(n), det.p_silent(n)) for n in ns]
         old = [math.prod(t, start=1.0) for t in itertools.product(*pairs)]
-        assert [p.hex() for p in povm.row(key)] == [p.hex() for p in old]
+        assert [p.hex() for p in povm.rows[key]] == [p.hex() for p in old]

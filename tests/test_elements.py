@@ -291,7 +291,21 @@ def test_entries_and_table_coefficients_are_builtin_complex():
         assert all(type(c) is complex for row in u.entries for c in row)
         for acted in itertools.product(range(4), repeat=u.size):
             _, outputs, _ = u.sector(acted)
-            assert all(type(c) is complex for _, c, _ in outputs)
+            assert all(type(c) is complex for _, _, c, _ in outputs)
+
+
+def test_each_output_occupation_has_one_index():
+    # indices number the distinct outputs of every entry in first-met order
+    u = unbalanced_bs(0.3)
+    seen = []
+    for acted in itertools.product(range(4), repeat=2):
+        _, outputs, _ = u.sector(acted)
+        for powers, i, _, _ in outputs:
+            if powers not in seen:
+                assert i == len(seen)
+                seen.append(powers)
+            assert u._powers[i] == powers and seen.index(powers) == i
+    assert u._powers == seen
 
 
 def test_second_apply_adds_no_table_entries():

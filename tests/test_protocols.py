@@ -6,7 +6,7 @@ import pytest
 from swapsim import protocols
 from swapsim.detection import CLICK, ThresholdDetector, measure
 from swapsim.elements import MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs
-from swapsim.fock import bell_state, fidelity
+from swapsim.fock import FockKet, ModeRegister, WeightedEnsemble, bell_state, fidelity
 from swapsim.protocols import (
     analyze_polarization_postselection,
     analyze_vacuum_one_photon,
@@ -204,6 +204,31 @@ def test_phase_verification_coincidences_match_per_member_loop(tau2, eta, order)
         assert _hex_tree(report.coincidences[name]) == _hex_tree(expected)
 
 
+def _occupied_per_mode(ens, mode):
+    # the one-mode pass that _occupied_probabilities folds into one
+    idx = ens.register.index(mode)
+    total = 0.0
+    for w, member in ens.members:
+        total += w * sum(abs(a) ** 2 for occ, a in member.items() if occ[idx] >= 1)
+    return total
+
+
+def test_occupied_probabilities_match_a_pass_per_mode():
+    # beam 3 and beam 4 from one pass over the members, each total with the
+    # bits of its own pass; scheme A's ensembles are symmetric in 3 and 4,
+    # so an asymmetric one is checked too
+    reg = ModeRegister(("3", "4"), 2)
+    kets = [FockKet(reg, terms).normalized() for terms in (
+        {(1, 0): 0.3, (0, 1): 0.9, (2, 0): 0.1}, {(0, 0): 0.5, (0, 2): 0.7}, {(2, 1): 1.0})]
+    asymmetric = WeightedEnsemble(reg, ((0.5, kets[0]), (0.375, kets[1]), (0.125, kets[2])))
+    report = run_phase_verification(math.sqrt(0.1), 0.6, 8)
+    for ens in (asymmetric, *(ev.ensemble for ev in report.events)):
+        got = protocols._occupied_probabilities(ens, ("3", "4"))
+        assert [p.hex() for p in got] == \
+            [_occupied_per_mode(ens, m).hex() for m in ("3", "4")]
+    assert _occupied_per_mode(asymmetric, "3") != _occupied_per_mode(asymmetric, "4")
+
+
 def test_phase_verification_sends_each_branch_through_the_beam_splitter_once(monkeypatch):
     # at eta < 1 a group with photons at both heralding detectors feeds both
     # events, and both ensembles hold the same branch object
@@ -229,11 +254,25 @@ def test_phase_verification_sends_each_branch_through_the_beam_splitter_once(mon
 def test_shared_members_read_once_with_fidelities_of_fock_fidelity(run, monkeypatch):
     # at eta < 1 most members of the two heralded ensembles are one object:
     # each distinct member is read once per target and formatted once, and
-    # every fidelity has the bits of fock.fidelity on the whole ensemble
+    # every fidelity has the bits of fock.fidelity on the whole ensemble.
+    # _event stores each overlap it computes in its target's dict of the
+    # shared cache, so a dict that records every store counts them.
     overlaps, texts = [], []
-    inner, fmt = protocols.inner_product, protocols.format_ket
-    monkeypatch.setattr(protocols, "inner_product",
-                        lambda a, b: overlaps.append(id(b)) or inner(a, b))
+
+    class Recording(dict):
+        def __setitem__(self, member, value):
+            overlaps.append(member)
+            super().__setitem__(member, value)
+
+    event, fmt = protocols._event, protocols.format_ket
+
+    def recording_event(name, probability, ensemble, targets, extras, cache=None):
+        assert cache is not None  # the heralded events share one cache
+        for t in targets.values():
+            cache.setdefault(id(t), Recording())
+        return event(name, probability, ensemble, targets, extras, cache)
+
+    monkeypatch.setattr(protocols, "_event", recording_event)
     monkeypatch.setattr(protocols, "format_ket", lambda k: texts.append(id(k)) or fmt(k))
     report = run(math.sqrt(0.05), 0.7, 6)
     members = [(w, ket) for ev in report.events for w, ket in ev.ensemble.members]
