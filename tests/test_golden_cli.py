@@ -40,6 +40,10 @@ ARGVS = [f"{run} --format {fmt}" for run in RUNS for fmt in ("table", "csv", "js
     # order 10 at eta < 1, where pruning drops most heralded members
     "verify-phase --tau2 0.1 --eta 0.6 --order 10 --format json",
     "scheme-a --tau2 0.1 --eta 0.7 --order 10 --format json",
+    # heralds on the non-leading beams 2 and 3, where each detector group
+    # collects amplitudes from several source terms and pruning drops some
+    "scheme-b --epsilon 0.3 --eta 0.8 --order 4 --pair-amplitude 0.5 --format json",
+    "scheme-b --epsilon 0.3 --eta 0.8 --order 4 --pair-amplitude 0.5 --variant pbs --format json",
 ]
 IMPOSSIBLE_RUNS = [
     "scheme-a --tau2 0 --eta 0.5",
