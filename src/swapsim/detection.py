@@ -21,12 +21,14 @@ up once per call.  When every mode is measured, each term is its own group
 and no group is built.
 
 A unitary just before the detectors need not be applied first.
-``measure(state, ..., unitary=(u, modes))`` takes the transformed terms
-from ``elements._scatter``, and ``outcome_probabilities`` (a batch of kets
-after one unitary on all of their modes) scatters them itself, keyed by
-transfer-table index.  Neither builds the transformed ket: they prune and
-group those terms in one pass, exactly as building the ket would, with the
-same bits.
+``measure(state, ..., unitary=u)``, where ``u`` acts on the measured modes
+in detector order (as in every herald), scatters each term of ``state``
+through ``u``'s transfer table straight into its detector group, keyed by
+the table's output index, then prunes and weighs each group and restores
+the order in which building the ket would have met them.
+``outcome_probabilities`` (a batch of kets after one unitary on all of
+their modes) scatters them keyed by output index too.  Neither builds the
+transformed ket, and both give the same bits as building it.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
 ``coincidence_table`` groups the ket, weighs every group under every
@@ -37,12 +39,14 @@ use ``measure``.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from collections import defaultdict
 from typing import Callable, Sequence
 
 from . import fock
-from .elements import ModeUnitary, _check_acted, _scatter
+from .elements import ModeUnitary, _check_acted
 from .fock import FockKet, ModeRegister, WeightedEnsemble, _Record, _tuple_getter
 
 CLICK = "click"
@@ -137,6 +141,7 @@ class _Povm:
         if len(set(measured_modes)) != len(measured_modes):
             raise ValueError("a mode may appear under at most one detector")
         measured_idx = [reg.index(m) for m in measured_modes]
+        self.measured = tuple(measured_modes)
         self.labels = reg.labels
         self.rest_idx = [i for i in range(reg.size) if i not in measured_idx]
         self.measured_of = measured_of = _tuple_getter(measured_idx)
@@ -158,7 +163,12 @@ class _Povm:
                 pair = pairs.get(n)
                 if pair is None:
                     pair = pairs[n] = (det.p_click(n), det.p_silent(n))
-                out_probs = [p * q for p in out_probs for q in pair]
+                click, silent = pair
+                products = []
+                for p in out_probs:
+                    products.append(p * click)
+                    products.append(p * silent)
+                out_probs = products
             return out_probs
 
         self.rows = rows = _Rows(row)
@@ -228,11 +238,98 @@ def outcome_probabilities(
     return tables
 
 
+def _group(terms: dict, povm: _Povm) -> dict:
+    """A ket's terms by measured occupation, in the order of each group's
+    first term: ``key -> [w, {rest occupation: amp}]``, pruned as
+    ``FockKet._trusted`` prunes, ``w`` summing the kept squared ``abs``
+    from 0.0 in term order."""
+    measured_of, rest_of = povm.measured_of, povm.rest_of
+    tol = fock.PRUNE_TOL
+    groups: dict[tuple[int, ...], list] = {}
+    for occ, amp in terms.items():
+        if (m := abs(a := 0.0 + amp)) > tol:
+            key = measured_of(occ)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = [0.0, {}]
+            group[0] += m ** 2
+            group[1][rest_of(occ)] = a
+    return groups
+
+
+def _scatter_groups(state: FockKet, u: ModeUnitary, povm: _Povm) -> tuple[list, int]:
+    """``_group`` of ``u`` applied to the measured modes of ``state``, in
+    detector order, without building that ket: ``(output index, (w,
+    {rest occupation: amp}))`` pairs with the same bits, and the largest
+    output occupation.
+
+    Each input term is one table lookup, one rest getter and one scatter
+    into its groups, keyed by output index, summing ``pref * c * pf`` from
+    0.0 in input-term order as ``apply_mode_unitary`` does.  The groups come
+    out in the order of their first kept terms in the transformed ket: the
+    order the scatter met them, except that a group whose first term is
+    pruned moves to its first kept term (output ``j`` of input term ``t``),
+    behind every group met before that.
+    """
+    _check_acted(u, povm.measured, state.register.cutoff)
+    table, sector = u._table, u.sector
+    measured_of, rest_of = povm.measured_of, povm.rest_of
+    subs: defaultdict[int, dict] = defaultdict(dict)  # index -> {rest occupation: amp}
+    starts = []  # the number of groups met before each input term
+    max_occ = 0
+    for occ, amp in state.terms.items():
+        acted = measured_of(occ)
+        nf, outputs, top = table.get(acted) or sector(acted)
+        pref = amp / nf
+        rest = rest_of(occ)
+        starts.append(len(subs))
+        for _, i, c, pf in outputs:
+            sub = subs[i]
+            sub[rest] = sub.get(rest, 0.0) + pref * c * pf
+        if top > max_occ:
+            max_occ = top
+    tol = fock.PRUNE_TOL
+    groups = []
+    moved = {}  # index -> first kept rest occupation, where the first term is pruned
+    for i, sub in subs.items():
+        w = 0.0
+        kept = {}
+        for rest, amp in sub.items():  # each sum began at 0.0: amp is its own 0.0 + amp
+            if (m := abs(amp)) > tol:
+                w += m ** 2
+                kept[rest] = amp
+        if kept:
+            groups.append((i, (w, kept)))
+            if len(kept) < len(sub) and next(iter(kept)) != next(iter(sub)):
+                moved[i] = next(iter(kept))
+    if moved:
+        # a group in place sorts as (its rank among the groups met, 1); a
+        # moved one as (the number of groups met before its first kept
+        # term, 0, t, j)
+        rank = {i: g for g, i in enumerate(subs)}
+        occs = list(state.terms)
+        place = {}
+        for i, first in moved.items():
+            t = bisect.bisect_right(starts, rank[i])  # the input term after the one that made i
+            while True:
+                occ = occs[t]
+                if rest_of(occ) == first:
+                    outputs = table[measured_of(occ)][1]
+                    j = next((k for k, out in enumerate(outputs) if out[1] == i), None)
+                    if j is not None:
+                        break
+                t += 1
+            made = starts[t]
+            place[i] = (made + sum(rank[out[1]] >= made for out in outputs[:j]), 0, t, j)
+        groups.sort(key=lambda group: place.get(group[0]) or (rank[group[0]], 1))
+    return groups, max_occ
+
+
 def coincidence_table(
     state: FockKet,
     detectors: Sequence[Sequence[str]],
     eta: float,
-    unitary: tuple[ModeUnitary, Sequence[str]] | None = None,
+    unitary: ModeUnitary | None = None,
 ) -> dict[tuple[str, ...], tuple[float, list[tuple[float, FockKet]]]]:
     """First phase of ``measure``: group the ket once, weigh every group
     under every outcome and build each group's branch the first time an
@@ -247,36 +344,34 @@ def coincidence_table(
     probability is the sum of its groups' contribs.  The pairs are empty
     when no mode is left unmeasured.
 
-    With ``unitary = (u, modes)`` the ket measured is ``u`` applied to
-    ``modes`` of ``state``, which is never built: the grouping pass reads
-    the scattered terms and prunes them as ``FockKet._trusted`` would, and
-    the branches take the raised cutoff.
+    With ``unitary = u`` the ket measured is ``u`` applied to the measured
+    modes of ``state`` in detector order, which is never built: its groups
+    come from ``_scatter_groups``, each group's row is looked up by output
+    index, and the branches take the raised cutoff.
     """
     povm = _Povm(state.register, detectors, eta)
-    reg, terms = (state.register, state.terms) if unitary is None else _scatter(state, *unitary)
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]
-    if not povm.rest_idx:
-        return dict(zip(povm.outcomes, zip(povm.term_sums(terms, povm.term_rows), branches)))
-    measured_of, rest_of, rows = povm.measured_of, povm.rest_of, povm.rows
-    tol = fock.PRUNE_TOL
+    if unitary is None and not povm.rest_idx:
+        return dict(zip(povm.outcomes,
+                        zip(povm.term_sums(state.terms, povm.term_rows), branches)))
     sums = [0.0] * len(povm.outcomes)
-    rest_reg = ModeRegister(povm.rest_labels, reg.cutoff)
-    groups: dict[tuple[int, ...], list] = {}  # measured occupation -> [w, {rest: amp}]
     try:
-        for occ, amp in terms.items():
-            if (m := abs(a := 0.0 + amp)) > tol:
-                key = measured_of(occ)
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = [0.0, {}]
-                group[0] += m ** 2
-                group[1][rest_of(occ)] = a
-        for key, (w, sub) in groups.items():
+        if unitary is None:
+            groups, cutoff, rows = _group(state.terms, povm).items(), state.register.cutoff, povm.rows
+        else:
+            groups, max_occ = _scatter_groups(state, unitary, povm)
+            cutoff = max(max_occ, state.register.cutoff)
+            powers_of, row = unitary._powers, povm.rows.make
+            rows = _Rows(lambda i: row(powers_of[i]))
+        rest_reg = ModeRegister(povm.rest_labels, cutoff) if povm.rest_idx else None
+        for key, (w, sub) in groups:
             ket = None
             for i, p_out in enumerate(rows[key]):
                 contrib = w * p_out
                 if contrib > 0.0:
                     sums[i] += contrib
+                    if rest_reg is None:
+                        continue
                     if ket is None:
                         ket = FockKet._trusted(rest_reg, sub, 1.0 / math.sqrt(w))
                     branches[i].append((contrib, ket))
@@ -298,7 +393,7 @@ def measure(
     state: FockKet,
     detectors: Sequence[Sequence[str]],
     eta: float,
-    unitary: tuple[ModeUnitary, Sequence[str]] | None = None,
+    unitary: ModeUnitary | None = None,
 ) -> dict[tuple[str, ...], ConditionalOutcome]:
     """Exact probability and conditional ensemble of every click/silent outcome.
 
@@ -308,8 +403,10 @@ def measure(
     and its probabilities sum to 1.  An outcome is ``impossible`` when its
     probability is 0.  Its ensemble is None then, or when no mode is left
     unmeasured: a group's branch keeps at least its largest amplitude, so
-    pruning never empties one.  With ``unitary = (u, modes)`` the result is
-    bit for bit that of ``measure(apply_mode_unitary(state, u, modes), ...)``.
+    pruning never empties one.  With ``unitary = u``, which must act on as
+    many modes as the detectors measure, the result is bit for bit that of
+    ``measure(apply_mode_unitary(state, u, measured), ...)``, ``measured``
+    being the detectors' modes in order.
     """
     table = coincidence_table(state, detectors, eta, unitary)
     return {out: measure_pattern(total, branches)

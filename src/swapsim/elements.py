@@ -17,18 +17,14 @@ every acted occupation it has met, sqrt(prod n!), the output terms
 (powers, index, c, sqrt(prod p!)) and the largest output occupation.  An
 entry is built once, on first use; ``index`` numbers each distinct output
 occupation in the order the table first met it, and ``_powers`` maps it
-back.  ``_scatter`` applies the table with a lookup and a scatter per
-input term.  When the unitary acts on a leading block of k modes (the
-whole register when k is its size), the lookup is ``occ[:k]`` and each
-output key is ``powers + occ[k:]``; otherwise each is an ``itemgetter``
-call, the key one over ``occ + powers``.  ``apply_mode_unitary`` builds a
-ket from the scattered terms, and ``detection.measure`` (given the
-unitary) measures them without building one.
-``detection.outcome_probabilities``, whose unitary acts on whole
-registers, scatters the same way keyed by ``index`` alone, which keeps
-the insertion order.  Amplitudes come out as amp / sqrt(prod n!) * c *
-sqrt(prod p!), the same float operations in the same order for a cold or
-a warm table.  The entries are immutable so that the table cannot go
+back.  ``_scatter``, which serves ``apply_mode_unitary`` alone, applies
+the table with a lookup and a scatter per input term, through
+``itemgetter`` calls.  ``detection.measure`` (given a unitary on the
+measured modes) and ``detection.outcome_probabilities`` (a unitary on
+whole registers) read the same table without building a ket, keyed by
+``index``.  Amplitudes come out as amp / sqrt(prod n!) * c * sqrt(prod
+p!), the same float operations in the same order for a cold or a warm
+table.  The entries are immutable so that the table cannot go
 stale, and ``balanced_bs()`` returns one shared instance whose table
 every protocol reuses.  A table has at most one entry per acted
 occupation within MAX_FACTORIAL_CUTOFF, so even the shared one stays
@@ -203,44 +199,29 @@ def _scatter(state: FockKet, u: ModeUnitary, modes: Sequence[str]) -> tuple[Mode
     raised to the largest output occupation, and the terms, unpruned.
 
     Each input term is one transfer-table lookup and one scatter of its
-    outputs, ``out[key] + pref * c * pf`` in input-term order.  When the
-    modes are the register's first k in order (all of it when k is its
-    size), the acted occupation is ``occ[:k]`` and an output key is
-    ``powers + occ[k:]``; otherwise both are getter calls, the key one over
-    ``occ + powers``, with ``powers[j]`` at ``reg.size + j``.
+    outputs, ``out[key] + pref * c * pf`` in input-term order.  The acted
+    occupation is a getter call, and so is each output key, over ``occ +
+    powers`` with ``powers[j]`` at ``reg.size + j``.
     """
     modes = tuple(modes)
     reg = state.register
     _check_acted(u, modes, reg.cutoff)
     idx = [reg.index(m) for m in modes]
     table, sector = u._table, u.sector
+    acted_of = _tuple_getter(idx)
+    take = list(range(reg.size))
+    for j, i in enumerate(idx):
+        take[i] = reg.size + j
+    key_of = _tuple_getter(take)
     out: dict[tuple[int, ...], complex] = {}
     max_occ = 0
-    k = len(idx)
-    if idx == list(range(k)):
-        for occ, amp in state.terms.items():
-            acted = occ[:k]
-            nf, outputs, top = table.get(acted) or sector(acted)
-            pref = amp / nf
-            rest = occ[k:]
-            for powers, _, c, pf in outputs:
-                key = powers + rest
-                out[key] = out.get(key, 0.0) + pref * c * pf
-            if top > max_occ:
-                max_occ = top
-    else:
-        acted_of = _tuple_getter(idx)
-        take = list(range(reg.size))
-        for j, i in enumerate(idx):
-            take[i] = reg.size + j
-        key_of = _tuple_getter(take)
-        for occ, amp in state.terms.items():
-            acted = acted_of(occ)
-            nf, outputs, top = table.get(acted) or sector(acted)
-            pref = amp / nf
-            for powers, _, c, pf in outputs:
-                key = key_of(occ + powers)
-                out[key] = out.get(key, 0.0) + pref * c * pf
-            if top > max_occ:
-                max_occ = top
+    for occ, amp in state.terms.items():
+        acted = acted_of(occ)
+        nf, outputs, top = table.get(acted) or sector(acted)
+        pref = amp / nf
+        for powers, _, c, pf in outputs:
+            key = key_of(occ + powers)
+            out[key] = out.get(key, 0.0) + pref * c * pf
+        if top > max_occ:
+            max_occ = top
     return (reg.with_cutoff(max_occ) if max_occ > reg.cutoff else reg), out

@@ -220,14 +220,14 @@ def run_theta_swapping(theta: float) -> ProtocolReport:
 
 def scheme_a_state(tau: complex, order: int = 1) -> FockKet:
     """Four-mode state on beams (1,2,3,4) just before the balanced beam splitter."""
-    return reorder(double_pass_source(tau, order), ("1", "2", "3", "4"))
+    return double_pass_source(tau, order)
 
 
 def _herald(pre: FockKet, mixed: tuple[str, str], eta: float) -> dict:
     """Mix two beams of a ket on a balanced beam splitter and put one
     threshold detector on each output; every outcome, keyed in ``mixed``
     order.  The mixed ket is never built (``measure``'s ``unitary``)."""
-    return measure(pre, [(m,) for m in mixed], eta, (balanced_bs(), mixed))
+    return measure(pre, [(m,) for m in mixed], eta, balanced_bs())
 
 
 class _Heralded(NamedTuple):

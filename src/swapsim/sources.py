@@ -33,10 +33,15 @@ def spdc_pair(tau: complex, order: int, modes: tuple[str, str]) -> FockKet:
 
 
 def double_pass_source(tau: complex, order: int = 1) -> FockKet:
-    """Two SPDC passes: pair state on beams (1,4) times pair state on (2,3)."""
+    """Two SPDC passes: pair state on beams (1,4) times pair state on (2,3),
+    on beams (1, 2, 3, 4).  The terms are ``tensor_product``'s, in its
+    order: each term of the (1,4) pair times every term of the (2,3) pair."""
     a = spdc_pair(tau, order, ("1", "4"))
     b = spdc_pair(tau, order, ("2", "3"))
-    return tensor_product(a, b)
+    reg = ModeRegister(("1", "2", "3", "4"), order)
+    return FockKet._trusted(reg, {(n1, n2, n3, n4): amp_a * amp_b
+                                  for (n1, n4), amp_a in a.terms.items()
+                                  for (n2, n3), amp_b in b.terms.items()})
 
 
 _X_TERMS = (

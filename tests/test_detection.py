@@ -6,10 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from swapsim import fock
+from swapsim import fock, protocols
 from swapsim.detection import (CLICK, SILENT, ThresholdDetector, _Povm, coincidence_table,
                                measure, outcome_probabilities)
 from swapsim.elements import (
+    ModeUnitary,
+    _scatter,
     apply_mode_unitary,
     balanced_bs,
     polarization_rotation,
@@ -364,12 +366,13 @@ def _table_bits(table):
             for out, (total, branches) in table.items()]
 
 
-def _assert_fused_matches_apply_then_measure(state, detectors, eta, u, modes):
-    fused = coincidence_table(state, detectors, eta, (u, modes))
-    ref = coincidence_table(apply_mode_unitary(state, u, modes), detectors, eta)
+def _assert_fused_matches_apply_then_measure(state, detectors, eta, u):
+    measured = tuple(m for modes in detectors for m in modes)
+    fused = coincidence_table(state, detectors, eta, u)
+    ref = coincidence_table(apply_mode_unitary(state, u, measured), detectors, eta)
     assert _table_bits(fused) == _table_bits(ref)
-    got = measure(state, detectors, eta, (u, modes))
-    want = measure(apply_mode_unitary(state, u, modes), detectors, eta)
+    got = measure(state, detectors, eta, u)
+    want = measure(apply_mode_unitary(state, u, measured), detectors, eta)
     assert list(got) == list(want)
     for out, o in want.items():
         assert got[out].probability.hex() == o.probability.hex()
@@ -402,45 +405,112 @@ def _kets_that_prune(draw):
        u=two_mode_unitaries, eta=st.floats(0.05, 1.0), data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_fused_herald_matches_apply_then_measure(tol, ket, u, eta, data):
+    # u acts on the two measured modes, in detector order
     assume(ket.register.size >= 2)
-    modes = tuple(data.draw(st.permutations(ket.register.labels), label="modes")[:2])
-    if data.draw(st.booleans(), label="measure every mode"):
-        detectors = [(m,) for m in ket.register.labels]
+    m1, m2 = data.draw(st.permutations(ket.register.labels), label="modes")[:2]
+    if data.draw(st.booleans(), label="one two-mode detector"):
+        detectors = [(m1, m2)]
     else:
-        detectors = data.draw(_partial_detectors(ket), label="detectors")
+        detectors = [(m1,), (m2,)]
     with mock.patch.object(fock, "PRUNE_TOL", fock.PRUNE_TOL if tol is None else tol):
-        _assert_fused_matches_apply_then_measure(ket, detectors, eta, u, modes)
+        _assert_fused_matches_apply_then_measure(ket, detectors, eta, u)
 
 
 def test_fused_herald_when_pruning_drops_the_first_key_of_a_group():
     # through the beam splitter |100> keeps about -7.8e-16, below the
     # tolerance: the group of one photon in mode 1 then starts at |101>,
-    # after the first key of the empty-mode-1 group
+    # after the first key of the group of one photon in mode 2
     reg = ModeRegister(("1", "2", "3"), 1)
     ket = FockKet(reg, {(1, 0, 0): 1.0, (0, 1, 0): -1.0 - 1e-15, (1, 0, 1): 0.5})
     post = apply_mode_unitary(ket, balanced_bs(), ("1", "2"))
     assert (1, 0, 0) not in post.terms and list(post.terms)[0] == (0, 1, 0)
     for eta in (0.5, 1.0):
-        for detectors in ([("1",)], [("1",), ("2",)], [("1",), ("2",), ("3",)]):
-            _assert_fused_matches_apply_then_measure(ket, detectors, eta, balanced_bs(),
-                                                     ("1", "2"))
-    # the groups' order follows their first kept key, so it flips unpruned
-    for tol, order in ((fock.PRUNE_TOL, [[(1, 0), (1, 1)], [(0, 1)]]),
-                       (0.0, [[(0, 0), (0, 1)], [(1, 0), (1, 1)]])):
+        for detectors in ([("1",), ("2",)], [("2",), ("1",)], [("1", "2")]):
+            _assert_fused_matches_apply_then_measure(ket, detectors, eta, balanced_bs())
+    # the groups' order follows their first kept key, so it flips unpruned:
+    # both groups stay silent with probability 0.5, the mode-2 group with
+    # weight (2 + 1/4) / 2, the mode-1 group with (1/4) / 2
+    for tol, order in ((fock.PRUNE_TOL, [(1.0625, [(0,), (1,)]), (0.0625, [(1,)])]),
+                       (0.0, [(0.0625, [(0,), (1,)]), (1.0625, [(0,), (1,)])])):
         with mock.patch.object(fock, "PRUNE_TOL", tol):
-            table = coincidence_table(ket, [("1",)], 0.5, (balanced_bs(), ("1", "2")))
-        assert [list(k.terms) for _, k in table[(SILENT,)][1]] == order
+            table = coincidence_table(ket, [("1",), ("2",)], 0.5, balanced_bs())
+        assert [(round(w, 12), list(k.terms)) for w, k in table[(SILENT, SILENT)][1]] == order
+
+
+def test_fused_herald_when_pruning_moves_a_group_behind_one_made_later():
+    # u mixes modes 1 and 2, then 2 and 3; its first column has no mode-1
+    # entry, so |001> makes the groups of |010> and |001> but not |100>.
+    # Both of its terms are pruned (1.2e-14 / sqrt2), so each of those two
+    # groups first keeps a term of |1001>, behind that term's |100> group
+    r = 1.0 / math.sqrt(2.0)
+    u = ModeUnitary(((r, r, 0.0), (0.5, -0.5, r), (0.5, -0.5, -r)))
+    reg = ModeRegister(("1", "2", "3", "4"), 1)
+    ket = FockKet(reg, {(0, 0, 1, 0): 1.2e-14, (1, 0, 0, 1): 1.0})
+    detectors = [("1",), ("2",), ("3",)]
+    post = apply_mode_unitary(ket, u, ("1", "2", "3"))
+    assert list(post.terms) == [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)]
+    for eta in (0.5, 1.0):
+        _assert_fused_matches_apply_then_measure(ket, detectors, eta, u)
+
+
+def _groups_whose_first_term_is_pruned(state, u, modes):
+    """The measured occupations of ``u`` applied to ``modes`` of ``state``
+    whose group keeps a term although its first one is pruned."""
+    _, terms = _scatter(state, u, modes)  # unpruned, in the transformed ket's order
+    idx = [state.register.index(m) for m in modes]
+    first_kept, kept = {}, set()
+    for occ, amp in terms.items():
+        key = tuple(occ[i] for i in idx)
+        keep = abs(0.0 + amp) > fock.PRUNE_TOL
+        first_kept.setdefault(key, keep)
+        if keep:
+            kept.add(key)
+    return [key for key, keep in first_kept.items() if not keep and key in kept]
+
+
+@pytest.mark.parametrize("scheme, args, eta", [
+    ("a", (math.sqrt(0.1), 10), 0.7),
+    ("a", (math.sqrt(0.1), 10), 1.0),
+    ("a", (math.sqrt(0.05), 8), 0.6),
+    ("b", (0.3, 4, "ubs", 0.5), 0.8),
+    ("b", (0.3, 4, "pbs", 0.5), 0.8),
+])
+def test_fused_herald_matches_apply_then_measure_on_scheme_states(scheme, args, eta):
+    # the heralds the reports run: a balanced beam splitter on the leading
+    # beams (scheme A) or on beams 2 and 3 (scheme B), one detector on each
+    if scheme == "a":
+        pre, mixed = protocols.scheme_a_state(*args), protocols._SCHEME_A.mixed
+    else:
+        pre, mixed = protocols.scheme_b_state(*args), protocols._SCHEME_B.mixed
+    detectors = [(m,) for m in mixed]
+    fused = coincidence_table(pre, detectors, eta, balanced_bs())
+    ref = coincidence_table(apply_mode_unitary(pre, balanced_bs(), mixed), detectors, eta)
+    assert _table_bits(fused) == _table_bits(ref)
+    if args[1] == 10:
+        # Hong-Ou-Mandel round-off leaves a group's first term below the
+        # tolerance, so the groups are reordered on real traffic too
+        assert _groups_whose_first_term_is_pruned(pre, balanced_bs(), mixed)
+
+
+def test_fused_herald_rejects_a_unitary_of_another_size():
+    ket = FockKet(ModeRegister(("1", "2", "3"), 1), {(1, 0, 0): 1.0})
+    for detectors in ([("1",)], [("1",), ("2",), ("3",)], [("1", "2", "3")]):
+        with pytest.raises(ValueError, match="unitary acts on 2 modes, got"):
+            coincidence_table(ket, detectors, 0.5, balanced_bs())
+        with pytest.raises(ValueError, match="unitary acts on 2 modes, got"):
+            measure(ket, detectors, 0.5, balanced_bs())
 
 
 def test_measure_and_outcome_probabilities_reject_an_overflowing_norm():
     # |amp|**2 is beyond the float range: the error FockKet.norm gives
     reg = ModeRegister(("1", "2"), 1)
     big = FockKet(reg, {(1, 0): 1e200})
+    big3 = FockKet(ModeRegister(("1", "2", "3"), 1), {(1, 0, 0): 1e200})
     calls = [
         lambda: measure(big, [("1",)], 1.0),
         lambda: measure(big, [("1",), ("2",)], 1.0),
-        lambda: measure(big, [("1",)], 1.0, (balanced_bs(), ("1", "2"))),
-        lambda: measure(big, [("1",), ("2",)], 1.0, (balanced_bs(), ("1", "2"))),
+        lambda: measure(big3, [("1",), ("2",)], 1.0, balanced_bs()),
+        lambda: measure(big, [("1",), ("2",)], 1.0, balanced_bs()),
         lambda: outcome_probabilities([big], balanced_bs(), [("1",), ("2",)], 1.0),
     ]
     with pytest.raises(ValueError, match="ket norm overflows the float range"):

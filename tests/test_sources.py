@@ -5,6 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from swapsim.elements import MAX_FACTORIAL_CUTOFF
+from swapsim.fock import reorder, tensor_product
 from swapsim.sources import (
     double_pass_source,
     polarization_double_pass,
@@ -12,6 +13,8 @@ from swapsim.sources import (
     theta_product,
     vacuum_one_photon_postbs,
 )
+
+from conftest import ket_bits
 
 
 def test_spdc_pair_order_one():
@@ -49,11 +52,20 @@ def test_spdc_params_rejected():
 
 def test_double_pass_source():
     ket = double_pass_source(0.2)
-    assert ket.register.labels == ("1", "4", "2", "3")
+    assert ket.register.labels == ("1", "2", "3", "4")
     assert ket.num_terms() == 4
     assert ket.norm() == pytest.approx(1.0)
     vac = double_pass_source(0.0)
     assert vac.num_terms() == 1
+
+
+@pytest.mark.parametrize("tau, order", [(0.2, 1), (0.3 - 0.1j, 4), (math.sqrt(0.1), 10)])
+def test_double_pass_source_is_the_pair_product_on_beams_1_to_4(tau, order):
+    # the same terms, in the same order and with the same bits, as the
+    # tensor product of the two passes reordered onto beams (1, 2, 3, 4)
+    ref = reorder(tensor_product(spdc_pair(tau, order, ("1", "4")),
+                                 spdc_pair(tau, order, ("2", "3"))), ("1", "2", "3", "4"))
+    assert ket_bits(double_pass_source(tau, order)) == ket_bits(ref)
 
 
 @given(st.floats(0.0, 0.9), st.integers(1, 3))
