@@ -17,8 +17,8 @@ contributes to.
 
 The detector check, the outcome list, each photon count's (click, silent)
 pair and each measured occupation's row of outcome probabilities are set
-up once per call.  When every mode is measured, each term is its own group
-and no group is built.
+up once per call.  When every mode is measured and no unitary comes
+first, each term is its own group and no group is built.
 
 A unitary just before the detectors need not be applied first.
 ``measure(state, ..., unitary=u)``, where ``u`` acts on the measured modes
