@@ -44,6 +44,12 @@ ARGVS = [f"{run} --format {fmt}" for run in RUNS for fmt in ("table", "csv", "js
     # collects amplitudes from several source terms and pruning drops some
     "scheme-b --epsilon 0.3 --eta 0.8 --order 4 --pair-amplitude 0.5 --format json",
     "scheme-b --epsilon 0.3 --eta 0.8 --order 4 --pair-amplitude 0.5 --variant pbs --format json",
+    # phase tables whose members sink below half an ulp of every running
+    # entry, and heralds at eta = 1, where most detector groups weigh
+    # exactly 0.0 on both heralded outcomes
+    "verify-phase --tau2 0.01 --eta 0.7 --order 10 --format json",
+    "verify-phase --tau2 0.1 --eta 1 --order 10 --format json",
+    "scheme-a --tau2 0.05 --eta 1 --order 8 --format json",
 ]
 IMPOSSIBLE_RUNS = [
     "scheme-a --tau2 0 --eta 0.5",
