@@ -6,8 +6,8 @@ holding n photons stays silent with probability (1 - eta)^n and clicks
 with probability 1 - (1 - eta)^n.
 
 ``measure`` is the one implementation of this POVM.  It returns every
-click/silent outcome of a set of detectors on a ket at once, keyed by a
-tuple of ``CLICK``/``SILENT`` in detector order.  The ket is grouped once
+click/silent outcome asked for (all by default) of a set of detectors on a
+ket at once, keyed by a tuple of ``CLICK``/``SILENT`` in detector order.  The ket is grouped once
 by the occupation of the measured modes: groups with distinct measured
 occupations are incoherent, terms sharing them stay coherent.  This is
 exact for POVMs diagonal in the measured modes' Fock basis.  A group's
@@ -17,22 +17,29 @@ contributes to.
 
 The detector check, the outcome list, each photon count's (click, silent)
 pair and each measured occupation's row of outcome probabilities are set
-up once per call.  When every mode is measured and no unitary comes
-first, each term is its own group and no group is built.
+up once per call; with two one-mode detectors, as in every herald and
+phase table, a row is its four products written out.  When every mode is
+measured and no unitary comes first, each term is its own group and no
+group is built.
 
 A unitary just before the detectors need not be applied first.
 ``measure(state, ..., unitary=u)``, where ``u`` acts on the measured modes
 in detector order (as in every herald), scatters each term of ``state``
 through ``u``'s transfer table straight into its detector group, keyed by
 the table's output index, then prunes and weighs each group and restores
-the order in which building the ket would have met them.
-``outcome_probabilities`` (a batch of kets after one unitary on all of
-their modes) scatters them keyed by output index too.  Neither builds the
-transformed ket, and both give the same bits as building it.
+the order in which building the ket would have met them.  When only some
+outcomes are asked for, a group whose row is exactly 0.0 on all of them
+(at ``eta = 1`` the vacuum and every group with photons at both heralding
+detectors) is never scattered into: the kept groups, their order, bits
+and branch cutoffs are those of the full result.  ``OutcomeBatch`` (a
+batch of kets after one unitary on all of their modes, measured one at a
+time, each the first time it is read) scatters them keyed by output index
+too, and ``outcome_probabilities`` reads every ket of one.  None of them
+builds the transformed ket, and all give the same bits as building it.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
 ``coincidence_table`` groups the ket, weighs every group under every
-outcome and builds the branches, and ``measure_pattern`` turns one
+outcome asked for and builds the branches, and ``measure_pattern`` turns one
 outcome's probability and weighted branches into its ``ConditionalOutcome``,
 which builds the ensemble from them only when it is first read.  Callers
 use ``measure``.
@@ -43,7 +50,8 @@ import bisect
 import itertools
 import math
 from collections import defaultdict
-from typing import Callable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import fock
 from .elements import ModeUnitary, _check_acted
@@ -129,12 +137,16 @@ class _Povm:
     measured occupation's row of outcome probabilities (which depend only on
     the detectors' photon counts), made the first time it is looked up as
     one product per outcome over the detectors' (click, silent) pairs, in
-    ``itertools.product`` order.  Each photon count's pair is computed once.
-    ``term_rows`` gives a fully measured term its row by the term's own
-    occupation: it is ``rows`` when the detectors cover the register in
-    order, so that no getter runs."""
+    ``itertools.product`` order.  Each photon count's pair is computed once,
+    and when every detector covers one mode the counts are the key itself.
+    With ``outcomes``, the outcome list and every row (a tuple then) hold
+    only the outcomes asked for, still in that order; ``partial`` says
+    that some were left out.  ``term_rows`` gives a fully measured term its row by
+    the term's own occupation: it is ``rows`` when the detectors cover the
+    register in order, so that no getter runs."""
 
-    def __init__(self, reg: ModeRegister, detectors: Sequence[Sequence[str]], eta: float):
+    def __init__(self, reg: ModeRegister, detectors: Sequence[Sequence[str]], eta: float,
+                 outcomes: Iterable[tuple[str, ...]] | None = None):
         det = ThresholdDetector(eta)
         detectors = [tuple(modes) for modes in detectors]
         measured_modes = [m for modes in detectors for m in modes]
@@ -147,30 +159,49 @@ class _Povm:
         self.measured_of = measured_of = _tuple_getter(measured_idx)
         self.rest_of = _tuple_getter(self.rest_idx)
         self.rest_labels = tuple(reg.labels[i] for i in self.rest_idx)
-        # per-detector slice of the measured-occupation key
-        spans = []
-        pos = 0
-        for modes in detectors:
-            spans.append(slice(pos, pos + len(modes)))
-            pos += len(modes)
-        self.outcomes = list(itertools.product((CLICK, SILENT), repeat=len(detectors)))
-        pairs: dict[int, tuple[float, float]] = {}  # photon count -> (click, silent)
+        every = list(itertools.product((CLICK, SILENT), repeat=len(detectors)))
+        pairs = _Rows(lambda n: (det.p_click(n), det.p_silent(n)))  # photon count -> pair
 
-        def row(key: tuple[int, ...]) -> list[float]:
+        def product_row(counts) -> list[float]:
             out_probs = [1.0]
-            for span in spans:
-                n = sum(key[span])
-                pair = pairs.get(n)
-                if pair is None:
-                    pair = pairs[n] = (det.p_click(n), det.p_silent(n))
-                click, silent = pair
+            for n in counts:
+                click, silent = pairs[n]
                 products = []
                 for p in out_probs:
-                    products.append(p * click)
-                    products.append(p * silent)
+                    products += (p * click, p * silent)
                 out_probs = products
             return out_probs
 
+        if any(len(modes) != 1 for modes in detectors):
+            spans = []  # per-detector slice of the measured-occupation key
+            pos = 0
+            for modes in detectors:
+                spans.append(slice(pos, pos + len(modes)))
+                pos += len(modes)
+            row = lambda key: product_row([sum(key[span]) for span in spans])
+        elif len(detectors) == 2:  # every herald and phase table: product_row's bits
+            def row(key: tuple[int, ...]) -> list[float]:
+                c1, s1 = pairs[key[0]]
+                c2, s2 = pairs[key[1]]
+                return [c1 * c2, c1 * s2, s1 * c2, s1 * s2]
+        else:
+            row = product_row
+        self.outcomes = every
+        self.partial = False
+        if outcomes is not None:
+            wanted = set(outcomes)
+            if not wanted:
+                raise ValueError("no outcomes asked for")
+            if not wanted <= set(every):
+                raise ValueError(f"unknown outcomes {sorted(wanted - set(every))} "
+                                 f"for {len(detectors)} detectors")
+            picks = [k for k, out in enumerate(every) if out in wanted]
+            if len(picks) < len(every):
+                self.outcomes = [every[k] for k in picks]
+                self.partial = True
+                take = (itemgetter(*picks) if len(picks) > 1
+                        else lambda full, k=picks[0]: (full[k],))
+                row = lambda key, full_row=row: take(full_row(key))
         self.rows = rows = _Rows(row)
         self.term_rows = rows if measured_idx == list(range(reg.size)) else \
             _Rows(lambda occ: rows[measured_of(occ)])
@@ -198,44 +229,65 @@ class _Povm:
         return sums
 
 
-def outcome_probabilities(
-    kets: Sequence[FockKet],
-    u: ModeUnitary,
-    detectors: Sequence[Sequence[str]],
-    eta: float,
-) -> list[dict[tuple[str, ...], float]]:
+class OutcomeBatch:
     """Every click/silent outcome's probability for each of several kets on
     one set of mode labels, after ``u`` acts on all of their modes in
     register order, with every mode measured and the set-up done once.
 
-    Each dict is keyed as ``measure``'s result and holds the same
-    probabilities, bit for bit, as ``measure(apply_mode_unitary(ket, u,
+    ``batch[k]`` is the table of ``kets[k]``, keyed as ``measure``'s result
+    (``batch.outcomes``, in order), computed the first time it is read and
+    kept: a ket that is never read is never measured.  Each table holds the
+    same probabilities, bit for bit, as ``measure(apply_mode_unitary(ket, u,
     ket.register.labels), detectors, eta)``, but the transformed ket is never
     built: its scattered terms are summed straight away, skipping those that
     building it would prune.  An output term is keyed by its transfer-table
     index, in the occupation keys' order, and each index's row is looked
-    up once per batch.  An empty batch gives an empty list.
+    up once per batch.  The detectors, labels and cutoffs of every ket are
+    checked when the batch is made.
     """
-    if not kets:
-        return []
-    povm = _Povm(kets[0].register, detectors, eta)
-    if povm.rest_idx:
-        raise ValueError("outcome_probabilities measures every mode")
-    if any(ket.register.labels != povm.labels for ket in kets):
-        raise ValueError("kets of one batch must share their mode labels")
-    _check_acted(u, povm.labels, max(ket.register.cutoff for ket in kets))
-    table, sector, powers_of, term_rows = u._table, u.sector, u._powers, povm.term_rows
-    index_rows = _Rows(lambda i: term_rows[powers_of[i]])
-    tables = []
-    for ket in kets:
+
+    def __init__(self, kets: Sequence[FockKet], u: ModeUnitary,
+                 detectors: Sequence[Sequence[str]], eta: float):
+        povm = _Povm(kets[0].register, detectors, eta)
+        if povm.rest_idx:
+            raise ValueError("outcome_probabilities measures every mode")
+        if any(ket.register.labels != povm.labels for ket in kets):
+            raise ValueError("kets of one batch must share their mode labels")
+        _check_acted(u, povm.labels, max(ket.register.cutoff for ket in kets))
+        self.kets, self.u, self.povm, self.outcomes = kets, u, povm, povm.outcomes
+        term_rows, powers_of = povm.term_rows, u._powers
+        self.index_rows = _Rows(lambda i: term_rows[powers_of[i]])
+        self.tables: list[dict | None] = [None] * len(kets)
+
+    def __getitem__(self, k: int) -> dict[tuple[str, ...], float]:
+        table = self.tables[k]
+        if table is None:
+            table = self.tables[k] = self._measure(self.kets[k])
+        return table
+
+    def _measure(self, ket: FockKet) -> dict[tuple[str, ...], float]:
+        table, sector = self.u._table, self.u.sector
         out: dict[int, complex] = {}
         for occ, amp in ket.terms.items():
             nf, outputs, _ = table.get(occ) or sector(occ)
             pref = amp / nf
             for _, i, c, pf in outputs:
                 out[i] = out.get(i, 0.0) + pref * c * pf
-        tables.append(dict(zip(povm.outcomes, povm.term_sums(out, index_rows))))
-    return tables
+        return dict(zip(self.outcomes, self.povm.term_sums(out, self.index_rows)))
+
+
+def outcome_probabilities(
+    kets: Sequence[FockKet],
+    u: ModeUnitary,
+    detectors: Sequence[Sequence[str]],
+    eta: float,
+) -> list[dict[tuple[str, ...], float]]:
+    """Every table of ``OutcomeBatch(kets, u, detectors, eta)``, in ket
+    order.  An empty batch gives an empty list."""
+    if not kets:
+        return []
+    batch = OutcomeBatch(kets, u, detectors, eta)
+    return [batch[k] for k in range(len(kets))]
 
 
 def _group(terms: dict, povm: _Povm) -> dict:
@@ -257,7 +309,8 @@ def _group(terms: dict, povm: _Povm) -> dict:
     return groups
 
 
-def _scatter_groups(state: FockKet, u: ModeUnitary, povm: _Povm) -> tuple[list, int]:
+def _scatter_groups(state: FockKet, u: ModeUnitary, povm: _Povm,
+                    rows: Mapping[int, Sequence[float]] | None = None) -> tuple[list, int]:
     """``_group`` of ``u`` applied to the measured modes of ``state``, in
     detector order, without building that ket: ``(output index, (w,
     {rest occupation: amp}))`` pairs with the same bits, and the largest
@@ -270,16 +323,35 @@ def _scatter_groups(state: FockKet, u: ModeUnitary, povm: _Povm) -> tuple[list, 
     order the scatter met them, except that a group whose first term is
     pruned moves to its first kept term (output ``j`` of input term ``t``),
     behind every group met before that.
+
+    With ``rows`` (output index -> its row of outcome probabilities), a
+    group whose row is all 0.0 is never scattered into: each acted
+    occupation's outputs are filtered once per call.  A group's sums do not
+    depend on any other group's, so the groups kept are the same pairs, in
+    the same order; the largest output occupation still counts every
+    output.
     """
     _check_acted(u, povm.measured, state.register.cutoff)
     table, sector = u._table, u.sector
+    if rows is None:
+        entries, entry_of = table, sector
+    else:
+        # acted occupation -> its table entry with only live outputs, in a
+        # list: freed tuples of every length would pile up in the
+        # interpreter's tuple free lists and raise the peak RSS
+        entries = {}
+
+        def entry_of(acted):
+            nf, outputs, top = table.get(acted) or sector(acted)
+            entry = entries[acted] = (nf, [out for out in outputs if any(rows[out[1]])], top)
+            return entry
     measured_of, rest_of = povm.measured_of, povm.rest_of
     subs: defaultdict[int, dict] = defaultdict(dict)  # index -> {rest occupation: amp}
     starts = []  # the number of groups met before each input term
     max_occ = 0
     for occ, amp in state.terms.items():
         acted = measured_of(occ)
-        nf, outputs, top = table.get(acted) or sector(acted)
+        nf, outputs, top = entries.get(acted) or entry_of(acted)
         pref = amp / nf
         rest = rest_of(occ)
         starts.append(len(subs))
@@ -314,7 +386,7 @@ def _scatter_groups(state: FockKet, u: ModeUnitary, povm: _Povm) -> tuple[list, 
             while True:
                 occ = occs[t]
                 if rest_of(occ) == first:
-                    outputs = table[measured_of(occ)][1]
+                    outputs = entries[measured_of(occ)][1]
                     j = next((k for k, out in enumerate(outputs) if out[1] == i), None)
                     if j is not None:
                         break
@@ -330,12 +402,14 @@ def coincidence_table(
     detectors: Sequence[Sequence[str]],
     eta: float,
     unitary: ModeUnitary | None = None,
+    outcomes: Iterable[tuple[str, ...]] | None = None,
 ) -> dict[tuple[str, ...], tuple[float, list[tuple[float, FockKet]]]]:
     """First phase of ``measure``: group the ket once, weigh every group
-    under every outcome and build each group's branch the first time an
-    outcome needs it, in one pass over the group: its amplitudes, all above
-    ``fock.PRUNE_TOL``, times 1/sqrt(w), pruned as ``FockKet._trusted``
-    prunes, which gives the bits of ``FockKet(rest_reg, sub).normalized()``.
+    under every outcome asked for and build each group's branch the first
+    time an outcome needs it, in one pass over the group: its amplitudes,
+    all above ``fock.PRUNE_TOL``, times 1/sqrt(w), pruned as
+    ``FockKet._trusted`` prunes, which gives the bits of ``FockKet(rest_reg,
+    sub).normalized()``.
 
     Maps each outcome, in ``measure``'s order, to its probability and its
     ``(weight, branch)`` pairs in group order.  A group's weight under an
@@ -347,9 +421,11 @@ def coincidence_table(
     With ``unitary = u`` the ket measured is ``u`` applied to the measured
     modes of ``state`` in detector order, which is never built: its groups
     come from ``_scatter_groups``, each group's row is looked up by output
-    index, and the branches take the raised cutoff.
+    index, and the branches take the raised cutoff.  When ``outcomes``
+    leaves some out, a group whose row is exactly 0.0 on every outcome
+    asked for adds to no sum and no branch, so it is not scattered at all.
     """
-    povm = _Povm(state.register, detectors, eta)
+    povm = _Povm(state.register, detectors, eta, outcomes)
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]
     if unitary is None and not povm.rest_idx:
         return dict(zip(povm.outcomes,
@@ -359,10 +435,13 @@ def coincidence_table(
         if unitary is None:
             groups, cutoff, rows = _group(state.terms, povm).items(), state.register.cutoff, povm.rows
         else:
-            groups, max_occ = _scatter_groups(state, unitary, povm)
-            cutoff = max(max_occ, state.register.cutoff)
             powers_of, row = unitary._powers, povm.rows.make
             rows = _Rows(lambda i: row(powers_of[i]))
+            # with every outcome no row is all 0.0 (each detector's larger
+            # probability is at least 1/2), so nothing is looked up per output
+            groups, max_occ = _scatter_groups(state, unitary, povm,
+                                              rows if povm.partial else None)
+            cutoff = max(max_occ, state.register.cutoff)
         rest_reg = ModeRegister(povm.rest_labels, cutoff) if povm.rest_idx else None
         for key, (w, sub) in groups:
             ket = None
@@ -394,8 +473,10 @@ def measure(
     detectors: Sequence[Sequence[str]],
     eta: float,
     unitary: ModeUnitary | None = None,
+    outcomes: Iterable[tuple[str, ...]] | None = None,
 ) -> dict[tuple[str, ...], ConditionalOutcome]:
-    """Exact probability and conditional ensemble of every click/silent outcome.
+    """Exact probability and conditional ensemble of every click/silent
+    outcome asked for, all by default.
 
     ``detectors`` lists the modes each threshold detector covers; a mode may
     appear under at most one detector.  The result is keyed by outcome tuples
@@ -406,8 +487,11 @@ def measure(
     pruning never empties one.  With ``unitary = u``, which must act on as
     many modes as the detectors measure, the result is bit for bit that of
     ``measure(apply_mode_unitary(state, u, measured), ...)``, ``measured``
-    being the detectors' modes in order.
+    being the detectors' modes in order.  With ``outcomes`` (a non-empty
+    iterable of outcome tuples), the result is the full one restricted to them, bit
+    for bit: the same keys in the same order, the same branch registers,
+    and a branch that two of them share is one object, as in the full one.
     """
-    table = coincidence_table(state, detectors, eta, unitary)
+    table = coincidence_table(state, detectors, eta, unitary, outcomes)
     return {out: measure_pattern(total, branches)
             for out, (total, branches) in table.items()}

@@ -253,15 +253,20 @@ def _dense_herald(pre: FockKet, mixed: tuple[str, str], eta: float) -> dict:
 
 def _verify_herald(pre: FockKet, scheme: protocols._Heralded,
                    eta: float) -> tuple[float, dict, dict]:
-    """Max |sparse - dense| over every outcome's probability and
-    psi-fidelities on the outer beams of the step both schemes herald with:
-    a balanced beam splitter on ``scheme.mixed`` and one threshold detector
-    on each output.  The sparse and dense outcomes are returned with it."""
+    """Max |sparse - dense| over outcome probabilities and psi-fidelities on
+    the outer beams of the step both schemes herald with: a balanced beam
+    splitter on ``scheme.mixed`` and one threshold detector on each output.
+    The sparse side is measured twice: every outcome (the ``--shots``
+    distribution), and the two heralded ones alone, which is what the
+    reports compute.  The heralded sparse outcomes and the dense ones are
+    returned with it."""
     sparse = protocols._herald(pre, scheme.mixed, eta)
+    heralded = protocols._herald(pre, scheme.mixed, eta, protocols._HERALDS)
     dense = _dense_herald(pre, scheme.mixed, eta)
     targets = [bell_state("psi+", scheme.outer), bell_state("psi-", scheme.outer)]
-    worst = max(_compare_outcomes(sparse[out], dense[out], targets) for out in dense)
-    return worst, sparse, dense
+    worst = max(_compare_outcomes(outcomes[out], dense[out], targets)
+                for outcomes in (sparse, heralded) for out in outcomes)
+    return worst, heralded, dense
 
 
 def _dense_coincidences(members, eta: float) -> dict:
@@ -294,14 +299,14 @@ def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float
     one by one; the sparse tables come from ``_phase_tables``, the batch
     whose tables ``run_phase_verification`` reports.
     """
-    worst, sparse, dense = _verify_herald(protocols.scheme_a_state(tau, order),
-                                          protocols._SCHEME_A, eta)
+    worst, heralded, dense = _verify_herald(protocols.scheme_a_state(tau, order),
+                                            protocols._SCHEME_A, eta)
     # the heralded events (an ensemble on one side only already made worst
     # inf), then the ideal references, in _phase_tables' order
     sparse_ens, dense_members = [], []
     for out in protocols._HERALDS:
-        if sparse[out].ensemble is not None and dense[out].ensemble is not None:
-            sparse_ens.append(sparse[out].ensemble)
+        if heralded[out].ensemble is not None and dense[out].ensemble is not None:
+            sparse_ens.append(heralded[out].ensemble)
             dense_members.append(dense[out].ensemble.members)
     dense_members += [((1.0, ket),) for ket in protocols._phase_references()]
     tables = protocols._phase_tables(sparse_ens, eta)

@@ -8,14 +8,17 @@ Every report builds its events with ``_event``, the one place a fidelity
 is computed.  Schemes A and B, each described once (``_SCHEME_A``,
 ``_SCHEME_B``), herald with one step, ``_herald``: a balanced beam splitter
 on two beams and one threshold detector on each output, measured without
-building the mixed ket.  A branch that both heralded events share is one
-object, and its work is done once per report: its fidelity overlaps, its
-``format_ket`` text, and its pass through the phase verification's second
-beam splitter.  Those coincidence tables come from one batch,
-``_phase_tables``: the branch kets of both heralded ensembles and the ideal
-psi+/psi- references, all on beams (3, 4), go into one
-``detection.outcome_probabilities`` call; each table is then summed over
-its own members.
+building the mixed ket.  A report measures only the two heralded
+outcomes; the click distributions measure all four.  A branch that both
+heralded events share is one object, and its work is done once per
+report: its fidelity overlaps, its ``format_ket`` text, and its pass
+through the phase verification's second beam splitter.  Those
+coincidence tables come from one batch, ``_phase_tables``: the branch kets
+of both heralded ensembles and the ideal psi+/psi- references, all on
+beams (3, 4), make one ``detection.OutcomeBatch``; each table is then
+summed over its own members, skipping a member too light to change any
+bit of it, and a ket goes through the beam splitter only when some table
+first needs it.
 
 No report checks ``eta`` itself: each one reaches ``detection.measure``,
 whose ``ThresholdDetector`` is the one check.  An event is ``impossible``
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .detection import CLICK, SILENT, measure, outcome_probabilities
+from .detection import CLICK, SILENT, OutcomeBatch, measure
 from .elements import (MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs, pbs,
                        polarization_rotation, unbalanced_bs)
 from .fock import (
@@ -195,7 +198,7 @@ def _bell_project_events(state: FockKet, inner_modes: tuple[str, str],
 def bell_decomposition_check() -> ProtocolReport:
     """Project psi- x psi- on the inner pair; four equal Bell outcomes."""
     pairs = tensor_product(bell_state("psi-", ("1", "2")), bell_state("psi-", ("3", "4")))
-    events = _bell_project_events(reorder(pairs, ("1", "2", "3", "4")), ("2", "3"), ("1", "4"))
+    events = _bell_project_events(pairs, ("2", "3"), ("1", "4"))
     return ProtocolReport("bell-check", {}, events)
 
 
@@ -223,11 +226,13 @@ def scheme_a_state(tau: complex, order: int = 1) -> FockKet:
     return double_pass_source(tau, order)
 
 
-def _herald(pre: FockKet, mixed: tuple[str, str], eta: float) -> dict:
+def _herald(pre: FockKet, mixed: tuple[str, str], eta: float,
+            outcomes: Sequence[tuple[str, str]] | None = None) -> dict:
     """Mix two beams of a ket on a balanced beam splitter and put one
-    threshold detector on each output; every outcome, keyed in ``mixed``
-    order.  The mixed ket is never built (``measure``'s ``unitary``)."""
-    return measure(pre, [(m,) for m in mixed], eta, balanced_bs())
+    threshold detector on each output; every outcome asked for (all by
+    default), keyed in ``mixed`` order.  The mixed ket is never built
+    (``measure``'s ``unitary``)."""
+    return measure(pre, [(m,) for m in mixed], eta, balanced_bs(), outcomes)
 
 
 class _Heralded(NamedTuple):
@@ -252,8 +257,9 @@ def _favored(fids: dict) -> dict:
 
 def _heralded_events(pre: FockKet, scheme: _Heralded, eta: float) -> tuple[EventResult, ...]:
     """The two heralded events of ``scheme``, each with its fidelity to
-    psi+ and psi- on the outer beams and the one it favors."""
-    outcomes = _herald(pre, scheme.mixed, eta)
+    psi+ and psi- on the outer beams and the one it favors.  Only the two
+    heralded outcomes are measured."""
+    outcomes = _herald(pre, scheme.mixed, eta, _HERALDS)
     targets = {k: bell_state(k, scheme.outer) for k in ("psi+", "psi-")}
     overlaps: dict = {}
     return tuple(
@@ -308,10 +314,14 @@ def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dic
     ``_phase_references()`` ket.
 
     The distinct member kets (by identity, in first-seen order) and the two
-    references, all on register labels ("3", "4"), go through the beam
-    splitter once each and are measured in one batch.  Each table is then
-    ``sum_k w_k p_k(out)`` over its own members in member order, from 0.0:
-    the float order of measuring the ensemble as one mixture.
+    references, all on register labels ("3", "4"), make one
+    ``OutcomeBatch``.  Each table is then ``sum_k w_k p_k(out)`` over its
+    own members in member order, from 0.0: the float order of measuring the
+    ensemble as one mixture.  A member whose ``2 * w`` is below half an ulp
+    of the table's smallest running entry is skipped there: its ``p`` is at
+    most 1 up to rounding, so each ``w * p`` is below half an ulp of every
+    running entry and adding it would change no bit.  A ket goes through
+    the beam splitter the first time a table needs it, and only then.
     """
     mixtures = ([ens.members for ens in ensembles]
                 + [((1.0, ket),) for ket in _phase_references()])
@@ -322,13 +332,17 @@ def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dic
             if id(ket) not in slot:
                 slot[id(ket)] = len(kets)
                 kets.append(ket)
-    probs = outcome_probabilities(kets, balanced_bs(), [(m,) for m in _SCHEME_A.outer], eta)
+    batch = OutcomeBatch(kets, balanced_bs(), [(m,) for m in _SCHEME_A.outer], eta)
     tables = []
     for members in mixtures:
-        joint = dict.fromkeys(probs[0], 0.0)
+        joint = dict.fromkeys(batch.outcomes, 0.0)
+        half_ulp = 0.0  # half an ulp of 0.0 rounds to 0.0: no member is skipped at 0.0
         for w, ket in members:
-            for out, p in probs[slot[id(ket)]].items():
+            if 2.0 * w < half_ulp:
+                continue
+            for out, p in batch[slot[id(ket)]].items():
                 joint[out] += w * p
+            half_ulp = math.ulp(min(joint.values())) / 2
         tables.append(joint)
     return tables
 

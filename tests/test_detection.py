@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from swapsim import fock, protocols
+from swapsim import detection, fock, protocols
 from swapsim.detection import (CLICK, SILENT, ThresholdDetector, _Povm, coincidence_table,
                                measure, outcome_probabilities)
 from swapsim.elements import (
@@ -451,6 +451,111 @@ def test_fused_herald_when_pruning_moves_a_group_behind_one_made_later():
     assert list(post.terms) == [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)]
     for eta in (0.5, 1.0):
         _assert_fused_matches_apply_then_measure(ket, detectors, eta, u)
+
+
+def _three_mode(e1, e2):
+    """unbalanced_bs(e1) on modes 1, 2 after unbalanced_bs(e2) on modes 2, 3."""
+    a, b = unbalanced_bs(e1).entries, unbalanced_bs(e2).entries
+    big_a = ((a[0][0], a[0][1], 0.0), (a[1][0], a[1][1], 0.0), (0.0, 0.0, 1.0))
+    big_b = ((1.0, 0.0, 0.0), (0.0, b[0][0], b[0][1]), (0.0, b[1][0], b[1][1]))
+    return ModeUnitary([[sum(big_a[i][k] * big_b[k][j] for k in range(3)) for j in range(3)]
+                        for i in range(3)])
+
+
+_R2 = 1.0 / math.sqrt(2.0)
+three_mode_unitaries = st.one_of(
+    # a zero entry: an input's outputs need not cover its photon number
+    st.just(ModeUnitary(((_R2, _R2, 0.0), (0.5, -0.5, _R2), (0.5, -0.5, -_R2)))),
+    st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)).map(lambda e: _three_mode(*e)),
+)
+
+
+def _sharing(table):
+    """Which branches of a coincidence table are one object: each branch's
+    position of first appearance, outcome by outcome."""
+    first = {}
+    return [[first.setdefault(id(k), (out, j)) for j, (_, k) in enumerate(branches)]
+            for out, (_, branches) in table.items()]
+
+
+@given(ket=st.one_of(_kets_that_prune(), random_kets(normalized=False)),
+       u=st.one_of(two_mode_unitaries, three_mode_unitaries, st.none()),
+       eta=st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 1e-200, 1.0 - 2.0**-53]),
+                     st.floats(0.0, 1.0)),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_measuring_some_outcomes_is_the_full_result_restricted(ket, u, eta, data):
+    # probabilities, group order, weights, branch bits, registers and
+    # cutoffs, and which branches are shared, all as in the full result
+    size = 2 if u is None else u.size
+    assume(ket.register.size >= size)
+    modes = data.draw(st.permutations(ket.register.labels), label="modes")[:size]
+    if data.draw(st.booleans(), label="first two modes under one detector"):
+        detectors = [tuple(modes[:2])] + [(m,) for m in modes[2:]]
+    else:
+        detectors = [(m,) for m in modes]
+    every = list(itertools.product((CLICK, SILENT), repeat=len(detectors)))
+    some = data.draw(st.lists(st.sampled_from(every), min_size=1, unique=True),
+                     label="outcomes")
+    full = coincidence_table(ket, detectors, eta, u)
+    part = coincidence_table(ket, detectors, eta, u, some)
+    assert list(part) == [out for out in every if out in some]
+    assert _table_bits(part) == [row for row in _table_bits(full) if row[0] in some]
+    restricted = {out: full[out] for out in part}
+    assert _sharing(part) == _sharing(restricted)
+    got, want = measure(ket, detectors, eta, u, some), measure(ket, detectors, eta, u)
+    assert list(got) == list(part)
+    for out, o in got.items():
+        assert o.probability.hex() == want[out].probability.hex()
+        if want[out].ensemble is None:
+            assert o.ensemble is None
+            continue
+        assert o.ensemble.register == want[out].ensemble.register
+        assert [(w.hex(), ket_bits(k)) for w, k in o.ensemble.members] == \
+            [(w.hex(), ket_bits(k)) for w, k in want[out].ensemble.members]
+
+
+def test_measuring_some_outcomes_keeps_the_cutoff_of_every_output():
+    # at eta = 1 only (click, click) is asked for: |21> on modes 1, 2 goes to
+    # |30>, |21>, |12>, |03>, and the two groups that hold 3 photons in one
+    # mode are never scattered, yet the branches take cutoff 3
+    ket = FockKet(ModeRegister(("1", "2", "3"), 2), {(2, 1, 1): 1.0, (1, 0, 0): 0.5})
+    detectors = [("1",), ("2",)]
+    part = coincidence_table(ket, detectors, 1.0, balanced_bs(), [(CLICK, CLICK)])
+    full = coincidence_table(ket, detectors, 1.0, balanced_bs())
+    ((total, branches),) = part.values()
+    assert total > 0.0 and {k.register.cutoff for _, k in branches} == {3}
+    assert _table_bits(part) == _table_bits({(CLICK, CLICK): full[(CLICK, CLICK)]})
+
+
+def test_measuring_some_outcomes_scatters_only_the_groups_they_read(monkeypatch):
+    # the heralds at eta = 1: the vacuum and every group with photons at
+    # both detectors are never made
+    pre = protocols.scheme_a_state(math.sqrt(0.1), 6)
+    detectors = [(m,) for m in protocols._SCHEME_A.mixed]
+    made = []
+    scatter = detection._scatter_groups
+
+    def record(state, u, povm, rows=None):
+        groups, top = scatter(state, u, povm, rows)
+        made.append([u._powers[i] for i, _ in groups])
+        return groups, top
+
+    monkeypatch.setattr(detection, "_scatter_groups", record)
+    coincidence_table(pre, detectors, 1.0, balanced_bs(), protocols._HERALDS)
+    coincidence_table(pre, detectors, 1.0, balanced_bs())
+    heralded, every = made
+    assert heralded == [p for p in every if (p[0] == 0) != (p[1] == 0)]
+    assert len(heralded) < len(every) / 3
+
+
+def test_measure_rejects_an_unknown_or_empty_outcome_list():
+    ket = FockKet(ModeRegister(("1", "2"), 1), {(1, 0): 1.0})
+    for outcomes in ([(CLICK,)], [(CLICK, "dark")], [(CLICK, SILENT, SILENT)]):
+        with pytest.raises(ValueError, match="unknown outcomes"):
+            measure(ket, [("1",), ("2",)], 0.5, balanced_bs(), outcomes)
+    with pytest.raises(ValueError, match="no outcomes asked for"):
+        measure(ket, [("1",), ("2",)], 0.5, balanced_bs(), [])
 
 
 def _groups_whose_first_term_is_pruned(state, u, modes):

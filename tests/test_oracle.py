@@ -1,9 +1,10 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
-from swapsim import oracle, protocols
+from swapsim import cli, detection, oracle, protocols
 from swapsim.detection import CLICK, SILENT, ConditionalOutcome, measure
 from swapsim.elements import ModeUnitary, apply_mode_unitary, balanced_bs
 from swapsim.fock import FockKet, ModeRegister, bell_state, fidelity
@@ -132,11 +133,14 @@ def test_sparse_dense_equivalence_randomized():
 
 
 def test_verify_scheme_b_checks_the_reported_state(monkeypatch):
-    sparse = []
+    # every outcome (what --shots samples), then the two heralded ones
+    # alone (what the report computes)
+    calls, sparse = [], []
     herald = protocols._herald
 
-    def record(pre, mixed, eta):
-        out = herald(pre, mixed, eta)
+    def record(pre, mixed, eta, outcomes=None):
+        out = herald(pre, mixed, eta, outcomes)
+        calls.append(outcomes)
         sparse.append([out[(CLICK, SILENT)].probability, out[(SILENT, CLICK)].probability])
         return out
 
@@ -144,8 +148,38 @@ def test_verify_scheme_b_checks_the_reported_state(monkeypatch):
     assert verify_scheme_b(0.3, 0.8, order=2, pair_amplitude=0.5) <= 1e-10
     monkeypatch.undo()
     report = run_scheme_b(0.3, 0.8, order=2, pair_amplitude=0.5)
+    assert calls == [None, protocols._HERALDS]
     assert sparse == [[report.event("d2_click").probability,
-                       report.event("d3_click").probability]]
+                       report.event("d3_click").probability]] * 2
+
+
+@pytest.mark.parametrize("outcome", protocols._HERALDS)
+def test_verify_catches_a_skew_of_the_heralded_outcomes_alone(monkeypatch, outcome):
+    # the reports measure only the heralded outcomes; a fault there alone,
+    # with the full herald (--shots) intact, must still fail --verify
+    table = detection.coincidence_table
+
+    def skewed(state, detectors, eta, unitary=None, outcomes=None):
+        out = table(state, detectors, eta, unitary, outcomes)
+        if outcomes is not None:
+            total, branches = out[outcome]
+            out[outcome] = (total + 1e-6, branches)
+        return out
+
+    monkeypatch.setattr(detection, "coincidence_table", skewed)
+    pre = protocols.scheme_a_state(0.3, 2)
+    full = protocols._herald(pre, ("1", "2"), 0.6)
+    heralded = protocols._herald(pre, ("1", "2"), 0.6, protocols._HERALDS)
+    assert heralded[outcome].probability == full[outcome].probability + 1e-6
+    assert verify_scheme_a(0.3, 0.6, order=2) == pytest.approx(1e-6, rel=1e-6)
+    assert verify_scheme_b(0.25, 0.7, order=2, pair_amplitude=0.5) == \
+        pytest.approx(1e-6, rel=1e-6)
+    assert verify_phase_verification(0.3, 0.6, order=2) == pytest.approx(1e-6, rel=1e-6)
+    for argv in (["scheme-a", "--tau2", "0.09", "--eta", "0.6", "--order", "2"],
+                 ["scheme-b", "--epsilon", "0.25", "--eta", "0.7", "--order", "2",
+                  "--pair-amplitude", "0.5"],
+                 ["verify-phase", "--tau2", "0.09", "--eta", "0.6", "--order", "2"]):
+        assert cli.run(argv + ["--verify"], out=io.StringIO()) == 3
 
 
 @pytest.mark.parametrize("outcome", [(CLICK, CLICK), (SILENT, SILENT)])

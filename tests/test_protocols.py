@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swapsim import protocols
-from swapsim.detection import CLICK, ThresholdDetector, measure
+from swapsim.detection import CLICK, SILENT, ThresholdDetector, measure, outcome_probabilities
 from swapsim.elements import MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs
 from swapsim.fock import FockKet, ModeRegister, WeightedEnsemble, bell_state, fidelity
 from swapsim.protocols import (
@@ -229,25 +229,107 @@ def test_occupied_probabilities_match_a_pass_per_mode():
     assert _occupied_per_mode(asymmetric, "3") != _occupied_per_mode(asymmetric, "4")
 
 
-def test_phase_verification_sends_each_branch_through_the_beam_splitter_once(monkeypatch):
+def test_phase_verification_sends_each_branch_through_the_beam_splitter_at_most_once(
+        monkeypatch):
     # at eta < 1 a group with photons at both heralding detectors feeds both
-    # events, and both ensembles hold the same branch object
-    batches = []
-    batch = protocols.outcome_probabilities
+    # events, and both ensembles hold the same branch object.  A branch is
+    # measured the first time a table needs it; one that no table needs is
+    # negligible in every table that holds it (here 42 of 104 branches)
+    batches, measured = [], []
 
-    def record(kets, u, detectors, eta):
-        batches.append((list(kets), u))
-        return batch(kets, u, detectors, eta)
+    class Recording(protocols.OutcomeBatch):
+        def __init__(self, kets, u, detectors, eta):
+            super().__init__(kets, u, detectors, eta)
+            batches.append(self)
 
-    monkeypatch.setattr(protocols, "outcome_probabilities", record)
-    report = run_phase_verification(math.sqrt(0.05), 0.6, 6)
+        def _measure(self, ket):
+            measured.append(id(ket))
+            return super()._measure(ket)
+
+    monkeypatch.setattr(protocols, "OutcomeBatch", Recording)
+    report = run_phase_verification(math.sqrt(0.01), 0.7, 10)
     members = [ket for ev in report.events for _, ket in ev.ensemble.members]
     distinct = {id(ket) for ket in members}
     assert len(distinct) < len(members)
-    ((kets, u),) = batches
-    assert u is balanced_bs()
-    assert len(kets) == len(distinct) + 2  # and the ideal psi+/psi- references
-    assert {id(ket) for ket in kets[:-2]} == distinct
+    (batch,) = batches
+    assert batch.u is balanced_bs()
+    assert len(batch.kets) == len(distinct) + 2  # and the ideal psi+/psi- references
+    assert {id(ket) for ket in batch.kets[:-2]} == distinct
+    assert len(measured) == len(set(measured))
+    skipped = distinct - set(measured)
+    assert len(skipped) == 42
+    assert {id(ket) for ket in batch.kets[-2:]} <= set(measured)
+    every = outcome_probabilities(batch.kets, balanced_bs(), [("3",), ("4",)], 0.7)
+    probs = {id(ket): table for ket, table in zip(batch.kets, every)}
+    for ev in report.events:
+        joint = report.coincidences[ev.name]["joint"]
+        for w, ket in ev.ensemble.members:
+            if id(ket) in skipped:
+                for out, p in probs[id(ket)].items():
+                    assert joint[",".join(out)] + w * p == joint[",".join(out)]
+
+
+def _phase_kets():
+    reg = ModeRegister(("3", "4"), 3)
+    r = 1.0 / math.sqrt(2.0)
+    return {
+        "psi+": FockKet(reg, {(1, 0): r, (0, 1): r}),
+        "psi-": FockKet(reg, {(1, 0): r, (0, 1): -r}),
+        "pair": FockKet(reg, {(1, 2): 1.0}),
+        "mixed": FockKet(reg, {(0, 0): 0.3, (1, 0): 0.5, (1, 1): 0.4j, (2, 1): 0.2}).normalized(),
+        # its (silent, silent) probability is 1 + 2**-51, above 1 by rounding
+        "vacuum": FockKet(reg, {(0, 0): 1.0 + 2.0**-52}),
+    }
+
+
+def _assert_phase_tables_match_unskipped(ensembles, eta):
+    refs = [((1.0, ket),) for ket in protocols._phase_references()]
+    want = [_per_member_coincidences(m, eta) for m in [e.members for e in ensembles] + refs]
+    got = protocols._phase_tables(ensembles, eta)
+    assert [list(t) for t in got] == [sorted(t) for t in want]
+    assert [{out: p.hex() for out, p in t.items()} for t in got] == \
+        [{out: p.hex() for out, p in t.items()} for t in want]
+    return got
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.7, 0.3])
+def test_phase_tables_skip_only_members_that_change_no_bit(eta):
+    # weights from 1 down to 1e-300, small ones before and after the large
+    # ones; at eta = 1 the psi members never make a coincidence, so
+    # (click, click) stays 0.0 until a tiny pair member makes it tiny
+    kets = _phase_kets()
+    tiny = [1e-3, 1e-8, 1e-17, 1e-20, 1e-30, 1e-100, 1e-300]
+    names = ["pair", "mixed", "vacuum", "psi-"]
+    reg = kets["psi+"].register
+    early = [(w, kets[names[k % 4]]) for k, w in enumerate(tiny[::2])]
+    late = [(w, kets[names[k % 4]]) for k, w in enumerate(tiny)]
+    bulk = 1.0 - sum(w for w, _ in early + late)
+    spread = WeightedEnsemble(reg, (*early, (bulk / 2, kets["psi+"]), (bulk / 2, kets["psi-"]),
+                                    *late))
+    # psi members and one pair member of weight 1e-20
+    zero_cc = WeightedEnsemble(reg, ((0.5, kets["psi+"]), (1e-20, kets["pair"]),
+                                     (0.5 - 1e-20, kets["psi-"])))
+    tables = _assert_phase_tables_match_unskipped([spread, zero_cc], eta)
+    if eta == 1.0:
+        assert 0.0 < tables[1][(CLICK, CLICK)] < 1e-19
+
+
+def test_phase_tables_skip_bound_covers_a_probability_above_one():
+    # at eta = 1, (silent, silent) is the smallest entry after the first
+    # member; the vacuum member's weight is just below half an ulp of it
+    # and its p is 1 + 2**-51, so w * p is above half an ulp and moves that
+    # entry: a bound without the factor 2 on w would skip it
+    kets = _phase_kets()
+    reg = kets["psi+"].register
+    lead = FockKet(reg, {(0, 0): 0.1, (1, 0): 0.7, (0, 1): 0.3, (2, 1): 0.6}).normalized()
+    head = _per_member_coincidences(((1.0, lead),), 1.0)
+    least = head[(SILENT, SILENT)]
+    assert min(head.values()) == least > 0.0
+    w = math.ulp(least) / 2 * (1.0 - 2.0**-53)  # 2 * w < ulp(least) <= 4 * w
+    assert 1.0 - w == 1.0
+    ens = WeightedEnsemble(reg, ((1.0 - w, lead), (w, kets["vacuum"])))
+    (table, *_) = _assert_phase_tables_match_unskipped([ens], 1.0)
+    assert table[(SILENT, SILENT)] == least + math.ulp(least)
 
 
 @pytest.mark.parametrize("run", [run_scheme_a, run_phase_verification])
