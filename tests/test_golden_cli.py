@@ -50,6 +50,13 @@ ARGVS = [f"{run} --format {fmt}" for run in RUNS for fmt in ("table", "csv", "js
     "verify-phase --tau2 0.01 --eta 0.7 --order 10 --format json",
     "verify-phase --tau2 0.1 --eta 1 --order 10 --format json",
     "scheme-a --tau2 0.05 --eta 1 --order 8 --format json",
+    # scheme-B heralds at eta = 1, where both heralded outcomes read 0.0 on
+    # the vacuum and on every group with photons at both detectors, and the
+    # no-unitary grouping at eta = 1
+    "scheme-b --epsilon 0.3 --eta 1 --order 4 --pair-amplitude 0.5 --format json",
+    "scheme-b --epsilon 0.3 --eta 1 --order 4 --pair-amplitude 0.5 --variant pbs --format json",
+    "postselect-pol --eta 1 --format json",
+    "postselect-vac --eta 1 --format json",
 ]
 IMPOSSIBLE_RUNS = [
     "scheme-a --tau2 0 --eta 0.5",
