@@ -19,8 +19,7 @@ The detector check, the outcome list, each photon count's (click, silent)
 pair and each measured occupation's row of outcome probabilities are set
 up once per call; with two one-mode detectors, as in every herald and
 phase table, a row is its four products written out.  When every mode is
-measured and no unitary comes first, each term is its own group and no
-group is built.
+measured, each term is its own group and no branch is built.
 
 A unitary just before the detectors need not be applied first.
 ``measure(state, ..., unitary=u)``, where ``u`` acts on the measured modes
@@ -30,12 +29,10 @@ the table's output index, then prunes and weighs each group and restores
 the order in which building the ket would have met them.  When only some
 outcomes are asked for, a group whose row is exactly 0.0 on all of them
 (at ``eta = 1`` the vacuum and every group with photons at both heralding
-detectors) is never scattered into: the kept groups, their order, bits
-and branch cutoffs are those of the full result.  ``OutcomeBatch`` (a
-batch of kets after one unitary on all of their modes, measured one at a
-time, each the first time it is read) scatters them keyed by output index
-too, and ``outcome_probabilities`` reads every ket of one.  None of them
-builds the transformed ket, and all give the same bits as building it.
+detectors) builds no branch.  ``OutcomeBatch`` (a batch of kets after one
+unitary on all of their modes, measured one at a time, each the first time
+it is read) scatters them keyed by output index too.  Neither builds the
+transformed ket, and both give the same bits as building it.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
 ``coincidence_table`` groups the ket, weighs every group under every
@@ -50,8 +47,7 @@ import bisect
 import itertools
 import math
 from collections import defaultdict
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import fock
 from .elements import ModeUnitary, _check_acted
@@ -131,8 +127,8 @@ class _Rows(dict):
 
 
 class _Povm:
-    """The set-up of one ``measure`` or ``outcome_probabilities`` call, done
-    once for all of its kets: the detector check, the outcome list, the
+    """The set-up of one ``measure`` call or ``OutcomeBatch``, done once
+    for all of its kets: the detector check, the outcome list, the
     getters of the measured and unmeasured occupations, and ``rows``, each
     measured occupation's row of outcome probabilities (which depend only on
     the detectors' photon counts), made the first time it is looked up as
@@ -140,10 +136,7 @@ class _Povm:
     ``itertools.product`` order.  Each photon count's pair is computed once,
     and when every detector covers one mode the counts are the key itself.
     With ``outcomes``, the outcome list and every row (a tuple then) hold
-    only the outcomes asked for, still in that order; ``partial`` says
-    that some were left out.  ``term_rows`` gives a fully measured term its row by
-    the term's own occupation: it is ``rows`` when the detectors cover the
-    register in order, so that no getter runs."""
+    only the outcomes asked for, still in that order."""
 
     def __init__(self, reg: ModeRegister, detectors: Sequence[Sequence[str]], eta: float,
                  outcomes: Iterable[tuple[str, ...]] | None = None):
@@ -156,7 +149,7 @@ class _Povm:
         self.measured = tuple(measured_modes)
         self.labels = reg.labels
         self.rest_idx = [i for i in range(reg.size) if i not in measured_idx]
-        self.measured_of = measured_of = _tuple_getter(measured_idx)
+        self.measured_of = _tuple_getter(measured_idx)
         self.rest_of = _tuple_getter(self.rest_idx)
         self.rest_labels = tuple(reg.labels[i] for i in self.rest_idx)
         every = list(itertools.product((CLICK, SILENT), repeat=len(detectors)))
@@ -187,7 +180,6 @@ class _Povm:
         else:
             row = product_row
         self.outcomes = every
-        self.partial = False
         if outcomes is not None:
             wanted = set(outcomes)
             if not wanted:
@@ -198,35 +190,9 @@ class _Povm:
             picks = [k for k, out in enumerate(every) if out in wanted]
             if len(picks) < len(every):
                 self.outcomes = [every[k] for k in picks]
-                self.partial = True
-                take = (itemgetter(*picks) if len(picks) > 1
-                        else lambda full, k=picks[0]: (full[k],))
+                take = _tuple_getter(picks)
                 row = lambda key, full_row=row: take(full_row(key))
-        self.rows = rows = _Rows(row)
-        self.term_rows = rows if measured_idx == list(range(reg.size)) else \
-            _Rows(lambda occ: rows[measured_of(occ)])
-
-    def term_sums(self, terms: dict, rows: dict) -> list[float]:
-        """Each outcome's probability for the terms of a ket with every mode
-        measured: every term is its own group, of weight |amp|**2, and
-        ``rows[key]`` is the row of the term keyed ``key``.  Terms that
-        building a ket from them would prune (|amp| <= PRUNE_TOL) are
-        skipped; a ket's own terms are all above it."""
-        sums = [0.0] * len(self.outcomes)
-        tol = fock.PRUNE_TOL
-        try:
-            for key, amp in terms.items():
-                a = abs(amp)
-                if a <= tol:
-                    continue
-                w = a ** 2
-                for i, p_out in enumerate(rows[key]):
-                    contrib = w * p_out
-                    if contrib > 0.0:
-                        sums[i] += contrib
-        except OverflowError:  # one squared amplitude is beyond the float range
-            raise ValueError("ket norm overflows the float range") from None
-        return sums
+        self.rows = _Rows(row)
 
 
 class OutcomeBatch:
@@ -240,8 +206,9 @@ class OutcomeBatch:
     same probabilities, bit for bit, as ``measure(apply_mode_unitary(ket, u,
     ket.register.labels), detectors, eta)``, but the transformed ket is never
     built: its scattered terms are summed straight away, skipping those that
-    building it would prune.  An output term is keyed by its transfer-table
-    index, in the occupation keys' order, and each index's row is looked
+    building it would prune, and each is its own group, of weight
+    |amp|**2.  An output term is keyed by its transfer-table index, and
+    each index's row, that of its occupation in detector order, is looked
     up once per batch.  The detectors, labels and cutoffs of every ket are
     checked when the batch is made.
     """
@@ -250,13 +217,13 @@ class OutcomeBatch:
                  detectors: Sequence[Sequence[str]], eta: float):
         povm = _Povm(kets[0].register, detectors, eta)
         if povm.rest_idx:
-            raise ValueError("outcome_probabilities measures every mode")
+            raise ValueError("OutcomeBatch measures every mode")
         if any(ket.register.labels != povm.labels for ket in kets):
             raise ValueError("kets of one batch must share their mode labels")
         _check_acted(u, povm.labels, max(ket.register.cutoff for ket in kets))
-        self.kets, self.u, self.povm, self.outcomes = kets, u, povm, povm.outcomes
-        term_rows, powers_of = povm.term_rows, u._powers
-        self.index_rows = _Rows(lambda i: term_rows[powers_of[i]])
+        self.kets, self.u, self.outcomes = kets, u, povm.outcomes
+        rows, measured_of, powers_of = povm.rows, povm.measured_of, u._powers
+        self.index_rows = _Rows(lambda i: rows[measured_of(powers_of[i])])
         self.tables: list[dict | None] = [None] * len(kets)
 
     def __getitem__(self, k: int) -> dict[tuple[str, ...], float]:
@@ -266,28 +233,26 @@ class OutcomeBatch:
         return table
 
     def _measure(self, ket: FockKet) -> dict[tuple[str, ...], float]:
-        table, sector = self.u._table, self.u.sector
+        table, sector, rows = self.u._table, self.u.sector, self.index_rows
         out: dict[int, complex] = {}
         for occ, amp in ket.terms.items():
             nf, outputs, _ = table.get(occ) or sector(occ)
             pref = amp / nf
             for _, i, c, pf in outputs:
                 out[i] = out.get(i, 0.0) + pref * c * pf
-        return dict(zip(self.outcomes, self.povm.term_sums(out, self.index_rows)))
-
-
-def outcome_probabilities(
-    kets: Sequence[FockKet],
-    u: ModeUnitary,
-    detectors: Sequence[Sequence[str]],
-    eta: float,
-) -> list[dict[tuple[str, ...], float]]:
-    """Every table of ``OutcomeBatch(kets, u, detectors, eta)``, in ket
-    order.  An empty batch gives an empty list."""
-    if not kets:
-        return []
-    batch = OutcomeBatch(kets, u, detectors, eta)
-    return [batch[k] for k in range(len(kets))]
+        sums = [0.0] * len(self.outcomes)
+        tol = fock.PRUNE_TOL
+        try:
+            for i, amp in out.items():  # each sum began at 0.0: amp is its own 0.0 + amp
+                if (a := abs(amp)) > tol:
+                    w = a ** 2
+                    for k, p_out in enumerate(rows[i]):
+                        contrib = w * p_out
+                        if contrib > 0.0:
+                            sums[k] += contrib
+        except OverflowError:  # one squared amplitude is beyond the float range
+            raise ValueError("ket norm overflows the float range") from None
+        return dict(zip(self.outcomes, sums))
 
 
 def _group(terms: dict, povm: _Povm) -> dict:
@@ -309,8 +274,7 @@ def _group(terms: dict, povm: _Povm) -> dict:
     return groups
 
 
-def _scatter_groups(state: FockKet, u: ModeUnitary, povm: _Povm,
-                    rows: Mapping[int, Sequence[float]] | None = None) -> tuple[list, int]:
+def _scatter_groups(state: FockKet, u: ModeUnitary, povm: _Povm) -> tuple[list, int]:
     """``_group`` of ``u`` applied to the measured modes of ``state``, in
     detector order, without building that ket: ``(output index, (w,
     {rest occupation: amp}))`` pairs with the same bits, and the largest
@@ -323,35 +287,16 @@ def _scatter_groups(state: FockKet, u: ModeUnitary, povm: _Povm,
     order the scatter met them, except that a group whose first term is
     pruned moves to its first kept term (output ``j`` of input term ``t``),
     behind every group met before that.
-
-    With ``rows`` (output index -> its row of outcome probabilities), a
-    group whose row is all 0.0 is never scattered into: each acted
-    occupation's outputs are filtered once per call.  A group's sums do not
-    depend on any other group's, so the groups kept are the same pairs, in
-    the same order; the largest output occupation still counts every
-    output.
     """
     _check_acted(u, povm.measured, state.register.cutoff)
     table, sector = u._table, u.sector
-    if rows is None:
-        entries, entry_of = table, sector
-    else:
-        # acted occupation -> its table entry with only live outputs, in a
-        # list: freed tuples of every length would pile up in the
-        # interpreter's tuple free lists and raise the peak RSS
-        entries = {}
-
-        def entry_of(acted):
-            nf, outputs, top = table.get(acted) or sector(acted)
-            entry = entries[acted] = (nf, [out for out in outputs if any(rows[out[1]])], top)
-            return entry
     measured_of, rest_of = povm.measured_of, povm.rest_of
     subs: defaultdict[int, dict] = defaultdict(dict)  # index -> {rest occupation: amp}
     starts = []  # the number of groups met before each input term
     max_occ = 0
     for occ, amp in state.terms.items():
         acted = measured_of(occ)
-        nf, outputs, top = entries.get(acted) or entry_of(acted)
+        nf, outputs, top = table.get(acted) or sector(acted)
         pref = amp / nf
         rest = rest_of(occ)
         starts.append(len(subs))
@@ -386,7 +331,7 @@ def _scatter_groups(state: FockKet, u: ModeUnitary, povm: _Povm,
             while True:
                 occ = occs[t]
                 if rest_of(occ) == first:
-                    outputs = entries[measured_of(occ)][1]
+                    outputs = table[measured_of(occ)][1]
                     j = next((k for k, out in enumerate(outputs) if out[1] == i), None)
                     if j is not None:
                         break
@@ -418,18 +363,17 @@ def coincidence_table(
     probability is the sum of its groups' contribs.  The pairs are empty
     when no mode is left unmeasured.
 
-    With ``unitary = u`` the ket measured is ``u`` applied to the measured
-    modes of ``state`` in detector order, which is never built: its groups
-    come from ``_scatter_groups``, each group's row is looked up by output
+    The groups come from one of two paths.  Without a unitary, ``_group``
+    groups the ket's own terms by measured occupation.  With ``unitary =
+    u`` the ket measured is ``u`` applied to the measured modes of
+    ``state`` in detector order, which is never built: its groups come
+    from ``_scatter_groups``, each group's row is looked up by output
     index, and the branches take the raised cutoff.  When ``outcomes``
     leaves some out, a group whose row is exactly 0.0 on every outcome
-    asked for adds to no sum and no branch, so it is not scattered at all.
+    asked for adds to no sum and builds no branch.
     """
     povm = _Povm(state.register, detectors, eta, outcomes)
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]
-    if unitary is None and not povm.rest_idx:
-        return dict(zip(povm.outcomes,
-                        zip(povm.term_sums(state.terms, povm.term_rows), branches)))
     sums = [0.0] * len(povm.outcomes)
     try:
         if unitary is None:
@@ -437,10 +381,7 @@ def coincidence_table(
         else:
             powers_of, row = unitary._powers, povm.rows.make
             rows = _Rows(lambda i: row(powers_of[i]))
-            # with every outcome no row is all 0.0 (each detector's larger
-            # probability is at least 1/2), so nothing is looked up per output
-            groups, max_occ = _scatter_groups(state, unitary, povm,
-                                              rows if povm.partial else None)
+            groups, max_occ = _scatter_groups(state, unitary, povm)
             cutoff = max(max_occ, state.register.cutoff)
         rest_reg = ModeRegister(povm.rest_labels, cutoff) if povm.rest_idx else None
         for key, (w, sub) in groups:

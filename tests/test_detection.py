@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from swapsim import detection, fock, protocols
-from swapsim.detection import (CLICK, SILENT, ThresholdDetector, _Povm, coincidence_table,
-                               measure, outcome_probabilities)
+from swapsim import fock, protocols
+from swapsim.detection import (CLICK, SILENT, OutcomeBatch, ThresholdDetector, _Povm,
+                               coincidence_table, measure)
 from swapsim.elements import (
     ModeUnitary,
     _scatter,
@@ -261,15 +261,16 @@ two_mode_unitaries = st.one_of(
 
 @given(u=two_mode_unitaries, eta=st.floats(0.05, 1.0), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_outcome_probabilities_match_measure_per_ket(u, eta, data):
+def test_outcome_batch_matches_measure_per_ket(u, eta, data):
     # one to four unnormalized two-mode kets on one set of labels, each with
     # its own cutoff (so the unitary often raises it)
     kets = data.draw(st.lists(random_kets(normalized=False, n_modes=2),
                               min_size=1, max_size=4), label="kets")
     detectors = [(m,) for m in data.draw(st.permutations(kets[0].register.labels))]
-    tables = outcome_probabilities(kets, u, detectors, eta)
-    assert len(tables) == len(kets)
-    for ket, table in zip(kets, tables):
+    batch = OutcomeBatch(kets, u, detectors, eta)
+    assert len(batch.tables) == len(kets)
+    for k, ket in enumerate(kets):
+        table = batch[k]
         single = measure(apply_mode_unitary(ket, u, ket.register.labels), detectors, eta)
         assert list(table) == list(single)
         assert [p.hex() for p in table.values()] == \
@@ -286,49 +287,45 @@ def test_swapping_two_detectors_swaps_the_outcomes(ket, eta):
     a, b = ket.register.labels
     u = unbalanced_bs(0.3)
     got = measure(ket, [(b,), (a,)], eta)
-    (got_u,) = outcome_probabilities([ket], u, [(b,), (a,)], eta)
+    got_u = OutcomeBatch([ket], u, [(b,), (a,)], eta)[0]
     ref = measure(ket, [(a,), (b,)], eta)
-    (ref_u,) = outcome_probabilities([ket], u, [(a,), (b,)], eta)
+    ref_u = OutcomeBatch([ket], u, [(a,), (b,)], eta)[0]
     for (x, y), o in ref.items():
         assert got[(y, x)].probability.hex() == o.probability.hex()
         assert got_u[(y, x)].hex() == ref_u[(x, y)].hex()
 
 
-def test_outcome_probabilities_skips_what_the_transformed_ket_prunes():
+def test_outcome_batch_skips_what_the_transformed_ket_prunes():
     # the beam splitter leaves about -7.8e-16 on |01>: building the ket
     # prunes it, so no outcome may count its square
     ket = FockKet(ModeRegister(("1", "2"), 1), {(1, 0): 1.0, (0, 1): 1.0 + 1e-15})
     detectors = [("1",), ("2",)]
-    (table,) = outcome_probabilities([ket], balanced_bs(), detectors, 1.0)
+    table = OutcomeBatch([ket], balanced_bs(), detectors, 1.0)[0]
     single = measure(apply_mode_unitary(ket, balanced_bs(), ("1", "2")), detectors, 1.0)
     assert table[(SILENT, CLICK)] == single[(SILENT, CLICK)].probability == 0.0
     assert [p.hex() for p in table.values()] == \
         [o.probability.hex() for o in single.values()]
 
 
-def test_outcome_probabilities_rejects_unmeasured_or_mixed_modes():
+def test_outcome_batch_rejects_unmeasured_or_mixed_modes():
     a = bell_state("psi+", ("1", "2"))
     b = bell_state("psi+", ("2", "1"))
     bs = balanced_bs()
     with pytest.raises(ValueError, match="every mode"):
-        outcome_probabilities([a], bs, [("1",)], 0.5)
+        OutcomeBatch([a], bs, [("1",)], 0.5)
     with pytest.raises(ValueError, match="share"):
-        outcome_probabilities([a, b], bs, [("1",), ("2",)], 0.5)
+        OutcomeBatch([a, b], bs, [("1",), ("2",)], 0.5)
 
 
-def test_outcome_probabilities_rejects_unitary_size_and_cutoff():
+def test_outcome_batch_rejects_unitary_size_and_cutoff():
     three = FockKet(ModeRegister(("1", "2", "3"), 1), {(1, 0, 0): 1.0})
     with pytest.raises(ValueError, match="acts on 2 modes, got 3"):
-        outcome_probabilities([three], balanced_bs(), [("1",), ("2",), ("3",)], 0.5)
+        OutcomeBatch([three], balanced_bs(), [("1",), ("2",), ("3",)], 0.5)
     big = FockKet(ModeRegister(("1", "2"), 21), {(1, 0): 1.0})
     small = FockKet(ModeRegister(("1", "2"), 1), {(1, 0): 1.0})
     for batch in ([big], [small, big]):
         with pytest.raises(ValueError, match="cutoff 21 exceeds factorial table limit"):
-            outcome_probabilities(batch, balanced_bs(), [("1",), ("2",)], 0.5)
-
-
-def test_outcome_probabilities_of_no_kets_is_empty():
-    assert outcome_probabilities([], balanced_bs(), [("1",), ("2",)], 0.5) == []
+            OutcomeBatch(batch, balanced_bs(), [("1",), ("2",)], 0.5)
 
 
 def test_measure_builds_each_ensemble_on_first_read():
@@ -518,7 +515,7 @@ def test_measuring_some_outcomes_is_the_full_result_restricted(ket, u, eta, data
 def test_measuring_some_outcomes_keeps_the_cutoff_of_every_output():
     # at eta = 1 only (click, click) is asked for: |21> on modes 1, 2 goes to
     # |30>, |21>, |12>, |03>, and the two groups that hold 3 photons in one
-    # mode are never scattered, yet the branches take cutoff 3
+    # mode build no branch, yet the branches take cutoff 3
     ket = FockKet(ModeRegister(("1", "2", "3"), 2), {(2, 1, 1): 1.0, (1, 0, 0): 0.5})
     detectors = [("1",), ("2",)]
     part = coincidence_table(ket, detectors, 1.0, balanced_bs(), [(CLICK, CLICK)])
@@ -528,25 +525,26 @@ def test_measuring_some_outcomes_keeps_the_cutoff_of_every_output():
     assert _table_bits(part) == _table_bits({(CLICK, CLICK): full[(CLICK, CLICK)]})
 
 
-def test_measuring_some_outcomes_scatters_only_the_groups_they_read(monkeypatch):
+def test_measuring_some_outcomes_builds_only_the_branches_they_read():
     # the heralds at eta = 1: the vacuum and every group with photons at
-    # both detectors are never made
+    # both detectors weigh 0.0 on both heralded outcomes, so no branch is
+    # built for them; the full table builds one branch for every group
+    mixed = protocols._SCHEME_A.mixed
     pre = protocols.scheme_a_state(math.sqrt(0.1), 6)
-    detectors = [(m,) for m in protocols._SCHEME_A.mixed]
-    made = []
-    scatter = detection._scatter_groups
-
-    def record(state, u, povm, rows=None):
-        groups, top = scatter(state, u, povm, rows)
-        made.append([u._powers[i] for i, _ in groups])
-        return groups, top
-
-    monkeypatch.setattr(detection, "_scatter_groups", record)
-    coincidence_table(pre, detectors, 1.0, balanced_bs(), protocols._HERALDS)
-    coincidence_table(pre, detectors, 1.0, balanced_bs())
-    heralded, every = made
-    assert heralded == [p for p in every if (p[0] == 0) != (p[1] == 0)]
-    assert len(heralded) < len(every) / 3
+    post = apply_mode_unitary(pre, balanced_bs(), mixed)
+    idx = [post.register.index(m) for m in mixed]
+    groups = {tuple(occ[i] for i in idx) for occ in post.terms}
+    one_detector = [key for key in groups if (key[0] == 0) != (key[1] == 0)]
+    detectors = [(m,) for m in mixed]
+    with recording_trusted() as calls:
+        part = coincidence_table(pre, detectors, 1.0, balanced_bs(), protocols._HERALDS)
+        heralded = len(calls)
+        full = coincidence_table(pre, detectors, 1.0, balanced_bs())
+        every = len(calls) - heralded
+    assert heralded == len(one_detector) == sum(len(b) for _, b in part.values())
+    assert every == len(groups)
+    assert heralded < every / 3
+    assert _table_bits(part) == _table_bits({out: full[out] for out in protocols._HERALDS})
 
 
 def test_measure_rejects_an_unknown_or_empty_outcome_list():
@@ -606,7 +604,7 @@ def test_fused_herald_rejects_a_unitary_of_another_size():
             measure(ket, detectors, 0.5, balanced_bs())
 
 
-def test_measure_and_outcome_probabilities_reject_an_overflowing_norm():
+def test_measure_and_outcome_batch_reject_an_overflowing_norm():
     # |amp|**2 is beyond the float range: the error FockKet.norm gives
     reg = ModeRegister(("1", "2"), 1)
     big = FockKet(reg, {(1, 0): 1e200})
@@ -616,7 +614,7 @@ def test_measure_and_outcome_probabilities_reject_an_overflowing_norm():
         lambda: measure(big, [("1",), ("2",)], 1.0),
         lambda: measure(big3, [("1",), ("2",)], 1.0, balanced_bs()),
         lambda: measure(big, [("1",), ("2",)], 1.0, balanced_bs()),
-        lambda: outcome_probabilities([big], balanced_bs(), [("1",), ("2",)], 1.0),
+        lambda: OutcomeBatch([big], balanced_bs(), [("1",), ("2",)], 1.0)[0],
     ]
     with pytest.raises(ValueError, match="ket norm overflows the float range"):
         big.norm()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swapsim import protocols
-from swapsim.detection import CLICK, SILENT, ThresholdDetector, measure, outcome_probabilities
+from swapsim.detection import CLICK, SILENT, OutcomeBatch, ThresholdDetector, measure
 from swapsim.elements import MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs
 from swapsim.fock import FockKet, ModeRegister, WeightedEnsemble, bell_state, fidelity
 from swapsim.protocols import (
@@ -259,8 +259,8 @@ def test_phase_verification_sends_each_branch_through_the_beam_splitter_at_most_
     skipped = distinct - set(measured)
     assert len(skipped) == 42
     assert {id(ket) for ket in batch.kets[-2:]} <= set(measured)
-    every = outcome_probabilities(batch.kets, balanced_bs(), [("3",), ("4",)], 0.7)
-    probs = {id(ket): table for ket, table in zip(batch.kets, every)}
+    every = OutcomeBatch(batch.kets, balanced_bs(), [("3",), ("4",)], 0.7)
+    probs = {id(ket): every[k] for k, ket in enumerate(batch.kets)}
     for ev in report.events:
         joint = report.coincidences[ev.name]["joint"]
         for w, ket in ev.ensemble.members:
