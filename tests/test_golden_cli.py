@@ -57,6 +57,8 @@ ARGVS = [f"{run} --format {fmt}" for run in RUNS for fmt in ("table", "csv", "js
     "scheme-b --epsilon 0.3 --eta 1 --order 4 --pair-amplitude 0.5 --variant pbs --format json",
     "postselect-pol --eta 1 --format json",
     "postselect-vac --eta 1 --format json",
+    # the one report whose source has no double pairs
+    "postselect-pol --eta 0.9 --x-only --format json",
 ]
 IMPOSSIBLE_RUNS = [
     "scheme-a --tau2 0 --eta 0.5",
