@@ -329,12 +329,19 @@ def partial_project(state: FockKet, target: FockKet) -> FockKet:
     return FockKet._trusted(reg, out)
 
 
+# occupation -> its label text in ``format_ket``; one entry per occupation
+# ever formatted, at most (cutoff + 1) ** modes for each register
+_OCC_LABELS: dict[tuple[int, ...], str] = {}
+
+
 def format_ket(state: FockKet) -> str:
     if not state.terms:
         return "0"
     parts = []
     for occ, amp in sorted(state.terms.items()):
-        label = "".join(map(str, occ))
+        label = _OCC_LABELS.get(occ)
+        if label is None:
+            label = _OCC_LABELS[occ] = "".join(map(str, occ))
         if abs(amp.imag) < 1e-12:
             coeff = f"{amp.real:+.6g}"
         else:

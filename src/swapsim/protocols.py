@@ -20,6 +20,18 @@ summed over its own members, skipping a member too light to change any
 bit of it, and a ket goes through the beam splitter only when some table
 first needs it.
 
+Every ket that depends on no argument is built once per process by a
+private builder memoized with ``functools.cache``: psi+/psi- on each
+heralded scheme's outer beams, the Bell targets and projectors of the
+decomposition identity, bell-check's psi- x psi- input, the phase
+references, the polarization Bell targets, and postselect-vac's source and
+targets.  A builder hands them out in a tuple or a read-only mapping; the
+kets themselves are shared by every call, and no report changes them.
+The public ``fock.bell_state`` and ``sources.vacuum_one_photon_postbs``
+stay uncached, since a caller may change the terms of a ket they return.
+A fidelity target's normalization is checked by ``_targets``, once, when
+its builder first builds it; ``_event`` checks its register per event.
+
 No report checks ``eta`` itself: each one reaches ``detection.measure``,
 whose ``ThresholdDetector`` is the one check.  An event is ``impossible``
 when it has no conditional ensemble, which is exactly when its outcome has
@@ -27,7 +39,9 @@ probability 0.
 """
 from __future__ import annotations
 
+import functools
 import math
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .detection import CLICK, SILENT, OutcomeBatch, measure
@@ -144,14 +158,15 @@ def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
     identity: the events of a report that share it read a shared member
     once.  Each target's register is checked once per event, and an
     overlap is summed inline in ``fock.inner_product``'s float order, over
-    the keys of the ket with fewer terms."""
+    the keys of the ket with fewer terms.
+
+    ``targets`` come from ``_targets``, which checked each one's
+    normalization once, when its memoized builder first built it."""
     if ensemble is None:
         return EventResult(name, probability, None, None)
     overlaps = {} if overlaps is None else overlaps
     fids = {}
     for kind, t in targets.items():
-        if abs(t.norm() - 1.0) > 1e-9:
-            raise ValueError("fidelity target must be normalized")
         if t.register.labels != ensemble.register.labels:
             raise ValueError("register mismatch between ensemble and target")
         read = overlaps.get(id(t))
@@ -173,16 +188,41 @@ def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
                        extras=extras(fids))
 
 
+def _targets(kets: dict[str, FockKet]) -> Mapping[str, FockKet]:
+    """``kets`` (kind -> ket) as a read-only mapping, once each ket is
+    checked to be normalized: every fidelity target, and the Bell
+    projectors built with them, pass here."""
+    for t in kets.values():
+        if abs(t.norm() - 1.0) > 1e-9:
+            raise ValueError("fidelity target must be normalized")
+    return MappingProxyType(kets)
+
+
+@functools.cache
+def _bell(kind: str, modes: tuple[str, str], cutoff: int = 1) -> FockKet:
+    """``bell_state(kind, modes, cutoff)``, built once per process.  The
+    kets of this and every other memoized builder are shared by all
+    calls: a report reads them and never changes them."""
+    return bell_state(kind, modes, cutoff)
+
+
+@functools.cache
+def _bell_targets(modes: tuple[str, str], kinds: tuple[str, ...]) -> Mapping[str, FockKet]:
+    """``_bell(kind, modes)`` for each of ``kinds``, checked once."""
+    return _targets({k: _bell(k, modes) for k in kinds})
+
+
 # --------------------------------------------------------------------------
 # Bell-basis identities (ideal projectors)
 # --------------------------------------------------------------------------
 
 def _bell_project_events(state: FockKet, inner_modes: tuple[str, str],
                          outer_modes: tuple[str, str]) -> tuple[EventResult, ...]:
-    targets = {k: bell_state(k, outer_modes) for k in BELL_KINDS}
+    targets = _bell_targets(outer_modes, BELL_KINDS)
+    projectors = _bell_targets(inner_modes, BELL_KINDS)
     events = []
     for kind in BELL_KINDS:
-        cond = partial_project(state, bell_state(kind, inner_modes))
+        cond = partial_project(state, projectors[kind])
         p = cond.norm() ** 2
         ens = WeightedEnsemble.pure(cond) if p >= 1e-300 else None
         events.append(_event(kind, p if ens is not None else 0.0, ens, targets, lambda fids: {
@@ -195,10 +235,15 @@ def _bell_project_events(state: FockKet, inner_modes: tuple[str, str],
     return tuple(events)
 
 
+@functools.cache
+def _singlet_pairs() -> FockKet:
+    """psi- on beams 1, 2 times psi- on beams 3, 4, built once per process."""
+    return tensor_product(_bell("psi-", ("1", "2")), _bell("psi-", ("3", "4")))
+
+
 def bell_decomposition_check() -> ProtocolReport:
     """Project psi- x psi- on the inner pair; four equal Bell outcomes."""
-    pairs = tensor_product(bell_state("psi-", ("1", "2")), bell_state("psi-", ("3", "4")))
-    events = _bell_project_events(pairs, ("2", "3"), ("1", "4"))
+    events = _bell_project_events(_singlet_pairs(), ("2", "3"), ("1", "4"))
     return ProtocolReport("bell-check", {}, events)
 
 
@@ -260,7 +305,7 @@ def _heralded_events(pre: FockKet, scheme: _Heralded, eta: float) -> tuple[Event
     psi+ and psi- on the outer beams and the one it favors.  Only the two
     heralded outcomes are measured."""
     outcomes = _herald(pre, scheme.mixed, eta, _HERALDS)
-    targets = {k: bell_state(k, scheme.outer) for k in ("psi+", "psi-")}
+    targets = _bell_targets(scheme.outer, ("psi+", "psi-"))
     overlaps: dict = {}
     return tuple(
         _event(name, outcomes[out].probability, outcomes[out].ensemble, targets, _favored,
@@ -302,10 +347,12 @@ def _num(x):
 # Phase verification: second beam splitter on the outer beams
 # --------------------------------------------------------------------------
 
-def _phase_references() -> list[FockKet]:
+@functools.cache
+def _phase_references() -> tuple[FockKet, ...]:
     """The ideal psi+ and psi- on beams 3, 4 that the phase verification's
-    coincidences are compared with, in the order their tables come."""
-    return [bell_state(kind, _SCHEME_A.outer, cutoff=2) for kind in ("psi+", "psi-")]
+    coincidences are compared with, in the order their tables come; built
+    once per process."""
+    return tuple(_bell(kind, _SCHEME_A.outer, cutoff=2) for kind in ("psi+", "psi-"))
 
 
 def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dict]:
@@ -488,6 +535,12 @@ def _pol_bell(kind: str) -> FockKet:
     return FockKet(reg, {(1, 0, 1, 0): r, (0, 1, 0, 1): s * r})
 
 
+@functools.cache
+def _pol_targets() -> Mapping[str, FockKet]:
+    """``_pol_bell`` of every Bell kind, built once per process."""
+    return _targets({k: _pol_bell(k) for k in BELL_KINDS})
+
+
 def _empty_beam_weight(ens: WeightedEnsemble, beams: Sequence[tuple[str, ...]]) -> float:
     """Probability that at least one of the given beams holds zero photons."""
     idx = [[ens.register.index(m) for m in beam] for beam in beams]
@@ -528,19 +581,25 @@ def analyze_polarization_postselection(eta: float, include_double_pairs: bool = 
             "empty_beam_weight": _empty_beam_weight(out.ensemble, [("1H", "1V"), ("4H", "4V")]),
         }
 
-    targets = {k: _pol_bell(k) for k in BELL_KINDS}
-    ev = _event("d2_and_d3", out.probability, out.ensemble, targets, extras)
+    ev = _event("d2_and_d3", out.probability, out.ensemble, _pol_targets(), extras)
     notes = ("conditioning impossible at this eta",) if ev.impossible else ()
     return ProtocolReport("postselect-pol", params, (ev,), notes=notes)
 
 
+@functools.cache
+def _vacuum_one_photon() -> tuple[FockKet, Mapping[str, FockKet]]:
+    """``vacuum_one_photon_postbs()`` and the psi+/psi- targets of its
+    heralded register (3', 1, 4): 3' empty, the psi pair on 1, 4; built
+    once per process."""
+    empty = vacuum(ModeRegister(("3'",), 1))
+    return vacuum_one_photon_postbs(), _targets(
+        {k: tensor_product(empty, _bell(k, ("1", "4"))) for k in ("psi+", "psi-")})
+
+
 def analyze_vacuum_one_photon(eta: float) -> ProtocolReport:
     """Vacuum/one-photon swapping conditioned on a single threshold click at 2'."""
-    st = vacuum_one_photon_postbs()
+    st, targets = _vacuum_one_photon()
     out = measure(st, [("2'",)], eta)[(CLICK,)]
-    # the heralded register is (3', 1, 4): 3' empty, the psi pair on 1, 4
-    empty = vacuum(ModeRegister(("3'",), 1))
-    targets = {k: tensor_product(empty, bell_state(k, ("1", "4"))) for k in ("psi+", "psi-")}
     ev = _event("d2prime_click", out.probability, out.ensemble, targets,
                 lambda fids: {"vacuum_weight": _empty_beam_weight(out.ensemble, [("1", "4")])})
     notes = ("conditioning impossible at this eta",) if ev.impossible else ()

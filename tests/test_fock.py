@@ -17,6 +17,7 @@ from swapsim.fock import (
     WeightedEnsemble,
     bell_state,
     fidelity,
+    format_ket,
     inner_product,
     partial_project,
     relabel,
@@ -230,6 +231,20 @@ def test_norm_overflow_rejected(amps):
     ket = FockKet(ModeRegister(("1", "2"), 1), {(0, 0): amps[0], (1, 1): amps[1]})
     with pytest.raises(ValueError, match="overflows"):
         ket.normalized()
+
+
+def test_format_ket_labels_counts_of_ten_and_more():
+    # each count is written out in full, so (1, 10, 0, ...) and (11, 0, ...)
+    # share a label text; the second call reads every label from the cache
+    reg = ModeRegister(tuple("abcdefgh"), 12)
+    occs = [(1, 10, 0, 0, 0, 0, 0, 0), (11, 0, 0, 0, 0, 0, 0, 0), (12,) * 8, (0,) * 8,
+            (10, 0, 0, 0, 0, 0, 0, 1)]
+    ket = FockKet(reg, {occ: (k + 1) / 8 * (1j if k % 2 else 1) for k, occ in enumerate(occs)})
+    want = ("+(0+0.5j)|00000000> +0.125|110000000> +0.625|100000001> "
+            "+(0+0.25j)|110000000> +0.375|1212121212121212>")
+    assert format_ket(ket) == want
+    assert format_ket(ket) == want
+    assert format_ket(relabel(ket, {"a": "z"})) == want
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from swapsim import protocols
 from swapsim.detection import CLICK, SILENT, OutcomeBatch, ThresholdDetector, measure
 from swapsim.elements import MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs
-from swapsim.fock import FockKet, ModeRegister, WeightedEnsemble, bell_state, fidelity
+from swapsim.fock import (BELL_KINDS, FockKet, ModeRegister, WeightedEnsemble, bell_state,
+                          fidelity, tensor_product, vacuum)
 from swapsim.protocols import (
     analyze_polarization_postselection,
     analyze_vacuum_one_photon,
@@ -20,6 +21,9 @@ from swapsim.protocols import (
     scheme_b_click_distribution,
     scheme_b_state,
 )
+from swapsim.sources import vacuum_one_photon_postbs
+
+from conftest import ket_bits
 
 
 # --------------------------------------------------------------------------
@@ -576,3 +580,160 @@ def test_eta_out_of_range_rejected_everywhere(entry, eta):
     # ThresholdDetector holds the one check and every entry point reaches it
     with pytest.raises(ValueError, match=r"eta must be in \[0, 1\], got"):
         ETA_ENTRY_POINTS[entry](eta)
+
+
+# --------------------------------------------------------------------------
+# Memoized constants: every ket that depends on no argument is built once
+# per process, and no call changes it
+# --------------------------------------------------------------------------
+
+MEMOS = (protocols._bell, protocols._bell_targets, protocols._singlet_pairs,
+         protocols._phase_references, protocols._pol_targets, protocols._vacuum_one_photon)
+PSI = ("psi+", "psi-")
+
+# every report, and both click distributions, at a few parameter points
+CONSTANT_USERS = [
+    (run_scheme_a, (math.sqrt(0.05), 0.7, 2)),
+    (run_scheme_a, (math.sqrt(0.1), 1.0, 1)),
+    (run_phase_verification, (math.sqrt(0.02), 0.8, 2)),
+    (run_phase_verification, (math.sqrt(0.1), 1.0, 1)),
+    (run_scheme_b, (0.3, 0.9, 2, "ubs", 0.5)),
+    (run_scheme_b, (0.25, 1.0, 1, "pbs")),
+    (run_theta_swapping, (0.3,)),
+    (run_theta_swapping, (0.0,)),
+    (bell_decomposition_check, ()),
+    (analyze_polarization_postselection, (0.9,)),
+    (analyze_polarization_postselection, (1.0, False)),
+    (analyze_vacuum_one_photon, (0.8,)),
+    (analyze_vacuum_one_photon, (1.0,)),
+    (scheme_a_click_distribution, (math.sqrt(0.05), 0.7, 2)),
+    (scheme_b_click_distribution, (0.3, 0.9, 2, "pbs", 0.5)),
+]
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty every memo before the test and again after it, so that a test
+    builds the constants itself and leaves none of its own behind."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def _bits(x):
+    """A call's output with every float as ``float.hex``."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    return x
+
+
+def _output_bits(result):
+    """A report's JSON and every ensemble member's register and amplitudes,
+    or a click distribution, as bits."""
+    if not isinstance(result, protocols.ProtocolReport):
+        return _bits(result)
+    members = [[(w.hex(), ket_bits(s)) for w, s in ev.ensemble.members]
+               for ev in result.events if ev.ensemble is not None]
+    return _bits(result.to_json_dict()), members
+
+
+def _memoized_and_fresh():
+    """(memoized ket, the same ket built afresh by the public builders) for
+    every ket the memos hand out at the arguments reports pass them."""
+    pairs = [(protocols._bell(kind, modes), bell_state(kind, modes))
+             for modes in (("1", "2"), ("3", "4"), ("2", "3"), ("1", "4"))
+             for kind in BELL_KINDS]
+    pairs += [(protocols._bell(kind, ("3", "4"), cutoff=2), bell_state(kind, ("3", "4"), 2))
+              for kind in PSI]
+    for modes, kinds in ((("2", "3"), BELL_KINDS), (("1", "4"), BELL_KINDS),
+                         (("3", "4"), PSI), (("1", "4"), PSI)):
+        targets = protocols._bell_targets(modes, kinds)
+        assert tuple(targets) == kinds
+        pairs += [(targets[kind], bell_state(kind, modes)) for kind in kinds]
+    refs = protocols._phase_references()
+    assert isinstance(refs, tuple)
+    pairs += zip(refs, [bell_state(kind, ("3", "4"), 2) for kind in PSI])
+    pairs.append((protocols._singlet_pairs(),
+                  tensor_product(bell_state("psi-", ("1", "2")), bell_state("psi-", ("3", "4")))))
+    pol = protocols._pol_targets()
+    assert tuple(pol) == BELL_KINDS
+    pairs += [(pol[kind], protocols._pol_bell(kind)) for kind in BELL_KINDS]
+    source, targets = protocols._vacuum_one_photon()
+    empty = vacuum(ModeRegister(("3'",), 1))
+    pairs.append((source, vacuum_one_photon_postbs()))
+    pairs += [(targets[kind], tensor_product(empty, bell_state(kind, ("1", "4"))))
+              for kind in PSI]
+    for mapping in (pol, targets, protocols._bell_targets(("3", "4"), PSI)):
+        with pytest.raises(TypeError):
+            mapping["psi+"] = bell_state("psi-", ("3", "4"))
+    return pairs
+
+
+def test_memoized_constants_stay_constant(fresh_memos, monkeypatch):
+    # the first pass builds every constant and the second reads the memos:
+    # both give the same bits.  Every memoized ket equals a fresh build after
+    # the first pass, and after each event and each call of the second, so a
+    # change that an even number of events would undo shows too
+    first = [_output_bits(fn(*args)) for fn, args in CONSTANT_USERS]
+    pairs = _memoized_and_fresh()
+    fresh = {id(memoized): ket_bits(ket) for memoized, ket in pairs}
+
+    def assert_unchanged(kets):
+        assert [ket_bits(k) for k in kets] == [fresh[id(k)] for k in kets]
+
+    def checked_event(*args):
+        ev = event(*args)
+        assert_unchanged(args[3].values())
+        return ev
+
+    event = protocols._event
+    monkeypatch.setattr(protocols, "_event", checked_event)
+    memoized = [k for k, _ in pairs]
+    assert_unchanged(memoized)
+    second = []
+    for fn, args in CONSTANT_USERS:
+        second.append(_output_bits(fn(*args)))
+        assert_unchanged(memoized)
+    assert second == first
+
+
+def test_memoized_kets_are_built_once(fresh_memos, monkeypatch):
+    built = []
+    monkeypatch.setattr(protocols, "bell_state",
+                        lambda *args: built.append(args) or bell_state(*args))
+    for _ in range(2):
+        for fn, args in CONSTANT_USERS:
+            fn(*args)
+    assert built and len(built) == len(set(built))
+
+
+def _unnormalized(build):
+    return lambda *args: build(*args).scaled(1.01)
+
+
+@pytest.mark.parametrize("builder, run", [
+    ("bell_state", lambda: run_scheme_a(math.sqrt(0.05), 0.7, 2)),
+    ("bell_state", lambda: run_phase_verification(math.sqrt(0.05), 0.7, 2)),
+    ("bell_state", lambda: run_scheme_b(0.3, 0.9)),
+    ("bell_state", lambda: run_theta_swapping(0.3)),
+    ("bell_state", bell_decomposition_check),
+    ("_pol_bell", lambda: analyze_polarization_postselection(0.9)),
+    ("bell_state", lambda: analyze_vacuum_one_photon(0.8)),
+])
+def test_unnormalized_target_is_rejected_where_built(builder, run, monkeypatch, fresh_memos):
+    monkeypatch.setattr(protocols, builder, _unnormalized(getattr(protocols, builder)))
+    with pytest.raises(ValueError, match="fidelity target must be normalized"):
+        run()
+
+
+def test_event_rejects_a_target_on_another_register():
+    ens = WeightedEnsemble.pure(bell_state("psi+", ("1", "4")))
+    targets = {kind: bell_state(kind, ("3", "4")) for kind in PSI}
+    with pytest.raises(ValueError, match="register mismatch between ensemble and target"):
+        protocols._event("e", 1.0, ens, targets, dict)
