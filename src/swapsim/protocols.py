@@ -200,9 +200,7 @@ def _targets(kets: dict[str, FockKet]) -> Mapping[str, FockKet]:
 
 @functools.cache
 def _bell(kind: str, modes: tuple[str, str], cutoff: int = 1) -> FockKet:
-    """``bell_state(kind, modes, cutoff)``, built once per process.  The
-    kets of this and every other memoized builder are shared by all
-    calls: a report reads them and never changes them."""
+    """``bell_state(kind, modes, cutoff)``, built once per process."""
     return bell_state(kind, modes, cutoff)
 
 
