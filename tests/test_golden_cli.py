@@ -59,6 +59,11 @@ ARGVS = [f"{run} --format {fmt}" for run in RUNS for fmt in ("table", "csv", "js
     "postselect-vac --eta 1 --format json",
     # the one report whose source has no double pairs
     "postselect-pol --eta 0.9 --x-only --format json",
+    # scheme A's dropped_mass at eta = 1, and both heralds at eta = 0, where
+    # every detector group weighs exactly 0.0 on both heralded outcomes
+    "scheme-a --tau2 0.1 --eta 1 --order 10 --format table",
+    "scheme-a --tau2 0.1 --eta 0 --order 10 --format json",
+    "scheme-b --epsilon 0.3 --eta 0 --order 4 --pair-amplitude 0.5 --format json",
 ]
 IMPOSSIBLE_RUNS = [
     "scheme-a --tau2 0 --eta 0.5",
