@@ -64,15 +64,6 @@ def _normalized(ket: FockKet) -> FockKet:
     return FockKet(ket.register, {occ: c * a for occ, a in ket.items()})
 
 
-def dense_to_fock(state: DenseState) -> FockKet:
-    terms = {}
-    for occ in np.ndindex(state.amplitudes.shape):
-        amp = state.amplitudes[occ]
-        if amp != 0.0:
-            terms[occ] = amp
-    return FockKet(state.register, terms)
-
-
 def _ladder(dim: int) -> np.ndarray:
     ad = np.zeros((dim, dim), dtype=complex)
     for n in range(dim - 1):
@@ -205,27 +196,6 @@ def dense_measure(state: DenseState, detectors, eta: float) -> dict:
                         if branches[out] else None)
             result[out] = ConditionalOutcome(totals[out], ensemble)
     return result
-
-
-def number_resolving_measure(state: DenseState, mode: str, n: int) -> ConditionalOutcome:
-    """Project onto exactly n photons in one mode (oracle-only detector)."""
-    reg = state.register
-    i = reg.index(mode)
-    if not 0 <= n <= reg.cutoff:
-        raise ValueError(f"photon number {n} outside [0, {reg.cutoff}]")
-    rest_idx = [j for j in range(reg.size) if j != i]
-    rest_reg = ModeRegister(tuple(reg.labels[j] for j in rest_idx), reg.cutoff)
-    sub: dict[tuple[int, ...], complex] = {}
-    for occ in np.ndindex(state.amplitudes.shape):
-        amp = state.amplitudes[occ]
-        if amp == 0.0 or occ[i] != n:
-            continue
-        sub[tuple(occ[j] for j in rest_idx)] = amp
-    total = sum(abs(a) ** 2 for a in sub.values())
-    if total <= 0.0:
-        return ConditionalOutcome(0.0, None)
-    ket = _normalized(FockKet(rest_reg, sub))
-    return ConditionalOutcome(total, WeightedEnsemble(rest_reg, ((1.0, ket),)))
 
 
 # --------------------------------------------------------------------------

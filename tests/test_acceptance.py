@@ -10,11 +10,7 @@ import numpy as np
 
 from swapsim import cli, fock
 from swapsim.fock import FockKet, fidelity
-from swapsim.oracle import (
-    dense_from_fock,
-    number_resolving_measure,
-    verify_scheme_a,
-)
+from swapsim.oracle import dense_from_fock, verify_scheme_a
 from swapsim.protocols import (
     analyze_polarization_postselection,
     analyze_vacuum_one_photon,
@@ -27,6 +23,7 @@ from swapsim.protocols import (
 )
 from swapsim.sources import vacuum_one_photon_postbs
 
+from test_oracle import number_resolving_measure
 from test_oracle import test_sparse_dense_equivalence_randomized as _sparse_dense_randomized
 from test_protocols import vacuum_one_photon_oracle_fidelity
 

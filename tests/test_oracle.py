@@ -7,14 +7,12 @@ import pytest
 from swapsim import cli, detection, oracle, protocols
 from swapsim.detection import CLICK, SILENT, ConditionalOutcome, measure
 from swapsim.elements import ModeUnitary, apply_mode_unitary, balanced_bs
-from swapsim.fock import FockKet, ModeRegister, bell_state, fidelity
+from swapsim.fock import FockKet, ModeRegister, WeightedEnsemble, bell_state, fidelity
 from swapsim.oracle import (
     DenseState,
     dense_apply,
     dense_from_fock,
     dense_measure,
-    dense_to_fock,
-    number_resolving_measure,
     verify_phase_verification,
     verify_scheme_a,
     verify_scheme_b,
@@ -23,6 +21,36 @@ from swapsim.protocols import run_phase_verification, run_scheme_b
 from swapsim.sources import vacuum_one_photon_postbs
 
 R2 = 1.0 / math.sqrt(2.0)
+
+
+def dense_to_fock(state: DenseState) -> FockKet:
+    terms = {}
+    for occ in np.ndindex(state.amplitudes.shape):
+        amp = state.amplitudes[occ]
+        if amp != 0.0:
+            terms[occ] = amp
+    return FockKet(state.register, terms)
+
+
+def number_resolving_measure(state: DenseState, mode: str, n: int) -> ConditionalOutcome:
+    """Project onto exactly n photons in one mode (a dense-only detector)."""
+    reg = state.register
+    i = reg.index(mode)
+    if not 0 <= n <= reg.cutoff:
+        raise ValueError(f"photon number {n} outside [0, {reg.cutoff}]")
+    rest_idx = [j for j in range(reg.size) if j != i]
+    rest_reg = ModeRegister(tuple(reg.labels[j] for j in rest_idx), reg.cutoff)
+    sub: dict[tuple[int, ...], complex] = {}
+    for occ in np.ndindex(state.amplitudes.shape):
+        amp = state.amplitudes[occ]
+        if amp == 0.0 or occ[i] != n:
+            continue
+        sub[tuple(occ[j] for j in rest_idx)] = amp
+    total = sum(abs(a) ** 2 for a in sub.values())
+    if total <= 0.0:
+        return ConditionalOutcome(0.0, None)
+    ket = oracle._normalized(FockKet(rest_reg, sub))
+    return ConditionalOutcome(total, WeightedEnsemble(rest_reg, ((1.0, ket),)))
 
 
 def test_dense_apply_single_photon():
