@@ -29,9 +29,25 @@ the table's output index, then prunes and weighs each group and restores
 the order in which building the ket would have met them.  When only some
 outcomes are asked for, a group whose row is exactly 0.0 on all of them
 (at ``eta = 1`` the vacuum and every group with photons at both heralding
-detectors) builds no branch.  ``OutcomeBatch`` (a batch of kets after one
-unitary on all of their modes, measured one at a time, each the first time
-it is read) scatters them keyed by output index too.  Neither builds the
+detectors) builds no branch.
+
+Whether an output of ``u`` is dead, its row exactly 0.0 on every outcome
+asked for, is decided once per unitary, not per call: ``u`` keeps a plan
+(``ModeUnitary._plans``) per key (detector shape, outcomes asked for,
+``eta``), the transfer table with the dead outputs left out, grown with
+the table one acted occupation at a time.  A key exists only when some
+outcomes are left out and ``eta`` is exactly 0 or 1, where the key alone
+decides every row: at ``eta = 1`` with the two heralds the dead outputs
+are those with photons at both detectors or at neither, and at ``eta =
+0`` every click outcome is dead.  Interior ``eta`` runs no filter and
+reads the table itself: there, short of an underflow, only the vacuum is
+dead, and the weighing skips whatever is.  A dead output makes no group,
+so the scatter skips it, and the plan keeps each entry's largest output,
+so the branch cutoffs do not change.
+
+``OutcomeBatch`` (a batch of kets after one unitary on all of their
+modes, measured one at a time, each the first time it is read) scatters
+them keyed by output index too.  Neither it nor ``measure`` builds the
 transformed ket, and both give the same bits as building it.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
@@ -136,7 +152,15 @@ class _Povm:
     ``itertools.product`` order.  Each photon count's pair is computed once,
     and when every detector covers one mode the counts are the key itself.
     With ``outcomes``, the outcome list and every row (a tuple then) hold
-    only the outcomes asked for, still in that order."""
+    only the outcomes asked for, still in that order.
+
+    ``plan_key`` names the plan that ``_scatter_groups`` reads: the
+    detector shape (modes per detector), the outcomes asked for and
+    ``eta``, when some outcomes are left out and ``eta`` is exactly 0 or 1.
+    Every row is then made of 0.0s and 1.0s that the key alone decides.
+    It is None otherwise, and no filter runs: with every outcome asked for
+    no row is all 0.0, and at interior ``eta``, short of an underflow, only
+    the vacuum's is."""
 
     def __init__(self, reg: ModeRegister, detectors: Sequence[Sequence[str]], eta: float,
                  outcomes: Iterable[tuple[str, ...]] | None = None):
@@ -180,6 +204,7 @@ class _Povm:
         else:
             row = product_row
         self.outcomes = every
+        self.plan_key = None
         if outcomes is not None:
             wanted = set(outcomes)
             if not wanted:
@@ -192,6 +217,8 @@ class _Povm:
                 self.outcomes = [every[k] for k in picks]
                 take = _tuple_getter(picks)
                 row = lambda key, full_row=row: take(full_row(key))
+                if eta in (0.0, 1.0):
+                    self.plan_key = (tuple(map(len, detectors)), tuple(self.outcomes), eta)
         self.rows = _Rows(row)
 
 
@@ -287,9 +314,26 @@ def _scatter_groups(state: FockKet, u: ModeUnitary, povm: _Povm) -> tuple[list, 
     order the scatter met them, except that a group whose first term is
     pruned moves to its first kept term (output ``j`` of input term ``t``),
     behind every group met before that.
+
+    The entries are the table's, or with ``povm.plan_key`` those of the
+    plan it names on ``u``, which keeps only the outputs whose row is not
+    all 0.0: a dead output makes no group, and the groups kept are the
+    same pairs in the same order.  The plan grows here, one acted
+    occupation at a time, and keeps the table entry's largest output.
     """
     _check_acted(u, povm.measured, state.register.cutoff)
     table, sector = u._table, u.sector
+    if povm.plan_key is not None:
+        rows = povm.rows
+        table = u._plans.setdefault(povm.plan_key, {})
+
+        def sector(acted):
+            entry = u.sector(acted)
+            live = tuple(out for out in entry[1] if any(rows[out[0]]))
+            if len(live) < len(entry[1]):
+                entry = (entry[0], live, entry[2])
+            table[acted] = entry
+            return entry
     measured_of, rest_of = povm.measured_of, povm.rest_of
     subs: defaultdict[int, dict] = defaultdict(dict)  # index -> {rest occupation: amp}
     starts = []  # the number of groups met before each input term
@@ -370,7 +414,8 @@ def coincidence_table(
     from ``_scatter_groups``, each group's row is looked up by output
     index, and the branches take the raised cutoff.  When ``outcomes``
     leaves some out, a group whose row is exactly 0.0 on every outcome
-    asked for adds to no sum and builds no branch.
+    asked for adds to no sum and builds no branch; at ``eta`` 0 or 1 the
+    unitary's plan keeps such a group from being scattered at all.
     """
     povm = _Povm(state.register, detectors, eta, outcomes)
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]

@@ -29,6 +29,17 @@ stale, and ``balanced_bs()`` returns one shared instance whose table
 every protocol reuses.  A table has at most one entry per acted
 occupation within MAX_FACTORIAL_CUTOFF, so even the shared one stays
 small.
+
+Beside the table a ``ModeUnitary`` keeps its plans, ``_plans``.  A plan
+is the table cut down for one use of it, keyed by what decides that use
+and grown with the table, one acted occupation at a time: its entry for
+an acted occupation is the table's entry with only the outputs that use
+can need, in table order, with the same sqrt(prod n!) and the same
+largest output occupation (the table's own entry when every output is
+needed).  ``detection`` keys a plan by detector shape, the outcomes asked
+for and an ``eta`` of exactly 0 or 1, and keeps the outputs that weigh
+more than 0.0 on one of those outcomes; interior ``eta`` runs no filter
+and reads the table.  A plan has at most one entry per table entry.
 """
 from __future__ import annotations
 
@@ -47,14 +58,15 @@ class ModeUnitary(_Record):
     ``entries`` accepts any square 2-D array-like of numbers (nested
     sequences or a numpy array) and is stored as a tuple of rows of
     ``complex``.  Only ``entries`` takes part in ``repr``, ``==`` and
-    ``hash``: the transfer table, with its output indices, and the array
-    are caches.
+    ``hash``: the transfer table, with its output indices and plans, and
+    the array are caches.
     """
 
     _fields = ("entries",)
     # _table: acted occupation -> (sqrt(prod n!), ((powers, index, c, sqrt(prod p!)), ...),
-    # max output); _index: output occupation -> index; _powers: index -> output occupation
-    __slots__ = ("entries", "_table", "_index", "_powers", "_array")
+    # max output); _index: output occupation -> index; _powers: index -> output occupation;
+    # _plans: plan key -> {acted occupation: _table's entry with only some of its outputs}
+    __slots__ = ("entries", "_table", "_index", "_powers", "_plans", "_array")
 
     def __init__(self, entries):
         try:
@@ -74,6 +86,7 @@ class ModeUnitary(_Record):
         object.__setattr__(self, "_table", {})
         object.__setattr__(self, "_index", {})
         object.__setattr__(self, "_powers", [])
+        object.__setattr__(self, "_plans", {})
         object.__setattr__(self, "_array", None)
 
     @property

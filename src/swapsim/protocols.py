@@ -158,13 +158,18 @@ def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
     identity: the events of a report that share it read a shared member
     once.  Each target's register is checked once per event, and an
     overlap is summed inline in ``fock.inner_product``'s float order, over
-    the keys of the ket with fewer terms.
+    the keys of the ket with fewer terms.  A member that has no occupation
+    of any target, collected once per event, is not read: its overlaps
+    are exactly 0.0, and adding ``w * 0.0`` to a total, which starts at
+    0.0, changes no bit.
 
     ``targets`` come from ``_targets``, which checked each one's
     normalization once, when its memoized builder first built it."""
     if ensemble is None:
         return EventResult(name, probability, None, None)
     overlaps = {} if overlaps is None else overlaps
+    support = {occ for t in targets.values() for occ in t.terms}
+    members = [(w, s) for w, s in ensemble.members if not support.isdisjoint(s.terms)]
     fids = {}
     for kind, t in targets.items():
         if t.register.labels != ensemble.register.labels:
@@ -173,8 +178,8 @@ def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
         if read is None:
             read = overlaps[id(t)] = {}
         ta = t.terms
-        total = 0
-        for w, s in ensemble.members:
+        total = 0.0
+        for w, s in members:
             o = read.get(id(s))
             if o is None:
                 tb = s.terms

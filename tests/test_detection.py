@@ -547,6 +547,54 @@ def test_measuring_some_outcomes_builds_only_the_branches_they_read():
     assert _table_bits(part) == _table_bits({out: full[out] for out in protocols._HERALDS})
 
 
+def _plan_sizes(u):
+    return {key: len(plan) for key, plan in u._plans.items()}
+
+
+def test_a_cached_plan_cannot_go_stale():
+    # one balanced beam splitter, fresh so that its table and plans start
+    # empty, across calls that make, reuse and grow its plans; each result
+    # is the full table restricted to the outcomes asked for, and a repeat
+    # call adds no plan entry
+    u = ModeUnitary(balanced_bs().entries)
+    assert u == balanced_bs() and not u._table and not u._plans
+    mixed = protocols._SCHEME_A.mixed
+    detectors = [(m,) for m in mixed]
+    small = protocols.scheme_a_state(math.sqrt(0.1), 2)
+    large = protocols.scheme_a_state(math.sqrt(0.1), 6)
+    heralds, both = protocols._HERALDS, [(CLICK, CLICK)]
+    calls = [(small, heralds, 1.0), (small, both, 1.0), (small, heralds, 0.0),
+             (small, heralds, 0.7), (large, heralds, 1.0)]
+    for ket, outcomes, eta in calls:
+        grown = len(u._table)
+        part = coincidence_table(ket, detectors, eta, u, outcomes)
+        sizes = _plan_sizes(u)
+        assert _table_bits(coincidence_table(ket, detectors, eta, u, outcomes)) == \
+            _table_bits(part)
+        assert _plan_sizes(u) == sizes
+        full = coincidence_table(ket, detectors, eta, u)
+        ref = coincidence_table(apply_mode_unitary(ket, u, mixed), detectors, eta)
+        assert _table_bits(full) == _table_bits(ref)
+        assert list(part) == [out for out in full if out in outcomes]
+        restricted = {out: full[out] for out in part}
+        assert _table_bits(part) == _table_bits(restricted)
+        assert _sharing(part) == _sharing(restricted)
+    # the last call grew the table after its plan existed, and the plan with it
+    assert grown < len(u._table)
+    key = ((1, 1), tuple(heralds), 1.0)
+    assert set(u._plans) == {key, ((1, 1), tuple(both), 1.0), ((1, 1), tuple(heralds), 0.0)}
+    assert u._plans[key].keys() == {(occ[0], occ[1]) for occ in large.terms}
+    # at eta = 1 the heralds' plan drops outputs of most entries, at eta = 0
+    # every output, and each entry keeps its table entry's factor and top
+    assert any(len(u._plans[key][acted][1]) < len(u._table[acted][1]) for acted in u._plans[key])
+    for plan in u._plans.values():
+        for acted, (nf, outputs, top) in plan.items():
+            entry = u._table[acted]
+            assert (nf, top) == (entry[0], entry[2])
+            assert [out for out in entry[1] if out in outputs] == list(outputs)
+    assert all(not outputs for _, outputs, _ in u._plans[((1, 1), tuple(heralds), 0.0)].values())
+
+
 def test_measure_rejects_an_unknown_or_empty_outcome_list():
     ket = FockKet(ModeRegister(("1", "2"), 1), {(1, 0): 1.0})
     for outcomes in ([(CLICK,)], [(CLICK, "dark")], [(CLICK, SILENT, SILENT)]):

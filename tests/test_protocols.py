@@ -109,6 +109,21 @@ def test_scheme_a_closed_form_fidelity():
     assert ev2.fidelity_psi_minus == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("tau2, order, p_tol, f_tol", [
+    (1e-3, 8, 1e-15, 1e-12),
+    (1e-2, 8, 1e-15, 1e-12),
+    (0.1, 10, 1e-11, 1e-11),
+])
+def test_scheme_a_converged_laws_at_unit_efficiency(tau2, order, p_tol, f_tol):
+    # the untruncated values: each event has probability tau2 (1 - tau2) and
+    # favors its psi with fidelity 1 - tau2; order 1 gives 1/(1 + tau2/2)
+    report = run_scheme_a(math.sqrt(tau2), 1.0, order)
+    for ev, kind in zip(report.events, ("psi+", "psi-")):
+        assert ev.extras["favored"] == kind
+        assert abs(ev.probability - tau2 * (1.0 - tau2)) <= p_tol
+        assert abs(ev.extras["fidelity_favored"] - (1.0 - tau2)) <= f_tol
+
+
 def test_scheme_a_event_symmetry():
     report = run_scheme_a(0.2, 0.7)
     assert report.event("event1").probability == \
@@ -339,10 +354,12 @@ def test_phase_tables_skip_bound_covers_a_probability_above_one():
 @pytest.mark.parametrize("run", [run_scheme_a, run_phase_verification])
 def test_shared_members_read_once_with_fidelities_of_fock_fidelity(run, monkeypatch):
     # at eta < 1 most members of the two heralded ensembles are one object:
-    # each distinct member is read once per target and formatted once, and
-    # every fidelity has the bits of fock.fidelity on the whole ensemble.
-    # _event stores each overlap it computes in its target's dict of the
-    # shared cache, so a dict that records every store counts them.
+    # each distinct member that shares an occupation with psi+ or psi- is
+    # read once per target, no other member is read, each distinct member
+    # is formatted once, and every fidelity has the bits of fock.fidelity
+    # on the whole ensemble.  _event stores each overlap it computes in its
+    # target's dict of the shared cache, so a dict that records every store
+    # counts them.
     overlaps, texts = [], []
 
     class Recording(dict):
@@ -364,7 +381,10 @@ def test_shared_members_read_once_with_fidelities_of_fock_fidelity(run, monkeypa
     members = [(w, ket) for ev in report.events for w, ket in ev.ensemble.members]
     distinct = {id(ket) for _, ket in members}
     assert len(distinct) < len(members)
-    assert sorted(overlaps) == sorted(2 * list(distinct))
+    support = {occ for kind in ("psi+", "psi-") for occ in bell_state(kind, ("3", "4")).terms}
+    overlapping = {id(ket) for _, ket in members if support & set(ket.terms)}
+    assert 0 < len(overlapping) < len(distinct)
+    assert sorted(overlaps) == sorted(2 * list(overlapping))
     for ev in report.events:
         for kind, got in (("psi+", ev.fidelity_psi_plus), ("psi-", ev.fidelity_psi_minus)):
             assert got.hex() == fidelity(ev.ensemble, bell_state(kind, ("3", "4"))).hex()
@@ -730,6 +750,20 @@ def test_unnormalized_target_is_rejected_where_built(builder, run, monkeypatch, 
     monkeypatch.setattr(protocols, builder, _unnormalized(getattr(protocols, builder)))
     with pytest.raises(ValueError, match="fidelity target must be normalized"):
         run()
+
+
+def test_ensemble_outside_the_support_has_float_fidelity_zero():
+    # no member shares an occupation with psi+ or psi-, so none is read: each
+    # fidelity is still a float with the bits of fock.fidelity
+    targets = protocols._bell_targets(("3", "4"), PSI)
+    reg = ModeRegister(("3", "4"), 2)
+    ens = WeightedEnsemble(reg, ((0.75, FockKet(reg, {(0, 0): 1.0})),
+                                 (0.25, FockKet(reg, {(1, 1): 0.6, (2, 0): 0.8}))))
+    ev = protocols._event("e", 0.5, ens, targets, protocols._favored)
+    for kind, got in (("psi+", ev.fidelity_psi_plus), ("psi-", ev.fidelity_psi_minus)):
+        want = fidelity(ens, targets[kind])
+        assert type(got) is type(want) is float
+        assert got.hex() == want.hex() == (0.0).hex()
 
 
 def test_event_rejects_a_target_on_another_register():
