@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -771,3 +772,37 @@ def test_event_rejects_a_target_on_another_register():
     targets = {kind: bell_state(kind, ("3", "4")) for kind in PSI}
     with pytest.raises(ValueError, match="register mismatch between ensemble and target"):
         protocols._event("e", 1.0, ens, targets, dict)
+
+
+# --------------------------------------------------------------------------
+# Bit identity: every output field of a fixed set of calls, pinned as one
+# SHA-256 of their float.hex walk
+# --------------------------------------------------------------------------
+
+# the heralds at order 6 and 10 with eta 0.7 put groups whose first term is
+# pruned behind later ones, and at tau2 0.02, order 10, eta 1 the plan has
+# such a group too
+PINNED_CALLS = [
+    (fn, (math.sqrt(tau2), eta, order))
+    for fn in (run_scheme_a, run_phase_verification)
+    for tau2, order in ((0.1, 6), (0.02, 10))
+    for eta in (0.0, 0.7, 1.0)
+] + [
+    (run_scheme_b, (0.3, 0.8, 4, "ubs", 0.5)),
+    (run_scheme_b, (0.3, 0.8, 4, "pbs", 0.5)),
+    (analyze_polarization_postselection, (0.9,)),
+    (analyze_vacuum_one_photon, (0.8,)),
+    (run_theta_swapping, (0.3,)),
+    (bell_decomposition_check, ()),
+    (scheme_a_click_distribution, (math.sqrt(0.05), 0.7, 8)),
+    (scheme_b_click_distribution, (0.3, 0.9, 4, "pbs", 0.5)),
+]
+PINNED_DIGEST = "8b7708682183e683bdd0b3235b2ccc65fe434b9bdbdac064fbb7e219e0a4a7d8"
+
+
+def test_outputs_match_the_pinned_digest():
+    # every field of each call as bits: the report's JSON and its ensemble
+    # members' registers, occupations and amplitudes, or the click
+    # distribution.  A change that moves any bit of any output changes it
+    walk = repr([_output_bits(fn(*args)) for fn, args in PINNED_CALLS])
+    assert hashlib.sha256(walk.encode()).hexdigest() == PINNED_DIGEST
