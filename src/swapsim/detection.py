@@ -7,13 +7,13 @@ with probability 1 - (1 - eta)^n.
 
 ``measure`` is the one implementation of this POVM.  It returns every
 click/silent outcome asked for (all by default) of a set of detectors on a
-ket at once, keyed by a tuple of ``CLICK``/``SILENT`` in detector order.  The ket is grouped once
-by the occupation of the measured modes: groups with distinct measured
-occupations are incoherent, terms sharing them stay coherent.  This is
-exact for POVMs diagonal in the measured modes' Fock basis.  A group's
-normalized branch on the unmeasured modes does not depend on the outcome
-(only its weight does), so it is built once and shared by every outcome it
-contributes to.
+ket at once, keyed by a tuple of ``CLICK``/``SILENT`` in detector order.
+One function, ``_group``, groups the ket once by the occupation of the
+measured modes: groups with distinct measured occupations are incoherent,
+terms sharing them stay coherent.  This is exact for POVMs diagonal in the
+measured modes' Fock basis.  A group's normalized branch on the unmeasured
+modes does not depend on the outcome (only its weight does), so it is
+built once and shared by every outcome it contributes to.
 
 The detector check, the outcome list, each photon count's (click, silent)
 pair and each measured occupation's row of outcome probabilities are set
@@ -24,25 +24,23 @@ measured, each term is its own group and no branch is built.
 A unitary just before the detectors need not be applied first.
 ``measure(state, ..., unitary=u)``, where ``u`` acts on the measured modes
 in detector order (as in every herald), scatters each term of ``state``
-through ``u``'s transfer table straight into its detector group, keyed by
-the table's output index, then prunes and weighs each group and restores
-the order in which building the ket would have met them.  When only some
-outcomes are asked for, a group whose row is exactly 0.0 on all of them
-(at ``eta = 1`` the vacuum and every group with photons at both heralding
-detectors) builds no branch.
+through ``u``'s transfer table into terms keyed by (output index, rest
+occupation), the transformed ket's terms in its own order, which
+``_group`` then groups as it groups any ket.  When only some outcomes are
+asked for, a group whose row is exactly 0.0 on all of them (at ``eta =
+1`` the vacuum and every group with photons at both heralding detectors)
+builds no branch.
 
 Whether an output of ``u`` is dead, its row exactly 0.0 on every outcome
 asked for, is decided once per unitary, not per call: ``u`` keeps a plan
 (``ModeUnitary._plans``) per key (detector shape, outcomes asked for,
-``eta``), the transfer table with the dead outputs left out, grown with
-the table one acted occupation at a time.  A key exists only when some
-outcomes are left out and ``eta`` is exactly 0 or 1, where the key alone
-decides every row: at ``eta = 1`` with the two heralds the dead outputs
-are those with photons at both detectors or at neither, and at ``eta =
-0`` every click outcome is dead.  Interior ``eta`` runs no filter and
-reads the table itself: there, short of an underflow, only the vacuum is
-dead, and the weighing skips whatever is.  A dead output makes no group,
-so the scatter skips it, and the plan keeps each entry's largest output,
+``eta``), the transfer table without its dead outputs.  A key exists only
+when some outcomes are left out and ``eta`` is exactly 0 or 1, where the
+key alone decides every row: at ``eta = 1`` with the two heralds the dead
+outputs are those with photons at both detectors or at neither, and at
+``eta = 0`` every click outcome is dead.  Interior ``eta`` reads the table
+itself: there, short of an underflow, only the vacuum is dead, and the
+weighing skips whatever is.  The plan keeps each entry's largest output,
 so the branch cutoffs do not change.
 
 ``OutcomeBatch`` (a batch of kets after one unitary on all of their
@@ -59,10 +57,9 @@ use ``measure``.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-from collections import defaultdict
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from . import fock
@@ -154,7 +151,7 @@ class _Povm:
     With ``outcomes``, the outcome list and every row (a tuple then) hold
     only the outcomes asked for, still in that order.
 
-    ``plan_key`` names the plan that ``_scatter_groups`` reads: the
+    ``plan_key`` names the plan that ``_scatter_terms`` reads: the
     detector shape (modes per detector), the outcomes asked for and
     ``eta``, when some outcomes are left out and ``eta`` is exactly 0 or 1.
     Every row is then made of 0.0s and 1.0s that the key alone decides.
@@ -282,12 +279,12 @@ class OutcomeBatch:
         return dict(zip(self.outcomes, sums))
 
 
-def _group(terms: dict, povm: _Povm) -> dict:
-    """A ket's terms by measured occupation, in the order of each group's
-    first term: ``key -> [w, {rest occupation: amp}]``, pruned as
-    ``FockKet._trusted`` prunes, ``w`` summing the kept squared ``abs``
-    from 0.0 in term order."""
-    measured_of, rest_of = povm.measured_of, povm.rest_of
+def _group(terms: dict, measured_of: Callable, rest_of: Callable) -> dict:
+    """A ket's terms, keyed as ``terms``, by measured occupation
+    (``measured_of`` of a key), in the order of each group's first kept
+    term: ``measured -> [w, {rest_of(key): amp}]``, pruned as
+    ``FockKet._trusted`` prunes, ``w`` summing the kept squared ``abs`` from
+    0.0 in term order."""
     tol = fock.PRUNE_TOL
     groups: dict[tuple[int, ...], list] = {}
     for occ, amp in terms.items():
@@ -301,25 +298,20 @@ def _group(terms: dict, povm: _Povm) -> dict:
     return groups
 
 
-def _scatter_groups(state: FockKet, u: ModeUnitary, povm: _Povm) -> tuple[list, int]:
-    """``_group`` of ``u`` applied to the measured modes of ``state``, in
-    detector order, without building that ket: ``(output index, (w,
-    {rest occupation: amp}))`` pairs with the same bits, and the largest
-    output occupation.
+def _scatter_terms(state: FockKet, u: ModeUnitary, povm: _Povm) -> tuple[dict, int]:
+    """The terms of ``u`` applied to the measured modes of ``state``, in
+    detector order, without building that ket: ``{(output index, rest
+    occupation): amp}``, the same amplitudes in the same order as that
+    ket's terms, and the largest output occupation.
 
-    Each input term is one table lookup, one rest getter and one scatter
-    into its groups, keyed by output index, summing ``pref * c * pf`` from
-    0.0 in input-term order as ``apply_mode_unitary`` does.  The groups come
-    out in the order of their first kept terms in the transformed ket: the
-    order the scatter met them, except that a group whose first term is
-    pruned moves to its first kept term (output ``j`` of input term ``t``),
-    behind every group met before that.
+    Each input term is one table lookup and one scatter, summing ``pref * c
+    * pf`` from 0.0 in input-term order as ``apply_mode_unitary`` does.
 
     The entries are the table's, or with ``povm.plan_key`` those of the
     plan it names on ``u``, which keeps only the outputs whose row is not
-    all 0.0: a dead output makes no group, and the groups kept are the
-    same pairs in the same order.  The plan grows here, one acted
-    occupation at a time, and keeps the table entry's largest output.
+    all 0.0: a dead output makes no term and so no group.  The plan grows
+    here, one acted occupation at a time, and keeps the table entry's
+    largest output.
     """
     _check_acted(u, povm.measured, state.register.cutoff)
     table, sector = u._table, u.sector
@@ -335,55 +327,20 @@ def _scatter_groups(state: FockKet, u: ModeUnitary, povm: _Povm) -> tuple[list, 
             table[acted] = entry
             return entry
     measured_of, rest_of = povm.measured_of, povm.rest_of
-    subs: defaultdict[int, dict] = defaultdict(dict)  # index -> {rest occupation: amp}
-    starts = []  # the number of groups met before each input term
+    terms: dict[tuple, complex] = {}
+    get = terms.get
     max_occ = 0
     for occ, amp in state.terms.items():
         acted = measured_of(occ)
         nf, outputs, top = table.get(acted) or sector(acted)
         pref = amp / nf
         rest = rest_of(occ)
-        starts.append(len(subs))
         for _, i, c, pf in outputs:
-            sub = subs[i]
-            sub[rest] = sub.get(rest, 0.0) + pref * c * pf
+            key = (i, rest)
+            terms[key] = get(key, 0.0) + pref * c * pf
         if top > max_occ:
             max_occ = top
-    tol = fock.PRUNE_TOL
-    groups = []
-    moved = {}  # index -> first kept rest occupation, where the first term is pruned
-    for i, sub in subs.items():
-        w = 0.0
-        kept = {}
-        for rest, amp in sub.items():  # each sum began at 0.0: amp is its own 0.0 + amp
-            if (m := abs(amp)) > tol:
-                w += m ** 2
-                kept[rest] = amp
-        if kept:
-            groups.append((i, (w, kept)))
-            if len(kept) < len(sub) and next(iter(kept)) != next(iter(sub)):
-                moved[i] = next(iter(kept))
-    if moved:
-        # a group in place sorts as (its rank among the groups met, 1); a
-        # moved one as (the number of groups met before its first kept
-        # term, 0, t, j)
-        rank = {i: g for g, i in enumerate(subs)}
-        occs = list(state.terms)
-        place = {}
-        for i, first in moved.items():
-            t = bisect.bisect_right(starts, rank[i])  # the input term after the one that made i
-            while True:
-                occ = occs[t]
-                if rest_of(occ) == first:
-                    outputs = table[measured_of(occ)][1]
-                    j = next((k for k, out in enumerate(outputs) if out[1] == i), None)
-                    if j is not None:
-                        break
-                t += 1
-            made = starts[t]
-            place[i] = (made + sum(rank[out[1]] >= made for out in outputs[:j]), 0, t, j)
-        groups.sort(key=lambda group: place.get(group[0]) or (rank[group[0]], 1))
-    return groups, max_occ
+    return terms, max_occ
 
 
 def coincidence_table(
@@ -407,29 +364,31 @@ def coincidence_table(
     probability is the sum of its groups' contribs.  The pairs are empty
     when no mode is left unmeasured.
 
-    The groups come from one of two paths.  Without a unitary, ``_group``
-    groups the ket's own terms by measured occupation.  With ``unitary =
-    u`` the ket measured is ``u`` applied to the measured modes of
-    ``state`` in detector order, which is never built: its groups come
-    from ``_scatter_groups``, each group's row is looked up by output
-    index, and the branches take the raised cutoff.  When ``outcomes``
-    leaves some out, a group whose row is exactly 0.0 on every outcome
-    asked for adds to no sum and builds no branch; at ``eta`` 0 or 1 the
-    unitary's plan keeps such a group from being scattered at all.
+    Without a unitary, ``_group`` groups the ket's own terms.  With
+    ``unitary = u`` the ket measured is ``u`` applied to the measured modes
+    of ``state`` in detector order, which is never built: ``_group`` groups
+    the terms of ``_scatter_terms`` by output index, each group's row is
+    looked up by that index, and the branches take the raised cutoff.
+    When ``outcomes`` leaves some out, a group whose row is exactly 0.0 on
+    every outcome asked for adds to no sum and builds no branch; at ``eta``
+    0 or 1 the unitary's plan keeps such a group from being scattered at
+    all.
     """
     povm = _Povm(state.register, detectors, eta, outcomes)
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]
     sums = [0.0] * len(povm.outcomes)
     try:
         if unitary is None:
-            groups, cutoff, rows = _group(state.terms, povm).items(), state.register.cutoff, povm.rows
+            terms, getters = state.terms, (povm.measured_of, povm.rest_of)
+            cutoff, rows = state.register.cutoff, povm.rows
         else:
+            terms, max_occ = _scatter_terms(state, unitary, povm)
+            getters = (itemgetter(0), itemgetter(1))
+            cutoff = max(max_occ, state.register.cutoff)
             powers_of, row = unitary._powers, povm.rows.make
             rows = _Rows(lambda i: row(powers_of[i]))
-            groups, max_occ = _scatter_groups(state, unitary, povm)
-            cutoff = max(max_occ, state.register.cutoff)
         rest_reg = ModeRegister(povm.rest_labels, cutoff) if povm.rest_idx else None
-        for key, (w, sub) in groups:
+        for key, (w, sub) in _group(terms, *getters).items():
             ket = None
             for i, p_out in enumerate(rows[key]):
                 contrib = w * p_out

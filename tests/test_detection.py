@@ -639,7 +639,8 @@ def test_fused_herald_matches_apply_then_measure_on_scheme_states(scheme, args, 
     assert _table_bits(fused) == _table_bits(ref)
     if args[1] == 10:
         # Hong-Ou-Mandel round-off leaves a group's first term below the
-        # tolerance, so the groups are reordered on real traffic too
+        # tolerance, so on real traffic too a group starts at a later term
+        # than the one that first met it
         assert _groups_whose_first_term_is_pruned(pre, balanced_bs(), mixed)
 
 
