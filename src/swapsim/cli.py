@@ -304,6 +304,8 @@ def run(argv=None, out=None) -> int:
     command = COMMANDS[args.scheme]
     if args.shots < 0:
         parser.error("--shots must be >= 0")
+    if args.shots and args.format == "csv":
+        parser.error("--shots has no effect with --format csv, which prints no samples")
     if args.seed is not None:
         if not args.shots:
             parser.error("--seed: only valid with --shots")

@@ -380,13 +380,16 @@ SWEEP = ["--sweep", "eta", "--from", "0.5", "--to", "1", "--steps", "2"]
      ("--double-pair-weight", "--x-only")),
     (["postselect-pol", "--double-pair-weight", "1", "--x-only", *SWEEP],
      ("--double-pair-weight", "--x-only")),
+    (["scheme-a", "--tau2", "1e-3", "--shots", "10", "--format", "csv"],
+     ("--shots", "--format csv")),
 ])
 def test_flags_the_run_would_ignore_exit_2(argv, flags, capsys, monkeypatch):
     # rejected before any computation: no protocol function may run
     def forbidden(*args):
         raise AssertionError("computed before rejecting the flags")
 
-    for name in ("run_scheme_b", "analyze_polarization_postselection", "scheme_b_state"):
+    for name in ("run_scheme_b", "analyze_polarization_postselection", "scheme_b_state",
+                 "run_scheme_a", "scheme_a_click_distribution", "sample_run"):
         monkeypatch.setattr(protocols, name, forbidden)
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
@@ -526,9 +529,10 @@ def verified_argv(draw):
         argv = [scheme, f"--tau2={draw(st.floats(0.0, 0.5))!r}"]
     else:
         argv = [scheme, f"--tau={draw(st.floats(-0.7, 0.7))!r}"]
-    argv += [f"--eta={draw(st.floats(0.0, 1.0))!r}", f"--order={order}",
-             f"--format={draw(st.sampled_from(['json', 'csv', 'table']))}"]
-    if cli.COMMANDS[scheme].distribution and draw(st.booleans()):
+    fmt = draw(st.sampled_from(['json', 'csv', 'table']))
+    argv += [f"--eta={draw(st.floats(0.0, 1.0))!r}", f"--order={order}", f"--format={fmt}"]
+    # the CSV report has no samples, so --shots with --format csv exits 2
+    if cli.COMMANDS[scheme].distribution and fmt != "csv" and draw(st.booleans()):
         argv += [f"--shots={draw(st.integers(1, 50))}", f"--seed={draw(st.integers(0, 2**32))}"]
     return argv + ["--verify"]
 
