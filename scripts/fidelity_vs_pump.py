@@ -3,7 +3,10 @@
 
 Writes a CSV with, for each |tau|^2 on a log grid, the heralding
 probability and the fidelity of the post-selected outer-beam state
-against the favored Bell state, at several detector efficiencies.
+against the favored Bell state, at several detector efficiencies.  Every
+value is the ``--order 1`` truncation of the source (one pair per pass),
+and ``order1_fidelity_eta1`` is its fidelity at eta = 1, 1/(1 + tau2/2);
+the converged fidelity at eta = 1 is 1 - tau2.
 
 Usage:
     python3 scripts/fidelity_vs_pump.py --out fidelity_vs_pump.csv
@@ -39,16 +42,16 @@ def main(argv=None):
     handle = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     writer = csv.writer(handle)
     writer.writerow(["tau2", "eta", "event", "probability",
-                     "fidelity_favored", "closed_form_eta1"])
+                     "fidelity_favored", "order1_fidelity_eta1"])
     for tau2 in grid:
-        closed = 1.0 / (1.0 + tau2 / 2.0)
+        order_1 = 1.0 / (1.0 + tau2 / 2.0)
         for eta in args.etas:
             rep = run_scheme_a(math.sqrt(tau2), eta)
             for ev in rep.events:
                 writer.writerow([f"{tau2:.6g}", f"{eta:.3g}", ev.name,
                                  f"{ev.probability:.12g}",
                                  f"{ev.extras['fidelity_favored']:.12g}",
-                                 f"{closed:.12g}"])
+                                 f"{order_1:.12g}"])
     if handle is not sys.stdout:
         handle.close()
         print(f"wrote {args.out}")

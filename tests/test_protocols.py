@@ -99,7 +99,7 @@ def test_theta_at_pi_4_matches_bell_check():
 # Scheme A
 # --------------------------------------------------------------------------
 
-def test_scheme_a_closed_form_fidelity():
+def test_scheme_a_order_1_fidelity():
     tau2 = 0.01
     report = run_scheme_a(math.sqrt(tau2), 1.0, order=1)
     expected = 1.0 / (1.0 + tau2 / 2.0)
