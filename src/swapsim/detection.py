@@ -379,16 +379,16 @@ def coincidence_table(
     sums = [0.0] * len(povm.outcomes)
     try:
         if unitary is None:
-            terms, getters = state.terms, (povm.measured_of, povm.rest_of)
+            terms, measured_of, rest_of = state.terms, povm.measured_of, povm.rest_of
             cutoff, rows = state.register.cutoff, povm.rows
         else:
             terms, max_occ = _scatter_terms(state, unitary, povm)
-            getters = (itemgetter(0), itemgetter(1))
+            measured_of, rest_of = itemgetter(0), itemgetter(1)
             cutoff = max(max_occ, state.register.cutoff)
             powers_of, row = unitary._powers, povm.rows.make
             rows = _Rows(lambda i: row(powers_of[i]))
         rest_reg = ModeRegister(povm.rest_labels, cutoff) if povm.rest_idx else None
-        for key, (w, sub) in _group(terms, *getters).items():
+        for key, (w, sub) in _group(terms, measured_of, rest_of).items():
             ket = None
             for i, p_out in enumerate(rows[key]):
                 contrib = w * p_out
