@@ -43,10 +43,10 @@ itself: there, short of an underflow, only the vacuum is dead, and the
 weighing skips whatever is.  The plan keeps each entry's largest output,
 so the branch cutoffs do not change.
 
-``OutcomeBatch`` (a batch of kets after one unitary on all of their
-modes, measured one at a time, each the first time it is read) scatters
-them keyed by output index too.  Neither it nor ``measure`` builds the
-transformed ket, and both give the same bits as building it.
+``mixture_tables`` (mixtures of kets after one unitary on all of their
+modes, each distinct ket measured the first time a table needs it)
+scatters them keyed by output index too.  Neither it nor ``measure``
+builds the transformed ket, and both give the same bits as building it.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
 ``coincidence_table`` groups the ket, weighs every group under every
@@ -140,7 +140,7 @@ class _Rows(dict):
 
 
 class _Povm:
-    """The set-up of one ``measure`` call or ``OutcomeBatch``, done once
+    """The set-up of one ``measure`` or ``mixture_tables`` call, done once
     for all of its kets: the detector check, the outcome list, the
     getters of the measured and unmeasured occupations, and ``rows``, each
     measured occupation's row of outcome probabilities (which depend only on
@@ -219,64 +219,72 @@ class _Povm:
         self.rows = _Rows(row)
 
 
-class OutcomeBatch:
-    """Every click/silent outcome's probability for each of several kets on
-    one set of mode labels, after ``u`` acts on all of their modes in
-    register order, with every mode measured and the set-up done once.
+def _all_modes_probabilities(ket: FockKet, u: ModeUnitary, rows: _Rows,
+                             n_outcomes: int) -> list[float]:
+    """One ket's outcome probabilities in ``mixture_tables``: its terms
+    scattered through ``u``'s table, summed by output index and weighed by
+    that index's row in ``rows``, each its own group of weight |amp|**2,
+    skipping those that building the transformed ket would prune."""
+    table, sector = u._table, u.sector
+    out: dict[int, complex] = {}
+    for occ, amp in ket.terms.items():
+        nf, outputs, _ = table.get(occ) or sector(occ)
+        pref = amp / nf
+        for _, i, c, pf in outputs:
+            out[i] = out.get(i, 0.0) + pref * c * pf
+    sums = [0.0] * n_outcomes
+    tol = fock.PRUNE_TOL
+    try:
+        for i, amp in out.items():  # each sum began at 0.0: amp is its own 0.0 + amp
+            if (a := abs(amp)) > tol:
+                w = a ** 2
+                for k, p_out in enumerate(rows[i]):
+                    contrib = w * p_out
+                    if contrib > 0.0:
+                        sums[k] += contrib
+    except OverflowError:  # one squared amplitude is beyond the float range
+        raise ValueError("ket norm overflows the float range") from None
+    return sums
 
-    ``batch[k]`` is the table of ``kets[k]``, keyed as ``measure``'s result
-    (``batch.outcomes``, in order), computed the first time it is read and
-    kept: a ket that is never read is never measured.  Each table holds the
-    same probabilities, bit for bit, as ``measure(apply_mode_unitary(ket, u,
-    ket.register.labels), detectors, eta)``, but the transformed ket is never
-    built: its scattered terms are summed straight away, skipping those that
-    building it would prune, and each is its own group, of weight
-    |amp|**2.  An output term is keyed by its transfer-table index, and
-    each index's row, that of its occupation in detector order, is looked
-    up once per batch.  The detectors, labels and cutoffs of every ket are
-    checked when the batch is made.
+
+def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeUnitary,
+                   detectors: Sequence[Sequence[str]], eta: float) -> list[dict]:
+    """One table per mixture of ``(w, ket)`` members on one set of mode
+    labels: every outcome's probability, keyed as ``measure``'s result,
+    after ``u`` acts on all of the modes in register order, every mode
+    measured.  A table is ``sum_k w_k p_k(out)`` in member order from 0.0,
+    each ``p_k`` with the bits of ``measure(apply_mode_unitary(ket, u,
+    labels), detectors, eta)``.  A member whose ``2 * w`` is below half an
+    ulp of the table's smallest running entry is skipped there: ``p`` is at
+    most 1 up to rounding, so ``w * p`` would change no bit.  Each distinct
+    ket (by identity) is measured once, the first time a table needs it.
+    Every member is checked first, those skipped too.
     """
-
-    def __init__(self, kets: Sequence[FockKet], u: ModeUnitary,
-                 detectors: Sequence[Sequence[str]], eta: float):
-        povm = _Povm(kets[0].register, detectors, eta)
-        if povm.rest_idx:
-            raise ValueError("OutcomeBatch measures every mode")
-        if any(ket.register.labels != povm.labels for ket in kets):
-            raise ValueError("kets of one batch must share their mode labels")
-        _check_acted(u, povm.labels, max(ket.register.cutoff for ket in kets))
-        self.kets, self.u, self.outcomes = kets, u, povm.outcomes
-        rows, measured_of, powers_of = povm.rows, povm.measured_of, u._powers
-        self.index_rows = _Rows(lambda i: rows[measured_of(powers_of[i])])
-        self.tables: list[dict | None] = [None] * len(kets)
-
-    def __getitem__(self, k: int) -> dict[tuple[str, ...], float]:
-        table = self.tables[k]
-        if table is None:
-            table = self.tables[k] = self._measure(self.kets[k])
-        return table
-
-    def _measure(self, ket: FockKet) -> dict[tuple[str, ...], float]:
-        table, sector, rows = self.u._table, self.u.sector, self.index_rows
-        out: dict[int, complex] = {}
-        for occ, amp in ket.terms.items():
-            nf, outputs, _ = table.get(occ) or sector(occ)
-            pref = amp / nf
-            for _, i, c, pf in outputs:
-                out[i] = out.get(i, 0.0) + pref * c * pf
-        sums = [0.0] * len(self.outcomes)
-        tol = fock.PRUNE_TOL
-        try:
-            for i, amp in out.items():  # each sum began at 0.0: amp is its own 0.0 + amp
-                if (a := abs(amp)) > tol:
-                    w = a ** 2
-                    for k, p_out in enumerate(rows[i]):
-                        contrib = w * p_out
-                        if contrib > 0.0:
-                            sums[k] += contrib
-        except OverflowError:  # one squared amplitude is beyond the float range
-            raise ValueError("ket norm overflows the float range") from None
-        return dict(zip(self.outcomes, sums))
+    kets = [ket for members in mixtures for _, ket in members]
+    povm = _Povm(kets[0].register, detectors, eta)
+    if povm.rest_idx:
+        raise ValueError("mixture_tables measures every mode")
+    if any(ket.register.labels != povm.labels for ket in kets):
+        raise ValueError("the members of every mixture must share their mode labels")
+    _check_acted(u, povm.labels, max(ket.register.cutoff for ket in kets))
+    rows, measured_of, powers_of = povm.rows, povm.measured_of, u._powers
+    index_rows = _Rows(lambda i: rows[measured_of(powers_of[i])])
+    n = len(povm.outcomes)
+    probs: dict[int, list[float]] = {}  # id(ket) -> its outcome probabilities
+    tables = []
+    for members in mixtures:
+        joint = [0.0] * n
+        half_ulp = 0.0  # half an ulp of 0.0 rounds to 0.0: no member is skipped at 0.0
+        for w, ket in members:
+            if 2.0 * w < half_ulp:
+                continue
+            p = probs.get(id(ket))
+            if p is None:
+                p = probs[id(ket)] = _all_modes_probabilities(ket, u, index_rows, n)
+            joint = [j + w * q for j, q in zip(joint, p)]
+            half_ulp = math.ulp(min(joint)) / 2
+        tables.append(dict(zip(povm.outcomes, joint)))
+    return tables
 
 
 def _group(terms: dict, measured_of: Callable, rest_of: Callable) -> dict:

@@ -20,7 +20,7 @@ occupation in the order the table first met it, and ``_powers`` maps it
 back.  ``_scatter``, which serves ``apply_mode_unitary`` alone, applies
 the table with a lookup and a scatter per input term, through
 ``itemgetter`` calls.  ``detection.measure`` (given a unitary on the
-measured modes) and ``detection.OutcomeBatch`` (a unitary on whole
+measured modes) and ``detection.mixture_tables`` (a unitary on whole
 registers) read the same table without building a ket, keyed by
 ``index``.  Amplitudes come out as amp / sqrt(prod n!) * c * sqrt(prod
 p!), the same float operations in the same order for a cold or a warm

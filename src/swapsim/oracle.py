@@ -8,8 +8,8 @@ a branch weight from the pruned ket's norm), so ``dense_measure`` shares no
 code path with ``detection.measure`` beyond the detector's click probability.
 Every ket the dense side builds goes through the public, validating
 ``FockKet`` constructor, never the engine's trusted one.  The
-phase-verification coincidence tables, which the sparse engine builds from
-one batch of distinct branches, are checked here member by member.
+phase-verification coincidence tables, which the sparse engine builds
+measuring each distinct branch once, are checked here member by member.
 Used only in tests and the CLI's --verify mode; small registers only.
 """
 from __future__ import annotations
@@ -266,8 +266,8 @@ def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float
 
     The dense side sends each member of its own heralded ensemble (and the
     ideal psi+/psi- references) through the dense beam splitter and POVM
-    one by one; the sparse tables come from ``_phase_tables``, the batch
-    whose tables ``run_phase_verification`` reports.
+    one by one; the sparse tables come from ``_phase_tables``, whose
+    tables ``run_phase_verification`` reports.
     """
     worst, heralded, dense = _verify_herald(protocols.scheme_a_state(tau, order),
                                             protocols._SCHEME_A, eta)

@@ -13,12 +13,11 @@ outcomes; the click distributions measure all four.  A branch that both
 heralded events share is one object, and its work is done once per
 report: its fidelity overlaps, its ``format_ket`` text, and its pass
 through the phase verification's second beam splitter.  Those
-coincidence tables come from one batch, ``_phase_tables``: the branch kets
-of both heralded ensembles and the ideal psi+/psi- references, all on
-beams (3, 4), make one ``detection.OutcomeBatch``; each table is then
-summed over its own members, skipping a member too light to change any
-bit of it, and a ket goes through the beam splitter only when some table
-first needs it.
+coincidence tables come from one call, ``_phase_tables``: both heralded
+ensembles and the ideal psi+/psi- references, all on beams (3, 4), go to
+``detection.mixture_tables``, which sums each table over its own members,
+skipping a member too light to change any bit of it, and sends a ket
+through the beam splitter only when some table first needs it.
 
 Every ket that depends on no argument is built once per process by a
 private builder memoized with ``functools.cache``: psi+/psi- on each
@@ -44,7 +43,7 @@ import math
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .detection import CLICK, SILENT, OutcomeBatch, measure
+from .detection import CLICK, SILENT, measure, mixture_tables
 from .elements import (MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs, pbs,
                        polarization_rotation, unbalanced_bs)
 from .fock import (
@@ -360,41 +359,11 @@ def _phase_references() -> tuple[FockKet, ...]:
 
 def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dict]:
     """D3/D4 outcome probabilities after the second balanced beam splitter
-    on beams 3 and 4: one table per heralded ensemble, then one per
-    ``_phase_references()`` ket.
-
-    The distinct member kets (by identity, in first-seen order) and the two
-    references, all on register labels ("3", "4"), make one
-    ``OutcomeBatch``.  Each table is then ``sum_k w_k p_k(out)`` over its
-    own members in member order, from 0.0: the float order of measuring the
-    ensemble as one mixture.  A member whose ``2 * w`` is below half an ulp
-    of the table's smallest running entry is skipped there: its ``p`` is at
-    most 1 up to rounding, so each ``w * p`` is below half an ulp of every
-    running entry and adding it would change no bit.  A ket goes through
-    the beam splitter the first time a table needs it, and only then.
-    """
+    on beams 3 and 4 (``detection.mixture_tables``): one table per heralded
+    ensemble, then one per ``_phase_references()`` ket."""
     mixtures = ([ens.members for ens in ensembles]
                 + [((1.0, ket),) for ket in _phase_references()])
-    slot: dict[int, int] = {}
-    kets = []
-    for members in mixtures:
-        for _, ket in members:
-            if id(ket) not in slot:
-                slot[id(ket)] = len(kets)
-                kets.append(ket)
-    batch = OutcomeBatch(kets, balanced_bs(), [(m,) for m in _SCHEME_A.outer], eta)
-    tables = []
-    for members in mixtures:
-        joint = dict.fromkeys(batch.outcomes, 0.0)
-        half_ulp = 0.0  # half an ulp of 0.0 rounds to 0.0: no member is skipped at 0.0
-        for w, ket in members:
-            if 2.0 * w < half_ulp:
-                continue
-            for out, p in batch[slot[id(ket)]].items():
-                joint[out] += w * p
-            half_ulp = math.ulp(min(joint.values())) / 2
-        tables.append(joint)
-    return tables
+    return mixture_tables(mixtures, balanced_bs(), [(m,) for m in _SCHEME_A.outer], eta)
 
 
 def _click_marginals(joint: Mapping[tuple[str, str], float]) -> dict:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from swapsim import fock, protocols
-from swapsim.detection import (CLICK, SILENT, OutcomeBatch, ThresholdDetector, _Povm,
-                               coincidence_table, measure)
+from swapsim import detection, fock, protocols
+from swapsim.detection import (CLICK, SILENT, ThresholdDetector, _Povm, coincidence_table,
+                               measure, mixture_tables)
 from swapsim.elements import (
     ModeUnitary,
     _scatter,
@@ -249,7 +249,8 @@ def test_outcomes_sharing_a_group_share_its_branch_ket():
 
 
 # --------------------------------------------------------------------------
-# The batch of transformed, fully measured kets against apply then measure
+# One-member mixtures of transformed, fully measured kets against apply
+# then measure
 # --------------------------------------------------------------------------
 
 two_mode_unitaries = st.one_of(
@@ -259,18 +260,21 @@ two_mode_unitaries = st.one_of(
 )
 
 
+def _one_member_tables(kets, u, detectors, eta):
+    return mixture_tables([((1.0, ket),) for ket in kets], u, detectors, eta)
+
+
 @given(u=two_mode_unitaries, eta=st.floats(0.05, 1.0), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_outcome_batch_matches_measure_per_ket(u, eta, data):
+def test_mixture_tables_match_measure_per_ket(u, eta, data):
     # one to four unnormalized two-mode kets on one set of labels, each with
     # its own cutoff (so the unitary often raises it)
     kets = data.draw(st.lists(random_kets(normalized=False, n_modes=2),
                               min_size=1, max_size=4), label="kets")
     detectors = [(m,) for m in data.draw(st.permutations(kets[0].register.labels))]
-    batch = OutcomeBatch(kets, u, detectors, eta)
-    assert len(batch.tables) == len(kets)
-    for k, ket in enumerate(kets):
-        table = batch[k]
+    tables = _one_member_tables(kets, u, detectors, eta)
+    assert len(tables) == len(kets)
+    for table, ket in zip(tables, kets):
         single = measure(apply_mode_unitary(ket, u, ket.register.labels), detectors, eta)
         assert list(table) == list(single)
         assert [p.hex() for p in table.values()] == \
@@ -287,45 +291,72 @@ def test_swapping_two_detectors_swaps_the_outcomes(ket, eta):
     a, b = ket.register.labels
     u = unbalanced_bs(0.3)
     got = measure(ket, [(b,), (a,)], eta)
-    got_u = OutcomeBatch([ket], u, [(b,), (a,)], eta)[0]
+    (got_u,) = _one_member_tables([ket], u, [(b,), (a,)], eta)
     ref = measure(ket, [(a,), (b,)], eta)
-    ref_u = OutcomeBatch([ket], u, [(a,), (b,)], eta)[0]
+    (ref_u,) = _one_member_tables([ket], u, [(a,), (b,)], eta)
     for (x, y), o in ref.items():
         assert got[(y, x)].probability.hex() == o.probability.hex()
         assert got_u[(y, x)].hex() == ref_u[(x, y)].hex()
 
 
-def test_outcome_batch_skips_what_the_transformed_ket_prunes():
+def test_mixture_tables_skip_what_the_transformed_ket_prunes():
     # the beam splitter leaves about -7.8e-16 on |01>: building the ket
     # prunes it, so no outcome may count its square
     ket = FockKet(ModeRegister(("1", "2"), 1), {(1, 0): 1.0, (0, 1): 1.0 + 1e-15})
     detectors = [("1",), ("2",)]
-    table = OutcomeBatch([ket], balanced_bs(), detectors, 1.0)[0]
+    (table,) = _one_member_tables([ket], balanced_bs(), detectors, 1.0)
     single = measure(apply_mode_unitary(ket, balanced_bs(), ("1", "2")), detectors, 1.0)
     assert table[(SILENT, CLICK)] == single[(SILENT, CLICK)].probability == 0.0
     assert [p.hex() for p in table.values()] == \
         [o.probability.hex() for o in single.values()]
 
 
-def test_outcome_batch_rejects_unmeasured_or_mixed_modes():
+def test_mixture_tables_reject_unmeasured_or_mixed_modes():
     a = bell_state("psi+", ("1", "2"))
     b = bell_state("psi+", ("2", "1"))
     bs = balanced_bs()
     with pytest.raises(ValueError, match="every mode"):
-        OutcomeBatch([a], bs, [("1",)], 0.5)
+        _one_member_tables([a], bs, [("1",)], 0.5)
     with pytest.raises(ValueError, match="share"):
-        OutcomeBatch([a, b], bs, [("1",), ("2",)], 0.5)
+        _one_member_tables([a, b], bs, [("1",), ("2",)], 0.5)
 
 
-def test_outcome_batch_rejects_unitary_size_and_cutoff():
+def test_mixture_tables_reject_unitary_size_and_cutoff():
     three = FockKet(ModeRegister(("1", "2", "3"), 1), {(1, 0, 0): 1.0})
     with pytest.raises(ValueError, match="acts on 2 modes, got 3"):
-        OutcomeBatch([three], balanced_bs(), [("1",), ("2",), ("3",)], 0.5)
+        _one_member_tables([three], balanced_bs(), [("1",), ("2",), ("3",)], 0.5)
     big = FockKet(ModeRegister(("1", "2"), 21), {(1, 0): 1.0})
     small = FockKet(ModeRegister(("1", "2"), 1), {(1, 0): 1.0})
-    for batch in ([big], [small, big]):
+    for kets in ([big], [small, big]):
         with pytest.raises(ValueError, match="cutoff 21 exceeds factorial table limit"):
-            OutcomeBatch(batch, balanced_bs(), [("1",), ("2",)], 0.5)
+            _one_member_tables(kets, balanced_bs(), [("1",), ("2",)], 0.5)
+
+
+def test_mixture_tables_check_the_members_they_skip(monkeypatch):
+    # at eta = 0.5 every outcome of lead is above 1e-3, so a member of
+    # weight 1e-300 is skipped, never measured; one on other labels, or
+    # above the cutoff limit, is still rejected
+    reg = ModeRegister(("1", "2"), 2)
+    lead = FockKet(reg, {(2, 1): 0.6, (1, 0): 0.8})
+    detectors, bs = [("1",), ("2",)], balanced_bs()
+    measured = []
+    weigh = detection._all_modes_probabilities
+
+    def recording(ket, *args):
+        measured.append(ket)
+        return weigh(ket, *args)
+
+    monkeypatch.setattr(detection, "_all_modes_probabilities", recording)
+    (table,) = mixture_tables([((1.0, lead), (1e-300, lead.scaled(1.0)))], bs, detectors, 0.5)
+    assert measured == [lead]
+    assert min(table.values()) > 1e-3
+    assert table == _one_member_tables([lead], bs, detectors, 0.5)[0]
+    other = FockKet(ModeRegister(("2", "1"), 2), {(1, 0): 1.0})
+    big = FockKet(ModeRegister(("1", "2"), 21), {(1, 0): 1.0})
+    with pytest.raises(ValueError, match="share"):
+        mixture_tables([((1.0, lead), (1e-300, other))], bs, detectors, 0.5)
+    with pytest.raises(ValueError, match="cutoff 21 exceeds factorial table limit"):
+        mixture_tables([((1.0, lead),), ((1.0, lead), (1e-300, big))], bs, detectors, 0.5)
 
 
 def test_measure_builds_each_ensemble_on_first_read():
@@ -653,7 +684,7 @@ def test_fused_herald_rejects_a_unitary_of_another_size():
             measure(ket, detectors, 0.5, balanced_bs())
 
 
-def test_measure_and_outcome_batch_reject_an_overflowing_norm():
+def test_measure_and_mixture_tables_reject_an_overflowing_norm():
     # |amp|**2 is beyond the float range: the error FockKet.norm gives
     reg = ModeRegister(("1", "2"), 1)
     big = FockKet(reg, {(1, 0): 1e200})
@@ -663,7 +694,7 @@ def test_measure_and_outcome_batch_reject_an_overflowing_norm():
         lambda: measure(big, [("1",), ("2",)], 1.0),
         lambda: measure(big3, [("1",), ("2",)], 1.0, balanced_bs()),
         lambda: measure(big, [("1",), ("2",)], 1.0, balanced_bs()),
-        lambda: OutcomeBatch([big], balanced_bs(), [("1",), ("2",)], 1.0)[0],
+        lambda: mixture_tables([((1.0, big),)], balanced_bs(), [("1",), ("2",)], 1.0),
     ]
     with pytest.raises(ValueError, match="ket norm overflows the float range"):
         big.norm()

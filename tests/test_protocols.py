@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from swapsim import protocols
-from swapsim.detection import CLICK, SILENT, OutcomeBatch, ThresholdDetector, measure
+from swapsim import detection
+from swapsim.detection import CLICK, SILENT, ThresholdDetector, measure, mixture_tables
 from swapsim.elements import MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs
 from swapsim.fock import (BELL_KINDS, FockKet, ModeRegister, WeightedEnsemble, bell_state,
                           fidelity, tensor_product, vacuum)
@@ -255,32 +256,28 @@ def test_phase_verification_sends_each_branch_through_the_beam_splitter_at_most_
     # events, and both ensembles hold the same branch object.  A branch is
     # measured the first time a table needs it; one that no table needs is
     # negligible in every table that holds it (here 42 of 104 branches)
-    batches, measured = [], []
+    measured = []
+    weigh = detection._all_modes_probabilities
 
-    class Recording(protocols.OutcomeBatch):
-        def __init__(self, kets, u, detectors, eta):
-            super().__init__(kets, u, detectors, eta)
-            batches.append(self)
+    def recording(ket, u, rows, n_outcomes):
+        assert u is balanced_bs()
+        measured.append(id(ket))
+        return weigh(ket, u, rows, n_outcomes)
 
-        def _measure(self, ket):
-            measured.append(id(ket))
-            return super()._measure(ket)
-
-    monkeypatch.setattr(protocols, "OutcomeBatch", Recording)
+    monkeypatch.setattr(detection, "_all_modes_probabilities", recording)
     report = run_phase_verification(math.sqrt(0.01), 0.7, 10)
+    monkeypatch.undo()
     members = [ket for ev in report.events for _, ket in ev.ensemble.members]
-    distinct = {id(ket) for ket in members}
+    distinct = {id(ket): ket for ket in members}
     assert len(distinct) < len(members)
-    (batch,) = batches
-    assert batch.u is balanced_bs()
-    assert len(batch.kets) == len(distinct) + 2  # and the ideal psi+/psi- references
-    assert {id(ket) for ket in batch.kets[:-2]} == distinct
     assert len(measured) == len(set(measured))
-    skipped = distinct - set(measured)
+    assert set(measured) <= set(distinct) | {id(ket) for ket in protocols._phase_references()}
+    skipped = set(distinct) - set(measured)
     assert len(skipped) == 42
-    assert {id(ket) for ket in batch.kets[-2:]} <= set(measured)
-    every = OutcomeBatch(batch.kets, balanced_bs(), [("3",), ("4",)], 0.7)
-    probs = {id(ket): every[k] for k, ket in enumerate(batch.kets)}
+    assert {id(ket) for ket in protocols._phase_references()} <= set(measured)
+    kets = list(distinct.values())
+    every = mixture_tables([((1.0, ket),) for ket in kets], balanced_bs(), [("3",), ("4",)], 0.7)
+    probs = {id(ket): table for ket, table in zip(kets, every)}
     for ev in report.events:
         joint = report.coincidences[ev.name]["joint"]
         for w, ket in ev.ensemble.members:
