@@ -119,10 +119,22 @@ OPTIONS = {
 }
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Lets ``swapsim --help`` wrap its usage line between the subcommand
+    list and the ``...`` after it, as argparse does before Python 3.13
+    (which never calls this method), so the text is the same on every
+    supported Python."""
+
+    def _get_actions_usage_parts(self, actions, groups):
+        return [p for part in super()._get_actions_usage_parts(actions, groups)
+                for p in (part.rsplit(" ", 1) if part.endswith(" ...") else (part,))]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swapsim",
         description="Entanglement-swapping simulator in truncated Fock space.",
+        formatter_class=_HelpFormatter,
     )
     parser.set_defaults(verify=False, shots=0, seed=None)
     sub = parser.add_subparsers(dest="scheme", required=True)

@@ -415,9 +415,8 @@ def coincidence_table(
 def measure_pattern(total: float, branches: list[tuple[float, FockKet]]) -> ConditionalOutcome:
     """Second phase of ``measure``: one outcome's ``ConditionalOutcome`` from
     its probability and weighted branches in ``coincidence_table``; the
-    ensemble is built from the branches when it is first read."""
-    if total <= 0.0:
-        return ConditionalOutcome(0.0, None)
+    ensemble is built from the branches when it is first read (None when a
+    total of 0.0 leaves no branch)."""
     return ConditionalOutcome._lazy(total, branches)
 
 

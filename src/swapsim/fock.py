@@ -53,6 +53,16 @@ def _tuple_getter(idx: Sequence[int]) -> Callable[[tuple], tuple]:
     return lambda t: ()
 
 
+def _left_sum(values: Iterable):
+    """The sum of ``values`` added left to right from 0: the float order of
+    the built-in ``sum`` before Python 3.12, whose ``sum`` of floats is
+    compensated, so the package's bits do not depend on the interpreter."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 class _Record:
     """Immutable value record with ``repr``, ``==`` and ``hash`` over
     ``_fields``, in the format and semantics of a frozen standard-library
@@ -165,7 +175,7 @@ class FockKet:
 
     def norm(self) -> float:
         try:
-            n = math.sqrt(sum(abs(a) ** 2 for a in self.terms.values()))
+            n = math.sqrt(_left_sum(abs(a) ** 2 for a in self.terms.values()))
         except OverflowError:  # one squared amplitude is beyond the float range
             n = math.inf
         if n == math.inf:
@@ -269,7 +279,7 @@ class WeightedEnsemble(_Record):
         branches = [(w, s) for w, s in branches if w > 0.0]
         if not branches:
             raise ValueError("no branches with positive weight")
-        total = sum(w for w, _ in branches)
+        total = _left_sum(w for w, _ in branches)
         members = tuple((w / total, s) for w, s in branches)
         return cls(branches[0][1].register, members)
 
@@ -284,7 +294,7 @@ def fidelity(e: WeightedEnsemble, target: FockKet) -> float:
         raise ValueError("fidelity target must be normalized")
     if e.register.labels != target.register.labels:
         raise ValueError("register mismatch between ensemble and target")
-    return sum(w * abs(inner_product(target, s)) ** 2 for w, s in e.members)
+    return _left_sum(w * abs(inner_product(target, s)) ** 2 for w, s in e.members)
 
 
 def reorder(state: FockKet, new_labels: Iterable[str]) -> FockKet:

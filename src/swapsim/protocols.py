@@ -52,6 +52,7 @@ from .fock import (
     ModeRegister,
     WeightedEnsemble,
     _Record,
+    _left_sum,
     bell_state,
     format_ket,
     inner_product,
@@ -332,7 +333,7 @@ def run_scheme_a(tau: complex, eta: float, order: int = 1) -> ProtocolReport:
     dropped = 0.0
     for ev in events:
         if ev.ensemble is not None:
-            dropped += sum(w for w, _ in ev.ensemble.members if w < BRANCH_REPORT_TOL)
+            dropped += _left_sum(w for w, _ in ev.ensemble.members if w < BRANCH_REPORT_TOL)
     return ProtocolReport(
         "scheme-a",
         {"tau": _num(tau), "tau2": abs(tau) ** 2, "eta": eta, "order": order},
@@ -368,8 +369,8 @@ def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dic
 
 def _click_marginals(joint: Mapping[tuple[str, str], float]) -> dict:
     return {
-        "p_d3": sum(p for o, p in joint.items() if o[0] == CLICK),
-        "p_d4": sum(p for o, p in joint.items() if o[1] == CLICK),
+        "p_d3": _left_sum(p for o, p in joint.items() if o[0] == CLICK),
+        "p_d4": _left_sum(p for o, p in joint.items() if o[1] == CLICK),
     }
 
 
@@ -377,7 +378,7 @@ def _occupied_probabilities(ens: WeightedEnsemble, modes: tuple[str, str]) -> tu
     """The probability that each of two modes holds a photon, in one pass
     over the members: each total is ``total += w * s`` from 0.0, with ``s``
     the member's |amp|**2 summed over its occupied terms in term order from
-    0, which is ``sum``'s float order on Python 3.10 and 3.11."""
+    0, which is ``fock._left_sum``'s float order."""
     i, j = (ens.register.index(m) for m in modes)
     p_i = p_j = 0.0
     for w, member in ens.members:

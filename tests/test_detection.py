@@ -173,7 +173,7 @@ def _two_step_measure(state, detectors, eta):
     for out in itertools.product((CLICK, SILENT), repeat=len(detectors)):
         total, branches = 0.0, []
         for key, sub in groups.items():
-            w = sum(abs(a) ** 2 for a in sub.values())
+            w = fock._left_sum(abs(a) ** 2 for a in sub.values())
             p_out, pos = 1.0, 0
             for o, modes in zip(out, detectors):
                 n = sum(key[pos:pos + len(modes)])

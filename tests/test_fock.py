@@ -15,6 +15,7 @@ from swapsim.fock import (
     FockKet,
     ModeRegister,
     WeightedEnsemble,
+    _left_sum,
     bell_state,
     fidelity,
     format_ket,
@@ -125,6 +126,19 @@ def test_normalize_zero_ket_rejected():
     reg = ModeRegister(("1",), 1)
     with pytest.raises(ValueError):
         FockKet(reg, {}).normalized()
+
+
+def test_sums_add_left_to_right_on_every_python():
+    # 1e16 + 1.0 rounds back to 1e16, so the left-to-right sum is 0.0 where
+    # the compensated built-in sum of Python 3.12 and later gives 1.0
+    assert _left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert _left_sum([]) == 0
+    # 1.0 + 2**-53 rounds back to 1.0 twice, so the branch of weight 1.0
+    # keeps it; a compensated total, 1 + 2**-52, would move it
+    reg = ModeRegister(("1",), 1)
+    ens = WeightedEnsemble.from_branches(
+        [(1.0, vacuum(reg)), (2.0**-53, vacuum(reg)), (2.0**-53, vacuum(reg))])
+    assert ens.members[0][0] == 1.0
 
 
 def test_bell_state_signs():

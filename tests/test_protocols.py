@@ -8,8 +8,8 @@ from swapsim import protocols
 from swapsim import detection
 from swapsim.detection import CLICK, SILENT, ThresholdDetector, measure, mixture_tables
 from swapsim.elements import MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs
-from swapsim.fock import (BELL_KINDS, FockKet, ModeRegister, WeightedEnsemble, bell_state,
-                          fidelity, tensor_product, vacuum)
+from swapsim.fock import (BELL_KINDS, FockKet, ModeRegister, WeightedEnsemble, _left_sum,
+                          bell_state, fidelity, tensor_product, vacuum)
 from swapsim.protocols import (
     analyze_polarization_postselection,
     analyze_vacuum_one_photon,
@@ -195,8 +195,8 @@ def _per_member_coincidences(members, eta):
 
 def _click_marginals(joint):
     return {
-        "p_d3": sum(p for o, p in joint.items() if o[0] == CLICK),
-        "p_d4": sum(p for o, p in joint.items() if o[1] == CLICK),
+        "p_d3": _left_sum(p for o, p in joint.items() if o[0] == CLICK),
+        "p_d4": _left_sum(p for o, p in joint.items() if o[1] == CLICK),
     }
 
 
@@ -230,7 +230,7 @@ def _occupied_per_mode(ens, mode):
     idx = ens.register.index(mode)
     total = 0.0
     for w, member in ens.members:
-        total += w * sum(abs(a) ** 2 for occ, a in member.items() if occ[idx] >= 1)
+        total += w * _left_sum(abs(a) ** 2 for occ, a in member.items() if occ[idx] >= 1)
     return total
 
 
