@@ -54,9 +54,9 @@ def _tuple_getter(idx: Sequence[int]) -> Callable[[tuple], tuple]:
 
 
 def _left_sum(values: Iterable):
-    """The sum of ``values`` added left to right from 0: the float order of
-    the built-in ``sum`` before Python 3.12, whose ``sum`` of floats is
-    compensated, so the package's bits do not depend on the interpreter."""
+    """The sum of ``values`` added left to right from 0, the float order of
+    the built-in ``sum`` up to Python 3.11 (from 3.12 on it compensates a
+    sum of floats), so the package's bits do not depend on the interpreter."""
     total = 0
     for v in values:
         total += v
