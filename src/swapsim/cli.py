@@ -235,11 +235,12 @@ def _sweep_grid(args, parser) -> list[float]:
     if args.steps < 1:
         parser.error("--steps must be >= 1")
     a, b, k = args.sweep_from, args.sweep_to, args.steps
+    log = args.spacing == "log"  # None, the default, is linear
+    if log and (a <= 0 or b <= 0):
+        parser.error("log spacing needs strictly positive endpoints")
     if k == 1:
         return [a]
-    if args.spacing == "log":  # None, the default, is linear
-        if a <= 0 or b <= 0:
-            parser.error("log spacing needs strictly positive endpoints")
+    if log:
         la, lb = math.log(a), math.log(b)
         return [math.exp(la + (lb - la) * i / (k - 1)) for i in range(k)]
     return [a + (b - a) * i / (k - 1) for i in range(k)]

@@ -238,6 +238,13 @@ def test_sweep_epsilon_log_slope():
     assert abs(slope - 2.0) <= 0.1
 
 
+@pytest.mark.parametrize("steps", ["1", "2"])
+def test_log_spacing_rejects_nonpositive_endpoints_at_any_step_count(steps, capsys):
+    assert_usage_error(["scheme-a", "--tau2", "0.1", "--sweep", "eta", "--from", "0",
+                        "--to", "-5", "--steps", steps, "--spacing", "log"],
+                       "log spacing needs strictly positive endpoints", capsys)
+
+
 def test_sweep_point_is_checked_like_a_single_run(capsys):
     assert_usage_error(["scheme-a", "--tau2", "1e-3", "--sweep", "tau2", "--from", "-0.5",
                         "--to", "0.1", "--steps", "3"], "--tau2 must be >= 0", capsys)
