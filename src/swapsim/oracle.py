@@ -9,7 +9,9 @@ code path with ``detection.measure`` beyond the detector's click probability.
 Every ket the dense side builds goes through the public, validating
 ``FockKet`` constructor, never the engine's trusted one.  The
 phase-verification coincidence tables, which the sparse engine builds
-measuring each distinct branch once, are checked here member by member.
+measuring each distinct branch once, are checked here member by member,
+and the oracle builds its own targets and ideal references with
+``bell_state`` rather than reading the engine's constants.
 Used only in tests and the CLI's --verify mode; small registers only.
 """
 from __future__ import annotations
@@ -265,9 +267,9 @@ def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float
     verification: max |sparse - dense| over each outcome's probability.
 
     The dense side sends each member of its own heralded ensemble (and the
-    ideal psi+/psi- references) through the dense beam splitter and POVM
-    one by one; the sparse tables come from ``_phase_tables``, whose
-    tables ``run_phase_verification`` reports.
+    ideal psi+/psi- references, built here) through the dense beam
+    splitter and POVM one by one; the sparse tables come from
+    ``_phase_tables``, whose tables ``run_phase_verification`` reports.
     """
     worst, heralded, dense = _verify_herald(protocols.scheme_a_state(tau, order),
                                             protocols._SCHEME_A, eta)
@@ -278,7 +280,7 @@ def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float
         if heralded[out].ensemble is not None and dense[out].ensemble is not None:
             sparse_ens.append(heralded[out].ensemble)
             dense_members.append(dense[out].ensemble.members)
-    dense_members += [((1.0, ket),) for ket in protocols._phase_references()]
+    dense_members += [((1.0, bell_state(kind, ("3", "4"), 2)),) for kind in ("psi+", "psi-")]
     tables = protocols._phase_tables(sparse_ens, eta)
     for table, members in zip(tables, dense_members, strict=True):
         ref = _dense_coincidences(members, eta)

@@ -19,17 +19,26 @@ ensembles and the ideal psi+/psi- references, all on beams (3, 4), go to
 skipping a member too light to change any bit of it, and sends a ket
 through the beam splitter only when some table first needs it.
 
-Every ket that depends on no argument is built once per process by a
-private builder memoized with ``functools.cache``: psi+/psi- on each
-heralded scheme's outer beams, the Bell targets and projectors of the
-decomposition identity, bell-check's psi- x psi- input, the phase
-references, the polarization Bell targets, and postselect-vac's source and
-targets.  A builder hands them out in a tuple or a read-only mapping; the
-kets themselves are shared by every call, and no report changes them.
-The public ``fock.bell_state`` and ``sources.vacuum_one_photon_postbs``
-stay uncached, since a caller may change the terms of a ket they return.
-A fidelity target's normalization is checked by ``_targets``, once, when
-its builder first builds it; ``_event`` checks its register per event.
+Every ket that depends on no argument is a module constant, built once,
+at import: psi+/psi- on each heralded scheme's outer beams (its
+``targets``), the Bell targets and projectors of the decomposition
+identity, bell-check's psi- x psi- input, the phase references, the
+polarization Bell targets, and postselect-vac's source and targets.  They
+sit in tuples or read-only mappings; the kets themselves are shared by
+every call, and no report changes them.  The public ``fock.bell_state``
+and ``sources.vacuum_one_photon_postbs`` still build a new ket per call,
+since a caller may change the terms of a ket they return.  A fidelity
+target's normalization is checked by ``_targets``, once, where its
+constant is built; ``_event`` checks its register per event.
+
+Scheme B's two optical forms are one chain.  The PBS form rotates the
+polarization of each beam of an H-polarized pair, then its polarizing
+beam splitters route H and V to different beams.  Each rotation acts only
+on occupations (n, 0), where only its first column counts, and that
+column is the unbalanced beam splitter's, bit for bit; a PBS only renames
+modes.  So ``scheme_b_state`` builds the unbalanced-beam-splitter chain
+for either variant, and a test builds the literal PBS chain from
+``elements.polarization_rotation`` and ``elements.pbs`` to check it.
 
 No report checks ``eta`` itself: each one reaches ``detection.measure``,
 whose ``ThresholdDetector`` is the one check.  An event is ``impossible``
@@ -38,14 +47,12 @@ probability 0.
 """
 from __future__ import annotations
 
-import functools
 import math
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .detection import CLICK, SILENT, measure, mixture_tables
-from .elements import (MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs, pbs,
-                       polarization_rotation, unbalanced_bs)
+from .elements import MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs, unbalanced_bs
 from .fock import (
     BELL_KINDS,
     FockKet,
@@ -57,8 +64,6 @@ from .fock import (
     format_ket,
     inner_product,
     partial_project,
-    relabel,
-    reorder,
     tensor_product,
     vacuum,
 )
@@ -164,7 +169,7 @@ def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
     0.0, changes no bit.
 
     ``targets`` come from ``_targets``, which checked each one's
-    normalization once, when its memoized builder first built it."""
+    normalization once, where its constant was built."""
     if ensemble is None:
         return EventResult(name, probability, None, None)
     overlaps = {} if overlaps is None else overlaps
@@ -203,50 +208,45 @@ def _targets(kets: dict[str, FockKet]) -> Mapping[str, FockKet]:
     return MappingProxyType(kets)
 
 
-@functools.cache
-def _bell(kind: str, modes: tuple[str, str], cutoff: int = 1) -> FockKet:
-    """``bell_state(kind, modes, cutoff)``, built once per process."""
-    return bell_state(kind, modes, cutoff)
+def _bell_targets(modes: tuple[str, str],
+                  kinds: Sequence[str] = BELL_KINDS) -> Mapping[str, FockKet]:
+    """``bell_state(kind, modes)`` for each of ``kinds``, through ``_targets``."""
+    return _targets({k: bell_state(k, modes) for k in kinds})
 
 
-@functools.cache
-def _bell_targets(modes: tuple[str, str], kinds: tuple[str, ...]) -> Mapping[str, FockKet]:
-    """``_bell(kind, modes)`` for each of ``kinds``, checked once."""
-    return _targets({k: _bell(k, modes) for k in kinds})
+_PSI = ("psi+", "psi-")
 
 
 # --------------------------------------------------------------------------
 # Bell-basis identities (ideal projectors)
 # --------------------------------------------------------------------------
 
-def _bell_project_events(state: FockKet, inner_modes: tuple[str, str],
-                         outer_modes: tuple[str, str]) -> tuple[EventResult, ...]:
-    targets = _bell_targets(outer_modes, BELL_KINDS)
-    projectors = _bell_targets(inner_modes, BELL_KINDS)
+# the Bell targets on the outer beams (1, 4) and the projectors on the inner (2, 3)
+_BELL_OUTER = _bell_targets(("1", "4"))
+_BELL_INNER = _bell_targets(("2", "3"))
+# bell-check's input: psi- on beams 1, 2 times psi- on beams 3, 4
+_SINGLET_PAIRS = tensor_product(bell_state("psi-", ("1", "2")), bell_state("psi-", ("3", "4")))
+
+
+def _bell_project_events(state: FockKet) -> tuple[EventResult, ...]:
     events = []
     for kind in BELL_KINDS:
-        cond = partial_project(state, projectors[kind])
+        cond = partial_project(state, _BELL_INNER[kind])
         p = cond.norm() ** 2
         ens = WeightedEnsemble.pure(cond) if p >= 1e-300 else None
-        events.append(_event(kind, p if ens is not None else 0.0, ens, targets, lambda fids: {
+        events.append(_event(kind, p if ens is not None else 0.0, ens, _BELL_OUTER, lambda fids: {
             "fidelity_matched": fids[kind],
             "amplitude_sign":
-                1.0 if inner_product(targets[kind], ens.members[0][1]).real >= 0 else -1.0,
+                1.0 if inner_product(_BELL_OUTER[kind], ens.members[0][1]).real >= 0 else -1.0,
             "fidelity_phi_plus": fids["phi+"],
             "fidelity_phi_minus": fids["phi-"],
         }))
     return tuple(events)
 
 
-@functools.cache
-def _singlet_pairs() -> FockKet:
-    """psi- on beams 1, 2 times psi- on beams 3, 4, built once per process."""
-    return tensor_product(_bell("psi-", ("1", "2")), _bell("psi-", ("3", "4")))
-
-
 def bell_decomposition_check() -> ProtocolReport:
     """Project psi- x psi- on the inner pair; four equal Bell outcomes."""
-    events = _bell_project_events(_singlet_pairs(), ("2", "3"), ("1", "4"))
+    events = _bell_project_events(_SINGLET_PAIRS)
     return ProtocolReport("bell-check", {}, events)
 
 
@@ -258,7 +258,7 @@ def run_theta_swapping(theta: float) -> ProtocolReport:
     normalization-consistent and is not reproduced.
     """
     state = theta_product(theta)
-    events = _bell_project_events(state, ("2", "3"), ("1", "4"))
+    events = _bell_project_events(state)
     return ProtocolReport(
         "theta", {"theta": theta}, events,
         notes=("outcome probabilities computed from the normalized state",),
@@ -285,16 +285,20 @@ def _herald(pre: FockKet, mixed: tuple[str, str], eta: float,
 
 class _Heralded(NamedTuple):
     """A scheme that heralds with ``_herald``: the two beams it mixes, the
-    two outer beams that carry the swapped pair, and the names of its two
+    two outer beams that carry the swapped pair, the names of its two
     events, ``_HERALDS``: the detector on the first mixed beam clicks
-    alone, then the one on the second."""
+    alone, then the one on the second, and its fidelity targets, psi+ and
+    psi- on the outer beams, checked once by ``_targets``."""
     mixed: tuple[str, str]
     outer: tuple[str, str]
     events: tuple[str, str]
+    targets: Mapping[str, FockKet]
 
 
-_SCHEME_A = _Heralded(("1", "2"), ("3", "4"), ("event1", "event2"))
-_SCHEME_B = _Heralded(("2", "3"), ("1", "4"), ("d2_click", "d3_click"))
+_SCHEME_A = _Heralded(("1", "2"), ("3", "4"), ("event1", "event2"),
+                      _bell_targets(("3", "4"), _PSI))
+_SCHEME_B = _Heralded(("2", "3"), ("1", "4"), ("d2_click", "d3_click"),
+                      _bell_targets(("1", "4"), _PSI))
 _HERALDS = ((CLICK, SILENT), (SILENT, CLICK))
 
 
@@ -308,11 +312,10 @@ def _heralded_events(pre: FockKet, scheme: _Heralded, eta: float) -> tuple[Event
     psi+ and psi- on the outer beams and the one it favors.  Only the two
     heralded outcomes are measured."""
     outcomes = _herald(pre, scheme.mixed, eta, _HERALDS)
-    targets = _bell_targets(scheme.outer, ("psi+", "psi-"))
     overlaps: dict = {}
     return tuple(
-        _event(name, outcomes[out].probability, outcomes[out].ensemble, targets, _favored,
-               overlaps)
+        _event(name, outcomes[out].probability, outcomes[out].ensemble, scheme.targets,
+               _favored, overlaps)
         for name, out in zip(scheme.events, _HERALDS))
 
 
@@ -350,20 +353,17 @@ def _num(x):
 # Phase verification: second beam splitter on the outer beams
 # --------------------------------------------------------------------------
 
-@functools.cache
-def _phase_references() -> tuple[FockKet, ...]:
-    """The ideal psi+ and psi- on beams 3, 4 that the phase verification's
-    coincidences are compared with, in the order their tables come; built
-    once per process."""
-    return tuple(_bell(kind, _SCHEME_A.outer, cutoff=2) for kind in ("psi+", "psi-"))
+# the ideal psi+ and psi- on beams 3, 4 that the phase verification's
+# coincidences are compared with, in the order their tables come
+_PHASE_REFERENCES = tuple(bell_state(kind, _SCHEME_A.outer, 2) for kind in _PSI)
 
 
 def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dict]:
     """D3/D4 outcome probabilities after the second balanced beam splitter
     on beams 3 and 4 (``detection.mixture_tables``): one table per heralded
-    ensemble, then one per ``_phase_references()`` ket."""
+    ensemble, then one per ``_PHASE_REFERENCES`` ket."""
     mixtures = ([ens.members for ens in ensembles]
-                + [((1.0, ket),) for ket in _phase_references()])
+                + [((1.0, ket),) for ket in _PHASE_REFERENCES])
     return mixture_tables(mixtures, balanced_bs(), [(m,) for m in _SCHEME_A.outer], eta)
 
 
@@ -453,7 +453,12 @@ def _pair_terms(order: int, pair_amplitude: float):
 
 def scheme_b_state(epsilon: float, order: int = 1, variant: str = "ubs",
                    pair_amplitude: float = 0.0) -> FockKet:
-    """Four-mode state on beams (1,2,3,4) just before the balanced beam splitter."""
+    """Four-mode state on beams (1,2,3,4) just before the balanced beam splitter.
+
+    The pair (n, 0, 0, n) goes through UBS(1, 2) and UBS(4, 3).  The
+    ``"pbs"`` variant (polarization rotations, then a PBS on each beam)
+    gives this ket bit for bit, so both variants build it (module
+    docstring); ``variant`` is validated and reported."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if variant not in ("ubs", "pbs"):
@@ -462,21 +467,11 @@ def scheme_b_state(epsilon: float, order: int = 1, variant: str = "ubs",
     if cutoff > MAX_FACTORIAL_CUTOFF:
         raise ValueError(f"cutoff {cutoff} exceeds factorial table limit")
     amps = _pair_terms(order, pair_amplitude)
-    if variant == "ubs":
-        reg = ModeRegister(("1", "2", "3", "4"), cutoff)
-        src = FockKet(reg, {(n, 0, 0, n): a for n, a in amps.items()}).normalized()
-        st = apply_mode_unitary(src, unbalanced_bs(epsilon), ("1", "2"))
-        st = apply_mode_unitary(st, unbalanced_bs(epsilon), ("4", "3"))
-        return st
-    reg = ModeRegister(("uH", "uV", "lH", "lV"), cutoff)
-    src = FockKet(reg, {(n, 0, n, 0): a for n, a in amps.items()}).normalized()
-    rot = polarization_rotation(epsilon)
-    st = apply_mode_unitary(src, rot, ("uH", "uV"))
-    st = apply_mode_unitary(st, rot, ("lH", "lV"))
-    routing = {}
-    routing.update(pbs(("uH", "uV"), ("1", "2")))
-    routing.update(pbs(("lH", "lV"), ("4", "3")))
-    return reorder(relabel(st, routing), ("1", "2", "3", "4"))
+    reg = ModeRegister(("1", "2", "3", "4"), cutoff)
+    src = FockKet(reg, {(n, 0, 0, n): a for n, a in amps.items()}).normalized()
+    ubs = unbalanced_bs(epsilon)
+    st = apply_mode_unitary(src, ubs, ("1", "2"))
+    return apply_mode_unitary(st, ubs, ("4", "3"))
 
 
 def run_scheme_b(epsilon: float, eta: float, order: int = 1, variant: str = "ubs",
@@ -508,10 +503,7 @@ def _pol_bell(kind: str) -> FockKet:
     return FockKet(reg, {(1, 0, 1, 0): r, (0, 1, 0, 1): s * r})
 
 
-@functools.cache
-def _pol_targets() -> Mapping[str, FockKet]:
-    """``_pol_bell`` of every Bell kind, built once per process."""
-    return _targets({k: _pol_bell(k) for k in BELL_KINDS})
+_POL_TARGETS = _targets({k: _pol_bell(k) for k in BELL_KINDS})
 
 
 def _empty_beam_weight(ens: WeightedEnsemble, beams: Sequence[tuple[str, ...]]) -> float:
@@ -554,26 +546,22 @@ def analyze_polarization_postselection(eta: float, include_double_pairs: bool = 
             "empty_beam_weight": _empty_beam_weight(out.ensemble, [("1H", "1V"), ("4H", "4V")]),
         }
 
-    ev = _event("d2_and_d3", out.probability, out.ensemble, _pol_targets(), extras)
+    ev = _event("d2_and_d3", out.probability, out.ensemble, _POL_TARGETS, extras)
     notes = ("conditioning impossible at this eta",) if ev.impossible else ()
     return ProtocolReport("postselect-pol", params, (ev,), notes=notes)
 
 
-@functools.cache
-def _vacuum_one_photon() -> tuple[FockKet, Mapping[str, FockKet]]:
-    """``vacuum_one_photon_postbs()`` and the psi+/psi- targets of its
-    heralded register (3', 1, 4): 3' empty, the psi pair on 1, 4; built
-    once per process."""
-    empty = vacuum(ModeRegister(("3'",), 1))
-    return vacuum_one_photon_postbs(), _targets(
-        {k: tensor_product(empty, _bell(k, ("1", "4"))) for k in ("psi+", "psi-")})
+# postselect-vac's state and the psi+/psi- targets of its heralded register
+# (3', 1, 4): 3' empty, the psi pair on 1, 4
+_VAC_SOURCE = vacuum_one_photon_postbs()
+_VAC_TARGETS = _targets({k: tensor_product(vacuum(ModeRegister(("3'",), 1)),
+                                            bell_state(k, ("1", "4"))) for k in _PSI})
 
 
 def analyze_vacuum_one_photon(eta: float) -> ProtocolReport:
     """Vacuum/one-photon swapping conditioned on a single threshold click at 2'."""
-    st, targets = _vacuum_one_photon()
-    out = measure(st, [("2'",)], eta)[(CLICK,)]
-    ev = _event("d2prime_click", out.probability, out.ensemble, targets,
+    out = measure(_VAC_SOURCE, [("2'",)], eta)[(CLICK,)]
+    ev = _event("d2prime_click", out.probability, out.ensemble, _VAC_TARGETS,
                 lambda fids: {"vacuum_weight": _empty_beam_weight(out.ensemble, [("1", "4")])})
     notes = ("conditioning impossible at this eta",) if ev.impossible else ()
     return ProtocolReport("postselect-vac", {"eta": eta}, (ev,), notes=notes)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from swapsim import protocols
 from swapsim import detection
 from swapsim.detection import CLICK, SILENT, ThresholdDetector, measure, mixture_tables
-from swapsim.elements import MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs
+from swapsim.elements import (MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs, pbs,
+                              polarization_rotation)
 from swapsim.fock import (BELL_KINDS, FockKet, ModeRegister, WeightedEnsemble, _left_sum,
-                          bell_state, fidelity, tensor_product, vacuum)
+                          bell_state, fidelity, relabel, reorder, tensor_product, vacuum)
 from swapsim.protocols import (
     analyze_polarization_postselection,
     analyze_vacuum_one_photon,
@@ -271,10 +273,10 @@ def test_phase_verification_sends_each_branch_through_the_beam_splitter_at_most_
     distinct = {id(ket): ket for ket in members}
     assert len(distinct) < len(members)
     assert len(measured) == len(set(measured))
-    assert set(measured) <= set(distinct) | {id(ket) for ket in protocols._phase_references()}
+    assert set(measured) <= set(distinct) | {id(ket) for ket in protocols._PHASE_REFERENCES}
     skipped = set(distinct) - set(measured)
     assert len(skipped) == 42
-    assert {id(ket) for ket in protocols._phase_references()} <= set(measured)
+    assert {id(ket) for ket in protocols._PHASE_REFERENCES} <= set(measured)
     kets = list(distinct.values())
     every = mixture_tables([((1.0, ket),) for ket in kets], balanced_bs(), [("3",), ("4",)], 0.7)
     probs = {id(ket): table for ket, table in zip(kets, every)}
@@ -300,7 +302,7 @@ def _phase_kets():
 
 
 def _assert_phase_tables_match_unskipped(ensembles, eta):
-    refs = [((1.0, ket),) for ket in protocols._phase_references()]
+    refs = [((1.0, ket),) for ket in protocols._PHASE_REFERENCES]
     want = [_per_member_coincidences(m, eta) for m in [e.members for e in ensembles] + refs]
     got = protocols._phase_tables(ensembles, eta)
     assert [list(t) for t in got] == [sorted(t) for t in want]
@@ -424,13 +426,27 @@ def test_scheme_b_infidelity_scales_as_eps_squared():
     assert abs(slope - 2.0) <= 0.1
 
 
-def test_scheme_b_pbs_variant_identical_state():
-    for eps in (0.1, 0.4):
-        a = scheme_b_state(eps, variant="ubs")
-        b = scheme_b_state(eps, variant="pbs")
-        assert a.register.labels == b.register.labels
-        for occ in set(a.terms) | set(b.terms):
-            assert b.amplitude(occ) == pytest.approx(a.amplitude(occ), abs=1e-12)
+def _pbs_chain(eps, order, pair_amplitude):
+    """Scheme B's PBS form, built literally: an H-polarized pair on the
+    upper and lower beams, a polarization rotation on each, then a PBS on
+    each that routes H and V to beams (1, 2) and (4, 3)."""
+    amps = {1: 1.0, **{n: pair_amplitude ** (n - 1) for n in range(2, order + 1)}}
+    reg = ModeRegister(("uH", "uV", "lH", "lV"), max(2, order))
+    st = FockKet(reg, {(n, 0, n, 0): a for n, a in amps.items()}).normalized()
+    rot = polarization_rotation(eps)
+    st = apply_mode_unitary(st, rot, ("uH", "uV"))
+    st = apply_mode_unitary(st, rot, ("lH", "lV"))
+    routing = {**pbs(("uH", "uV"), ("1", "2")), **pbs(("lH", "lV"), ("4", "3"))}
+    return reorder(relabel(st, routing), ("1", "2", "3", "4"))
+
+
+@pytest.mark.parametrize("eps", [1e-7, 0.1, 0.3, 0.638066, 0.99])
+@pytest.mark.parametrize("order, pair_amplitude", [(1, 0.0), (2, 0.5), (4, 0.5), (10, 0.9)])
+def test_scheme_b_pbs_variant_identical_state(eps, order, pair_amplitude):
+    # register, term order and every amplitude's bits, for both variants
+    want = ket_bits(_pbs_chain(eps, order, pair_amplitude))
+    for variant in ("pbs", "ubs"):
+        assert ket_bits(scheme_b_state(eps, order, variant, pair_amplitude)) == want
 
 
 def test_scheme_b_rejects_bad_params():
@@ -601,13 +617,19 @@ def test_eta_out_of_range_rejected_everywhere(entry, eta):
 
 
 # --------------------------------------------------------------------------
-# Memoized constants: every ket that depends on no argument is built once
-# per process, and no call changes it
+# Constant kets: every ket that depends on no argument is built once, at
+# import, and no call changes it
 # --------------------------------------------------------------------------
 
-MEMOS = (protocols._bell, protocols._bell_targets, protocols._singlet_pairs,
-         protocols._phase_references, protocols._pol_targets, protocols._vacuum_one_photon)
 PSI = ("psi+", "psi-")
+TARGET_MAPPINGS = {
+    "scheme-a": protocols._SCHEME_A.targets,
+    "scheme-b": protocols._SCHEME_B.targets,
+    "bell-outer": protocols._BELL_OUTER,
+    "bell-inner": protocols._BELL_INNER,
+    "postselect-pol": protocols._POL_TARGETS,
+    "postselect-vac": protocols._VAC_TARGETS,
+}
 
 # every report, and both click distributions, at a few parameter points
 CONSTANT_USERS = [
@@ -627,17 +649,6 @@ CONSTANT_USERS = [
     (scheme_a_click_distribution, (math.sqrt(0.05), 0.7, 2)),
     (scheme_b_click_distribution, (0.3, 0.9, 2, "pbs", 0.5)),
 ]
-
-
-@pytest.fixture
-def fresh_memos():
-    """Empty every memo before the test and again after it, so that a test
-    builds the constants itself and leaves none of its own behind."""
-    for memo in MEMOS:
-        memo.cache_clear()
-    yield
-    for memo in MEMOS:
-        memo.cache_clear()
 
 
 def _bits(x):
@@ -661,49 +672,46 @@ def _output_bits(result):
     return _bits(result.to_json_dict()), members
 
 
-def _memoized_and_fresh():
-    """(memoized ket, the same ket built afresh by the public builders) for
-    every ket the memos hand out at the arguments reports pass them."""
-    pairs = [(protocols._bell(kind, modes), bell_state(kind, modes))
-             for modes in (("1", "2"), ("3", "4"), ("2", "3"), ("1", "4"))
-             for kind in BELL_KINDS]
-    pairs += [(protocols._bell(kind, ("3", "4"), cutoff=2), bell_state(kind, ("3", "4"), 2))
-              for kind in PSI]
-    for modes, kinds in ((("2", "3"), BELL_KINDS), (("1", "4"), BELL_KINDS),
-                         (("3", "4"), PSI), (("1", "4"), PSI)):
-        targets = protocols._bell_targets(modes, kinds)
-        assert tuple(targets) == kinds
-        pairs += [(targets[kind], bell_state(kind, modes)) for kind in kinds]
-    refs = protocols._phase_references()
-    assert isinstance(refs, tuple)
-    pairs += zip(refs, [bell_state(kind, ("3", "4"), 2) for kind in PSI])
-    pairs.append((protocols._singlet_pairs(),
-                  tensor_product(bell_state("psi-", ("1", "2")), bell_state("psi-", ("3", "4")))))
-    pol = protocols._pol_targets()
-    assert tuple(pol) == BELL_KINDS
-    pairs += [(pol[kind], protocols._pol_bell(kind)) for kind in BELL_KINDS]
-    source, targets = protocols._vacuum_one_photon()
+def _constants_and_fresh():
+    """(constant ket, the same ket built afresh by the public builders) for
+    every constant ket of ``protocols``."""
     empty = vacuum(ModeRegister(("3'",), 1))
-    pairs.append((source, vacuum_one_photon_postbs()))
-    pairs += [(targets[kind], tensor_product(empty, bell_state(kind, ("1", "4"))))
-              for kind in PSI]
-    for mapping in (pol, targets, protocols._bell_targets(("3", "4"), PSI)):
-        with pytest.raises(TypeError):
-            mapping["psi+"] = bell_state("psi-", ("3", "4"))
+    fresh = {
+        "scheme-a": {kind: bell_state(kind, ("3", "4")) for kind in PSI},
+        "scheme-b": {kind: bell_state(kind, ("1", "4")) for kind in PSI},
+        "bell-outer": {kind: bell_state(kind, ("1", "4")) for kind in BELL_KINDS},
+        "bell-inner": {kind: bell_state(kind, ("2", "3")) for kind in BELL_KINDS},
+        "postselect-pol": {kind: protocols._pol_bell(kind) for kind in BELL_KINDS},
+        "postselect-vac": {kind: tensor_product(empty, bell_state(kind, ("1", "4")))
+                           for kind in PSI},
+    }
+    pairs = []
+    for name, targets in TARGET_MAPPINGS.items():
+        assert tuple(targets) == tuple(fresh[name])
+        pairs += [(targets[kind], fresh[name][kind]) for kind in targets]
+    refs = protocols._PHASE_REFERENCES
+    assert isinstance(refs, tuple)
+    pairs += zip(refs, [bell_state(kind, ("3", "4"), 2) for kind in PSI], strict=True)
+    pairs.append((protocols._SINGLET_PAIRS,
+                  tensor_product(bell_state("psi-", ("1", "2")), bell_state("psi-", ("3", "4")))))
+    pairs.append((protocols._VAC_SOURCE, vacuum_one_photon_postbs()))
     return pairs
 
 
-def test_memoized_constants_stay_constant(fresh_memos, monkeypatch):
-    # the first pass builds every constant and the second reads the memos:
-    # both give the same bits.  Every memoized ket equals a fresh build after
-    # the first pass, and after each event and each call of the second, so a
-    # change that an even number of events would undo shows too
-    first = [_output_bits(fn(*args)) for fn, args in CONSTANT_USERS]
-    pairs = _memoized_and_fresh()
-    fresh = {id(memoized): ket_bits(ket) for memoized, ket in pairs}
+def test_constant_kets_stay_constant(monkeypatch):
+    # two passes over every report give the same bits.  Every constant ket
+    # equals a fresh build before the first pass, and after each event and
+    # each call of the second, so a change that an even number of events
+    # would undo shows too
+    pairs = _constants_and_fresh()
+    fresh = {id(constant): ket_bits(ket) for constant, ket in pairs}
 
     def assert_unchanged(kets):
         assert [ket_bits(k) for k in kets] == [fresh[id(k)] for k in kets]
+
+    constants = [k for k, _ in pairs]
+    assert_unchanged(constants)
+    first = [_output_bits(fn(*args)) for fn, args in CONSTANT_USERS]
 
     def checked_event(*args):
         ev = event(*args)
@@ -712,48 +720,54 @@ def test_memoized_constants_stay_constant(fresh_memos, monkeypatch):
 
     event = protocols._event
     monkeypatch.setattr(protocols, "_event", checked_event)
-    memoized = [k for k, _ in pairs]
-    assert_unchanged(memoized)
+    assert_unchanged(constants)
     second = []
     for fn, args in CONSTANT_USERS:
         second.append(_output_bits(fn(*args)))
-        assert_unchanged(memoized)
+        assert_unchanged(constants)
     assert second == first
 
 
-def test_memoized_kets_are_built_once(fresh_memos, monkeypatch):
+def test_no_call_builds_a_constant_ket(monkeypatch):
+    # the constants are built at import, so a call builds no target and no
+    # fixed source
     built = []
-    monkeypatch.setattr(protocols, "bell_state",
-                        lambda *args: built.append(args) or bell_state(*args))
-    for _ in range(2):
-        for fn, args in CONSTANT_USERS:
-            fn(*args)
-    assert built and len(built) == len(set(built))
+    for name in ("bell_state", "tensor_product", "vacuum_one_photon_postbs", "_pol_bell",
+                 "_targets"):
+        build = getattr(protocols, name)
+        monkeypatch.setattr(protocols, name,
+                            lambda *args, _name=name, _build=build:
+                            built.append(_name) or _build(*args))
+    for fn, args in CONSTANT_USERS:
+        fn(*args)
+    assert built == []
 
 
-def _unnormalized(build):
-    return lambda *args: build(*args).scaled(1.01)
-
-
-@pytest.mark.parametrize("builder, run", [
-    ("bell_state", lambda: run_scheme_a(math.sqrt(0.05), 0.7, 2)),
-    ("bell_state", lambda: run_phase_verification(math.sqrt(0.05), 0.7, 2)),
-    ("bell_state", lambda: run_scheme_b(0.3, 0.9)),
-    ("bell_state", lambda: run_theta_swapping(0.3)),
-    ("bell_state", bell_decomposition_check),
-    ("_pol_bell", lambda: analyze_polarization_postselection(0.9)),
-    ("bell_state", lambda: analyze_vacuum_one_photon(0.8)),
-])
-def test_unnormalized_target_is_rejected_where_built(builder, run, monkeypatch, fresh_memos):
-    monkeypatch.setattr(protocols, builder, _unnormalized(getattr(protocols, builder)))
+def test_targets_rejects_an_unnormalized_ket():
+    kets = {kind: bell_state(kind, ("3", "4")) for kind in PSI}
+    targets = protocols._targets(kets)
+    assert type(targets) is MappingProxyType
+    assert [id(t) for t in targets.values()] == [id(t) for t in kets.values()]
+    kets["psi-"] = kets["psi-"].scaled(1.01)
     with pytest.raises(ValueError, match="fidelity target must be normalized"):
-        run()
+        protocols._targets(kets)
+
+
+@pytest.mark.parametrize("name", TARGET_MAPPINGS)
+def test_every_target_mapping_comes_from_targets(name):
+    # _targets returns a read-only mapping of kets it checked to be normalized
+    targets = TARGET_MAPPINGS[name]
+    assert type(targets) is MappingProxyType
+    for t in targets.values():
+        assert abs(t.norm() - 1.0) <= 1e-9
+    with pytest.raises(TypeError):
+        targets["psi+"] = bell_state("psi-", ("3", "4"))
 
 
 def test_ensemble_outside_the_support_has_float_fidelity_zero():
     # no member shares an occupation with psi+ or psi-, so none is read: each
     # fidelity is still a float with the bits of fock.fidelity
-    targets = protocols._bell_targets(("3", "4"), PSI)
+    targets = protocols._SCHEME_A.targets
     reg = ModeRegister(("3", "4"), 2)
     ens = WeightedEnsemble(reg, ((0.75, FockKet(reg, {(0, 0): 1.0})),
                                  (0.25, FockKet(reg, {(1, 1): 0.6, (2, 0): 0.8}))))
