@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import math
 from types import MappingProxyType
@@ -817,3 +818,22 @@ def test_outputs_match_the_pinned_digest():
     # distribution.  A change that moves any bit of any output changes it
     walk = repr([_output_bits(fn(*args)) for fn, args in PINNED_CALLS])
     assert hashlib.sha256(walk.encode()).hexdigest() == PINNED_DIGEST
+
+
+# complex tau keeps complex amplitudes through the engine: every output bit
+# of these calls is pinned too, beside the real-tau calls above
+COMPLEX_PINNED_CALLS = [
+    (fn, (cmath.rect(r, phase), eta, order))
+    for fn in (run_scheme_a, run_phase_verification)
+    for r, phase, order in ((0.3, 0.7, 4), (math.sqrt(0.05), -2.1, 7),
+                            (math.sqrt(0.02), 1.3, 10))
+    for eta in (0.7, 1.0)
+] + [
+    (scheme_a_click_distribution, (cmath.rect(0.25, 2.5), 0.7, 6)),
+]
+COMPLEX_PINNED_DIGEST = "e642fe28a2d1fd3d0db904be11ceeed01c115a018e75d5fc264074f7e52945c9"
+
+
+def test_complex_tau_outputs_match_the_pinned_digest():
+    walk = repr([_output_bits(fn(*args)) for fn, args in COMPLEX_PINNED_CALLS])
+    assert hashlib.sha256(walk.encode()).hexdigest() == COMPLEX_PINNED_DIGEST
