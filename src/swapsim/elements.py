@@ -6,8 +6,10 @@ expanded multinomially with exact integer factorials.
 
 A ``ModeUnitary`` holds its matrix as ``entries``, a tuple of rows of
 built-in Python ``complex``, so the engine needs no numpy: the unitarity
-check and the expansion are plain Python, and every transfer-table
-coefficient is a built-in ``complex``.  ``.matrix`` is the same matrix as a
+check and the expansion are plain Python.  Every transfer-table
+coefficient is a built-in ``float`` when every entry is real (each beam
+splitter and rotation here), so a real ket stays real through it with
+float arithmetic, and a built-in ``complex`` otherwise.  ``.matrix`` is the same matrix as a
 read-only numpy array, built and cached on first access, for the dense
 oracle and for callers that want array algebra.
 
@@ -57,16 +59,19 @@ class ModeUnitary(_Record):
 
     ``entries`` accepts any square 2-D array-like of numbers (nested
     sequences or a numpy array) and is stored as a tuple of rows of
-    ``complex``.  Only ``entries`` takes part in ``repr``, ``==`` and
-    ``hash``: the transfer table, with its output indices and plans, and
-    the array are caches.
+    ``complex``.  ``_real`` records once whether every entry is real; the
+    table's coefficients are then expanded from ``1.0`` over the entries'
+    real parts, built-in floats, and otherwise from ``1.0 + 0.0j`` over the
+    entries, built-in complexes.  Only ``entries`` takes part in ``repr``,
+    ``==`` and ``hash``: the transfer table, with its output indices and
+    plans, and the array are caches.
     """
 
     _fields = ("entries",)
     # _table: acted occupation -> (sqrt(prod n!), ((powers, index, c, sqrt(prod p!)), ...),
     # max output); _index: output occupation -> index; _powers: index -> output occupation;
     # _plans: plan key -> {acted occupation: _table's entry with only some of its outputs}
-    __slots__ = ("entries", "_table", "_index", "_powers", "_plans", "_array")
+    __slots__ = ("entries", "_real", "_table", "_index", "_powers", "_plans", "_array")
 
     def __init__(self, entries):
         try:
@@ -83,6 +88,7 @@ class ModeUnitary(_Record):
                 if not dev <= 1e-12:  # a NaN anywhere makes some dev NaN
                     raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_real", all(x.imag == 0.0 for row in rows for x in row))
         object.__setattr__(self, "_table", {})
         object.__setattr__(self, "_index", {})
         object.__setattr__(self, "_powers", [])
@@ -109,9 +115,10 @@ class ModeUnitary(_Record):
         entry = self._table.get(acted)
         if entry is None:
             # expand prod_k (sum_j M[j,k] a_j^dag)^{n_k} |0...0> on the acted modes
-            poly: dict[tuple[int, ...], complex] = {(0,) * self.size: 1.0 + 0.0j}
+            real = self._real
+            poly: dict[tuple[int, ...], complex] = {(0,) * self.size: 1.0 if real else 1.0 + 0.0j}
             for k, n_k in enumerate(acted):
-                col = tuple(row[k] for row in self.entries)
+                col = tuple(row[k].real if real else row[k] for row in self.entries)
                 for _ in range(n_k):
                     poly = _poly_multiply_linear(poly, col)
             index, powers_of = self._index, self._powers

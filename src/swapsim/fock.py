@@ -1,6 +1,18 @@
 """Sparse multimode Fock kets over a fixed register of named modes.
 
-A state is a sparse map from occupation tuples to complex amplitudes.
+A state is a sparse map from occupation tuples to float or complex
+amplitudes.  An amplitude that is real is a built-in ``float``, and the
+engine never promotes it to ``complex``: real sources, real beam splitters
+and real detection keep every multiply-add a float one.  A complex input
+(a complex ``tau``) gives built-in ``complex`` amplitudes, and one ket may
+hold both types.  Both give the same bits: CPython (3.10 to 3.13) evaluates
+``float op complex`` by promoting the float to ``complex(x, 0.0)``, the real
+part of a product or sum of such values is the float result but for the
+sign of a zero, and every stored amplitude goes through ``0.0 +`` and every
+weight through ``abs``, which erase that sign.  No amplitude is ever summed
+by the built-in ``sum``, which compensates floats from Python 3.12 on;
+``_left_sum`` adds left to right.
+
 Amplitudes of magnitude at most ``PRUNE_TOL`` are discarded at
 construction, by both constructors, so every ket holds only amplitudes
 above it.  All values are immutable after construction and every
@@ -19,8 +31,9 @@ assigning or deleting any attribute raises ``AttributeError``.
 
 A ket is built by one of two constructors.  The public ``FockKet(register,
 terms)`` takes outside input: it converts every occupation to an int tuple,
-checks its length and cutoff, merges duplicate keys and rejects NaN or
-infinite amplitudes.  Sources, Bell targets, ``vacuum``, hand-written kets
+checks its length and cutoff, merges duplicate keys, rejects NaN or
+infinite amplitudes and keeps an amplitude whose imaginary part is 0.0 as
+its real part, a ``float``.  Sources, Bell targets, ``vacuum``, hand-written kets
 and the whole dense oracle use it; the oracle is the independent
 cross-check, so it must not share the fast path it checks.
 ``FockKet._trusted`` is for terms the engine derived from valid kets
@@ -144,6 +157,8 @@ class FockKet:
             amp = complex(amp)
             if not cmath.isfinite(amp):
                 raise ValueError(f"amplitude of {occ} must be finite, got {amp}")
+            if amp.imag == 0.0:
+                amp = amp.real
             clean[occ] = clean.get(occ, 0.0) + amp
         self.register = register
         self.terms = {occ: a for occ, a in clean.items() if abs(a) > PRUNE_TOL}
@@ -152,16 +167,17 @@ class FockKet:
     def _trusted(cls, register: ModeRegister, terms: Mapping[tuple[int, ...], complex],
                  scale: complex | None = None) -> "FockKet":
         """Build from engine-derived terms: distinct int-tuple keys of register
-        length within the cutoff.  Only the amplitudes are touched, exactly as
-        in ``__init__``: ``0.0 +`` turns -0.0 parts into +0.0, then pruning.
-        With ``scale`` (a float or built-in ``complex``), the amplitudes
-        (built-in ``complex``) are multiplied by it in the same pass, with the
-        bits of ``_trusted(register, {occ: scale * amp})``."""
+        length within the cutoff, and amplitudes that are built-in ``float``
+        or ``complex``, kept as their type.  Only the amplitudes are touched,
+        exactly as in ``__init__``: ``0.0 +`` turns -0.0 parts into +0.0,
+        then pruning.  With ``scale`` (a built-in ``float`` or ``complex``),
+        the amplitudes are multiplied by it in the same pass, with the bits
+        of ``_trusted(register, {occ: scale * amp})``."""
         self = object.__new__(cls)
         self.register = register
         if scale is None:
             self.terms = {occ: a for occ, amp in terms.items()
-                          if abs(a := 0.0 + complex(amp)) > PRUNE_TOL}
+                          if abs(a := 0.0 + amp) > PRUNE_TOL}
         else:
             self.terms = {occ: a for occ, amp in terms.items()
                           if abs(a := 0.0 + scale * amp) > PRUNE_TOL}
@@ -189,9 +205,12 @@ class FockKet:
         return self.scaled(1.0 / n)
 
     def scaled(self, c: complex) -> "FockKet":
+        """The ket times ``c``; a real ``c`` multiplies as a ``float``, so a
+        real ket stays real."""
         if not cmath.isfinite(c):
             raise ValueError(f"scale factor must be finite, got {c}")
-        return FockKet._trusted(self.register, self.terms, complex(c))
+        c = complex(c)
+        return FockKet._trusted(self.register, self.terms, c.real if c.imag == 0.0 else c)
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -229,7 +248,7 @@ def inner_product(a: FockKet, b: FockKet) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     _require_same_modes(a, b)
     small, big = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
-    total = 0.0 + 0.0j
+    total = 0.0
     for occ, _ in small.terms.items():
         total += a.terms.get(occ, 0.0).conjugate() * b.terms.get(occ, 0.0)
     return total

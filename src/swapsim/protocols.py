@@ -188,7 +188,7 @@ def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
             o = read.get(id(s))
             if o is None:
                 tb = s.terms
-                z = 0.0 + 0.0j
+                z = 0.0
                 for occ in (ta if len(ta) <= len(tb) else tb):
                     z += ta.get(occ, 0.0).conjugate() * tb.get(occ, 0.0)
                 o = read[id(s)] = abs(z) ** 2

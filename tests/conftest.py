@@ -7,16 +7,19 @@ from swapsim.fock import FockKet, ModeRegister
 
 
 @st.composite
-def random_kets(draw, max_modes=4, max_cutoff=3, normalized=True, n_modes=None):
+def random_kets(draw, max_modes=4, max_cutoff=3, normalized=True, n_modes=None, real=False):
     """Random sparse kets on small registers (labels m0, m1, ...), with
-    ``n_modes`` modes if given."""
+    ``n_modes`` modes if given, and real amplitudes if ``real``."""
     if n_modes is None:
         n_modes = draw(st.integers(1, max_modes))
     cutoff = draw(st.integers(1, max_cutoff))
     reg = ModeRegister(tuple(f"m{i}" for i in range(n_modes)), cutoff)
     occ = st.tuples(*[st.integers(0, cutoff)] * n_modes)
-    amp = st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0,
-                             allow_nan=False, allow_infinity=False)
+    if real:
+        amp = st.floats(-1.0, 1.0).filter(lambda a: abs(a) >= 0.05)
+    else:
+        amp = st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0,
+                                 allow_nan=False, allow_infinity=False)
     terms = draw(st.dictionaries(occ, amp, min_size=1, max_size=6))
     ket = FockKet(reg, terms)
     return ket.normalized() if normalized else ket

@@ -281,6 +281,45 @@ def test_mixture_tables_match_measure_per_ket(u, eta, data):
             [o.probability.hex() for o in single.values()]
 
 
+def _as_complex(ket):
+    """``ket`` with every amplitude a built-in ``complex(a, 0.0)``."""
+    return FockKet._trusted(ket.register, {occ: complex(a, 0.0) for occ, a in ket.items()})
+
+
+def _measure_bits(outcomes):
+    return [(out, o.probability.hex(),
+             o.ensemble and [(w.hex(), ket_bits(s)) for w, s in o.ensemble.members])
+            for out, o in outcomes.items()]
+
+
+@given(ket=random_kets(normalized=False, n_modes=3, real=True),
+       pair=random_kets(normalized=False, n_modes=2, real=True),
+       u=two_mode_unitaries, eta=st.floats(0.0, 1.0),
+       outcomes=st.sampled_from([None, [(CLICK, SILENT), (SILENT, CLICK)]]))
+@settings(max_examples=60, deadline=None)
+def test_float_and_complex_amplitudes_give_the_same_bits(ket, pair, u, eta, outcomes):
+    # a real ket held as floats and the same ket held as complex(a, 0.0) give
+    # the same bits through the scatters, the heralds and the phase tables
+    twin, pair_twin = _as_complex(ket), _as_complex(pair)
+    assert {type(a) for a in ket.terms.values()} == {float}
+    assert {type(a) for a in twin.terms.values()} == {complex}
+    assert ket_bits(twin) == ket_bits(ket)
+    modes = ket.register.labels[:2]
+    detectors = [(m,) for m in modes]
+    applied, applied_twin = apply_mode_unitary(ket, u, modes), apply_mode_unitary(twin, u, modes)
+    assert {type(a) for a in applied.terms.values()} == {float}
+    assert {type(a) for a in applied_twin.terms.values()} == {complex}
+    assert ket_bits(applied_twin) == ket_bits(applied)
+    assert (_measure_bits(measure(twin, detectors, eta, unitary=balanced_bs(),
+                                  outcomes=outcomes))
+            == _measure_bits(measure(ket, detectors, eta, unitary=balanced_bs(),
+                                     outcomes=outcomes)))
+    detectors = [(m,) for m in pair.register.labels]
+    (table_twin,) = mixture_tables([((1.0, pair_twin),)], u, detectors, eta)
+    (table,) = mixture_tables([((1.0, pair),)], u, detectors, eta)
+    assert [p.hex() for p in table_twin.values()] == [p.hex() for p in table.values()]
+
+
 @given(ket=random_kets(normalized=False, n_modes=2), eta=st.floats(0.05, 1.0))
 @settings(max_examples=40, deadline=None)
 def test_swapping_two_detectors_swaps_the_outcomes(ket, eta):

@@ -281,17 +281,24 @@ def test_entries_bit_identical_to_numpy_construction():
             assert unbalanced_bs(eps).matrix.tobytes() == bs.tobytes()
 
 
-def test_entries_and_table_coefficients_are_builtin_complex():
-    # numpy scalars in the table would turn the kernel loop into numpy arithmetic
-    unitaries = (balanced_bs(), unbalanced_bs(0.3), polarization_rotation(0.0),
-                 polarization_rotation(0.2), ModeUnitary(balanced_bs().matrix.conj().T),
-                 _random_unitary(np.random.default_rng(1), 2),
-                 _random_unitary(np.random.default_rng(2), 3))
-    for u in unitaries:
+def test_table_coefficients_are_builtin_floats_exactly_when_every_entry_is_real():
+    # entries stay built-in complex; a real unitary's coefficients are built-in
+    # floats, so the scatters multiply floats, and any other's are built-in
+    # complex.  Numpy scalars would turn the kernel loop into numpy arithmetic
+    real_orthogonal, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
+    real = (balanced_bs(), unbalanced_bs(0.3), polarization_rotation(0.0),
+            polarization_rotation(0.2), ModeUnitary(balanced_bs().matrix.conj().T),
+            ModeUnitary(real_orthogonal))
+    not_real = (ModeUnitary(((1j, 0.0), (0.0, 1.0))),
+                _random_unitary(np.random.default_rng(1), 2),
+                _random_unitary(np.random.default_rng(2), 3))
+    for u, want in [(u, float) for u in real] + [(u, complex) for u in not_real]:
         assert all(type(c) is complex for row in u.entries for c in row)
         for acted in itertools.product(range(4), repeat=u.size):
             _, outputs, _ = u.sector(acted)
-            assert all(type(c) is complex for _, _, c, _ in outputs)
+            coeffs = [c for _, _, c, _ in outputs]
+            assert not any(isinstance(c, np.generic) for c in coeffs)
+            assert all(type(c) is want for c in coeffs)
 
 
 def test_each_output_occupation_has_one_index():

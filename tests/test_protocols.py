@@ -786,6 +786,39 @@ def test_event_rejects_a_target_on_another_register():
         protocols._event("e", 1.0, ens, targets, dict)
 
 
+def _amplitude_types(kets):
+    return {type(a) for ket in kets for a in ket.terms.values()}
+
+
+@pytest.mark.parametrize("eta", (0.7, 1.0))
+def test_real_tau_gives_only_float_amplitudes(monkeypatch, eta):
+    # a real tau, real beam splitters and real detection keep every amplitude
+    # a built-in float: the source, every herald branch and every member that
+    # the phase tables measure
+    measured = []
+    tables = protocols.mixture_tables
+
+    def recording_tables(mixtures, *args):
+        measured.extend(ket for members in mixtures for _, ket in members)
+        return tables(mixtures, *args)
+
+    monkeypatch.setattr(protocols, "mixture_tables", recording_tables)
+    tau = math.sqrt(0.05)
+    report = run_phase_verification(tau, eta, 6)
+    branches = [s for ev in report.events if ev.ensemble is not None
+                for _, s in ev.ensemble.members]
+    assert branches and measured
+    assert _amplitude_types([protocols.scheme_a_state(tau, 6)]) == {float}
+    assert _amplitude_types(branches) == {float}
+    assert _amplitude_types(measured) == {float}
+
+
+def test_complex_tau_gives_complex_source_amplitudes():
+    # tau**0 is real, so the vacuum term stays a float beside complex ones
+    source = protocols.scheme_a_state(cmath.rect(0.3, 0.7), 4)
+    assert _amplitude_types([source]) == {float, complex}
+
+
 # --------------------------------------------------------------------------
 # Bit identity: every output field of a fixed set of calls, pinned as one
 # SHA-256 of their float.hex walk
