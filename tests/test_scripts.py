@@ -24,6 +24,9 @@ def load(name):
     ("fidelity_vs_pump", ["--tau2-max", "nan"], "--tau2-max"),
     ("fidelity_vs_pump", ["--steps", "1", "--etas", "1.5"], "--etas"),
     ("fidelity_vs_pump", ["--etas", "nan"], "--etas"),
+    ("fidelity_vs_pump", ["--order", "0"], "--order"),
+    ("fidelity_vs_pump", ["--order", "-1"], "--order"),
+    ("fidelity_vs_pump", ["--order", "11"], "--order"),
 ])
 def test_bad_arguments_exit_2(name, argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -52,3 +55,26 @@ def test_fidelity_vs_pump_one_step_is_tau2_min(capsys):
         ("0.01", "1", "event1"), ("0.01", "1", "event2"),
         ("0.01", "0.5", "event1"), ("0.01", "0.5", "event2"),
     ]
+
+
+def test_fidelity_vs_pump_order_defaults_to_1(capsys):
+    argv = ["--steps", "3", "--etas", "1", "0.5"]
+    script = load("fidelity_vs_pump")
+    assert script.main(argv) == 0
+    default = capsys.readouterr().out
+    assert script.main(argv + ["--order", "1"]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_fidelity_vs_pump_high_order_reaches_the_converged_fidelity(capsys):
+    # at eta = 1 the favored fidelity converges to 1 - tau2; order 1 gives
+    # 1/(1 + tau2/2), which the last column keeps at every order
+    argv = ["--steps", "1", "--tau2-min", "0.01", "--etas", "1"]
+    script = load("fidelity_vs_pump")
+    for order, want in ((1, 1.0 / 1.005), (10, 0.99)):
+        assert script.main(argv + ["--order", str(order)]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[2] for row in rows] == ["event1", "event2"]
+        for row in rows:
+            assert float(row[4]) == pytest.approx(want, abs=1e-12)
+            assert float(row[5]) == pytest.approx(1.0 / 1.005, abs=1e-12)
