@@ -9,9 +9,9 @@ built-in Python ``complex``, so the engine needs no numpy: the unitarity
 check and the expansion are plain Python.  Every transfer-table
 coefficient is a built-in ``float`` when every entry is real (each beam
 splitter and rotation here), so a real ket stays real through it with
-float arithmetic, and a built-in ``complex`` otherwise.  ``.matrix`` is the same matrix as a
-read-only numpy array, built and cached on first access, for the dense
-oracle and for callers that want array algebra.
+float arithmetic, and a built-in ``complex`` otherwise.  ``.matrix`` is
+the same matrix as a read-only numpy array, built and cached on first
+access, for the dense oracle and for callers that want array algebra.
 
 The expansion depends only on the acted occupation (n_a, n_b, ...), not on
 the rest of the ket, so each ``ModeUnitary`` keeps a transfer table: for

@@ -33,9 +33,9 @@ A ket is built by one of two constructors.  The public ``FockKet(register,
 terms)`` takes outside input: it converts every occupation to an int tuple,
 checks its length and cutoff, merges duplicate keys, rejects NaN or
 infinite amplitudes and keeps an amplitude whose imaginary part is 0.0 as
-its real part, a ``float``.  Sources, Bell targets, ``vacuum``, hand-written kets
-and the whole dense oracle use it; the oracle is the independent
-cross-check, so it must not share the fast path it checks.
+its real part, a ``float``.  Sources, Bell targets, ``vacuum``,
+hand-written kets and the whole dense oracle use it; the oracle is the
+independent cross-check, so it must not share the fast path it checks.
 ``FockKet._trusted`` is for terms the engine derived from valid kets
 (``scaled``/``normalized``, ``reorder``, ``relabel``, ``tensor_product``,
 ``partial_project``, ``elements.apply_mode_unitary`` and the heralded
