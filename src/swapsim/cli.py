@@ -15,6 +15,13 @@ sweep point is a copy of the arguments with the swept parameter set,
 checked like a single run.  Every usage error, found by argparse or by a
 check after parsing, prints the usage line of the subcommand that was run.
 
+``--verify`` runs after the report is written.  On agreement it writes one
+more stdout line, ``verify: ok (max deviation ...)``; on a mismatch it
+writes an error to stderr and exits 3.  So with ``--format json`` stdout is
+the JSON document and then that line, not one JSON document, and with
+``--format csv`` the line follows the rows.  ``bench/golden/cli-cold.json``
+pins these bytes.
+
 Output is deterministic (byte-stable) for a fixed configuration and seed;
 all floats are printed with 12 significant digits.
 """

@@ -7,11 +7,21 @@ full basis with its own arithmetic (a silent probability of ``1 - p_click``,
 a branch weight from the pruned ket's norm), so ``dense_measure`` shares no
 code path with ``detection.measure`` beyond the detector's click probability.
 Every ket the dense side builds goes through the public, validating
-``FockKet`` constructor, never the engine's trusted one.  The
-phase-verification coincidence tables, which the sparse engine builds
-measuring each distinct branch once, are checked here member by member,
-and the oracle builds its own targets and ideal references with
-``bell_state`` rather than reading the engine's constants.
+``FockKet`` constructor, never the engine's trusted one.  Every dense
+reference is one chain, ``_dense_chain``: a ket, balanced beam splitters
+applied in order, then one detector per beam.  The phase-verification
+coincidence tables, which the sparse engine builds from the members of
+each heralded ensemble, are checked against one run of the whole chain by
+Bayes' rule, reading no member, and the oracle builds its own targets and
+ideal references with ``bell_state`` rather than reading the engine's
+constants.
+
+Trust boundary: each check starts from the engine's ket just before the
+heralding beam splitter, ``scheme_a_state`` or ``scheme_b_state``.  So
+``verify_scheme_b`` does not check scheme B's two unbalanced beam
+splitters; only the randomized sparse-vs-dense test in
+``tests/test_oracle.py`` checks the sparse kernel that applies them
+(``apply_mode_unitary`` against ``dense_apply``).
 Used only in tests and the CLI's --verify mode; small registers only.
 """
 from __future__ import annotations
@@ -77,8 +87,8 @@ def _ladder(dim: int) -> np.ndarray:
 def _lift_matrix(raw: bytes, k: int, dim: int) -> np.ndarray:
     """Fock-space unitary exp(sum_jk G[j,k] a_j^dag a_k) with G = log(U), for
     the k x k mode unitary U whose matrix bytes are ``raw``."""
-    # keyed by the matrix bytes: the members of a mixture go through the
-    # same unitary one by one at one working dimension (_dense_coincidences)
+    # keyed by the matrix bytes: one verify_phase_verification call applies
+    # the beam splitter five times, at one or two working dimensions
     g = logm(np.frombuffer(raw, dtype=complex).reshape(k, k))
     ad = _ladder(dim)
     a = ad.conj().T
@@ -153,11 +163,11 @@ def dense_measure(state: DenseState, detectors, eta: float) -> dict:
     rest_reg = (ModeRegister(tuple(reg.labels[i] for i in rest_idx), reg.cutoff)
                 if rest_idx else None)
 
+    # the nonzero cells in np.ndindex's C order
+    amps = state.amplitudes
     groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
-    for occ in np.ndindex(state.amplitudes.shape):
-        amp = state.amplitudes[occ]
-        if amp == 0.0:
-            continue
+    for occ in map(tuple, np.argwhere(amps != 0.0).tolist()):
+        amp = amps[occ]
         key = tuple(occ[i] for i in idx)
         rest = tuple(occ[i] for i in rest_idx)
         groups.setdefault(key, {})[rest] = amp
@@ -218,9 +228,13 @@ def _compare_outcomes(sparse_out: ConditionalOutcome, dense_out: ConditionalOutc
     return worst
 
 
-def _dense_herald(pre: FockKet, mixed: tuple[str, str], eta: float) -> dict:
-    return dense_measure(dense_apply(dense_from_fock(pre), balanced_bs(), mixed),
-                         [(m,) for m in mixed], eta)
+def _dense_chain(ket: FockKet, pairs, eta: float) -> dict:
+    """A balanced beam splitter on each pair of beams of ``ket``, in order,
+    then one threshold detector on each of those beams, in pair order."""
+    state = dense_from_fock(ket)
+    for pair in pairs:
+        state = dense_apply(state, balanced_bs(), pair)
+    return dense_measure(state, [(m,) for pair in pairs for m in pair], eta)
 
 
 def _verify_herald(pre: FockKet, scheme: protocols._Heralded,
@@ -234,27 +248,11 @@ def _verify_herald(pre: FockKet, scheme: protocols._Heralded,
     returned with it."""
     sparse = protocols._herald(pre, scheme.mixed, eta)
     heralded = protocols._herald(pre, scheme.mixed, eta, protocols._HERALDS)
-    dense = _dense_herald(pre, scheme.mixed, eta)
+    dense = _dense_chain(pre, [scheme.mixed], eta)
     targets = [bell_state("psi+", scheme.outer), bell_state("psi-", scheme.outer)]
     worst = max(_compare_outcomes(outcomes[out], dense[out], targets)
                 for outcomes in (sparse, heralded) for out in outcomes)
     return worst, heralded, dense
-
-
-def _dense_coincidences(members, eta: float) -> dict:
-    """D3/D4 outcome probabilities of a mixture of kets on scheme A's outer
-    beams 3, 4: each member through the dense beam splitter and POVM on its
-    own.  Every member is rebuilt at one cutoff that holds all of its
-    photons, so the beam splitter is lifted at one working dimension for the
-    whole table."""
-    cutoff = max(max(m.register.cutoff, *(sum(occ) for occ, _ in m.items()))
-                 for _, m in members)
-    joint: dict = {}
-    for w, member in members:
-        padded = FockKet(member.register.with_cutoff(cutoff), dict(member.items()))
-        for out, o in _dense_herald(padded, protocols._SCHEME_A.outer, eta).items():
-            joint[out] = joint.get(out, 0.0) + w * o.probability
-    return joint
 
 
 def verify_scheme_a(tau: complex, eta: float, order: int = 1) -> float:
@@ -266,24 +264,31 @@ def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float
     """``verify_scheme_a`` plus every coincidence table of the phase
     verification: max |sparse - dense| over each outcome's probability.
 
-    The dense side sends each member of its own heralded ensemble (and the
-    ideal psi+/psi- references, built here) through the dense beam
-    splitter and POVM one by one; the sparse tables come from
-    ``_phase_tables``, whose tables ``run_phase_verification`` reports.
+    The dense side runs the whole chain once, BS(1, 2) then BS(3, 4) and a
+    detector on each beam, and takes each heralded event's table by Bayes'
+    rule, P(herald, D3/D4 outcome) / P(herald); each ideal psi+/psi-
+    reference, built here, goes through BS(3, 4) and D3/D4 alone.  The
+    sparse tables come from ``_phase_tables``, whose tables
+    ``run_phase_verification`` reports.
     """
-    worst, heralded, dense = _verify_herald(protocols.scheme_a_state(tau, order),
-                                            protocols._SCHEME_A, eta)
+    pre = protocols.scheme_a_state(tau, order)
+    scheme = protocols._SCHEME_A
+    worst, heralded, dense = _verify_herald(pre, scheme, eta)
+    chain = _dense_chain(pre, [scheme.mixed, scheme.outer], eta)
     # the heralded events (an ensemble on one side only already made worst
     # inf), then the ideal references, in _phase_tables' order
-    sparse_ens, dense_members = [], []
-    for out in protocols._HERALDS:
-        if heralded[out].ensemble is not None and dense[out].ensemble is not None:
-            sparse_ens.append(heralded[out].ensemble)
-            dense_members.append(dense[out].ensemble.members)
-    dense_members += [((1.0, bell_state(kind, ("3", "4"), 2)),) for kind in ("psi+", "psi-")]
+    sparse_ens, refs = [], []
+    for herald in protocols._HERALDS:
+        if heralded[herald].ensemble is not None and dense[herald].ensemble is not None:
+            sparse_ens.append(heralded[herald].ensemble)
+            joint = {out[2:]: o.probability for out, o in chain.items() if out[:2] == herald}
+            p_herald = math.fsum(joint.values())
+            refs.append({out: p / p_herald for out, p in joint.items()})
+    for kind in ("psi+", "psi-"):
+        ideal = _dense_chain(bell_state(kind, scheme.outer, 2), [scheme.outer], eta)
+        refs.append({out: o.probability for out, o in ideal.items()})
     tables = protocols._phase_tables(sparse_ens, eta)
-    for table, members in zip(tables, dense_members, strict=True):
-        ref = _dense_coincidences(members, eta)
+    for table, ref in zip(tables, refs, strict=True):
         worst = max(worst, max(abs(table[out] - p) for out, p in ref.items()))
     return worst
 

@@ -71,6 +71,13 @@ def test_non_unitary_rejected():
             polarization_rotation(bad)
 
 
+def test_unitarity_check_boundary():
+    # an off-diagonal entry of d makes the columns' overlap d; the bound is 1e-12
+    ModeUnitary([[1.0, 1e-13], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="not unitary"):
+        ModeUnitary([[1.0, 1e-11], [0.0, 1.0]])
+
+
 def test_rotation_single_photon():
     eps = 0.2
     reg = ModeRegister(("uH", "uV"), 1)

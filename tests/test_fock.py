@@ -178,12 +178,29 @@ def test_fidelity_requires_normalized_target():
         fidelity(ens, psi_p.scaled(2.0))
 
 
+def test_fidelity_target_norm_boundary():
+    # the target's norm may be off 1 by at most 1e-9
+    psi_p = bell_state("psi+", ("1", "2"))
+    ens = WeightedEnsemble.pure(psi_p)
+    assert fidelity(ens, psi_p.scaled(1.0 + 1e-10)) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="normalized"):
+        fidelity(ens, psi_p.scaled(1.0 + 1e-8))
+
+
 def test_ensemble_weight_validation():
     psi_p = bell_state("psi+", ("1", "2"))
     with pytest.raises(ValueError):
         WeightedEnsemble(psi_p.register, ((0.7, psi_p),))
     with pytest.raises(ValueError):
         WeightedEnsemble(psi_p.register, ((-0.5, psi_p), (1.5, psi_p)))
+
+
+def test_ensemble_weight_sum_boundary():
+    # the weights may sum to 1 within 1e-12
+    psi_p = bell_state("psi+", ("1", "2"))
+    WeightedEnsemble(psi_p.register, ((1.0 + 1e-13, psi_p),))
+    with pytest.raises(ValueError, match="sum to"):
+        WeightedEnsemble(psi_p.register, ((1.0 + 1e-11, psi_p),))
 
 
 def test_reorder_and_relabel():
@@ -259,6 +276,13 @@ def test_format_ket_labels_counts_of_ten_and_more():
     assert format_ket(ket) == want
     assert format_ket(ket) == want
     assert format_ket(relabel(ket, {"a": "z"})) == want
+
+
+def test_format_ket_imaginary_cut_boundary():
+    # an imaginary part below 1e-12 prints as a real amplitude
+    reg = ModeRegister(("1", "2"), 1)
+    assert format_ket(FockKet(reg, {(1, 0): complex(0.6, 1e-13)})) == "+0.6|10>"
+    assert format_ket(FockKet(reg, {(1, 0): complex(0.6, 1e-11)})) == "+(0.6+1e-11j)|10>"
 
 
 # --------------------------------------------------------------------------

@@ -229,6 +229,8 @@ def test_verify_compares_every_outcome(monkeypatch, outcome):
 
 @pytest.mark.parametrize("tau, eta, order", [
     (math.sqrt(1e-3), 1.0, 1), (0.3, 0.6, 2), (0.2, 0.9, 4), (0.3, 0.0, 2), (0.0, 1.0, 1),
+    # the largest grid, then a heralded weight near dense_measure's 1e-28 cut
+    (math.sqrt(0.1), 0.6, 10), (math.sqrt(0.1), 1.0, 10), (math.sqrt(1e-27), 1.0, 2),
 ])
 def test_verify_phase_verification_agrees(tau, eta, order):
     assert verify_phase_verification(tau, eta, order) <= 1e-12

@@ -571,6 +571,13 @@ def test_sample_run_validation_and_determinism():
     assert a != sample_run(dist, 1000, seed=43)
 
 
+def test_sample_run_negative_probability_boundary():
+    # round-off below zero down to -1e-12 is clipped; beyond it is an error
+    assert sample_run({"a": -1e-13, "b": 1.0}, 10, seed=0) == {"a": 0, "b": 10}
+    with pytest.raises(ValueError, match="negative probability"):
+        sample_run({"a": -1e-11, "b": 1.0}, 10, seed=0)
+
+
 def test_sample_run_frequencies_within_binomial_bands():
     dist = scheme_a_click_distribution(0.3, 0.9)
     shots = 1_000_000
