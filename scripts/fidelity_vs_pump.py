@@ -8,7 +8,8 @@ value is the ``--order`` truncation of the source, at most ``--order``
 pairs per pass (default 1, one pair per pass).  ``order1_fidelity_eta1``
 is the order-1 fidelity at eta = 1, 1/(1 + tau2/2), at every order; the
 converged fidelity at eta = 1 is 1 - tau2, which order 10 reaches to 12
-digits on the default grid.
+digits on the default grid.  An impossible event (every event at eta = 0)
+has probability 0 and an empty fidelity cell.
 
 Usage:
     python3 scripts/fidelity_vs_pump.py --out fidelity_vs_pump.csv
@@ -55,9 +56,11 @@ def main(argv=None):
         for eta in args.etas:
             rep = run_scheme_a(math.sqrt(tau2), eta, args.order)
             for ev in rep.events:
+                # an impossible event has no fidelity: an empty cell, as the CLI writes
+                fav = ev.extras.get("fidelity_favored")
                 writer.writerow([f"{tau2:.6g}", f"{eta:.3g}", ev.name,
                                  f"{ev.probability:.12g}",
-                                 f"{ev.extras['fidelity_favored']:.12g}",
+                                 None if fav is None else f"{fav:.12g}",
                                  f"{order_1:.12g}"])
     if handle is not sys.stdout:
         handle.close()

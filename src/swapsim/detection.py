@@ -52,8 +52,9 @@ builds the transformed ket, and both give the same bits as building it.
 ``coincidence_table`` groups the ket, weighs every group under every
 outcome asked for and builds the branches, and ``measure_pattern`` turns one
 outcome's probability and weighted branches into its ``ConditionalOutcome``,
-which builds the ensemble from them only when it is first read.  Callers
-use ``measure``.
+ensemble included.  ``outcomes`` is the one way to skip work no caller
+reads: every outcome returned has its ensemble built.  A caller that
+reads only probabilities reads ``coincidence_table``'s totals.
 """
 from __future__ import annotations
 
@@ -89,36 +90,13 @@ class ThresholdDetector(_Record):
 
 
 class ConditionalOutcome(_Record):
-    """Outcome probability plus the conditional ensemble on unmeasured modes.
+    """Outcome probability plus the conditional ensemble on unmeasured modes."""
 
-    ``measure`` gives each outcome its weighted branches, and the ensemble
-    is built from them (``WeightedEnsemble.from_branches``) the first time
-    ``.ensemble`` is read: most callers read one outcome's ensemble, or
-    none."""
-
-    _fields = ("probability", "ensemble")
-    __slots__ = ("probability", "_ensemble", "_branches")
+    __slots__ = _fields = ("probability", "ensemble")
 
     def __init__(self, probability: float, ensemble: WeightedEnsemble | None):
         object.__setattr__(self, "probability", probability)
-        object.__setattr__(self, "_ensemble", ensemble)
-        object.__setattr__(self, "_branches", None)
-
-    @classmethod
-    def _lazy(cls, probability: float,
-              branches: list[tuple[float, FockKet]]) -> "ConditionalOutcome":
-        """An outcome whose ensemble is built from ``branches`` on first read
-        (None when there are none)."""
-        self = cls(probability, None)
-        object.__setattr__(self, "_branches", branches or None)
-        return self
-
-    @property
-    def ensemble(self) -> WeightedEnsemble | None:
-        if self._branches is not None:
-            object.__setattr__(self, "_ensemble", WeightedEnsemble.from_branches(self._branches))
-            object.__setattr__(self, "_branches", None)
-        return self._ensemble
+        object.__setattr__(self, "ensemble", ensemble)
 
     @property
     def impossible(self) -> bool:
@@ -414,10 +392,11 @@ def coincidence_table(
 
 def measure_pattern(total: float, branches: list[tuple[float, FockKet]]) -> ConditionalOutcome:
     """Second phase of ``measure``: one outcome's ``ConditionalOutcome`` from
-    its probability and weighted branches in ``coincidence_table``; the
-    ensemble is built from the branches when it is first read (None when a
-    total of 0.0 leaves no branch)."""
-    return ConditionalOutcome._lazy(total, branches)
+    its probability and weighted branches in ``coincidence_table``, the
+    ensemble built from the branches (None when there are none: a total of
+    0.0, or no mode left unmeasured)."""
+    ensemble = WeightedEnsemble.from_branches(branches) if branches else None
+    return ConditionalOutcome(total, ensemble)
 
 
 def measure(

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import expm, logm
 
 from . import protocols
-from .detection import CLICK, SILENT, ConditionalOutcome, ThresholdDetector
+from .detection import CLICK, SILENT, ConditionalOutcome, ThresholdDetector, measure_pattern
 from .elements import ModeUnitary, balanced_bs
 from .fock import FockKet, ModeRegister, WeightedEnsemble, _Record, bell_state, fidelity
 
@@ -199,15 +199,9 @@ def dense_measure(state: DenseState, detectors, eta: float) -> dict:
                 totals[out] += contrib
                 if branch is not None:
                     branches[out].append((contrib, branch))
-    result = {}
-    for out in outcomes:
-        if totals[out] <= 0.0:
-            result[out] = ConditionalOutcome(0.0, None)
-        else:
-            ensemble = (WeightedEnsemble.from_branches(branches[out])
-                        if branches[out] else None)
-            result[out] = ConditionalOutcome(totals[out], ensemble)
-    return result
+    return {out: ConditionalOutcome(totals[out], WeightedEnsemble.from_branches(branches[out])
+                                    if branches[out] else None)
+            for out in outcomes}
 
 
 # --------------------------------------------------------------------------
@@ -244,10 +238,13 @@ def _verify_herald(pre: FockKet, scheme: protocols._Heralded,
     splitter on ``scheme.mixed`` and one threshold detector on each output.
     The sparse side is measured twice: every outcome (the ``--shots``
     distribution), and the two heralded ones alone, which is what the
-    reports compute.  The heralded sparse outcomes and the dense ones are
-    returned with it."""
-    sparse = protocols._herald(pre, scheme.mixed, eta)
-    heralded = protocols._herald(pre, scheme.mixed, eta, protocols._HERALDS)
+    reports compute, each outcome's ensemble built by ``measure_pattern``
+    as the reports build theirs.  The heralded sparse outcomes and the
+    dense ones are returned with it."""
+    sparse, heralded = (
+        {out: measure_pattern(*entry)
+         for out, entry in protocols._herald(pre, scheme.mixed, eta, outcomes).items()}
+        for outcomes in (None, protocols._HERALDS))
     dense = _dense_chain(pre, [scheme.mixed], eta)
     targets = [bell_state("psi+", scheme.outer), bell_state("psi-", scheme.outer)]
     worst = max(_compare_outcomes(outcomes[out], dense[out], targets)

@@ -9,7 +9,8 @@ is computed.  Schemes A and B, each described once (``_SCHEME_A``,
 ``_SCHEME_B``), herald with one step, ``_herald``: a balanced beam splitter
 on two beams and one threshold detector on each output, measured without
 building the mixed ket.  A report measures only the two heralded
-outcomes; the click distributions measure all four.  A branch that both
+outcomes; the click distributions read the probabilities of all four from
+the coincidence table and build no ensemble.  A branch that both
 heralded events share is one object, and its work is done once per
 report: its fidelity overlaps, its ``format_ket`` text, and its pass
 through the phase verification's second beam splitter.  Those
@@ -51,7 +52,7 @@ import math
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .detection import CLICK, SILENT, measure, mixture_tables
+from .detection import CLICK, SILENT, coincidence_table, measure, measure_pattern, mixture_tables
 from .elements import MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs, unbalanced_bs
 from .fock import (
     BELL_KINDS,
@@ -161,12 +162,11 @@ def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
     A fidelity is ``fock.fidelity``'s sum, bit for bit, of weighted
     overlaps |<t|s>|**2, which ``overlaps`` keeps by target, then member,
     identity: the events of a report that share it read a shared member
-    once.  Each target's register is checked once per event, and an
-    overlap is summed inline in ``fock.inner_product``'s float order, over
-    the keys of the ket with fewer terms.  A member that has no occupation
-    of any target, collected once per event, is not read: its overlaps
-    are exactly 0.0, and adding ``w * 0.0`` to a total, which starts at
-    0.0, changes no bit.
+    once.  Each target's register is checked once per event, and each
+    overlap is ``abs(fock.inner_product(t, s)) ** 2``.  A member that has
+    no occupation of any target, collected once per event, is not read:
+    its overlaps are exactly 0.0, and adding ``w * 0.0`` to a total, which
+    starts at 0.0, changes no bit.
 
     ``targets`` come from ``_targets``, which checked each one's
     normalization once, where its constant was built."""
@@ -182,16 +182,11 @@ def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
         read = overlaps.get(id(t))
         if read is None:
             read = overlaps[id(t)] = {}
-        ta = t.terms
         total = 0.0
         for w, s in members:
             o = read.get(id(s))
             if o is None:
-                tb = s.terms
-                z = 0.0
-                for occ in (ta if len(ta) <= len(tb) else tb):
-                    z += ta.get(occ, 0.0).conjugate() * tb.get(occ, 0.0)
-                o = read[id(s)] = abs(z) ** 2
+                o = read[id(s)] = abs(inner_product(t, s)) ** 2
             total += w * o
         fids[kind] = total
     return EventResult(name, probability, fids["psi+"], fids["psi-"], ensemble=ensemble,
@@ -277,10 +272,10 @@ def scheme_a_state(tau: complex, order: int = 1) -> FockKet:
 def _herald(pre: FockKet, mixed: tuple[str, str], eta: float,
             outcomes: Sequence[tuple[str, str]] | None = None) -> dict:
     """Mix two beams of a ket on a balanced beam splitter and put one
-    threshold detector on each output; every outcome asked for (all by
-    default), keyed in ``mixed`` order.  The mixed ket is never built
-    (``measure``'s ``unitary``)."""
-    return measure(pre, [(m,) for m in mixed], eta, balanced_bs(), outcomes)
+    threshold detector on each output: the ``coincidence_table`` of every
+    outcome asked for (all by default), keyed in ``mixed`` order.  The mixed
+    ket is never built (``coincidence_table``'s ``unitary``)."""
+    return coincidence_table(pre, [(m,) for m in mixed], eta, balanced_bs(), outcomes)
 
 
 class _Heralded(NamedTuple):
@@ -311,18 +306,17 @@ def _heralded_events(pre: FockKet, scheme: _Heralded, eta: float) -> tuple[Event
     """The two heralded events of ``scheme``, each with its fidelity to
     psi+ and psi- on the outer beams and the one it favors.  Only the two
     heralded outcomes are measured."""
-    outcomes = _herald(pre, scheme.mixed, eta, _HERALDS)
+    table = _herald(pre, scheme.mixed, eta, _HERALDS)
+    outcomes = (measure_pattern(*table[out]) for out in _HERALDS)
     overlaps: dict = {}
-    return tuple(
-        _event(name, outcomes[out].probability, outcomes[out].ensemble, scheme.targets,
-               _favored, overlaps)
-        for name, out in zip(scheme.events, _HERALDS))
+    return tuple(_event(name, o.probability, o.ensemble, scheme.targets, _favored, overlaps)
+                 for name, o in zip(scheme.events, outcomes))
 
 
 def _click_distribution(pre: FockKet, scheme: _Heralded, eta: float) -> dict:
     """Every outcome of ``scheme``'s two detectors (keys "click,silent" etc.)."""
-    outcomes = _herald(pre, scheme.mixed, eta)
-    return _joint_json({out: o.probability for out, o in outcomes.items()})
+    table = _herald(pre, scheme.mixed, eta)
+    return _joint_json({out: total for out, (total, _) in table.items()})
 
 
 def run_scheme_a(tau: complex, eta: float, order: int = 1) -> ProtocolReport:
@@ -529,7 +523,7 @@ def analyze_polarization_postselection(eta: float, include_double_pairs: bool = 
     src = polarization_double_pass(include_double_pairs, double_pair_weight)
     st = apply_mode_unitary(src, balanced_bs(), ("2H", "3H"))
     st = apply_mode_unitary(st, balanced_bs(), ("2V", "3V"))
-    out = measure(st, [("2H", "2V"), ("3H", "3V")], eta)[(CLICK, CLICK)]
+    out = measure(st, [("2H", "2V"), ("3H", "3V")], eta, outcomes=[(CLICK, CLICK)])[(CLICK, CLICK)]
     params = {
         "eta": eta,
         "include_double_pairs": include_double_pairs,
@@ -560,7 +554,7 @@ _VAC_TARGETS = _targets({k: tensor_product(vacuum(ModeRegister(("3'",), 1)),
 
 def analyze_vacuum_one_photon(eta: float) -> ProtocolReport:
     """Vacuum/one-photon swapping conditioned on a single threshold click at 2'."""
-    out = measure(_VAC_SOURCE, [("2'",)], eta)[(CLICK,)]
+    out = measure(_VAC_SOURCE, [("2'",)], eta, outcomes=[(CLICK,)])[(CLICK,)]
     ev = _event("d2prime_click", out.probability, out.ensemble, _VAC_TARGETS,
                 lambda fids: {"vacuum_weight": _empty_beam_weight(out.ensemble, [("1", "4")])})
     notes = ("conditioning impossible at this eta",) if ev.impossible else ()

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from swapsim import detection, fock, protocols
-from swapsim.detection import (CLICK, SILENT, ThresholdDetector, _Povm, coincidence_table,
-                               measure, mixture_tables)
+from swapsim.detection import (CLICK, SILENT, ConditionalOutcome, ThresholdDetector, _Povm,
+                               coincidence_table, measure, mixture_tables)
 from swapsim.elements import (
     ModeUnitary,
     _scatter,
@@ -398,27 +398,27 @@ def test_mixture_tables_check_the_members_they_skip(monkeypatch):
         mixture_tables([((1.0, lead),), ((1.0, lead), (1e-300, big))], bs, detectors, 0.5)
 
 
-def test_measure_builds_each_ensemble_on_first_read():
+@pytest.mark.parametrize("outcomes", [None, [(CLICK, SILENT), (CLICK, CLICK)]])
+@pytest.mark.parametrize("unitary", [None, balanced_bs()])
+def test_measure_builds_each_ensemble_from_its_branches(unitary, outcomes):
+    # every outcome measure returns holds its ensemble, built from that
+    # outcome's branches in coincidence_table; a record has no other slot
+    assert ConditionalOutcome.__slots__ == ConditionalOutcome._fields
     state = FockKet(ModeRegister(("1", "2", "3"), 1), {(1, 0, 1): 0.6, (0, 1, 0): 0.8})
-    built = []
-    from_branches = WeightedEnsemble.from_branches.__func__
-
-    def record(cls, branches):
-        built.append(branches)
-        return from_branches(cls, branches)
-
-    with mock.patch.object(WeightedEnsemble, "from_branches", classmethod(record)):
-        outcomes = measure(state, [["1"], ["2"]], 0.5)
-        assert built == []
-        out = outcomes[(CLICK, SILENT)]
-        ens = out.ensemble
-        assert out.ensemble is ens and len(built) == 1
-    ref = WeightedEnsemble.from_branches(
-        coincidence_table(state, [["1"], ["2"]], 0.5)[(CLICK, SILENT)][1])
-    assert [(w.hex(), ket_bits(k)) for w, k in ens.members] == \
-        [(w.hex(), ket_bits(k)) for w, k in ref.members]
-    assert outcomes[(SILENT, SILENT)].ensemble is not None
-    assert outcomes[(CLICK, CLICK)].ensemble is None
+    table = coincidence_table(state, [["1"], ["2"]], 0.5, unitary, outcomes)
+    result = measure(state, [["1"], ["2"]], 0.5, unitary, outcomes)
+    assert list(result) == list(table)
+    for out, (total, branches) in table.items():
+        ens = result[out].ensemble
+        assert result[out].probability.hex() == total.hex()
+        if not branches:
+            assert ens is None
+            continue
+        ref = WeightedEnsemble.from_branches(branches)
+        assert [(w.hex(), ket_bits(k)) for w, k in ens.members] == \
+            [(w.hex(), ket_bits(k)) for w, k in ref.members]
+    assert result[(CLICK, SILENT)].ensemble is not None
+    assert result[(CLICK, CLICK)].ensemble is None  # no (1, 1) occupation, before or after
 
 
 # --------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def test_verify_scheme_b_checks_the_reported_state(monkeypatch):
     def record(pre, mixed, eta, outcomes=None):
         out = herald(pre, mixed, eta, outcomes)
         calls.append(outcomes)
-        sparse.append([out[(CLICK, SILENT)].probability, out[(SILENT, CLICK)].probability])
+        sparse.append([out[(CLICK, SILENT)][0], out[(SILENT, CLICK)][0]])
         return out
 
     monkeypatch.setattr(protocols, "_herald", record)
@@ -194,11 +194,11 @@ def test_verify_catches_a_skew_of_the_heralded_outcomes_alone(monkeypatch, outco
             out[outcome] = (total + 1e-6, branches)
         return out
 
-    monkeypatch.setattr(detection, "coincidence_table", skewed)
+    monkeypatch.setattr(protocols, "coincidence_table", skewed)
     pre = protocols.scheme_a_state(0.3, 2)
     full = protocols._herald(pre, ("1", "2"), 0.6)
     heralded = protocols._herald(pre, ("1", "2"), 0.6, protocols._HERALDS)
-    assert heralded[outcome].probability == full[outcome].probability + 1e-6
+    assert heralded[outcome][0] == full[outcome][0] + 1e-6
     assert verify_scheme_a(0.3, 0.6, order=2) == pytest.approx(1e-6, rel=1e-6)
     assert verify_scheme_b(0.25, 0.7, order=2, pair_amplitude=0.5) == \
         pytest.approx(1e-6, rel=1e-6)

@@ -57,6 +57,16 @@ def test_fidelity_vs_pump_one_step_is_tau2_min(capsys):
     ]
 
 
+def test_fidelity_vs_pump_eta_0_writes_empty_fidelity_cells(capsys):
+    # at eta = 0 no detector clicks, so both events are impossible
+    assert load("fidelity_vs_pump").main(["--etas", "0", "--steps", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "tau2,eta,event,probability,fidelity_favored,order1_fidelity_eta1"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:5] for row in rows] == [["0.0001", "0", "event1", "0", ""],
+                                         ["0.0001", "0", "event2", "0", ""]]
+
+
 def test_fidelity_vs_pump_order_defaults_to_1(capsys):
     argv = ["--steps", "3", "--etas", "1", "0.5"]
     script = load("fidelity_vs_pump")
