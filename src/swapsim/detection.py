@@ -18,8 +18,9 @@ built once and shared by every outcome it contributes to.
 The detector check, the outcome list, each photon count's (click, silent)
 pair and each measured occupation's row of outcome probabilities are set
 up once per call; with two one-mode detectors, as in every herald and
-phase table, a row is its four products written out.  When every mode is
-measured, each term is its own group and no branch is built.
+phase table, a row is its four products written out, and any other layout
+takes each detector's photon count from its span of the occupation.  When
+every mode is measured, each term is its own group and no branch is built.
 
 A unitary just before the detectors need not be applied first.
 ``measure(state, ..., unitary=u)``, where ``u`` acts on the measured modes
@@ -33,15 +34,15 @@ builds no branch.
 
 Whether an output of ``u`` is dead, its row exactly 0.0 on every outcome
 asked for, is decided once per unitary, not per call: ``u`` keeps a plan
-(``ModeUnitary._plans``) per key (detector shape, outcomes asked for,
-``eta``), the transfer table without its dead outputs.  A key exists only
-when some outcomes are left out and ``eta`` is exactly 0 or 1, where the
-key alone decides every row: at ``eta = 1`` with the two heralds the dead
-outputs are those with photons at both detectors or at neither, and at
-``eta = 0`` every click outcome is dead.  Interior ``eta`` reads the table
-itself: there, short of an underflow, only the vacuum is dead, and the
-weighing skips whatever is.  The plan keeps each entry's largest output,
-so the branch cutoffs do not change.
+(``ModeUnitary._plans``) per key (detector shape, outcomes asked for),
+the transfer table without its dead outputs.  A plan is made only when
+some outcomes are left out and ``eta`` is exactly 1, where the key alone
+decides every row: with the two heralds the dead outputs are those with
+photons at both detectors or at neither.  Any other ``eta`` reads the
+table itself, and the weighing skips whatever is dead: in the interior,
+short of an underflow, only the vacuum; at ``eta = 0``, which no default
+and no benchmark workload runs, every click outcome.  The plan keeps each
+entry's largest output, so the branch cutoffs do not change.
 
 ``mixture_tables`` (mixtures of kets after one unitary on all of their
 modes, each distinct ket measured the first time a table needs it)
@@ -125,17 +126,18 @@ class _Povm:
     the detectors' photon counts), made the first time it is looked up as
     one product per outcome over the detectors' (click, silent) pairs, in
     ``itertools.product`` order.  Each photon count's pair is computed once,
-    and when every detector covers one mode the counts are the key itself.
+    and a detector's count is the sum of its span of the key; with two
+    one-mode detectors the row is its four products written out.
     With ``outcomes``, the outcome list and every row (a tuple then) hold
     only the outcomes asked for, still in that order.
 
     ``plan_key`` names the plan that ``_scatter_terms`` reads: the
-    detector shape (modes per detector), the outcomes asked for and
-    ``eta``, when some outcomes are left out and ``eta`` is exactly 0 or 1.
-    Every row is then made of 0.0s and 1.0s that the key alone decides.
-    It is None otherwise, and no filter runs: with every outcome asked for
-    no row is all 0.0, and at interior ``eta``, short of an underflow, only
-    the vacuum's is."""
+    detector shape (modes per detector) and the outcomes asked for, when
+    some outcomes are left out and ``eta`` is exactly 1.  Every row is then
+    made of 0.0s and 1.0s that the key alone decides.  It is None
+    otherwise, and no filter runs: with every outcome asked for no row is
+    all 0.0, at interior ``eta``, short of an underflow, only the vacuum's
+    is, and at ``eta = 0`` every row is 0.0 on every click outcome."""
 
     def __init__(self, reg: ModeRegister, detectors: Sequence[Sequence[str]], eta: float,
                  outcomes: Iterable[tuple[str, ...]] | None = None):
@@ -164,20 +166,18 @@ class _Povm:
                 out_probs = products
             return out_probs
 
-        if any(len(modes) != 1 for modes in detectors):
+        if [len(modes) for modes in detectors] == [1, 1]:  # every herald and phase table
+            def row(key: tuple[int, ...]) -> list[float]:  # product_row's bits
+                c1, s1 = pairs[key[0]]
+                c2, s2 = pairs[key[1]]
+                return [c1 * c2, c1 * s2, s1 * c2, s1 * s2]
+        else:
             spans = []  # per-detector slice of the measured-occupation key
             pos = 0
             for modes in detectors:
                 spans.append(slice(pos, pos + len(modes)))
                 pos += len(modes)
             row = lambda key: product_row([sum(key[span]) for span in spans])
-        elif len(detectors) == 2:  # every herald and phase table: product_row's bits
-            def row(key: tuple[int, ...]) -> list[float]:
-                c1, s1 = pairs[key[0]]
-                c2, s2 = pairs[key[1]]
-                return [c1 * c2, c1 * s2, s1 * c2, s1 * s2]
-        else:
-            row = product_row
         self.outcomes = every
         self.plan_key = None
         if outcomes is not None:
@@ -192,8 +192,8 @@ class _Povm:
                 self.outcomes = [every[k] for k in picks]
                 take = _tuple_getter(picks)
                 row = lambda key, full_row=row: take(full_row(key))
-                if eta in (0.0, 1.0):
-                    self.plan_key = (tuple(map(len, detectors)), tuple(self.outcomes), eta)
+                if eta == 1.0:
+                    self.plan_key = (tuple(map(len, detectors)), tuple(self.outcomes))
         self.rows = _Rows(row)
 
 
@@ -356,9 +356,8 @@ def coincidence_table(
     the terms of ``_scatter_terms`` by output index, each group's row is
     looked up by that index, and the branches take the raised cutoff.
     When ``outcomes`` leaves some out, a group whose row is exactly 0.0 on
-    every outcome asked for adds to no sum and builds no branch; at ``eta``
-    0 or 1 the unitary's plan keeps such a group from being scattered at
-    all.
+    every outcome asked for adds to no sum and builds no branch; at ``eta =
+    1`` the unitary's plan keeps such a group from being scattered at all.
     """
     povm = _Povm(state.register, detectors, eta, outcomes)
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]

@@ -38,10 +38,11 @@ and grown with the table, one acted occupation at a time: its entry for
 an acted occupation is the table's entry with only the outputs that use
 can need, in table order, with the same sqrt(prod n!) and the same
 largest output occupation (the table's own entry when every output is
-needed).  ``detection`` keys a plan by detector shape, the outcomes asked
-for and an ``eta`` of exactly 0 or 1, and keeps the outputs that weigh
-more than 0.0 on one of those outcomes; interior ``eta`` runs no filter
-and reads the table.  A plan has at most one entry per table entry.
+needed).  ``detection`` makes a plan only at an ``eta`` of exactly 1,
+keys it by detector shape and the outcomes asked for, and keeps the
+outputs that weigh more than 0.0 on one of those outcomes; any other
+``eta`` runs no filter and reads the table.  A plan has at most one entry
+per table entry.
 """
 from __future__ import annotations
 

@@ -247,9 +247,9 @@ def tensor_product(a: FockKet, b: FockKet) -> FockKet:
 def inner_product(a: FockKet, b: FockKet) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     _require_same_modes(a, b)
-    small, big = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
+    small = a if len(a.terms) <= len(b.terms) else b
     total = 0.0
-    for occ, _ in small.terms.items():
+    for occ in small.terms:
         total += a.terms.get(occ, 0.0).conjugate() * b.terms.get(occ, 0.0)
     return total
 

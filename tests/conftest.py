@@ -1,9 +1,16 @@
 import contextlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import hypothesis.strategies as st
 
 from swapsim.fock import FockKet, ModeRegister
+
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 @st.composite
@@ -49,3 +56,12 @@ def ket_bits(ket):
     and both amplitude parts as float.hex: equal bits means equal kets."""
     return (ket.register, [(occ, tuple(map(type, occ)), a.real.hex(), a.imag.hex())
                            for occ, a in ket.terms.items()])
+
+
+def run_blocked(argvs):
+    """The finished process that runs ``argvs`` (see ``blocked_run.py``) in
+    one fresh interpreter with numpy, scipy and dataclasses blocked, at an
+    80-column terminal; its stdout is the JSON list of the runs' stdouts."""
+    child = [sys.executable, "-I", "-B", str(TESTS / "blocked_run.py"), str(TESTS.parent / "src")]
+    return subprocess.run(child, input=json.dumps(argvs), capture_output=True, text=True,
+                          env=dict(os.environ, COLUMNS="80"))

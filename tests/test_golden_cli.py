@@ -1,10 +1,13 @@
 """Byte-for-byte golden stdout of the CLI.
 
-Every subcommand in every format, one sweep, a high-order phase
-verification, and a run of each report whose conditioning event is
-impossible, plus the ``--help`` text of ``swapsim`` and of every
-subcommand at an 80-column terminal.  ``--verify`` and ``--shots`` are left
-out: their output depends on the installed scipy and numpy builds.
+Every subcommand in every format, sweeps of ``eta``, ``epsilon``, ``tau2``
+and ``tau``, high-order phase verifications, and a run of each report
+whose conditioning event is impossible, plus the ``--help`` text of
+``swapsim`` and of every subcommand at an 80-column terminal.  ``--verify`` and ``--shots`` are left
+out: their output depends on the installed scipy and numpy builds.  Every
+entry is also run in one child with numpy, scipy and dataclasses blocked
+(``blocked_run.py``) and must print the same bytes, so a run added with
+``--add`` is checked blocked too.
 
 Record the argvs the fixture lacks, keeping every entry it has byte for
 byte, with ``PYTHONPATH=src python tests/test_golden_cli.py --add``.
@@ -20,6 +23,7 @@ import sys
 
 import pytest
 
+from conftest import run_blocked
 from swapsim import cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
@@ -36,7 +40,15 @@ RUNS = [
 ]
 ARGVS = [f"{run} --format {fmt}" for run in RUNS for fmt in ("table", "csv", "json")] + [
     "verify-phase --tau2 1e-3 --order 2 --sweep eta --from 0.2 --to 1.0 --steps 5",
+    # sweeps of epsilon, tau2 and tau, two of them log-spaced
+    "scheme-b --epsilon 0.1 --sweep epsilon --from 0.05 --to 0.5 --steps 4 --spacing log",
+    "scheme-a --tau2 1e-3 --sweep tau2 --from 1e-4 --to 1e-2 --steps 3 --spacing log",
+    "verify-phase --tau 0.1 --sweep tau --from 0.05 --to 0.2 --steps 3",
     "verify-phase --tau2 0.05 --eta 0.6 --order 6",
+    "verify-phase --tau2 0.05 --eta 0.6 --order 6 --format json",
+    "verify-phase --tau2 1e-3 --eta 0.8 --order 2 --format json",
+    "scheme-a --tau2 1e-3 --eta 0.9 --order 2",
+    "scheme-b --epsilon 0.3 --pair-amplitude 0.5 --order 2 --variant pbs --format csv",
     # order 10 at eta < 1, where pruning drops most heralded members
     "verify-phase --tau2 0.1 --eta 0.6 --order 10 --format json",
     "scheme-a --tau2 0.1 --eta 0.7 --order 10 --format json",
@@ -109,6 +121,21 @@ def test_golden_covers_every_run(golden):
 @pytest.mark.parametrize("argv", ARGVS)
 def test_cli_stdout_is_golden(golden, argv):
     assert stdout_of(argv) == golden[argv]
+
+
+def test_every_golden_run_prints_its_bytes_with_numpy_scipy_and_dataclasses_blocked(golden):
+    argvs = ARGVS + HELP_ARGVS
+    done = run_blocked([["swapsim", *argv.split()] for argv in argvs])
+    assert done.returncode == 0, done.stderr
+    assert dict(zip(argvs, json.loads(done.stdout))) == {argv: golden[argv] for argv in argvs}
+
+
+@pytest.mark.parametrize("argv", ["scheme-a --tau2 1e-3 --shots 10 --format json",
+                                  "scheme-a --tau2 1e-3 --verify"])
+def test_the_blocked_child_fails_a_run_that_needs_numpy(argv):
+    done = run_blocked([["swapsim", *argv.split()]])
+    assert done.returncode != 0
+    assert "ModuleNotFoundError: import of numpy halted" in done.stderr
 
 
 @pytest.mark.parametrize("run", RUNS + IMPOSSIBLE_RUNS)

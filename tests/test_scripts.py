@@ -1,8 +1,11 @@
 """The experiment scripts under scripts/, run in-process through their main."""
 import importlib.util
+import json
 import pathlib
 
 import pytest
+
+from conftest import run_blocked
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -88,3 +91,17 @@ def test_fidelity_vs_pump_high_order_reaches_the_converged_fidelity(capsys):
         for row in rows:
             assert float(row[4]) == pytest.approx(want, abs=1e-12)
             assert float(row[5]) == pytest.approx(1.0 / 1.005, abs=1e-12)
+
+
+def test_scripts_print_the_same_with_numpy_scipy_and_dataclasses_blocked(capsys):
+    runs = [("contamination_report", ["--steps", "3"]),
+            ("fidelity_vs_pump", ["--steps", "3"]),
+            ("fidelity_vs_pump", ["--steps", "3", "--order", "4"]),
+            ("fidelity_vs_pump", ["--steps", "1", "--etas", "0"])]
+    done = run_blocked([[str(SCRIPTS / f"{name}.py"), *argv] for name, argv in runs])
+    assert done.returncode == 0, done.stderr
+    want = []
+    for name, argv in runs:
+        assert load(name).main(argv) == 0
+        want.append(capsys.readouterr().out)
+    assert json.loads(done.stdout) == want
