@@ -15,12 +15,17 @@ measured modes' Fock basis.  A group's normalized branch on the unmeasured
 modes does not depend on the outcome (only its weight does), so it is
 built once and shared by every outcome it contributes to.
 
-The detector check, the outcome list, each photon count's (click, silent)
-pair and each measured occupation's row of outcome probabilities are set
-up once per call; with two one-mode detectors, as in every herald and
-phase table, a row is its four products written out, and any other layout
-takes each detector's photon count from its span of the occupation.  When
-every mode is measured, each term is its own group and no branch is built.
+What depends only on the detector layout (the register's labels, the
+detectors and the outcomes asked for) is set up once per layout and kept
+for the life of the process, in ``_Povm``: the detector check, the outcome
+list and the getters of the measured and unmeasured occupations.  What
+depends on ``eta`` or on the ket is set up once per call: each photon
+count's (click, silent) pair, each measured occupation's row of outcome
+probabilities, and the branches' register, whose cutoff is the ket's.  With
+two one-mode detectors, as in every herald and phase table, a row is its
+four products written out, and any other layout takes each detector's
+photon count from its span of the occupation.  When every mode is
+measured, each term is its own group and no branch is built.
 
 A unitary just before the detectors need not be applied first.
 ``measure(state, ..., unitary=u)``, where ``u`` acts on the measured modes
@@ -118,83 +123,108 @@ class _Rows(dict):
         return row
 
 
+# (register labels, detectors, outcomes asked for) -> its _Povm, for the
+# life of the process; a layout that fails a check raises before it is kept
+_POVMS: dict[tuple, "_Povm"] = {}
+
+
 class _Povm:
-    """The set-up of one ``measure`` or ``mixture_tables`` call, done once
-    for all of its kets: the detector check, the outcome list, the
-    getters of the measured and unmeasured occupations, and ``rows``, each
+    """The set-up of one detector layout, made once per (register labels,
+    detectors, outcomes asked for) by ``_Povm.of`` and shared by every
+    ``measure`` or ``mixture_tables`` call on that layout: the detector
+    check, the outcome list, the getters of the measured and unmeasured
+    occupations, the unmeasured labels, each detector's span of the
+    measured-occupation key, the picks of the outcomes asked for and the
+    plan key.  With ``outcomes``, the outcome list holds only the outcomes
+    asked for, still in ``itertools.product`` order.
+
+    What depends on ``eta`` is set up per call by ``rows``: each
     measured occupation's row of outcome probabilities (which depend only on
     the detectors' photon counts), made the first time it is looked up as
     one product per outcome over the detectors' (click, silent) pairs, in
-    ``itertools.product`` order.  Each photon count's pair is computed once,
-    and a detector's count is the sum of its span of the key; with two
-    one-mode detectors the row is its four products written out.
-    With ``outcomes``, the outcome list and every row (a tuple then) hold
-    only the outcomes asked for, still in that order.
+    ``itertools.product`` order.  Each photon count's pair is computed once
+    per call, and a detector's count is the sum of its span of the key; with
+    two one-mode detectors the row is its four products written out.  With
+    ``outcomes``, every row (a tuple then) holds only the outcomes asked for.
 
-    ``plan_key`` names the plan that ``_scatter_terms`` reads: the
-    detector shape (modes per detector) and the outcomes asked for, when
-    some outcomes are left out and ``eta`` is exactly 1.  Every row is then
-    made of 0.0s and 1.0s that the key alone decides.  It is None
-    otherwise, and no filter runs: with every outcome asked for no row is
-    all 0.0, at interior ``eta``, short of an underflow, only the vacuum's
-    is, and at ``eta = 0`` every row is 0.0 on every click outcome."""
+    ``plan_key`` names the plan that ``_scatter_terms`` reads when ``eta``
+    is exactly 1, a decision made per call: the detector shape (modes per
+    detector) and the outcomes asked for, when some outcomes are left out.
+    Every row is then made of 0.0s and 1.0s that the key alone decides.  It
+    is None with every outcome asked for, and at any other ``eta`` no filter
+    runs: with every outcome asked for no row is all 0.0, at interior
+    ``eta``, short of an underflow, only the vacuum's is, and at ``eta = 0``
+    every row is 0.0 on every click outcome."""
 
-    def __init__(self, reg: ModeRegister, detectors: Sequence[Sequence[str]], eta: float,
-                 outcomes: Iterable[tuple[str, ...]] | None = None):
-        det = ThresholdDetector(eta)
-        detectors = [tuple(modes) for modes in detectors]
+    __slots__ = ("measured", "labels", "rest_idx", "measured_of", "rest_of", "rest_labels",
+                 "outcomes", "spans", "take", "plan_key")
+
+    @classmethod
+    def of(cls, reg: ModeRegister, detectors: Sequence[Sequence[str]],
+           outcomes: Iterable[tuple[str, ...]] | None = None) -> "_Povm":
+        """The set-up of ``detectors`` on ``reg``'s labels, made on first use."""
+        detectors = tuple(map(tuple, detectors))
+        if outcomes is not None:
+            outcomes = frozenset(outcomes)
+        key = (reg.labels, detectors, outcomes)
+        povm = _POVMS.get(key)
+        if povm is None:
+            povm = _POVMS[key] = cls(reg, detectors, outcomes)
+        return povm
+
+    def __init__(self, reg: ModeRegister, detectors: tuple[tuple[str, ...], ...],
+                 outcomes: frozenset | None):
         measured_modes = [m for modes in detectors for m in modes]
         if len(set(measured_modes)) != len(measured_modes):
             raise ValueError("a mode may appear under at most one detector")
         measured_idx = [reg.index(m) for m in measured_modes]
         self.measured = tuple(measured_modes)
         self.labels = reg.labels
-        self.rest_idx = [i for i in range(reg.size) if i not in measured_idx]
+        self.rest_idx = tuple(i for i in range(reg.size) if i not in measured_idx)
         self.measured_of = _tuple_getter(measured_idx)
         self.rest_of = _tuple_getter(self.rest_idx)
         self.rest_labels = tuple(reg.labels[i] for i in self.rest_idx)
-        every = list(itertools.product((CLICK, SILENT), repeat=len(detectors)))
+        sizes = [len(modes) for modes in detectors]
+        self.spans = None  # two one-mode detectors, as in every herald and phase table
+        if sizes != [1, 1]:  # each detector's slice of the measured-occupation key
+            self.spans = tuple(slice(end - n, end)
+                               for n, end in zip(sizes, itertools.accumulate(sizes)))
+        every = tuple(itertools.product((CLICK, SILENT), repeat=len(detectors)))
+        self.outcomes, self.take, self.plan_key = every, None, None
+        if outcomes is not None:
+            if not outcomes:
+                raise ValueError("no outcomes asked for")
+            if not outcomes <= set(every):
+                raise ValueError(f"unknown outcomes {sorted(outcomes - set(every))} "
+                                 f"for {len(detectors)} detectors")
+            picks = [k for k, out in enumerate(every) if out in outcomes]
+            if len(picks) < len(every):
+                self.outcomes = tuple(every[k] for k in picks)
+                self.take = _tuple_getter(picks)
+                self.plan_key = (tuple(sizes), self.outcomes)
+
+    def rows(self, det: ThresholdDetector) -> _Rows:
+        """This call's rows of outcome probabilities under ``det``."""
         pairs = _Rows(lambda n: (det.p_click(n), det.p_silent(n)))  # photon count -> pair
-
-        def product_row(counts) -> list[float]:
-            out_probs = [1.0]
-            for n in counts:
-                click, silent = pairs[n]
-                products = []
-                for p in out_probs:
-                    products += (p * click, p * silent)
-                out_probs = products
-            return out_probs
-
-        if [len(modes) for modes in detectors] == [1, 1]:  # every herald and phase table
-            def row(key: tuple[int, ...]) -> list[float]:  # product_row's bits
+        spans = self.spans
+        if spans is None:
+            def row(key: tuple[int, ...]) -> list[float]:  # the general row's bits, written out
                 c1, s1 = pairs[key[0]]
                 c2, s2 = pairs[key[1]]
                 return [c1 * c2, c1 * s2, s1 * c2, s1 * s2]
         else:
-            spans = []  # per-detector slice of the measured-occupation key
-            pos = 0
-            for modes in detectors:
-                spans.append(slice(pos, pos + len(modes)))
-                pos += len(modes)
-            row = lambda key: product_row([sum(key[span]) for span in spans])
-        self.outcomes = every
-        self.plan_key = None
-        if outcomes is not None:
-            wanted = set(outcomes)
-            if not wanted:
-                raise ValueError("no outcomes asked for")
-            if not wanted <= set(every):
-                raise ValueError(f"unknown outcomes {sorted(wanted - set(every))} "
-                                 f"for {len(detectors)} detectors")
-            picks = [k for k, out in enumerate(every) if out in wanted]
-            if len(picks) < len(every):
-                self.outcomes = [every[k] for k in picks]
-                take = _tuple_getter(picks)
-                row = lambda key, full_row=row: take(full_row(key))
-                if eta == 1.0:
-                    self.plan_key = (tuple(map(len, detectors)), tuple(self.outcomes))
-        self.rows = _Rows(row)
+            def row(key: tuple[int, ...]) -> list[float]:
+                out_probs = [1.0]
+                for span in spans:
+                    click, silent = pairs[sum(key[span])]
+                    products = []
+                    for p in out_probs:
+                        products += (p * click, p * silent)
+                    out_probs = products
+                return out_probs
+        if self.take is not None:
+            row = lambda key, full_row=row, take=self.take: take(full_row(key))
+        return _Rows(row)
 
 
 def _all_modes_probabilities(ket: FockKet, u: ModeUnitary, rows: _Rows,
@@ -239,13 +269,14 @@ def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeU
     Every member is checked first, those skipped too.
     """
     kets = [ket for members in mixtures for _, ket in members]
-    povm = _Povm(kets[0].register, detectors, eta)
+    det = ThresholdDetector(eta)
+    povm = _Povm.of(kets[0].register, detectors)
     if povm.rest_idx:
         raise ValueError("mixture_tables measures every mode")
     if any(ket.register.labels != povm.labels for ket in kets):
         raise ValueError("the members of every mixture must share their mode labels")
     _check_acted(u, povm.labels, max(ket.register.cutoff for ket in kets))
-    rows, measured_of, powers_of = povm.rows, povm.measured_of, u._powers
+    rows, measured_of, powers_of = povm.rows(det), povm.measured_of, u._powers
     index_rows = _Rows(lambda i: rows[measured_of(powers_of[i])])
     n = len(povm.outcomes)
     probs: dict[int, list[float]] = {}  # id(ket) -> its outcome probabilities
@@ -284,7 +315,8 @@ def _group(terms: dict, measured_of: Callable, rest_of: Callable) -> dict:
     return groups
 
 
-def _scatter_terms(state: FockKet, u: ModeUnitary, povm: _Povm) -> tuple[dict, int]:
+def _scatter_terms(state: FockKet, u: ModeUnitary, povm: _Povm, rows: _Rows,
+                   plan_key: tuple | None) -> tuple[dict, int]:
     """The terms of ``u`` applied to the measured modes of ``state``, in
     detector order, without building that ket: ``{(output index, rest
     occupation): amp}``, the same amplitudes in the same order as that
@@ -293,17 +325,17 @@ def _scatter_terms(state: FockKet, u: ModeUnitary, povm: _Povm) -> tuple[dict, i
     Each input term is one table lookup and one scatter, summing ``pref * c
     * pf`` from 0.0 in input-term order as ``apply_mode_unitary`` does.
 
-    The entries are the table's, or with ``povm.plan_key`` those of the
-    plan it names on ``u``, which keeps only the outputs whose row is not
-    all 0.0: a dead output makes no term and so no group.  The plan grows
+    The entries are the table's, or with ``plan_key`` (``povm.plan_key``
+    at ``eta = 1``, else None) those of the plan it names on ``u``, which
+    keeps only the outputs whose row in ``rows`` is not all 0.0: a dead
+    output makes no term and so no group.  The plan grows
     here, one acted occupation at a time, and keeps the table entry's
     largest output.
     """
     _check_acted(u, povm.measured, state.register.cutoff)
     table, sector = u._table, u.sector
-    if povm.plan_key is not None:
-        rows = povm.rows
-        table = u._plans.setdefault(povm.plan_key, {})
+    if plan_key is not None:
+        table = u._plans.setdefault(plan_key, {})
 
         def sector(acted):
             entry = u.sector(acted)
@@ -359,18 +391,21 @@ def coincidence_table(
     every outcome asked for adds to no sum and builds no branch; at ``eta =
     1`` the unitary's plan keeps such a group from being scattered at all.
     """
-    povm = _Povm(state.register, detectors, eta, outcomes)
+    det = ThresholdDetector(eta)
+    povm = _Povm.of(state.register, detectors, outcomes)
+    rows = povm.rows(det)
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]
     sums = [0.0] * len(povm.outcomes)
     try:
         if unitary is None:
             terms, measured_of, rest_of = state.terms, povm.measured_of, povm.rest_of
-            cutoff, rows = state.register.cutoff, povm.rows
+            cutoff = state.register.cutoff
         else:
-            terms, max_occ = _scatter_terms(state, unitary, povm)
+            plan_key = povm.plan_key if eta == 1.0 else None
+            terms, max_occ = _scatter_terms(state, unitary, povm, rows, plan_key)
             measured_of, rest_of = itemgetter(0), itemgetter(1)
             cutoff = max(max_occ, state.register.cutoff)
-            powers_of, row = unitary._powers, povm.rows.make
+            powers_of, row = unitary._powers, rows.make
             rows = _Rows(lambda i: row(powers_of[i]))
         rest_reg = ModeRegister(povm.rest_labels, cutoff) if povm.rest_idx else None
         for key, (w, sub) in _group(terms, measured_of, rest_of).items():

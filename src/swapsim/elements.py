@@ -30,7 +30,9 @@ table.  The entries are immutable so that the table cannot go
 stale, and ``balanced_bs()`` returns one shared instance whose table
 every protocol reuses.  A table has at most one entry per acted
 occupation within MAX_FACTORIAL_CUTOFF, so even the shared one stays
-small.
+small.  Where ``_scatter`` reads the acted modes and writes the output
+keys depends only on the register's labels and the acted modes, so those
+getters are made once per such layout; the checks run on every call.
 
 Beside the table a ``ModeUnitary`` keeps its plans, ``_plans``.  A plan
 is the table cut down for one use of it, keyed by what decides that use
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .fock import FockKet, ModeRegister, _Record, _tuple_getter
 
@@ -215,6 +217,12 @@ def _check_acted(u: ModeUnitary, modes: tuple[str, ...], cutoff: int) -> None:
         raise ValueError(f"cutoff {cutoff} exceeds factorial table limit")
 
 
+# (register labels, acted modes) -> (acted-occupation getter, output-key
+# getter), for the life of the process; an unknown mode raises before
+# its layout is kept
+_LAYOUTS: dict[tuple, tuple[Callable, Callable]] = {}
+
+
 def _scatter(state: FockKet, u: ModeUnitary, modes: Sequence[str]) -> tuple[ModeRegister, dict]:
     """The register of ``u`` applied to ``modes`` of ``state``, its cutoff
     raised to the largest output occupation, and the terms, unpruned.
@@ -222,18 +230,23 @@ def _scatter(state: FockKet, u: ModeUnitary, modes: Sequence[str]) -> tuple[Mode
     Each input term is one transfer-table lookup and one scatter of its
     outputs, ``out[key] + pref * c * pf`` in input-term order.  The acted
     occupation is a getter call, and so is each output key, over ``occ +
-    powers`` with ``powers[j]`` at ``reg.size + j``.
+    powers`` with ``powers[j]`` at ``reg.size + j``.  The two getters depend
+    only on the register's labels and ``modes``, so they are made once per
+    such layout (``_LAYOUTS``); the checks of ``_check_acted``, which read
+    ``u`` and the register's cutoff, run on every call.
     """
     modes = tuple(modes)
     reg = state.register
     _check_acted(u, modes, reg.cutoff)
-    idx = [reg.index(m) for m in modes]
+    layout = _LAYOUTS.get((reg.labels, modes))
+    if layout is None:
+        idx = [reg.index(m) for m in modes]
+        take = list(range(reg.size))
+        for j, i in enumerate(idx):
+            take[i] = reg.size + j
+        layout = _LAYOUTS[reg.labels, modes] = (_tuple_getter(idx), _tuple_getter(take))
+    acted_of, key_of = layout
     table, sector = u._table, u.sector
-    acted_of = _tuple_getter(idx)
-    take = list(range(reg.size))
-    for j, i in enumerate(idx):
-        take[i] = reg.size + j
-    key_of = _tuple_getter(take)
     out: dict[tuple[int, ...], complex] = {}
     max_occ = 0
     for occ, amp in state.terms.items():

@@ -334,26 +334,40 @@ def relabel(state: FockKet, mapping: Mapping[str, str]) -> FockKet:
     return FockKet._trusted(reg, state.terms)
 
 
+# (state labels, target labels) -> (target-occupation getter, rest getter,
+# rest labels), for the life of the process; a pair that fails a check
+# raises before it is kept
+_PROJECTIONS: dict[tuple, tuple[Callable, Callable, tuple[str, ...]]] = {}
+
+
 def partial_project(state: FockKet, target: FockKet) -> FockKet:
     """Project a subset of modes onto ``target``; unnormalized ket on the rest.
 
     The squared norm of the result is the outcome probability for an ideal
     projective measurement onto the target.
+
+    Which modes are projected and which are left depends only on the two
+    registers' labels, so the getters and the labels left are made once per
+    pair of label tuples (``_PROJECTIONS``); the result's register, whose
+    cutoff is ``state``'s, is made per call.
     """
-    sub = target.register.labels
-    idx = [state.register.index(l) for l in sub]
-    rest = [i for i in range(state.register.size) if i not in idx]
-    if not rest:
-        raise ValueError("projection must leave at least one mode")
-    rest_labels = tuple(state.register.labels[i] for i in rest)
+    labels = state.register.labels
+    layout = _PROJECTIONS.get((labels, target.register.labels))
+    if layout is None:
+        idx = [state.register.index(l) for l in target.register.labels]
+        rest = [i for i in range(state.register.size) if i not in idx]
+        if not rest:
+            raise ValueError("projection must leave at least one mode")
+        layout = _PROJECTIONS[labels, target.register.labels] = (
+            _tuple_getter(idx), _tuple_getter(rest), tuple(labels[i] for i in rest))
+    sub_of, rest_of, rest_labels = layout
     reg = ModeRegister(rest_labels, state.register.cutoff)
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in state.terms.items():
-        sub_occ = tuple(occ[i] for i in idx)
-        t_amp = target.terms.get(sub_occ)
+        t_amp = target.terms.get(sub_of(occ))
         if t_amp is None:
             continue
-        rest_occ = tuple(occ[i] for i in rest)
+        rest_occ = rest_of(occ)
         out[rest_occ] = out.get(rest_occ, 0.0) + t_amp.conjugate() * amp
     return FockKet._trusted(reg, out)
 

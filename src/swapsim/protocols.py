@@ -28,9 +28,13 @@ polarization Bell targets, and postselect-vac's source and targets.  They
 sit in tuples or read-only mappings; the kets themselves are shared by
 every call, and no report changes them.  The public ``fock.bell_state``
 and ``sources.vacuum_one_photon_postbs`` still build a new ket per call,
-since a caller may change the terms of a ket they return.  A fidelity
-target's normalization is checked by ``_targets``, once, where its
-constant is built; ``_event`` checks its register per event.
+since a caller may change the terms of a ket they return.  ``_targets``
+checks each fidelity target's normalization once, where its constant is
+built, and takes there the register labels the targets share and their
+support (every occupation any of them holds).  It keeps a copy of the
+kets it is given, so a later edit of the caller's dict cannot make them
+stale.  Per event, ``_event`` compares the ensemble's labels with the
+targets' once.
 
 Scheme B's two optical forms are one chain.  The PBS form rotates the
 polarization of each beam of an H-polarized pair, then its polarizing
@@ -152,7 +156,7 @@ def _summarize_ensemble(ens: WeightedEnsemble, texts: dict) -> list[dict]:
 
 
 def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
-           targets: Mapping[str, FockKet], extras: Callable[[dict], dict],
+           targets: _Targets, extras: Callable[[dict], dict],
            overlaps: dict | None = None) -> EventResult:
     """One report row: the fidelity of ``ensemble`` with each of ``targets``
     (kind -> ket, psi+ and psi- among them), psi+ and psi- in the columns
@@ -162,23 +166,24 @@ def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
     A fidelity is ``fock.fidelity``'s sum, bit for bit, of weighted
     overlaps |<t|s>|**2, which ``overlaps`` keeps by target, then member,
     identity: the events of a report that share it read a shared member
-    once.  Each target's register is checked once per event, and each
-    overlap is ``abs(fock.inner_product(t, s)) ** 2``.  A member that has
-    no occupation of any target, collected once per event, is not read:
-    its overlaps are exactly 0.0, and adding ``w * 0.0`` to a total, which
-    starts at 0.0, changes no bit.
+    once.  Each overlap is ``abs(fock.inner_product(t, s)) ** 2``.  A member
+    that has no occupation in the targets' support, found once per event,
+    is not read: its overlaps are exactly 0.0, and adding ``w * 0.0`` to a
+    total, which starts at 0.0, changes no bit.
 
     ``targets`` come from ``_targets``, which checked each one's
-    normalization once, where its constant was built."""
+    normalization, and took their shared register labels and their support,
+    once, where the constant was built; per event the ensemble's labels are
+    compared with the targets' once."""
     if ensemble is None:
         return EventResult(name, probability, None, None)
+    if ensemble.register.labels != targets.labels:
+        raise ValueError("register mismatch between ensemble and target")
     overlaps = {} if overlaps is None else overlaps
-    support = {occ for t in targets.values() for occ in t.terms}
+    support = targets.support
     members = [(w, s) for w, s in ensemble.members if not support.isdisjoint(s.terms)]
     fids = {}
-    for kind, t in targets.items():
-        if t.register.labels != ensemble.register.labels:
-            raise ValueError("register mismatch between ensemble and target")
+    for kind, t in targets.kets.items():
         read = overlaps.get(id(t))
         if read is None:
             read = overlaps[id(t)] = {}
@@ -193,18 +198,34 @@ def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
                        extras=extras(fids))
 
 
-def _targets(kets: dict[str, FockKet]) -> Mapping[str, FockKet]:
-    """``kets`` (kind -> ket) as a read-only mapping, once each ket is
-    checked to be normalized: every fidelity target, and the Bell
-    projectors built with them, pass here."""
+class _Targets(NamedTuple):
+    """A set of fidelity targets, built by ``_targets``: ``kets`` (kind ->
+    ket) as a read-only mapping, the register labels they share, and their
+    ``support``, every occupation any of them holds."""
+    kets: Mapping[str, FockKet]
+    labels: tuple[str, ...]
+    support: frozenset
+
+
+def _targets(kets: Mapping[str, FockKet]) -> _Targets:
+    """A copy of ``kets`` (kind -> ket), once each ket is checked to be
+    normalized and all are checked to share their register labels: every
+    fidelity target, and the Bell projectors built with them, pass here.
+    The copy is read-only and later edits of ``kets`` do not reach it, so
+    the labels and support taken here stay those of its kets."""
+    kets = dict(kets)
     for t in kets.values():
         if abs(t.norm() - 1.0) > 1e-9:
             raise ValueError("fidelity target must be normalized")
-    return MappingProxyType(kets)
+    labels = {t.register.labels for t in kets.values()}
+    if len(labels) != 1:
+        raise ValueError("fidelity targets must share one register's labels")
+    support = frozenset(occ for t in kets.values() for occ in t.terms)
+    return _Targets(MappingProxyType(kets), labels.pop(), support)
 
 
 def _bell_targets(modes: tuple[str, str],
-                  kinds: Sequence[str] = BELL_KINDS) -> Mapping[str, FockKet]:
+                  kinds: Sequence[str] = BELL_KINDS) -> _Targets:
     """``bell_state(kind, modes)`` for each of ``kinds``, through ``_targets``."""
     return _targets({k: bell_state(k, modes) for k in kinds})
 
@@ -226,13 +247,14 @@ _SINGLET_PAIRS = tensor_product(bell_state("psi-", ("1", "2")), bell_state("psi-
 def _bell_project_events(state: FockKet) -> tuple[EventResult, ...]:
     events = []
     for kind in BELL_KINDS:
-        cond = partial_project(state, _BELL_INNER[kind])
+        cond = partial_project(state, _BELL_INNER.kets[kind])
         p = cond.norm() ** 2
         ens = WeightedEnsemble.pure(cond) if p >= 1e-300 else None
         events.append(_event(kind, p if ens is not None else 0.0, ens, _BELL_OUTER, lambda fids: {
             "fidelity_matched": fids[kind],
             "amplitude_sign":
-                1.0 if inner_product(_BELL_OUTER[kind], ens.members[0][1]).real >= 0 else -1.0,
+                1.0 if inner_product(_BELL_OUTER.kets[kind], ens.members[0][1]).real >= 0
+                else -1.0,
             "fidelity_phi_plus": fids["phi+"],
             "fidelity_phi_minus": fids["phi-"],
         }))
@@ -287,7 +309,7 @@ class _Heralded(NamedTuple):
     mixed: tuple[str, str]
     outer: tuple[str, str]
     events: tuple[str, str]
-    targets: Mapping[str, FockKet]
+    targets: _Targets
 
 
 _SCHEME_A = _Heralded(("1", "2"), ("3", "4"), ("event1", "event2"),

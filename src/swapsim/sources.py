@@ -44,13 +44,15 @@ def double_pass_source(tau: complex, order: int = 1) -> FockKet:
                                   for (n2, n3), amp_b in b.terms.items()})
 
 
-_X_TERMS = (
-    # (1, 3) singlet factor x (2, 4) singlet factor, signs (+, -, -, +)
-    (("1H", "3V", "2H", "4V"), +1.0),
-    (("1H", "3V", "2V", "4H"), -1.0),
-    (("1V", "3H", "2H", "4V"), -1.0),
-    (("1V", "3H", "2V", "4H"), +1.0),
-)
+_POL_REG = ModeRegister(tuple(f"{b}{pol}" for b in "1234" for pol in "HV"), 2)
+
+
+def _occupation(counts: dict[str, int]) -> tuple[int, ...]:
+    # photon count per label -> occupation on _POL_REG
+    occ = [0] * _POL_REG.size
+    for label, n in counts.items():
+        occ[_POL_REG.index(label)] = n
+    return tuple(occ)
 
 
 def _y_terms(i: str, j: str):
@@ -60,6 +62,19 @@ def _y_terms(i: str, j: str):
         ({f"{i}V": 2, f"{j}H": 2}, +1.0),
         ({f"{i}H": 1, f"{i}V": 1, f"{j}H": 1, f"{j}V": 1}, -1.0),
     )
+
+
+# (occupation, sign) of each term of polarization_double_pass, built once:
+# the (1, 3) singlet factor x (2, 4) singlet factor, signs (+, -, -, +), then
+# the two-pair terms on (1, 3) and on (2, 4)
+_X_TERMS = tuple((_occupation({l: 1 for l in labels}), sign) for labels, sign in (
+    (("1H", "3V", "2H", "4V"), +1.0),
+    (("1H", "3V", "2V", "4H"), -1.0),
+    (("1V", "3H", "2H", "4V"), -1.0),
+    (("1V", "3H", "2V", "4H"), +1.0),
+))
+_Y_TERMS = tuple((_occupation(counts), sign)
+                 for pair in (("1", "3"), ("2", "4")) for counts, sign in _y_terms(*pair))
 
 
 def polarization_double_pass(include_double_pairs: bool = True,
@@ -74,23 +89,13 @@ def polarization_double_pass(include_double_pairs: bool = True,
     """
     if not math.isfinite(double_pair_weight):
         raise ValueError(f"double-pair weight must be finite, got {double_pair_weight}")
-    reg = ModeRegister(tuple(f"{b}{pol}" for b in "1234" for pol in "HV"), 2)
     terms: dict[tuple[int, ...], complex] = {}
-
-    def put(counts: dict[str, int], amp: complex):
-        occ = [0] * reg.size
-        for label, n in counts.items():
-            occ[reg.index(label)] = n
-        key = tuple(occ)
-        terms[key] = terms.get(key, 0.0) + amp
-
-    for labels, sign in _X_TERMS:
-        put({l: 1 for l in labels}, sign)
+    for key, sign in _X_TERMS:
+        terms[key] = terms.get(key, 0.0) + sign
     if include_double_pairs:
-        for pair in (("1", "3"), ("2", "4")):
-            for counts, sign in _y_terms(*pair):
-                put(counts, double_pair_weight * sign)
-    return FockKet(reg, terms).normalized()
+        for key, sign in _Y_TERMS:
+            terms[key] = terms.get(key, 0.0) + double_pair_weight * sign
+    return FockKet(_POL_REG, terms).normalized()
 
 
 def vacuum_one_photon_postbs() -> FockKet:

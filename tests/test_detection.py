@@ -37,8 +37,13 @@ def test_detector_validation():
     state = bell_state("psi+", ("1", "2"))
     with pytest.raises(ValueError):
         measure(state, [("1",)], 1.5)
-    with pytest.raises(ValueError):
-        measure(state, [("1",), ("1",)], 1.0)
+    # a layout's set-up is kept only once it passed its checks: a bad one
+    # raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at most one detector"):
+            measure(state, [("1",), ("1",)], 1.0)
+        with pytest.raises(KeyError, match="mode '9' not in register"):
+            measure(state, [("1",), ("9",)], 1.0)
 
 
 def test_single_branch_projection():
@@ -667,12 +672,14 @@ def test_a_cached_plan_cannot_go_stale():
 
 
 def test_measure_rejects_an_unknown_or_empty_outcome_list():
+    # each raises on a second call too: no failed layout is kept
     ket = FockKet(ModeRegister(("1", "2"), 1), {(1, 0): 1.0})
-    for outcomes in ([(CLICK,)], [(CLICK, "dark")], [(CLICK, SILENT, SILENT)]):
-        with pytest.raises(ValueError, match="unknown outcomes"):
-            measure(ket, [("1",), ("2",)], 0.5, balanced_bs(), outcomes)
-    with pytest.raises(ValueError, match="no outcomes asked for"):
-        measure(ket, [("1",), ("2",)], 0.5, balanced_bs(), [])
+    for _ in range(2):
+        for outcomes in ([(CLICK,)], [(CLICK, "dark")], [(CLICK, SILENT, SILENT)]):
+            with pytest.raises(ValueError, match="unknown outcomes"):
+                measure(ket, [("1",), ("2",)], 0.5, balanced_bs(), outcomes)
+        with pytest.raises(ValueError, match="no outcomes asked for"):
+            measure(ket, [("1",), ("2",)], 0.5, balanced_bs(), [])
 
 
 def _groups_whose_first_term_is_pruned(state, u, modes):
@@ -755,14 +762,22 @@ def test_measure_and_mixture_tables_reject_an_overflowing_norm():
 ])
 def test_povm_rows_match_products_over_pairs(detectors, eta):
     # each row against the product of itertools.product's tuples from 1.0,
-    # bit for bit, for every detector's photon count in 0..20
+    # bit for bit, for every detector's photon count in 0..20.  The layout's
+    # set-up is kept across calls, so its rows at another eta are made
+    # first: nothing kept may carry that eta into this one's rows
     reg = ModeRegister(("a", "b", "c", "d"), 20)
-    povm = _Povm(reg, detectors, eta)
-    det = ThresholdDetector(eta)
     counts = range(21) if len(detectors) < 3 else range(0, 21, 3)
-    for ns in itertools.product(counts, repeat=len(detectors)):
-        key = tuple(x for modes, n in zip(detectors, ns)
-                    for x in ((n,) if len(modes) == 1 else (n // 2, n - n // 2)))
+    ns_keys = [(ns, tuple(x for modes, n in zip(detectors, ns)
+                          for x in ((n,) if len(modes) == 1 else (n // 2, n - n // 2))))
+               for ns in itertools.product(counts, repeat=len(detectors))]
+    povm = _Povm.of(reg, detectors)
+    warm = povm.rows(ThresholdDetector(0.7))
+    for _, key in ns_keys:
+        warm[key]
+    assert _Povm.of(reg, [list(modes) for modes in detectors]) is povm
+    det = ThresholdDetector(eta)
+    rows = povm.rows(det)
+    for ns, key in ns_keys:
         pairs = [(det.p_click(n), det.p_silent(n)) for n in ns]
         old = [math.prod(t, start=1.0) for t in itertools.product(*pairs)]
-        assert [p.hex() for p in povm.rows[key]] == [p.hex() for p in old]
+        assert [p.hex() for p in rows[key]] == [p.hex() for p in old]

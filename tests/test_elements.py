@@ -143,10 +143,17 @@ def test_apply_double_pass_source_through_bs():
     assert out.amplitude((0, 2, 1, 1)) == pytest.approx(-pref * tau * tau * R2)
 
 
-def test_unknown_mode_rejected():
+def test_unknown_or_repeated_mode_rejected():
+    # a layout is kept only once it passed its checks: each raises on every
+    # call, and a good layout on the same register still works in between
     reg = ModeRegister(("1", "2"), 1)
-    with pytest.raises(KeyError):
-        apply_mode_unitary(basis(reg, (1, 0)), balanced_bs(), ("1", "9"))
+    ket = basis(reg, (1, 0))
+    for _ in range(2):
+        with pytest.raises(KeyError, match="mode '9' not in register"):
+            apply_mode_unitary(ket, balanced_bs(), ("1", "9"))
+        with pytest.raises(ValueError, match="acted modes must be distinct"):
+            apply_mode_unitary(ket, balanced_bs(), ("1", "1"))
+        assert apply_mode_unitary(ket, balanced_bs(), ("2", "1")).amplitude((1, 0)) == -R2
 
 
 @pytest.mark.parametrize("make_u", [balanced_bs, lambda: unbalanced_bs(0.3),

@@ -218,6 +218,16 @@ def test_partial_project():
     assert cond.norm() ** 2 == pytest.approx(0.25)
 
 
+def test_partial_project_rejects_a_bad_layout_on_every_call():
+    # a pair of registers is kept only once it passed its checks
+    pair = bell_state("psi+", ("1", "2"))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="projection must leave at least one mode"):
+            partial_project(pair, bell_state("psi-", ("2", "1")))
+        with pytest.raises(KeyError, match="mode '9' not in register"):
+            partial_project(pair, bell_state("psi-", ("2", "9")))
+
+
 @given(random_kets(), random_kets())
 @settings(max_examples=60, deadline=None)
 def test_tensor_norm_multiplicative(a, b):

@@ -372,7 +372,7 @@ def test_shared_members_read_once_with_fidelities_of_fock_fidelity(run, monkeypa
 
     def recording_event(name, probability, ensemble, targets, extras, cache=None):
         assert cache is not None  # the heralded events share one cache
-        for t in targets.values():
+        for t in targets.kets.values():
             cache.setdefault(id(t), Recording())
         return event(name, probability, ensemble, targets, extras, cache)
 
@@ -695,8 +695,8 @@ def _constants_and_fresh():
     }
     pairs = []
     for name, targets in TARGET_MAPPINGS.items():
-        assert tuple(targets) == tuple(fresh[name])
-        pairs += [(targets[kind], fresh[name][kind]) for kind in targets]
+        assert tuple(targets.kets) == tuple(fresh[name])
+        pairs += [(targets.kets[kind], fresh[name][kind]) for kind in targets.kets]
     refs = protocols._PHASE_REFERENCES
     assert isinstance(refs, tuple)
     pairs += zip(refs, [bell_state(kind, ("3", "4"), 2) for kind in PSI], strict=True)
@@ -723,7 +723,7 @@ def test_constant_kets_stay_constant(monkeypatch):
 
     def checked_event(*args):
         ev = event(*args)
-        assert_unchanged(args[3].values())
+        assert_unchanged(args[3].kets.values())
         return ev
 
     event = protocols._event
@@ -754,26 +754,52 @@ def test_no_call_builds_a_constant_ket(monkeypatch):
 def test_targets_rejects_an_unnormalized_ket():
     kets = {kind: bell_state(kind, ("3", "4")) for kind in PSI}
     targets = protocols._targets(kets)
-    assert type(targets) is MappingProxyType
-    assert [id(t) for t in targets.values()] == [id(t) for t in kets.values()]
+    assert type(targets.kets) is MappingProxyType
+    assert [id(t) for t in targets.kets.values()] == [id(t) for t in kets.values()]
     # a target's norm may be off 1 by at most 1e-9
     psi_m = kets["psi-"]
     kets["psi-"] = psi_m.scaled(1.0 + 1e-10)
-    assert protocols._targets(kets)["psi-"] is kets["psi-"]
+    assert protocols._targets(kets).kets["psi-"] is kets["psi-"]
     kets["psi-"] = psi_m.scaled(1.0 + 1e-8)
     with pytest.raises(ValueError, match="fidelity target must be normalized"):
         protocols._targets(kets)
 
 
+def test_targets_rejects_kets_on_different_registers():
+    kets = {"psi+": bell_state("psi+", ("3", "4")), "psi-": bell_state("psi-", ("1", "4"))}
+    with pytest.raises(ValueError, match="must share one register's labels"):
+        protocols._targets(kets)
+
+
+def test_targets_keep_their_kets_when_the_source_dict_changes():
+    # _targets copies the dict it checks: a later edit of the caller's dict
+    # reaches neither the mapping nor the labels and support taken from it
+    kets = {kind: bell_state(kind, ("3", "4")) for kind in PSI}
+    psi_p = kets["psi+"]
+    targets = protocols._targets(kets)
+    kets["psi+"] = psi_p.scaled(5.0)
+    kets["phi+"] = bell_state("phi+", ("3", "4"))
+    del kets["psi-"]
+    assert list(targets.kets) == list(PSI)
+    assert targets.kets["psi+"] is psi_p
+    assert targets.kets["psi+"].norm() == pytest.approx(1.0)
+    assert targets.labels == ("3", "4")
+    assert targets.support == {(0, 1), (1, 0)}
+
+
 @pytest.mark.parametrize("name", TARGET_MAPPINGS)
 def test_every_target_mapping_comes_from_targets(name):
-    # _targets returns a read-only mapping of kets it checked to be normalized
+    # _targets returns a read-only mapping of kets it checked to be
+    # normalized, with the labels they share and every occupation they hold
     targets = TARGET_MAPPINGS[name]
-    assert type(targets) is MappingProxyType
-    for t in targets.values():
+    assert type(targets) is protocols._Targets
+    assert type(targets.kets) is MappingProxyType
+    for t in targets.kets.values():
         assert abs(t.norm() - 1.0) <= 1e-9
+        assert t.register.labels == targets.labels
+    assert targets.support == {occ for t in targets.kets.values() for occ in t.terms}
     with pytest.raises(TypeError):
-        targets["psi+"] = bell_state("psi-", ("3", "4"))
+        targets.kets["psi+"] = bell_state("psi-", ("3", "4"))
 
 
 def test_ensemble_outside_the_support_has_float_fidelity_zero():
@@ -785,14 +811,14 @@ def test_ensemble_outside_the_support_has_float_fidelity_zero():
                                  (0.25, FockKet(reg, {(1, 1): 0.6, (2, 0): 0.8}))))
     ev = protocols._event("e", 0.5, ens, targets, protocols._favored)
     for kind, got in (("psi+", ev.fidelity_psi_plus), ("psi-", ev.fidelity_psi_minus)):
-        want = fidelity(ens, targets[kind])
+        want = fidelity(ens, targets.kets[kind])
         assert type(got) is type(want) is float
         assert got.hex() == want.hex() == (0.0).hex()
 
 
 def test_event_rejects_a_target_on_another_register():
     ens = WeightedEnsemble.pure(bell_state("psi+", ("1", "4")))
-    targets = {kind: bell_state(kind, ("3", "4")) for kind in PSI}
+    targets = protocols._targets({kind: bell_state(kind, ("3", "4")) for kind in PSI})
     with pytest.raises(ValueError, match="register mismatch between ensemble and target"):
         protocols._event("e", 1.0, ens, targets, dict)
 

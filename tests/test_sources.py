@@ -97,6 +97,16 @@ def test_polarization_double_pass_terms():
     assert full.amplitude(occ({"1H": 2, "3V": 2})) == pytest.approx(a)
     assert full.amplitude(occ({"1V": 2, "3H": 2})) == pytest.approx(a)
     assert full.amplitude(occ({"1H": 1, "1V": 1, "3H": 1, "3V": 1})) == pytest.approx(-a)
+    # the terms in order, on (1H, 1V, 2H, 2V, 3H, 3V, 4H, 4V): the order
+    # sets the bits of the norm and of every later sum over the terms
+    x_keys = [(1, 0, 1, 0, 0, 1, 0, 1), (1, 0, 0, 1, 0, 1, 1, 0),
+              (0, 1, 1, 0, 1, 0, 0, 1), (0, 1, 0, 1, 1, 0, 1, 0)]
+    y_keys = [(2, 0, 0, 0, 0, 2, 0, 0), (0, 2, 0, 0, 2, 0, 0, 0), (1, 1, 0, 0, 1, 1, 0, 0),
+              (0, 0, 2, 0, 0, 0, 0, 2), (0, 0, 0, 2, 0, 0, 2, 0), (0, 0, 1, 1, 0, 0, 1, 1)]
+    assert list(x_only.terms) == x_keys
+    assert list(full.terms) == x_keys + y_keys
+    assert [full.terms[k] for k in x_keys + y_keys] == \
+        [s * a for s in (1, -1, -1, 1, 1, 1, -1, 1, 1, -1)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
