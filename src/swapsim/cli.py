@@ -24,12 +24,19 @@ pins these bytes.
 
 Output is deterministic (byte-stable) for a fixed configuration and seed;
 all floats are printed with 12 significant digits.
+
+``run(argv, out)`` is the in-process API: it returns the exit status, and
+argparse raises ``SystemExit`` for ``--help`` and usage errors.  ``main()``,
+the process entry point, ends the process: it flushes stdout and stderr
+and calls ``os._exit`` with the run's status, or 1 when a reader closed
+stdout early, without a traceback.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from typing import NamedTuple
 
@@ -38,6 +45,7 @@ from . import protocols
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+EXIT_CLOSED_PIPE = 1  # Python's status for an uncaught BrokenPipeError
 
 VERIFY_TOL = 1e-10
 
@@ -374,7 +382,30 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The process entry point (``python -m swapsim.cli``, the ``swapsim``
+    script): ``run()``, with argparse's exit status as its own, then flush
+    stdout and stderr and end the process with ``os._exit``.  The
+    interpreter's teardown prints nothing but costs tens of milliseconds
+    once numpy or scipy is loaded.  A reader that closed stdout early gets
+    status 1 and nothing on stderr.  An exception from ``run()``, a non-int
+    status and a flush that fails otherwise take Python's own exit, which
+    reports them as it always has."""
+    try:
+        code = run()
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        code = exc.code
+    except BrokenPipeError:
+        code = EXIT_CLOSED_PIPE
+    if not isinstance(code, int):
+        sys.exit(code)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = EXIT_CLOSED_PIPE
+    except Exception:  # Python's exit flushes again and reports the failure
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

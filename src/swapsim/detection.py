@@ -21,7 +21,8 @@ for the life of the process, in ``_Povm``: the detector check, the outcome
 list and the getters of the measured and unmeasured occupations.  What
 depends on ``eta`` or on the ket is set up once per call: each photon
 count's (click, silent) pair, each measured occupation's row of outcome
-probabilities, and the branches' register, whose cutoff is the ket's.  With
+probabilities, and the branches' cutoff, the ket's.  Their register is the
+one kept per (unmeasured labels, cutoff) by ``ModeRegister._derived``.  With
 two one-mode detectors, as in every herald and phase table, a row is its
 four products written out, and any other layout takes each detector's
 photon count from its span of the occupation.  When every mode is
@@ -407,7 +408,7 @@ def coincidence_table(
             cutoff = max(max_occ, state.register.cutoff)
             powers_of, row = unitary._powers, rows.make
             rows = _Rows(lambda i: row(powers_of[i]))
-        rest_reg = ModeRegister(povm.rest_labels, cutoff) if povm.rest_idx else None
+        rest_reg = ModeRegister._derived(povm.rest_labels, cutoff) if povm.rest_idx else None
         for key, (w, sub) in _group(terms, measured_of, rest_of).items():
             ket = None
             for i, p_out in enumerate(rows[key]):

@@ -233,7 +233,8 @@ def _scatter(state: FockKet, u: ModeUnitary, modes: Sequence[str]) -> tuple[Mode
     powers`` with ``powers[j]`` at ``reg.size + j``.  The two getters depend
     only on the register's labels and ``modes``, so they are made once per
     such layout (``_LAYOUTS``); the checks of ``_check_acted``, which read
-    ``u`` and the register's cutoff, run on every call.
+    ``u`` and the register's cutoff, run on every call.  A raised cutoff
+    takes the register that ``with_cutoff`` keeps per (labels, cutoff).
     """
     modes = tuple(modes)
     reg = state.register

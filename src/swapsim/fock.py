@@ -136,7 +136,23 @@ class ModeRegister(_Record):
             raise KeyError(f"mode {label!r} not in register {self.labels}") from None
 
     def with_cutoff(self, cutoff: int) -> "ModeRegister":
-        return ModeRegister(self.labels, cutoff)
+        return ModeRegister._derived(self.labels, cutoff)
+
+    @classmethod
+    def _derived(cls, labels: tuple[str, ...], cutoff: int) -> "ModeRegister":
+        """The register of ``labels`` taken from a checked register, at
+        ``cutoff``: built by ``__init__`` the first time each (labels,
+        cutoff) is asked for, which raises before a bad one is kept, and
+        the same object on every later call (``_REGISTERS``)."""
+        reg = _REGISTERS.get((labels, cutoff))
+        if reg is None:
+            reg = _REGISTERS[labels, cutoff] = cls(labels, cutoff)
+        return reg
+
+
+# (labels, cutoff) -> the register that ``ModeRegister._derived`` gives
+# for them, for the life of the process
+_REGISTERS: dict[tuple[tuple[str, ...], int], ModeRegister] = {}
 
 
 class FockKet:
@@ -349,7 +365,7 @@ def partial_project(state: FockKet, target: FockKet) -> FockKet:
     Which modes are projected and which are left depends only on the two
     registers' labels, so the getters and the labels left are made once per
     pair of label tuples (``_PROJECTIONS``); the result's register, whose
-    cutoff is ``state``'s, is made per call.
+    cutoff is ``state``'s, is the one kept per (rest labels, cutoff).
     """
     labels = state.register.labels
     layout = _PROJECTIONS.get((labels, target.register.labels))
@@ -361,7 +377,7 @@ def partial_project(state: FockKet, target: FockKet) -> FockKet:
         layout = _PROJECTIONS[labels, target.register.labels] = (
             _tuple_getter(idx), _tuple_getter(rest), tuple(labels[i] for i in rest))
     sub_of, rest_of, rest_labels = layout
-    reg = ModeRegister(rest_labels, state.register.cutoff)
+    reg = ModeRegister._derived(rest_labels, state.register.cutoff)
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in state.terms.items():
         t_amp = target.terms.get(sub_of(occ))

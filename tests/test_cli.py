@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -442,6 +443,173 @@ def test_sweep_spacing_defaults_to_linear():
     argv = ["scheme-a", "--tau2", "1e-3", "--sweep", "eta", "--from", "0.2",
             "--to", "1.0", "--steps", "3"]
     assert run_cli(argv) == run_cli(argv + ["--spacing", "linear"])
+
+
+# --------------------------------------------------------------------------
+# The process entry point: main() flushes and ends with os._exit
+# --------------------------------------------------------------------------
+
+SRC = pathlib.Path(cli.__file__).resolve().parents[1]
+GOLDEN = json.loads(pathlib.Path(__file__).with_name("golden_cli.json").read_text())
+# python -m swapsim.cli, and the call the swapsim console script makes
+LAUNCHERS = {"module": ["-m", "swapsim.cli"],
+             "script": ["-c", "from swapsim.cli import main; main()"]}
+TABLE_RUN = "scheme-b --epsilon 0.25 --eta 0.7 --variant pbs --format table"
+JSON_RUN = "scheme-b --epsilon 0.3 --eta 0.9 --order 2 --pair-amplitude 0.5 --format json"
+CLOSED_PIPE_RUNS = ["bell-check",
+                    "scheme-a --sweep tau2 --from 1e-4 --to 1e-2 --steps 2000 --tau2 1e-3"]
+
+
+def run_child(launcher, argv, unbuffered=None, **kwargs):
+    """A fresh ``swapsim`` process at an 80-column terminal; ``-B`` keeps it
+    from writing bytecode under ``src/``.  ``unbuffered`` sets or clears
+    PYTHONUNBUFFERED; None leaves the environment's."""
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-B", *LAUNCHERS[launcher], *argv.split()],
+                          env=env, **kwargs)
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_a_process_prints_the_golden_bytes_and_exits_0(launcher):
+    # the fixture holds no --verify or --shots run, whose bytes depend on
+    # the scipy and numpy builds: those must print what run() writes in
+    # process, after the report the fixture pins
+    for argv in ["theta --theta 0.3 --format json", "postselect-vac --eta 0.8 --format csv",
+                 TABLE_RUN, f"{TABLE_RUN} --verify",
+                 f"{JSON_RUN} --shots 100 --seed 7", "--help"]:
+        done = run_child(launcher, argv, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        if argv in GOLDEN:
+            assert done.stdout == GOLDEN[argv], argv
+            continue
+        assert done.stdout == run_cli(argv.split())[1], argv
+        if "--verify" in argv:
+            report, _, verify = done.stdout[:-1].rpartition("\n")
+            assert report + "\n" == GOLDEN[TABLE_RUN]
+            assert re.fullmatch(r"verify: ok \(max deviation [^)]+\)", verify)
+        else:
+            data = json.loads(done.stdout)
+            assert sum(data.pop("samples").values()) == 100
+            assert data == json.loads(GOLDEN[JSON_RUN])
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_a_process_with_a_usage_error_exits_2(launcher):
+    done = run_child(launcher, "scheme-a --tau2 nan", capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: swapsim scheme-a ")
+    assert "must be a finite number, got 'nan'" in done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", CLOSED_PIPE_RUNS)
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_a_process_whose_stdout_is_closed_exits_1_silently(launcher, argv, unbuffered):
+    # unbuffered, the first write fails inside run(); buffered, the short
+    # run fails in main's flush and the long sweep inside run()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_child(launcher, argv, unbuffered, stdout=write_end,
+                         stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+class _Exited(Exception):
+    """Raised in place of ``os._exit``, with its status."""
+
+    def __init__(self, code):
+        super().__init__(code)
+        self.code = code
+
+
+class _Stream(io.StringIO):
+    """A standard stream that records each flush in ``events``; with
+    ``error``, its flush raises that."""
+
+    def __init__(self, name, events, error=None):
+        super().__init__()
+        self.name, self.events, self.error = name, events, error
+
+    def flush(self):
+        self.events.append(f"flush {self.name}")
+        if self.error is not None:
+            raise self.error
+
+
+def patch_main(argv, monkeypatch, stdout_error=None) -> list:
+    """Set ``cli.main()`` up to run ``argv`` with recording streams and an
+    ``os._exit`` that raises ``_Exited``; returns the list of events, each
+    flush and then ``exit CODE``."""
+    events = []
+
+    def exit_(code):
+        events.append(f"exit {code}")
+        raise _Exited(code)
+
+    monkeypatch.setattr(cli.os, "_exit", exit_)
+    monkeypatch.setattr(sys, "argv", ["swapsim", *argv.split()])
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", events, stdout_error))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
+    return events
+
+
+def main_of(argv, monkeypatch, stdout_error=None):
+    """The events of ``cli.main()`` on ``argv``, which must end in
+    ``os._exit``, and both streams' text."""
+    events = patch_main(argv, monkeypatch, stdout_error)
+    with pytest.raises(_Exited):
+        cli.main()
+    return events, sys.stdout.getvalue(), sys.stderr.getvalue()
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("theta --theta 0.3 --format json", 0),
+    ("scheme-a --tau2 nan", 2),
+    ("--help", 0),
+    ("scheme-a --tau2 1e-3 --verify", 3),
+])
+def test_main_flushes_both_streams_then_exits_with_the_run_status(argv, code, monkeypatch):
+    from swapsim import oracle
+
+    monkeypatch.setattr(oracle, "verify_scheme_a", lambda *args: 1.0)
+    events, out, err = main_of(argv, monkeypatch)
+    assert events == ["flush stdout", "flush stderr", f"exit {code}"]
+    if code == 0:
+        assert out == GOLDEN[argv] if argv in GOLDEN else out.startswith("usage: swapsim")
+    if code == 3:
+        assert err == "error: oracle mismatch, max deviation 1\n"
+
+
+def test_main_exits_1_silently_when_the_flush_finds_stdout_closed(monkeypatch):
+    events, _, err = main_of("bell-check", monkeypatch, BrokenPipeError(32, "Broken pipe"))
+    assert (events, err) == (["flush stdout", "exit 1"], "")
+
+
+def test_an_exception_inside_run_propagates_from_main(monkeypatch):
+    def fail(*args):
+        raise RuntimeError("inside run")
+
+    monkeypatch.setattr(protocols, "bell_decomposition_check", fail)
+    events = patch_main("bell-check", monkeypatch)
+    with pytest.raises(RuntimeError, match="inside run"):
+        cli.main()
+    assert events == []
+
+
+def test_a_flush_that_fails_but_for_a_closed_pipe_takes_pythons_exit(monkeypatch):
+    # the interpreter's teardown flushes again and reports the error
+    events = patch_main("theta --theta 0.3", monkeypatch, OSError(28, "No space left on device"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert (exc.value.code, events) == (0, ["flush stdout"])
 
 
 # --------------------------------------------------------------------------

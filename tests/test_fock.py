@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from swapsim.detection import ConditionalOutcome, ThresholdDetector
+from swapsim.detection import ConditionalOutcome, ThresholdDetector, coincidence_table
 from swapsim.elements import ModeUnitary, apply_mode_unitary, balanced_bs
 from swapsim.fock import (
     BELL_KINDS,
@@ -226,6 +226,29 @@ def test_partial_project_rejects_a_bad_layout_on_every_call():
             partial_project(pair, bell_state("psi-", ("2", "1")))
         with pytest.raises(KeyError, match="mode '9' not in register"):
             partial_project(pair, bell_state("psi-", ("2", "9")))
+
+
+def test_registers_the_engine_derives_are_kept_per_labels_and_cutoff():
+    pairs = tensor_product(bell_state("psi+", ("1", "2")), bell_state("psi+", ("3", "4")))
+    target = bell_state("psi-", ("2", "3"))
+    assert partial_project(pairs, target).register is partial_project(pairs, target).register
+
+    def branch_registers():
+        table = coincidence_table(pairs, [["2"], ["3"]], 0.9)
+        return [ket.register for _, branches in table.values() for _, ket in branches]
+
+    first, second = branch_registers(), branch_registers()
+    assert first and all(reg is first[0] for reg in first + second)
+    # the beam splitter raises the cutoff from 1 to 2
+    raised = [apply_mode_unitary(pairs, balanced_bs(), ("2", "3")).register for _ in range(2)]
+    assert raised[0].cutoff == 2 and raised[0] is raised[1]
+    assert pairs.register.with_cutoff(2) is raised[0]
+    # outside input is checked on every call, and a bad cutoff is never kept
+    with pytest.raises(ValueError, match="duplicate mode labels"):
+        ModeRegister(("a", "a"), 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            pairs.register.with_cutoff(0)
 
 
 @given(random_kets(), random_kets())
