@@ -10,6 +10,8 @@ Usage:
     python3 scripts/contamination_report.py [--steps 9]
 """
 import argparse
+import os
+import sys
 
 from swapsim.protocols import (
     analyze_polarization_postselection,
@@ -49,4 +51,9 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early: status 1, no traceback
+        os._exit(1)
+    raise SystemExit(status)

@@ -18,6 +18,7 @@ Usage:
 import argparse
 import csv
 import math
+import os
 import sys
 
 from swapsim.protocols import run_scheme_a
@@ -69,4 +70,9 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early: status 1, no traceback
+        os._exit(1)
+    raise SystemExit(status)

@@ -211,13 +211,10 @@ def _reject_idle_flags(args, parser) -> None:
                          "which drops the double-pair terms")
 
 
-def _params(args) -> tuple:
-    """The positional parameters of every function in the subcommand's row."""
-    return tuple(getattr(args, name) for name in COMMANDS[args.scheme].params)
-
-
 def _call(module, name: str, args):
-    return getattr(module, name)(*_params(args))
+    """Call ``name`` on ``module`` with the positional parameters that every
+    function in the subcommand's row takes."""
+    return getattr(module, name)(*(getattr(args, p) for p in COMMANDS[args.scheme].params))
 
 
 def _sweep_rows(report: protocols.ProtocolReport, param: str, value: float) -> list:

@@ -19,20 +19,19 @@ every acted occupation it has met, sqrt(prod n!), the output terms
 (powers, index, c, sqrt(prod p!)) and the largest output occupation.  An
 entry is built once, on first use; ``index`` numbers each distinct output
 occupation in the order the table first met it, and ``_powers`` maps it
-back.  ``_scatter``, which serves ``apply_mode_unitary`` alone, applies
-the table with a lookup and a scatter per input term, through
-``itemgetter`` calls.  ``detection.measure`` (given a unitary on the
-measured modes) and ``detection.mixture_tables`` (a unitary on whole
-registers) read the same table without building a ket, keyed by
-``index``.  Amplitudes come out as amp / sqrt(prod n!) * c * sqrt(prod
-p!), the same float operations in the same order for a cold or a warm
-table.  The entries are immutable so that the table cannot go
+back.  ``apply_mode_unitary`` applies the table with a lookup and a
+scatter per input term, through ``itemgetter`` calls.
+``detection.measure`` (given a unitary on the measured modes) and
+``detection.mixture_tables`` (a unitary on whole registers) read the same
+table without building a ket, keyed by ``index``.  Amplitudes come out
+as amp / sqrt(prod n!) * c * sqrt(prod p!), the same float operations in
+the same order for a cold or a warm table.  The entries are immutable so that the table cannot go
 stale, and ``balanced_bs()`` returns one shared instance whose table
 every protocol reuses.  A table has at most one entry per acted
 occupation within MAX_FACTORIAL_CUTOFF, so even the shared one stays
-small.  Where ``_scatter`` reads the acted modes and writes the output
-keys depends only on the register's labels and the acted modes, so those
-getters are made once per such layout; the checks run on every call.
+small.  Where ``apply_mode_unitary`` reads the acted modes and writes the
+output keys depends only on the register's labels and the acted modes, so
+those getters are made once per such layout; the checks run on every call.
 
 Beside the table a ``ModeUnitary`` keeps its plans, ``_plans``.  A plan
 is the table cut down for one use of it, keyed by what decides that use
@@ -52,7 +51,7 @@ import functools
 import math
 from typing import Callable, Sequence
 
-from .fock import FockKet, ModeRegister, _Record, _tuple_getter
+from .fock import FockKet, _Record, _tuple_getter
 
 MAX_FACTORIAL_CUTOFF = 20
 
@@ -193,20 +192,6 @@ def _sqrt_factorials(occ: tuple[int, ...]) -> float:
     return math.sqrt(math.prod(math.factorial(n) for n in occ))
 
 
-def apply_mode_unitary(
-    state: FockKet,
-    u: ModeUnitary,
-    modes: tuple[str, ...],
-) -> FockKet:
-    """Apply ``u`` to the listed modes of ``state``.
-
-    Photon number is conserved exactly and the norm is preserved.  The
-    register cutoff is raised when interference creates occupations above it
-    (e.g. |1,1> -> |2,0> on a balanced beam splitter).
-    """
-    return FockKet._trusted(*_scatter(state, u, modes))
-
-
 def _check_acted(u: ModeUnitary, modes: tuple[str, ...], cutoff: int) -> None:
     """The checks of applying ``u`` to ``modes`` of a register with ``cutoff``."""
     if len(set(modes)) != len(modes):
@@ -223,9 +208,12 @@ def _check_acted(u: ModeUnitary, modes: tuple[str, ...], cutoff: int) -> None:
 _LAYOUTS: dict[tuple, tuple[Callable, Callable]] = {}
 
 
-def _scatter(state: FockKet, u: ModeUnitary, modes: Sequence[str]) -> tuple[ModeRegister, dict]:
-    """The register of ``u`` applied to ``modes`` of ``state``, its cutoff
-    raised to the largest output occupation, and the terms, unpruned.
+def apply_mode_unitary(state: FockKet, u: ModeUnitary, modes: Sequence[str]) -> FockKet:
+    """Apply ``u`` to the listed modes of ``state``.
+
+    Photon number is conserved exactly and the norm is preserved.  The
+    register cutoff is raised when interference creates occupations above it
+    (e.g. |1,1> -> |2,0> on a balanced beam splitter).
 
     Each input term is one transfer-table lookup and one scatter of its
     outputs, ``out[key] + pref * c * pf`` in input-term order.  The acted
@@ -234,7 +222,8 @@ def _scatter(state: FockKet, u: ModeUnitary, modes: Sequence[str]) -> tuple[Mode
     only on the register's labels and ``modes``, so they are made once per
     such layout (``_LAYOUTS``); the checks of ``_check_acted``, which read
     ``u`` and the register's cutoff, run on every call.  A raised cutoff
-    takes the register that ``with_cutoff`` keeps per (labels, cutoff).
+    takes the register that ``with_cutoff`` keeps per (labels, cutoff), and
+    ``FockKet._trusted`` prunes the terms.
     """
     modes = tuple(modes)
     reg = state.register
@@ -259,4 +248,4 @@ def _scatter(state: FockKet, u: ModeUnitary, modes: Sequence[str]) -> tuple[Mode
             out[key] = out.get(key, 0.0) + pref * c * pf
         if top > max_occ:
             max_occ = top
-    return (reg.with_cutoff(max_occ) if max_occ > reg.cutoff else reg), out
+    return FockKet._trusted(reg.with_cutoff(max_occ) if max_occ > reg.cutoff else reg, out)

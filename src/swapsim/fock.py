@@ -37,12 +37,20 @@ its real part, a ``float``.  Sources, Bell targets, ``vacuum``,
 hand-written kets and the whole dense oracle use it; the oracle is the
 independent cross-check, so it must not share the fast path it checks.
 ``FockKet._trusted`` is for terms the engine derived from valid kets
-(``scaled``/``normalized``, ``reorder``, ``relabel``, ``tensor_product``,
+(``scaled``/``normalized``, ``reorder``, ``tensor_product``,
 ``partial_project``, ``elements.apply_mode_unitary`` and the heralded
 branches of ``detection.measure``).  Their keys are already distinct
 int tuples of register length within the cutoff, so it skips those checks
 and keeps only the amplitude arithmetic: on such terms both constructors
 give bit-identical kets.
+
+Registers follow the same split.  ``ModeRegister(labels, cutoff)`` checks
+outside input (``sources.spdc_pair``'s modes, ``bell_state``, ``reorder``)
+on every call.  A register whose labels the package fixes (the sources'
+and the protocols' constant kets) or takes from checked registers
+(``tensor_product``, ``partial_project``, the heralded branches, a raised
+cutoff) comes from ``ModeRegister._derived``, which checks it when first
+built and returns the same object for its (labels, cutoff) after that.
 """
 from __future__ import annotations
 
@@ -140,10 +148,11 @@ class ModeRegister(_Record):
 
     @classmethod
     def _derived(cls, labels: tuple[str, ...], cutoff: int) -> "ModeRegister":
-        """The register of ``labels`` taken from a checked register, at
-        ``cutoff``: built by ``__init__`` the first time each (labels,
-        cutoff) is asked for, which raises before a bad one is kept, and
-        the same object on every later call (``_REGISTERS``)."""
+        """The register of ``labels``, fixed by the package or taken from
+        checked registers, at ``cutoff``: built by ``__init__`` the first
+        time each (labels, cutoff) is asked for, which raises before a bad
+        one is kept, and the same object on every later call
+        (``_REGISTERS``)."""
         reg = _REGISTERS.get((labels, cutoff))
         if reg is None:
             reg = _REGISTERS[labels, cutoff] = cls(labels, cutoff)
@@ -239,20 +248,16 @@ def vacuum(register: ModeRegister) -> FockKet:
     return FockKet(register, {(0,) * register.size: 1.0})
 
 
-def _require_same_modes(a: FockKet, b: FockKet):
-    if a.register.labels != b.register.labels:
-        raise ValueError(
-            f"register mismatch: {a.register.labels} vs {b.register.labels}"
-        )
-
-
 def tensor_product(a: FockKet, b: FockKet) -> FockKet:
-    """Concatenate registers; amplitudes multiply term-by-term."""
+    """Concatenate registers; amplitudes multiply term-by-term.  The two
+    registers were checked when built, so once their labels are found
+    disjoint the result's register is the one ``ModeRegister._derived``
+    keeps."""
     overlap = set(a.register.labels) & set(b.register.labels)
     if overlap:
         raise ValueError(f"mode label collision in tensor product: {sorted(overlap)}")
-    reg = ModeRegister(a.register.labels + b.register.labels,
-                       max(a.register.cutoff, b.register.cutoff))
+    reg = ModeRegister._derived(a.register.labels + b.register.labels,
+                                max(a.register.cutoff, b.register.cutoff))
     terms = {}
     for occ_a, amp_a in a.terms.items():
         for occ_b, amp_b in b.terms.items():
@@ -262,7 +267,8 @@ def tensor_product(a: FockKet, b: FockKet) -> FockKet:
 
 def inner_product(a: FockKet, b: FockKet) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
-    _require_same_modes(a, b)
+    if a.register.labels != b.register.labels:
+        raise ValueError(f"register mismatch: {a.register.labels} vs {b.register.labels}")
     small = a if len(a.terms) <= len(b.terms) else b
     total = 0.0
     for occ in small.terms:
@@ -341,13 +347,6 @@ def reorder(state: FockKet, new_labels: Iterable[str]) -> FockKet:
     reg = ModeRegister(new_labels, state.register.cutoff)
     return FockKet._trusted(
         reg, {tuple(occ[i] for i in perm): a for occ, a in state.terms.items()})
-
-
-def relabel(state: FockKet, mapping: Mapping[str, str]) -> FockKet:
-    """Rename modes in place (order preserved); new labels must stay unique."""
-    new_labels = tuple(mapping.get(l, l) for l in state.register.labels)
-    reg = ModeRegister(new_labels, state.register.cutoff)
-    return FockKet._trusted(reg, state.terms)
 
 
 # (state labels, target labels) -> (target-occupation getter, rest getter,

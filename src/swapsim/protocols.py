@@ -41,9 +41,11 @@ polarization of each beam of an H-polarized pair, then its polarizing
 beam splitters route H and V to different beams.  Each rotation acts only
 on occupations (n, 0), where only its first column counts, and that
 column is the unbalanced beam splitter's, bit for bit; a PBS only renames
-modes.  So ``scheme_b_state`` builds the unbalanced-beam-splitter chain
-for either variant, and a test builds the literal PBS chain from
-``elements.polarization_rotation`` and ``elements.pbs`` to check it.
+modes.  So ``scheme_b_state`` sends ``sources.single_pass_source``
+through the unbalanced-beam-splitter chain for either variant, and a test
+builds the literal PBS chain from ``elements.polarization_rotation`` and
+``elements.pbs`` to check it.  Every source ket comes from ``sources``;
+this module builds none.
 
 No report checks ``eta`` itself: each one reaches ``detection.measure``,
 whose ``ThresholdDetector`` is the one check.  An event is ``impossible``
@@ -57,7 +59,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .detection import CLICK, SILENT, coincidence_table, measure, measure_pattern, mixture_tables
-from .elements import MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs, unbalanced_bs
+from .elements import apply_mode_unitary, balanced_bs, unbalanced_bs
 from .fock import (
     BELL_KINDS,
     FockKet,
@@ -75,6 +77,7 @@ from .fock import (
 from .sources import (
     double_pass_source,
     polarization_double_pass,
+    single_pass_source,
     theta_product,
     vacuum_one_photon_postbs,
 )
@@ -451,40 +454,20 @@ def run_phase_verification(tau: complex, eta: float, order: int = 1) -> Protocol
 # Scheme B: single-pass pair through unbalanced beam splitters (or PBS)
 # --------------------------------------------------------------------------
 
-def _pair_terms(order: int, pair_amplitude: float):
-    # emission truncation above one pair needs an explicit amplitude ratio;
-    # with pair_amplitude = 0 only the single-pair term survives
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if not math.isfinite(pair_amplitude):
-        raise ValueError(f"pair amplitude must be finite, got {pair_amplitude}")
-    amps = {1: 1.0}
-    try:
-        for n in range(2, order + 1):
-            amps[n] = pair_amplitude ** (n - 1)
-    except OverflowError:
-        raise ValueError(f"pair amplitude {pair_amplitude} overflows at order {order}") from None
-    return amps
-
-
 def scheme_b_state(epsilon: float, order: int = 1, variant: str = "ubs",
                    pair_amplitude: float = 0.0) -> FockKet:
     """Four-mode state on beams (1,2,3,4) just before the balanced beam splitter.
 
-    The pair (n, 0, 0, n) goes through UBS(1, 2) and UBS(4, 3).  The
-    ``"pbs"`` variant (polarization rotations, then a PBS on each beam)
-    gives this ket bit for bit, so both variants build it (module
-    docstring); ``variant`` is validated and reported."""
+    The pairs of ``sources.single_pass_source`` (n, 0, 0, n) go through
+    UBS(1, 2) and UBS(4, 3).  The ``"pbs"`` variant (polarization
+    rotations, then a PBS on each beam) gives this ket bit for bit, so both
+    variants build it (module docstring); ``variant`` is validated and
+    reported."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if variant not in ("ubs", "pbs"):
         raise ValueError(f"unknown variant {variant!r}")
-    cutoff = max(2, order)
-    if cutoff > MAX_FACTORIAL_CUTOFF:
-        raise ValueError(f"cutoff {cutoff} exceeds factorial table limit")
-    amps = _pair_terms(order, pair_amplitude)
-    reg = ModeRegister(("1", "2", "3", "4"), cutoff)
-    src = FockKet(reg, {(n, 0, 0, n): a for n, a in amps.items()}).normalized()
+    src = single_pass_source(order, pair_amplitude)
     ubs = unbalanced_bs(epsilon)
     st = apply_mode_unitary(src, ubs, ("1", "2"))
     return apply_mode_unitary(st, ubs, ("4", "3"))
@@ -511,7 +494,7 @@ _POL_OUTER = ("1H", "1V", "4H", "4V")
 
 def _pol_bell(kind: str) -> FockKet:
     # polarization Bell states of beams 1, 4 on register (1H, 1V, 4H, 4V)
-    reg = ModeRegister(_POL_OUTER, 2)
+    reg = ModeRegister._derived(_POL_OUTER, 2)
     r = 1.0 / math.sqrt(2.0)
     s = 1.0 if kind.endswith("+") else -1.0
     if kind.startswith("psi"):
@@ -570,7 +553,7 @@ def analyze_polarization_postselection(eta: float, include_double_pairs: bool = 
 # postselect-vac's state and the psi+/psi- targets of its heralded register
 # (3', 1, 4): 3' empty, the psi pair on 1, 4
 _VAC_SOURCE = vacuum_one_photon_postbs()
-_VAC_TARGETS = _targets({k: tensor_product(vacuum(ModeRegister(("3'",), 1)),
+_VAC_TARGETS = _targets({k: tensor_product(vacuum(ModeRegister._derived(("3'",), 1)),
                                             bell_state(k, ("1", "4"))) for k in _PSI})
 
 

@@ -1,11 +1,16 @@
 """Initial-state constructors for the swapping schemes.
 
 Every constructor returns a normalized ket on a register whose cutoff is
-the most photons any of its modes holds: ``order`` for the SPDC sources, 2
-for the polarization and vacuum/one-photon sources, 1 for
-``theta_product``.  Polarization encoding: beam b maps to the two modes
-"bH", "bV"; a state like |HV>_b is occupation (1, 1) on that pair, and
-|2H>_b is occupation 2 on "bH".
+the most photons any of its modes holds: ``order`` for the SPDC sources,
+``max(2, order)`` for scheme B's single-pass source, 2 for the
+polarization and vacuum/one-photon sources, 1 for ``theta_product``.
+Polarization encoding: beam b maps to the two modes "bH", "bV"; a state
+like |HV>_b is occupation (1, 1) on that pair, and |2H>_b is occupation 2
+on "bH".
+
+A register whose labels a constructor fixes is the one
+``ModeRegister._derived`` keeps per (labels, cutoff); ``spdc_pair``'s
+modes come from the caller and are checked on every call.
 """
 from __future__ import annotations
 
@@ -38,13 +43,34 @@ def double_pass_source(tau: complex, order: int = 1) -> FockKet:
     order: each term of the (1,4) pair times every term of the (2,3) pair."""
     a = spdc_pair(tau, order, ("1", "4"))
     b = spdc_pair(tau, order, ("2", "3"))
-    reg = ModeRegister(("1", "2", "3", "4"), order)
+    reg = ModeRegister._derived(("1", "2", "3", "4"), order)
     return FockKet._trusted(reg, {(n1, n2, n3, n4): amp_a * amp_b
                                   for (n1, n4), amp_a in a.terms.items()
                                   for (n2, n3), amp_b in b.terms.items()})
 
 
-_POL_REG = ModeRegister(tuple(f"{b}{pol}" for b in "1234" for pol in "HV"), 2)
+def single_pass_source(order: int, pair_amplitude: float) -> FockKet:
+    """Scheme B's single-pass source on beams (1, 2, 3, 4): the normalized
+    sum_{n=1..order} pair_amplitude^(n-1) |n, 0, 0, n>, the pair on the
+    upper beam 1 and the lower beam 4, on a register of cutoff max(2,
+    order).  ``pair_amplitude`` is the ratio of successive n-pair
+    amplitudes, ``tanh r`` for an SPDC source, so ``|pair_amplitude| < 1``;
+    at 0 only the single pair is left, at any ``order``."""
+    cutoff = max(2, order)
+    if cutoff > MAX_FACTORIAL_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} exceeds factorial table limit")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if not math.isfinite(pair_amplitude):
+        raise ValueError(f"pair amplitude must be finite, got {pair_amplitude}")
+    if abs(pair_amplitude) >= 1.0:
+        raise ValueError(f"|pair amplitude| must be < 1, got {pair_amplitude}")
+    reg = ModeRegister._derived(("1", "2", "3", "4"), cutoff)
+    terms = {(n, 0, 0, n): pair_amplitude ** (n - 1) for n in range(1, order + 1)}
+    return FockKet(reg, terms).normalized()
+
+
+_POL_REG = ModeRegister._derived(tuple(f"{b}{pol}" for b in "1234" for pol in "HV"), 2)
 
 
 def _occupation(counts: dict[str, int]) -> tuple[int, ...]:
@@ -105,7 +131,7 @@ def vacuum_one_photon_postbs() -> FockKet:
     1, 1/2, 1/2, 1/sqrt2, -1/sqrt2 and are then normalized (overall
     1/sqrt(5/2)).
     """
-    reg = ModeRegister(("2'", "3'", "1", "4"), 2)
+    reg = ModeRegister._derived(("2'", "3'", "1", "4"), 2)
     r2 = 1.0 / math.sqrt(2.0)
     terms = {
         (0, 0, 1, 1): 1.0,
@@ -123,6 +149,6 @@ def vacuum_one_photon_postbs() -> FockKet:
 def theta_product(theta: float) -> FockKet:
     """(cos t |00> + sin t |11>)_{12} x (cos t |00> + sin t |11>)_{34}."""
     c, s = math.cos(theta), math.sin(theta)
-    a = FockKet(ModeRegister(("1", "2"), 1), {(0, 0): c, (1, 1): s})
-    b = FockKet(ModeRegister(("3", "4"), 1), {(0, 0): c, (1, 1): s})
+    a = FockKet(ModeRegister._derived(("1", "2"), 1), {(0, 0): c, (1, 1): s})
+    b = FockKet(ModeRegister._derived(("3", "4"), 1), {(0, 0): c, (1, 1): s})
     return tensor_product(a, b).normalized()

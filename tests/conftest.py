@@ -51,6 +51,15 @@ def recording_trusted():
         yield calls
 
 
+def relabel(state, mapping):
+    """``state`` with its modes renamed by ``mapping`` (label -> new label),
+    in register order, through the public constructor; the new labels must
+    stay distinct.  A polarizing beam splitter is such a renaming
+    (``elements.pbs``)."""
+    labels = tuple(mapping.get(label, label) for label in state.register.labels)
+    return FockKet(ModeRegister(labels, state.register.cutoff), state.terms)
+
+
 def ket_bits(ket):
     """A ket's register and terms, in order, with every key element's type
     and both amplitude parts as float.hex: equal bits means equal kets."""

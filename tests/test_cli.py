@@ -170,15 +170,25 @@ def test_seed_checks(capsys):
 
 
 def test_table_columns_stay_separated():
-    # 6.89678982083e-34 has 17 characters, more than its 16-wide column
-    code, text = run_cli(["scheme-b", "--epsilon", "0.3", "--pair-amplitude", "5",
+    # 2.90923462489e-33 has 17 characters, more than its 16-wide column
+    code, text = run_cli(["scheme-b", "--epsilon", "0.3", "--pair-amplitude", "0.5",
                           "--order", "2"])
     assert code == 0
     lines = text.splitlines()
     assert lines[2] == "event                  probability       fid(psi+)       fid(psi-)"
     rows = [line.split() for line in lines if line.startswith(("d2_click ", "d3_click "))]
-    assert rows == [["d2_click", "0.140212155323", "0.0260917172219", "6.89678982083e-34"],
-                    ["d3_click", "0.140212155323", "6.89678982083e-34", "0.0260917172219"]]
+    assert rows == [["d2_click", "0.0918588509736", "0.661404877864", "2.90923462489e-33"],
+                    ["d3_click", "0.0918588509736", "2.90923462489e-33", "0.661404877864"]]
+
+
+@pytest.mark.parametrize("amplitude", ["5", "1", "-1", "-1.5"])
+def test_pair_amplitude_outside_the_unit_interval_exits_2(amplitude, capsys):
+    # the n-pair weights of such a source do not fall, so the printed values
+    # would be set by --order alone
+    code, text = run_cli(["scheme-b", "--epsilon", "0.5", f"--pair-amplitude={amplitude}",
+                          "--order", "10"])
+    assert (code, text) == (2, "")
+    assert "|pair amplitude| must be < 1" in capsys.readouterr().err
 
 
 def test_output_byte_stable():
@@ -697,7 +707,8 @@ def verified_argv(draw):
     if scheme == "scheme-b":
         # a non-zero pair amplitude exactly when there is a second pair
         epsilon = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-        amplitude = draw(st.floats(-2.0, 2.0).filter(bool)) if order > 1 else 0.0
+        amplitude = (draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True).filter(bool))
+                     if order > 1 else 0.0)
         argv = [scheme, f"--epsilon={epsilon!r}", f"--pair-amplitude={amplitude!r}",
                 f"--variant={draw(st.sampled_from(['ubs', 'pbs']))}"]
     elif draw(st.booleans()):

@@ -11,7 +11,6 @@ from swapsim.detection import (CLICK, SILENT, ConditionalOutcome, ThresholdDetec
                                coincidence_table, measure, mixture_tables)
 from swapsim.elements import (
     ModeUnitary,
-    _scatter,
     apply_mode_unitary,
     balanced_bs,
     polarization_rotation,
@@ -685,12 +684,14 @@ def test_measure_rejects_an_unknown_or_empty_outcome_list():
 def _groups_whose_first_term_is_pruned(state, u, modes):
     """The measured occupations of ``u`` applied to ``modes`` of ``state``
     whose group keeps a term although its first one is pruned."""
-    _, terms = _scatter(state, u, modes)  # unpruned, in the transformed ket's order
+    # a negative tolerance keeps every term, in the transformed ket's order
+    with mock.patch.object(fock, "PRUNE_TOL", -1.0):
+        terms = apply_mode_unitary(state, u, modes).terms
     idx = [state.register.index(m) for m in modes]
     first_kept, kept = {}, set()
     for occ, amp in terms.items():
         key = tuple(occ[i] for i in idx)
-        keep = abs(0.0 + amp) > fock.PRUNE_TOL
+        keep = abs(amp) > fock.PRUNE_TOL
         first_kept.setdefault(key, keep)
         if keep:
             kept.add(key)

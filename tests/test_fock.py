@@ -21,15 +21,16 @@ from swapsim.fock import (
     format_ket,
     inner_product,
     partial_project,
-    relabel,
     reorder,
     tensor_product,
     vacuum,
 )
 from swapsim.oracle import DenseState
 from swapsim.protocols import EventResult, ProtocolReport
+from swapsim.sources import (double_pass_source, polarization_double_pass, single_pass_source,
+                             spdc_pair, theta_product, vacuum_one_photon_postbs)
 
-from conftest import ket_bits, random_kets, recording_trusted
+from conftest import ket_bits, random_kets, recording_trusted, relabel
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -243,9 +244,19 @@ def test_registers_the_engine_derives_are_kept_per_labels_and_cutoff():
     raised = [apply_mode_unitary(pairs, balanced_bs(), ("2", "3")).register for _ in range(2)]
     assert raised[0].cutoff == 2 and raised[0] is raised[1]
     assert pairs.register.with_cutoff(2) is raised[0]
+    # the registers whose labels the package fixes, and tensor_product's
+    for build in (lambda: double_pass_source(0.1, 2), lambda: single_pass_source(3, 0.5),
+                  lambda: theta_product(0.3), vacuum_one_photon_postbs,
+                  polarization_double_pass,
+                  lambda: tensor_product(bell_state("psi+", ("1", "2")), vacuum(ModeRegister(("3", "4"), 1)))):
+        assert build().register is build().register
     # outside input is checked on every call, and a bad cutoff is never kept
+    for build in (lambda: spdc_pair(0.1, 2, ("1", "4")), lambda: bell_state("psi+", ("1", "2"))):
+        assert build().register is not build().register
     with pytest.raises(ValueError, match="duplicate mode labels"):
         ModeRegister(("a", "a"), 1)
+    with pytest.raises(ValueError, match="mode label collision"):
+        tensor_product(bell_state("psi+", ("1", "2")), vacuum(ModeRegister(("2",), 1)))
     for _ in range(2):
         with pytest.raises(ValueError, match="cutoff must be >= 1"):
             pairs.register.with_cutoff(0)
@@ -344,10 +355,6 @@ def _site_reorder(data, ket):
     reorder(ket, data.draw(st.permutations(ket.register.labels)))
 
 
-def _site_relabel(data, ket):
-    relabel(ket, {l: f"x{l}" for l in _labels(data, ket)})
-
-
 def _site_tensor_product(data, ket):
     other = data.draw(random_kets(normalized=False))
     reg = ModeRegister(tuple(f"o{l}" for l in other.register.labels), other.register.cutoff)
@@ -382,7 +389,6 @@ TRUSTED_SITES = {
     "scaled": _site_scaled,
     "normalized": _site_normalized,
     "reorder": _site_reorder,
-    "relabel": _site_relabel,
     "tensor_product": _site_tensor_product,
     "partial_project": _site_partial_project,
     "apply_mode_unitary": _site_apply_mode_unitary,

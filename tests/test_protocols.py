@@ -12,7 +12,7 @@ from swapsim.detection import CLICK, SILENT, ThresholdDetector, measure, mixture
 from swapsim.elements import (MAX_FACTORIAL_CUTOFF, apply_mode_unitary, balanced_bs, pbs,
                               polarization_rotation)
 from swapsim.fock import (BELL_KINDS, FockKet, ModeRegister, WeightedEnsemble, _left_sum,
-                          bell_state, fidelity, relabel, reorder, tensor_product, vacuum)
+                          bell_state, fidelity, reorder, tensor_product, vacuum)
 from swapsim.protocols import (
     analyze_polarization_postselection,
     analyze_vacuum_one_photon,
@@ -28,7 +28,7 @@ from swapsim.protocols import (
 )
 from swapsim.sources import vacuum_one_photon_postbs
 
-from conftest import ket_bits
+from conftest import ket_bits, relabel
 
 
 # --------------------------------------------------------------------------
@@ -461,8 +461,10 @@ def test_scheme_b_rejects_bad_params():
             run_scheme_b(0.1, 1.0, order=2, pair_amplitude=bad)
     with pytest.raises(ValueError, match="finite"):
         analyze_polarization_postselection(1.0, True, math.nan)
-    for order, amp in ((2, 1e300), (3, 1e200)):
-        with pytest.raises(ValueError, match="overflows"):
+    # an n-pair amplitude pair_amplitude^(n-1) that does not fall has no
+    # untruncated limit
+    for order, amp in ((2, 1e300), (3, -1e200)):
+        with pytest.raises(ValueError, match=r"\|pair amplitude\| must be < 1"):
             run_scheme_b(0.1, 1.0, order=order, pair_amplitude=amp)
     with pytest.raises(ValueError, match="overflows"):
         analyze_polarization_postselection(1.0, True, 1e154)

@@ -1,7 +1,11 @@
-"""The experiment scripts under scripts/, run in-process through their main."""
+"""The experiment scripts under scripts/, run in-process through their main
+and, where the process's own exit is checked, as child processes."""
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +95,30 @@ def test_fidelity_vs_pump_high_order_reaches_the_converged_fidelity(capsys):
         for row in rows:
             assert float(row[4]) == pytest.approx(want, abs=1e-12)
             assert float(row[5]) == pytest.approx(1.0 / 1.005, abs=1e-12)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("name, argv", [
+    ("contamination_report", []),
+    ("fidelity_vs_pump", ["--steps", "3"]),
+    ("fidelity_vs_pump", ["--steps", "400"]),
+])
+def test_a_script_whose_stdout_is_closed_exits_1_silently(name, argv, unbuffered):
+    # unbuffered, the first write fails inside main(); buffered, the short
+    # runs fail when the __main__ block flushes and the long sweep inside main()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-B", str(SCRIPTS / f"{name}.py"), *argv],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_scripts_print_the_same_with_numpy_scipy_and_dataclasses_blocked(capsys):

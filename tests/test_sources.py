@@ -5,10 +5,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from swapsim.elements import MAX_FACTORIAL_CUTOFF
-from swapsim.fock import reorder, tensor_product
+from swapsim.fock import ModeRegister, reorder, tensor_product
 from swapsim.sources import (
     double_pass_source,
     polarization_double_pass,
+    single_pass_source,
     spdc_pair,
     theta_product,
     vacuum_one_photon_postbs,
@@ -107,6 +108,55 @@ def test_polarization_double_pass_terms():
     assert list(full.terms) == x_keys + y_keys
     assert [full.terms[k] for k in x_keys + y_keys] == \
         [s * a for s in (1, -1, -1, 1, 1, 1, -1, 1, 1, -1)]
+
+
+@given(st.integers(1, 8), st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=40, deadline=None)
+def test_single_pass_source_normalized(order, pair_amplitude):
+    assert single_pass_source(order, pair_amplitude).norm() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, MAX_FACTORIAL_CUTOFF])
+def test_single_pass_source_zero_amplitude_is_the_single_pair(order):
+    for zero in (0.0, -0.0, 0):
+        assert single_pass_source(order, zero).terms == {(1, 0, 0, 1): 1.0}
+
+
+@pytest.mark.parametrize("order, pair_amplitude", [(2, 0.5), (4, -0.3), (10, 0.9)])
+def test_single_pass_source_terms_fall_geometrically(order, pair_amplitude):
+    # term n, the n pairs (n, 0, 0, n) on beams 1 and 4, is
+    # pair_amplitude^(n-1) over the norm, in order of n
+    ket = single_pass_source(order, pair_amplitude)
+    norm = math.sqrt(sum(pair_amplitude ** (2 * (n - 1)) for n in range(1, order + 1)))
+    assert list(ket.terms) == [(n, 0, 0, n) for n in range(1, order + 1)]
+    for n in range(1, order + 1):
+        assert ket.terms[(n, 0, 0, n)] == pytest.approx(pair_amplitude ** (n - 1) / norm,
+                                                        rel=1e-14)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, MAX_FACTORIAL_CUTOFF])
+def test_single_pass_source_cutoff_is_at_least_2(order):
+    ket = single_pass_source(order, 0.5)
+    assert ket.register == ModeRegister(("1", "2", "3", "4"), max(2, order))
+
+
+def test_single_pass_source_params_rejected():
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            single_pass_source(order, 0.0)
+    with pytest.raises(ValueError, match=f"cutoff {MAX_FACTORIAL_CUTOFF + 1} exceeds factorial "
+                                         "table limit"):
+        single_pass_source(MAX_FACTORIAL_CUTOFF + 1, 0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="pair amplitude must be finite"):
+            single_pass_source(2, bad)
+    # the bound is exclusive: just inside it builds, at and beyond it raises
+    inside = math.nextafter(1.0, 0.0)
+    for amp in (inside, -inside):
+        single_pass_source(MAX_FACTORIAL_CUTOFF, amp)
+    for amp in (1.0, -1.0, 5.0, -1e300):
+        with pytest.raises(ValueError, match=r"\|pair amplitude\| must be < 1"):
+            single_pass_source(2, amp)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
