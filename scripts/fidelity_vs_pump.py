@@ -48,7 +48,10 @@ def main(argv=None):
     # the log grid of the CLI's --spacing log
     la, lb, k = math.log(args.tau2_min), math.log(args.tau2_max), args.steps
     grid = [math.exp(la + (lb - la) * i / max(k - 1, 1)) for i in range(k)]
-    handle = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
+    try:
+        handle = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
+    except OSError as exc:
+        ap.error(f"--out must be a file that can be written, got {args.out!r}: {exc.strerror}")
     writer = csv.writer(handle)
     writer.writerow(["tau2", "eta", "event", "probability",
                      "fidelity_favored", "order1_fidelity_eta1"])

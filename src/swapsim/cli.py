@@ -102,13 +102,18 @@ def _round_floats(obj):
 
 
 def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither NaN nor infinite."""
+    """argparse type: a float that is neither NaN nor infinite, and not 0.0
+    from a text whose mantissa (before any exponent) holds a non-zero digit,
+    such as 1e-400, which is too small for a float."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    mantissa = text.lower().partition("e")[0]
+    if value == 0.0 and any(ch.isdecimal() and int(ch) for ch in mantissa):
+        raise argparse.ArgumentTypeError(f"rounds to 0, too small for a float: {text!r}")
     return value
 
 
@@ -118,12 +123,16 @@ OPTIONS = {
     "tau": lambda p: (
         p.add_argument("--tau", type=_finite_float, help="pair amplitude ratio"),
         p.add_argument("--tau2", type=_finite_float, help="|tau|^2 (exclusive with --tau)")),
-    "eta": lambda p: p.add_argument("--eta", type=_finite_float, default=1.0),
-    "order": lambda p: p.add_argument("--order", type=int, default=1),
-    "epsilon": lambda p: p.add_argument("--epsilon", type=_finite_float, required=True),
+    "eta": lambda p: p.add_argument("--eta", type=_finite_float, default=1.0,
+                                    help="detector efficiency in [0, 1] (default: 1)"),
+    "order": lambda p: p.add_argument("--order", type=int, default=1,
+                                      help="at most this many pairs per pass (default: 1)"),
+    "epsilon": lambda p: p.add_argument("--epsilon", type=_finite_float, required=True,
+                                        help="unbalanced BS coupling eps, in (0, 1)"),
     "variant": lambda p: p.add_argument("--variant", choices=("ubs", "pbs"), default="ubs"),
-    "pair_amplitude": lambda p: p.add_argument("--pair-amplitude", type=_finite_float,
-                                               default=0.0),
+    "pair_amplitude": lambda p: p.add_argument(
+        "--pair-amplitude", type=_finite_float, default=0.0,
+        help="ratio of successive pair terms, |x| < 1"),
     "theta": lambda p: p.add_argument("--theta", type=_finite_float, required=True),
     "include_double_pairs": lambda p: p.add_argument(
         "--x-only", dest="include_double_pairs", action="store_false",

@@ -9,19 +9,37 @@ code path with ``detection.measure`` beyond the detector's click probability.
 Every ket the dense side builds goes through the public, validating
 ``FockKet`` constructor, never the engine's trusted one.  Every dense
 reference is one chain, ``_dense_chain``: a ket, balanced beam splitters
-applied in order, then one detector per beam.  The phase-verification
-coincidence tables, which the sparse engine builds from the members of
-each heralded ensemble, are checked against one run of the whole chain by
-Bayes' rule, reading no member, and the oracle builds its own targets and
-ideal references with ``bell_state`` rather than reading the engine's
-constants.
+applied in order, then one detector per beam.
 
-Trust boundary: each check starts from the engine's ket just before the
-heralding beam splitter, ``scheme_a_state`` or ``scheme_b_state``.  So
-``verify_scheme_b`` does not check scheme B's two unbalanced beam
-splitters; only the randomized sparse-vs-dense test in
-``tests/test_oracle.py`` checks the sparse kernel that applies them
-(``apply_mode_unitary`` against ``dense_apply``).
+Each check of the CLI's --verify compares its dense chain with what the
+subcommand prints or samples, read from the public functions of
+``protocols`` that the CLI calls, looked up when the check runs:
+
+- ``verify_scheme_a`` and ``verify_scheme_b``: both events of the report,
+  each one's probability, ``fidelity_psi_plus`` and ``fidelity_psi_minus``
+  (``inf`` when only one side conditions), and every outcome of the click
+  distribution that --shots samples;
+- ``verify_phase_verification``: the report's two events, the ``joint``
+  D3/D4 table of each heralded event, and ``p_d3``/``p_d4`` of the ideal
+  psi+/psi- references.  The tables come from one run of the whole chain
+  by Bayes' rule, reading no member of a heralded ensemble.
+
+The oracle writes its own wiring (scheme A heralds on BS(1, 2) with outer
+beams 3, 4, scheme B on BS(2, 3) with outer beams 1, 4; the first event is
+the first detector clicking alone) and builds its own targets and ideal
+references with ``bell_state``.  It reads no private name of ``protocols``
+or ``detection``.  What the reports do not print is not compared here: the
+psi+/psi- fidelities of the (click, click) and (silent, silent) ensembles,
+verify-phase's unheralded D1/D2 outcomes and the entries of its ideal
+tables; the randomized sparse-vs-dense test in ``tests/test_oracle.py``
+covers them.  Nor is verify-phase's printed ``marginals`` block.
+
+Trust boundary: each check starts from the ket just before the heralding
+beam splitter, ``sources.double_pass_source`` or
+``protocols.scheme_b_state``.  So ``verify_scheme_b`` does not check scheme
+B's two unbalanced beam splitters; only the randomized test checks the
+sparse kernel that applies them (``apply_mode_unitary`` against
+``dense_apply``).
 Used only in tests and the CLI's --verify mode; small registers only.
 """
 from __future__ import annotations
@@ -34,12 +52,20 @@ import numpy as np
 from scipy.linalg import expm, logm
 
 from . import protocols
-from .detection import CLICK, SILENT, ConditionalOutcome, ThresholdDetector, measure_pattern
+from .detection import CLICK, SILENT, ConditionalOutcome, ThresholdDetector
 from .elements import ModeUnitary, balanced_bs
 from .fock import FockKet, ModeRegister, WeightedEnsemble, _Record, bell_state, fidelity
+from .sources import double_pass_source
 
 MAX_MODES = 8
 MAX_ELEMENTS = 5_000_000
+
+# the wiring the checks give each scheme, written here rather than read from
+# the engine: scheme A mixes beams 1, 2 and swaps onto 3, 4 (scheme B's is
+# in verify_scheme_b), and the heralded events, in report order, are the
+# first detector clicking alone, then the second
+_A_MIXED, _A_OUTER = ("1", "2"), ("3", "4")
+_HERALDS = ((CLICK, SILENT), (SILENT, CLICK))
 
 
 class DenseState(_Record):
@@ -98,20 +124,10 @@ def _lift_matrix(raw: bytes, k: int, dim: int) -> np.ndarray:
         for l in range(k):
             if g[j, l] == 0.0:
                 continue
-            ops = []
-            for pos in range(k):
-                if pos == j == l:
-                    ops.append(ad @ a)
-                elif pos == j:
-                    ops.append(ad)
-                elif pos == l:
-                    ops.append(a)
-                else:
-                    ops.append(eye)
-            term = ops[0]
-            for op in ops[1:]:
-                term = np.kron(term, op)
-            gen += g[j, l] * term
+            # the operator on each acted mode, Kronecker-multiplied in mode order
+            ops = [ad @ a if pos == j == l else ad if pos == j else a if pos == l else eye
+                   for pos in range(k)]
+            gen += g[j, l] * functools.reduce(np.kron, ops)
     lift = expm(gen)
     lift.flags.writeable = False
     return lift
@@ -208,20 +224,6 @@ def dense_measure(state: DenseState, detectors, eta: float) -> dict:
 # Full-pipeline cross-checks used by the CLI's --verify mode
 # --------------------------------------------------------------------------
 
-def _compare_outcomes(sparse_out: ConditionalOutcome, dense_out: ConditionalOutcome,
-                      targets) -> float:
-    worst = abs(sparse_out.probability - dense_out.probability)
-    if sparse_out.ensemble is None or dense_out.ensemble is None:
-        if (sparse_out.ensemble is None) != (dense_out.ensemble is None):
-            return float("inf")
-        return worst
-    for t in targets:
-        fs = fidelity(sparse_out.ensemble, t)
-        fd = fidelity(dense_out.ensemble, t)
-        worst = max(worst, abs(fs - fd))
-    return worst
-
-
 def _dense_chain(ket: FockKet, pairs, eta: float) -> dict:
     """A balanced beam splitter on each pair of beams of ``ket``, in order,
     then one threshold detector on each of those beams, in pair order."""
@@ -231,67 +233,80 @@ def _dense_chain(ket: FockKet, pairs, eta: float) -> dict:
     return dense_measure(state, [(m,) for pair in pairs for m in pair], eta)
 
 
-def _verify_herald(pre: FockKet, scheme: protocols._Heralded,
-                   eta: float) -> tuple[float, dict, dict]:
-    """Max |sparse - dense| over outcome probabilities and psi-fidelities on
-    the outer beams of the step both schemes herald with: a balanced beam
-    splitter on ``scheme.mixed`` and one threshold detector on each output.
-    The sparse side is measured twice: every outcome (the ``--shots``
-    distribution), and the two heralded ones alone, which is what the
-    reports compute, each outcome's ensemble built by ``measure_pattern``
-    as the reports build theirs.  The heralded sparse outcomes and the
-    dense ones are returned with it."""
-    sparse, heralded = (
-        {out: measure_pattern(*entry)
-         for out, entry in protocols._herald(pre, scheme.mixed, eta, outcomes).items()}
-        for outcomes in (None, protocols._HERALDS))
-    dense = _dense_chain(pre, [scheme.mixed], eta)
-    targets = [bell_state("psi+", scheme.outer), bell_state("psi-", scheme.outer)]
-    worst = max(_compare_outcomes(outcomes[out], dense[out], targets)
-                for outcomes in (sparse, heralded) for out in outcomes)
-    return worst, heralded, dense
+def _table_gap(printed: dict, dense: dict) -> float:
+    """Max |printed - dense| over a table keyed as the reports print it
+    ("click,silent" etc.); ``inf`` unless both hold the same outcomes."""
+    dense = {",".join(out): p for out, p in dense.items()}
+    return (max(abs(printed[key] - p) for key, p in dense.items())
+            if printed.keys() == dense.keys() else math.inf)
+
+
+def _herald_gap(report, distribution: dict | None, pre: FockKet, mixed: tuple[str, str],
+                outer: tuple[str, str], eta: float) -> tuple[float, dict]:
+    """Max |printed - dense| over the two events of ``report`` and every
+    outcome of ``distribution`` (unless None), for a balanced beam splitter
+    on ``mixed`` and one threshold detector on each output: the first event
+    is the first detector clicking alone, the second the second.  Each
+    event's probability and fidelities to psi+ and psi- on ``outer`` are
+    compared, and an event that conditions on one side only gives ``inf``.
+    The dense outcomes are returned with it."""
+    dense = _dense_chain(pre, [mixed], eta)
+    worst = 0.0 if distribution is None else _table_gap(
+        distribution, {out: o.probability for out, o in dense.items()})
+    plus, minus = (bell_state(kind, outer) for kind in ("psi+", "psi-"))
+    for ev, out in zip(report.events, _HERALDS, strict=True):
+        ens = dense[out].ensemble
+        if ev.impossible != (ens is None):
+            return math.inf, dense
+        worst = max(worst, abs(ev.probability - dense[out].probability))
+        if ens is not None:
+            worst = max(worst, abs(ev.fidelity_psi_plus - fidelity(ens, plus)),
+                        abs(ev.fidelity_psi_minus - fidelity(ens, minus)))
+    return worst, dense
 
 
 def verify_scheme_a(tau: complex, eta: float, order: int = 1) -> float:
-    """Max |sparse - dense| over scheme A's outcome probabilities and psi-fidelities."""
-    return _verify_herald(protocols.scheme_a_state(tau, order), protocols._SCHEME_A, eta)[0]
+    """Max |printed - dense| over scheme A's report and click distribution."""
+    return _herald_gap(protocols.run_scheme_a(tau, eta, order),
+                       protocols.scheme_a_click_distribution(tau, eta, order),
+                       double_pass_source(tau, order), _A_MIXED, _A_OUTER, eta)[0]
 
 
 def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float:
-    """``verify_scheme_a`` plus every coincidence table of the phase
-    verification: max |sparse - dense| over each outcome's probability.
+    """Max |printed - dense| over the phase verification's two events, the
+    ``joint`` D3/D4 table of each heralded one, and ``p_d3``/``p_d4`` of
+    each ideal psi+/psi- reference.
 
     The dense side runs the whole chain once, BS(1, 2) then BS(3, 4) and a
     detector on each beam, and takes each heralded event's table by Bayes'
-    rule, P(herald, D3/D4 outcome) / P(herald); each ideal psi+/psi-
-    reference, built here, goes through BS(3, 4) and D3/D4 alone.  The
-    sparse tables come from ``_phase_tables``, whose tables
-    ``run_phase_verification`` reports.
+    rule, P(herald, D3/D4 outcome) / P(herald); each ideal reference, built
+    here, goes through BS(3, 4) and D3/D4 alone.
     """
-    pre = protocols.scheme_a_state(tau, order)
-    scheme = protocols._SCHEME_A
-    worst, heralded, dense = _verify_herald(pre, scheme, eta)
-    chain = _dense_chain(pre, [scheme.mixed, scheme.outer], eta)
-    # the heralded events (an ensemble on one side only already made worst
-    # inf), then the ideal references, in _phase_tables' order
-    sparse_ens, refs = [], []
-    for herald in protocols._HERALDS:
-        if heralded[herald].ensemble is not None and dense[herald].ensemble is not None:
-            sparse_ens.append(heralded[herald].ensemble)
+    report = protocols.run_phase_verification(tau, eta, order)
+    pre = double_pass_source(tau, order)
+    worst, dense = _herald_gap(report, None, pre, _A_MIXED, _A_OUTER, eta)
+    chain = _dense_chain(pre, [_A_MIXED, _A_OUTER], eta)
+    co = report.coincidences
+    for ev, herald in zip(report.events, _HERALDS):
+        if (co[ev.name] is None) != (dense[herald].ensemble is None):
+            return math.inf
+        if co[ev.name] is not None:
             joint = {out[2:]: o.probability for out, o in chain.items() if out[:2] == herald}
             p_herald = math.fsum(joint.values())
-            refs.append({out: p / p_herald for out, p in joint.items()})
-    for kind in ("psi+", "psi-"):
-        ideal = _dense_chain(bell_state(kind, scheme.outer, 2), [scheme.outer], eta)
-        refs.append({out: o.probability for out, o in ideal.items()})
-    tables = protocols._phase_tables(sparse_ens, eta)
-    for table, ref in zip(tables, refs, strict=True):
-        worst = max(worst, max(abs(table[out] - p) for out, p in ref.items()))
+            worst = max(worst, _table_gap(co[ev.name]["joint"],
+                                          {out: p / p_herald for out, p in joint.items()}))
+    for kind, name in (("psi+", "ideal_psi_plus"), ("psi-", "ideal_psi_minus")):
+        ideal = _dense_chain(bell_state(kind, _A_OUTER, 2), [_A_OUTER], eta)
+        for i, key in enumerate(("p_d3", "p_d4")):
+            p = math.fsum(o.probability for out, o in ideal.items() if out[i] == CLICK)
+            worst = max(worst, abs(co[name][key] - p))
     return worst
 
 
 def verify_scheme_b(epsilon: float, eta: float, order: int = 1,
                     variant: str = "ubs", pair_amplitude: float = 0.0) -> float:
-    """Max |sparse - dense| over scheme B's outcome probabilities and psi-fidelities."""
-    pre = protocols.scheme_b_state(epsilon, order, variant, pair_amplitude)
-    return _verify_herald(pre, protocols._SCHEME_B, eta)[0]
+    """Max |printed - dense| over scheme B's report and click distribution."""
+    args = (epsilon, eta, order, variant, pair_amplitude)
+    return _herald_gap(protocols.run_scheme_b(*args), protocols.scheme_b_click_distribution(*args),
+                       protocols.scheme_b_state(epsilon, order, variant, pair_amplitude),
+                       ("2", "3"), ("1", "4"), eta)[0]

@@ -289,11 +289,6 @@ def run_theta_swapping(theta: float) -> ProtocolReport:
 # Scheme A: double-pass SPDC + balanced beam splitter on the inner beams
 # --------------------------------------------------------------------------
 
-def scheme_a_state(tau: complex, order: int = 1) -> FockKet:
-    """Four-mode state on beams (1,2,3,4) just before the balanced beam splitter."""
-    return double_pass_source(tau, order)
-
-
 def _herald(pre: FockKet, mixed: tuple[str, str], eta: float,
             outcomes: Sequence[tuple[str, str]] | None = None) -> dict:
     """Mix two beams of a ket on a balanced beam splitter and put one
@@ -305,20 +300,17 @@ def _herald(pre: FockKet, mixed: tuple[str, str], eta: float,
 
 class _Heralded(NamedTuple):
     """A scheme that heralds with ``_herald``: the two beams it mixes, the
-    two outer beams that carry the swapped pair, the names of its two
-    events, ``_HERALDS``: the detector on the first mixed beam clicks
-    alone, then the one on the second, and its fidelity targets, psi+ and
-    psi- on the outer beams, checked once by ``_targets``."""
+    names of its two events, ``_HERALDS``: the detector on the first mixed
+    beam clicks alone, then the one on the second, and its fidelity
+    targets, psi+ and psi- on the two outer beams that carry the swapped
+    pair (their ``labels``), checked once by ``_targets``."""
     mixed: tuple[str, str]
-    outer: tuple[str, str]
     events: tuple[str, str]
     targets: _Targets
 
 
-_SCHEME_A = _Heralded(("1", "2"), ("3", "4"), ("event1", "event2"),
-                      _bell_targets(("3", "4"), _PSI))
-_SCHEME_B = _Heralded(("2", "3"), ("1", "4"), ("d2_click", "d3_click"),
-                      _bell_targets(("1", "4"), _PSI))
+_SCHEME_A = _Heralded(("1", "2"), ("event1", "event2"), _bell_targets(("3", "4"), _PSI))
+_SCHEME_B = _Heralded(("2", "3"), ("d2_click", "d3_click"), _bell_targets(("1", "4"), _PSI))
 _HERALDS = ((CLICK, SILENT), (SILENT, CLICK))
 
 
@@ -350,7 +342,7 @@ def run_scheme_a(tau: complex, eta: float, order: int = 1) -> ProtocolReport:
     The event-to-Bell-state mapping is computed from the state, not assumed;
     the favored target of each event is reported in its extras.
     """
-    events = _heralded_events(scheme_a_state(tau, order), _SCHEME_A, eta)
+    events = _heralded_events(double_pass_source(tau, order), _SCHEME_A, eta)
     # the weight _summarize_ensemble leaves out, one subtotal per event
     dropped = 0.0
     for ev in events:
@@ -374,7 +366,7 @@ def _num(x):
 
 # the ideal psi+ and psi- on beams 3, 4 that the phase verification's
 # coincidences are compared with, in the order their tables come
-_PHASE_REFERENCES = tuple(bell_state(kind, _SCHEME_A.outer, 2) for kind in _PSI)
+_PHASE_REFERENCES = tuple(bell_state(kind, _SCHEME_A.targets.labels, 2) for kind in _PSI)
 
 
 def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dict]:
@@ -383,7 +375,7 @@ def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dic
     ensemble, then one per ``_PHASE_REFERENCES`` ket."""
     mixtures = ([ens.members for ens in ensembles]
                 + [((1.0, ket),) for ket in _PHASE_REFERENCES])
-    return mixture_tables(mixtures, balanced_bs(), [(m,) for m in _SCHEME_A.outer], eta)
+    return mixture_tables(mixtures, balanced_bs(), [(m,) for m in _SCHEME_A.targets.labels], eta)
 
 
 def _click_marginals(joint: Mapping[tuple[str, str], float]) -> dict:
@@ -424,7 +416,7 @@ def run_phase_verification(tau: complex, eta: float, order: int = 1) -> Protocol
     Reports both the full-scheme conditionals (after events 1/2, including
     the pair-emission contamination) and the ideal psi+/psi- reference.
     """
-    events = _heralded_events(scheme_a_state(tau, order), _SCHEME_A, eta)
+    events = _heralded_events(double_pass_source(tau, order), _SCHEME_A, eta)
 
     heralded = [ev for ev in events if ev.ensemble is not None]
     *joints, ideal_plus, ideal_minus = _phase_tables([ev.ensemble for ev in heralded], eta)
@@ -572,7 +564,7 @@ def analyze_vacuum_one_photon(eta: float) -> ProtocolReport:
 
 def scheme_a_click_distribution(tau: complex, eta: float, order: int = 1) -> dict:
     """Joint D1/D2 outcome distribution for scheme A (keys "click,silent" etc.)."""
-    return _click_distribution(scheme_a_state(tau, order), _SCHEME_A, eta)
+    return _click_distribution(double_pass_source(tau, order), _SCHEME_A, eta)
 
 
 def scheme_b_click_distribution(epsilon: float, eta: float, order: int = 1,

@@ -22,6 +22,7 @@ from swapsim.fock import (
     WeightedEnsemble,
     bell_state,
 )
+from swapsim.sources import double_pass_source
 
 from conftest import ket_bits, random_kets, recording_trusted
 
@@ -604,7 +605,7 @@ def test_measuring_some_outcomes_builds_only_the_branches_they_read():
     # both detectors weigh 0.0 on both heralded outcomes, so no branch is
     # built for them; the full table builds one branch for every group
     mixed = protocols._SCHEME_A.mixed
-    pre = protocols.scheme_a_state(math.sqrt(0.1), 6)
+    pre = double_pass_source(math.sqrt(0.1), 6)
     post = apply_mode_unitary(pre, balanced_bs(), mixed)
     idx = [post.register.index(m) for m in mixed]
     groups = {tuple(occ[i] for i in idx) for occ in post.terms}
@@ -634,8 +635,8 @@ def test_a_cached_plan_cannot_go_stale():
     assert u == balanced_bs() and not u._table and not u._plans
     mixed = protocols._SCHEME_A.mixed
     detectors = [(m,) for m in mixed]
-    small = protocols.scheme_a_state(math.sqrt(0.1), 2)
-    large = protocols.scheme_a_state(math.sqrt(0.1), 6)
+    small = double_pass_source(math.sqrt(0.1), 2)
+    large = double_pass_source(math.sqrt(0.1), 6)
     heralds, both = protocols._HERALDS, [(CLICK, CLICK)]
     calls = [(small, heralds, 0.0), (small, heralds, 1.0), (small, both, 1.0),
              (small, heralds, 0.7), (large, heralds, 1.0)]
@@ -709,7 +710,7 @@ def test_fused_herald_matches_apply_then_measure_on_scheme_states(scheme, args, 
     # the heralds the reports run: a balanced beam splitter on the leading
     # beams (scheme A) or on beams 2 and 3 (scheme B), one detector on each
     if scheme == "a":
-        pre, mixed = protocols.scheme_a_state(*args), protocols._SCHEME_A.mixed
+        pre, mixed = double_pass_source(*args), protocols._SCHEME_A.mixed
     else:
         pre, mixed = protocols.scheme_b_state(*args), protocols._SCHEME_B.mixed
     detectors = [(m,) for m in mixed]

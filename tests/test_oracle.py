@@ -1,5 +1,7 @@
+import ast
 import io
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from swapsim.oracle import (
     verify_scheme_a,
     verify_scheme_b,
 )
-from swapsim.protocols import run_phase_verification, run_scheme_b
-from swapsim.sources import vacuum_one_photon_postbs
+from swapsim.protocols import run_phase_verification
+from swapsim.sources import double_pass_source, vacuum_one_photon_postbs
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -160,25 +162,74 @@ def test_sparse_dense_equivalence_randomized():
                 assert (so.ensemble is None) == (do.ensemble is None)
 
 
+def replaced(record, **changes):
+    """A copy of a report record with some of its fields changed."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
+
+
+SCHEME_B_ARGS = (0.3, 0.8, 2, "ubs", 0.5)
+SCHEME_B_ARGV = ["scheme-b", "--epsilon", "0.3", "--eta", "0.8", "--order", "2",
+                 "--pair-amplitude", "0.5", "--verify"]
+SCHEME_A_ARGV = ["scheme-a", "--tau2", "0.09", "--eta", "0.6", "--order", "2", "--verify"]
+
+
 def test_verify_scheme_b_checks_the_reported_state(monkeypatch):
-    # every outcome (what --shots samples), then the two heralded ones
-    # alone (what the report computes)
-    calls, sparse = [], []
-    herald = protocols._herald
+    # the check reads the report run_scheme_b returns, looked up when it
+    # runs: one printed probability raised by 1e-6 is the deviation
+    run = protocols.run_scheme_b
 
-    def record(pre, mixed, eta, outcomes=None):
-        out = herald(pre, mixed, eta, outcomes)
-        calls.append(outcomes)
-        sparse.append([out[(CLICK, SILENT)][0], out[(SILENT, CLICK)][0]])
-        return out
+    def skewed(*args):
+        report = run(*args)
+        first, second = report.events
+        return replaced(report, events=(first, replaced(second,
+                                                        probability=second.probability + 1e-6)))
 
-    monkeypatch.setattr(protocols, "_herald", record)
-    assert verify_scheme_b(0.3, 0.8, order=2, pair_amplitude=0.5) <= 1e-10
-    monkeypatch.undo()
-    report = run_scheme_b(0.3, 0.8, order=2, pair_amplitude=0.5)
-    assert calls == [None, protocols._HERALDS]
-    assert sparse == [[report.event("d2_click").probability,
-                       report.event("d3_click").probability]] * 2
+    assert verify_scheme_b(*SCHEME_B_ARGS) <= 1e-12
+    monkeypatch.setattr(protocols, "run_scheme_b", skewed)
+    assert verify_scheme_b(*SCHEME_B_ARGS) == pytest.approx(1e-6, rel=1e-6)
+    assert cli.run(SCHEME_B_ARGV, out=io.StringIO()) == 3
+
+
+def test_verify_catches_swapped_psi_fidelities(monkeypatch):
+    # every report builds its events with _event; its psi+ and psi- columns
+    # swapped are a fault only a check of the printed fidelities sees
+    event = protocols._event
+
+    def swapped(*args, **kwargs):
+        ev = event(*args, **kwargs)
+        return replaced(ev, fidelity_psi_plus=ev.fidelity_psi_minus,
+                        fidelity_psi_minus=ev.fidelity_psi_plus)
+
+    monkeypatch.setattr(protocols, "_event", swapped)
+    assert verify_scheme_a(0.3, 0.6, order=2) > 0.5
+    assert cli.run(SCHEME_A_ARGV, out=io.StringIO()) == 3
+    assert cli.run(SCHEME_B_ARGV, out=io.StringIO()) == 3
+
+
+def test_verify_catches_a_miswired_scheme_a(monkeypatch):
+    # the oracle wires scheme A itself: a herald on beams 1, 4 with the
+    # swapped pair on 2, 3 runs, and prints numbers of the wrong scheme
+    scheme = protocols._SCHEME_A
+    miswired = protocols._Heralded(("1", "4"), scheme.events,
+                                   protocols._bell_targets(("2", "3"), protocols._PSI))
+    monkeypatch.setattr(protocols, "_SCHEME_A", miswired)
+    assert verify_scheme_a(0.3, 0.6, order=2) > 0.5
+    assert cli.run(SCHEME_A_ARGV, out=io.StringIO()) == 3
+
+
+def test_oracle_reads_no_private_name_of_the_engine():
+    # the oracle reaches protocols and detection only through their public
+    # names, and never through the sparse measurement it cross-checks
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    engine = {"protocols", "detection"}
+    sparse = {"measure_pattern", "coincidence_table"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in engine:
+            for alias in node.names:
+                assert not alias.name.startswith("_") and alias.name not in sparse, alias.name
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in engine:
+            assert not node.attr.startswith("_") and node.attr not in sparse, node.attr
 
 
 @pytest.mark.parametrize("outcome", protocols._HERALDS)
@@ -195,7 +246,7 @@ def test_verify_catches_a_skew_of_the_heralded_outcomes_alone(monkeypatch, outco
         return out
 
     monkeypatch.setattr(protocols, "coincidence_table", skewed)
-    pre = protocols.scheme_a_state(0.3, 2)
+    pre = double_pass_source(0.3, 2)
     full = protocols._herald(pre, ("1", "2"), 0.6)
     heralded = protocols._herald(pre, ("1", "2"), 0.6, protocols._HERALDS)
     assert heralded[outcome][0] == full[outcome][0] + 1e-6

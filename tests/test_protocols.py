@@ -26,7 +26,7 @@ from swapsim.protocols import (
     scheme_b_click_distribution,
     scheme_b_state,
 )
-from swapsim.sources import vacuum_one_photon_postbs
+from swapsim.sources import double_pass_source, vacuum_one_photon_postbs
 
 from conftest import ket_bits, relabel
 
@@ -847,14 +847,14 @@ def test_real_tau_gives_only_float_amplitudes(monkeypatch, eta):
     branches = [s for ev in report.events if ev.ensemble is not None
                 for _, s in ev.ensemble.members]
     assert branches and measured
-    assert _amplitude_types([protocols.scheme_a_state(tau, 6)]) == {float}
+    assert _amplitude_types([double_pass_source(tau, 6)]) == {float}
     assert _amplitude_types(branches) == {float}
     assert _amplitude_types(measured) == {float}
 
 
 def test_complex_tau_gives_complex_source_amplitudes():
     # tau**0 is real, so the vacuum term stays a float beside complex ones
-    source = protocols.scheme_a_state(cmath.rect(0.3, 0.7), 4)
+    source = double_pass_source(cmath.rect(0.3, 0.7), 4)
     assert _amplitude_types([source]) == {float, complex}
 
 

@@ -44,6 +44,17 @@ def test_bad_arguments_exit_2(name, argv, flag, capsys):
     assert f"error: {flag} must be" in captured.err
 
 
+def test_fidelity_vs_pump_out_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        load("fidelity_vs_pump").main(["--steps", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --out must be a file that can be written" in captured.err
+    assert not out.parent.exists()
+
+
 def test_contamination_report_one_step_is_eta_0_1(capsys):
     assert load("contamination_report").main(["--steps", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
