@@ -14,6 +14,10 @@ a command runs, so a function rebound on its module is the one called.  A
 sweep point is a copy of the arguments with the swept parameter set,
 checked like a single run.  Every usage error, found by argparse or by a
 check after parsing, prints the usage line of the subcommand that was run.
+The top-level usage is one string built from ``COMMANDS``: ``[-h]``, the
+brace list of subcommands and ``...``, each on its own line and indented
+to the column after ``usage: swapsim ``, so it reads the same at every
+terminal width and on every Python.
 
 ``--verify`` runs after the report is written.  On agreement it writes one
 more stdout line, ``verify: ok (max deviation ...)``; on a mismatch it
@@ -143,25 +147,16 @@ OPTIONS = {
 }
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """Lets ``swapsim --help`` wrap its usage line between the subcommand
-    list and the ``...`` after it, as argparse does before Python 3.13
-    (which never calls this method), so the text is the same on every
-    supported Python."""
-
-    def _get_actions_usage_parts(self, actions, groups):
-        return [p for part in super()._get_actions_usage_parts(actions, groups)
-                for p in (part.rsplit(" ", 1) if part.endswith(" ...") else (part,))]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swapsim",
         description="Entanglement-swapping simulator in truncated Fock space.",
-        formatter_class=_HelpFormatter,
     )
     parser.set_defaults(verify=False, shots=0, seed=None)
     sub = parser.add_subparsers(dest="scheme", required=True)
+    # set after add_subparsers, which takes each subparser's prog from it
+    indent = "\n" + " " * len("usage: swapsim ")
+    parser.usage = f"%(prog)s [-h]{indent}{{{','.join(COMMANDS)}}}{indent}..."
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         p.set_defaults(parser=p)

@@ -20,9 +20,10 @@ subcommand prints or samples, read from the public functions of
   (``inf`` when only one side conditions), and every outcome of the click
   distribution that --shots samples;
 - ``verify_phase_verification``: the report's two events, the ``joint``
-  D3/D4 table of each heralded event, and ``p_d3``/``p_d4`` of the ideal
-  psi+/psi- references.  The tables come from one run of the whole chain
-  by Bayes' rule, reading no member of a heralded ensemble.
+  D3/D4 table of each heralded event, ``p_d3``/``p_d4`` of the ideal
+  psi+/psi- references, and the ``marginals`` block.  The tables come from
+  one run of the whole chain by Bayes' rule, reading no member of a
+  heralded ensemble; the marginals come from the dense event-1 ensemble.
 
 The oracle writes its own wiring (scheme A heralds on BS(1, 2) with outer
 beams 3, 4, scheme B on BS(2, 3) with outer beams 1, 4; the first event is
@@ -32,7 +33,7 @@ or ``detection``.  What the reports do not print is not compared here: the
 psi+/psi- fidelities of the (click, click) and (silent, silent) ensembles,
 verify-phase's unheralded D1/D2 outcomes and the entries of its ideal
 tables; the randomized sparse-vs-dense test in ``tests/test_oracle.py``
-covers them.  Nor is verify-phase's printed ``marginals`` block.
+covers them.
 
 Trust boundary: each check starts from the ket just before the heralding
 beam splitter, ``sources.double_pass_source`` or
@@ -272,15 +273,35 @@ def verify_scheme_a(tau: complex, eta: float, order: int = 1) -> float:
                        double_pass_source(tau, order), _A_MIXED, _A_OUTER, eta)[0]
 
 
+def _marginals_gap(printed: dict, ens: WeightedEnsemble) -> float:
+    """Max |printed - dense| over verify-phase's ``marginals`` block: the
+    probability that each outer beam holds a photon in ``ens`` (``raw_beam3``,
+    ``raw_beam4``) and each one's share of their sum (``beam3``, ``beam4``);
+    ``inf`` unless both hold the same keys, with a share None on both or
+    neither."""
+    raw = {m: math.fsum(w * abs(a) ** 2 for w, ket in ens.members for occ, a in ket.items()
+                        if occ[ens.register.index(m)])
+           for m in _A_OUTER}
+    total = sum(raw.values())
+    dense = {**{f"raw_beam{m}": p for m, p in raw.items()},
+             **{f"beam{m}": p / total if total > 0 else None for m, p in raw.items()}}
+    if printed.keys() != dense.keys() or any(
+            (printed[key] is None) != (p is None) for key, p in dense.items()):
+        return math.inf
+    return max((abs(printed[key] - p) for key, p in dense.items() if p is not None), default=0.0)
+
+
 def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float:
     """Max |printed - dense| over the phase verification's two events, the
-    ``joint`` D3/D4 table of each heralded one, and ``p_d3``/``p_d4`` of
-    each ideal psi+/psi- reference.
+    ``joint`` D3/D4 table of each heralded one, ``p_d3``/``p_d4`` of each
+    ideal psi+/psi- reference, and the ``marginals`` block.
 
     The dense side runs the whole chain once, BS(1, 2) then BS(3, 4) and a
     detector on each beam, and takes each heralded event's table by Bayes'
     rule, P(herald, D3/D4 outcome) / P(herald); each ideal reference, built
-    here, goes through BS(3, 4) and D3/D4 alone.
+    here, goes through BS(3, 4) and D3/D4 alone.  The ``marginals`` block,
+    printed when event 1 heralds, is compared with the dense event-1
+    ensemble.
     """
     report = protocols.run_phase_verification(tau, eta, order)
     pre = double_pass_source(tau, order)
@@ -295,6 +316,11 @@ def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float
             p_herald = math.fsum(joint.values())
             worst = max(worst, _table_gap(co[ev.name]["joint"],
                                           {out: p / p_herald for out, p in joint.items()}))
+    ens1 = dense[_HERALDS[0]].ensemble
+    if ("marginals" in co) != (ens1 is not None):
+        return math.inf
+    if ens1 is not None:
+        worst = max(worst, _marginals_gap(co["marginals"], ens1))
     for kind, name in (("psi+", "ideal_psi_plus"), ("psi-", "ideal_psi_minus")):
         ideal = _dense_chain(bell_state(kind, _A_OUTER, 2), [_A_OUTER], eta)
         for i, key in enumerate(("p_d3", "p_d4")):

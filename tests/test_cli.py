@@ -466,6 +466,14 @@ def test_sweep_flags_without_sweep_exit_2(flags, capsys):
     assert "only valid with --sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scheme-a", "--tau2", "1e-3", *SWEEP[:-1], "0"], "--steps must be >= 1"),
+    (["scheme-a", "--tau2", "abc"], "argument --tau2: invalid float value: 'abc'"),
+])
+def test_a_zero_step_count_or_a_text_that_is_no_float_exits_2(argv, message, capsys):
+    assert_usage_error(argv, message, capsys)
+
+
 def test_sweep_spacing_defaults_to_linear():
     argv = ["scheme-a", "--tau2", "1e-3", "--sweep", "eta", "--from", "0.2",
             "--to", "1.0", "--steps", "3"]
@@ -531,6 +539,21 @@ def test_a_process_with_a_usage_error_exits_2(launcher):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("usage: swapsim scheme-a ")
     assert "must be a finite number, got 'nan'" in done.stderr
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("argv", [[], ["nope"]])
+def test_a_top_level_usage_error_prints_the_usage_of_swapsim_help(argv, columns, capsys,
+                                                                   monkeypatch):
+    # the usage is built from COMMANDS: the same three lines at every width
+    # and on every Python; the error line after it is worded differently on
+    # 3.13, so only the usage is compared
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    usage = "".join(GOLDEN["--help"].splitlines(keepends=True)[:3])
+    assert capsys.readouterr().err.startswith(usage)
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

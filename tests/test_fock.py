@@ -322,6 +322,33 @@ def test_format_ket_labels_counts_of_ten_and_more():
     assert format_ket(relabel(ket, {"a": "z"})) == want
 
 
+PSI_12 = bell_state("psi+", ("1", "2"))
+PSI_13 = bell_state("psi+", ("1", "3"))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ModeRegister((), 1), "register needs at least one mode"),
+    (lambda: FockKet(PSI_12.register, {(1,): 1.0}),
+     r"occupation \(1,\) does not match register size 2"),
+    (lambda: WeightedEnsemble(PSI_12.register, ()), "ensemble needs at least one member"),
+    (lambda: WeightedEnsemble(PSI_12.register, ((1.0, PSI_13),)),
+     "ensemble member register mismatch"),
+    (lambda: WeightedEnsemble.from_branches([(0.0, PSI_12), (-0.5, PSI_12)]),
+     "no branches with positive weight"),
+    (lambda: fidelity(WeightedEnsemble.pure(PSI_12), PSI_13),
+     "register mismatch between ensemble and target"),
+    (lambda: reorder(PSI_12, ("1", "3")), "reorder must use exactly the existing labels"),
+], ids=["empty-register", "occupation-length", "no-members", "member-labels", "no-positive-weight",
+        "fidelity-labels", "reorder-labels"])
+def test_fock_rejects_input_on_the_wrong_modes_or_with_nothing_in_it(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_format_ket_of_the_zero_ket_is_0():
+    assert format_ket(FockKet(PSI_12.register, {})) == "0"
+
+
 def test_format_ket_imaginary_cut_boundary():
     # an imaginary part below 1e-12 prints as a real amplitude
     reg = ModeRegister(("1", "2"), 1)

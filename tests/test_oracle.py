@@ -319,3 +319,69 @@ def test_verify_phase_verification_catches_a_skewed_table(monkeypatch, table):
 
     monkeypatch.setattr(protocols, "_phase_tables", skewed)
     assert verify_phase_verification(0.3, 0.6, order=2) == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_verify_phase_verification_checks_the_printed_marginals(monkeypatch):
+    # beam 3's and beam 4's photon probabilities, doubled, leave their shares
+    # as they were: only the raw_beam3/raw_beam4 comparison sees the fault
+    occupied = protocols._occupied_probabilities
+    monkeypatch.setattr(protocols, "_occupied_probabilities",
+                        lambda ens, modes: tuple(2 * p for p in occupied(ens, modes)))
+    assert verify_phase_verification(0.3, 0.6, order=2) > 0.1
+    argv = ["verify-phase", "--tau2", "0.09", "--eta", "0.6", "--order", "2", "--verify"]
+    assert cli.run(argv, out=io.StringIO()) == 3
+
+
+@pytest.mark.parametrize("check, report", [(verify_scheme_a, "run_scheme_a"),
+                                           (verify_scheme_b, "run_scheme_b"),
+                                           (verify_phase_verification, "run_phase_verification")])
+def test_a_report_that_conditions_where_the_dense_side_does_not_is_inf(check, report, monkeypatch):
+    # the report at eta = 0, where no herald clicks, against a dense chain at
+    # eta = 0.6, where both do
+    run = getattr(protocols, report)
+    monkeypatch.setattr(protocols, report, lambda first, eta, *rest: run(first, 0.0, *rest))
+    assert check(0.3, 0.6, 2) == math.inf
+
+
+@pytest.mark.parametrize("edit", [
+    lambda co: {**co, "event1": None},
+    lambda co: {k: v for k, v in co.items() if k != "marginals"},
+    lambda co: {**co, "marginals": {**co["marginals"], "beam3": None}},
+    lambda co: {**co, "marginals": {**co["marginals"], "total": 1.0}},
+], ids=["event-table", "marginals", "marginal-share", "marginals-keys"])
+def test_verify_phase_verification_is_inf_when_a_printed_block_differs_in_shape(edit, monkeypatch):
+    run = protocols.run_phase_verification
+
+    def edited(*args):
+        report = run(*args)
+        return replaced(report, coincidences=edit(report.coincidences))
+
+    monkeypatch.setattr(protocols, "run_phase_verification", edited)
+    assert verify_phase_verification(0.3, 0.6, 2) == math.inf
+
+
+def test_dense_state_rejects_a_shape_its_register_does_not_have():
+    with pytest.raises(ValueError, match=r"amplitude shape \(2, 3\) does not match register"):
+        DenseState(ModeRegister(("1", "2"), 1), np.zeros((2, 3)))
+
+
+def test_normalizing_the_zero_ket_raises():
+    with pytest.raises(ValueError, match="cannot normalize the zero ket"):
+        oracle._normalized(FockKet(ModeRegister(("1",), 1), {}))
+
+
+@pytest.mark.parametrize("limit, value, message", [
+    ("MAX_MODES", 1, "too many modes for the dense oracle"),
+    # the beam splitter needs three levels per mode for |1, 1>: 3**2 > 8
+    ("MAX_ELEMENTS", 8, "acted sector too large for the dense oracle"),
+])
+def test_dense_apply_rejects_a_register_over_its_limits(limit, value, message, monkeypatch):
+    state = dense_from_fock(FockKet(ModeRegister(("1", "2"), 1), {(1, 1): 1.0}))
+    monkeypatch.setattr(oracle, limit, value)
+    with pytest.raises(ValueError, match=message):
+        dense_apply(state, balanced_bs(), ("1", "2"))
+
+
+def test_dense_apply_returns_the_zero_ket_as_it_is():
+    zero = DenseState(ModeRegister(("1", "2"), 1), np.zeros((2, 2)))
+    assert dense_apply(zero, balanced_bs(), ("1", "2")) is zero

@@ -605,6 +605,13 @@ def test_report_json_schema():
     assert "dropped_mass" in data
 
 
+def test_report_event_looks_up_by_name():
+    report = run_scheme_a(0.1, 0.9)
+    assert report.event("event2") is report.events[1]
+    with pytest.raises(KeyError, match="event3"):
+        report.event("event3")
+
+
 ETA_ENTRY_POINTS = {
     "run_scheme_a": lambda eta: run_scheme_a(0.1, eta),
     "run_phase_verification": lambda eta: run_phase_verification(0.1, eta),
