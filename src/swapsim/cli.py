@@ -9,7 +9,8 @@ parameters ``--sweep`` may set, and the parsed arguments that every one of
 those functions takes, in order.  ``OPTIONS`` declares the flag or flags
 that set each of those arguments, once for every subcommand.  The parser
 offers ``--verify`` and ``--shots``/``--seed`` only on subcommands whose row
-names a function for them.  Functions are stored by name and looked up when
+names a function for them, and the sweep flags only where ``sweep`` names
+a parameter.  Functions are stored by name and looked up when
 a command runs, so a function rebound on its module is the one called.  A
 sweep point is a copy of the arguments with the swept parameter set,
 checked like a single run.  Every usage error, found by argparse or by a
@@ -152,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="swapsim",
         description="Entanglement-swapping simulator in truncated Fock space.",
     )
-    parser.set_defaults(verify=False, shots=0, seed=None)
+    parser.set_defaults(verify=False, shots=0, seed=None, sweep=None, sweep_from=None,
+                        sweep_to=None, steps=None, spacing=None)
     sub = parser.add_subparsers(dest="scheme", required=True)
     # set after add_subparsers, which takes each subparser's prog from it
     indent = "\n" + " " * len("usage: swapsim ")
@@ -172,13 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="sample this many synthetic detection shots (0: off)")
             p.add_argument("--seed", type=int,
                            help="sampling seed for --shots (default: 0)")
-        p.add_argument("--sweep", metavar="PARAM",
-                       help="sweep a numeric parameter; emits CSV rows")
-        p.add_argument("--from", dest="sweep_from", type=_finite_float)
-        p.add_argument("--to", dest="sweep_to", type=_finite_float)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--spacing", choices=("linear", "log"),
-                       help="sweep grid spacing (default: linear)")
+        if command.sweep:
+            p.add_argument("--sweep", metavar="PARAM",
+                           help="sweep a numeric parameter; emits CSV rows")
+            p.add_argument("--from", dest="sweep_from", type=_finite_float)
+            p.add_argument("--to", dest="sweep_to", type=_finite_float)
+            p.add_argument("--steps", type=int)
+            p.add_argument("--spacing", choices=("linear", "log"),
+                           help="sweep grid spacing (default: linear)")
     return parser
 
 
@@ -241,7 +244,7 @@ def _sweep_grid(args, parser) -> list[float]:
     allowed = COMMANDS[args.scheme].sweep
     if args.sweep not in allowed:
         parser.error(f"{args.scheme} cannot sweep {args.sweep!r}; "
-                     f"sweepable: {', '.join(allowed) or 'none'}")
+                     f"sweepable: {', '.join(allowed)}")
     if args.verify or args.shots:
         parser.error("--sweep cannot be combined with --verify or --shots")
     if args.format not in (None, "csv"):
@@ -377,7 +380,7 @@ def run(argv=None, out=None) -> int:
                 return EXIT_VERIFY
             out.write(f"verify: ok (max deviation {diff:.3g})\n")
         return EXIT_OK
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -51,9 +51,11 @@ and no benchmark workload runs, every click outcome.  The plan keeps each
 entry's largest output, so the branch cutoffs do not change.
 
 ``mixture_tables`` (mixtures of kets after one unitary on all of their
-modes, each distinct ket measured the first time a table needs it)
-scatters them keyed by output index too.  Neither it nor ``measure``
-builds the transformed ket, and both give the same bits as building it.
+modes, each mode under its own detector in register order, each distinct
+ket measured the first time a table needs it) scatters them keyed by
+output index too.  Both read their rows from ``_Povm.rows`` keyed by that
+index, one cache per call.  Neither it nor ``measure`` builds the
+transformed ket, and both give the same bits as building it.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
 ``coincidence_table`` groups the ket, weighs every group under every
@@ -139,11 +141,11 @@ class _Povm:
     plan key.  With ``outcomes``, the outcome list holds only the outcomes
     asked for, still in ``itertools.product`` order.
 
-    What depends on ``eta`` is set up per call by ``rows``: each
-    measured occupation's row of outcome probabilities (which depend only on
-    the detectors' photon counts), made the first time it is looked up as
-    one product per outcome over the detectors' (click, silent) pairs, in
-    ``itertools.product`` order.  Each photon count's pair is computed once
+    What depends on ``eta`` is set up per call by ``rows``: each measured
+    occupation's row of outcome probabilities (which depend only on the
+    detectors' photon counts), or after a unitary each output index's, made
+    the first time it is looked up as one product per outcome over the
+    detectors' (click, silent) pairs, in ``itertools.product`` order.  Each photon count's pair is computed once
     per call, and a detector's count is the sum of its span of the key; with
     two one-mode detectors the row is its four products written out.  With
     ``outcomes``, every row (a tuple then) holds only the outcomes asked for.
@@ -204,8 +206,12 @@ class _Povm:
                 self.take = _tuple_getter(picks)
                 self.plan_key = (tuple(sizes), self.outcomes)
 
-    def rows(self, det: ThresholdDetector) -> _Rows:
-        """This call's rows of outcome probabilities under ``det``."""
+    def rows(self, det: ThresholdDetector, powers_of: Sequence | None = None) -> _Rows:
+        """This call's rows of outcome probabilities under ``det``, keyed by
+        measured occupation, or with ``powers_of`` (a unitary's ``_powers``,
+        its output occupations by index) by output index: the one cache of
+        rows for both of ``coincidence_table``'s paths and for
+        ``mixture_tables``."""
         pairs = _Rows(lambda n: (det.p_click(n), det.p_silent(n)))  # photon count -> pair
         spans = self.spans
         if spans is None:
@@ -225,6 +231,8 @@ class _Povm:
                 return out_probs
         if self.take is not None:
             row = lambda key, full_row=row, take=self.take: take(full_row(key))
+        if powers_of is not None:
+            row = lambda i, occ_row=row: occ_row(powers_of[i])
         return _Rows(row)
 
 
@@ -257,13 +265,14 @@ def _all_modes_probabilities(ket: FockKet, u: ModeUnitary, rows: _Rows,
 
 
 def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeUnitary,
-                   detectors: Sequence[Sequence[str]], eta: float) -> list[dict]:
+                   eta: float) -> list[dict]:
     """One table per mixture of ``(w, ket)`` members on one set of mode
     labels: every outcome's probability, keyed as ``measure``'s result,
-    after ``u`` acts on all of the modes in register order, every mode
-    measured.  A table is ``sum_k w_k p_k(out)`` in member order from 0.0,
-    each ``p_k`` with the bits of ``measure(apply_mode_unitary(ket, u,
-    labels), detectors, eta)``.  A member whose ``2 * w`` is below half an
+    after ``u`` acts on all of the modes in register order, each mode
+    measured by its own detector, in register order.  A table is ``sum_k
+    w_k p_k(out)`` in member order from 0.0, each ``p_k`` with the bits of
+    ``measure(apply_mode_unitary(ket, u, labels), [(m,) for m in labels],
+    eta)``.  A member whose ``2 * w`` is below half an
     ulp of the table's smallest running entry is skipped there: ``p`` is at
     most 1 up to rounding, so ``w * p`` would change no bit.  Each distinct
     ket (by identity) is measured once, the first time a table needs it.
@@ -271,14 +280,11 @@ def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeU
     """
     kets = [ket for members in mixtures for _, ket in members]
     det = ThresholdDetector(eta)
-    povm = _Povm.of(kets[0].register, detectors)
-    if povm.rest_idx:
-        raise ValueError("mixture_tables measures every mode")
+    povm = _Povm.of(kets[0].register, [(m,) for m in kets[0].register.labels])
     if any(ket.register.labels != povm.labels for ket in kets):
         raise ValueError("the members of every mixture must share their mode labels")
     _check_acted(u, povm.labels, max(ket.register.cutoff for ket in kets))
-    rows, measured_of, powers_of = povm.rows(det), povm.measured_of, u._powers
-    index_rows = _Rows(lambda i: rows[measured_of(powers_of[i])])
+    rows = povm.rows(det, u._powers)
     n = len(povm.outcomes)
     probs: dict[int, list[float]] = {}  # id(ket) -> its outcome probabilities
     tables = []
@@ -290,7 +296,7 @@ def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeU
                 continue
             p = probs.get(id(ket))
             if p is None:
-                p = probs[id(ket)] = _all_modes_probabilities(ket, u, index_rows, n)
+                p = probs[id(ket)] = _all_modes_probabilities(ket, u, rows, n)
             joint = [j + w * q for j, q in zip(joint, p)]
             half_ulp = math.ulp(min(joint)) / 2
         tables.append(dict(zip(povm.outcomes, joint)))
@@ -328,7 +334,8 @@ def _scatter_terms(state: FockKet, u: ModeUnitary, povm: _Povm, rows: _Rows,
 
     The entries are the table's, or with ``plan_key`` (``povm.plan_key``
     at ``eta = 1``, else None) those of the plan it names on ``u``, which
-    keeps only the outputs whose row in ``rows`` is not all 0.0: a dead
+    keeps only the outputs whose row in ``rows`` (keyed by output index)
+    is not all 0.0: a dead
     output makes no term and so no group.  The plan grows
     here, one acted occupation at a time, and keeps the table entry's
     largest output.
@@ -340,7 +347,7 @@ def _scatter_terms(state: FockKet, u: ModeUnitary, povm: _Povm, rows: _Rows,
 
         def sector(acted):
             entry = u.sector(acted)
-            live = tuple(out for out in entry[1] if any(rows[out[0]]))
+            live = tuple(out for out in entry[1] if any(rows[out[1]]))
             if len(live) < len(entry[1]):
                 entry = (entry[0], live, entry[2])
             table[acted] = entry
@@ -394,7 +401,7 @@ def coincidence_table(
     """
     det = ThresholdDetector(eta)
     povm = _Povm.of(state.register, detectors, outcomes)
-    rows = povm.rows(det)
+    rows = povm.rows(det, None if unitary is None else unitary._powers)
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]
     sums = [0.0] * len(povm.outcomes)
     try:
@@ -406,8 +413,6 @@ def coincidence_table(
             terms, max_occ = _scatter_terms(state, unitary, povm, rows, plan_key)
             measured_of, rest_of = itemgetter(0), itemgetter(1)
             cutoff = max(max_occ, state.register.cutoff)
-            powers_of, row = unitary._powers, rows.make
-            rows = _Rows(lambda i: row(powers_of[i]))
         rest_reg = ModeRegister._derived(povm.rest_labels, cutoff) if povm.rest_idx else None
         for key, (w, sub) in _group(terms, measured_of, rest_of).items():
             ket = None

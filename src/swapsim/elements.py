@@ -145,7 +145,7 @@ def balanced_bs() -> ModeUnitary:
 def unbalanced_bs(eps: float) -> ModeUnitary:
     """Almost-transparent beam splitter (1/sqrt(1+eps^2)) [[1, eps], [eps, -1]]."""
     if not 0.0 < eps < 1.0:
-        raise ValueError(f"unbalanced beam splitter needs 0 < eps < 1, got {eps}")
+        raise ValueError(f"epsilon must be in (0, 1), got {eps}")
     r = 1.0 / math.sqrt(1.0 + eps * eps)
     return ModeUnitary(((r, r * eps), (r * eps, -r)))
 

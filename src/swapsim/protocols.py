@@ -6,11 +6,12 @@ use detectors.  Every pipeline is pure given its parameters (and seed).
 
 Every report builds its events with ``_event``, the one place a fidelity
 is computed.  Schemes A and B, each described once (``_SCHEME_A``,
-``_SCHEME_B``), herald with one step, ``_herald``: a balanced beam splitter
-on two beams and one threshold detector on each output, measured without
-building the mixed ket.  A report measures only the two heralded
-outcomes; the click distributions read the probabilities of all four from
-the coincidence table and build no ensemble.  A branch that both
+``_SCHEME_B``), herald the same way: a balanced beam splitter on two
+beams and one threshold detector on each output, one call of
+``detection`` that never builds the mixed ket.  A report takes the two
+heralded outcomes, ensembles included, from ``detection.measure``; the
+click distributions read the probabilities of all four from
+``coincidence_table``'s totals and build no ensemble.  A branch that both
 heralded events share is one object, and its work is done once per
 report: its fidelity overlaps, its ``format_ket`` text, and its pass
 through the phase verification's second beam splitter.  Those
@@ -58,7 +59,7 @@ import math
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .detection import CLICK, SILENT, coincidence_table, measure, measure_pattern, mixture_tables
+from .detection import CLICK, SILENT, coincidence_table, measure, mixture_tables
 from .elements import apply_mode_unitary, balanced_bs, unbalanced_bs
 from .fock import (
     BELL_KINDS,
@@ -289,28 +290,22 @@ def run_theta_swapping(theta: float) -> ProtocolReport:
 # Scheme A: double-pass SPDC + balanced beam splitter on the inner beams
 # --------------------------------------------------------------------------
 
-def _herald(pre: FockKet, mixed: tuple[str, str], eta: float,
-            outcomes: Sequence[tuple[str, str]] | None = None) -> dict:
-    """Mix two beams of a ket on a balanced beam splitter and put one
-    threshold detector on each output: the ``coincidence_table`` of every
-    outcome asked for (all by default), keyed in ``mixed`` order.  The mixed
-    ket is never built (``coincidence_table``'s ``unitary``)."""
-    return coincidence_table(pre, [(m,) for m in mixed], eta, balanced_bs(), outcomes)
-
-
 class _Heralded(NamedTuple):
-    """A scheme that heralds with ``_herald``: the two beams it mixes, the
-    names of its two events, ``_HERALDS``: the detector on the first mixed
-    beam clicks alone, then the one on the second, and its fidelity
-    targets, psi+ and psi- on the two outer beams that carry the swapped
-    pair (their ``labels``), checked once by ``_targets``."""
-    mixed: tuple[str, str]
+    """A scheme that heralds by mixing two beams on a balanced beam
+    splitter, with one threshold detector on each output: its
+    ``detectors``, one per mixed beam, in the order the beam splitter takes
+    them; the names of its two events, ``_HERALDS``: the detector on the
+    first mixed beam clicks alone, then the one on the second; and its
+    fidelity targets, psi+ and psi- on the two outer beams that carry the
+    swapped pair (their ``labels``), checked once by ``_targets``."""
+    detectors: tuple[tuple[str], tuple[str]]
     events: tuple[str, str]
     targets: _Targets
 
 
-_SCHEME_A = _Heralded(("1", "2"), ("event1", "event2"), _bell_targets(("3", "4"), _PSI))
-_SCHEME_B = _Heralded(("2", "3"), ("d2_click", "d3_click"), _bell_targets(("1", "4"), _PSI))
+_SCHEME_A = _Heralded((("1",), ("2",)), ("event1", "event2"), _bell_targets(("3", "4"), _PSI))
+_SCHEME_B = _Heralded((("2",), ("3",)), ("d2_click", "d3_click"),
+                      _bell_targets(("1", "4"), _PSI))
 _HERALDS = ((CLICK, SILENT), (SILENT, CLICK))
 
 
@@ -323,8 +318,8 @@ def _heralded_events(pre: FockKet, scheme: _Heralded, eta: float) -> tuple[Event
     """The two heralded events of ``scheme``, each with its fidelity to
     psi+ and psi- on the outer beams and the one it favors.  Only the two
     heralded outcomes are measured."""
-    table = _herald(pre, scheme.mixed, eta, _HERALDS)
-    outcomes = (measure_pattern(*table[out]) for out in _HERALDS)
+    measured = measure(pre, scheme.detectors, eta, balanced_bs(), _HERALDS)
+    outcomes = (measured[out] for out in _HERALDS)
     overlaps: dict = {}
     return tuple(_event(name, o.probability, o.ensemble, scheme.targets, _favored, overlaps)
                  for name, o in zip(scheme.events, outcomes))
@@ -332,7 +327,7 @@ def _heralded_events(pre: FockKet, scheme: _Heralded, eta: float) -> tuple[Event
 
 def _click_distribution(pre: FockKet, scheme: _Heralded, eta: float) -> dict:
     """Every outcome of ``scheme``'s two detectors (keys "click,silent" etc.)."""
-    table = _herald(pre, scheme.mixed, eta)
+    table = coincidence_table(pre, scheme.detectors, eta, balanced_bs())
     return _joint_json({out: total for out, (total, _) in table.items()})
 
 
@@ -375,7 +370,7 @@ def _phase_tables(ensembles: Sequence[WeightedEnsemble], eta: float) -> list[dic
     ensemble, then one per ``_PHASE_REFERENCES`` ket."""
     mixtures = ([ens.members for ens in ensembles]
                 + [((1.0, ket),) for ket in _PHASE_REFERENCES])
-    return mixture_tables(mixtures, balanced_bs(), [(m,) for m in _SCHEME_A.targets.labels], eta)
+    return mixture_tables(mixtures, balanced_bs(), eta)
 
 
 def _click_marginals(joint: Mapping[tuple[str, str], float]) -> dict:
@@ -454,13 +449,11 @@ def scheme_b_state(epsilon: float, order: int = 1, variant: str = "ubs",
     UBS(1, 2) and UBS(4, 3).  The ``"pbs"`` variant (polarization
     rotations, then a PBS on each beam) gives this ket bit for bit, so both
     variants build it (module docstring); ``variant`` is validated and
-    reported."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    reported, and ``unbalanced_bs`` checks ``epsilon``, first."""
+    ubs = unbalanced_bs(epsilon)
     if variant not in ("ubs", "pbs"):
         raise ValueError(f"unknown variant {variant!r}")
     src = single_pass_source(order, pair_amplitude)
-    ubs = unbalanced_bs(epsilon)
     st = apply_mode_unitary(src, ubs, ("1", "2"))
     return apply_mode_unitary(st, ubs, ("4", "3"))
 

@@ -114,14 +114,16 @@ def test_shots_unsupported(capsys):
 
 
 @pytest.mark.parametrize("scheme, offered", [
-    ("theta", ()), ("verify-phase", ("--verify",)), ("scheme-a", ("--verify", "--shots")),
+    ("theta", ("--sweep",)), ("verify-phase", ("--verify", "--sweep")),
+    ("scheme-a", ("--verify", "--shots", "--sweep")), ("bell-check", ()),
 ])
 def test_help_offers_verify_and_shots_only_where_they_work(scheme, offered, capsys):
+    # the sweep flags too: bell-check has nothing to sweep
     with pytest.raises(SystemExit) as exc:
         run_cli([scheme, "--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    for flag in ("--verify", "--shots"):
+    for flag in ("--verify", "--shots", "--sweep"):
         assert (flag in text) == (flag in offered), (scheme, flag)
 
 
@@ -352,18 +354,19 @@ def test_float_text_that_is_0_or_subnormal_parses(text, value):
     assert parsed == value and math.copysign(1.0, parsed) == math.copysign(1.0, value)
 
 
-@pytest.mark.parametrize("argv", [
-    ["scheme-a", "--tau2", "1e-3", "--sweep", "foo"],
-    ["scheme-a", "--tau2", "1e-3", "--sweep", "order"],
-    ["scheme-b", "--epsilon", "0.1", "--sweep", "pair_amplitude"],
-    ["postselect-vac", "--sweep", "theta"],
-    ["bell-check", "--sweep", "eta"],
+@pytest.mark.parametrize("argv, message", [
+    (["scheme-a", "--tau2", "1e-3", "--sweep", "foo"], "cannot sweep"),
+    (["scheme-a", "--tau2", "1e-3", "--sweep", "order"], "cannot sweep"),
+    (["scheme-b", "--epsilon", "0.1", "--sweep", "pair_amplitude"], "cannot sweep"),
+    (["postselect-vac", "--sweep", "theta"], "cannot sweep"),
+    # bell-check offers no sweep flags at all
+    (["bell-check", "--sweep", "eta"], "unrecognized arguments: --sweep eta --from 0.1"),
 ])
-def test_unknown_sweep_param_exits_2(argv, capsys):
+def test_unknown_sweep_param_exits_2(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv + ["--from", "0.1", "--to", "0.9", "--steps", "3"])
     assert exc.value.code == 2
-    assert "cannot sweep" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [["--verify"], ["--shots", "100"]])
@@ -478,6 +481,17 @@ def test_sweep_spacing_defaults_to_linear():
     argv = ["scheme-a", "--tau2", "1e-3", "--sweep", "eta", "--from", "0.2",
             "--to", "1.0", "--steps", "3"]
     assert run_cli(argv) == run_cli(argv + ["--spacing", "linear"])
+
+
+def test_the_order_limit_of_verify_phase_depends_on_tau2(capsys):
+    # the limit is on a heralded branch's cutoff after BS(1, 2), which
+    # pruning lowers: order 11 runs at tau2 = 0.01, and at tau2 = 0.1 the
+    # cutoff reaches 22
+    code, text = run_cli(["verify-phase", "--tau2", "0.01", "--order", "11"])
+    assert code == 0 and "order=11" in text
+    code, text = run_cli(["verify-phase", "--tau2", "0.1", "--order", "11"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: cutoff 22 exceeds factorial table limit\n"
 
 
 # --------------------------------------------------------------------------

@@ -234,8 +234,9 @@ def test_oracle_reads_no_private_name_of_the_engine():
 
 @pytest.mark.parametrize("outcome", protocols._HERALDS)
 def test_verify_catches_a_skew_of_the_heralded_outcomes_alone(monkeypatch, outcome):
-    # the reports measure only the heralded outcomes; a fault there alone,
-    # with the full herald (--shots) intact, must still fail --verify
+    # the reports measure only the heralded outcomes, through measure; a
+    # fault there alone, with the full herald (--shots) intact, must still
+    # fail --verify
     table = detection.coincidence_table
 
     def skewed(state, detectors, eta, unitary=None, outcomes=None):
@@ -245,10 +246,12 @@ def test_verify_catches_a_skew_of_the_heralded_outcomes_alone(monkeypatch, outco
             out[outcome] = (total + 1e-6, branches)
         return out
 
-    monkeypatch.setattr(protocols, "coincidence_table", skewed)
-    pre = double_pass_source(0.3, 2)
-    full = protocols._herald(pre, ("1", "2"), 0.6)
-    heralded = protocols._herald(pre, ("1", "2"), 0.6, protocols._HERALDS)
+    monkeypatch.setattr(detection, "coincidence_table", skewed)
+    pre, detectors = double_pass_source(0.3, 2), protocols._SCHEME_A.detectors
+    full = protocols.coincidence_table(pre, detectors, 0.6, balanced_bs())
+    heralded = detection.coincidence_table(pre, detectors, 0.6, balanced_bs(),
+                                           protocols._HERALDS)
+    assert protocols.coincidence_table is table
     assert heralded[outcome][0] == full[outcome][0] + 1e-6
     assert verify_scheme_a(0.3, 0.6, order=2) == pytest.approx(1e-6, rel=1e-6)
     assert verify_scheme_b(0.25, 0.7, order=2, pair_amplitude=0.5) == \

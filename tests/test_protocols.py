@@ -279,7 +279,7 @@ def test_phase_verification_sends_each_branch_through_the_beam_splitter_at_most_
     assert len(skipped) == 42
     assert {id(ket) for ket in protocols._PHASE_REFERENCES} <= set(measured)
     kets = list(distinct.values())
-    every = mixture_tables([((1.0, ket),) for ket in kets], balanced_bs(), [("3",), ("4",)], 0.7)
+    every = mixture_tables([((1.0, ket),) for ket in kets], balanced_bs(), 0.7)
     probs = {id(ket): table for ket, table in zip(kets, every)}
     for ev in report.events:
         joint = report.coincidences[ev.name]["joint"]
