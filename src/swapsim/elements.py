@@ -199,7 +199,8 @@ def _check_acted(u: ModeUnitary, modes: tuple[str, ...], cutoff: int) -> None:
     if len(modes) != u.size:
         raise ValueError(f"unitary acts on {u.size} modes, got {len(modes)}")
     if cutoff > MAX_FACTORIAL_CUTOFF:
-        raise ValueError(f"cutoff {cutoff} exceeds factorial table limit")
+        raise ValueError(f"a mode would hold {cutoff} photons, above the limit of "
+                         f"{MAX_FACTORIAL_CUTOFF}")
 
 
 # (register labels, acted modes) -> (acted-occupation getter, output-key

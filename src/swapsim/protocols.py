@@ -571,18 +571,22 @@ def sample_run(distribution: Mapping, shots: int, seed: int) -> dict:
     """Multinomial click-count table from an exact pattern distribution.
 
     Deterministic for a fixed seed; keys keep the distribution's patterns.
-    numpy draws the counts as int64, so ``shots`` is at most 2**63 - 1.
+    The counts are those of numpy's ``default_rng(seed).multinomial`` on
+    the normalized probabilities, drawn without numpy by the port in
+    ``multinomial``.  numpy draws them as int64, and ``shots`` keeps that
+    range, 1 to 2**63 - 1.
     """
-    import numpy as np  # only sampling needs numpy; the engine does not
+    from . import multinomial  # only sampling needs it; a plain run never compiles it
 
     if not 1 <= shots <= 2**63 - 1:
         raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
     keys = sorted(distribution)
-    probs = np.array([distribution[k] for k in keys], dtype=float)
-    if np.any(probs < -1e-12):
+    probs = [float(distribution[k]) for k in keys]
+    if any(p < -1e-12 for p in probs):
         raise ValueError("negative probability in distribution")
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    return {k: int(c) for k, c in zip(keys, counts)}
+    probs = [0.0 if p < 0.0 else p for p in probs]
+    total = multinomial.pairwise_sum(probs)
+    # numpy divides 0.0 by 0.0 into nan, which its multinomial rejects
+    probs = [p / total if total else math.nan for p in probs]
+    counts = multinomial.multinomial(int(shots), probs, seed)
+    return dict(zip(keys, counts))

@@ -31,7 +31,8 @@ def spdc_pair(tau: complex, order: int, modes: tuple[str, str]) -> FockKet:
     if order < 1:
         raise ValueError("truncation order must be >= 1")
     if order > MAX_FACTORIAL_CUTOFF:
-        raise ValueError(f"cutoff {order} exceeds factorial table limit")
+        raise ValueError(f"order {order}: a mode would hold {order} photons, above the "
+                         f"limit of {MAX_FACTORIAL_CUTOFF}")
     reg = ModeRegister(tuple(modes), order)
     terms = {(n, n): tau**n for n in range(order + 1)}
     return FockKet(reg, terms).normalized()
@@ -58,7 +59,8 @@ def single_pass_source(order: int, pair_amplitude: float) -> FockKet:
     at 0 only the single pair is left, at any ``order``."""
     cutoff = max(2, order)
     if cutoff > MAX_FACTORIAL_CUTOFF:
-        raise ValueError(f"cutoff {cutoff} exceeds factorial table limit")
+        raise ValueError(f"order {order}: a mode would hold {cutoff} photons, above the "
+                         f"limit of {MAX_FACTORIAL_CUTOFF}")
     if order < 1:
         raise ValueError("order must be >= 1")
     if not math.isfinite(pair_amplitude):

@@ -7,8 +7,8 @@ blocked, and print each run's stdout.
 ``cli.run(args)`` and ``[script, *args]`` runs that script as ``__main__``
 through ``runpy``.  Every run must return or exit with 0.  The stdouts are
 printed as one JSON list, in run order.  Any import of the three modules
-raises ``ModuleNotFoundError``: only ``--shots`` and ``--verify`` may import
-numpy or scipy, and nothing imports dataclasses.  ``-B`` keeps the child
+raises ``ModuleNotFoundError``: only ``--verify`` may import numpy or
+scipy, and nothing imports dataclasses.  ``-B`` keeps the child
 from writing bytecode into ``SRC``.
 """
 import contextlib

@@ -346,7 +346,7 @@ def test_warm_table_still_enforces_factorial_limit():
     reg = ModeRegister(("1", "2"), 1)
     apply_mode_unitary(basis(reg, (1, 1)), u, ("1", "2"))  # warm the (1, 1) entry
     big = ModeRegister(("1", "2"), MAX_FACTORIAL_CUTOFF + 1)
-    with pytest.raises(ValueError, match="factorial"):
+    with pytest.raises(ValueError, match="a mode would hold 21 photons, above the limit of 20"):
         apply_mode_unitary(basis(big, (1, 0)), u, ("1", "2"))
 
 

@@ -3,11 +3,14 @@
 Every subcommand in every format, sweeps of ``eta``, ``epsilon``, ``tau2``
 and ``tau``, high-order phase verifications, and a run of each report
 whose conditioning event is impossible, plus the ``--help`` text of
-``swapsim`` and of every subcommand at an 80-column terminal.  ``--verify`` and ``--shots`` are left
-out: their output depends on the installed scipy and numpy builds.  Every
-entry is also run in one child with numpy, scipy and dataclasses blocked
-(``blocked_run.py``) and must print the same bytes, so a run added with
-``--add`` is checked blocked too.
+``swapsim`` and of every subcommand at an 80-column terminal, and two
+``--shots`` runs, one with a seed above 2**32 (two 32-bit entropy words).
+``--verify`` is left out: its deviation depends on the installed scipy
+build.  The ``--shots`` counts are numpy's, drawn by the stdlib port in
+``swapsim.multinomial``, which ``test_multinomial.py`` checks against numpy
+itself.  Every entry is also run in one child with numpy, scipy and
+dataclasses blocked (``blocked_run.py``) and must print the same bytes, so
+a run added with ``--add`` is checked blocked too.
 
 Record the argvs the fixture lacks, keeping every entry it has byte for
 byte, with ``PYTHONPATH=src python tests/test_golden_cli.py --add``.
@@ -76,6 +79,10 @@ ARGVS = [f"{run} --format {fmt}" for run in RUNS for fmt in ("table", "csv", "js
     "scheme-a --tau2 0.1 --eta 1 --order 10 --format table",
     "scheme-a --tau2 0.1 --eta 0 --order 10 --format json",
     "scheme-b --epsilon 0.3 --eta 0 --order 4 --pair-amplitude 0.5 --format json",
+    # sampled click counts, from seeds of one and of two 32-bit words
+    "scheme-a --tau2 0.05 --eta 0.8 --order 4 --format json --shots 100 --seed 7",
+    "scheme-b --epsilon 0.25 --eta 0.7 --variant pbs --format json --shots 1000"
+    " --seed 123456789012345",
 ]
 IMPOSSIBLE_RUNS = [
     "scheme-a --tau2 0 --eta 0.5",
@@ -130,10 +137,8 @@ def test_every_golden_run_prints_its_bytes_with_numpy_scipy_and_dataclasses_bloc
     assert dict(zip(argvs, json.loads(done.stdout))) == {argv: golden[argv] for argv in argvs}
 
 
-@pytest.mark.parametrize("argv", ["scheme-a --tau2 1e-3 --shots 10 --format json",
-                                  "scheme-a --tau2 1e-3 --verify"])
-def test_the_blocked_child_fails_a_run_that_needs_numpy(argv):
-    done = run_blocked([["swapsim", *argv.split()]])
+def test_the_blocked_child_fails_a_run_that_needs_numpy():
+    done = run_blocked([["swapsim", "scheme-a", "--tau2", "1e-3", "--verify"]])
     assert done.returncode != 0
     assert "ModuleNotFoundError: import of numpy halted" in done.stderr
 

@@ -469,7 +469,7 @@ def test_scheme_b_rejects_bad_params():
     with pytest.raises(ValueError, match="overflows"):
         analyze_polarization_postselection(1.0, True, 1e154)
     for variant in ("ubs", "pbs"):
-        with pytest.raises(ValueError, match="exceeds factorial table limit"):
+        with pytest.raises(ValueError, match="order 21: a mode would hold 21 photons"):
             scheme_b_state(0.3, MAX_FACTORIAL_CUTOFF + 1, variant, 1.0)
 
 
