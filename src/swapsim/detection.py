@@ -8,35 +8,42 @@ with probability 1 - (1 - eta)^n.
 ``measure`` is the one implementation of this POVM.  It returns every
 click/silent outcome asked for (all by default) of a set of detectors on a
 ket at once, keyed by a tuple of ``CLICK``/``SILENT`` in detector order.
-One function, ``_group``, groups the ket once by the occupation of the
-measured modes: groups with distinct measured occupations are incoherent,
-terms sharing them stay coherent.  This is exact for POVMs diagonal in the
-measured modes' Fock basis.  A group's normalized branch on the unmeasured
-modes does not depend on the outcome (only its weight does), so it is
-built once and shared by every outcome it contributes to.
+The ket is grouped once by the occupation of the measured modes: groups
+with distinct measured occupations are incoherent, terms sharing them stay
+coherent.  This is exact for POVMs diagonal in the measured modes' Fock
+basis.  A group's normalized branch on the unmeasured modes does not
+depend on the outcome (only its weight does), so it is built once and
+shared by every outcome it contributes to.
 
 What depends only on the detector layout (the register's labels, the
 detectors and the outcomes asked for) is set up once per layout and kept
 for the life of the process, in ``_Povm``: the detector check, the outcome
 list and the getters of the measured and unmeasured occupations.  What
-depends on ``eta`` or on the ket is set up once per call: each photon
-count's (click, silent) pair, each measured occupation's row of outcome
-probabilities, and the branches' cutoff, the ket's.  Their register is the
-one kept per (unmeasured labels, cutoff) by ``ModeRegister._derived``.  With
-two one-mode detectors, as in every herald and phase table, a row is its
-four products written out, and any other layout takes each detector's
-photon count from its span of the occupation.  When every mode is
-measured, each term is its own group and no branch is built.
+depends on ``eta`` or on the ket is set up once per call: the list of
+(click, silent) pairs by photon count, each measured occupation's row of
+outcome probabilities, and the branches' cutoff, the ket's.  Their register
+is the one kept per (unmeasured labels, cutoff) by
+``ModeRegister._derived``.  With two one-mode detectors, as in every herald
+and phase table, a row is its four products written out, and any other
+layout takes each detector's photon count from its span of the
+occupation.  When every mode is measured, each term is its own group and
+no branch is built.
 
 A unitary just before the detectors need not be applied first.
 ``measure(state, ..., unitary=u)``, where ``u`` acts on the measured modes
 in detector order (as in every herald), scatters each term of ``state``
-through ``u``'s transfer table into terms keyed by (output index, rest
-occupation), the transformed ket's terms in its own order, which
-``_group`` then groups as it groups any ket.  When only some outcomes are
-asked for, a group whose row is exactly 0.0 on all of them (at ``eta =
-1`` the vacuum and every group with photons at both heralding detectors)
-builds no branch.
+through ``u``'s transfer table, and the groups are keyed by output index.
+Which of two ways makes them is read from ``state`` on each call.  When no
+two of its terms share a rest occupation (the occupation of the unmeasured
+modes), as in scheme A's double-pass source, every (output, rest) key is
+made by one term only, once: ``_scatter_groups`` prunes each output and
+adds it to its group as it is made, in one pass, and that scatter order is
+the transformed ket's term order.  Otherwise (scheme B's source),
+``_scatter_terms`` sums the terms keyed by (output index, rest occupation)
+in that same order, and ``_group``, the grouping of a ket without a
+unitary, groups them.  When only some outcomes are asked for, a group
+whose row is exactly 0.0 on all of them (at ``eta = 1`` the vacuum and
+every group with photons at both heralding detectors) builds no branch.
 
 Whether an output of ``u`` is dead, its row exactly 0.0 on every outcome
 asked for, is decided once per unitary, not per call: ``u`` keeps a plan
@@ -53,8 +60,11 @@ entry's largest output, so the branch cutoffs do not change.
 ``mixture_tables`` (mixtures of kets after one unitary on all of their
 modes, each mode under its own detector in register order, each distinct
 ket measured the first time a table needs it) scatters them keyed by
-output index too.  Both read their rows from ``_Povm.rows`` keyed by that
-index, one cache per call.  Neither it nor ``measure`` builds the
+output index too, through ``u``'s slot plan for the ket's term layout
+(``ModeUnitary._slot_plans``): each term's table entry, and the output
+indices in the order the layout first meets them, which is the order the
+sums are weighed in.  Both read their rows from ``_Povm.rows`` keyed by
+that index, one cache per call.  Neither it nor ``measure`` builds the
 transformed ket, and both give the same bits as building it.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
@@ -145,19 +155,20 @@ class _Povm:
     occupation's row of outcome probabilities (which depend only on the
     detectors' photon counts), or after a unitary each output index's, made
     the first time it is looked up as one product per outcome over the
-    detectors' (click, silent) pairs, in ``itertools.product`` order.  Each photon count's pair is computed once
-    per call, and a detector's count is the sum of its span of the key; with
-    two one-mode detectors the row is its four products written out.  With
-    ``outcomes``, every row (a tuple then) holds only the outcomes asked for.
+    detectors' (click, silent) pairs, in ``itertools.product`` order.  The
+    pairs are one list per call, by photon count, and a detector's count is
+    the sum of its span of the key; with two one-mode detectors the row is
+    its four products written out.  With ``outcomes``, every row (a tuple
+    then) holds only the outcomes asked for.
 
-    ``plan_key`` names the plan that ``_scatter_terms`` reads when ``eta``
-    is exactly 1, a decision made per call: the detector shape (modes per
-    detector) and the outcomes asked for, when some outcomes are left out.
-    Every row is then made of 0.0s and 1.0s that the key alone decides.  It
-    is None with every outcome asked for, and at any other ``eta`` no filter
-    runs: with every outcome asked for no row is all 0.0, at interior
-    ``eta``, short of an underflow, only the vacuum's is, and at ``eta = 0``
-    every row is 0.0 on every click outcome."""
+    ``plan_key`` names the plan that ``_entries`` gives the herald when
+    ``eta`` is exactly 1, a decision made per call: the detector shape
+    (modes per detector) and the outcomes asked for, when some outcomes are
+    left out.  Every row is then made of 0.0s and 1.0s that the key alone
+    decides.  It is None with every outcome asked for, and at any other
+    ``eta`` no filter runs: with every outcome asked for no row is all 0.0,
+    at interior ``eta``, short of an underflow, only the vacuum's is, and at
+    ``eta = 0`` every row is 0.0 on every click outcome."""
 
     __slots__ = ("measured", "labels", "rest_idx", "measured_of", "rest_of", "rest_labels",
                  "outcomes", "spans", "take", "plan_key")
@@ -206,21 +217,36 @@ class _Povm:
                 self.take = _tuple_getter(picks)
                 self.plan_key = (tuple(sizes), self.outcomes)
 
-    def rows(self, det: ThresholdDetector, powers_of: Sequence | None = None) -> _Rows:
+    def rows(self, det: ThresholdDetector, cutoff: int,
+             powers_of: Sequence | None = None) -> _Rows:
         """This call's rows of outcome probabilities under ``det``, keyed by
         measured occupation, or with ``powers_of`` (a unitary's ``_powers``,
         its output occupations by index) by output index: the one cache of
         rows for both of ``coincidence_table``'s paths and for
-        ``mixture_tables``."""
-        pairs = _Rows(lambda n: (det.p_click(n), det.p_silent(n)))  # photon count -> pair
-        spans = self.spans
+        ``mixture_tables``.
+
+        Each row is made by one closure from this call's list of (click,
+        silent) pairs by photon count, ``(1.0 - q ** n, q ** n)`` with ``q =
+        1.0 - eta``, the operations of ``ThresholdDetector.p_click`` and
+        ``p_silent``.  The list covers every count a detector can see on a
+        register with ``cutoff``: the measured modes hold at most
+        ``cutoff`` photons each, and a unitary on them only moves those
+        photons around, so an output mode can hold twice the per-mode limit
+        after a beam splitter."""
+        q = 1.0 - det.eta
+        pairs = [(1.0 - q ** n, q ** n) for n in range(len(self.measured) * cutoff + 1)]
+        spans, take = self.spans, self.take
         if spans is None:
-            def row(key: tuple[int, ...]) -> list[float]:  # the general row's bits, written out
-                c1, s1 = pairs[key[0]]
-                c2, s2 = pairs[key[1]]
-                return [c1 * c2, c1 * s2, s1 * c2, s1 * s2]
+            def row(key) -> Sequence[float]:  # the general row's bits, written out
+                n1, n2 = key if powers_of is None else powers_of[key]
+                c1, s1 = pairs[n1]
+                c2, s2 = pairs[n2]
+                full = [c1 * c2, c1 * s2, s1 * c2, s1 * s2]
+                return full if take is None else take(full)
         else:
-            def row(key: tuple[int, ...]) -> list[float]:
+            def row(key) -> Sequence[float]:
+                if powers_of is not None:
+                    key = powers_of[key]
                 out_probs = [1.0]
                 for span in spans:
                     click, silent = pairs[sum(key[span])]
@@ -228,40 +254,74 @@ class _Povm:
                     for p in out_probs:
                         products += (p * click, p * silent)
                     out_probs = products
-                return out_probs
-        if self.take is not None:
-            row = lambda key, full_row=row, take=self.take: take(full_row(key))
-        if powers_of is not None:
-            row = lambda i, occ_row=row: occ_row(powers_of[i])
+                return out_probs if take is None else take(out_probs)
         return _Rows(row)
+
+
+# term layouts a unitary keeps a slot plan for; a new one past this drops
+# the oldest, so the shared balanced_bs() stays small whatever it is given
+_SLOT_PLANS_MAX = 256
+
+
+def _slot_plan(u: ModeUnitary, layout: tuple[tuple[int, ...], ...]) -> tuple:
+    """``u``'s slot plan for kets whose terms are ``layout``, in order, made
+    on first use and kept in ``u._slot_plans``: each term's transfer-table
+    entry, the output indices in the order the layout first meets them,
+    and the number of slots, one per output index up to the largest."""
+    table, sector = u._table, u.sector
+    entries = tuple(table.get(occ) or sector(occ) for occ in layout)
+    first = dict.fromkeys(out[1] for entry in entries for out in entry[1])
+    plans = u._slot_plans
+    if len(plans) >= _SLOT_PLANS_MAX:
+        del plans[next(iter(plans))]
+    plan = plans[layout] = (entries, tuple(first), max(first, default=-1) + 1)
+    return plan
 
 
 def _all_modes_probabilities(ket: FockKet, u: ModeUnitary, rows: _Rows,
                              n_outcomes: int) -> list[float]:
     """One ket's outcome probabilities in ``mixture_tables``: its terms
-    scattered through ``u``'s table, summed by output index and weighed by
-    that index's row in ``rows``, each its own group of weight |amp|**2,
-    skipping those that building the transformed ket would prune."""
-    table, sector = u._table, u.sector
-    out: dict[int, complex] = {}
-    for occ, amp in ket.terms.items():
-        nf, outputs, _ = table.get(occ) or sector(occ)
+    scattered through ``u``'s slot plan for their layout, summed into a
+    list slot per output index from 0.0 in input-term order, and weighed
+    output by output, in the order the layout first meets them, by the
+    output's row in ``rows``: each output is its own group of weight
+    |amp|**2, skipped when building the transformed ket would prune it.
+    That is the order of a dict keyed by output index, so every sum keeps
+    its float order.  With two modes the four outcomes are written out."""
+    layout = tuple(ket.terms)
+    entries, first, n_slots = u._slot_plans.get(layout) or _slot_plan(u, layout)
+    amps = [0.0] * n_slots
+    for amp, (nf, outputs, _) in zip(ket.terms.values(), entries):
         pref = amp / nf
         for _, i, c, pf in outputs:
-            out[i] = out.get(i, 0.0) + pref * c * pf
-    sums = [0.0] * n_outcomes
+            amps[i] += pref * c * pf
     tol = fock.PRUNE_TOL
-    try:
-        for i, amp in out.items():  # each sum began at 0.0: amp is its own 0.0 + amp
-            if (a := abs(amp)) > tol:
+    try:  # each slot began at 0.0: amps[i] is its own 0.0 + amp
+        if n_outcomes == 4:
+            s0 = s1 = s2 = s3 = 0.0
+            for i in first:
+                if (a := abs(amps[i])) > tol:
+                    w = a ** 2
+                    p0, p1, p2, p3 = rows[i]
+                    if (p := w * p0) > 0.0:
+                        s0 += p
+                    if (p := w * p1) > 0.0:
+                        s1 += p
+                    if (p := w * p2) > 0.0:
+                        s2 += p
+                    if (p := w * p3) > 0.0:
+                        s3 += p
+            return [s0, s1, s2, s3]
+        sums = [0.0] * n_outcomes
+        for i in first:
+            if (a := abs(amps[i])) > tol:
                 w = a ** 2
                 for k, p_out in enumerate(rows[i]):
-                    contrib = w * p_out
-                    if contrib > 0.0:
-                        sums[k] += contrib
+                    if (p := w * p_out) > 0.0:
+                        sums[k] += p
+        return sums
     except OverflowError:  # one squared amplitude is beyond the float range
         raise ValueError("ket norm overflows the float range") from None
-    return sums
 
 
 def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeUnitary,
@@ -275,16 +335,18 @@ def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeU
     eta)``.  A member whose ``2 * w`` is below half an
     ulp of the table's smallest running entry is skipped there: ``p`` is at
     most 1 up to rounding, so ``w * p`` would change no bit.  Each distinct
-    ket (by identity) is measured once, the first time a table needs it.
-    Every member is checked first, those skipped too.
+    ket (by identity) is measured once, the first time a table needs it,
+    by ``_all_modes_probabilities`` through ``u``'s slot plan for its term
+    layout.  Every member is checked first, those skipped too.
     """
     kets = [ket for members in mixtures for _, ket in members]
     det = ThresholdDetector(eta)
     povm = _Povm.of(kets[0].register, [(m,) for m in kets[0].register.labels])
     if any(ket.register.labels != povm.labels for ket in kets):
         raise ValueError("the members of every mixture must share their mode labels")
-    _check_acted(u, povm.labels, max(ket.register.cutoff for ket in kets))
-    rows = povm.rows(det, u._powers)
+    cutoff = max(ket.register.cutoff for ket in kets)
+    _check_acted(u, povm.labels, cutoff)
+    rows = povm.rows(det, cutoff, u._powers)
     n = len(povm.outcomes)
     probs: dict[int, list[float]] = {}  # id(ket) -> its outcome probabilities
     tables = []
@@ -308,7 +370,10 @@ def _group(terms: dict, measured_of: Callable, rest_of: Callable) -> dict:
     (``measured_of`` of a key), in the order of each group's first kept
     term: ``measured -> [w, {rest_of(key): amp}]``, pruned as
     ``FockKet._trusted`` prunes, ``w`` summing the kept squared ``abs`` from
-    0.0 in term order."""
+    0.0 in term order.  It groups a ket's own terms, and after a unitary
+    the terms of a state whose terms share rest occupations, summed by
+    ``_scatter_terms``; ``_scatter_groups`` gives the same groups in one
+    pass when none do."""
     tol = fock.PRUNE_TOL
     groups: dict[tuple[int, ...], list] = {}
     for occ, amp in terms.items():
@@ -322,45 +387,78 @@ def _group(terms: dict, measured_of: Callable, rest_of: Callable) -> dict:
     return groups
 
 
-def _scatter_terms(state: FockKet, u: ModeUnitary, povm: _Povm, rows: _Rows,
-                   plan_key: tuple | None) -> tuple[dict, int]:
-    """The terms of ``u`` applied to the measured modes of ``state``, in
-    detector order, without building that ket: ``{(output index, rest
-    occupation): amp}``, the same amplitudes in the same order as that
-    ket's terms, and the largest output occupation.
+def _entries(u: ModeUnitary, plan_key: tuple | None, rows: _Rows) -> tuple[dict, Callable]:
+    """The entries a herald through ``u`` reads, and the function that
+    makes a missing one: ``u``'s transfer table and ``u.sector``, or with
+    ``plan_key`` (``povm.plan_key`` at ``eta = 1``, else None) the plan it
+    names on ``u``, which keeps only the outputs whose row in ``rows``
+    (keyed by output index) is not all 0.0: a dead output makes no term
+    and so no group.  The plan grows here, one acted occupation at a time,
+    and keeps the table entry's largest output."""
+    if plan_key is None:
+        return u._table, u.sector
+    plan = u._plans.setdefault(plan_key, {})
 
-    Each input term is one table lookup and one scatter, summing ``pref * c
-    * pf`` from 0.0 in input-term order as ``apply_mode_unitary`` does.
+    def sector(acted):
+        entry = u.sector(acted)
+        live = tuple(out for out in entry[1] if any(rows[out[1]]))
+        if len(live) < len(entry[1]):
+            entry = (entry[0], live, entry[2])
+        plan[acted] = entry
+        return entry
+    return plan, sector
 
-    The entries are the table's, or with ``plan_key`` (``povm.plan_key``
-    at ``eta = 1``, else None) those of the plan it names on ``u``, which
-    keeps only the outputs whose row in ``rows`` (keyed by output index)
-    is not all 0.0: a dead
-    output makes no term and so no group.  The plan grows
-    here, one acted occupation at a time, and keeps the table entry's
-    largest output.
-    """
-    _check_acted(u, povm.measured, state.register.cutoff)
-    table, sector = u._table, u.sector
-    if plan_key is not None:
-        table = u._plans.setdefault(plan_key, {})
 
-        def sector(acted):
-            entry = u.sector(acted)
-            live = tuple(out for out in entry[1] if any(rows[out[1]]))
-            if len(live) < len(entry[1]):
-                entry = (entry[0], live, entry[2])
-            table[acted] = entry
-            return entry
-    measured_of, rest_of = povm.measured_of, povm.rest_of
-    terms: dict[tuple, complex] = {}
-    get = terms.get
+def _scatter_groups(state: FockKet, rests: list, measured_of: Callable, table: dict,
+                    sector: Callable) -> tuple[dict, int]:
+    """``_group`` of the terms of ``_scatter_terms`` in one pass, for a
+    ``state`` none of whose terms share a rest occupation (``rests``, in
+    term order), and the largest output occupation.  Each (output index,
+    rest) key is then met by one input term only, and only once, since
+    the outputs of one table entry are distinct: its amplitude is the
+    ``0.0 + pref * c * pf`` that ``_scatter_terms`` would store, and the
+    keys come in the order that dict would hold them, the transformed
+    ket's term order.  So each output is pruned and added to its group
+    (keyed by output index) as it is made, with the bits and in the order
+    of ``_group``."""
+    tol = fock.PRUNE_TOL
+    groups: dict[int, list] = {}
     max_occ = 0
-    for occ, amp in state.terms.items():
+    for (occ, amp), rest in zip(state.terms.items(), rests):
         acted = measured_of(occ)
         nf, outputs, top = table.get(acted) or sector(acted)
         pref = amp / nf
-        rest = rest_of(occ)
+        for _, i, c, pf in outputs:
+            if (m := abs(a := 0.0 + pref * c * pf)) > tol:
+                group = groups.get(i)
+                if group is None:
+                    group = groups[i] = [0.0, {}]
+                group[0] += m ** 2
+                group[1][rest] = a
+        if top > max_occ:
+            max_occ = top
+    return groups, max_occ
+
+
+def _scatter_terms(state: FockKet, rests: list, measured_of: Callable, table: dict,
+                   sector: Callable) -> tuple[dict, int]:
+    """The terms of a unitary applied to the measured modes of ``state``
+    (``measured_of`` of a key, in detector order), without building that
+    ket: ``{(output index, rest occupation): amp}``, the same amplitudes in
+    the same order as that ket's terms, and the largest output occupation.
+
+    Each input term is one lookup in ``table`` (made by ``sector`` when
+    missing, see ``_entries``) and one scatter, summing ``pref * c * pf``
+    from 0.0 in input-term order as ``apply_mode_unitary`` does; ``rests``
+    holds each term's rest occupation, in term order.
+    """
+    terms: dict[tuple, complex] = {}
+    get = terms.get
+    max_occ = 0
+    for (occ, amp), rest in zip(state.terms.items(), rests):
+        acted = measured_of(occ)
+        nf, outputs, top = table.get(acted) or sector(acted)
+        pref = amp / nf
         for _, i, c, pf in outputs:
             key = (i, rest)
             terms[key] = get(key, 0.0) + pref * c * pf
@@ -392,29 +490,40 @@ def coincidence_table(
 
     Without a unitary, ``_group`` groups the ket's own terms.  With
     ``unitary = u`` the ket measured is ``u`` applied to the measured modes
-    of ``state`` in detector order, which is never built: ``_group`` groups
-    the terms of ``_scatter_terms`` by output index, each group's row is
-    looked up by that index, and the branches take the raised cutoff.
+    of ``state`` in detector order, which is never built; the groups are
+    keyed by output index, each group's row is looked up by that index,
+    and the branches take the raised cutoff.  Which way the groups are made
+    is read from ``state`` on each call: when no two of its terms share a
+    rest occupation (scheme A's double-pass source, on scheme A's
+    detectors), ``_scatter_groups`` makes them in one pass; otherwise
+    (scheme B's source) ``_group`` groups the terms that ``_scatter_terms``
+    sums.  Both give the same groups in the same order.
     When ``outcomes`` leaves some out, a group whose row is exactly 0.0 on
     every outcome asked for adds to no sum and builds no branch; at ``eta =
     1`` the unitary's plan keeps such a group from being scattered at all.
     """
     det = ThresholdDetector(eta)
     povm = _Povm.of(state.register, detectors, outcomes)
-    rows = povm.rows(det, None if unitary is None else unitary._powers)
+    cutoff = state.register.cutoff
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]
     sums = [0.0] * len(povm.outcomes)
     try:
         if unitary is None:
-            terms, measured_of, rest_of = state.terms, povm.measured_of, povm.rest_of
-            cutoff = state.register.cutoff
+            rows = povm.rows(det, cutoff)
+            groups = _group(state.terms, povm.measured_of, povm.rest_of)
         else:
-            plan_key = povm.plan_key if eta == 1.0 else None
-            terms, max_occ = _scatter_terms(state, unitary, povm, rows, plan_key)
-            measured_of, rest_of = itemgetter(0), itemgetter(1)
-            cutoff = max(max_occ, state.register.cutoff)
+            _check_acted(unitary, povm.measured, cutoff)
+            rows = povm.rows(det, cutoff, unitary._powers)
+            entries = _entries(unitary, povm.plan_key if eta == 1.0 else None, rows)
+            rests = list(map(povm.rest_of, state.terms))
+            if len(set(rests)) == len(rests):  # each (output, rest) key is made once
+                groups, top = _scatter_groups(state, rests, povm.measured_of, *entries)
+            else:
+                terms, top = _scatter_terms(state, rests, povm.measured_of, *entries)
+                groups = _group(terms, itemgetter(0), itemgetter(1))
+            cutoff = max(top, cutoff)
         rest_reg = ModeRegister._derived(povm.rest_labels, cutoff) if povm.rest_idx else None
-        for key, (w, sub) in _group(terms, measured_of, rest_of).items():
+        for key, (w, sub) in groups.items():
             ket = None
             for i, p_out in enumerate(rows[key]):
                 contrib = w * p_out

@@ -43,7 +43,8 @@ needed).  ``detection`` makes a plan only at an ``eta`` of exactly 1,
 keys it by detector shape and the outcomes asked for, and keeps the
 outputs that weigh more than 0.0 on one of those outcomes; any other
 ``eta`` runs no filter and reads the table.  A plan has at most one entry
-per table entry.
+per table entry.  ``detection.mixture_tables`` keeps slot plans beside
+them, ``_slot_plans``, one per ket term layout, a bounded number.
 """
 from __future__ import annotations
 
@@ -66,14 +67,27 @@ class ModeUnitary(_Record):
     real parts, built-in floats, and otherwise from ``1.0 + 0.0j`` over the
     entries, built-in complexes.  Only ``entries`` takes part in ``repr``,
     ``==`` and ``hash``: the transfer table, with its output indices and
-    plans, and the array are caches.
+    plans, the slot plans and the array are caches.
+
+    ``_slot_plans`` is ``detection.mixture_tables``' cache, keyed by a
+    ket's term layout, ``tuple(ket.terms)``: each term's transfer-table
+    entry, in order, the output indices in the order the layout first
+    meets them, and the number of slots, one per output index up to the
+    largest, that the scatter sums into.  It is kept on the unitary whose
+    table it reads, so a plan never meets another unitary's output
+    indices.  It holds at most ``detection._SLOT_PLANS_MAX`` layouts; a new
+    layout past that drops the oldest, which only costs the next ket of
+    that layout a rebuild.
     """
 
     _fields = ("entries",)
     # _table: acted occupation -> (sqrt(prod n!), ((powers, index, c, sqrt(prod p!)), ...),
     # max output); _index: output occupation -> index; _powers: index -> output occupation;
-    # _plans: plan key -> {acted occupation: _table's entry with only some of its outputs}
-    __slots__ = ("entries", "_real", "_table", "_index", "_powers", "_plans", "_array")
+    # _plans: plan key -> {acted occupation: _table's entry with only some of its outputs};
+    # _slot_plans: term layout -> (_table's entry of each term, output indices in
+    # first-touch order, number of slots)
+    __slots__ = ("entries", "_real", "_table", "_index", "_powers", "_plans", "_slot_plans",
+                 "_array")
 
     def __init__(self, entries):
         try:
@@ -95,6 +109,7 @@ class ModeUnitary(_Record):
         object.__setattr__(self, "_index", {})
         object.__setattr__(self, "_powers", [])
         object.__setattr__(self, "_plans", {})
+        object.__setattr__(self, "_slot_plans", {})
         object.__setattr__(self, "_array", None)
 
     @property

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 from unittest import mock
@@ -269,21 +270,67 @@ def _one_member_tables(kets, u, eta):
     return mixture_tables([((1.0, ket),) for ket in kets], u, eta)
 
 
-@given(u=two_mode_unitaries, eta=st.floats(0.05, 1.0), data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_mixture_tables_match_measure_per_ket(u, eta, data):
-    # one to four unnormalized two-mode kets on one set of labels, each with
-    # its own cutoff (so the unitary often raises it)
-    kets = data.draw(st.lists(random_kets(normalized=False, n_modes=2),
-                              min_size=1, max_size=4), label="kets")
+def _assert_tables_match_measure(kets, u, eta):
     detectors = [(m,) for m in kets[0].register.labels]
     tables = _one_member_tables(kets, u, eta)
     assert len(tables) == len(kets)
     for table, ket in zip(tables, kets):
         single = measure(apply_mode_unitary(ket, u, ket.register.labels), detectors, eta)
-        assert list(table) == list(single)
-        assert [p.hex() for p in table.values()] == \
-            [o.probability.hex() for o in single.values()]
+        assert [(out, p.hex()) for out, p in table.items()] == \
+            [(out, o.probability.hex()) for out, o in single.items()]
+
+
+@given(u=st.one_of(two_mode_unitaries, st.deferred(lambda: three_mode_unitaries)),
+       eta=st.floats(0.05, 1.0), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_mixture_tables_match_measure_per_ket(u, eta, data):
+    # one to four unnormalized kets on one set of labels, each with its own
+    # cutoff (so the unitary often raises it); three modes have eight
+    # outcomes, which two-mode phase tables never weigh
+    kets = data.draw(st.lists(random_kets(normalized=False, n_modes=u.size),
+                              min_size=1, max_size=4), label="kets")
+    _assert_tables_match_measure(kets, u, eta)
+
+
+def test_each_unitary_keeps_its_own_slot_plans():
+    # a slot plan lives on the unitary whose table it reads: after the first
+    # unitary is dropped, a second one with other entries (which CPython
+    # may place at the first one's id) makes its own plans for the same
+    # term layouts, and its output indices are numbered in another order
+    reg = ModeRegister(("1", "2"), 3)
+    kets = [FockKet(reg, {(2, 1): 0.6, (0, 3): 0.8, (1, 1): 0.1}),
+            FockKet(reg, {(1, 0): 0.6, (0, 1): -0.8}),
+            FockKet(reg, {(0, 1): 0.6, (3, 3): 0.8})]
+    layouts = {tuple(ket.terms) for ket in kets}
+    u = unbalanced_bs(0.3)
+    u.sector((3, 3))
+    _assert_tables_match_measure(kets, u, 0.7)
+    assert set(u._slot_plans) == layouts
+    del u
+    gc.collect()
+    v = polarization_rotation(0.7)
+    assert not v._slot_plans
+    _assert_tables_match_measure(kets, v, 0.7)
+    assert set(v._slot_plans) == layouts
+    _assert_tables_match_measure(kets, v, 0.4)
+
+
+def test_the_shared_beam_splitter_keeps_a_bounded_number_of_slot_plans():
+    # one-term kets, one layout each, well past the bound: the oldest plans
+    # are dropped, and a ket whose plan was dropped gets the same bits again
+    u = balanced_bs()
+    reg = ModeRegister(("1", "2"), 20)
+    kets = [FockKet(reg, {(a, b): 0.5}) for a in range(21) for b in range(21)]
+    kets.append(FockKet(reg, {(1, 0): 0.6, (0, 1): 0.8}))
+    assert len(kets) > 1.5 * detection._SLOT_PLANS_MAX
+    before = _one_member_tables(kets, u, 0.6)
+    assert len(u._slot_plans) == detection._SLOT_PLANS_MAX
+    assert {tuple(ket.terms) for ket in kets} - u._slot_plans.keys()  # some were dropped
+    after = _one_member_tables(kets, u, 0.6)
+    assert len(u._slot_plans) == detection._SLOT_PLANS_MAX
+    assert [[p.hex() for p in t.values()] for t in after] == \
+        [[p.hex() for p in t.values()] for t in before]
+    _assert_tables_match_measure(kets[:3] + kets[-3:], u, 0.6)
 
 
 def _as_complex(ket):
@@ -716,6 +763,35 @@ def test_fused_herald_matches_apply_then_measure_on_scheme_states(scheme, args, 
         assert _groups_whose_first_term_is_pruned(pre, balanced_bs(), mixed)
 
 
+def test_the_herald_picks_its_grouping_from_the_rest_occupations():
+    # scheme A's double-pass source holds one term per pair of pair numbers,
+    # which its unmeasured beams 3 and 4 read, so no two terms share a rest
+    # occupation and the herald groups in one pass; scheme B's terms after
+    # its unbalanced beam splitters share them, so its herald sums the
+    # scattered terms, then groups them.  Both give apply-then-measure's bits
+    cases = [(double_pass_source(math.sqrt(0.1), 10), protocols._SCHEME_A.detectors, True),
+             (protocols.scheme_b_state(0.3, 4, "ubs", 0.5), protocols._SCHEME_B.detectors,
+              False)]
+    for pre, detectors, distinct in cases:
+        mixed = [m for (m,) in detectors]
+        rest_idx = [i for i, m in enumerate(pre.register.labels) if m not in mixed]
+        rests = [tuple(occ[i] for i in rest_idx) for occ in pre.terms]
+        assert (len(set(rests)) == len(rests)) == distinct
+        for eta in (0.8, 1.0):
+            with mock.patch.object(detection, "_scatter_groups",
+                                   wraps=detection._scatter_groups) as one_pass, \
+                    mock.patch.object(detection, "_scatter_terms",
+                                      wraps=detection._scatter_terms) as summed:
+                fused = coincidence_table(pre, detectors, eta, balanced_bs())
+                part = coincidence_table(pre, detectors, eta, balanced_bs(), protocols._HERALDS)
+            assert (one_pass.call_count, summed.call_count) == ((2, 0) if distinct else (0, 2))
+            post = apply_mode_unitary(pre, balanced_bs(), mixed)
+            ref = coincidence_table(post, detectors, eta)
+            assert _table_bits(fused) == _table_bits(ref)
+            assert _table_bits(part) == \
+                _table_bits({out: ref[out] for out in protocols._HERALDS})
+
+
 def test_fused_herald_rejects_a_unitary_of_another_size():
     ket = FockKet(ModeRegister(("1", "2", "3"), 1), {(1, 0, 0): 1.0})
     for detectors in ([("1",)], [("1",), ("2",), ("3",)], [("1", "2", "3")]):
@@ -756,22 +832,53 @@ def test_measure_and_mixture_tables_reject_an_overflowing_norm():
 ])
 def test_povm_rows_match_products_over_pairs(detectors, eta):
     # each row against the product of itertools.product's tuples from 1.0,
-    # bit for bit, for every detector's photon count in 0..20.  The layout's
-    # set-up is kept across calls, so its rows at another eta are made
-    # first: nothing kept may carry that eta into this one's rows
-    reg = ModeRegister(("a", "b", "c", "d"), 20)
-    counts = range(21) if len(detectors) < 3 else range(0, 21, 3)
-    ns_keys = [(ns, tuple(x for modes, n in zip(detectors, ns)
-                          for x in ((n,) if len(modes) == 1 else (n // 2, n - n // 2))))
-               for ns in itertools.product(counts, repeat=len(detectors))]
-    povm = _Povm.of(reg, detectors)
-    warm = povm.rows(ThresholdDetector(0.7))
-    for _, key in ns_keys:
-        warm[key]
-    assert _Povm.of(reg, [list(modes) for modes in detectors]) is povm
+    # bit for bit: for every detector's photon count in 0..20 on a register
+    # with cutoff 20, for counts in 41..45 on one with cutoff 45 (without a
+    # unitary any cutoff is measured), and with two measured modes after a
+    # beam splitter, keyed by output index, for outputs of up to 40 photons
+    # in one mode.  The layout's set-up is kept across calls, so its rows at
+    # another eta are made first: nothing kept may carry that eta into this
+    # one's rows
     det = ThresholdDetector(eta)
-    rows = povm.rows(det)
-    for ns, key in ns_keys:
+
+    def product_bits(ns):
         pairs = [(det.p_click(n), det.p_silent(n)) for n in ns]
-        old = [math.prod(t, start=1.0) for t in itertools.product(*pairs)]
-        assert [p.hex() for p in rows[key]] == [p.hex() for p in old]
+        return [math.prod(t, start=1.0).hex() for t in itertools.product(*pairs)]
+
+    for cutoff, counts in ((20, range(21) if len(detectors) < 3 else range(0, 21, 3)),
+                           (45, range(41, 46))):
+        reg = ModeRegister(("a", "b", "c", "d"), cutoff)
+        ns_keys = [(ns, tuple(x for modes, n in zip(detectors, ns)
+                              for x in ((n,) if len(modes) == 1 else (n // 2, n - n // 2))))
+                   for ns in itertools.product(counts, repeat=len(detectors))]
+        povm = _Povm.of(reg, detectors)
+        warm = povm.rows(ThresholdDetector(0.7), cutoff)
+        for _, key in ns_keys:
+            warm[key]
+        assert _Povm.of(reg, [list(modes) for modes in detectors]) is povm
+        rows = povm.rows(det, cutoff)
+        for ns, key in ns_keys:
+            assert [p.hex() for p in rows[key]] == product_bits(ns)
+    if sum(map(len, detectors)) != 2:
+        return
+    # a fresh beam splitter: |20, 20>, |20, 19> and |13, 20> reach every
+    # output occupation with 0 to 40 photons in a mode
+    u = ModeUnitary(balanced_bs().entries)
+    for acted in ((20, 20), (20, 19), (13, 20)):
+        u.sector(acted)
+    assert max(max(powers) for powers in u._powers) == 40
+    povm = _Povm.of(ModeRegister(("a", "b", "c", "d"), 20), detectors)
+    rows = povm.rows(det, 20, u._powers)
+    for i, powers in enumerate(u._powers):
+        ns = powers if len(detectors) == 2 else (sum(powers),)
+        assert [p.hex() for p in rows[i]] == product_bits(ns)
+
+
+def test_measure_without_a_unitary_above_forty_photons():
+    # a register's cutoff has no limit without a unitary: photon counts up to
+    # 45 in a mode, 90 under one detector, against the per-outcome reference
+    reg = ModeRegister(("a", "b", "c"), 45)
+    ket = FockKet(reg, {(45, 0, 1): 0.5, (41, 44, 0): 0.5, (0, 43, 45): 0.5, (45, 45, 2): 0.5})
+    for detectors in ([("a",), ("b",)], [("a", "b")], [("a",), ("b",), ("c",)]):
+        for eta in (0.01, 0.3):
+            _assert_matches_two_step(ket, detectors, eta)
