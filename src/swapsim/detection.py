@@ -63,9 +63,11 @@ ket measured the first time a table needs it) scatters them keyed by
 output index too, through ``u``'s slot plan for the ket's term layout
 (``ModeUnitary._slot_plans``): each term's table entry, and the output
 indices in the order the layout first meets them, which is the order the
-sums are weighed in.  Both read their rows from ``_Povm.rows`` keyed by
-that index, one cache per call.  Neither it nor ``measure`` builds the
-transformed ket, and both give the same bits as building it.
+sums are weighed in.  Both take their rows from ``_Povm.rows``, keyed
+by that index: ``mixture_tables`` reads its cache, one per call, and
+``measure``, which reads each group's row once, calls the function that
+makes a row.  Neither builds the transformed ket, and both give the same
+bits as building it.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
 ``coincidence_table`` groups the ket, weighs every group under every
@@ -221,9 +223,11 @@ class _Povm:
              powers_of: Sequence | None = None) -> _Rows:
         """This call's rows of outcome probabilities under ``det``, keyed by
         measured occupation, or with ``powers_of`` (a unitary's ``_powers``,
-        its output occupations by index) by output index: the one cache of
-        rows for both of ``coincidence_table``'s paths and for
-        ``mixture_tables``.
+        its output occupations by index) by output index, made on first
+        lookup.  ``mixture_tables`` reads the cache, since its kets meet
+        the same output indices; ``coincidence_table``, whose groups each
+        have their own key, calls the cache's ``make`` once per group and
+        keeps nothing.
 
         Each row is made by one closure from this call's list of (click,
         silent) pairs by photon count, ``(1.0 - q ** n, q ** n)`` with ``q =
@@ -334,7 +338,9 @@ def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeU
     ``measure(apply_mode_unitary(ket, u, labels), [(m,) for m in labels],
     eta)``.  A member whose ``2 * w`` is below half an
     ulp of the table's smallest running entry is skipped there: ``p`` is at
-    most 1 up to rounding, so ``w * p`` would change no bit.  Each distinct
+    most 1 up to rounding, so ``w * p`` would change no bit.  Half that ulp
+    is made again only when the smallest entry moves, and with two modes
+    the four sums are written out.  Each distinct
     ket (by identity) is measured once, the first time a table needs it,
     by ``_all_modes_probabilities`` through ``u``'s slot plan for its term
     layout.  Every member is checked first, those skipped too.
@@ -351,17 +357,30 @@ def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeU
     probs: dict[int, list[float]] = {}  # id(ket) -> its outcome probabilities
     tables = []
     for members in mixtures:
+        j0 = j1 = j2 = j3 = 0.0
         joint = [0.0] * n
-        half_ulp = 0.0  # half an ulp of 0.0 rounds to 0.0: no member is skipped at 0.0
+        # half an ulp of the smallest entry, made again only when that entry
+        # moves; half an ulp of 0.0 rounds to 0.0: no member is skipped at 0.0
+        low = half_ulp = 0.0
         for w, ket in members:
             if 2.0 * w < half_ulp:
                 continue
             p = probs.get(id(ket))
             if p is None:
                 p = probs[id(ket)] = _all_modes_probabilities(ket, u, rows, n)
-            joint = [j + w * q for j, q in zip(joint, p)]
-            half_ulp = math.ulp(min(joint)) / 2
-        tables.append(dict(zip(povm.outcomes, joint)))
+            if n == 4:  # two modes, as in every phase table: the sums written out
+                p0, p1, p2, p3 = p
+                j0 += w * p0
+                j1 += w * p1
+                j2 += w * p2
+                j3 += w * p3
+                m = min(j0, j1, j2, j3)
+            else:
+                joint = [j + w * q for j, q in zip(joint, p)]
+                m = min(joint)
+            if m != low:
+                low, half_ulp = m, math.ulp(m) / 2
+        tables.append(dict(zip(povm.outcomes, [j0, j1, j2, j3] if n == 4 else joint)))
     return tables
 
 
@@ -380,19 +399,21 @@ def _group(terms: dict, measured_of: Callable, rest_of: Callable) -> dict:
         if (m := abs(a := 0.0 + amp)) > tol:
             key = measured_of(occ)
             group = groups.get(key)
-            if group is None:
-                group = groups[key] = [0.0, {}]
-            group[0] += m ** 2
-            group[1][rest_of(occ)] = a
+            if group is None:  # 0.0 + m ** 2 is m ** 2
+                groups[key] = [m ** 2, {rest_of(occ): a}]
+            else:
+                group[0] += m ** 2
+                group[1][rest_of(occ)] = a
     return groups
 
 
-def _entries(u: ModeUnitary, plan_key: tuple | None, rows: _Rows) -> tuple[dict, Callable]:
+def _entries(u: ModeUnitary, plan_key: tuple | None,
+             row: Callable[[int], Sequence[float]]) -> tuple[dict, Callable]:
     """The entries a herald through ``u`` reads, and the function that
     makes a missing one: ``u``'s transfer table and ``u.sector``, or with
     ``plan_key`` (``povm.plan_key`` at ``eta = 1``, else None) the plan it
-    names on ``u``, which keeps only the outputs whose row in ``rows``
-    (keyed by output index) is not all 0.0: a dead output makes no term
+    names on ``u``, which keeps only the outputs whose ``row`` (of an
+    output index) is not all 0.0: a dead output makes no term
     and so no group.  The plan grows here, one acted occupation at a time,
     and keeps the table entry's largest output."""
     if plan_key is None:
@@ -401,7 +422,7 @@ def _entries(u: ModeUnitary, plan_key: tuple | None, rows: _Rows) -> tuple[dict,
 
     def sector(acted):
         entry = u.sector(acted)
-        live = tuple(out for out in entry[1] if any(rows[out[1]]))
+        live = tuple(out for out in entry[1] if any(row(out[1])))
         if len(live) < len(entry[1]):
             entry = (entry[0], live, entry[2])
         plan[acted] = entry
@@ -420,7 +441,8 @@ def _scatter_groups(state: FockKet, rests: list, measured_of: Callable, table: d
     keys come in the order that dict would hold them, the transformed
     ket's term order.  So each output is pruned and added to its group
     (keyed by output index) as it is made, with the bits and in the order
-    of ``_group``."""
+    of ``_group``.  A group is made with its first output in it, its
+    weight that output's ``m ** 2`` (``0.0 + m ** 2``)."""
     tol = fock.PRUNE_TOL
     groups: dict[int, list] = {}
     max_occ = 0
@@ -432,9 +454,10 @@ def _scatter_groups(state: FockKet, rests: list, measured_of: Callable, table: d
             if (m := abs(a := 0.0 + pref * c * pf)) > tol:
                 group = groups.get(i)
                 if group is None:
-                    group = groups[i] = [0.0, {}]
-                group[0] += m ** 2
-                group[1][rest] = a
+                    groups[i] = [m ** 2, {rest: a}]
+                else:
+                    group[0] += m ** 2
+                    group[1][rest] = a
         if top > max_occ:
             max_occ = top
     return groups, max_occ
@@ -509,12 +532,12 @@ def coincidence_table(
     sums = [0.0] * len(povm.outcomes)
     try:
         if unitary is None:
-            rows = povm.rows(det, cutoff)
+            row = povm.rows(det, cutoff).make
             groups = _group(state.terms, povm.measured_of, povm.rest_of)
         else:
             _check_acted(unitary, povm.measured, cutoff)
-            rows = povm.rows(det, cutoff, unitary._powers)
-            entries = _entries(unitary, povm.plan_key if eta == 1.0 else None, rows)
+            row = povm.rows(det, cutoff, unitary._powers).make
+            entries = _entries(unitary, povm.plan_key if eta == 1.0 else None, row)
             rests = list(map(povm.rest_of, state.terms))
             if len(set(rests)) == len(rests):  # each (output, rest) key is made once
                 groups, top = _scatter_groups(state, rests, povm.measured_of, *entries)
@@ -523,16 +546,17 @@ def coincidence_table(
                 groups = _group(terms, itemgetter(0), itemgetter(1))
             cutoff = max(top, cutoff)
         rest_reg = ModeRegister._derived(povm.rest_labels, cutoff) if povm.rest_idx else None
+        branch, sqrt = FockKet._trusted, math.sqrt
         for key, (w, sub) in groups.items():
             ket = None
-            for i, p_out in enumerate(rows[key]):
+            for i, p_out in enumerate(row(key)):
                 contrib = w * p_out
                 if contrib > 0.0:
                     sums[i] += contrib
                     if rest_reg is None:
                         continue
                     if ket is None:
-                        ket = FockKet._trusted(rest_reg, sub, 1.0 / math.sqrt(w))
+                        ket = branch(rest_reg, sub, 1.0 / sqrt(w))
                     branches[i].append((contrib, ket))
     except OverflowError:  # one squared amplitude is beyond the float range
         raise ValueError("ket norm overflows the float range") from None

@@ -56,7 +56,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from operator import itemgetter
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 PRUNE_TOL = 1e-14
@@ -77,11 +79,9 @@ def _tuple_getter(idx: Sequence[int]) -> Callable[[tuple], tuple]:
 def _left_sum(values: Iterable):
     """The sum of ``values`` added left to right from 0, the float order of
     the built-in ``sum`` up to Python 3.11 (from 3.12 on it compensates a
-    sum of floats), so the package's bits do not depend on the interpreter."""
-    total = 0
-    for v in values:
-        total += v
-    return total
+    sum of floats), so the package's bits do not depend on the interpreter.
+    ``reduce`` runs that fold, ``((0 + v0) + v1) + ...``, in C."""
+    return reduce(add, values, 0)
 
 
 class _Record:
@@ -173,12 +173,11 @@ class FockKet:
         clean: dict[tuple[int, ...], complex] = {}
         m = register.size
         for occ, amp in terms.items():
-            occ = tuple(int(n) for n in occ)
+            occ = tuple(map(int, occ))
             if len(occ) != m:
                 raise ValueError(f"occupation {occ} does not match register size {m}")
-            for n in occ:
-                if n < 0 or n > register.cutoff:
-                    raise ValueError(f"occupation {occ} violates cutoff {register.cutoff}")
+            if min(occ) < 0 or max(occ) > register.cutoff:
+                raise ValueError(f"occupation {occ} violates cutoff {register.cutoff}")
             amp = complex(amp)
             if not cmath.isfinite(amp):
                 raise ValueError(f"amplitude of {occ} must be finite, got {amp}")
@@ -216,7 +215,7 @@ class FockKet:
 
     def norm(self) -> float:
         try:
-            n = math.sqrt(_left_sum(abs(a) ** 2 for a in self.terms.values()))
+            n = math.sqrt(_left_sum(map(pow, map(abs, self.terms.values()), repeat(2))))
         except OverflowError:  # one squared amplitude is beyond the float range
             n = math.inf
         if n == math.inf:
@@ -316,13 +315,32 @@ class WeightedEnsemble(_Record):
 
     @classmethod
     def from_branches(cls, branches: Iterable[tuple[float, FockKet]]) -> "WeightedEnsemble":
-        """Build from unnormalized (weight, normalized-state) branches."""
-        branches = [(w, s) for w, s in branches if w > 0.0]
+        """Build from unnormalized (weight, normalized-state) branches: those
+        of weight above 0.0, each weight divided by their ``_left_sum``.
+
+        ``__init__``'s checks of the members, and its sum of their weights,
+        run here in one pass over the members: when they all hold, the
+        ensemble is built without running them again; otherwise
+        ``__init__`` runs them and raises its error."""
+        branches = [b for b in branches if b[0] > 0.0]
         if not branches:
             raise ValueError("no branches with positive weight")
-        total = _left_sum(w for w, _ in branches)
-        members = tuple((w / total, s) for w, s in branches)
-        return cls(branches[0][1].register, members)
+        total = _left_sum(map(itemgetter(0), branches))
+        members = tuple([(w / total, s) for w, s in branches])
+        register = branches[0][1].register
+        labels = register.labels
+        check = 0.0
+        for w, s in members:
+            if w <= 0.0 or s.register.labels != labels:
+                break
+            check += w
+        else:
+            if abs(check - 1.0) <= 1e-12:
+                self = object.__new__(cls)
+                object.__setattr__(self, "register", register)
+                object.__setattr__(self, "members", members)
+                return self
+        return cls(register, members)
 
     @classmethod
     def pure(cls, state: FockKet) -> "WeightedEnsemble":
@@ -387,19 +405,49 @@ def partial_project(state: FockKet, target: FockKet) -> FockKet:
     return FockKet._trusted(reg, out)
 
 
-# occupation -> its label text in ``format_ket``; one entry per occupation
-# ever formatted, at most (cutoff + 1) ** modes for each register
-_OCC_LABELS: dict[tuple[int, ...], str] = {}
+class _Labels(dict):
+    """Occupation -> its label text in ``format_ket``, made on first lookup
+    and kept: one entry per occupation ever formatted, at most (cutoff + 1)
+    ** modes for each register."""
+
+    __slots__ = ()
+
+    def __missing__(self, occ: tuple[int, ...]) -> str:
+        label = self[occ] = "".join(map(str, occ))
+        return label
+
+
+_OCC_LABELS = _Labels()
+
+
+@lru_cache(maxsize=64)
+def _float_ket_format(n_terms: int) -> str:
+    """The ``%`` format of ``format_ket``'s text for ``n_terms`` float
+    amplitudes, each term's ``f"{amp:+.6g}|{label}>"`` in one string."""
+    return " ".join(["%+.6g|%s>"] * n_terms)
 
 
 def format_ket(state: FockKet) -> str:
-    if not state.terms:
+    """The ket's terms by occupation, ``+0.6|10> -0.8|01>``: each amplitude
+    to 6 significant digits with its sign, an imaginary part below 1e-12
+    left out, and ``"0"`` for a ket with no terms.  A ket of ``float``
+    amplitudes, every real ket, is one ``%`` call on the amplitudes and
+    labels in turn, which gives each term's ``f"{amp:+.6g}|{label}>"``; a
+    ``complex`` amplitude makes that call raise ``TypeError``, and such a
+    ket goes term by term."""
+    terms = state.terms
+    if not terms:
         return "0"
+    occs = sorted(terms)
+    args = [None] * (2 * len(occs))
+    args[::2] = map(terms.__getitem__, occs)
+    args[1::2] = map(_OCC_LABELS.__getitem__, occs)
+    try:
+        return _float_ket_format(len(occs)) % tuple(args)
+    except TypeError:
+        pass
     parts = []
-    for occ, amp in sorted(state.terms.items()):
-        label = _OCC_LABELS.get(occ)
-        if label is None:
-            label = _OCC_LABELS[occ] = "".join(map(str, occ))
+    for amp, label in zip(args[::2], args[1::2]):
         if abs(amp.imag) < 1e-12:
             coeff = f"{amp.real:+.6g}"
         else:

@@ -56,6 +56,7 @@ probability 0.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -152,11 +153,13 @@ class ProtocolReport(_Record):
 
 
 def _summarize_ensemble(ens: WeightedEnsemble, texts: dict) -> list[dict]:
-    # texts: format_ket of each member by identity, shared by a report's events
-    kept = [{"weight": w, "state": texts.get(id(s)) or texts.setdefault(id(s), format_ket(s))}
-            for w, s in ens.members if w >= BRANCH_REPORT_TOL]
-    kept.sort(key=lambda d: -d["weight"])
-    return kept
+    # the members of weight at least BRANCH_REPORT_TOL, heaviest first, equal
+    # weights in member order (a reversed sort is stable too); texts:
+    # format_ket of each member by identity, shared by a report's events
+    kept = sorted([m for m in ens.members if m[0] >= BRANCH_REPORT_TOL],
+                  key=itemgetter(0), reverse=True)
+    return [{"weight": w, "state": texts.get(id(s)) or texts.setdefault(id(s), format_ket(s))}
+            for w, s in kept]
 
 
 def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
@@ -185,7 +188,7 @@ def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
         raise ValueError("register mismatch between ensemble and target")
     overlaps = {} if overlaps is None else overlaps
     support = targets.support
-    members = [(w, s) for w, s in ensemble.members if not support.isdisjoint(s.terms)]
+    members = [m for m in ensemble.members if not m[1].terms.keys().isdisjoint(support)]
     fids = {}
     for kind, t in targets.kets.items():
         read = overlaps.get(id(t))
@@ -342,7 +345,7 @@ def run_scheme_a(tau: complex, eta: float, order: int = 1) -> ProtocolReport:
     dropped = 0.0
     for ev in events:
         if ev.ensemble is not None:
-            dropped += _left_sum(w for w, _ in ev.ensemble.members if w < BRANCH_REPORT_TOL)
+            dropped += _left_sum([w for w, _ in ev.ensemble.members if w < BRANCH_REPORT_TOL])
     return ProtocolReport(
         "scheme-a",
         {"tau": _num(tau), "tau2": abs(tau) ** 2, "eta": eta, "order": order},

@@ -440,6 +440,32 @@ def test_mixture_tables_check_the_members_they_skip(monkeypatch):
         mixture_tables([((1.0, lead), (1e-300, other))], bs, 0.5)
     with pytest.raises(ValueError, match="a mode would hold 21 photons, above the limit of 20"):
         mixture_tables([((1.0, lead),), ((1.0, lead), (1e-300, big))], bs, 0.5)
+    # the threshold is half an ulp of the table's smallest running entry, made
+    # again only when that entry moves: members straddle it before and after
+    # a member of weight 4.0 moves it up by a binade, and the members measured
+    # and the table's bits are those of a loop that makes the threshold again
+    # after every member (each copy of lead is its own ket, measured apart)
+    p_lead = list(_one_member_tables([lead], bs, 0.5)[0].values())
+    half = math.ulp(min(p_lead)) / 2
+    moved = math.ulp(min(j + 4.0 * q for j, q in zip(p_lead, p_lead))) / 2
+    assert moved > half * 1.001
+    weights = [1.0, half / 2 * 0.999, half / 2, half / 2 * 1.001, 4.0, half / 2 * 1.001,
+               moved / 2 * 0.999, moved / 2 * 1.001]
+    members = [(w, lead.scaled(1.0)) for w in weights]
+    measured.clear()
+    (table,) = mixture_tables([members], bs, 0.5)
+    joint, threshold, want = [0.0] * 4, 0.0, []
+    for w, ket in members:
+        if 2.0 * w < threshold:
+            continue
+        want.append(ket)
+        joint = [j + w * q for j, q in zip(joint, p_lead)]
+        threshold = math.ulp(min(joint)) / 2
+    weight_of = {id(ket): w for w, ket in members}
+    assert [weight_of[id(ket)] for ket in measured] == \
+        [1.0, half / 2, half / 2 * 1.001, 4.0, moved / 2 * 1.001]
+    assert measured == want
+    assert [p.hex() for p in table.values()] == [j.hex() for j in joint]
 
 
 @pytest.mark.parametrize("outcomes", [None, [(CLICK, SILENT), (CLICK, CLICK)]])

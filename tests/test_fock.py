@@ -2,6 +2,7 @@ import cmath
 import copy
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -134,6 +135,16 @@ def test_sums_add_left_to_right_on_every_python():
     # the compensated built-in sum of Python 3.12 and later gives 1.0
     assert _left_sum([1e16, 1.0, -1e16]) == 0.0
     assert _left_sum([]) == 0
+    # the fold starts from the int 0, and 0 + -0.0 is +0.0
+    assert _left_sum([-0.0]).hex() == "0x0.0p+0"
+    # mixed int, float and complex values: the bits of the sequential fold
+    values = [3, 0.1, 2j, -1e16, 1e16 + 0.5j, 0.7, 1 + 1e-17j, -3, 1e-300]
+    total = 0
+    for v in values:
+        total += v
+    got = _left_sum(values)
+    assert type(got) is complex
+    assert (got.real.hex(), got.imag.hex()) == (total.real.hex(), total.imag.hex())
     # 1.0 + 2**-53 rounds back to 1.0 twice, so the branch of weight 1.0
     # keeps it; a compensated total, 1 + 2**-52, would move it
     reg = ModeRegister(("1",), 1)
@@ -335,11 +346,15 @@ PSI_13 = bell_state("psi+", ("1", "3"))
      "ensemble member register mismatch"),
     (lambda: WeightedEnsemble.from_branches([(0.0, PSI_12), (-0.5, PSI_12)]),
      "no branches with positive weight"),
+    (lambda: WeightedEnsemble.from_branches([(0.5, PSI_12), (0.5, PSI_13)]),
+     "ensemble member register mismatch"),
+    (lambda: WeightedEnsemble.from_branches([(1e300, PSI_12), (1e-300, PSI_12)]),
+     "non-positive ensemble weight 0.0"),
     (lambda: fidelity(WeightedEnsemble.pure(PSI_12), PSI_13),
      "register mismatch between ensemble and target"),
     (lambda: reorder(PSI_12, ("1", "3")), "reorder must use exactly the existing labels"),
 ], ids=["empty-register", "occupation-length", "no-members", "member-labels", "no-positive-weight",
-        "fidelity-labels", "reorder-labels"])
+        "branch-labels", "branch-weight-underflow", "fidelity-labels", "reorder-labels"])
 def test_fock_rejects_input_on_the_wrong_modes_or_with_nothing_in_it(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -347,6 +362,57 @@ def test_fock_rejects_input_on_the_wrong_modes_or_with_nothing_in_it(build, mess
 
 def test_format_ket_of_the_zero_ket_is_0():
     assert format_ket(FockKet(PSI_12.register, {})) == "0"
+
+
+def _format_ket_per_term(state):
+    # format_ket's text written term by term, one f-string per amplitude
+    if not state.terms:
+        return "0"
+    parts = []
+    for occ, amp in sorted(state.terms.items()):
+        if abs(amp.imag) < 1e-12:
+            coeff = f"{amp.real:+.6g}"
+        else:
+            coeff = f"+({amp.real:.6g}{amp.imag:+.6g}j)"
+        parts.append(f"{coeff}|{''.join(map(str, occ))}>")
+    return " ".join(parts)
+
+
+# amplitudes of every sign and magnitude from 1e-13 to 1e17, among them
+# values that round at the sixth digit, and ones printed with an exponent
+_FORMAT_AMPS = [0.6, -0.8, 1.0, -1.0, 0.9999995, -0.99999949, 123456.5, 1234565.0, 1e-5,
+                -2.5e-13, 3e-14 * 1.5, 1e16, -1e17, 0.1 + 0.2, math.pi, -math.e / 7, 1 / 3]
+
+
+@pytest.mark.parametrize("n_terms", range(1, 26))
+def test_format_ket_of_float_kets_matches_a_per_term_reference(n_terms):
+    # a ket of float amplitudes is formatted by one "%" call; its labels
+    # include counts of 10 and more
+    rng = random.Random(n_terms)
+    reg = ModeRegister(("a", "b"), 12)
+    occs = rng.sample([(i, j) for i in range(13) for j in range(13)], n_terms)
+    amps = [rng.choice(_FORMAT_AMPS) * rng.choice((1.0, -1.0, rng.uniform(-3.0, 3.0)))
+            for _ in occs]
+    ket = FockKet(reg, dict(zip(occs, amps)))
+    assert {type(a) for a in ket.terms.values()} == {float}
+    assert len(ket.terms) == n_terms
+    assert format_ket(ket) == _format_ket_per_term(ket)
+
+
+def test_format_ket_of_complex_and_mixed_kets_matches_a_per_term_reference():
+    # imaginary parts below and above the 1e-12 cut, on their own and beside
+    # float amplitudes; a complex tau keeps the source's vacuum term a float
+    reg = ModeRegister(("a", "b"), 12)
+    imags = (1e-13, -1e-13, 9.99e-13, 1e-12, -5e-12, 0.3, -1e-5)
+    complex_ket = FockKet(reg, {(k, 10 - k): complex(_FORMAT_AMPS[k], im)
+                                for k, im in enumerate(imags)})
+    assert {type(a) for a in complex_ket.terms.values()} == {complex}
+    source = spdc_pair(0.3 * cmath.exp(0.7j), 12, ("a", "b"))
+    assert {type(a) for a in source.terms.values()} == {float, complex}
+    assert type(source.terms[(0, 0)]) is float
+    mixed = FockKet(reg, {**complex_ket.terms, (11, 12): -0.25, (1, 1): 1e-5})
+    for ket in (complex_ket, source, mixed):
+        assert format_ket(ket) == _format_ket_per_term(ket)
 
 
 def test_format_ket_imaginary_cut_boundary():
