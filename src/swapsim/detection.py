@@ -63,11 +63,11 @@ ket measured the first time a table needs it) scatters them keyed by
 output index too, through ``u``'s slot plan for the ket's term layout
 (``ModeUnitary._slot_plans``): each term's table entry, and the output
 indices in the order the layout first meets them, which is the order the
-sums are weighed in.  Both take their rows from ``_Povm.rows``, keyed
-by that index: ``mixture_tables`` reads its cache, one per call, and
-``measure``, which reads each group's row once, calls the function that
-makes a row.  Neither builds the transformed ket, and both give the same
-bits as building it.
+sums are weighed in.  Both make their rows of that index with the
+function ``_Povm.rows`` returns: ``mixture_tables`` keeps them in a
+``_Rows`` cache, one per call, and ``measure``, which reads each group's
+row once, keeps none.  Neither builds the transformed ket, and both give
+the same bits as building it.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
 ``coincidence_table`` groups the ket, weighs every group under every
@@ -125,8 +125,8 @@ class ConditionalOutcome(_Record):
 
 
 class _Rows(dict):
-    """Rows of outcome probabilities by key; a missing row is made by
-    ``make(key)`` on its first lookup and kept."""
+    """``mixture_tables``' rows of outcome probabilities by output index; a
+    missing row is made by ``make(key)`` on its first lookup and kept."""
 
     __slots__ = ("make",)
 
@@ -156,7 +156,7 @@ class _Povm:
     What depends on ``eta`` is set up per call by ``rows``: each measured
     occupation's row of outcome probabilities (which depend only on the
     detectors' photon counts), or after a unitary each output index's, made
-    the first time it is looked up as one product per outcome over the
+    by the function it returns as one product per outcome over the
     detectors' (click, silent) pairs, in ``itertools.product`` order.  The
     pairs are one list per call, by photon count, and a detector's count is
     the sum of its span of the key; with two one-mode detectors the row is
@@ -220,14 +220,11 @@ class _Povm:
                 self.plan_key = (tuple(sizes), self.outcomes)
 
     def rows(self, det: ThresholdDetector, cutoff: int,
-             powers_of: Sequence | None = None) -> _Rows:
-        """This call's rows of outcome probabilities under ``det``, keyed by
-        measured occupation, or with ``powers_of`` (a unitary's ``_powers``,
-        its output occupations by index) by output index, made on first
-        lookup.  ``mixture_tables`` reads the cache, since its kets meet
-        the same output indices; ``coincidence_table``, whose groups each
-        have their own key, calls the cache's ``make`` once per group and
-        keeps nothing.
+             powers_of: Sequence | None = None) -> Callable[[object], Sequence[float]]:
+        """This call's function that makes the row of outcome probabilities
+        under ``det`` of a measured occupation, or with ``powers_of`` (a
+        unitary's ``_powers``, its output occupations by index) of an
+        output index.
 
         Each row is made by one closure from this call's list of (click,
         silent) pairs by photon count, ``(1.0 - q ** n, q ** n)`` with ``q =
@@ -259,7 +256,7 @@ class _Povm:
                         products += (p * click, p * silent)
                     out_probs = products
                 return out_probs if take is None else take(out_probs)
-        return _Rows(row)
+        return row
 
 
 # term layouts a unitary keeps a slot plan for; a new one past this drops
@@ -352,7 +349,7 @@ def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeU
         raise ValueError("the members of every mixture must share their mode labels")
     cutoff = max(ket.register.cutoff for ket in kets)
     _check_acted(u, povm.labels, cutoff)
-    rows = povm.rows(det, cutoff, u._powers)
+    rows = _Rows(povm.rows(det, cutoff, u._powers))  # its kets share output indices
     n = len(povm.outcomes)
     probs: dict[int, list[float]] = {}  # id(ket) -> its outcome probabilities
     tables = []
@@ -532,11 +529,11 @@ def coincidence_table(
     sums = [0.0] * len(povm.outcomes)
     try:
         if unitary is None:
-            row = povm.rows(det, cutoff).make
+            row = povm.rows(det, cutoff)
             groups = _group(state.terms, povm.measured_of, povm.rest_of)
         else:
             _check_acted(unitary, povm.measured, cutoff)
-            row = povm.rows(det, cutoff, unitary._powers).make
+            row = povm.rows(det, cutoff, unitary._powers)
             entries = _entries(unitary, povm.plan_key if eta == 1.0 else None, row)
             rests = list(map(povm.rest_of, state.terms))
             if len(set(rests)) == len(rests):  # each (output, rest) key is made once

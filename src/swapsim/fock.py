@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import repeat
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -316,31 +316,12 @@ class WeightedEnsemble(_Record):
     @classmethod
     def from_branches(cls, branches: Iterable[tuple[float, FockKet]]) -> "WeightedEnsemble":
         """Build from unnormalized (weight, normalized-state) branches: those
-        of weight above 0.0, each weight divided by their ``_left_sum``.
-
-        ``__init__``'s checks of the members, and its sum of their weights,
-        run here in one pass over the members: when they all hold, the
-        ensemble is built without running them again; otherwise
-        ``__init__`` runs them and raises its error."""
+        of weight above 0.0, each weight divided by their ``_left_sum``."""
         branches = [b for b in branches if b[0] > 0.0]
         if not branches:
             raise ValueError("no branches with positive weight")
         total = _left_sum(map(itemgetter(0), branches))
-        members = tuple([(w / total, s) for w, s in branches])
-        register = branches[0][1].register
-        labels = register.labels
-        check = 0.0
-        for w, s in members:
-            if w <= 0.0 or s.register.labels != labels:
-                break
-            check += w
-        else:
-            if abs(check - 1.0) <= 1e-12:
-                self = object.__new__(cls)
-                object.__setattr__(self, "register", register)
-                object.__setattr__(self, "members", members)
-                return self
-        return cls(register, members)
+        return cls(branches[0][1].register, tuple([(w / total, s) for w, s in branches]))
 
     @classmethod
     def pure(cls, state: FockKet) -> "WeightedEnsemble":
@@ -420,13 +401,6 @@ class _Labels(dict):
 _OCC_LABELS = _Labels()
 
 
-@lru_cache(maxsize=64)
-def _float_ket_format(n_terms: int) -> str:
-    """The ``%`` format of ``format_ket``'s text for ``n_terms`` float
-    amplitudes, each term's ``f"{amp:+.6g}|{label}>"`` in one string."""
-    return " ".join(["%+.6g|%s>"] * n_terms)
-
-
 def format_ket(state: FockKet) -> str:
     """The ket's terms by occupation, ``+0.6|10> -0.8|01>``: each amplitude
     to 6 significant digits with its sign, an imaginary part below 1e-12
@@ -443,7 +417,7 @@ def format_ket(state: FockKet) -> str:
     args[::2] = map(terms.__getitem__, occs)
     args[1::2] = map(_OCC_LABELS.__getitem__, occs)
     try:
-        return _float_ket_format(len(occs)) % tuple(args)
+        return " ".join(["%+.6g|%s>"] * len(occs)) % tuple(args)
     except TypeError:
         pass
     parts = []

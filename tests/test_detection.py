@@ -880,11 +880,11 @@ def test_povm_rows_match_products_over_pairs(detectors, eta):
         povm = _Povm.of(reg, detectors)
         warm = povm.rows(ThresholdDetector(0.7), cutoff)
         for _, key in ns_keys:
-            warm[key]
+            warm(key)
         assert _Povm.of(reg, [list(modes) for modes in detectors]) is povm
-        rows = povm.rows(det, cutoff)
+        row = povm.rows(det, cutoff)
         for ns, key in ns_keys:
-            assert [p.hex() for p in rows[key]] == product_bits(ns)
+            assert [p.hex() for p in row(key)] == product_bits(ns)
     if sum(map(len, detectors)) != 2:
         return
     # a fresh beam splitter: |20, 20>, |20, 19> and |13, 20> reach every
@@ -894,10 +894,10 @@ def test_povm_rows_match_products_over_pairs(detectors, eta):
         u.sector(acted)
     assert max(max(powers) for powers in u._powers) == 40
     povm = _Povm.of(ModeRegister(("a", "b", "c", "d"), 20), detectors)
-    rows = povm.rows(det, 20, u._powers)
+    row = povm.rows(det, 20, u._powers)
     for i, powers in enumerate(u._powers):
         ns = powers if len(detectors) == 2 else (sum(powers),)
-        assert [p.hex() for p in rows[i]] == product_bits(ns)
+        assert [p.hex() for p in row(i)] == product_bits(ns)
 
 
 def test_measure_without_a_unitary_above_forty_photons():
