@@ -340,7 +340,9 @@ def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeU
     the four sums are written out.  Each distinct
     ket (by identity) is measured once, the first time a table needs it,
     by ``_all_modes_probabilities`` through ``u``'s slot plan for its term
-    layout.  Every member is checked first, those skipped too.
+    layout.  Every member is checked first, those skipped too.  A finished
+    table with an entry that is not finite (a scattered amplitude beyond
+    the float range) raises ``FockKet.norm``'s error.
     """
     kets = [ket for members in mixtures for _, ket in members]
     det = ThresholdDetector(eta)
@@ -377,7 +379,10 @@ def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeU
                 m = min(joint)
             if m != low:
                 low, half_ulp = m, math.ulp(m) / 2
-        tables.append(dict(zip(povm.outcomes, [j0, j1, j2, j3] if n == 4 else joint)))
+        table = [j0, j1, j2, j3] if n == 4 else joint
+        if not all(map(math.isfinite, table)):  # a ket's scattered sum overflowed
+            raise ValueError("ket norm overflows the float range")
+        tables.append(dict(zip(povm.outcomes, table)))
     return tables
 
 
@@ -521,6 +526,9 @@ def coincidence_table(
     When ``outcomes`` leaves some out, a group whose row is exactly 0.0 on
     every outcome asked for adds to no sum and builds no branch; at ``eta =
     1`` the unitary's plan keeps such a group from being scattered at all.
+    A squared amplitude, a group's weight or a finished sum beyond the float
+    range raises ``FockKet.norm``'s error; the sums are checked once, when
+    done, so finite input does no extra work per term.
     """
     det = ThresholdDetector(eta)
     povm = _Povm.of(state.register, detectors, outcomes)
@@ -555,7 +563,9 @@ def coincidence_table(
                     if ket is None:
                         ket = branch(rest_reg, sub, 1.0 / sqrt(w))
                     branches[i].append((contrib, ket))
-    except OverflowError:  # one squared amplitude is beyond the float range
+        if not all(map(math.isfinite, sums)):  # a group's weight or a sum is inf
+            raise OverflowError
+    except OverflowError:  # a squared amplitude or a sum is beyond the float range
         raise ValueError("ket norm overflows the float range") from None
     return dict(zip(povm.outcomes, zip(sums, branches)))
 

@@ -1,11 +1,16 @@
 """Dense brute-force engine for cross-checking the sparse core.
 
 Deliberately naive: full amplitude arrays, explicit basis enumeration, and
-mode unitaries lifted through scipy's matrix log/exp instead of the sparse
-engine's multinomial substitution.  The threshold POVM is summed over the
-full basis with its own arithmetic (a silent probability of ``1 - p_click``,
-a branch weight from the pruned ket's norm), so ``dense_measure`` shares no
-code path with ``detection.measure`` beyond the detector's click probability.
+mode unitaries lifted through a matrix log and scipy's ``expm`` instead of
+the sparse engine's multinomial substitution.  The log of the balanced beam
+splitter, the one unitary every --verify chain lifts, is stored here
+(``_BALANCED_BS_LOG``) with the bits ``scipy.linalg.logm`` gives it, so a
+--verify process never calls ``logm``, whose first call imports
+``scipy.special``; any other unitary (only tests lift one) takes its log
+from ``logm``.  The threshold POVM is summed over the full basis with its
+own arithmetic (a silent probability of ``1 - p_click``, a branch weight
+from the pruned ket's norm), so ``dense_measure`` shares no code path with
+``detection.measure`` beyond the detector's click probability.
 Every ket the dense side builds goes through the public, validating
 ``FockKet`` constructor, never the engine's trusted one.  Every dense
 reference is one chain, ``_dense_chain``: a ket, balanced beam splitters
@@ -50,7 +55,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import expm
 
 from . import protocols
 from .detection import CLICK, SILENT, ConditionalOutcome, ThresholdDetector
@@ -67,6 +72,18 @@ MAX_ELEMENTS = 5_000_000
 # first detector clicking alone, then the second
 _A_MIXED, _A_OUTER = ("1", "2"), ("3", "4")
 _HERALDS = ((CLICK, SILENT), (SILENT, CLICK))
+
+# scipy.linalg.logm(balanced_bs().matrix) as scipy 1.17.1 with numpy 2.4.6
+# returns it, bit for bit: (real, imag) float.hex pairs in row order.  The
+# --verify deviations that the CLI prints come from expm of these bits
+_BALANCED_BS_BYTES = balanced_bs().matrix.tobytes()
+_BALANCED_BS_LOG = np.array([complex(float.fromhex(re), float.fromhex(im)) for re, im in (
+    ("-0x1.c41a74470519ep-50", "0x1.d71e0e59b28cbp-2"),
+    ("-0x1.2134e88e0a342p-51", "-0x1.1c5831add62e2p+0"),
+    ("-0x1.2134e88e0a343p-51", "-0x1.1c5831add62e1p+0"),
+    ("-0x1.45cb1771f5cbap-51", "0x1.573bf3790c7fbp+1"),
+)]).reshape(2, 2)
+_BALANCED_BS_LOG.flags.writeable = False
 
 
 class DenseState(_Record):
@@ -113,10 +130,23 @@ def _ladder(dim: int) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _lift_matrix(raw: bytes, k: int, dim: int) -> np.ndarray:
     """Fock-space unitary exp(sum_jk G[j,k] a_j^dag a_k) with G = log(U), for
-    the k x k mode unitary U whose matrix bytes are ``raw``."""
+    the k x k mode unitary U whose matrix bytes are ``raw``.
+
+    G has two sources.  For the balanced beam splitter's bytes it is the
+    stored ``_BALANCED_BS_LOG``, the bits ``scipy.linalg.logm`` returns
+    for that matrix: every --verify chain lifts that unitary alone, and
+    ``logm``'s first call imports ``scipy.special`` (about 0.1 s of a cold
+    process) to compute one fixed 2 x 2 log.  Any other U gets its log from
+    ``logm``, imported here.
+    """
     # keyed by the matrix bytes: one verify_phase_verification call applies
     # the beam splitter five times, at one or two working dimensions
-    g = logm(np.frombuffer(raw, dtype=complex).reshape(k, k))
+    if raw == _BALANCED_BS_BYTES:
+        g = _BALANCED_BS_LOG
+    else:
+        from scipy.linalg import logm
+
+        g = logm(np.frombuffer(raw, dtype=complex).reshape(k, k))
     ad = _ladder(dim)
     a = ad.conj().T
     gen = np.zeros((dim**k, dim**k), dtype=complex)

@@ -297,7 +297,9 @@ def test_all_schemes_run():
 def test_import_cli_leaves_scipy_and_dataclasses_unloaded():
     # numpy and scipy are loaded only by --verify, not by --shots, whose
     # counts come from the stdlib port of numpy's sampler; the engine's
-    # records import no dataclasses (nor, through it, inspect)
+    # records import no dataclasses (nor, through it, inspect).  --verify
+    # loads scipy.linalg for expm but never scipy.special, which logm's
+    # first call imports: the oracle stores the balanced beam splitter's log
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = textwrap.dedent("""\
         import io, sys
@@ -310,12 +312,18 @@ def test_import_cli_leaves_scipy_and_dataclasses_unloaded():
         print(sorted(m for m in ("numpy", "scipy", "dataclasses") if m in sys.modules))
         assert cli.run(["scheme-a", "--tau2", "1e-3", "--shots", "10"], out=io.StringIO()) == 0
         print("numpy" in sys.modules, "scipy" in sys.modules)
+        for argv in (["scheme-a", "--tau2", "1e-2", "--order", "2", "--verify"],
+                     ["verify-phase", "--tau2", "1e-2", "--eta", "0.7", "--verify"],
+                     ["scheme-b", "--epsilon", "0.3", "--order", "2",
+                      "--pair-amplitude", "0.5", "--verify"]):
+            assert cli.run(argv, out=io.StringIO()) == 0
+        print(sorted(m for m in ("numpy", "scipy.linalg", "scipy.special") if m in sys.modules))
         """)
     # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps the child from
     # writing bytecode into the source tree
     done = subprocess.run([sys.executable, "-I", "-B", "-c", code, src],
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines() == ["[]", "False False"]
+    assert done.stdout.splitlines() == ["[]", "False False", "['numpy', 'scipy.linalg']"]
 
 
 @pytest.mark.parametrize("argv", [

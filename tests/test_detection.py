@@ -846,6 +846,24 @@ def test_measure_and_mixture_tables_reject_an_overflowing_norm():
             call()
 
 
+@pytest.mark.parametrize("outcomes", [None, [(CLICK, SILENT), (SILENT, CLICK)]])
+@pytest.mark.parametrize("eta", [0.5, 1.0])
+def test_a_scattered_sum_beyond_the_float_range_raises_as_the_norm_does(eta, outcomes):
+    # each amplitude squares to a finite float, but the beam splitter adds
+    # them into one output of amplitude 2.4e308, beyond the float range
+    ket = FockKet(ModeRegister(("1", "2"), 1), {(1, 0): 1.7e308, (0, 1): 1.7e308})
+    with pytest.raises(ValueError, match="ket norm overflows the float range"):
+        ket.norm()
+    with pytest.raises(ValueError, match="ket norm overflows the float range"):
+        measure(ket, [("1",), ("2",)], eta, balanced_bs(), outcomes)
+    with pytest.raises(ValueError, match="ket norm overflows the float range"):
+        coincidence_table(ket, [("1",), ("2",)], eta, balanced_bs(), outcomes)
+    # at weight 0.0 the member's table entries would be NaN rather than inf
+    for w in (1.0, 0.0):
+        with pytest.raises(ValueError, match="ket norm overflows the float range"):
+            mixture_tables([((w, ket),)], balanced_bs(), eta)
+
+
 # --------------------------------------------------------------------------
 # Rows of outcome probabilities
 # --------------------------------------------------------------------------

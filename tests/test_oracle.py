@@ -388,3 +388,36 @@ def test_dense_apply_rejects_a_register_over_its_limits(limit, value, message, m
 def test_dense_apply_returns_the_zero_ket_as_it_is():
     zero = DenseState(ModeRegister(("1", "2"), 1), np.zeros((2, 2)))
     assert dense_apply(zero, balanced_bs(), ("1", "2")) is zero
+
+
+# --------------------------------------------------------------------------
+# The stored log of the balanced beam splitter
+# --------------------------------------------------------------------------
+
+def test_the_stored_balanced_bs_log_exponentiates_to_the_beam_splitter():
+    # expm of logm's bits misses the matrix by about 1.5e-15 (13 ulp of
+    # 1/sqrt(2)); a wrong stored digit misses it by far more
+    from scipy.linalg import expm
+
+    assert np.abs(expm(oracle._BALANCED_BS_LOG) - balanced_bs().matrix).max() <= 4e-15
+
+
+def test_the_stored_balanced_bs_log_is_the_installed_logm_within_rounding():
+    # a tolerance, not bits: scipy is unpinned here, and the benchmark's
+    # golden --verify lines pin the bits
+    from scipy.linalg import logm
+
+    assert np.abs(oracle._BALANCED_BS_LOG - logm(balanced_bs().matrix)).max() <= 1e-14
+
+
+def test_dense_apply_lifts_any_unitary_with_the_balanced_bs_bytes_alike():
+    # the stored log is picked by the matrix bytes, not by the instance
+    twin = ModeUnitary(balanced_bs().entries)
+    assert twin is not balanced_bs() and twin.matrix.tobytes() == oracle._BALANCED_BS_BYTES
+    state = dense_from_fock(FockKet(ModeRegister(("1", "2", "3"), 2),
+                                    {(1, 1, 0): 0.6, (2, 0, 1): 0.8j}))
+    applied = []
+    for u in (balanced_bs(), twin):
+        oracle._lift_matrix.cache_clear()
+        applied.append(dense_apply(state, u, ("1", "2")).amplitudes)
+    assert applied[0].tobytes() == applied[1].tobytes()
