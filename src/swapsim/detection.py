@@ -91,6 +91,12 @@ from .fock import FockKet, ModeRegister, WeightedEnsemble, _Record, _tuple_gette
 CLICK = "click"
 SILENT = "silent"
 
+# a ket of norm at most this keeps every squared amplitude, group weight and
+# sum that coincidence_table makes of it (each about norm ** 2 at most) far
+# inside the float range, with or without a unitary; the norm is bounded by
+# sqrt(number of terms) times the largest |amplitude|
+_SAFE_NORM = 1e150
+
 
 class ThresholdDetector(_Record):
     """Binary photon detector with per-photon efficiency ``eta``: the one
@@ -528,10 +534,17 @@ def coincidence_table(
     1`` the unitary's plan keeps such a group from being scattered at all.
     A squared amplitude, a group's weight or a finished sum beyond the float
     range raises ``FockKet.norm``'s error; the sums are checked once, when
-    done, so finite input does no extra work per term.
+    done, so finite input does no extra work per term.  An outcome left out
+    may be the one that overflows, so when ``outcomes`` leaves some out, one
+    pass over the amplitudes bounds the ket's norm, and a ket whose norm may
+    exceed ``_SAFE_NORM`` is first weighed under every outcome: the table
+    raises exactly when the full one does.
     """
     det = ThresholdDetector(eta)
     povm = _Povm.of(state.register, detectors, outcomes)
+    if povm.take is not None and max(map(abs, state.terms.values()), default=0.0) \
+            * math.sqrt(len(state.terms)) > _SAFE_NORM:
+        coincidence_table(state, detectors, eta, unitary)  # raises if the full table does
     cutoff = state.register.cutoff
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]
     sums = [0.0] * len(povm.outcomes)

@@ -41,13 +41,14 @@ def spdc_pair(tau: complex, order: int, modes: tuple[str, str]) -> FockKet:
 def double_pass_source(tau: complex, order: int = 1) -> FockKet:
     """Two SPDC passes: pair state on beams (1,4) times pair state on (2,3),
     on beams (1, 2, 3, 4).  The terms are ``tensor_product``'s, in its
-    order: each term of the (1,4) pair times every term of the (2,3) pair."""
-    a = spdc_pair(tau, order, ("1", "4"))
-    b = spdc_pair(tau, order, ("2", "3"))
+    order: each term of the (1,4) pair times every term of the (2,3) pair.
+    The two passes have the same amplitudes, bit for bit, so one
+    ``spdc_pair`` gives the terms of both."""
+    pair = spdc_pair(tau, order, ("1", "4")).terms.items()
     reg = ModeRegister._derived(("1", "2", "3", "4"), order)
     return FockKet._trusted(reg, {(n1, n2, n3, n4): amp_a * amp_b
-                                  for (n1, n4), amp_a in a.terms.items()
-                                  for (n2, n3), amp_b in b.terms.items()})
+                                  for (n1, n4), amp_a in pair
+                                  for (n2, n3), amp_b in pair})
 
 
 def single_pass_source(order: int, pair_amplitude: float) -> FockKet:

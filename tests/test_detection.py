@@ -846,7 +846,8 @@ def test_measure_and_mixture_tables_reject_an_overflowing_norm():
             call()
 
 
-@pytest.mark.parametrize("outcomes", [None, [(CLICK, SILENT), (SILENT, CLICK)]])
+@pytest.mark.parametrize("outcomes", [None, [(CLICK, SILENT), (SILENT, CLICK)],
+                                      [(SILENT, CLICK)], [(CLICK, CLICK)]])
 @pytest.mark.parametrize("eta", [0.5, 1.0])
 def test_a_scattered_sum_beyond_the_float_range_raises_as_the_norm_does(eta, outcomes):
     # each amplitude squares to a finite float, but the beam splitter adds
@@ -862,6 +863,22 @@ def test_a_scattered_sum_beyond_the_float_range_raises_as_the_norm_does(eta, out
     for w in (1.0, 0.0):
         with pytest.raises(ValueError, match="ket norm overflows the float range"):
             mixture_tables([((w, ket),)], balanced_bs(), eta)
+
+
+@pytest.mark.parametrize("u", [None, balanced_bs()])
+@pytest.mark.parametrize("eta", [0.5, 1.0])
+def test_a_ket_whose_norm_overflows_but_whose_table_does_not_measures_in_full(eta, u):
+    # the squared norm, 2e308, is beyond the float range, but each outcome's
+    # sum is within it: the full table raises nothing, and so neither does
+    # any part of it, which is the full one restricted, bit for bit
+    ket = FockKet(ModeRegister(("1", "2", "3"), 1), {(1, 0, 0): 1e154, (0, 1, 1): 1e154})
+    with pytest.raises(ValueError, match="ket norm overflows the float range"):
+        ket.norm()
+    detectors = [("1",), ("2",)]
+    full = coincidence_table(ket, detectors, eta, u)
+    for out in full:
+        part = coincidence_table(ket, detectors, eta, u, [out])
+        assert _table_bits(part) == _table_bits({out: full[out]})
 
 
 # --------------------------------------------------------------------------

@@ -61,10 +61,12 @@ def test_double_pass_source():
     assert vac.num_terms() == 1
 
 
-@pytest.mark.parametrize("tau, order", [(0.2, 1), (0.3 - 0.1j, 4), (math.sqrt(0.1), 10)])
+@pytest.mark.parametrize("order", range(1, MAX_FACTORIAL_CUTOFF + 1))
+@pytest.mark.parametrize("tau", [0.2, 1e-8, 0.0, -0.45, 0.3 - 0.1j, math.sqrt(0.1)])
 def test_double_pass_source_is_the_pair_product_on_beams_1_to_4(tau, order):
     # the same terms, in the same order and with the same bits, as the
-    # tensor product of the two passes reordered onto beams (1, 2, 3, 4)
+    # tensor product of the two passes reordered onto beams (1, 2, 3, 4),
+    # at every order; at tau 1e-8 the source prunes every term of two or more pairs
     ref = reorder(tensor_product(spdc_pair(tau, order, ("1", "4")),
                                  spdc_pair(tau, order, ("2", "3"))), ("1", "2", "3", "4"))
     assert ket_bits(double_pass_source(tau, order)) == ket_bits(ref)
