@@ -29,45 +29,43 @@ layout takes each detector's photon count from its span of the
 occupation.  When every mode is measured, each term is its own group and
 no branch is built.
 
-A unitary just before the detectors need not be applied first.
 ``measure(state, ..., unitary=u)``, where ``u`` acts on the measured modes
-in detector order (as in every herald), scatters each term of ``state``
-through ``u``'s transfer table, and the groups are keyed by output index.
-Which of two ways makes them is read from ``state`` on each call.  When no
-two of its terms share a rest occupation (the occupation of the unmeasured
-modes), as in scheme A's double-pass source, every (output, rest) key is
-made by one term only, once: ``_scatter_groups`` prunes each output and
-adds it to its group as it is made, in one pass, and that scatter order is
-the transformed ket's term order.  Otherwise (scheme B's source),
-``_scatter_terms`` sums the terms keyed by (output index, rest occupation)
-in that same order, and ``_group``, the grouping of a ket without a
-unitary, groups them.  When only some outcomes are asked for, a group
-whose row is exactly 0.0 on all of them (at ``eta = 1`` the vacuum and
-every group with photons at both heralding detectors) builds no branch.
+in detector order (as in every herald), gives the bits of applying ``u``
+first.  Which way it gets them is read from ``state`` on each call.  When
+two or more of its terms share a rest occupation (the occupation of the
+unmeasured modes), as in scheme B's source at order 2 and up, it applies
+``u`` with ``apply_mode_unitary`` and groups that ket with ``_group``.
+When none do, as in scheme A's double-pass source, every (output, rest)
+key is made by one term only, once: ``_scatter_groups`` scatters each term
+through ``u``'s transfer table without building the ket, and prunes each
+output and adds it to its group, keyed by output index, as it is made, in
+the transformed ket's term order.  When only some outcomes are asked for,
+a group whose row is exactly 0.0 on all of them (at ``eta = 1`` the vacuum
+and every group with photons at both heralding detectors) builds no
+branch.
 
-Whether an output of ``u`` is dead, its row exactly 0.0 on every outcome
-asked for, is decided once per unitary, not per call: ``u`` keeps a plan
-(``ModeUnitary._plans``) per key (detector shape, outcomes asked for),
-the transfer table without its dead outputs.  A plan is made only when
-some outcomes are left out and ``eta`` is exactly 1, where the key alone
-decides every row: with the two heralds the dead outputs are those with
-photons at both detectors or at neither.  Any other ``eta`` reads the
-table itself, and the weighing skips whatever is dead: in the interior,
-short of an underflow, only the vacuum; at ``eta = 0``, which no default
-and no benchmark workload runs, every click outcome.  The plan keeps each
-entry's largest output, so the branch cutoffs do not change.
+Whether an output of ``u`` is dead to ``_scatter_groups``, its row exactly
+0.0 on every outcome asked for, is decided once per unitary, not per call:
+``u`` keeps a plan (``ModeUnitary._plans``) per key (detector shape,
+outcomes asked for), the transfer table without its dead outputs.  A plan
+is made only when some outcomes are left out and ``eta`` is exactly 1,
+where the key alone decides every row: with the two heralds the dead
+outputs are those with photons at both detectors or at neither.  Any other
+``eta`` reads the table itself, and the weighing skips whatever is dead:
+in the interior, short of an underflow, only the vacuum; at ``eta = 0``,
+which no default and no benchmark workload runs, every click outcome.  The
+plan keeps each entry's largest output, so the branch cutoffs do not
+change.
 
-``mixture_tables`` (mixtures of kets after one unitary on all of their
-modes, each mode under its own detector in register order, each distinct
-ket measured the first time a table needs it) scatters them keyed by
-output index too, through ``u``'s slot plan for the ket's term layout
-(``ModeUnitary._slot_plans``): each term's table entry, and the output
-indices in the order the layout first meets them, which is the order the
-sums are weighed in.  Both make their rows of that index with the
-function ``_Povm.rows`` returns: ``mixture_tables`` keeps them in a
-``_Rows`` cache, one per call, and ``measure``, which reads each group's
-row once, keeps none.  Neither builds the transformed ket, and both give
-the same bits as building it.
+``mixture_tables`` weighs mixtures of two-mode kets after one unitary on
+both modes, each mode under its own detector in register order, each
+distinct ket measured the first time a table needs it.  It scatters them
+keyed by output index, without building the transformed ket, through
+``u``'s slot plan for the ket's term layout (``ModeUnitary._slot_plans``):
+each term's table entry, and the output indices in the order the layout
+first meets them, which is the order the four sums are weighed in.  Its
+rows of that index are made by the function ``_Povm.rows`` returns and kept
+in a ``fock._Memo``, one per call.
 
 ``measure`` runs in two phases, which ``bench/spans.py`` times by name:
 ``coincidence_table`` groups the ket, weighs every group under every
@@ -81,12 +79,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from . import fock
-from .elements import ModeUnitary, _check_acted
-from .fock import FockKet, ModeRegister, WeightedEnsemble, _Record, _tuple_getter
+from .elements import ModeUnitary, _check_acted, apply_mode_unitary
+from .fock import FockKet, ModeRegister, WeightedEnsemble, _Memo, _Record, _tuple_getter
 
 CLICK = "click"
 SILENT = "silent"
@@ -128,20 +125,6 @@ class ConditionalOutcome(_Record):
     @property
     def impossible(self) -> bool:
         return self.probability == 0.0
-
-
-class _Rows(dict):
-    """``mixture_tables``' rows of outcome probabilities by output index; a
-    missing row is made by ``make(key)`` on its first lookup and kept."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[object], list[float]]):
-        self.make = make  # dict.__new__ made the empty dict
-
-    def __missing__(self, key):
-        row = self[key] = self.make(key)
-        return row
 
 
 # (register labels, detectors, outcomes asked for) -> its _Povm, for the
@@ -285,16 +268,15 @@ def _slot_plan(u: ModeUnitary, layout: tuple[tuple[int, ...], ...]) -> tuple:
     return plan
 
 
-def _all_modes_probabilities(ket: FockKet, u: ModeUnitary, rows: _Rows,
-                             n_outcomes: int) -> list[float]:
-    """One ket's outcome probabilities in ``mixture_tables``: its terms
-    scattered through ``u``'s slot plan for their layout, summed into a
-    list slot per output index from 0.0 in input-term order, and weighed
-    output by output, in the order the layout first meets them, by the
-    output's row in ``rows``: each output is its own group of weight
+def _all_modes_probabilities(ket: FockKet, u: ModeUnitary, rows: _Memo) -> list[float]:
+    """One two-mode ket's four outcome probabilities in ``mixture_tables``:
+    its terms scattered through ``u``'s slot plan for their layout, summed
+    into a list slot per output index from 0.0 in input-term order, and
+    weighed output by output, in the order the layout first meets them, by
+    the output's row in ``rows``: each output is its own group of weight
     |amp|**2, skipped when building the transformed ket would prune it.
     That is the order of a dict keyed by output index, so every sum keeps
-    its float order.  With two modes the four outcomes are written out."""
+    its float order."""
     layout = tuple(ket.terms)
     entries, first, n_slots = u._slot_plans.get(layout) or _slot_plan(u, layout)
     amps = [0.0] * n_slots
@@ -303,67 +285,61 @@ def _all_modes_probabilities(ket: FockKet, u: ModeUnitary, rows: _Rows,
         for _, i, c, pf in outputs:
             amps[i] += pref * c * pf
     tol = fock.PRUNE_TOL
+    s0 = s1 = s2 = s3 = 0.0
     try:  # each slot began at 0.0: amps[i] is its own 0.0 + amp
-        if n_outcomes == 4:
-            s0 = s1 = s2 = s3 = 0.0
-            for i in first:
-                if (a := abs(amps[i])) > tol:
-                    w = a ** 2
-                    p0, p1, p2, p3 = rows[i]
-                    if (p := w * p0) > 0.0:
-                        s0 += p
-                    if (p := w * p1) > 0.0:
-                        s1 += p
-                    if (p := w * p2) > 0.0:
-                        s2 += p
-                    if (p := w * p3) > 0.0:
-                        s3 += p
-            return [s0, s1, s2, s3]
-        sums = [0.0] * n_outcomes
         for i in first:
             if (a := abs(amps[i])) > tol:
                 w = a ** 2
-                for k, p_out in enumerate(rows[i]):
-                    if (p := w * p_out) > 0.0:
-                        sums[k] += p
-        return sums
+                p0, p1, p2, p3 = rows[i]
+                if (p := w * p0) > 0.0:
+                    s0 += p
+                if (p := w * p1) > 0.0:
+                    s1 += p
+                if (p := w * p2) > 0.0:
+                    s2 += p
+                if (p := w * p3) > 0.0:
+                    s3 += p
     except OverflowError:  # one squared amplitude is beyond the float range
         raise ValueError("ket norm overflows the float range") from None
+    return [s0, s1, s2, s3]
 
 
 def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeUnitary,
                    eta: float) -> list[dict]:
-    """One table per mixture of ``(w, ket)`` members on one set of mode
-    labels: every outcome's probability, keyed as ``measure``'s result,
-    after ``u`` acts on all of the modes in register order, each mode
+    """One table per mixture of ``(w, ket)`` members on one set of two mode
+    labels: the four outcomes' probabilities, keyed as ``measure``'s
+    result, after ``u`` acts on both modes in register order, each mode
     measured by its own detector, in register order.  A table is ``sum_k
     w_k p_k(out)`` in member order from 0.0, each ``p_k`` with the bits of
     ``measure(apply_mode_unitary(ket, u, labels), [(m,) for m in labels],
-    eta)``.  A member whose ``2 * w`` is below half an
-    ulp of the table's smallest running entry is skipped there: ``p`` is at
-    most 1 up to rounding, so ``w * p`` would change no bit.  Half that ulp
-    is made again only when the smallest entry moves, and with two modes
-    the four sums are written out.  Each distinct
-    ket (by identity) is measured once, the first time a table needs it,
-    by ``_all_modes_probabilities`` through ``u``'s slot plan for its term
-    layout.  Every member is checked first, those skipped too.  A finished
-    table with an entry that is not finite (a scattered amplitude beyond
-    the float range) raises ``FockKet.norm``'s error.
+    eta)``.  A member whose ``2 * w`` is below half an ulp of the table's
+    smallest running entry is skipped there: ``p`` is at most 1 up to
+    rounding, so ``w * p`` would change no bit.  Half that ulp is made again
+    only when the smallest entry moves.  Each distinct ket (by identity) is
+    measured once, the first time a table needs it, by
+    ``_all_modes_probabilities`` through ``u``'s slot plan for its term
+    layout.  Every member is checked first, those skipped too: no members
+    at all, members on other labels, or on a number of modes other than
+    two, raise ``ValueError``.  A finished table with an entry that is not
+    finite (a scattered amplitude beyond the float range) raises
+    ``FockKet.norm``'s error.
     """
     kets = [ket for members in mixtures for _, ket in members]
+    if not kets:
+        raise ValueError("no mixture members to weigh")
     det = ThresholdDetector(eta)
     povm = _Povm.of(kets[0].register, [(m,) for m in kets[0].register.labels])
     if any(ket.register.labels != povm.labels for ket in kets):
         raise ValueError("the members of every mixture must share their mode labels")
     cutoff = max(ket.register.cutoff for ket in kets)
     _check_acted(u, povm.labels, cutoff)
-    rows = _Rows(povm.rows(det, cutoff, u._powers))  # its kets share output indices
-    n = len(povm.outcomes)
+    if len(povm.labels) != 2:
+        raise ValueError(f"mixture tables weigh two-mode kets, got {len(povm.labels)} modes")
+    rows = _Memo(povm.rows(det, cutoff, u._powers))  # its kets share output indices
     probs: dict[int, list[float]] = {}  # id(ket) -> its outcome probabilities
     tables = []
     for members in mixtures:
         j0 = j1 = j2 = j3 = 0.0
-        joint = [0.0] * n
         # half an ulp of the smallest entry, made again only when that entry
         # moves; half an ulp of 0.0 rounds to 0.0: no member is skipped at 0.0
         low = half_ulp = 0.0
@@ -372,20 +348,15 @@ def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeU
                 continue
             p = probs.get(id(ket))
             if p is None:
-                p = probs[id(ket)] = _all_modes_probabilities(ket, u, rows, n)
-            if n == 4:  # two modes, as in every phase table: the sums written out
-                p0, p1, p2, p3 = p
-                j0 += w * p0
-                j1 += w * p1
-                j2 += w * p2
-                j3 += w * p3
-                m = min(j0, j1, j2, j3)
-            else:
-                joint = [j + w * q for j, q in zip(joint, p)]
-                m = min(joint)
-            if m != low:
+                p = probs[id(ket)] = _all_modes_probabilities(ket, u, rows)
+            p0, p1, p2, p3 = p
+            j0 += w * p0
+            j1 += w * p1
+            j2 += w * p2
+            j3 += w * p3
+            if (m := min(j0, j1, j2, j3)) != low:
                 low, half_ulp = m, math.ulp(m) / 2
-        table = [j0, j1, j2, j3] if n == 4 else joint
+        table = [j0, j1, j2, j3]
         if not all(map(math.isfinite, table)):  # a ket's scattered sum overflowed
             raise ValueError("ket norm overflows the float range")
         tables.append(dict(zip(povm.outcomes, table)))
@@ -397,10 +368,10 @@ def _group(terms: dict, measured_of: Callable, rest_of: Callable) -> dict:
     (``measured_of`` of a key), in the order of each group's first kept
     term: ``measured -> [w, {rest_of(key): amp}]``, pruned as
     ``FockKet._trusted`` prunes, ``w`` summing the kept squared ``abs`` from
-    0.0 in term order.  It groups a ket's own terms, and after a unitary
-    the terms of a state whose terms share rest occupations, summed by
-    ``_scatter_terms``; ``_scatter_groups`` gives the same groups in one
-    pass when none do."""
+    0.0 in term order.  It groups a ket's own terms, among them those of
+    ``apply_mode_unitary`` on a state whose terms share rest occupations;
+    ``_scatter_groups`` gives the same groups, keyed by output index, in
+    one pass without building the ket when none do."""
     tol = fock.PRUNE_TOL
     groups: dict[tuple[int, ...], list] = {}
     for occ, amp in terms.items():
@@ -417,12 +388,12 @@ def _group(terms: dict, measured_of: Callable, rest_of: Callable) -> dict:
 
 def _entries(u: ModeUnitary, plan_key: tuple | None,
              row: Callable[[int], Sequence[float]]) -> tuple[dict, Callable]:
-    """The entries a herald through ``u`` reads, and the function that
-    makes a missing one: ``u``'s transfer table and ``u.sector``, or with
-    ``plan_key`` (``povm.plan_key`` at ``eta = 1``, else None) the plan it
-    names on ``u``, which keeps only the outputs whose ``row`` (of an
-    output index) is not all 0.0: a dead output makes no term
-    and so no group.  The plan grows here, one acted occupation at a time,
+    """The entries ``_scatter_groups`` reads through ``u``, and the
+    function that makes a missing one: ``u``'s transfer table and
+    ``u.sector``, or with ``plan_key`` (``povm.plan_key`` at ``eta = 1``,
+    else None) the plan it names on ``u``, which keeps only the outputs
+    whose ``row`` (of an output index) is not all 0.0: a dead output makes
+    no term and so no group.  The plan grows here, one acted occupation at a time,
     and keeps the table entry's largest output."""
     if plan_key is None:
         return u._table, u.sector
@@ -440,17 +411,18 @@ def _entries(u: ModeUnitary, plan_key: tuple | None,
 
 def _scatter_groups(state: FockKet, rests: list, measured_of: Callable, table: dict,
                     sector: Callable) -> tuple[dict, int]:
-    """``_group`` of the terms of ``_scatter_terms`` in one pass, for a
+    """``_group`` of ``apply_mode_unitary``'s terms in one pass, for a
     ``state`` none of whose terms share a rest occupation (``rests``, in
-    term order), and the largest output occupation.  Each (output index,
-    rest) key is then met by one input term only, and only once, since
-    the outputs of one table entry are distinct: its amplitude is the
-    ``0.0 + pref * c * pf`` that ``_scatter_terms`` would store, and the
-    keys come in the order that dict would hold them, the transformed
-    ket's term order.  So each output is pruned and added to its group
-    (keyed by output index) as it is made, with the bits and in the order
-    of ``_group``.  A group is made with its first output in it, its
-    weight that output's ``m ** 2`` (``0.0 + m ** 2``)."""
+    term order), keyed by output index instead of output occupation, and
+    the largest output occupation.  Each input term is one lookup in
+    ``table`` (made by ``sector`` when missing, see ``_entries``) and one
+    scatter.  Each (output, rest) key is then met by one input term only,
+    and only once, since the outputs of one table entry are distinct: its
+    amplitude is the ``0.0 + pref * c * pf`` that ``apply_mode_unitary``
+    would store, and the keys come in the transformed ket's term order.  So
+    each output is pruned and added to its group as it is made, with the
+    bits and in the order of ``_group``.  A group is made with its first
+    output in it, its weight that output's ``m ** 2`` (``0.0 + m ** 2``)."""
     tol = fock.PRUNE_TOL
     groups: dict[int, list] = {}
     max_occ = 0
@@ -469,33 +441,6 @@ def _scatter_groups(state: FockKet, rests: list, measured_of: Callable, table: d
         if top > max_occ:
             max_occ = top
     return groups, max_occ
-
-
-def _scatter_terms(state: FockKet, rests: list, measured_of: Callable, table: dict,
-                   sector: Callable) -> tuple[dict, int]:
-    """The terms of a unitary applied to the measured modes of ``state``
-    (``measured_of`` of a key, in detector order), without building that
-    ket: ``{(output index, rest occupation): amp}``, the same amplitudes in
-    the same order as that ket's terms, and the largest output occupation.
-
-    Each input term is one lookup in ``table`` (made by ``sector`` when
-    missing, see ``_entries``) and one scatter, summing ``pref * c * pf``
-    from 0.0 in input-term order as ``apply_mode_unitary`` does; ``rests``
-    holds each term's rest occupation, in term order.
-    """
-    terms: dict[tuple, complex] = {}
-    get = terms.get
-    max_occ = 0
-    for (occ, amp), rest in zip(state.terms.items(), rests):
-        acted = measured_of(occ)
-        nf, outputs, top = table.get(acted) or sector(acted)
-        pref = amp / nf
-        for _, i, c, pf in outputs:
-            key = (i, rest)
-            terms[key] = get(key, 0.0) + pref * c * pf
-        if top > max_occ:
-            max_occ = top
-    return terms, max_occ
 
 
 def coincidence_table(
@@ -521,17 +466,17 @@ def coincidence_table(
 
     Without a unitary, ``_group`` groups the ket's own terms.  With
     ``unitary = u`` the ket measured is ``u`` applied to the measured modes
-    of ``state`` in detector order, which is never built; the groups are
-    keyed by output index, each group's row is looked up by that index,
-    and the branches take the raised cutoff.  Which way the groups are made
-    is read from ``state`` on each call: when no two of its terms share a
-    rest occupation (scheme A's double-pass source, on scheme A's
-    detectors), ``_scatter_groups`` makes them in one pass; otherwise
-    (scheme B's source) ``_group`` groups the terms that ``_scatter_terms``
-    sums.  Both give the same groups in the same order.
-    When ``outcomes`` leaves some out, a group whose row is exactly 0.0 on
-    every outcome asked for adds to no sum and builds no branch; at ``eta =
-    1`` the unitary's plan keeps such a group from being scattered at all.
+    of ``state`` in detector order, and the branches take the raised
+    cutoff.  Which way the groups are made is read from ``state`` on each
+    call: when two or more of its terms share a rest occupation (scheme B's
+    source at order 2 and up), ``apply_mode_unitary`` builds that ket and
+    ``_group`` groups it; when none do (scheme A's double-pass source, and
+    scheme B's at order 1), ``_scatter_groups`` makes the same groups in one
+    pass without building it, keyed by output index, and each group's row
+    is looked up by that index.  When ``outcomes`` leaves some out, a group
+    whose row is exactly 0.0 on every outcome asked for adds to no sum and
+    builds no branch; in ``_scatter_groups`` at ``eta = 1`` the unitary's
+    plan keeps such a group from being scattered at all.
     A squared amplitude, a group's weight or a finished sum beyond the float
     range raises ``FockKet.norm``'s error; the sums are checked once, when
     done, so finite input does no extra work per term.  An outcome left out
@@ -549,19 +494,19 @@ def coincidence_table(
     branches: list[list[tuple[float, FockKet]]] = [[] for _ in povm.outcomes]
     sums = [0.0] * len(povm.outcomes)
     try:
+        if unitary is not None:
+            rests = list(map(povm.rest_of, state.terms))
+            if len(set(rests)) < len(rests):  # terms share a rest occupation
+                state = apply_mode_unitary(state, unitary, povm.measured)
+                cutoff, unitary = state.register.cutoff, None
         if unitary is None:
             row = povm.rows(det, cutoff)
             groups = _group(state.terms, povm.measured_of, povm.rest_of)
-        else:
+        else:  # each (output, rest) key is made once
             _check_acted(unitary, povm.measured, cutoff)
             row = povm.rows(det, cutoff, unitary._powers)
             entries = _entries(unitary, povm.plan_key if eta == 1.0 else None, row)
-            rests = list(map(povm.rest_of, state.terms))
-            if len(set(rests)) == len(rests):  # each (output, rest) key is made once
-                groups, top = _scatter_groups(state, rests, povm.measured_of, *entries)
-            else:
-                terms, top = _scatter_terms(state, rests, povm.measured_of, *entries)
-                groups = _group(terms, itemgetter(0), itemgetter(1))
+            groups, top = _scatter_groups(state, rests, povm.measured_of, *entries)
             cutoff = max(top, cutoff)
         rest_reg = ModeRegister._derived(povm.rest_labels, cutoff) if povm.rest_idx else None
         branch, sqrt = FockKet._trusted, math.sqrt

@@ -21,13 +21,15 @@ entry is built once, on first use; ``index`` numbers each distinct output
 occupation in the order the table first met it, and ``_powers`` maps it
 back.  ``apply_mode_unitary`` applies the table with a lookup and a
 scatter per input term, through ``itemgetter`` calls.
-``detection.measure`` (given a unitary on the measured modes) and
-``detection.mixture_tables`` (a unitary on whole registers) read the same
-table without building a ket, keyed by ``index``.  Amplitudes come out
-as amp / sqrt(prod n!) * c * sqrt(prod p!), the same float operations in
-the same order for a cold or a warm table.  The entries are immutable so that the table cannot go
-stale, and ``balanced_bs()`` returns one shared instance whose table
-every protocol reuses.  A table has at most one entry per acted
+``detection.measure`` (given a unitary on the measured modes of a ket no
+two of whose terms share an unmeasured occupation) and
+``detection.mixture_tables`` (a unitary on both modes of two-mode kets)
+read the same table without building a ket, keyed by ``index``.
+Amplitudes come out as amp / sqrt(prod n!) * c * sqrt(prod p!), the same
+float operations in the same order for a cold or a warm table.  The
+entries are immutable so that the table cannot go stale, and
+``balanced_bs()`` returns one shared instance whose table every protocol
+reuses.  A table has at most one entry per acted
 occupation within MAX_FACTORIAL_CUTOFF, so even the shared one stays
 small.  Where ``apply_mode_unitary`` reads the acted modes and writes the
 output keys depends only on the register's labels and the acted modes, so
@@ -39,10 +41,11 @@ and grown with the table, one acted occupation at a time: its entry for
 an acted occupation is the table's entry with only the outputs that use
 can need, in table order, with the same sqrt(prod n!) and the same
 largest output occupation (the table's own entry when every output is
-needed).  ``detection`` makes a plan only at an ``eta`` of exactly 1,
-keys it by detector shape and the outcomes asked for, and keeps the
-outputs that weigh more than 0.0 on one of those outcomes; any other
-``eta`` runs no filter and reads the table.  A plan has at most one entry
+needed).  ``detection`` makes a plan only for the herald that reads the
+table without building a ket, at an ``eta`` of exactly 1, keys it by
+detector shape and the outcomes asked for, and keeps the outputs that
+weigh more than 0.0 on one of those outcomes; any other ``eta`` runs no
+filter and reads the table.  A plan has at most one entry
 per table entry.  ``detection.mixture_tables`` keeps slot plans beside
 them, ``_slot_plans``, one per ket term layout, a bounded number.
 """
@@ -70,7 +73,7 @@ class ModeUnitary(_Record):
     plans, the slot plans and the array are caches.
 
     ``_slot_plans`` is ``detection.mixture_tables``' cache, keyed by a
-    ket's term layout, ``tuple(ket.terms)``: each term's transfer-table
+    two-mode ket's term layout, ``tuple(ket.terms)``: each term's transfer-table
     entry, in order, the output indices in the order the layout first
     meets them, and the number of slots, one per output index up to the
     largest, that the scatter sums into.  It is kept on the unitary whose

@@ -386,19 +386,24 @@ def partial_project(state: FockKet, target: FockKet) -> FockKet:
     return FockKet._trusted(reg, out)
 
 
-class _Labels(dict):
-    """Occupation -> its label text in ``format_ket``, made on first lookup
-    and kept: one entry per occupation ever formatted, at most (cutoff + 1)
-    ** modes for each register."""
+class _Memo(dict):
+    """A dict whose missing value is made by ``make(key)`` on its first
+    lookup and kept: ``format_ket``'s occupation labels, and
+    ``detection.mixture_tables``' rows of outcome probabilities."""
 
-    __slots__ = ()
+    __slots__ = ("make",)
 
-    def __missing__(self, occ: tuple[int, ...]) -> str:
-        label = self[occ] = "".join(map(str, occ))
-        return label
+    def __init__(self, make: Callable):
+        self.make = make  # dict.__new__ made the empty dict
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
-_OCC_LABELS = _Labels()
+# occupation -> its label text in format_ket: one entry per occupation ever
+# formatted, at most (cutoff + 1) ** modes for each register
+_OCC_LABELS = _Memo(lambda occ: "".join(map(str, occ)))
 
 
 def format_ket(state: FockKet) -> str:

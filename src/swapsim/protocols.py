@@ -8,7 +8,8 @@ Every report builds its events with ``_event``, the one place a fidelity
 is computed.  Schemes A and B, each described once (``_SCHEME_A``,
 ``_SCHEME_B``), herald the same way: a balanced beam splitter on two
 beams and one threshold detector on each output, one call of
-``detection`` that never builds the mixed ket.  A report takes the two
+``detection``, which builds the mixed ket only when source terms share an
+unmeasured occupation (scheme B from order 2).  A report takes the two
 heralded outcomes, ensembles included, from ``detection.measure``; the
 click distributions read the probabilities of all four from
 ``coincidence_table``'s totals and build no ensemble.  A branch that both
@@ -16,10 +17,11 @@ heralded events share is one object, and its work is done once per
 report: its fidelity overlaps, its ``format_ket`` text, and its pass
 through the phase verification's second beam splitter.  Those
 coincidence tables come from one call, ``_phase_tables``: both heralded
-ensembles and the ideal psi+/psi- references, all on beams (3, 4), go to
-``detection.mixture_tables``, which sums each table over its own members,
-skipping a member too light to change any bit of it, and sends a ket
-through the beam splitter only when some table first needs it.
+ensembles and the ideal psi+/psi- references, all two-mode kets on beams
+(3, 4), go to ``detection.mixture_tables``, which sums each table over its
+own members, skipping a member too light to change any bit of it, and
+sends a ket through the beam splitter only when some table first needs
+it.
 
 Every ket that depends on no argument is a module constant, built once,
 at import: psi+/psi- on each heralded scheme's outer beams (its

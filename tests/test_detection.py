@@ -280,16 +280,30 @@ def _assert_tables_match_measure(kets, u, eta):
             [(out, o.probability.hex()) for out, o in single.items()]
 
 
-@given(u=st.one_of(two_mode_unitaries, st.deferred(lambda: three_mode_unitaries)),
-       eta=st.floats(0.05, 1.0), data=st.data())
+@given(u=two_mode_unitaries, eta=st.floats(0.05, 1.0), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_mixture_tables_match_measure_per_ket(u, eta, data):
     # one to four unnormalized kets on one set of labels, each with its own
-    # cutoff (so the unitary often raises it); three modes have eight
-    # outcomes, which two-mode phase tables never weigh
-    kets = data.draw(st.lists(random_kets(normalized=False, n_modes=u.size),
+    # cutoff (so the unitary often raises it)
+    kets = data.draw(st.lists(random_kets(normalized=False, n_modes=2),
                               min_size=1, max_size=4), label="kets")
     _assert_tables_match_measure(kets, u, eta)
+
+
+def test_mixture_tables_reject_kets_on_other_than_two_modes():
+    # a unitary of the kets' size passes the unitary checks; the tables
+    # still weigh only two-mode kets, so three or one mode is refused
+    three = FockKet(ModeRegister(("1", "2", "3"), 1), {(1, 0, 0): 1.0})
+    one = FockKet(ModeRegister(("1",), 1), {(1,): 1.0})
+    for ket, u in ((three, _three_mode(0.3, 0.6)), (one, ModeUnitary(((1.0,),)))):
+        with pytest.raises(ValueError, match=f"two-mode kets, got {ket.register.size} modes"):
+            mixture_tables([((1.0, ket),)], u, 0.5)
+
+
+@pytest.mark.parametrize("mixtures", [[], [[]], [(), ()]])
+def test_mixture_tables_reject_no_members(mixtures):
+    with pytest.raises(ValueError, match="no mixture members to weigh"):
+        mixture_tables(mixtures, balanced_bs(), 0.5)
 
 
 def test_each_unitary_keeps_its_own_slot_plans():
@@ -792,30 +806,31 @@ def test_fused_herald_matches_apply_then_measure_on_scheme_states(scheme, args, 
 def test_the_herald_picks_its_grouping_from_the_rest_occupations():
     # scheme A's double-pass source holds one term per pair of pair numbers,
     # which its unmeasured beams 3 and 4 read, so no two terms share a rest
-    # occupation and the herald groups in one pass; scheme B's terms after
-    # its unbalanced beam splitters share them, so its herald sums the
-    # scattered terms, then groups them.  Both give apply-then-measure's bits
+    # occupation and the herald groups in one pass; so does scheme B's
+    # source at order 1.  From order 2 on, scheme B's terms after its
+    # unbalanced beam splitters share them, so its herald applies the beam
+    # splitter with apply_mode_unitary, then groups that ket.  Every outcome
+    # and the heralds alone give apply-then-measure's bits, ensembles too
     cases = [(double_pass_source(math.sqrt(0.1), 10), protocols._SCHEME_A.detectors, True),
-             (protocols.scheme_b_state(0.3, 4, "ubs", 0.5), protocols._SCHEME_B.detectors,
-              False)]
+             (protocols.scheme_b_state(0.3, 1, "ubs", 0.5), protocols._SCHEME_B.detectors,
+              True)]
+    cases += [(protocols.scheme_b_state(0.3, order, "ubs", 0.5), protocols._SCHEME_B.detectors,
+               False) for order in (2, 3, 4)]
     for pre, detectors, distinct in cases:
         mixed = [m for (m,) in detectors]
         rest_idx = [i for i, m in enumerate(pre.register.labels) if m not in mixed]
         rests = [tuple(occ[i] for i in rest_idx) for occ in pre.terms]
         assert (len(set(rests)) == len(rests)) == distinct
-        for eta in (0.8, 1.0):
+        post = apply_mode_unitary(pre, balanced_bs(), mixed)
+        for eta, outcomes in itertools.product((0.0, 0.5, 1.0), (None, protocols._HERALDS)):
             with mock.patch.object(detection, "_scatter_groups",
                                    wraps=detection._scatter_groups) as one_pass, \
-                    mock.patch.object(detection, "_scatter_terms",
-                                      wraps=detection._scatter_terms) as summed:
-                fused = coincidence_table(pre, detectors, eta, balanced_bs())
-                part = coincidence_table(pre, detectors, eta, balanced_bs(), protocols._HERALDS)
-            assert (one_pass.call_count, summed.call_count) == ((2, 0) if distinct else (0, 2))
-            post = apply_mode_unitary(pre, balanced_bs(), mixed)
-            ref = coincidence_table(post, detectors, eta)
-            assert _table_bits(fused) == _table_bits(ref)
-            assert _table_bits(part) == \
-                _table_bits({out: ref[out] for out in protocols._HERALDS})
+                    mock.patch.object(detection, "apply_mode_unitary",
+                                      wraps=detection.apply_mode_unitary) as applied:
+                fused = measure(pre, detectors, eta, balanced_bs(), outcomes)
+            assert (one_pass.call_count, applied.call_count) == ((1, 0) if distinct else (0, 1))
+            assert _measure_bits(fused) == _measure_bits(measure(post, detectors, eta,
+                                                                 outcomes=outcomes))
 
 
 def test_fused_herald_rejects_a_unitary_of_another_size():
@@ -849,10 +864,14 @@ def test_measure_and_mixture_tables_reject_an_overflowing_norm():
 @pytest.mark.parametrize("outcomes", [None, [(CLICK, SILENT), (SILENT, CLICK)],
                                       [(SILENT, CLICK)], [(CLICK, CLICK)]])
 @pytest.mark.parametrize("eta", [0.5, 1.0])
-def test_a_scattered_sum_beyond_the_float_range_raises_as_the_norm_does(eta, outcomes):
-    # each amplitude squares to a finite float, but the beam splitter adds
-    # them into one output of amplitude 2.4e308, beyond the float range
-    ket = FockKet(ModeRegister(("1", "2"), 1), {(1, 0): 1.7e308, (0, 1): 1.7e308})
+@pytest.mark.parametrize("amp", [1e154, 1.7e308])
+def test_a_scattered_sum_beyond_the_float_range_raises_as_the_norm_does(amp, eta, outcomes):
+    # at 1e154 each amplitude squares to 1e308, a finite float, but the beam
+    # splitter adds them into one output whose square is 2e308, beyond the
+    # float range; at 1.7e308 each amplitude's own square is beyond it, and
+    # so is the output's amplitude, 2.4e308
+    ket = FockKet(ModeRegister(("1", "2"), 1), {(1, 0): amp, (0, 1): amp})
+    assert math.isfinite(amp * amp) == (amp == 1e154)
     with pytest.raises(ValueError, match="ket norm overflows the float range"):
         ket.norm()
     with pytest.raises(ValueError, match="ket norm overflows the float range"):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from swapsim import detection, fock
 from swapsim.detection import ConditionalOutcome, ThresholdDetector, coincidence_table
 from swapsim.elements import ModeUnitary, apply_mode_unitary, balanced_bs
 from swapsim.fock import (
@@ -331,6 +332,17 @@ def test_format_ket_labels_counts_of_ten_and_more():
     assert format_ket(ket) == want
     assert format_ket(ket) == want
     assert format_ket(relabel(ket, {"a": "z"})) == want
+
+
+def test_one_memo_keeps_format_ket_labels_and_mixture_rows():
+    # format_ket's labels and mixture_tables' rows are one class: a missing
+    # value is made by its function on first lookup and kept, and a kept
+    # one is read back as is
+    assert type(fock._OCC_LABELS) is fock._Memo and detection._Memo is fock._Memo
+    made = []
+    memo = fock._Memo(lambda key: made.append(key) or "".join(map(str, key)))
+    assert [memo[(1, 10)], memo[(0, 2)], memo[(1, 10)]] == ["110", "02", "110"]
+    assert made == [(1, 10), (0, 2)] and memo == {(1, 10): "110", (0, 2): "02"}
 
 
 PSI_12 = bell_state("psi+", ("1", "2"))

@@ -262,10 +262,10 @@ def test_phase_verification_sends_each_branch_through_the_beam_splitter_at_most_
     measured = []
     weigh = detection._all_modes_probabilities
 
-    def recording(ket, u, rows, n_outcomes):
+    def recording(ket, u, rows):
         assert u is balanced_bs()
         measured.append(id(ket))
-        return weigh(ket, u, rows, n_outcomes)
+        return weigh(ket, u, rows)
 
     monkeypatch.setattr(detection, "_all_modes_probabilities", recording)
     report = run_phase_verification(math.sqrt(0.01), 0.7, 10)
