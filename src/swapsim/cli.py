@@ -2,23 +2,19 @@
 json/csv/table, optionally cross-check against the dense oracle or sample
 synthetic detection shots.
 
-``COMMANDS`` says everything about each subcommand: its help line, its
-report function in ``protocols``, its dense-oracle check in ``oracle``
-(``--verify``), its click distribution in ``protocols`` (``--shots``), the
-parameters ``--sweep`` may set, and the parsed arguments that every one of
-those functions takes, in order.  ``OPTIONS`` declares the flag or flags
-that set each of those arguments, once for every subcommand.  The parser
-offers ``--verify`` and ``--shots``/``--seed`` only on subcommands whose row
-names a function for them, and the sweep flags only where ``sweep`` names
-a parameter.  Functions are stored by name and looked up when
-a command runs, so a function rebound on its module is the one called.  A
-sweep point is a copy of the arguments with the swept parameter set,
-checked like a single run.  Every usage error, found by argparse or by a
-check after parsing, prints the usage line of the subcommand that was run.
-The top-level usage is one string built from ``COMMANDS``: ``[-h]``, the
-brace list of subcommands and ``...``, each on its own line and indented
-to the column after ``usage: swapsim ``, so it reads the same at every
-terminal width and on every Python.
+``COMMANDS`` says everything about each subcommand, one ``Command`` row,
+and ``OPTIONS`` declares the flag or flags that set each of its
+arguments, once for every subcommand.  The parser offers ``--verify`` and
+``--shots``/``--seed`` only on subcommands whose row names a function for
+them, and the sweep flags only where ``sweep`` names a parameter.
+Functions are stored by name and looked up when a command runs, so a
+function rebound on its module is the one called.  Every usage error,
+found by argparse or by a check after parsing, prints the usage line of
+the subcommand that was run.  The top-level usage is one string built
+from ``COMMANDS``: ``[-h]``, the brace list of subcommands and ``...``,
+each on its own line and indented to the column after
+``usage: swapsim ``, so it reads the same at every terminal width and on
+every Python.
 
 ``--verify`` runs after the report is written.  On agreement it writes one
 more stdout line, ``verify: ok (max deviation ...)``; on a mismatch it
@@ -31,10 +27,8 @@ Output is deterministic (byte-stable) for a fixed configuration and seed;
 all floats are printed with 12 significant digits.
 
 ``run(argv, out)`` is the in-process API: it returns the exit status, and
-argparse raises ``SystemExit`` for ``--help`` and usage errors.  ``main()``,
-the process entry point, ends the process: it flushes stdout and stderr
-and calls ``os._exit`` with the run's status, or 1 when a reader closed
-stdout early, without a traceback.
+argparse raises ``SystemExit`` for ``--help`` and usage errors; ``main()``
+is the process entry point.
 """
 from __future__ import annotations
 

@@ -5,75 +5,43 @@ probability eta, so a mode (or group of modes covered by one detector)
 holding n photons stays silent with probability (1 - eta)^n and clicks
 with probability 1 - (1 - eta)^n.
 
-``measure`` is the one implementation of this POVM.  It returns every
-click/silent outcome asked for (all by default) of a set of detectors on a
-ket at once, keyed by a tuple of ``CLICK``/``SILENT`` in detector order.
-The ket is grouped once by the occupation of the measured modes: groups
-with distinct measured occupations are incoherent, terms sharing them stay
-coherent.  This is exact for POVMs diagonal in the measured modes' Fock
-basis.  A group's normalized branch on the unmeasured modes does not
-depend on the outcome (only its weight does), so it is built once and
-shared by every outcome it contributes to.
+``measure`` is the one implementation of this POVM.  It groups the ket
+once by the occupation of the measured modes: groups with distinct
+measured occupations are incoherent, terms sharing them stay coherent,
+which is exact for POVMs diagonal in the measured modes' Fock basis.  A
+group's normalized branch on the unmeasured modes does not depend on the
+outcome, only its weight does, so it is built once and shared by every
+outcome it feeds.  ``outcomes`` is the one way to skip work no caller
+reads, and a caller that reads only probabilities reads
+``coincidence_table``'s totals.  ``measure`` runs in two phases, which
+``bench/spans.py`` times by name: ``coincidence_table`` weighs the groups
+and builds the branches, ``measure_pattern`` builds each ensemble.
 
-What depends only on the detector layout (the register's labels, the
-detectors and the outcomes asked for) is set up once per layout and kept
-for the life of the process, in ``_Povm``: the detector check, the outcome
-list and the getters of the measured and unmeasured occupations.  What
-depends on ``eta`` or on the ket is set up once per call: the list of
-(click, silent) pairs by photon count, each measured occupation's row of
-outcome probabilities, and the branches' cutoff, the ket's.  Their register
-is the one kept per (unmeasured labels, cutoff) by
-``ModeRegister._derived``.  With two one-mode detectors, as in every herald
-and phase table, a row is its four products written out, and any other
-layout takes each detector's photon count from its span of the
-occupation.  When every mode is measured, each term is its own group and
-no branch is built.
+Given a unitary on the measured modes, as in every herald, the groups come
+one of two ways, read from the input on each call.  When two or more of
+its terms share a rest occupation (the photons of the unmeasured modes),
+as scheme B's source does from order 2, ``apply_mode_unitary`` builds the
+transformed ket and ``_group`` groups it.  When none do (scheme A, and
+scheme B at order 1), ``_scatter_groups`` makes the same groups in one
+pass without building the ket, keyed by output index.
 
-``measure(state, ..., unitary=u)``, where ``u`` acts on the measured modes
-in detector order (as in every herald), gives the bits of applying ``u``
-first.  Which way it gets them is read from ``state`` on each call.  When
-two or more of its terms share a rest occupation (the occupation of the
-unmeasured modes), as in scheme B's source at order 2 and up, it applies
-``u`` with ``apply_mode_unitary`` and groups that ket with ``_group``.
-When none do, as in scheme A's double-pass source, every (output, rest)
-key is made by one term only, once: ``_scatter_groups`` scatters each term
-through ``u``'s transfer table without building the ket, and prunes each
-output and adds it to its group, keyed by output index, as it is made, in
-the transformed ket's term order.  When only some outcomes are asked for,
-a group whose row is exactly 0.0 on all of them (at ``eta = 1`` the vacuum
-and every group with photons at both heralding detectors) builds no
-branch.
+At ``eta`` exactly 1, with some outcomes left out, every row is 0.0s and
+1.0s that the detector shape and the outcomes alone decide.  There the
+scatter reads a plan, kept per unitary in ``ModeUnitary._plans`` under
+``_Povm.plan_key`` and grown one acted occupation at a time: the transfer
+table without the outputs whose row is 0.0 on every outcome asked for
+(for the two heralds, photons at both detectors or at neither), whose
+groups would add to no sum and build no branch.  Each plan entry keeps
+its table entry's largest output, so branch cutoffs do not change.  Any
+other ``eta`` reads the table, and the weighing skips what is dead: short
+of an underflow only the vacuum in the interior, and every click outcome
+at ``eta = 0``, which no default and no benchmark runs.
 
-Whether an output of ``u`` is dead to ``_scatter_groups``, its row exactly
-0.0 on every outcome asked for, is decided once per unitary, not per call:
-``u`` keeps a plan (``ModeUnitary._plans``) per key (detector shape,
-outcomes asked for), the transfer table without its dead outputs.  A plan
-is made only when some outcomes are left out and ``eta`` is exactly 1,
-where the key alone decides every row: with the two heralds the dead
-outputs are those with photons at both detectors or at neither.  Any other
-``eta`` reads the table itself, and the weighing skips whatever is dead:
-in the interior, short of an underflow, only the vacuum; at ``eta = 0``,
-which no default and no benchmark workload runs, every click outcome.  The
-plan keeps each entry's largest output, so the branch cutoffs do not
-change.
-
-``mixture_tables`` weighs mixtures of two-mode kets after one unitary on
-both modes, each mode under its own detector in register order, each
-distinct ket measured the first time a table needs it.  It scatters them
-keyed by output index, without building the transformed ket, through
-``u``'s slot plan for the ket's term layout (``ModeUnitary._slot_plans``):
-each term's table entry, and the output indices in the order the layout
-first meets them, which is the order the four sums are weighed in.  Its
-rows of that index are made by the function ``_Povm.rows`` returns and kept
-in a ``fock._Memo``, one per call.
-
-``measure`` runs in two phases, which ``bench/spans.py`` times by name:
-``coincidence_table`` groups the ket, weighs every group under every
-outcome asked for and builds the branches, and ``measure_pattern`` turns one
-outcome's probability and weighted branches into its ``ConditionalOutcome``,
-ensemble included.  ``outcomes`` is the one way to skip work no caller
-reads: every outcome returned has its ensemble built.  A caller that
-reads only probabilities reads ``coincidence_table``'s totals.
+``mixture_tables`` weighs the phase tables: mixtures of two-mode kets
+after a unitary on both modes.  It scatters each distinct ket keyed by
+output index, without building the transformed ket, through the unitary's
+slot plan for the ket's term layout, kept in ``ModeUnitary._slot_plans``
+(``_slot_plan``).
 """
 from __future__ import annotations
 
@@ -133,33 +101,11 @@ _POVMS: dict[tuple, "_Povm"] = {}
 
 
 class _Povm:
-    """The set-up of one detector layout, made once per (register labels,
-    detectors, outcomes asked for) by ``_Povm.of`` and shared by every
-    ``measure`` or ``mixture_tables`` call on that layout: the detector
-    check, the outcome list, the getters of the measured and unmeasured
-    occupations, the unmeasured labels, each detector's span of the
-    measured-occupation key, the picks of the outcomes asked for and the
-    plan key.  With ``outcomes``, the outcome list holds only the outcomes
-    asked for, still in ``itertools.product`` order.
-
-    What depends on ``eta`` is set up per call by ``rows``: each measured
-    occupation's row of outcome probabilities (which depend only on the
-    detectors' photon counts), or after a unitary each output index's, made
-    by the function it returns as one product per outcome over the
-    detectors' (click, silent) pairs, in ``itertools.product`` order.  The
-    pairs are one list per call, by photon count, and a detector's count is
-    the sum of its span of the key; with two one-mode detectors the row is
-    its four products written out.  With ``outcomes``, every row (a tuple
-    then) holds only the outcomes asked for.
-
-    ``plan_key`` names the plan that ``_entries`` gives the herald when
-    ``eta`` is exactly 1, a decision made per call: the detector shape
-    (modes per detector) and the outcomes asked for, when some outcomes are
-    left out.  Every row is then made of 0.0s and 1.0s that the key alone
-    decides.  It is None with every outcome asked for, and at any other
-    ``eta`` no filter runs: with every outcome asked for no row is all 0.0,
-    at interior ``eta``, short of an underflow, only the vacuum's is, and at
-    ``eta = 0`` every row is 0.0 on every click outcome."""
+    """The set-up of one detector layout (register labels, detectors, outcomes
+    asked for), made by ``of`` on first use and kept in ``_POVMS``; ``rows``
+    makes what depends on ``eta``, per call.  ``plan_key`` names the plan
+    that ``_entries`` reads at ``eta`` exactly 1: the detector shape (modes
+    per detector) and the outcomes asked for, or None when all are."""
 
     __slots__ = ("measured", "labels", "rest_idx", "measured_of", "rest_of", "rest_labels",
                  "outcomes", "spans", "take", "plan_key")
@@ -212,17 +158,14 @@ class _Povm:
              powers_of: Sequence | None = None) -> Callable[[object], Sequence[float]]:
         """This call's function that makes the row of outcome probabilities
         under ``det`` of a measured occupation, or with ``powers_of`` (a
-        unitary's ``_powers``, its output occupations by index) of an
-        output index.
-
-        Each row is made by one closure from this call's list of (click,
-        silent) pairs by photon count, ``(1.0 - q ** n, q ** n)`` with ``q =
-        1.0 - eta``, the operations of ``ThresholdDetector.p_click`` and
-        ``p_silent``.  The list covers every count a detector can see on a
-        register with ``cutoff``: the measured modes hold at most
-        ``cutoff`` photons each, and a unitary on them only moves those
-        photons around, so an output mode can hold twice the per-mode limit
-        after a beam splitter."""
+        unitary's ``_powers``) of an output index: one product per outcome
+        asked for over the detectors' (click, silent) pairs, written out for
+        two one-mode detectors (every herald and phase table), and otherwise
+        over each detector's span of the key.  The pairs, ``(1.0 - q ** n, q
+        ** n)`` with ``q = 1.0 - eta`` (the operations of
+        ``ThresholdDetector.p_click`` and ``p_silent``), are one list per call
+        by photon count, long enough for every measured photon in one mode, as
+        a unitary on the measured modes can put them."""
         q = 1.0 - det.eta
         pairs = [(1.0 - q ** n, q ** n) for n in range(len(self.measured) * cutoff + 1)]
         spans, take = self.spans, self.take
@@ -257,7 +200,9 @@ def _slot_plan(u: ModeUnitary, layout: tuple[tuple[int, ...], ...]) -> tuple:
     """``u``'s slot plan for kets whose terms are ``layout``, in order, made
     on first use and kept in ``u._slot_plans``: each term's transfer-table
     entry, the output indices in the order the layout first meets them,
-    and the number of slots, one per output index up to the largest."""
+    and the number of slots, one per output index up to the largest.  It is
+    kept on the unitary whose table it reads, so it never meets another
+    unitary's output indices."""
     table, sector = u._table, u.sector
     entries = tuple(table.get(occ) or sector(occ) for occ in layout)
     first = dict.fromkeys(out[1] for entry in entries for out in entry[1])
@@ -269,14 +214,13 @@ def _slot_plan(u: ModeUnitary, layout: tuple[tuple[int, ...], ...]) -> tuple:
 
 
 def _all_modes_probabilities(ket: FockKet, u: ModeUnitary, rows: _Memo) -> list[float]:
-    """One two-mode ket's four outcome probabilities in ``mixture_tables``:
-    its terms scattered through ``u``'s slot plan for their layout, summed
-    into a list slot per output index from 0.0 in input-term order, and
-    weighed output by output, in the order the layout first meets them, by
-    the output's row in ``rows``: each output is its own group of weight
-    |amp|**2, skipped when building the transformed ket would prune it.
-    That is the order of a dict keyed by output index, so every sum keeps
-    its float order."""
+    """One two-mode ket's four outcome probabilities in ``mixture_tables``.
+    The terms are scattered through ``u``'s slot plan into a slot per
+    output index, each summed from 0.0 in input-term order, and weighed in
+    the order the layout first meets them, which is the order of a dict
+    keyed by output index, so every sum keeps its float order.  Each output
+    is its own group of weight |amp|**2, skipped when building the
+    transformed ket would prune it."""
     layout = tuple(ket.terms)
     entries, first, n_slots = u._slot_plans.get(layout) or _slot_plan(u, layout)
     amps = [0.0] * n_slots
@@ -312,16 +256,13 @@ def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeU
     measured by its own detector, in register order.  A table is ``sum_k
     w_k p_k(out)`` in member order from 0.0, each ``p_k`` with the bits of
     ``measure(apply_mode_unitary(ket, u, labels), [(m,) for m in labels],
-    eta)``.  A member whose ``2 * w`` is below half an ulp of the table's
-    smallest running entry is skipped there: ``p`` is at most 1 up to
-    rounding, so ``w * p`` would change no bit.  Half that ulp is made again
-    only when the smallest entry moves.  Each distinct ket (by identity) is
-    measured once, the first time a table needs it, by
-    ``_all_modes_probabilities`` through ``u``'s slot plan for its term
-    layout.  Every member is checked first, those skipped too: no members
-    at all, members on other labels, or on a number of modes other than
-    two, raise ``ValueError``.  A finished table with an entry that is not
-    finite (a scattered amplitude beyond the float range) raises
+    eta)``, and each distinct ket (by identity) is measured once, the first
+    time a table needs it.  A member whose ``2 * w`` is below half an ulp
+    of the table's smallest running entry is skipped there: ``p`` is at
+    most 1 up to rounding, so ``w * p`` would change no bit.  Every member
+    is checked first, those skipped too: no members at all, members on
+    other labels, or on a number of modes other than two, raise
+    ``ValueError``, and so does an entry that is not finite, with
     ``FockKet.norm``'s error.
     """
     kets = [ket for members in mixtures for _, ket in members]
@@ -364,14 +305,11 @@ def mixture_tables(mixtures: Sequence[Sequence[tuple[float, FockKet]]], u: ModeU
 
 
 def _group(terms: dict, measured_of: Callable, rest_of: Callable) -> dict:
-    """A ket's terms, keyed as ``terms``, by measured occupation
-    (``measured_of`` of a key), in the order of each group's first kept
+    """A ket's terms, keyed as ``terms``, grouped by measured occupation
+    (``measured_of`` of a key) in the order of each group's first kept
     term: ``measured -> [w, {rest_of(key): amp}]``, pruned as
-    ``FockKet._trusted`` prunes, ``w`` summing the kept squared ``abs`` from
-    0.0 in term order.  It groups a ket's own terms, among them those of
-    ``apply_mode_unitary`` on a state whose terms share rest occupations;
-    ``_scatter_groups`` gives the same groups, keyed by output index, in
-    one pass without building the ket when none do."""
+    ``FockKet._trusted`` prunes, ``w`` summing the kept squared ``abs``
+    from 0.0 in term order."""
     tol = fock.PRUNE_TOL
     groups: dict[tuple[int, ...], list] = {}
     for occ, amp in terms.items():
@@ -388,13 +326,11 @@ def _group(terms: dict, measured_of: Callable, rest_of: Callable) -> dict:
 
 def _entries(u: ModeUnitary, plan_key: tuple | None,
              row: Callable[[int], Sequence[float]]) -> tuple[dict, Callable]:
-    """The entries ``_scatter_groups`` reads through ``u``, and the
-    function that makes a missing one: ``u``'s transfer table and
-    ``u.sector``, or with ``plan_key`` (``povm.plan_key`` at ``eta = 1``,
-    else None) the plan it names on ``u``, which keeps only the outputs
-    whose ``row`` (of an output index) is not all 0.0: a dead output makes
-    no term and so no group.  The plan grows here, one acted occupation at a time,
-    and keeps the table entry's largest output."""
+    """The entries ``_scatter_groups`` reads through ``u`` and the function
+    that makes a missing one: ``u``'s transfer table and ``u.sector``, or
+    with ``plan_key`` the plan it names on ``u``, whose missing entry is
+    the table's with only the outputs whose ``row`` is not all 0.0, in
+    table order (the table's own entry when none is dead)."""
     if plan_key is None:
         return u._table, u.sector
     plan = u._plans.setdefault(plan_key, {})
@@ -411,18 +347,18 @@ def _entries(u: ModeUnitary, plan_key: tuple | None,
 
 def _scatter_groups(state: FockKet, rests: list, measured_of: Callable, table: dict,
                     sector: Callable) -> tuple[dict, int]:
-    """``_group`` of ``apply_mode_unitary``'s terms in one pass, for a
-    ``state`` none of whose terms share a rest occupation (``rests``, in
-    term order), keyed by output index instead of output occupation, and
-    the largest output occupation.  Each input term is one lookup in
-    ``table`` (made by ``sector`` when missing, see ``_entries``) and one
-    scatter.  Each (output, rest) key is then met by one input term only,
-    and only once, since the outputs of one table entry are distinct: its
-    amplitude is the ``0.0 + pref * c * pf`` that ``apply_mode_unitary``
-    would store, and the keys come in the transformed ket's term order.  So
-    each output is pruned and added to its group as it is made, with the
-    bits and in the order of ``_group``.  A group is made with its first
-    output in it, its weight that output's ``m ** 2`` (``0.0 + m ** 2``)."""
+    """``_group`` of ``apply_mode_unitary``'s terms in one pass, keyed by
+    output index instead of output occupation, and the largest output
+    occupation, for a ``state`` none of whose terms share a rest occupation
+    (``rests``, in term order).  Each input term is one lookup in ``table``
+    (made by ``sector`` when missing) and one scatter.  Each (output, rest)
+    key is then met by one input term only, and once, since the outputs of
+    one table entry are distinct: its amplitude is the ``0.0 + pref * c *
+    pf`` that ``apply_mode_unitary`` would store, and the keys come in the
+    transformed ket's term order.  So each output is pruned and added to its
+    group as it is made, with ``_group``'s bits and order; a group is made
+    with its first output in it, its weight ``0.0 + m ** 2``, which is
+    ``m ** 2``."""
     tol = fock.PRUNE_TOL
     groups: dict[int, list] = {}
     max_occ = 0
@@ -450,40 +386,24 @@ def coincidence_table(
     unitary: ModeUnitary | None = None,
     outcomes: Iterable[tuple[str, ...]] | None = None,
 ) -> dict[tuple[str, ...], tuple[float, list[tuple[float, FockKet]]]]:
-    """First phase of ``measure``: group the ket once, weigh every group
-    under every outcome asked for and build each group's branch the first
-    time an outcome needs it, in one pass over the group: its amplitudes,
-    all above ``fock.PRUNE_TOL``, times 1/sqrt(w), pruned as
-    ``FockKet._trusted`` prunes, which gives the bits of ``FockKet(rest_reg,
-    sub).normalized()``.
+    """First phase of ``measure``: maps each outcome asked for, in
+    ``measure``'s order, to its probability and its ``(weight, branch)``
+    pairs in group order (none when no mode is left unmeasured).  A group
+    of squared norm ``w`` whose row entry for an outcome is ``p_out`` adds
+    ``contrib = w * p_out``, when above 0.0, to that outcome's probability,
+    a sum from 0.0 in group order.  Its branch, built the first time an
+    outcome needs it, is its amplitudes times 1/sqrt(w) pruned as
+    ``FockKet._trusted`` prunes: the bits of ``FockKet(rest_reg,
+    sub).normalized()``.  With ``unitary`` the branches take the raised
+    cutoff.
 
-    Maps each outcome, in ``measure``'s order, to its probability and its
-    ``(weight, branch)`` pairs in group order.  A group's weight under an
-    outcome, ``contrib = w * p_out``, is its squared norm times the product
-    over detectors of each one's click or silent probability; an outcome's
-    probability is the sum of its groups' contribs.  The pairs are empty
-    when no mode is left unmeasured.
-
-    Without a unitary, ``_group`` groups the ket's own terms.  With
-    ``unitary = u`` the ket measured is ``u`` applied to the measured modes
-    of ``state`` in detector order, and the branches take the raised
-    cutoff.  Which way the groups are made is read from ``state`` on each
-    call: when two or more of its terms share a rest occupation (scheme B's
-    source at order 2 and up), ``apply_mode_unitary`` builds that ket and
-    ``_group`` groups it; when none do (scheme A's double-pass source, and
-    scheme B's at order 1), ``_scatter_groups`` makes the same groups in one
-    pass without building it, keyed by output index, and each group's row
-    is looked up by that index.  When ``outcomes`` leaves some out, a group
-    whose row is exactly 0.0 on every outcome asked for adds to no sum and
-    builds no branch; in ``_scatter_groups`` at ``eta = 1`` the unitary's
-    plan keeps such a group from being scattered at all.
     A squared amplitude, a group's weight or a finished sum beyond the float
     range raises ``FockKet.norm``'s error; the sums are checked once, when
     done, so finite input does no extra work per term.  An outcome left out
-    may be the one that overflows, so when ``outcomes`` leaves some out, one
-    pass over the amplitudes bounds the ket's norm, and a ket whose norm may
-    exceed ``_SAFE_NORM`` is first weighed under every outcome: the table
-    raises exactly when the full one does.
+    may be the one that overflows, so when ``outcomes`` leaves some out, a
+    ket whose norm may exceed ``_SAFE_NORM`` (bounded in one pass over the
+    amplitudes) is first weighed under every outcome: the table raises
+    exactly when the full one does.
     """
     det = ThresholdDetector(eta)
     povm = _Povm.of(state.register, detectors, outcomes)
@@ -529,10 +449,8 @@ def coincidence_table(
 
 
 def measure_pattern(total: float, branches: list[tuple[float, FockKet]]) -> ConditionalOutcome:
-    """Second phase of ``measure``: one outcome's ``ConditionalOutcome`` from
-    its probability and weighted branches in ``coincidence_table``, the
-    ensemble built from the branches (None when there are none: a total of
-    0.0, or no mode left unmeasured)."""
+    """Second phase of ``measure``: one outcome's ``ConditionalOutcome``,
+    its ensemble built from the branches (None when there are none)."""
     ensemble = WeightedEnsemble.from_branches(branches) if branches else None
     return ConditionalOutcome(total, ensemble)
 
@@ -557,9 +475,10 @@ def measure(
     many modes as the detectors measure, the result is bit for bit that of
     ``measure(apply_mode_unitary(state, u, measured), ...)``, ``measured``
     being the detectors' modes in order.  With ``outcomes`` (a non-empty
-    iterable of outcome tuples), the result is the full one restricted to them, bit
-    for bit: the same keys in the same order, the same branch registers,
-    and a branch that two of them share is one object, as in the full one.
+    iterable of outcome tuples), the result is the full one restricted to
+    them, bit for bit: the same keys in the same order, the same branch
+    registers, and a branch that two of them share is one object, as in the
+    full one.
     """
     table = coincidence_table(state, detectors, eta, unitary, outcomes)
     return {out: measure_pattern(total, branches)

@@ -4,50 +4,20 @@ An element is a unitary matrix on a small set of modes.  It acts on a ket
 through the creation-operator substitution a_k^dag -> sum_j M[j,k] a_j^dag,
 expanded multinomially with exact integer factorials.
 
-A ``ModeUnitary`` holds its matrix as ``entries``, a tuple of rows of
-built-in Python ``complex``, so the engine needs no numpy: the unitarity
-check and the expansion are plain Python.  Every transfer-table
-coefficient is a built-in ``float`` when every entry is real (each beam
-splitter and rotation here), so a real ket stays real through it with
-float arithmetic, and a built-in ``complex`` otherwise.  ``.matrix`` is
-the same matrix as a read-only numpy array, built and cached on first
-access, for the dense oracle and for callers that want array algebra.
-
 The expansion depends only on the acted occupation (n_a, n_b, ...), not on
 the rest of the ket, so each ``ModeUnitary`` keeps a transfer table: for
 every acted occupation it has met, sqrt(prod n!), the output terms
 (powers, index, c, sqrt(prod p!)) and the largest output occupation.  An
-entry is built once, on first use; ``index`` numbers each distinct output
-occupation in the order the table first met it, and ``_powers`` maps it
-back.  ``apply_mode_unitary`` applies the table with a lookup and a
-scatter per input term, through ``itemgetter`` calls.
-``detection.measure`` (given a unitary on the measured modes of a ket no
-two of whose terms share an unmeasured occupation) and
-``detection.mixture_tables`` (a unitary on both modes of two-mode kets)
-read the same table without building a ket, keyed by ``index``.
-Amplitudes come out as amp / sqrt(prod n!) * c * sqrt(prod p!), the same
-float operations in the same order for a cold or a warm table.  The
-entries are immutable so that the table cannot go stale, and
-``balanced_bs()`` returns one shared instance whose table every protocol
-reuses.  A table has at most one entry per acted
-occupation within MAX_FACTORIAL_CUTOFF, so even the shared one stays
-small.  Where ``apply_mode_unitary`` reads the acted modes and writes the
-output keys depends only on the register's labels and the acted modes, so
-those getters are made once per such layout; the checks run on every call.
-
-Beside the table a ``ModeUnitary`` keeps its plans, ``_plans``.  A plan
-is the table cut down for one use of it, keyed by what decides that use
-and grown with the table, one acted occupation at a time: its entry for
-an acted occupation is the table's entry with only the outputs that use
-can need, in table order, with the same sqrt(prod n!) and the same
-largest output occupation (the table's own entry when every output is
-needed).  ``detection`` makes a plan only for the herald that reads the
-table without building a ket, at an ``eta`` of exactly 1, keys it by
-detector shape and the outcomes asked for, and keeps the outputs that
-weigh more than 0.0 on one of those outcomes; any other ``eta`` runs no
-filter and reads the table.  A plan has at most one entry
-per table entry.  ``detection.mixture_tables`` keeps slot plans beside
-them, ``_slot_plans``, one per ket term layout, a bounded number.
+entry is built once, on first use, by ``ModeUnitary.sector``; ``index``
+numbers each distinct output occupation in the order the table first met
+it, and ``ModeUnitary._powers`` maps it back.  Amplitudes come out as amp
+/ sqrt(prod n!) * c * sqrt(prod p!), the same float operations in the same
+order for a cold or a warm table.  The entries are immutable, so the
+table cannot go stale, and there is at most one per acted occupation
+within ``MAX_FACTORIAL_CUTOFF``, so even the shared ``balanced_bs()``
+stays small.  ``detection`` reads the table without building a ket and
+keeps two caches of its own on the unitary, ``ModeUnitary._plans`` and
+``ModeUnitary._slot_plans``; its module docstring describes them.
 """
 from __future__ import annotations
 
@@ -64,31 +34,19 @@ class ModeUnitary(_Record):
     """Complex unitary on ``size`` modes (every built-in element has size 2).
 
     ``entries`` accepts any square 2-D array-like of numbers (nested
-    sequences or a numpy array) and is stored as a tuple of rows of
-    ``complex``.  ``_real`` records once whether every entry is real; the
-    table's coefficients are then expanded from ``1.0`` over the entries'
-    real parts, built-in floats, and otherwise from ``1.0 + 0.0j`` over the
-    entries, built-in complexes.  Only ``entries`` takes part in ``repr``,
-    ``==`` and ``hash``: the transfer table, with its output indices and
-    plans, the slot plans and the array are caches.
-
-    ``_slot_plans`` is ``detection.mixture_tables``' cache, keyed by a
-    two-mode ket's term layout, ``tuple(ket.terms)``: each term's transfer-table
-    entry, in order, the output indices in the order the layout first
-    meets them, and the number of slots, one per output index up to the
-    largest, that the scatter sums into.  It is kept on the unitary whose
-    table it reads, so a plan never meets another unitary's output
-    indices.  It holds at most ``detection._SLOT_PLANS_MAX`` layouts; a new
-    layout past that drops the oldest, which only costs the next ket of
-    that layout a rebuild.
+    sequences or a numpy array) and is stored as a tuple of rows of built-in
+    ``complex``, so the engine needs no numpy; ``matrix`` is the same matrix
+    as a read-only numpy array, built on first access, for the dense oracle.
+    ``_real`` records once whether every entry is real; the table's
+    coefficients are then expanded from ``1.0`` over the entries' real
+    parts, built-in floats, and otherwise from ``1.0 + 0.0j`` over the
+    entries.  Only ``entries`` takes part in ``repr``, ``==`` and ``hash``:
+    the transfer table, the plans, the slot plans and the array are caches.
     """
 
     _fields = ("entries",)
-    # _table: acted occupation -> (sqrt(prod n!), ((powers, index, c, sqrt(prod p!)), ...),
-    # max output); _index: output occupation -> index; _powers: index -> output occupation;
-    # _plans: plan key -> {acted occupation: _table's entry with only some of its outputs};
-    # _slot_plans: term layout -> (_table's entry of each term, output indices in
-    # first-touch order, number of slots)
+    # _table: acted occupation -> its entry; _index: output occupation -> index;
+    # _powers: index -> output occupation; _plans and _slot_plans: detection's caches
     __slots__ = ("entries", "_real", "_table", "_index", "_powers", "_plans", "_slot_plans",
                  "_array")
 
@@ -155,7 +113,8 @@ class ModeUnitary(_Record):
 
 @functools.cache
 def balanced_bs() -> ModeUnitary:
-    """50/50 beam splitter: (1/sqrt2) [[1, 1], [1, -1]] (one shared instance)."""
+    """50/50 beam splitter: (1/sqrt2) [[1, 1], [1, -1]], one shared
+    instance, so every caller reuses its transfer table."""
     r = 1.0 / math.sqrt(2.0)
     return ModeUnitary(((r, r), (r, -r)))
 
@@ -239,10 +198,8 @@ def apply_mode_unitary(state: FockKet, u: ModeUnitary, modes: Sequence[str]) -> 
     occupation is a getter call, and so is each output key, over ``occ +
     powers`` with ``powers[j]`` at ``reg.size + j``.  The two getters depend
     only on the register's labels and ``modes``, so they are made once per
-    such layout (``_LAYOUTS``); the checks of ``_check_acted``, which read
-    ``u`` and the register's cutoff, run on every call.  A raised cutoff
-    takes the register that ``with_cutoff`` keeps per (labels, cutoff), and
-    ``FockKet._trusted`` prunes the terms.
+    such layout (``_LAYOUTS``); the checks of ``_check_acted`` run on every
+    call.
     """
     modes = tuple(modes)
     reg = state.register

@@ -9,48 +9,30 @@ hold both types.  Both give the same bits: CPython (3.10 to 3.13) evaluates
 ``float op complex`` by promoting the float to ``complex(x, 0.0)``, the real
 part of a product or sum of such values is the float result but for the
 sign of a zero, and every stored amplitude goes through ``0.0 +`` and every
-weight through ``abs``, which erase that sign.  No amplitude is ever summed
-by the built-in ``sum``, which compensates floats from Python 3.12 on;
-``_left_sum`` adds left to right.
+weight through ``abs``, which erase that sign.
 
 Amplitudes of magnitude at most ``PRUNE_TOL`` are discarded at
 construction, by both constructors, so every ket holds only amplitudes
 above it.  All values are immutable after construction and every
-operation is a pure function.
-
-The package's value records (``ModeRegister`` and ``WeightedEnsemble``
-here, and the unitaries, detectors, outcomes, reports and dense states of
-the other modules) derive from ``_Record``, a slotted base written out by
-hand, so that importing the package loads no record-generating module of
-the standard library (which would bring ``inspect``, ``ast`` and ``dis``).
-A record names its fields in ``_fields`` and its storage in ``__slots__``;
-its ``__init__`` runs the checks and sets each slot with one
-``object.__setattr__`` call.  The fields give its ``repr``, ``==`` and
-``hash``, and ``copy`` and ``pickle`` rebuild it through ``__init__``;
-assigning or deleting any attribute raises ``AttributeError``.
+operation is a pure function; the package's value records derive from
+``_Record``.
 
 A ket is built by one of two constructors.  The public ``FockKet(register,
-terms)`` takes outside input: it converts every occupation to an int tuple,
-checks its length and cutoff, merges duplicate keys, rejects NaN or
-infinite amplitudes and keeps an amplitude whose imaginary part is 0.0 as
-its real part, a ``float``.  Sources, Bell targets, ``vacuum``,
-hand-written kets and the whole dense oracle use it; the oracle is the
-independent cross-check, so it must not share the fast path it checks.
-``FockKet._trusted`` is for terms the engine derived from valid kets
-(``scaled``/``normalized``, ``reorder``, ``tensor_product``,
-``partial_project``, ``elements.apply_mode_unitary`` and the heralded
-branches of ``detection.measure``).  Their keys are already distinct
-int tuples of register length within the cutoff, so it skips those checks
-and keeps only the amplitude arithmetic: on such terms both constructors
-give bit-identical kets.
+terms)`` checks outside input; the sources other than
+``sources.double_pass_source``, the Bell targets, ``vacuum``, hand-written
+kets and the whole dense oracle use it.  ``FockKet._trusted`` takes terms
+the engine derived from valid kets: ``scaled``/``normalized``,
+``reorder``, ``tensor_product``, ``partial_project``,
+``sources.double_pass_source``, ``elements.apply_mode_unitary`` and the
+heralded branches of ``detection.measure``.  On such terms both
+constructors give bit-identical kets.
 
 Registers follow the same split.  ``ModeRegister(labels, cutoff)`` checks
-outside input (``sources.spdc_pair``'s modes, ``bell_state``, ``reorder``)
-on every call.  A register whose labels the package fixes (the sources'
-and the protocols' constant kets) or takes from checked registers
-(``tensor_product``, ``partial_project``, the heralded branches, a raised
-cutoff) comes from ``ModeRegister._derived``, which checks it when first
-built and returns the same object for its (labels, cutoff) after that.
+outside input (``sources.spdc_pair``'s modes, ``bell_state``,
+``reorder``) on every call.  A register whose labels the package fixes
+(the sources' and the protocols' constant kets) or takes from checked
+registers (``tensor_product``, ``partial_project``, the heralded branches,
+a raised cutoff) comes from ``ModeRegister._derived``.
 """
 from __future__ import annotations
 
@@ -77,17 +59,22 @@ def _tuple_getter(idx: Sequence[int]) -> Callable[[tuple], tuple]:
 
 
 def _left_sum(values: Iterable):
-    """The sum of ``values`` added left to right from 0, the float order of
-    the built-in ``sum`` up to Python 3.11 (from 3.12 on it compensates a
-    sum of floats), so the package's bits do not depend on the interpreter.
-    ``reduce`` runs that fold, ``((0 + v0) + v1) + ...``, in C."""
+    """The sum of ``values`` added left to right from 0, with ``reduce``, the
+    float order of the built-in ``sum`` up to Python 3.11 (from 3.12 on it
+    compensates a sum of floats), so the package's bits do not depend on the
+    interpreter: no amplitude or weight is summed by the built-in ``sum``."""
     return reduce(add, values, 0)
 
 
 class _Record:
     """Immutable value record with ``repr``, ``==`` and ``hash`` over
     ``_fields``, in the format and semantics of a frozen standard-library
-    record."""
+    record, written out by hand so that importing the package loads no
+    record-generating module of the standard library (which would bring
+    ``inspect``, ``ast`` and ``dis``).  A record names its fields in
+    ``_fields`` and its storage in ``__slots__``; its ``__init__`` runs the
+    checks and sets each slot with one ``object.__setattr__`` call, and
+    ``copy`` and ``pickle`` rebuild it through ``__init__``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -148,11 +135,9 @@ class ModeRegister(_Record):
 
     @classmethod
     def _derived(cls, labels: tuple[str, ...], cutoff: int) -> "ModeRegister":
-        """The register of ``labels``, fixed by the package or taken from
-        checked registers, at ``cutoff``: built by ``__init__`` the first
-        time each (labels, cutoff) is asked for, which raises before a bad
-        one is kept, and the same object on every later call
-        (``_REGISTERS``)."""
+        """The register of ``labels`` at ``cutoff``, built by ``__init__`` the
+        first time each (labels, cutoff) is asked for, which raises before a bad
+        one is kept, and the same object on every later call (``_REGISTERS``)."""
         reg = _REGISTERS.get((labels, cutoff))
         if reg is None:
             reg = _REGISTERS[labels, cutoff] = cls(labels, cutoff)
@@ -165,7 +150,10 @@ _REGISTERS: dict[tuple[tuple[str, ...], int], ModeRegister] = {}
 
 
 class FockKet:
-    """Sparse (possibly unnormalized) pure state on a mode register."""
+    """Sparse (possibly unnormalized) pure state on a mode register.  The
+    constructor converts every occupation to an int tuple, checks its length
+    and cutoff, merges duplicate keys, rejects NaN or infinite amplitudes and
+    keeps an amplitude whose imaginary part is 0.0 as its real part."""
 
     __slots__ = ("register", "terms")
 
@@ -248,10 +236,7 @@ def vacuum(register: ModeRegister) -> FockKet:
 
 
 def tensor_product(a: FockKet, b: FockKet) -> FockKet:
-    """Concatenate registers; amplitudes multiply term-by-term.  The two
-    registers were checked when built, so once their labels are found
-    disjoint the result's register is the one ``ModeRegister._derived``
-    keeps."""
+    """Concatenate registers; amplitudes multiply term-by-term."""
     overlap = set(a.register.labels) & set(b.register.labels)
     if overlap:
         raise ValueError(f"mode label collision in tensor product: {sorted(overlap)}")
@@ -355,15 +340,11 @@ _PROJECTIONS: dict[tuple, tuple[Callable, Callable, tuple[str, ...]]] = {}
 
 
 def partial_project(state: FockKet, target: FockKet) -> FockKet:
-    """Project a subset of modes onto ``target``; unnormalized ket on the rest.
-
-    The squared norm of the result is the outcome probability for an ideal
-    projective measurement onto the target.
-
-    Which modes are projected and which are left depends only on the two
-    registers' labels, so the getters and the labels left are made once per
-    pair of label tuples (``_PROJECTIONS``); the result's register, whose
-    cutoff is ``state``'s, is the one kept per (rest labels, cutoff).
+    """Project a subset of modes onto ``target``; unnormalized ket on the rest,
+    whose squared norm is the outcome probability of an ideal projective
+    measurement onto the target.  The getters and the labels left depend
+    only on the two registers' labels, so they are made once per pair of
+    label tuples (``_PROJECTIONS``).
     """
     labels = state.register.labels
     layout = _PROJECTIONS.get((labels, target.register.labels))
@@ -388,8 +369,7 @@ def partial_project(state: FockKet, target: FockKet) -> FockKet:
 
 class _Memo(dict):
     """A dict whose missing value is made by ``make(key)`` on its first
-    lookup and kept: ``format_ket``'s occupation labels, and
-    ``detection.mixture_tables``' rows of outcome probabilities."""
+    lookup and kept."""
 
     __slots__ = ("make",)
 

@@ -1,11 +1,7 @@
 """Multinomial counts drawn exactly as numpy draws them, in the stdlib.
 
-``multinomial(shots, probs, seed)`` returns the counts of
-``numpy.random.default_rng(seed).multinomial(shots, probs)``, count for
-count, for every input numpy accepts there, with the same ``ValueError``
-checks; ``pairwise_sum`` is numpy's ``probs.sum()``, bit for bit.  Only
-``protocols.sample_run`` imports this module, so a run without ``--shots``
-never compiles it.
+``multinomial`` and ``pairwise_sum`` give numpy's results, count for
+count and bit for bit, with the same ``ValueError`` checks.
 
 It ports, from numpy's C and Cython sources:
 

@@ -1,52 +1,36 @@
 """Dense brute-force engine for cross-checking the sparse core.
 
 Deliberately naive: full amplitude arrays, explicit basis enumeration, and
-mode unitaries lifted through a matrix log and scipy's ``expm`` instead of
-the sparse engine's multinomial substitution.  The log of the balanced beam
-splitter, the one unitary every --verify chain lifts, is stored here
-(``_BALANCED_BS_LOG``) with the bits ``scipy.linalg.logm`` gives it, so a
---verify process never calls ``logm``, whose first call imports
-``scipy.special``; any other unitary (only tests lift one) takes its log
-from ``logm``.  The threshold POVM is summed over the full basis with its
+mode unitaries lifted through a matrix log and scipy's ``expm``
+(``_lift_matrix``) instead of the sparse engine's multinomial
+substitution.  The threshold POVM is summed over the full basis with its
 own arithmetic (a silent probability of ``1 - p_click``, a branch weight
 from the pruned ket's norm), so ``dense_measure`` shares no code path with
-``detection.measure`` beyond the detector's click probability.
-Every ket the dense side builds goes through the public, validating
-``FockKet`` constructor, never the engine's trusted one.  Every dense
-reference is one chain, ``_dense_chain``: a ket, balanced beam splitters
-applied in order, then one detector per beam.
+``detection.measure`` beyond the detector's click probability.  Every ket
+the dense side builds goes through the public, validating ``FockKet``
+constructor, never the engine's trusted one.  Every dense reference is one
+chain, ``_dense_chain``: a ket, balanced beam splitters applied in order,
+then one detector per beam.
 
 Each check of the CLI's --verify compares its dense chain with what the
 subcommand prints or samples, read from the public functions of
-``protocols`` that the CLI calls, looked up when the check runs:
-
-- ``verify_scheme_a`` and ``verify_scheme_b``: both events of the report,
-  each one's probability, ``fidelity_psi_plus`` and ``fidelity_psi_minus``
-  (``inf`` when only one side conditions), and every outcome of the click
-  distribution that --shots samples;
-- ``verify_phase_verification``: the report's two events, the ``joint``
-  D3/D4 table of each heralded event, ``p_d3``/``p_d4`` of the ideal
-  psi+/psi- references, and the ``marginals`` block.  The tables come from
-  one run of the whole chain by Bayes' rule, reading no member of a
-  heralded ensemble; the marginals come from the dense event-1 ensemble.
-
-The oracle writes its own wiring (scheme A heralds on BS(1, 2) with outer
-beams 3, 4, scheme B on BS(2, 3) with outer beams 1, 4; the first event is
-the first detector clicking alone) and builds its own targets and ideal
-references with ``bell_state``.  It reads no private name of ``protocols``
-or ``detection``.  What the reports do not print is not compared here: the
-psi+/psi- fidelities of the (click, click) and (silent, silent) ensembles,
-verify-phase's unheralded D1/D2 outcomes and the entries of its ideal
-tables; the randomized sparse-vs-dense test in ``tests/test_oracle.py``
-covers them.
+``protocols`` that the CLI calls, looked up when the check runs
+(``_herald_gap``, ``verify_phase_verification``).  The oracle writes its
+own wiring and builds its own targets and ideal references with
+``bell_state``; it reads no private name of ``protocols`` or
+``detection``.  What the reports do not print is not compared here: the
+psi+/psi- fidelities of the (click, click) and (silent, silent)
+ensembles, verify-phase's unheralded D1/D2 outcomes and the entries of
+its ideal tables; the randomized sparse-vs-dense test in
+``tests/test_oracle.py`` covers them.
 
 Trust boundary: each check starts from the ket just before the heralding
 beam splitter, ``sources.double_pass_source`` or
 ``protocols.scheme_b_state``.  So ``verify_scheme_b`` does not check scheme
 B's two unbalanced beam splitters; only the randomized test checks the
 sparse kernel that applies them (``apply_mode_unitary`` against
-``dense_apply``).
-Used only in tests and the CLI's --verify mode; small registers only.
+``dense_apply``).  Used only in tests and the CLI's --verify mode; small
+registers only.
 """
 from __future__ import annotations
 
@@ -130,13 +114,11 @@ def _ladder(dim: int) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _lift_matrix(raw: bytes, k: int, dim: int) -> np.ndarray:
     """Fock-space unitary exp(sum_jk G[j,k] a_j^dag a_k) with G = log(U), for
-    the k x k mode unitary U whose matrix bytes are ``raw``.
-
-    G has two sources.  For the balanced beam splitter's bytes it is the
-    stored ``_BALANCED_BS_LOG``, the bits ``scipy.linalg.logm`` returns
-    for that matrix: every --verify chain lifts that unitary alone, and
-    ``logm``'s first call imports ``scipy.special`` (about 0.1 s of a cold
-    process) to compute one fixed 2 x 2 log.  Any other U gets its log from
+    the k x k mode unitary U whose matrix bytes are ``raw``.  For the
+    balanced beam splitter, the one unitary every --verify chain lifts, G is
+    the stored ``_BALANCED_BS_LOG``: ``logm``'s first call imports
+    ``scipy.special``, about 0.1 s of a cold process, to compute one fixed
+    2 x 2 log.  Any other U, which only tests lift, gets its log from
     ``logm``, imported here.
     """
     # keyed by the matrix bytes: one verify_phase_verification call applies
@@ -328,10 +310,10 @@ def verify_phase_verification(tau: complex, eta: float, order: int = 1) -> float
 
     The dense side runs the whole chain once, BS(1, 2) then BS(3, 4) and a
     detector on each beam, and takes each heralded event's table by Bayes'
-    rule, P(herald, D3/D4 outcome) / P(herald); each ideal reference, built
-    here, goes through BS(3, 4) and D3/D4 alone.  The ``marginals`` block,
-    printed when event 1 heralds, is compared with the dense event-1
-    ensemble.
+    rule, P(herald, D3/D4 outcome) / P(herald), reading no member of a
+    heralded ensemble; each ideal reference, built here, goes through BS(3,
+    4) and D3/D4 alone.  The ``marginals`` block, printed when event 1
+    heralds, is compared with the dense event-1 ensemble.
     """
     report = protocols.run_phase_verification(tau, eta, order)
     pre = double_pass_source(tau, order)

@@ -5,23 +5,13 @@ based conditioning (with efficiency eta) is used exactly where the schemes
 use detectors.  Every pipeline is pure given its parameters (and seed).
 
 Every report builds its events with ``_event``, the one place a fidelity
-is computed.  Schemes A and B, each described once (``_SCHEME_A``,
-``_SCHEME_B``), herald the same way: a balanced beam splitter on two
-beams and one threshold detector on each output, one call of
-``detection``, which builds the mixed ket only when source terms share an
-unmeasured occupation (scheme B from order 2).  A report takes the two
-heralded outcomes, ensembles included, from ``detection.measure``; the
-click distributions read the probabilities of all four from
-``coincidence_table``'s totals and build no ensemble.  A branch that both
-heralded events share is one object, and its work is done once per
-report: its fidelity overlaps, its ``format_ket`` text, and its pass
-through the phase verification's second beam splitter.  Those
-coincidence tables come from one call, ``_phase_tables``: both heralded
-ensembles and the ideal psi+/psi- references, all two-mode kets on beams
-(3, 4), go to ``detection.mixture_tables``, which sums each table over its
-own members, skipping a member too light to change any bit of it, and
-sends a ket through the beam splitter only when some table first needs
-it.
+is computed.  Schemes A and B herald the same way (``_Heralded``), each
+described once (``_SCHEME_A``, ``_SCHEME_B``).  A report formats the text
+of a branch both heralded events share once (``_summarize_ensemble``),
+and the phase tables (``_phase_tables``) weigh it once; the fidelities
+read it once per event.  In scheme A no such branch meets the targets'
+support: it holds a photon at each heralding detector, so at least two
+on beams 3 and 4.
 
 Every ket that depends on no argument is a module constant, built once,
 at import: psi+/psi- on each heralded scheme's outer beams (its
@@ -31,13 +21,8 @@ polarization Bell targets, and postselect-vac's source and targets.  They
 sit in tuples or read-only mappings; the kets themselves are shared by
 every call, and no report changes them.  The public ``fock.bell_state``
 and ``sources.vacuum_one_photon_postbs`` still build a new ket per call,
-since a caller may change the terms of a ket they return.  ``_targets``
-checks each fidelity target's normalization once, where its constant is
-built, and takes there the register labels the targets share and their
-support (every occupation any of them holds).  It keeps a copy of the
-kets it is given, so a later edit of the caller's dict cannot make them
-stale.  Per event, ``_event`` compares the ensemble's labels with the
-targets' once.
+since a caller may change the terms of a ket they return.  Every source
+ket comes from ``sources``; this module builds none.
 
 Scheme B's two optical forms are one chain.  The PBS form rotates the
 polarization of each beam of an H-polarized pair, then its polarizing
@@ -47,13 +32,10 @@ column is the unbalanced beam splitter's, bit for bit; a PBS only renames
 modes.  So ``scheme_b_state`` sends ``sources.single_pass_source``
 through the unbalanced-beam-splitter chain for either variant, and a test
 builds the literal PBS chain from ``elements.polarization_rotation`` and
-``elements.pbs`` to check it.  Every source ket comes from ``sources``;
-this module builds none.
+``elements.pbs`` to check it.
 
-No report checks ``eta`` itself: each one reaches ``detection.measure``,
-whose ``ThresholdDetector`` is the one check.  An event is ``impossible``
-when it has no conditional ensemble, which is exactly when its outcome has
-probability 0.
+An event is ``impossible`` when it has no conditional ensemble, which is
+exactly when its outcome has probability 0.
 """
 from __future__ import annotations
 
@@ -165,63 +147,48 @@ def _summarize_ensemble(ens: WeightedEnsemble, texts: dict) -> list[dict]:
 
 
 def _event(name: str, probability: float, ensemble: WeightedEnsemble | None,
-           targets: _Targets, extras: Callable[[dict], dict],
-           overlaps: dict | None = None) -> EventResult:
+           targets: _Targets, extras: Callable[[dict], dict]) -> EventResult:
     """One report row: the fidelity of ``ensemble`` with each of ``targets``
     (kind -> ket, psi+ and psi- among them), psi+ and psi- in the columns
     and ``extras(fidelities)`` beside them.  Without an ensemble the event
     is impossible and has no fidelities.
 
-    A fidelity is ``fock.fidelity``'s sum, bit for bit, of weighted
-    overlaps |<t|s>|**2, which ``overlaps`` keeps by target, then member,
-    identity: the events of a report that share it read a shared member
-    once.  Each overlap is ``abs(fock.inner_product(t, s)) ** 2``.  A member
-    that has no occupation in the targets' support, found once per event,
-    is not read: its overlaps are exactly 0.0, and adding ``w * 0.0`` to a
-    total, which starts at 0.0, changes no bit.
-
-    ``targets`` come from ``_targets``, which checked each one's
-    normalization, and took their shared register labels and their support,
-    once, where the constant was built; per event the ensemble's labels are
-    compared with the targets' once."""
+    A fidelity has ``fock.fidelity``'s bits, ``total += w *
+    abs(inner_product(t, s)) ** 2`` in member order from 0.0.  A member with
+    no occupation in the targets' support is not read: its term is exactly
+    0.0, and adding ``w * 0.0`` to a total that starts at 0.0 changes no
+    bit."""
     if ensemble is None:
         return EventResult(name, probability, None, None)
     if ensemble.register.labels != targets.labels:
         raise ValueError("register mismatch between ensemble and target")
-    overlaps = {} if overlaps is None else overlaps
     support = targets.support
     members = [m for m in ensemble.members if not m[1].terms.keys().isdisjoint(support)]
     fids = {}
     for kind, t in targets.kets.items():
-        read = overlaps.get(id(t))
-        if read is None:
-            read = overlaps[id(t)] = {}
         total = 0.0
         for w, s in members:
-            o = read.get(id(s))
-            if o is None:
-                o = read[id(s)] = abs(inner_product(t, s)) ** 2
-            total += w * o
+            total += w * abs(inner_product(t, s)) ** 2
         fids[kind] = total
     return EventResult(name, probability, fids["psi+"], fids["psi-"], ensemble=ensemble,
                        extras=extras(fids))
 
 
 class _Targets(NamedTuple):
-    """A set of fidelity targets, built by ``_targets``: ``kets`` (kind ->
-    ket) as a read-only mapping, the register labels they share, and their
-    ``support``, every occupation any of them holds."""
+    """Fidelity targets from ``_targets``: ``kets`` (kind -> ket), the
+    register labels they share, and their ``support``, every occupation any
+    of them holds."""
     kets: Mapping[str, FockKet]
     labels: tuple[str, ...]
     support: frozenset
 
 
 def _targets(kets: Mapping[str, FockKet]) -> _Targets:
-    """A copy of ``kets`` (kind -> ket), once each ket is checked to be
-    normalized and all are checked to share their register labels: every
-    fidelity target, and the Bell projectors built with them, pass here.
-    The copy is read-only and later edits of ``kets`` do not reach it, so
-    the labels and support taken here stay those of its kets."""
+    """A read-only copy of ``kets`` (kind -> ket), once each ket is checked
+    to be normalized and all to share their register labels: every fidelity
+    target, and the Bell projectors built with them, pass here, once, where
+    their constant is built.  Later edits of ``kets`` do not reach the copy,
+    so the labels and support taken here stay those of its kets."""
     kets = dict(kets)
     for t in kets.values():
         if abs(t.norm() - 1.0) > 1e-9:
@@ -296,13 +263,12 @@ def run_theta_swapping(theta: float) -> ProtocolReport:
 # --------------------------------------------------------------------------
 
 class _Heralded(NamedTuple):
-    """A scheme that heralds by mixing two beams on a balanced beam
-    splitter, with one threshold detector on each output: its
-    ``detectors``, one per mixed beam, in the order the beam splitter takes
-    them; the names of its two events, ``_HERALDS``: the detector on the
-    first mixed beam clicks alone, then the one on the second; and its
-    fidelity targets, psi+ and psi- on the two outer beams that carry the
-    swapped pair (their ``labels``), checked once by ``_targets``."""
+    """A scheme that heralds by mixing two beams on a balanced beam splitter,
+    with one threshold detector on each output: its ``detectors``, one per
+    mixed beam, in the order the beam splitter takes them; the names of its
+    two events, ``_HERALDS``: the detector on the first mixed beam clicks
+    alone, then the one on the second; and its fidelity targets, psi+ and
+    psi- on the two outer beams that carry the swapped pair."""
     detectors: tuple[tuple[str], tuple[str]]
     events: tuple[str, str]
     targets: _Targets
@@ -320,13 +286,12 @@ def _favored(fids: dict) -> dict:
 
 
 def _heralded_events(pre: FockKet, scheme: _Heralded, eta: float) -> tuple[EventResult, ...]:
-    """The two heralded events of ``scheme``, each with its fidelity to
-    psi+ and psi- on the outer beams and the one it favors.  Only the two
-    heralded outcomes are measured."""
+    """The two heralded events of ``scheme``, from one ``measure`` call that
+    measures only those two outcomes, each with its fidelity to psi+ and
+    psi- on the outer beams and the one it favors."""
     measured = measure(pre, scheme.detectors, eta, balanced_bs(), _HERALDS)
     outcomes = (measured[out] for out in _HERALDS)
-    overlaps: dict = {}
-    return tuple(_event(name, o.probability, o.ensemble, scheme.targets, _favored, overlaps)
+    return tuple(_event(name, o.probability, o.ensemble, scheme.targets, _favored)
                  for name, o in zip(scheme.events, outcomes))
 
 

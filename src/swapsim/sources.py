@@ -7,10 +7,6 @@ polarization and vacuum/one-photon sources, 1 for ``theta_product``.
 Polarization encoding: beam b maps to the two modes "bH", "bV"; a state
 like |HV>_b is occupation (1, 1) on that pair, and |2H>_b is occupation 2
 on "bH".
-
-A register whose labels a constructor fixes is the one
-``ModeRegister._derived`` keeps per (labels, cutoff); ``spdc_pair``'s
-modes come from the caller and are checked on every call.
 """
 from __future__ import annotations
 
@@ -54,10 +50,10 @@ def double_pass_source(tau: complex, order: int = 1) -> FockKet:
 def single_pass_source(order: int, pair_amplitude: float) -> FockKet:
     """Scheme B's single-pass source on beams (1, 2, 3, 4): the normalized
     sum_{n=1..order} pair_amplitude^(n-1) |n, 0, 0, n>, the pair on the
-    upper beam 1 and the lower beam 4, on a register of cutoff max(2,
-    order).  ``pair_amplitude`` is the ratio of successive n-pair
-    amplitudes, ``tanh r`` for an SPDC source, so ``|pair_amplitude| < 1``;
-    at 0 only the single pair is left, at any ``order``."""
+    upper beam 1 and the lower beam 4.  ``pair_amplitude`` is the ratio of
+    successive n-pair amplitudes, ``tanh r`` for an SPDC source, so
+    ``|pair_amplitude| < 1``; at 0 only the single pair is left, at any
+    ``order``."""
     cutoff = max(2, order)
     if cutoff > MAX_FACTORIAL_CUTOFF:
         raise ValueError(f"order {order}: a mode would hold {cutoff} photons, above the "

@@ -352,47 +352,67 @@ def test_phase_tables_skip_bound_covers_a_probability_above_one():
     assert table[(SILENT, SILENT)] == least + math.ulp(least)
 
 
-@pytest.mark.parametrize("run", [run_scheme_a, run_phase_verification])
-def test_shared_members_read_once_with_fidelities_of_fock_fidelity(run, monkeypatch):
-    # at eta < 1 most members of the two heralded ensembles are one object:
-    # each distinct member that shares an occupation with psi+ or psi- is
-    # read once per target, no other member is read, each distinct member
-    # is formatted once, and every fidelity has the bits of fock.fidelity
-    # on the whole ensemble.  _event stores each overlap it computes in its
-    # target's dict of the shared cache, so a dict that records every store
-    # counts them.
-    overlaps, texts = [], []
-
-    class Recording(dict):
-        def __setitem__(self, member, value):
-            overlaps.append(member)
-            super().__setitem__(member, value)
-
-    event, fmt = protocols._event, protocols.format_ket
-
-    def recording_event(name, probability, ensemble, targets, extras, cache=None):
-        assert cache is not None  # the heralded events share one cache
-        for t in targets.kets.values():
-            cache.setdefault(id(t), Recording())
-        return event(name, probability, ensemble, targets, extras, cache)
-
-    monkeypatch.setattr(protocols, "_event", recording_event)
+@pytest.mark.parametrize("run, args, shared", [
+    pytest.param(run_scheme_a, (math.sqrt(0.05), 0.7, 6), 0, id="run_scheme_a"),
+    pytest.param(run_phase_verification, (math.sqrt(0.05), 0.7, 6), 0,
+                 id="run_phase_verification"),
+    pytest.param(run_scheme_b, (0.4, 0.7, 3, "ubs", 0.3), 6, id="run_scheme_b"),
+])
+def test_shared_members_read_once_with_fidelities_of_fock_fidelity(run, args, shared,
+                                                                   monkeypatch):
+    # at eta < 1 many members of the two heralded ensembles are one object.
+    # Each event reads each of its members that shares an occupation with
+    # psi+ or psi- once per target, through protocols.inner_product, and no
+    # other member.  No member both scheme-A events hold meets that support
+    # (test below), so there each distinct member is read once per target;
+    # scheme B reads the `shared` members both events hold twice.  Each
+    # distinct member is formatted once, and every fidelity has the bits of
+    # fock.fidelity on the whole ensemble
+    reads, texts = [], []
+    inner, fmt = protocols.inner_product, protocols.format_ket
+    monkeypatch.setattr(protocols, "inner_product",
+                        lambda t, s: reads.append(id(s)) or inner(t, s))
     monkeypatch.setattr(protocols, "format_ket", lambda k: texts.append(id(k)) or fmt(k))
-    report = run(math.sqrt(0.05), 0.7, 6)
+    report = run(*args)
     members = [(w, ket) for ev in report.events for w, ket in ev.ensemble.members]
     distinct = {id(ket) for _, ket in members}
     assert len(distinct) < len(members)
-    support = {occ for kind in ("psi+", "psi-") for occ in bell_state(kind, ("3", "4")).terms}
-    overlapping = {id(ket) for _, ket in members if support & set(ket.terms)}
+    labels = report.events[0].ensemble.register.labels
+    targets = {kind: bell_state(kind, labels) for kind in PSI}
+    support = {occ for t in targets.values() for occ in t.terms}
+    read = [[id(ket) for _, ket in ev.ensemble.members if support & set(ket.terms)]
+            for ev in report.events]
+    overlapping = {i for ids in read for i in ids}
     assert 0 < len(overlapping) < len(distinct)
-    assert sorted(overlaps) == sorted(2 * list(overlapping))
+    assert len(set(read[0]) & set(read[1])) == shared
+    assert sorted(reads) == sorted(2 * (read[0] + read[1]))
+    assert len(reads) == 2 * (len(overlapping) + shared)
     for ev in report.events:
         for kind, got in (("psi+", ev.fidelity_psi_plus), ("psi-", ev.fidelity_psi_minus)):
-            assert got.hex() == fidelity(ev.ensemble, bell_state(kind, ("3", "4"))).hex()
+            assert got.hex() == fidelity(ev.ensemble, targets[kind]).hex()
     assert texts == []
     report.to_json_dict()
     reported = {id(ket) for w, ket in members if w >= protocols.BRANCH_REPORT_TOL}
     assert sorted(texts) == sorted(reported)
+
+
+def test_no_member_of_both_scheme_a_heralds_meets_the_psi_support():
+    # a branch both single-click heralds hold has a photon at each detector,
+    # so at least two photons on beams 1 and 2; the beam splitter keeps that
+    # total, and beams 3 and 4 carry the same one, so such a member has at
+    # least two photons on beams 3, 4 and no occupation of psi+ or psi-
+    support = {occ for kind in PSI for occ in bell_state(kind, ("3", "4")).terms}
+    seen = 0
+    for order in range(1, 11):
+        for eta in (0.3, 0.7, 0.95):
+            for tau2 in (1e-3, 0.05, 0.2):
+                first, second = (ev.ensemble.members
+                                 for ev in run_scheme_a(math.sqrt(tau2), eta, order).events)
+                shared = {id(ket) for _, ket in first} & {id(ket) for _, ket in second}
+                assert all(support.isdisjoint(ket.terms) for _, ket in first
+                           if id(ket) in shared), (order, eta, tau2)
+                seen += len(shared)
+    assert seen > 0
 
 
 # --------------------------------------------------------------------------
