@@ -381,35 +381,47 @@ class _Memo(dict):
         return value
 
 
-# occupation -> its label text in format_ket: one entry per occupation ever
-# formatted, at most (cutoff + 1) ** modes for each register
-_OCC_LABELS = _Memo(lambda occ: "".join(map(str, occ)))
+# term layout -> format_ket's plan for it; a new layout past this drops the
+# oldest, so a run of ever-new layouts keeps the dict small
+_KET_PLANS_MAX = 256
+_KET_PLANS: dict[tuple[tuple[int, ...], ...], tuple[str, Callable, list]] = {}
 
 
 def format_ket(state: FockKet) -> str:
     """The ket's terms by occupation, ``+0.6|10> -0.8|01>``: each amplitude
     to 6 significant digits with its sign, an imaginary part below 1e-12
-    left out, and ``"0"`` for a ket with no terms.  A ket of ``float``
-    amplitudes, every real ket, is one ``%`` call on the amplitudes and
-    labels in turn, which gives each term's ``f"{amp:+.6g}|{label}>"``; a
-    ``complex`` amplitude makes that call raise ``TypeError``, and such a
-    ket goes term by term."""
+    left out, and ``"0"`` for a ket with no terms.  The text comes from a
+    plan keyed by the ket's term layout, ``tuple(state.terms)``, made on
+    first use and kept in ``_KET_PLANS`` (at most ``_KET_PLANS_MAX``): the
+    template ``"%+.6g|01> %+.6g|10>"`` with each occupation's label in
+    sorted order, the getter of the amplitudes in that order, and the
+    sorted occupations.  A ket of ``float`` amplitudes, every real ket, is
+    one ``%`` call of the template, which gives each term's
+    ``f"{amp:+.6g}|{label}>"``; a ``complex`` amplitude makes that call
+    raise ``TypeError``, and such a ket goes term by term over the sorted
+    occupations."""
     terms = state.terms
     if not terms:
         return "0"
-    occs = sorted(terms)
-    args = [None] * (2 * len(occs))
-    args[::2] = map(terms.__getitem__, occs)
-    args[1::2] = map(_OCC_LABELS.__getitem__, occs)
+    layout = tuple(terms)
+    plan = _KET_PLANS.get(layout)
+    if plan is None:
+        occs = sorted(layout)
+        if len(_KET_PLANS) >= _KET_PLANS_MAX:
+            del _KET_PLANS[next(iter(_KET_PLANS))]
+        template = " ".join(["%+.6g|" + "".join(map(str, occ)) + ">" for occ in occs])
+        plan = _KET_PLANS[layout] = (template, _tuple_getter(occs), occs)
+    template, amps_of, occs = plan
     try:
-        return " ".join(["%+.6g|%s>"] * len(occs)) % tuple(args)
+        return template % amps_of(terms)
     except TypeError:
         pass
     parts = []
-    for amp, label in zip(args[::2], args[1::2]):
+    for occ in occs:
+        amp = terms[occ]
         if abs(amp.imag) < 1e-12:
             coeff = f"{amp.real:+.6g}"
         else:
             coeff = f"+({amp.real:.6g}{amp.imag:+.6g}j)"
-        parts.append(f"{coeff}|{label}>")
+        parts.append(f"{coeff}|{''.join(map(str, occ))}>")
     return " ".join(parts)

@@ -335,10 +335,9 @@ def test_format_ket_labels_counts_of_ten_and_more():
 
 
 def test_one_memo_keeps_format_ket_labels_and_mixture_rows():
-    # format_ket's labels and mixture_tables' rows are one class: a missing
-    # value is made by its function on first lookup and kept, and a kept
-    # one is read back as is
-    assert type(fock._OCC_LABELS) is fock._Memo and detection._Memo is fock._Memo
+    # mixture_tables' rows are a fock._Memo: a missing value is made by its
+    # function on first lookup and kept, and a kept one is read back as is
+    assert detection._Memo is fock._Memo
     made = []
     memo = fock._Memo(lambda key: made.append(key) or "".join(map(str, key)))
     assert [memo[(1, 10)], memo[(0, 2)], memo[(1, 10)]] == ["110", "02", "110"]
@@ -425,6 +424,49 @@ def test_format_ket_of_complex_and_mixed_kets_matches_a_per_term_reference():
     mixed = FockKet(reg, {**complex_ket.terms, (11, 12): -0.25, (1, 1): 1e-5})
     for ket in (complex_ket, source, mixed):
         assert format_ket(ket) == _format_ket_per_term(ket)
+
+
+def test_format_ket_plans_match_a_per_term_reference_cold_and_warm(monkeypatch):
+    # each ket is formatted with no plan kept, then again from the plan its
+    # first call kept; one key set inserted in two orders is two layouts
+    # with one text
+    monkeypatch.setattr(fock, "_KET_PLANS", {})
+    reg = ModeRegister(("a", "b", "c"), 12)
+    real = {(1, 0, 0): 0.6, (0, 1, 0): -0.8, (2, 2, 1): 1e-5, (0, 0, 0): 1 / 3}
+    swapped = FockKet(reg, dict(reversed(real.items())))
+    kets = [FockKet(reg, real), swapped,
+            FockKet(reg, {(1, 0, 0): 0.6 + 0.3j, (0, 1, 0): complex(-0.8, 1e-13)}),
+            FockKet(reg, {(1, 0, 0): 0.6 + 0.3j, (0, 1, 0): -0.8, (0, 0, 2): 1e-5}),
+            FockKet(reg, {(3, 1, 0): -0.25}), FockKet(reg, {}),
+            FockKet(reg, {(10, 0, 1): 0.5, (1, 0, 1): -0.5, (12, 11, 10): 1e16})]
+    assert tuple(kets[0].terms) != tuple(swapped.terms)
+    assert {type(a) for a in kets[3].terms.values()} == {float, complex}
+    for ket in kets:
+        fock._KET_PLANS.clear()
+        want = _format_ket_per_term(ket)
+        assert [format_ket(ket), format_ket(ket)] == [want, want]
+        assert list(fock._KET_PLANS) == ([tuple(ket.terms)] if ket.terms else [])
+    fock._KET_PLANS.clear()
+    assert format_ket(kets[0]) == format_ket(swapped) == \
+        "+0.333333|000> -0.8|010> +0.6|100> +1e-05|221>"
+    assert list(fock._KET_PLANS) == [tuple(kets[0].terms), tuple(swapped.terms)]
+    assert format_ket(kets[-1]) == "-0.5|101> +0.5|1001> +1e+16|121110>"
+
+
+def test_format_ket_keeps_a_bounded_number_of_plans(monkeypatch):
+    # one layout per ket, well past the bound: the oldest plans are dropped,
+    # and a ket whose plan was dropped gets the same text again
+    monkeypatch.setattr(fock, "_KET_PLANS", {})
+    reg = ModeRegister(("a", "b"), 20)
+    kets = [FockKet(reg, {(a, b): 0.5, (b, a): -0.25j if a % 3 else 0.75})
+            for a in range(21) for b in range(21)]
+    assert len({tuple(ket.terms) for ket in kets}) > 1.5 * fock._KET_PLANS_MAX
+    for _ in range(2):
+        for ket in kets:
+            assert format_ket(ket) == _format_ket_per_term(ket)
+            assert len(fock._KET_PLANS) <= fock._KET_PLANS_MAX
+    assert len(fock._KET_PLANS) == fock._KET_PLANS_MAX
+    assert list(fock._KET_PLANS) == [tuple(ket.terms) for ket in kets[-fock._KET_PLANS_MAX:]]
 
 
 def test_format_ket_imaginary_cut_boundary():
